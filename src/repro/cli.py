@@ -507,50 +507,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return status
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.kernels.bench import run_kernel_bench
-
-    def run() -> dict:
-        return run_kernel_bench(
-            num_ads=args.num_ads,
-            num_queries=args.num_queries,
-            query_len=args.query_len,
-            batch_size=args.batch_size,
-            passes=args.passes,
-            seed=args.seed,
-            backend=args.backend,
-            enforce_gates=not args.no_gates,
-        )
-
-    if args.profile:
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        results = run()
-        profiler.disable()
-        stats = pstats.Stats(profiler)
-        stats.sort_stats("cumulative")
-        print(f"== top {args.top} hot spots (cumulative) ==")
-        stats.print_stats(args.top)
-    else:
-        results = run()
-    for name in ("wordset_index", "packed_segment"):
-        doc = results[name]
-        print(
-            f"{name}: {doc['baseline']['qps']:,.0f} -> "
-            f"{doc['kernel']['qps']:,.0f} qps "
-            f"({doc['speedup']:.1f}x, backend={results['backend']})"
-        )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     corpus = load_corpus_csv(args.ads, delimiter=args.delimiter)
     print("== corpus ==")
@@ -922,42 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--delimiter", default=",")
     profile.add_argument("--workload")
     profile.set_defaults(handler=_cmd_profile)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the kernel batch-QPS benchmark (scalar vs kernels)",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="wrap the run in cProfile and print the hottest call sites",
-    )
-    bench.add_argument(
-        "--top",
-        type=int,
-        default=20,
-        help="number of cumulative hot spots --profile prints",
-    )
-    bench.add_argument(
-        "--backend",
-        choices=("numpy", "python"),
-        default=None,
-        help="kernel backend to compare against the scalar baseline "
-        "(default: the active REPRO_KERNELS backend)",
-    )
-    bench.add_argument("--out", default=None, help="write results JSON")
-    bench.add_argument(
-        "--no-gates",
-        action="store_true",
-        help="skip the speedup acceptance gates (off-size profiling runs)",
-    )
-    bench.add_argument("--num-ads", type=int, default=4_000)
-    bench.add_argument("--num-queries", type=int, default=96)
-    bench.add_argument("--query-len", type=int, default=16)
-    bench.add_argument("--batch-size", type=int, default=32)
-    bench.add_argument("--passes", type=int, default=5)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.set_defaults(handler=_cmd_bench)
 
     serve = sub.add_parser(
         "serve",

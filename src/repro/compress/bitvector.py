@@ -7,77 +7,116 @@ points to as the practical choice [Vigna'08]: 64-bit words, a two-level
 rank directory (superblock cumulative counts + in-word popcount), and
 position-sampled select with local scan.
 
-Space beyond the raw bits is the directory: one 64-bit cumulative count per
-512-bit superblock plus one sampled position per ``SELECT_SAMPLE`` ones —
-a few percent overhead, reported by :meth:`BitVector.size_bits`.
+:class:`BitVector` ranks/selects over *any* indexable u64 word source,
+so a mapped file needs no copy.  A packed segment hands it a
+``memoryview.cast("Q")`` straight over the mmap (:meth:`BitVector
+.from_buffer`; big-endian hosts fall back to materializing the words,
+correctness over zero-copy); the in-memory structures
+(:class:`~repro.compress.compressed_hash.CompressedWordSetIndex`,
+:class:`~repro.compress.eliasfano.EliasFano`) build theirs from one-bit
+positions (:meth:`BitVector.from_positions`) in the same little-endian
+word layout :func:`pack_bits` writes into segment files.
+
+Space beyond the raw bits is the directory, built in one pass at
+construction: one 64-bit cumulative count per 512-bit superblock plus one
+sampled position per ``SELECT_SAMPLE`` ones — a few percent overhead,
+reported by :meth:`BitVector.size_bits`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import sys
+from collections.abc import Iterable, Sequence
+from typing import cast
 
 WORD_BITS = 64
 SUPERBLOCK_WORDS = 8  # 512-bit superblocks
 SELECT_SAMPLE = 512  # sample every 512th one-bit
 
 
+def pack_bits(length: int, one_positions: Iterable[int]) -> bytes:
+    """Serialize a bit-array as little-endian u64 words.
+
+    Bit ``i`` of the array is bit ``i % 64`` of word ``i // 64``; in the
+    little-endian byte layout that is simply bit ``i % 8`` of byte
+    ``i // 8``, so the packing is byte-addressed.
+    """
+    positions = sorted(set(one_positions))
+    if positions and (positions[0] < 0 or positions[-1] >= length):
+        raise ValueError("bit position out of range")
+    out = bytearray(((length + WORD_BITS - 1) // WORD_BITS) * 8)
+    for pos in positions:
+        out[pos >> 3] |= 1 << (pos & 7)
+    return bytes(out)
+
+
 class BitVector:
-    """Immutable bit array with rank/select support."""
+    """Immutable rank/select directory over a u64 word source."""
 
-    __slots__ = ("_n", "_words", "_super_ranks", "_select1_samples", "_ones")
+    __slots__ = ("_n", "_words", "_num_words", "_super_ranks", "_samples", "_ones")
 
-    def __init__(self, bits: Iterable[bool | int]) -> None:
-        words: list[int] = []
-        current = 0
-        offset = 0
-        n = 0
-        for bit in bits:
-            if bit:
-                current |= 1 << offset
-            offset += 1
-            n += 1
-            if offset == WORD_BITS:
-                words.append(current)
-                current = 0
-                offset = 0
-        if offset:
-            words.append(current)
-        self._n = n
+    def __init__(self, words: Sequence[int], n_bits: int) -> None:
+        if n_bits < 0:
+            raise ValueError("n_bits must be >= 0")
+        needed = (n_bits + WORD_BITS - 1) // WORD_BITS
+        if len(words) < needed:
+            raise ValueError(
+                f"word buffer holds {len(words)} words, need {needed}"
+            )
+        self._n = n_bits
         self._words = words
-        self._build_directories()
+        self._num_words = needed
+        super_ranks = [0]
+        samples: list[tuple[int, int]] = []
+        running = 0
+        for i in range(needed):
+            count = words[i].bit_count()
+            if count and (
+                not samples
+                or running // SELECT_SAMPLE != (running + count) // SELECT_SAMPLE
+            ):
+                samples.append((running, i))
+            running += count
+            if (i + 1) % SUPERBLOCK_WORDS == 0:
+                super_ranks.append(running)
+        self._super_ranks = super_ranks
+        self._samples = samples
+        self._ones = running
+
+    @classmethod
+    def from_buffer(cls, buf: memoryview, n_bits: int) -> BitVector:
+        """Wrap a little-endian u64 byte buffer (e.g. an mmap slice).
+
+        On little-endian hosts the buffer is reinterpreted in place; a
+        big-endian host pays one materializing pass instead of reading
+        every word wrong.
+        """
+        if len(buf) % 8:
+            raise ValueError("bit buffer length must be a multiple of 8")
+        if sys.byteorder == "little":
+            words = cast("Sequence[int]", buf.cast("Q"))
+        else:  # pragma: no cover - exercised only on big-endian hosts
+            raw = bytes(buf)
+            words = [
+                int.from_bytes(raw[i : i + 8], "little")
+                for i in range(0, len(raw), 8)
+            ]
+        return cls(words, n_bits)
 
     @classmethod
     def from_positions(cls, length: int, one_positions: Iterable[int]) -> BitVector:
         """Build a length-``length`` vector with ones at given positions."""
-        positions = sorted(set(one_positions))
-        if positions and (positions[0] < 0 or positions[-1] >= length):
-            raise ValueError("position out of range")
-        vec = cls.__new__(cls)
-        words = [0] * ((length + WORD_BITS - 1) // WORD_BITS)
-        for pos in positions:
-            words[pos // WORD_BITS] |= 1 << (pos % WORD_BITS)
-        vec._n = length
-        vec._words = words
-        vec._build_directories()
-        return vec
+        return cls.from_buffer(memoryview(pack_bits(length, one_positions)), length)
 
-    def _build_directories(self) -> None:
-        super_ranks = [0]
-        running = 0
-        for i, word in enumerate(self._words):
-            running += word.bit_count()
-            if (i + 1) % SUPERBLOCK_WORDS == 0:
-                super_ranks.append(running)
-        self._super_ranks = super_ranks
-        self._ones = running
-        samples = []
-        seen = 0
-        for i, word in enumerate(self._words):
-            count = word.bit_count()
-            if seen // SELECT_SAMPLE != (seen + count) // SELECT_SAMPLE or not samples:
-                samples.append((seen, i))
-            seen += count
-        self._select1_samples = samples
+    def release(self) -> None:
+        """Release the underlying buffer view (before closing an mmap)."""
+        words = self._words
+        if isinstance(words, memoryview):
+            words.release()
+        self._words = ()
+        self._num_words = 0
+        self._n = 0
+        self._ones = 0
 
     # ------------------------------------------------------------------ #
 
@@ -87,26 +126,48 @@ class BitVector:
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self._n:
             raise IndexError(i)
-        return (self._words[i // WORD_BITS] >> (i % WORD_BITS)) & 1
+        return (self._words[i >> 6] >> (i & 63)) & 1
 
     @property
     def ones(self) -> int:
         """Total number of 1-bits."""
         return self._ones
 
+    @property
+    def words(self) -> Sequence[int]:
+        """The raw u64 words — exposed so hot loops can inline bit tests."""
+        return self._words
+
+    def test_positions(self, positions: Iterable[int]) -> list[int]:
+        """Bulk membership: indexes (into ``positions``) whose bit is set.
+
+        The pure-python batch-probe kernel (see :mod:`repro.kernels`):
+        one call tests a whole probe batch in a single tight loop over
+        hoisted locals — no per-probe method dispatch — and only the
+        set positions (the rare hits) surface back into caller code.
+        Misses never allocate.  Positions are not bounds-checked; the
+        caller masks them to the bit-array's suffix domain.
+        """
+        words = self._words
+        hits: list[int] = []
+        append = hits.append
+        for index, pos in enumerate(positions):
+            if (words[pos >> 6] >> (pos & 63)) & 1:
+                append(index)
+        return hits
+
     def rank1(self, i: int) -> int:
         """Number of 1-bits in the prefix ``B[0:i]`` (exclusive of ``i``)."""
         if not 0 <= i <= self._n:
             raise IndexError(i)
         word_index, bit_index = divmod(i, WORD_BITS)
+        words = self._words
+        base = (word_index // SUPERBLOCK_WORDS) * SUPERBLOCK_WORDS
         rank = self._super_ranks[word_index // SUPERBLOCK_WORDS]
-        for w in range(
-            (word_index // SUPERBLOCK_WORDS) * SUPERBLOCK_WORDS, word_index
-        ):
-            rank += self._words[w].bit_count()
+        for w in range(base, word_index):
+            rank += words[w].bit_count()
         if bit_index:
-            mask = (1 << bit_index) - 1
-            rank += (self._words[word_index] & mask).bit_count()
+            rank += (words[word_index] & ((1 << bit_index) - 1)).bit_count()
         return rank
 
     def rank0(self, i: int) -> int:
@@ -114,58 +175,38 @@ class BitVector:
         return i - self.rank1(i)
 
     def select1(self, j: int) -> int:
-        """Position of the ``j``-th (1-based) 1-bit."""
+        """Position of the ``j``-th (1-based) 1-bit.
+
+        Sample-guided word scan; the in-word select clears the lowest set
+        bit ``need - 1`` times and isolates the survivor, touching only
+        the set bits instead of probing all 64 positions (the in-word
+        scan dominates select cost on sparse occupancy vectors).
+        """
         if not 1 <= j <= self._ones:
             raise ValueError(f"select1({j}) out of range (ones={self._ones})")
-        # Locate the starting word via the samples, then scan.
         start_word = 0
-        for seen, word_index in self._select1_samples:
+        for seen, word_index in self._samples:
             if seen < j:
                 start_word = word_index
             else:
                 break
-        seen = self._rank_at_word(start_word)
-        for w in range(start_word, len(self._words)):
-            count = self._words[w].bit_count()
+        words = self._words
+        base = (start_word // SUPERBLOCK_WORDS) * SUPERBLOCK_WORDS
+        seen = self._super_ranks[start_word // SUPERBLOCK_WORDS]
+        for w in range(base, start_word):
+            seen += words[w].bit_count()
+        for w in range(start_word, self._num_words):
+            word = words[w]
+            count = word.bit_count()
             if seen + count >= j:
-                # Clear-lowest-bit walk: touch only the set bits instead
-                # of probing all 64 positions (the in-word scan dominates
-                # select cost on sparse occupancy vectors).
-                word = self._words[w]
                 for _ in range(j - seen - 1):
                     word &= word - 1
                 return w * WORD_BITS + (word & -word).bit_length() - 1
             seen += count
         raise AssertionError("unreachable: select beyond counted ones")
 
-    def select0(self, j: int) -> int:
-        """Position of the ``j``-th (1-based) 0-bit.  Linear scan per word."""
-        zeros = self._n - self._ones
-        if not 1 <= j <= zeros:
-            raise ValueError(f"select0({j}) out of range (zeros={zeros})")
-        seen = 0
-        for w, word in enumerate(self._words):
-            width = min(WORD_BITS, self._n - w * WORD_BITS)
-            count = width - (word & ((1 << width) - 1)).bit_count()
-            if seen + count >= j:
-                # Same clear-lowest-bit walk over the complemented word.
-                inverted = ~word & ((1 << width) - 1)
-                for _ in range(j - seen - 1):
-                    inverted &= inverted - 1
-                return w * WORD_BITS + (inverted & -inverted).bit_length() - 1
-            seen += count
-        raise AssertionError("unreachable: select0 beyond counted zeros")
-
-    def _rank_at_word(self, word_index: int) -> int:
-        rank = self._super_ranks[word_index // SUPERBLOCK_WORDS]
-        for w in range(
-            (word_index // SUPERBLOCK_WORDS) * SUPERBLOCK_WORDS, word_index
-        ):
-            rank += self._words[w].bit_count()
-        return rank
-
     def size_bits(self) -> int:
         """Raw bits plus directory overhead (what this structure costs)."""
-        raw = len(self._words) * WORD_BITS
-        directory = len(self._super_ranks) * 64 + len(self._select1_samples) * 128
+        raw = self._num_words * WORD_BITS
+        directory = len(self._super_ranks) * 64 + len(self._samples) * 128
         return raw + directory

@@ -42,7 +42,7 @@ class EliasFano:
         if self._k == 0:
             self._low_bits = 0
             self._lows: list[int] = []
-            self._high = BitVector([])
+            self._high = BitVector.from_positions(0, ())
             return
         ratio = max(1, self._universe // self._k)
         self._low_bits = max(0, ratio.bit_length() - 1)

@@ -441,9 +441,10 @@ def measured_shard_service(
     """Service-time callable backed by *live* shard indexes.
 
     Instead of an analytic cost model, time each shard's actual
-    ``query()`` call (e.g. a :class:`~repro.segment.SegmentedIndex` per
-    shard) and feed the measured milliseconds into the simulator, so
-    scatter-gather tail behaviour reflects the real packed serving path.
+    ``query()`` call (e.g. the ``.shards`` of a
+    :class:`~repro.segment.ShardedSegmentedIndex`) and feed the measured
+    milliseconds into the simulator, so scatter-gather tail behaviour
+    reflects the real packed serving path.
     """
 
     def service(shard: int, query: Query) -> float:

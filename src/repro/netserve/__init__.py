@@ -31,16 +31,17 @@ so far rather than inventing parallel ones:
   immediately;
 * **chaos** (:mod:`~repro.netserve.chaos`) — the kill-driven drill
   (SIGKILL / SIGSTOP / torn connections under closed-loop load) that
-  gates the resilience claims in CI and persists ``BENCH_PR10.json``;
+  gates the resilience claims in CI (report: ``chaos-report.json``);
 * **client** (:mod:`~repro.netserve.client`) — the blocking client
   whose ``serve(ServeRequest) -> ServeResult`` reads identically to
   the in-process call;
 * **loadgen** (:mod:`~repro.netserve.loadgen`) — closed-loop driving
   (round-robin or duplicate-heavy Zipf traffic) plus the SLO report
   (QPS, p50/p95/p99, shed rate, coalescing/cache hit rates, per-worker
-  QPS and memory) that :mod:`~repro.netserve.bench` persists to
-  ``BENCH_PR7.json`` / ``BENCH_PR9.json`` and
-  :mod:`~repro.netserve.smoke` gates in CI.
+  QPS and memory) that :mod:`~repro.netserve.smoke` gates in CI.
+
+Speed numbers for the tier come from ``python3 bench/run.py`` (workloads
+``net_uniq`` / ``net_zipf``; see ``bench/README.md``), not from here.
 """
 
 from repro.netserve.chaos import ChaosConfig, run_chaos

@@ -27,12 +27,12 @@ Gates, evaluated after a post-recovery quiet phase:
 4. **SLO outside the kill window** — quiet-phase p99 within
    ``p99_slo_ms`` and zero quiet-phase errors.
 
-The report (persisted with ``--out``, like the ``BENCH_*.json``
-artifacts) records the injection schedule, both loadgen reports, the
-supervision counters, and the frontend's failover/breaker counters —
-the chaos run's SLO statement.  Run it as CI does::
+The report (persisted with ``--out``) records the injection schedule,
+both loadgen reports, the supervision counters, and the frontend's
+failover/breaker counters — the chaos run's SLO statement.  Run it as
+CI does::
 
-    PYTHONPATH=src python -m repro.netserve.chaos --out BENCH_PR10.json
+    PYTHONPATH=src python -m repro.netserve.chaos --out chaos-report.json
 """
 
 from __future__ import annotations

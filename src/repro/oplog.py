@@ -52,6 +52,7 @@ from repro.persist import (
     PersistenceError,
     _ad_from_record,
     _ad_record,
+    fsync_directory,
     load_index,
     save_index,
 )
@@ -259,8 +260,9 @@ class DurableIndex:
 
     def _rewrite_log(self, lines: list[str]) -> None:
         """Atomically replace the log with exactly ``lines`` (write a
-        temp, fsync, rename) — a crash mid-rewrite must not lose the
-        valid records recovery just accepted."""
+        temp, fsync, rename, fsync the directory) — a crash mid-rewrite
+        must not lose the valid records recovery just accepted, and a
+        power loss after it must not undo the rename."""
         temp = self.log_path.with_name(
             f".{self.log_path.name}.{os.getpid()}.rewrite.tmp"
         )
@@ -269,6 +271,7 @@ class DurableIndex:
             handle.flush()
             os.fsync(handle.fileno())
         temp.replace(self.log_path)
+        fsync_directory(self.log_path.parent)
         self._faults.crashpoint("recover.log_rewritten")
 
     def _rebuild(self) -> None:

@@ -15,11 +15,11 @@ The paper bounds the number of hash probes per query analytically
   identical word-sets across a batch of queries and fans work out across
   :class:`~repro.core.sharded.ShardedWordSetIndex` shards via a worker
   pool;
-* :mod:`repro.perf.bench` — the fast-path benchmark driver that persists
-  probe-count and latency results (``BENCH_PR1.json``).
+* :mod:`repro.perf.bench` — ``make_long_queries``, the long-query
+  workload generator the drills and ``bench/`` share.
 
 All fast paths are result-identical to the naive enumeration; the property
-tests in ``tests/perf`` and ``benchmarks/test_bench_fastpath.py`` pin this.
+tests in ``tests/perf`` pin this.
 """
 
 from repro.perf.batch import BatchQueryEngine, BatchStats

@@ -1,36 +1,17 @@
-"""Fast-path benchmark driver: probe counts and wall-clock, pruned vs naive.
+"""The long-query workload generator shared by the drills and the benchmark.
 
-Builds a synthetic corpus, composes a long-query broad-match workload (the
-regime where naive subset enumeration explodes: a 12-word query probes
-``2^12 - 1`` subsets), and replays it against two otherwise identical
-indexes — the probe-pruning fast path and the paper's unpruned reference
-(``fast_path=False``).  Verifies result identity per query, then measures:
-
-* tracker-counted hash probes on each path (the paper's own metric);
-* wall-clock latency on each path;
-* batched, sharded throughput through
-  :class:`~repro.perf.batch.BatchQueryEngine`.
-
-Results are written as JSON (``BENCH_PR1.json`` at the repo root by
-convention) so the perf trajectory is tracked across PRs::
-
-    PYTHONPATH=src python -m repro.perf.bench --out BENCH_PR1.json
+Long broad-match queries are the regime where naive subset enumeration
+explodes (a 12-word query probes ``2^12 - 1`` subsets), so every harness
+that wants the probe kernels to do real work builds its queries here:
+``bench/inputs.py`` (the one benchmark — see ``bench/README.md``),
+:mod:`repro.netserve.smoke` and :mod:`repro.netserve.chaos`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import time
 
 from repro.core.queries import Query
-from repro.core.sharded import ShardedWordSetIndex
-from repro.core.wordset_index import WordSetIndex
-from repro.cost.accounting import AccessTracker
-from repro.datagen.corpus import CorpusConfig, generate_corpus
-from repro.datagen.querygen import QueryConfig, generate_workload
-from repro.perf.batch import BatchQueryEngine
 
 
 def make_long_queries(
@@ -58,138 +39,3 @@ def make_long_queries(
         rng.shuffle(words)
         queries.append(Query(tokens=tuple(words[:query_len])))
     return queries
-
-
-def _replay(index: WordSetIndex, queries: list[Query]):
-    """Run every query; returns (per-query sorted id lists, seconds)."""
-    start = time.perf_counter()
-    results = [
-        sorted(ad.info.listing_id for ad in index.query(query))
-        for query in queries
-    ]
-    return results, time.perf_counter() - start
-
-
-def run_fastpath_bench(
-    num_ads: int = 4_000,
-    num_queries: int = 120,
-    query_len: int = 12,
-    num_shards: int = 4,
-    seed: int = 0,
-) -> dict:
-    """Execute the full comparison; returns the results document."""
-    generated = generate_corpus(CorpusConfig(num_ads=num_ads, seed=seed))
-    workload = generate_workload(
-        generated,
-        QueryConfig(
-            num_distinct=max(200, num_queries),
-            total_frequency=10 * max(200, num_queries),
-            seed=seed + 1,
-        ),
-    )
-    queries = make_long_queries(
-        generated, workload, num_queries, query_len, seed=seed + 2
-    )
-
-    fast_tracker = AccessTracker()
-    fast_index = WordSetIndex.from_corpus(
-        generated.corpus, tracker=fast_tracker
-    )
-    naive_tracker = AccessTracker()
-    naive_index = WordSetIndex.from_corpus(
-        generated.corpus, tracker=naive_tracker, fast_path=False
-    )
-
-    fast_results, fast_seconds = _replay(fast_index, queries)
-    naive_results, naive_seconds = _replay(naive_index, queries)
-    identical = fast_results == naive_results
-    if not identical:
-        raise AssertionError(
-            "fast-path results diverged from the naive enumeration"
-        )
-
-    fast_probes = fast_tracker.stats.hash_probes
-    naive_probes = naive_tracker.stats.hash_probes
-
-    # Batched, sharded serving through the worker-pool engine.  Duplicate a
-    # slice of the queries so dedup has something to share, as real
-    # power-law traffic does.
-    sharded = ShardedWordSetIndex.from_corpus(
-        generated.corpus, num_shards=num_shards
-    )
-    batch = queries + queries[: num_queries // 2]
-    engine = BatchQueryEngine(sharded)
-    start = time.perf_counter()
-    batch_results = engine.query_broad_batch(batch)
-    batch_seconds = time.perf_counter() - start
-    for query, matched in zip(batch, batch_results):
-        got = sorted(ad.info.listing_id for ad in matched)
-        want = fast_results[queries.index(query)]
-        if got != want:
-            raise AssertionError("batched results diverged from single-query")
-
-    return {
-        "benchmark": "fastpath",
-        "config": {
-            "num_ads": num_ads,
-            "num_queries": num_queries,
-            "query_len": query_len,
-            "num_shards": num_shards,
-            "seed": seed,
-        },
-        "identical_results": identical,
-        "naive": {
-            "hash_probes": naive_probes,
-            "seconds": naive_seconds,
-            "probes_per_query": naive_probes / num_queries,
-        },
-        "fast": {
-            "hash_probes": fast_probes,
-            "seconds": fast_seconds,
-            "probes_per_query": fast_probes / num_queries,
-        },
-        "probe_reduction": naive_probes / max(1, fast_probes),
-        "wall_clock_speedup": naive_seconds / max(1e-9, fast_seconds),
-        "batch": {
-            "queries": len(batch),
-            "distinct_wordsets": engine.stats.distinct_wordsets,
-            "dedup_rate": engine.stats.dedup_rate(),
-            "seconds": batch_seconds,
-            "qps": len(batch) / max(1e-9, batch_seconds),
-        },
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.perf.bench",
-        description="Fast-path probe/latency benchmark (writes JSON).",
-    )
-    parser.add_argument("--out", default="BENCH_PR1.json")
-    parser.add_argument("--num-ads", type=int, default=4_000)
-    parser.add_argument("--num-queries", type=int, default=120)
-    parser.add_argument("--query-len", type=int, default=12)
-    parser.add_argument("--num-shards", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    results = run_fastpath_bench(
-        num_ads=args.num_ads,
-        num_queries=args.num_queries,
-        query_len=args.query_len,
-        num_shards=args.num_shards,
-        seed=args.seed,
-    )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(
-        f"probe reduction: {results['probe_reduction']:.1f}x  "
-        f"wall-clock speedup: {results['wall_clock_speedup']:.1f}x  "
-        f"batch qps: {results['batch']['qps']:,.0f}"
-    )
-    print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

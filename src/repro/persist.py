@@ -133,11 +133,12 @@ def save_index(
             temp.unlink(missing_ok=True)
         raise
     faults.crashpoint("save.renamed")
-    _fsync_directory(path.parent)
+    fsync_directory(path.parent)
 
 
-def _fsync_directory(directory: Path) -> None:
-    """Best-effort directory fsync so the rename itself is durable.
+def fsync_directory(directory: Path) -> None:
+    """Best-effort directory fsync so a rename into it is itself durable
+    (every atomic temp-write + rename in the tree ends with this).
     Platforms that refuse O_RDONLY directory fds simply skip it."""
     try:
         fd = os.open(directory, os.O_RDONLY)

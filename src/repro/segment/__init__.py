@@ -5,36 +5,24 @@ as an offline size study; this package makes the compressed form
 *servable*: :class:`SegmentBuilder` freezes a
 :class:`~repro.core.wordset_index.WordSetIndex` into one contiguous,
 checksummed, mmap-able file (front-coded phrases, delta-coded bids,
-``B^sig``/``B^off`` rank-select addressing — the paper's Fig 6 layout),
-:class:`PackedSegmentIndex` serves queries straight off the mapping, and
-:class:`SegmentedIndex` layers a mutable overlay with tombstones and
-crash-safe :meth:`~SegmentedIndex.compact` on top so the packed path
-supports the full insert/delete/query surface.
+``B^sig``/``B^off`` rank-select addressing — the paper's Fig 6 layout)
+and :class:`PackedSegmentIndex` serves queries straight off the mapping.
 
-:mod:`repro.segment.tiered` generalizes the single segment+overlay pair
-to an LSM-shaped tier stack: :class:`TieredSegmentedIndex` seals the
-overlay into small L0 segments, background-merges tiers upward under a
-checksummed manifest (crash-safe via atomic tmp+fsync+rename), and
-re-optimizes placements from observed co-access during merges;
-:mod:`repro.segment.churn` is its continuous-ingest correctness drill.
+:mod:`repro.segment.tiered` adds the mutable surface in an LSM shape:
+:class:`TieredSegmentedIndex` takes inserts into an overlay and deletes
+as tombstones, seals the overlay into small L0 segments,
+background-merges tiers upward under a checksummed manifest (crash-safe
+via atomic tmp+fsync+rename), re-optimizes placements from observed
+co-access during merges, and folds everything into one segment on
+:meth:`~TieredSegmentedIndex.compact`; :class:`ShardedSegmentedIndex`
+runs one per shard.  :mod:`repro.segment.churn` is the continuous-ingest
+correctness drill.
 """
 
-from repro.segment.bits import PackedBits, pack_bits
-from repro.segment.builder import (
-    SegmentBuilder,
-    cleanup_stale_temps,
-    default_suffix_bits,
-    stale_temp_files,
-)
+from repro.segment.builder import SegmentBuilder, default_suffix_bits
 from repro.segment.format import (
     SegmentFormatError,
     TIERED_CRASHPOINTS,
-)
-from repro.segment.overlay import (
-    SegmentedIndex,
-    SegmentShard,
-    ShardedSegmentedIndex,
-    filter_tombstones,
 )
 from repro.segment.packed import PackedSegmentIndex
 from repro.segment.sizing import deep_sizeof
@@ -43,8 +31,10 @@ from repro.segment.tiered import (
     Manifest,
     ManifestFormatError,
     SegmentRecord,
+    ShardedSegmentedIndex,
     TieredConfig,
     TieredSegmentedIndex,
+    filter_tombstones,
     manifest_fingerprint,
     pack_corpus_tiered,
     read_manifest,
@@ -54,24 +44,18 @@ __all__ = [
     "BackgroundMerger",
     "Manifest",
     "ManifestFormatError",
-    "PackedBits",
     "PackedSegmentIndex",
     "SegmentBuilder",
     "SegmentFormatError",
     "SegmentRecord",
-    "SegmentShard",
-    "SegmentedIndex",
     "ShardedSegmentedIndex",
     "TIERED_CRASHPOINTS",
     "TieredConfig",
     "TieredSegmentedIndex",
-    "cleanup_stale_temps",
     "deep_sizeof",
     "default_suffix_bits",
     "filter_tombstones",
     "manifest_fingerprint",
-    "pack_bits",
     "pack_corpus_tiered",
     "read_manifest",
-    "stale_temp_files",
 ]

@@ -32,13 +32,14 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
+from repro.compress.bitvector import pack_bits
 from repro.compress.deltas import delta_encode_prices, varint_encode, zigzag_encode
 from repro.compress.frontcoding import front_encode
 from repro.core.data_node import NodeEntry
 from repro.core.wordhash import hash_suffix
 from repro.core.wordset_index import WordSetIndex
 from repro.faults.injector import FaultInjector, InjectedCrash, active_injector
-from repro.segment.bits import pack_bits
+from repro.persist import fsync_directory
 from repro.segment.format import (
     CRASH_RENAMED,
     CRASH_TMP_SYNCED,
@@ -48,40 +49,6 @@ from repro.segment.format import (
 
 #: Distinguishes temp files of concurrent builders within one process.
 _TEMP_COUNTER = itertools.count()
-
-
-def stale_temp_files(path: str | Path) -> list[Path]:
-    """Orphaned ``write`` temp files for segment ``path``.
-
-    A crash between ``segment.tmp_written`` and the rename leaves the
-    unique temp file (``.{name}.{pid}.{n}.tmp``) behind, exactly as a
-    power loss would; nothing ever renames or reopens it, so without
-    cleanup they accumulate forever.  Matches only this segment's own
-    prefix — temp files of sibling segments in the same directory are
-    someone else's to clean.
-    """
-    path = Path(path)
-    if not path.parent.is_dir():
-        return []
-    return sorted(path.parent.glob(f".{path.name}.*.tmp"))
-
-
-def cleanup_stale_temps(path: str | Path) -> int:
-    """Unlink every orphaned temp file for ``path``; returns the count.
-
-    Safe whenever no concurrent writer targets ``path`` — the two call
-    sites (:class:`~repro.segment.overlay.SegmentedIndex` open and the
-    top of ``compact``) both hold that property: open happens before any
-    compaction can run, and compaction is single-threaded per index.
-    """
-    removed = 0
-    for orphan in stale_temp_files(path):
-        try:
-            orphan.unlink()
-        except OSError:
-            continue
-        removed += 1
-    return removed
 
 
 def default_suffix_bits(num_nodes: int) -> int:
@@ -256,18 +223,4 @@ class SegmentBuilder:
                 temp.unlink(missing_ok=True)
             raise
         faults.crashpoint(CRASH_RENAMED)
-        _fsync_directory(path.parent)
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Best-effort directory fsync so the rename itself is durable."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+        fsync_directory(path.parent)

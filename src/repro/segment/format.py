@@ -17,9 +17,9 @@ SHA-256 over the payload so torn or bit-rotted files fail loudly at load
 instead of surfacing as silently wrong auctions.
 
 ``B^sig`` and ``B^off`` are stored as little-endian 64-bit words (the
-layout :class:`repro.segment.bits.PackedBits` ranks/selects over without
-copying).  Node records are the front-coded/delta-coded encoding produced
-by :mod:`repro.segment.builder` and decoded lazily by
+layout :class:`repro.compress.bitvector.BitVector` ranks/selects over
+without copying).  Node records are the front-coded/delta-coded encoding
+produced by :mod:`repro.segment.builder` and decoded lazily by
 :mod:`repro.segment.packed`.
 """
 
@@ -44,11 +44,6 @@ HEADER_START = len(MAGIC) + _FIXED.size
 CRASH_TMP_WRITTEN = "segment.tmp_written"
 CRASH_TMP_SYNCED = "segment.tmp_synced"
 CRASH_RENAMED = "segment.renamed"
-
-#: Crashpoints around overlay compaction (:meth:`SegmentedIndex.compact`).
-CRASH_COMPACT_START = "segment.compact.start"
-CRASH_COMPACT_WRITTEN = "segment.compact.written"
-CRASH_COMPACT_SWAPPED = "segment.compact.swapped"
 
 #: Crashpoints in the tiered lifecycle (:mod:`repro.segment.tiered`).
 #: Seal and merge both write their segment file first (visiting the

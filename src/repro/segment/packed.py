@@ -30,8 +30,8 @@ eviction churn, strictly bounded, and the cache is charged to
 then serve at materialized-object speed while the corpus stays packed.
 
 Implements the :class:`repro.core.protocols.RetrievalIndex` protocol.
-The structure is immutable; for inserts/deletes compose it with a
-mutable overlay via :class:`repro.segment.overlay.SegmentedIndex`.
+The structure is immutable; inserts/deletes are the job of the overlay
+and tombstones in :class:`repro.segment.tiered.TieredSegmentedIndex`.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any
 
+from repro.compress.bitvector import BitVector
 from repro.core.ads import AdInfo, Advertisement
 from repro.core.matching import MatchType, apply_match_type
 from repro.core.queries import Query
@@ -57,7 +58,6 @@ from repro.obs.registry import MetricsRegistry, active_or_none
 from repro.perf.memohash import hashed_index_subsets, word_contrib
 from repro.perf.prefilter import ProbePlan, plan_for_query
 from repro.resilience.deadline import Deadline, DegradedReason
-from repro.segment.bits import PackedBits
 from repro.segment.format import (
     SegmentFormatError,
     read_header,
@@ -166,8 +166,8 @@ class PackedSegmentIndex:
         boff_view = payload[boff_off:nodes_off]
         nodes_view = payload[nodes_off:]
         self._views.extend((bsig_view, boff_view, nodes_view))
-        self.bsig = PackedBits.from_buffer(bsig_view, bsig_bits)
-        self.boff = PackedBits.from_buffer(boff_view, boff_bits)
+        self.bsig = BitVector.from_buffer(bsig_view, bsig_bits)
+        self.boff = BitVector.from_buffer(boff_view, boff_bits)
         if numpy_available():
             from repro.kernels.probe import sig_words_array
 

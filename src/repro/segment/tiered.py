@@ -1,10 +1,9 @@
 """Tiered segments: continuous ingest with a crash-safe manifest.
 
-:class:`~repro.segment.overlay.SegmentedIndex` holds exactly one packed
-segment plus one overlay, and folding the overlay in is a stop-the-world
-``compact()``.  This module generalizes it to the LSM shape the paper's
-maintenance story implies (fast local placement now, workload-driven
-re-mapping later):
+A packed segment is immutable; serving still needs inserts and deletes.
+This module is the one mutable index over packed segments, in the LSM
+shape the paper's maintenance story implies (fast local placement now,
+workload-driven re-mapping later):
 
 * **ingest** lands in the mutable :class:`WordSetIndex` overlay;
 * **seal** freezes the overlay into a small immutable L0 segment file
@@ -14,10 +13,15 @@ re-mapping later):
   set-cover over live co-access counts harvested from the
   :mod:`repro.obs` registry (:class:`~repro.obs.workload
   .WorkloadRecorder`), so placements track the observed workload;
+* **deletes** of overlay ads are plain deletes; deletes of sealed ads
+  record a *tombstone* (a count per exact ad, since the corpus permits
+  duplicate ads);
 * **queries** fan over the tiers newest-first, filter cross-tier
-  tombstones (the :func:`~repro.segment.overlay.filter_tombstones`
-  generalization), and finish with the overlay.  Read amplification is
-  bounded by ``fan_in`` segments per level plus the overlay.
+  tombstones (:func:`filter_tombstones`), and finish with the overlay.
+  Read amplification is bounded by ``fan_in`` segments per level plus
+  the overlay;
+* **compact** seals, then folds *every* tier into one segment — the
+  offline, full-corpus end of the same merge machinery.
 
 The single source of truth for the live segment set is a checksummed
 JSON **manifest** (``MANIFEST.json``).  Every seal and merge commits by
@@ -36,6 +40,12 @@ queries from the writer thread or — with ``concurrent readers``
 enabled — other threads.  Commits replace shared state copy-on-write
 under the internal lock, so an in-flight query always sees one
 consistent (segments, tombstones) pair.
+
+:class:`ShardedSegmentedIndex` runs one :class:`TieredSegmentedIndex`
+per shard, partitioned by the same ``wordhash(words) % num_shards`` rule
+as :class:`~repro.core.sharded.ShardedWordSetIndex`, and exposes
+``.shards`` so :class:`~repro.perf.batch.BatchQueryEngine` scatters
+batches across shards automatically.
 """
 
 from __future__ import annotations
@@ -46,8 +56,8 @@ import os
 import threading
 import time
 from collections import Counter
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -61,9 +71,10 @@ from repro.faults.injector import FaultInjector, active_injector
 from repro.obs.registry import MetricsRegistry, active_or_none
 from repro.obs.workload import WorkloadRecorder
 from repro.optimize import Mapping, OptimizerConfig, optimize_mapping
+from repro.persist import fsync_directory
 from repro.resilience.deadline import Deadline, DegradedReason
 from repro.resilience.fanout import FanoutGuard
-from repro.segment.builder import SegmentBuilder, cleanup_stale_temps
+from repro.segment.builder import SegmentBuilder
 from repro.segment.format import (
     CRASH_MANIFEST_SWAPPED,
     CRASH_MANIFEST_TMP_SYNCED,
@@ -74,7 +85,6 @@ from repro.segment.format import (
     CRASH_SEAL_WRITTEN,
     SegmentFormatError,
 )
-from repro.segment.overlay import ShardedSegmentedIndex, filter_tombstones
 from repro.segment.packed import DEFAULT_CACHE_BYTES, PackedSegmentIndex
 
 __all__ = [
@@ -83,8 +93,10 @@ __all__ = [
     "Manifest",
     "ManifestFormatError",
     "SegmentRecord",
+    "ShardedSegmentedIndex",
     "TieredConfig",
     "TieredSegmentedIndex",
+    "filter_tombstones",
     "manifest_fingerprint",
     "pack_corpus_tiered",
     "read_manifest",
@@ -300,20 +312,7 @@ def write_manifest(
         # cleanup handles both, and unlinking here could mask a torn
         # write the drills want to observe.
         raise
-    _fsync_directory(path.parent)
-
-
-def _fsync_directory(directory: Path) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+    fsync_directory(path.parent)
 
 
 def manifest_fingerprint(
@@ -404,6 +403,33 @@ class _OpenSegment:
 
 # --------------------------------------------------------------------- #
 # The tiered index
+
+
+def filter_tombstones(
+    results: list[Advertisement],
+    tombstones: dict[Advertisement, int],
+) -> list[Advertisement]:
+    """Drop up to ``tombstones[ad]`` occurrences of each dead ad.
+
+    Allocation-aware: the common serving case is "tombstones exist but
+    none of *these* results are dead", so the mutable scratch copy of
+    the tombstone map (and the kept-list rebuild) is deferred until the
+    first actual hit.  When nothing is filtered the input list is
+    returned as-is — zero allocations on the hot path.
+    """
+    remaining: dict[Advertisement, int] | None = None
+    kept: list[Advertisement] | None = None
+    for index, ad in enumerate(results):
+        source = tombstones if remaining is None else remaining
+        pending = source.get(ad, 0)
+        if pending > 0:
+            if remaining is None or kept is None:
+                remaining = dict(tombstones)
+                kept = results[:index]
+            remaining[ad] = pending - 1
+        elif kept is not None:
+            kept.append(ad)
+    return results if kept is None else kept
 
 
 class TieredSegmentedIndex:
@@ -799,7 +825,7 @@ class TieredSegmentedIndex:
 
     def compact(self) -> Path:
         """Full compaction: seal the overlay, then fold *every* segment
-        into a single one.  The :class:`SegmentShard` surface."""
+        into a single one."""
         self._assert_writable()
         self.seal()
         with self._lock:
@@ -1239,6 +1265,94 @@ class BackgroundMerger:
 # Sharded wiring
 
 
+class ShardedSegmentedIndex:
+    """Tiered serving sharded by ``wordhash(words) % num_shards``.
+
+    The partitioning rule matches
+    :class:`~repro.core.sharded.ShardedWordSetIndex`, so a packed
+    deployment shards identically to the in-memory distributed
+    simulation.  Exposes ``.shards`` — the batch engine's scatter
+    heuristic picks it up without any adapter.  Built by
+    :func:`pack_corpus_tiered`.
+    """
+
+    #: Capability marker: ``query`` accepts a ``deadline`` budget.
+    supports_deadline = True
+
+    def __init__(
+        self,
+        shards: Sequence[TieredSegmentedIndex],
+        guard: FanoutGuard | None = None,
+    ) -> None:
+        if not shards:
+            raise ValueError("need at least one shard")
+        self.shards: list[TieredSegmentedIndex] = list(shards)
+        if guard is not None and len(guard.breakers) != len(self.shards):
+            raise ValueError(
+                "guard shard count does not match index shard count"
+            )
+        #: Optional breaker-guarded fan-out policy (see
+        #: :class:`~repro.resilience.fanout.FanoutGuard`).  ``None``
+        #: keeps the original fail-on-first-error gather.
+        self.guard = guard
+
+    def shard_of(self, words: frozenset[str]) -> int:
+        return wordhash(words) % len(self.shards)
+
+    def insert(
+        self, ad: Advertisement, locator: frozenset[str] | None = None
+    ) -> None:
+        self.shards[self.shard_of(ad.words)].insert(ad, locator)
+
+    def delete(self, ad: Advertisement) -> bool:
+        return self.shards[self.shard_of(ad.words)].delete(ad)
+
+    def contains(self, ad: Advertisement) -> bool:
+        return self.shards[self.shard_of(ad.words)].contains(ad)
+
+    def query(
+        self,
+        query: Query,
+        match_type: MatchType = MatchType.BROAD,
+        deadline: Deadline | None = None,
+    ) -> list[Advertisement]:
+        if self.guard is not None:
+            return self.guard.gather(
+                self.shards,
+                lambda shard: shard.query(query, match_type, deadline),
+                deadline,
+            )
+        results: list[Advertisement] = []
+        for shard in self.shards:
+            if deadline is not None and deadline.expired():
+                # Out of budget: the shards already gathered are the
+                # answer, flagged partial on the budget object.
+                deadline.mark_partial(DegradedReason.DEADLINE)
+                break
+            results.extend(shard.query(query, match_type, deadline))
+        return results
+
+    def compact_all(self) -> list[Path]:
+        """Compact every shard in place."""
+        return [shard.compact() for shard in self.shards]
+
+    def __len__(self) -> int:
+        return sum(len(shard) for shard in self.shards)
+
+    def stats(self) -> list[dict[str, Any]]:
+        return [shard.stats() for shard in self.shards]
+
+    def close(self) -> None:
+        for shard in self.shards:
+            shard.close()
+
+    def __enter__(self) -> ShardedSegmentedIndex:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+
 def pack_corpus_tiered(
     corpus: AdCorpus | Iterable[Advertisement],
     directory: str | Path,
@@ -1251,8 +1365,8 @@ def pack_corpus_tiered(
 ) -> ShardedSegmentedIndex:
     """Partition ``corpus`` into per-shard tiered directories
     (``shard-NNN/``) under ``directory`` and open them behind a
-    :class:`~repro.segment.overlay.ShardedSegmentedIndex` — same
-    ``wordhash % num_shards`` rule, tiered lifecycle per shard."""
+    :class:`ShardedSegmentedIndex` — same ``wordhash % num_shards``
+    rule, tiered lifecycle per shard."""
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     directory = Path(directory)

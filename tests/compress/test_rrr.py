@@ -43,12 +43,18 @@ class TestEnumerativeCoding:
         assert max(offsets) == comb(BLOCK_BITS, 2) - 1
 
 
+def plain_vector(bits):
+    return BitVector.from_positions(
+        len(bits), [i for i, bit in enumerate(bits) if bit]
+    )
+
+
 class TestAgainstPlainBitVector:
     @pytest.mark.parametrize("density", [0.02, 0.2, 0.5, 0.9])
     def test_rank_and_access_match(self, density):
         rng = random.Random(int(density * 100))
         bits = [rng.random() < density for _ in range(1200)]
-        plain = BitVector(bits)
+        plain = plain_vector(bits)
         rrr = RRRBitVector(bits)
         assert len(rrr) == len(plain)
         assert rrr.ones == plain.ones
@@ -60,7 +66,7 @@ class TestAgainstPlainBitVector:
     def test_select_matches(self):
         rng = random.Random(5)
         bits = [rng.random() < 0.1 for _ in range(2000)]
-        plain = BitVector(bits)
+        plain = plain_vector(bits)
         rrr = RRRBitVector(bits)
         for j in range(1, rrr.ones + 1, 7):
             assert rrr.select1(j) == plain.select1(j)

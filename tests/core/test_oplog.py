@@ -94,6 +94,45 @@ class TestCrashSemantics:
         assert recovered.recovery.replayed_ops == 1
         recovered.close()
 
+    def test_log_rewrite_fsyncs_the_directory_after_rename(
+        self, durable, paths, monkeypatch
+    ):
+        """Truncating a torn tail renames a rewritten log into place;
+        the parent directory must be fsynced *after* that rename or a
+        power loss can bring the torn log back."""
+        import os
+        import stat
+        from pathlib import Path
+
+        snapshot, log = paths
+        durable.insert(ad("complete op", 10))
+        durable.close()
+        with log.open("a") as handle:
+            handle.write('{"seq": 1, "op": {"kind": "ins')  # torn write
+
+        events = []
+        real_fsync = os.fsync
+        real_replace = Path.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(f"fsync-{kind}")
+            return real_fsync(fd)
+
+        def replace(self, target):
+            if Path(target) == log:
+                events.append("rename-log")
+            return real_replace(self, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(Path, "replace", replace)
+        recovered = DurableIndex(snapshot, log)
+        recovered.close()
+        assert recovered.recovery.truncated_tail
+        renamed = events.index("rename-log")
+        assert "fsync-file" in events[:renamed]
+        assert "fsync-dir" in events[renamed + 1 :]
+
     def test_mid_log_corruption_is_an_error(self, durable, paths):
         snapshot, log = paths
         durable.insert(ad("first op", 10))

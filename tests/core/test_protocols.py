@@ -82,11 +82,11 @@ def build_packed_segment(corpus, tmp_path_factory):
     return _packed_segment(corpus, tmp_path_factory.mktemp("packed"))
 
 
-def build_segmented(corpus, tmp_path_factory):
-    from repro.segment import SegmentedIndex
+def build_tiered(corpus, tmp_path_factory):
+    from repro.segment import TieredSegmentedIndex
 
-    return SegmentedIndex(
-        _packed_segment(corpus, tmp_path_factory.mktemp("segmented"))
+    return TieredSegmentedIndex.pack_corpus(
+        corpus, tmp_path_factory.mktemp("tiered")
     )
 
 
@@ -102,7 +102,7 @@ BUILDERS = {
 # tmp_path_factory alongside the corpus.
 FILE_BUILDERS = {
     "PackedSegmentIndex": build_packed_segment,
-    "SegmentedIndex": build_segmented,
+    "TieredSegmentedIndex": build_tiered,
 }
 
 

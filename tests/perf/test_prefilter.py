@@ -6,6 +6,9 @@ from repro.core.ads import AdCorpus, AdInfo, Advertisement
 from repro.core.queries import Query
 from repro.core.wordset_index import WordSetIndex
 from repro.cost.accounting import AccessTracker
+from repro.datagen.corpus import CorpusConfig, generate_corpus
+from repro.datagen.querygen import QueryConfig, generate_workload
+from repro.perf.bench import make_long_queries
 from repro.perf.prefilter import naive_plan, plan_probes
 
 
@@ -117,3 +120,33 @@ class TestIndexProbePlan:
         assert not naive.probe_plan(query_words).pruned
         assert fast.probe_plan(query_words).probe_count() == 1
         assert naive.probe_plan(query_words).probe_count() == 7
+
+    def test_long_queries_issue_at_least_3x_fewer_probes_than_naive(self):
+        """The fast path's acceptance gate, as a count: on 12-word
+        broad-match queries over a generated corpus the pruned plan
+        issues at most a third of the unpruned enumeration's hash
+        probes, for identical results."""
+        generated = generate_corpus(CorpusConfig(num_ads=2_000, seed=11))
+        workload = generate_workload(
+            generated,
+            QueryConfig(num_distinct=200, total_frequency=2_000, seed=12),
+        )
+        queries = make_long_queries(generated, workload, 60, 12, seed=13)
+        fast_tracker = AccessTracker()
+        fast = WordSetIndex.from_corpus(
+            generated.corpus, tracker=fast_tracker
+        )
+        naive_tracker = AccessTracker()
+        naive = WordSetIndex.from_corpus(
+            generated.corpus, tracker=naive_tracker, fast_path=False
+        )
+        for query in queries:
+            assert sorted(
+                a.info.listing_id for a in fast.query(query)
+            ) == sorted(a.info.listing_id for a in naive.query(query))
+        fast_probes = fast_tracker.stats.hash_probes
+        naive_probes = naive_tracker.stats.hash_probes
+        assert fast_probes > 0
+        assert naive_probes >= 3 * fast_probes, (
+            f"probe reduction only {naive_probes / fast_probes:.2f}x"
+        )

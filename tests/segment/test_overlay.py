@@ -1,4 +1,8 @@
-"""``SegmentedIndex``: overlay, tombstones, crash-safe compaction."""
+"""``TieredSegmentedIndex`` as the mutable index over packed segments:
+overlay inserts, per-ad tombstone counts, crash-safe full compaction,
+and the sharded wrapper."""
+
+from collections import Counter
 
 import pytest
 
@@ -7,22 +11,25 @@ from repro.core.queries import Query
 from repro.core.sharded import ShardedWordSetIndex
 from repro.core.wordset_index import WordSetIndex
 from repro.datagen.corpus import CorpusConfig, generate_corpus
-from repro.faults import FaultInjector, InjectedCrash
+from repro.faults import FaultInjector, InjectedCrash, tear_tail
 from repro.obs import MetricsRegistry
+from repro.resilience.deadline import Deadline, DegradedReason
 from repro.segment import (
-    PackedSegmentIndex,
-    SegmentBuilder,
-    SegmentedIndex,
+    TIERED_CRASHPOINTS,
     ShardedSegmentedIndex,
+    TieredConfig,
+    TieredSegmentedIndex,
+    pack_corpus_tiered,
 )
-from repro.segment.builder import stale_temp_files
 from repro.segment.format import (
-    CRASH_COMPACT_START,
-    CRASH_COMPACT_SWAPPED,
-    CRASH_COMPACT_WRITTEN,
+    CRASH_MANIFEST_SWAPPED,
+    CRASH_MERGE_START,
+    CRASH_MERGE_WRITTEN,
+    CRASH_RENAMED,
     CRASH_TMP_SYNCED,
     CRASH_TMP_WRITTEN,
 )
+from repro.segment.tiered import MANIFEST_NAME
 
 
 def ad(text, listing_id=0, bid=0):
@@ -45,15 +52,20 @@ BASE_ADS = [
 
 PROBES = ["cheap used books today", "books", "rare maps of norway", "none"]
 
+#: Nothing seals or merges unless the test asks for it.
+MANUAL = TieredConfig(seal_threshold=1_000, auto_merge=False)
 
-def write_segment(path, ads=BASE_ADS):
-    SegmentBuilder(WordSetIndex.from_corpus(AdCorpus(ads))).write(path)
-    return path
+
+def open_base(directory, ads=BASE_ADS, **kwargs):
+    """A tiered index whose sealed state is exactly ``ads`` (one L0)."""
+    return TieredSegmentedIndex.pack_corpus(
+        ads, directory, config=MANUAL, **kwargs
+    )
 
 
 @pytest.fixture()
 def segmented(tmp_path):
-    index = SegmentedIndex(write_segment(tmp_path / "base.seg"))
+    index = open_base(tmp_path / "base")
     yield index
     index.close()
 
@@ -108,192 +120,245 @@ class TestOverlayMutation:
         assert not segmented.delete(ad("books", 3, bid=200))
         assert_matches(segmented, BASE_ADS[:2] + BASE_ADS[4:])
 
+    def test_identical_ads_carry_a_tombstone_count(self, tmp_path):
+        # The corpus permits exact duplicates; tombstones count them.
+        twin = ad("books", 3, bid=200)
+        with open_base(tmp_path, BASE_ADS + [twin]) as segmented:
+            assert segmented.delete(twin)
+            assert segmented.tombstone_count() == 1
+            assert segmented.contains(twin)  # one copy still live
+            assert_matches(segmented, BASE_ADS)
+            assert segmented.delete(twin)
+            assert segmented.tombstone_count() == 2
+            assert not segmented.contains(twin)
+            assert not segmented.delete(twin)
+            assert_matches(segmented, BASE_ADS[:2] + BASE_ADS[3:])
+
     def test_reinsert_resurrects_tombstoned_segment_ad(self, segmented):
         target = BASE_ADS[0]
         segmented.delete(target)
         segmented.insert(target)
         assert segmented.tombstone_count() == 0
-        assert len(segmented.overlay) == 0  # served by the segment copy
+        assert len(segmented.overlay) == 0  # served by the sealed copy
         assert_matches(segmented, BASE_ADS)
 
     def test_obs_gauges_track_overlay_and_tombstones(self, tmp_path):
         registry = MetricsRegistry()
-        index = SegmentedIndex(
-            write_segment(tmp_path / "obs.seg"), obs=registry
-        )
-        try:
+        with open_base(tmp_path, obs=registry) as index:
             index.insert(ad("fresh inventory", 10))
             index.delete(BASE_ADS[0])
             snapshot = {m.name: m.value for m in registry.collect()}
-            assert snapshot["segment.overlay_ads"] == 1.0
-            assert snapshot["segment.tombstones"] == 1.0
-        finally:
-            index.close()
+            assert snapshot["tiered.overlay_ads"] == 1.0
+            assert snapshot["tiered.tombstones"] == 1.0
+
+
+class _TickClock:
+    """Advances one millisecond per read, so a budget of ``k`` ms is a
+    budget of ``k`` deadline checks."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 1.0
+        return self.now
+
+
+class TestDeadline:
+    def test_budget_threads_through_segments_then_overlay(self, segmented):
+        overlay_ad = ad("books on sale", 20)
+        segmented.insert(overlay_ad)
+        query = Query.from_text("cheap used books on sale")
+        full = ids(segmented.query(query))
+        assert 20 in full and len(full) > 1
+
+        slates = []
+        for budget in range(1, 500):
+            deadline = Deadline.after_ms(budget, clock=_TickClock())
+            got = ids(segmented.query(query, deadline=deadline))
+            assert Counter(got) <= Counter(full)
+            if got != full:
+                # Anything short of the full answer is flagged.
+                assert deadline.partial
+                assert deadline.primary_reason() is DegradedReason.DEADLINE
+            slates.append(got)
+            if not deadline.partial:
+                break
+        assert slates[0] == []  # expired before the first tier
+        assert slates[-1] == full
+        # Sealed tiers answer before the overlay: some budget yields
+        # sealed ads without the overlay's, never the reverse.
+        sealed_only = [s for s in slates if s and 20 not in s]
+        assert sealed_only
+        assert all(s == full for s in slates if 20 in s)
 
 
 class TestCompaction:
-    def test_compact_folds_overlay_and_tombstones(self, segmented, tmp_path):
+    def test_compact_folds_overlay_and_tombstones(self, segmented):
         new = ad("fresh inventory", 10)
         segmented.insert(new)
         segmented.delete(BASE_ADS[1])
-        target = tmp_path / "gen1.seg"
-        assert segmented.compact(path=target) == target
+        generation = segmented.generation
+        assert segmented.compact() == segmented.directory
 
         live = [a for a in BASE_ADS if a != BASE_ADS[1]] + [new]
-        assert segmented.segment.generation == 1
+        assert segmented.generation > generation
         assert len(segmented.overlay) == 0
         assert segmented.tombstone_count() == 0
-        assert len(segmented.segment) == len(live)
+        assert len(segmented.segments) == 1
+        assert len(segmented.segments[0]) == len(live)
         assert_matches(segmented, live)
 
-    def test_compact_in_place_replaces_the_file(self, tmp_path):
-        path = write_segment(tmp_path / "inplace.seg")
-        with SegmentedIndex(path) as segmented:
+    def test_compacted_directory_reopens_as_the_new_generation(
+        self, tmp_path
+    ):
+        with open_base(tmp_path) as segmented:
             segmented.delete(BASE_ADS[0])
             segmented.compact()
-            assert segmented.segment.path == path
+            generation = segmented.generation
             assert_matches(segmented, BASE_ADS[1:])
-        # The replaced file reopens as the new generation.
-        with PackedSegmentIndex(path) as reopened:
-            assert reopened.generation == 1
-            assert len(reopened) == len(BASE_ADS) - 1
-
-    def test_compact_counts_in_obs(self, tmp_path):
-        registry = MetricsRegistry()
-        with SegmentedIndex(
-            write_segment(tmp_path / "c.seg"), obs=registry
-        ) as segmented:
-            segmented.compact()
-            snapshot = {m.name: m.value for m in registry.collect()}
-            assert snapshot["segment.compactions"] == 1.0
+        with TieredSegmentedIndex(tmp_path, read_only=True) as reopened:
+            assert reopened.generation == generation
+            assert len(reopened.segments) == 1
+            assert_matches(reopened, BASE_ADS[1:])
 
     def test_compaction_preserves_optimizer_placements(self, tmp_path):
         # An ad re-homed to a locator subset must keep its placement
         # across pack -> serve -> compact, or broad matches get lost.
         moved = ad("cheap used books extra terms", 30)
-        index = WordSetIndex(max_words=3)
-        for a in BASE_ADS:
-            index.insert(a)
         locator = frozenset(["cheap", "used", "books"])
-        index.insert(moved, locator)
-        path = tmp_path / "placed.seg"
-        SegmentBuilder(index).write(path)
-        with SegmentedIndex(path) as segmented:
+        config = TieredConfig(
+            seal_threshold=1_000, auto_merge=False, max_words=3
+        )
+        with TieredSegmentedIndex.pack_corpus(
+            BASE_ADS + [moved],
+            tmp_path,
+            config=config,
+            mapping={moved.words: locator},
+        ) as segmented:
             query = Query.from_text("cheap used books extra terms today")
             before = ids(segmented.query(query))
             assert moved.info.listing_id in before
-            segmented.compact()
+            segmented.insert(ad("fresh inventory", 10))
+            segmented.compact()  # seal + fold two segments into one
+            assert len(segmented.segments) == 1
+            assert segmented.segments[0].placements()[moved.words] == locator
             assert ids(segmented.query(query)) == before
 
 
-class TestCompactionCrashes:
-    """A crash at any compaction point leaves a servable index, and the
-    on-disk segment is one complete generation or the other."""
+#: Every crashpoint a full compaction (seal, then fold) walks through.
+COMPACT_CRASHPOINTS = TIERED_CRASHPOINTS + (
+    CRASH_TMP_WRITTEN,
+    CRASH_TMP_SYNCED,
+    CRASH_RENAMED,
+)
 
-    @pytest.mark.parametrize(
-        "point",
-        [
-            CRASH_COMPACT_START,
-            CRASH_TMP_WRITTEN,
-            CRASH_COMPACT_WRITTEN,
-            CRASH_COMPACT_SWAPPED,
-        ],
-    )
+#: Points first reached only after the seal's manifest commit: a crash
+#: there has already made the overlay and the tombstones durable.
+AFTER_SEAL_COMMIT = (
+    CRASH_MANIFEST_SWAPPED,
+    CRASH_MERGE_START,
+    CRASH_MERGE_WRITTEN,
+)
+
+
+class TestCompactionCrashes:
+    """A crash at any compaction point leaves a servable process, and a
+    directory that reopens as one complete generation or the other."""
+
+    NEW = ad("fresh inventory", 10)
+    LIVE = [a for a in BASE_ADS if a != BASE_ADS[0]] + [NEW]
+
+    def dirty(self, directory, injector):
+        segmented = open_base(directory, faults=injector)
+        segmented.insert(self.NEW)
+        segmented.delete(BASE_ADS[0])
+        return segmented
+
+    @pytest.mark.parametrize("point", COMPACT_CRASHPOINTS)
     def test_crash_leaves_live_process_servable(self, tmp_path, point):
         injector = FaultInjector()
-        path = write_segment(tmp_path / "crash.seg")
-        segmented = SegmentedIndex(path, faults=injector)
-        try:
-            new = ad("fresh inventory", 10)
-            segmented.insert(new)
-            segmented.delete(BASE_ADS[0])
-            live = [a for a in BASE_ADS if a != BASE_ADS[0]] + [new]
-
+        with self.dirty(tmp_path, injector) as segmented:
             with injector.arm(point):
                 with pytest.raises(InjectedCrash):
-                    segmented.compact(path=tmp_path / "next.seg")
+                    segmented.compact()
 
             # Whatever the crash point, the in-process index still
             # answers every probe with the full live truth.
-            assert_matches(segmented, live)
+            assert_matches(segmented, self.LIVE)
 
             # And a retry completes the job.
-            segmented.compact(path=tmp_path / "retry.seg")
-            assert_matches(segmented, live)
-        finally:
-            segmented.close()
+            segmented.compact()
+            assert len(segmented.segments) == 1
+            assert segmented.tombstone_count() == 0
+            assert_matches(segmented, self.LIVE)
 
-    @pytest.mark.parametrize(
-        ("point", "expect_new_generation"),
-        [
-            (CRASH_TMP_WRITTEN, False),  # torn temp; target untouched
-            (CRASH_COMPACT_WRITTEN, True),  # rename happened
-        ],
-    )
+    @pytest.mark.parametrize("point", COMPACT_CRASHPOINTS)
     def test_disk_state_is_one_generation_or_the_other(
-        self, tmp_path, point, expect_new_generation
+        self, tmp_path, point
     ):
         injector = FaultInjector()
-        path = write_segment(tmp_path / "disk.seg")
-        segmented = SegmentedIndex(path, faults=injector)
+        segmented = self.dirty(tmp_path, injector)
         try:
-            segmented.delete(BASE_ADS[0])
             with injector.arm(point):
                 with pytest.raises(InjectedCrash):
-                    segmented.compact()  # in place
+                    segmented.compact()
         finally:
             segmented.close()
+        if point in (CRASH_TMP_WRITTEN, CRASH_TMP_SYNCED):
+            # The crash before the rename leaves the temp file behind,
+            # exactly as a power loss would.
+            assert list(tmp_path.glob("*.tmp"))
 
-        # Simulated restart: reopen whatever the path holds now.
-        with SegmentedIndex(path) as reopened:
-            if expect_new_generation:
-                assert reopened.segment.generation == 1
-                assert_matches(reopened, BASE_ADS[1:])
+        # Simulated restart: reopen whatever the directory holds now.
+        with TieredSegmentedIndex(tmp_path, config=MANUAL) as reopened:
+            if point in AFTER_SEAL_COMMIT:
+                assert_matches(reopened, self.LIVE)
             else:
-                assert reopened.segment.generation == 0
                 assert_matches(reopened, BASE_ADS)
+            # The writable open swept every orphan and uncommitted file.
+            referenced = {
+                record.name for record in reopened.manifest.segments
+            }
+            on_disk = {p.name for p in tmp_path.iterdir()}
+            assert on_disk == referenced | {MANIFEST_NAME}
 
     def test_torn_temp_write_at_crashpoint_recovers(self, tmp_path):
-        # The satellite case: crash at the compaction crashpoint AND the
-        # interrupted temp write is physically torn (tear_tail).  The old
-        # segment must keep serving, a restart must reopen it, and a
-        # retried compaction must complete.
-        from repro.faults import tear_tail
-
+        # Crash at the segment-write crashpoint AND the interrupted temp
+        # write is physically torn (tear_tail).  The committed tiers must
+        # keep serving, a retried compaction must complete, and a
+        # restart must reopen the compacted state.
         injector = FaultInjector()
-        path = write_segment(tmp_path / "teartail.seg")
-        segmented = SegmentedIndex(path, faults=injector)
-        try:
-            segmented.delete(BASE_ADS[0])
+        with self.dirty(tmp_path, injector) as segmented:
             with injector.arm(CRASH_TMP_WRITTEN):
                 with pytest.raises(InjectedCrash):
                     segmented.compact()
-            for orphan in tmp_path.glob("*.tmp"):
+            orphans = list(tmp_path.glob("*.tmp"))
+            assert orphans
+            for orphan in orphans:
                 tear_tail(orphan, keep_fraction=0.5)
-            assert_matches(segmented, BASE_ADS[1:])  # live process fine
-            segmented.compact()  # retry overwrites the torn temp
-            assert segmented.segment.generation == 1
-            assert_matches(segmented, BASE_ADS[1:])
-        finally:
-            segmented.close()
-        with SegmentedIndex(path) as reopened:
-            assert_matches(reopened, BASE_ADS[1:])
+            assert_matches(segmented, self.LIVE)  # live process fine
+            segmented.compact()  # the retry never reads the torn temp
+            assert_matches(segmented, self.LIVE)
+        with TieredSegmentedIndex(tmp_path, config=MANUAL) as reopened:
+            assert not list(tmp_path.glob("*.tmp"))
+            assert_matches(reopened, self.LIVE)
 
-    def test_torn_temp_never_shadows_the_live_segment(self, tmp_path):
+    def test_torn_temp_never_shadows_the_live_segments(self, tmp_path):
         # The atomic-write discipline: a crash before rename leaves only
         # a *.tmp orphan; the serving path never opens temp files.
         injector = FaultInjector()
-        path = write_segment(tmp_path / "torn.seg")
-        segmented = SegmentedIndex(path, faults=injector)
+        segmented = self.dirty(tmp_path, injector)
         try:
             with injector.arm(CRASH_TMP_WRITTEN):
                 with pytest.raises(InjectedCrash):
                     segmented.compact()
         finally:
             segmented.close()
-        orphans = list(tmp_path.glob("*.tmp"))
-        assert orphans, "crash before rename should leave the temp file"
-        with SegmentedIndex(path) as reopened:
+        for orphan in tmp_path.glob("*.tmp"):
+            tear_tail(orphan, keep_fraction=0.5)
+        with TieredSegmentedIndex(tmp_path, read_only=True) as reopened:
+            assert list(tmp_path.glob("*.tmp"))  # read-only: not swept
             assert_matches(reopened, BASE_ADS)
 
 
@@ -303,7 +368,7 @@ class TestSharded:
         oracle = ShardedWordSetIndex.from_corpus(
             generated.corpus, num_shards=4
         )
-        with ShardedSegmentedIndex.pack_corpus(
+        with pack_corpus_tiered(
             generated.corpus, tmp_path, num_shards=4
         ) as packed:
             assert len(packed.shards) == 4
@@ -317,12 +382,13 @@ class TestSharded:
                     )
 
     def test_mutations_route_to_the_owning_shard(self, tmp_path):
-        with ShardedSegmentedIndex.pack_corpus(
+        with pack_corpus_tiered(
             AdCorpus(BASE_ADS), tmp_path, num_shards=3
         ) as packed:
             new = ad("fresh inventory", 10)
             packed.insert(new)
             assert packed.contains(new)
+            assert packed.shards[packed.shard_of(new.words)].contains(new)
             assert packed.delete(BASE_ADS[0])
             assert not packed.contains(BASE_ADS[0])
             expected = [a for a in BASE_ADS if a != BASE_ADS[0]] + [new]
@@ -333,93 +399,17 @@ class TestSharded:
                 assert ids(packed.query(query)) == ids(oracle.query(query))
 
     def test_compact_all_rolls_every_shard(self, tmp_path):
-        with ShardedSegmentedIndex.pack_corpus(
+        with pack_corpus_tiered(
             AdCorpus(BASE_ADS), tmp_path, num_shards=2
         ) as packed:
             packed.insert(ad("fresh inventory", 10))
             paths = packed.compact_all()
-            assert len(paths) == 2
-            assert all(s.segment.generation == 1 for s in packed.shards)
+            assert paths == [shard.directory for shard in packed.shards]
+            for shard in packed.shards:
+                assert len(shard.overlay) == 0
+                assert len(shard.segments) <= 1
             assert len(packed) == len(BASE_ADS) + 1
-
-    def test_batch_engine_scatters_over_shards(self, tmp_path):
-        from repro.perf.batch import BatchQueryEngine
-
-        generated = generate_corpus(CorpusConfig(num_ads=300, seed=4))
-        oracle = WordSetIndex.from_corpus(generated.corpus)
-        with ShardedSegmentedIndex.pack_corpus(
-            generated.corpus, tmp_path, num_shards=3
-        ) as packed:
-            engine = BatchQueryEngine(packed)
-            batch = [
-                Query(a.phrase + ("extra",))
-                for i, a in enumerate(generated.corpus)
-                if i % 31 == 0
-            ]
-            results = engine.query_broad_batch(batch)
-            assert len(results) == len(batch)
-            for query, got in zip(batch, results):
-                assert ids(got) == ids(oracle.query(query))
 
     def test_empty_shard_list_rejected(self):
         with pytest.raises(ValueError):
             ShardedSegmentedIndex([])
-
-
-class TestStaleTempCleanup:
-    """Orphaned ``*.tmp`` files from crashed writes are swept on the
-    next open and again before the next compaction — crashpoint by
-    crashpoint, so a regression in any one write stage shows up."""
-
-    @pytest.mark.parametrize(
-        ("point", "leaves_orphan"),
-        [
-            (CRASH_COMPACT_START, False),  # crash before the temp write
-            (CRASH_TMP_WRITTEN, True),  # temp exists, never fsynced
-            (CRASH_TMP_SYNCED, True),  # temp durable, never renamed
-            (CRASH_COMPACT_WRITTEN, False),  # rename already happened
-            (CRASH_COMPACT_SWAPPED, False),  # fully committed
-        ],
-    )
-    def test_reopen_sweeps_the_orphan(self, tmp_path, point, leaves_orphan):
-        injector = FaultInjector()
-        path = write_segment(tmp_path / "sweep.seg")
-        segmented = SegmentedIndex(path, faults=injector)
-        try:
-            segmented.insert(ad("orphan bait", 40))
-            with injector.arm(point):
-                with pytest.raises(InjectedCrash):
-                    segmented.compact()
-        finally:
-            segmented.close()
-
-        assert bool(stale_temp_files(path)) is leaves_orphan
-        # Simulated restart: open must remove every orphan.
-        with SegmentedIndex(path):
-            pass
-        assert stale_temp_files(path) == []
-
-    def test_compact_sweeps_before_writing(self, tmp_path):
-        injector = FaultInjector()
-        path = write_segment(tmp_path / "precompact.seg")
-        segmented = SegmentedIndex(path, faults=injector)
-        try:
-            segmented.insert(ad("first try", 41))
-            with injector.arm(CRASH_TMP_WRITTEN):
-                with pytest.raises(InjectedCrash):
-                    segmented.compact()
-            assert len(stale_temp_files(path)) == 1
-            # The retry cleans the previous attempt's orphan and leaves
-            # exactly zero temp files behind on success.
-            segmented.compact()
-            assert stale_temp_files(path) == []
-        finally:
-            segmented.close()
-
-    def test_sibling_segment_temps_are_not_touched(self, tmp_path):
-        path = write_segment(tmp_path / "mine.seg")
-        sibling = tmp_path / ".other.seg.123.0.tmp"
-        sibling.write_bytes(b"someone else's crash")
-        with SegmentedIndex(path):
-            pass
-        assert sibling.exists()

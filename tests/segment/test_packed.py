@@ -10,8 +10,10 @@ from repro.core.queries import Query
 from repro.core.wordset_index import WordSetIndex
 from repro.cost.accounting import AccessTracker
 from repro.datagen.corpus import CorpusConfig, generate_corpus
+from repro.datagen.querygen import QueryConfig, generate_workload
 from repro.obs import MetricsRegistry
-from repro.segment import PackedSegmentIndex, SegmentBuilder
+from repro.perf.bench import make_long_queries
+from repro.segment import PackedSegmentIndex, SegmentBuilder, deep_sizeof
 
 
 def ad(text, listing_id=0, campaign_id=0, bid=0, exclusions=()):
@@ -189,6 +191,29 @@ class TestAtScale:
                     assert ids(packed.query(query)) == ids(
                         index.query(query)
                     )
+
+    def test_same_probes_and_a_quarter_of_the_resident_bytes(self, tmp_path):
+        """The packed path's acceptance gates, as counts: on long
+        queries it plans exactly the probes the dict index would, and
+        after serving them (decoded-node cache warm, 1 MiB budget) its
+        resident bytes are at least 4x below the dict index's."""
+        generated = generate_corpus(CorpusConfig(num_ads=16_000, seed=3))
+        workload = generate_workload(
+            generated,
+            QueryConfig(num_distinct=200, total_frequency=2_000, seed=4),
+        )
+        queries = make_long_queries(generated, workload, 60, 12, seed=5)
+        index = WordSetIndex.from_corpus(generated.corpus)
+        path = tmp_path / "gates.seg"
+        SegmentBuilder(index).write(path)
+        with PackedSegmentIndex(path, cache_bytes=1 << 20) as packed:
+            for query in queries:
+                assert packed.probe_plan(query.words) == index.probe_plan(
+                    query.words
+                )
+                assert ids(packed.query(query)) == ids(index.query(query))
+            reduction = deep_sizeof(index) / packed.resident_bytes()
+        assert reduction >= 4.0, f"resident reduction only {reduction:.2f}x"
 
     def test_forced_suffix_collisions_stay_correct(self, corpus, tmp_path):
         # 1-bit suffixes: every node shares one of two suffix slots, so

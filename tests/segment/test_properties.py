@@ -1,21 +1,24 @@
-"""Property test: the segmented serving path is indistinguishable from a
-plain ``WordSetIndex`` under any interleaving of inserts, deletes, and
-compactions — including a compaction that crashes mid-flight."""
+"""Property test: the tiered serving path is indistinguishable from a
+plain ``WordSetIndex`` under any interleaving of inserts, deletes, seals
+and compactions — including a compaction that crashes mid-flight."""
 
 import string
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.ads import AdCorpus, AdInfo, Advertisement
+from repro.core.ads import AdInfo, Advertisement
 from repro.core.queries import Query
 from repro.core.wordset_index import WordSetIndex
 from repro.faults import FaultInjector, InjectedCrash
-from repro.segment import SegmentBuilder, SegmentedIndex
+from repro.segment import TieredConfig, TieredSegmentedIndex
 from repro.segment.format import (
-    CRASH_COMPACT_START,
-    CRASH_COMPACT_WRITTEN,
+    CRASH_MANIFEST_SWAPPED,
+    CRASH_MANIFEST_TMP_SYNCED,
+    CRASH_MERGE_START,
+    CRASH_MERGE_WRITTEN,
+    CRASH_SEAL_START,
+    CRASH_SEAL_WRITTEN,
     CRASH_TMP_WRITTEN,
 )
 
@@ -39,21 +42,33 @@ def ad_strategy():
 
 
 # An op is ("insert", ad) | ("insert_locator", ad) | ("delete", ad) |
-# ("compact", None) | ("crash_compact", point).  ``insert_locator``
-# pins an explicit placement, which must BYPASS the tombstone-resurrect
-# shortcut: the ad lands in the overlay at the requested node and the
-# pending tombstone keeps cancelling the sealed copy — the net live
-# multiset is identical either way, and this op proves it.
+# ("seal", None) | ("compact", None) | ("crash_compact", point).
+# ``insert_locator`` pins an explicit placement, which must BYPASS the
+# tombstone-resurrect shortcut: the ad lands in the overlay at the
+# requested node and the pending tombstone keeps cancelling the sealed
+# copy — the net live multiset is identical either way, and this op
+# proves it.  A crash point that the compaction at hand never reaches
+# (nothing to seal, or a single tier with nothing to fold) simply lets
+# the compaction complete.
 def op_strategy():
     return st.one_of(
         st.tuples(st.just("insert"), ad_strategy()),
         st.tuples(st.just("insert_locator"), ad_strategy()),
         st.tuples(st.just("delete"), ad_strategy()),
+        st.tuples(st.just("seal"), st.none()),
         st.tuples(st.just("compact"), st.none()),
         st.tuples(
             st.just("crash_compact"),
             st.sampled_from(
-                [CRASH_COMPACT_START, CRASH_TMP_WRITTEN, CRASH_COMPACT_WRITTEN]
+                [
+                    CRASH_SEAL_START,
+                    CRASH_TMP_WRITTEN,
+                    CRASH_SEAL_WRITTEN,
+                    CRASH_MANIFEST_TMP_SYNCED,
+                    CRASH_MANIFEST_SWAPPED,
+                    CRASH_MERGE_START,
+                    CRASH_MERGE_WRITTEN,
+                ]
             ),
         ),
     )
@@ -102,14 +117,13 @@ PROBE_QUERIES = [
 )
 def test_interleavings_match_wordset_oracle(tmp_path_factory, base, ops):
     directory = tmp_path_factory.mktemp("prop")
-    path = directory / "base.seg"
-    index = WordSetIndex.from_corpus(AdCorpus(base))
-    SegmentBuilder(index).write(path)
-
     injector = FaultInjector()
     oracle = Oracle(base)
-    compactions = 0
-    with SegmentedIndex(path, faults=injector) as segmented:
+    # Seals stay explicit ops; merges only happen inside ``compact``.
+    config = TieredConfig(seal_threshold=1_000, auto_merge=False)
+    with TieredSegmentedIndex.pack_corpus(
+        base, directory, config=config, faults=injector
+    ) as segmented:
         for step, (kind, arg) in enumerate(ops):
             if kind == "insert":
                 segmented.insert(arg)
@@ -122,17 +136,18 @@ def test_interleavings_match_wordset_oracle(tmp_path_factory, base, ops):
                 oracle.insert(arg)
             elif kind == "delete":
                 assert segmented.delete(arg) == oracle.delete(arg)
+            elif kind == "seal":
+                segmented.seal()
             elif kind == "compact":
-                compactions += 1
-                segmented.compact(
-                    path=directory / f"gen-{compactions}.seg"
-                )
+                segmented.compact()
+                assert len(segmented.segments) <= 1
+                assert segmented.tombstone_count() == 0
             else:  # crash_compact: fail, verify, then the state lives on
                 with injector.arm(arg):
-                    with pytest.raises(InjectedCrash):
-                        segmented.compact(
-                            path=directory / f"crash-{step}.seg"
-                        )
+                    try:
+                        segmented.compact()
+                    except InjectedCrash:
+                        pass
             if kind in ("insert", "insert_locator", "delete"):
                 assert segmented.contains(arg) == (arg in oracle.ads), (
                     step,

@@ -6,7 +6,7 @@ from repro.core.ads import AdCorpus, AdInfo, Advertisement
 from repro.core.queries import Query
 from repro.core.wordset_index import WordSetIndex
 from repro.datagen.corpus import CorpusConfig, generate_corpus
-from repro.segment import SegmentBuilder, SegmentedIndex, ShardedSegmentedIndex
+from repro.segment import TieredSegmentedIndex, pack_corpus_tiered
 from repro.serving.server import AdServer
 
 
@@ -31,9 +31,7 @@ ADS = [
 
 @pytest.fixture()
 def segmented(tmp_path):
-    path = tmp_path / "serve.seg"
-    SegmentBuilder(WordSetIndex.from_corpus(AdCorpus(ADS))).write(path)
-    index = SegmentedIndex(path)
+    index = TieredSegmentedIndex.pack_corpus(ADS, tmp_path / "serve")
     yield index
     index.close()
 
@@ -56,15 +54,15 @@ class TestAdServer:
         ]
         assert shown == [10, 2, 3]
 
-    def test_serve_survives_compaction_between_requests(
-        self, segmented, tmp_path
-    ):
+    def test_serve_survives_compaction_between_requests(self, segmented):
         server = AdServer(segmented, slots=2, reserve_micros=1)
         query = Query.from_text("cheap used books today")
+        segmented.insert(ad("maps of books", 11, bid=50, campaign_id=3))
         before = [
             a.info.listing_id for a in server.serve(query).ads
         ]
-        segmented.compact(path=tmp_path / "gen1.seg")
+        segmented.compact()
+        assert len(segmented.segments) == 1
         after = [
             a.info.listing_id for a in server.serve(query).ads
         ]
@@ -73,7 +71,7 @@ class TestAdServer:
     def test_serve_batch_fans_out_over_segment_shards(self, tmp_path):
         generated = generate_corpus(CorpusConfig(num_ads=400, seed=6))
         oracle = WordSetIndex.from_corpus(generated.corpus)
-        with ShardedSegmentedIndex.pack_corpus(
+        with pack_corpus_tiered(
             generated.corpus, tmp_path, num_shards=3
         ) as sharded:
             server = AdServer(sharded, slots=4, reserve_micros=1)
@@ -97,7 +95,7 @@ class TestDistsimAdapter:
     def test_measured_shard_service_times_live_shards(self, tmp_path):
         from repro.distsim import measured_shard_service
 
-        with ShardedSegmentedIndex.pack_corpus(
+        with pack_corpus_tiered(
             AdCorpus(ADS), tmp_path, num_shards=2
         ) as sharded:
             service = measured_shard_service(sharded.shards)
@@ -114,7 +112,7 @@ class TestDistsimAdapter:
         )
 
         generated = generate_corpus(CorpusConfig(num_ads=200, seed=8))
-        with ShardedSegmentedIndex.pack_corpus(
+        with pack_corpus_tiered(
             generated.corpus, tmp_path, num_shards=4
         ) as sharded:
             cluster = ScatterGatherCluster(

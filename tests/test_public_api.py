@@ -20,6 +20,7 @@ SUBPACKAGES = [
     "repro.perf",
     "repro.faults",
     "repro.resilience",
+    "repro.segment",
 ]
 
 
