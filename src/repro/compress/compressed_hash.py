@@ -27,20 +27,13 @@ from repro.core.ads import Advertisement
 from repro.core.data_node import DataNode
 from repro.core.matching import MatchType, apply_match_type
 from repro.core.queries import Query
-from repro.core.subset_enum import sized_subsets
 from repro.core.wordhash import hash_suffix, wordhash
 from repro.core.wordset_index import WordSetIndex
 from repro.compress.bitvector import BitVector
 from repro.compress.sizing import h0_bits
 from repro.cost.accounting import AccessTracker
-from repro.perf.memohash import hashed_index_subsets, word_contrib
-from repro.perf.prefilter import ProbePlan, plan_for_query
-
-#: Import-time binding of the canonical hash, compared against the module
-#: binding so collision-forcing tests that swap ``wordhash`` fall back from
-#: memoized contributions to hashing materialized subsets (same guard as
-#: :mod:`repro.core.wordset_index`).
-_CANONICAL_WORDHASH = wordhash
+from repro.kernels.pipeline import plan_query, probe_keys
+from repro.perf.prefilter import ProbePlan
 
 
 class CompressedWordSetIndex:
@@ -83,11 +76,11 @@ class CompressedWordSetIndex:
         self.max_words = max_words
         self.max_query_words = max_query_words
         self.tracker = tracker
-        self._vocabulary = vocabulary
-        self._size_histogram = size_histogram
         self.fast_path = (
             fast_path and vocabulary is not None and size_histogram is not None
         )
+        self._vocabulary: Container[str] = vocabulary or ()
+        self._size_histogram: Mapping[int, int] = size_histogram or {}
         merged: dict[int, DataNode] = {}
         for node in nodes:
             suffix = hash_suffix(wordhash(node.locator), suffix_bits)
@@ -177,40 +170,31 @@ class CompressedWordSetIndex:
         return node
 
     def probe_plan(self, words: frozenset[str]) -> ProbePlan:
-        """The probe plan a broad-match over ``words`` executes — the
-        shared :func:`~repro.perf.prefilter.plan_for_query` pipeline, so
-        the compressed path prunes exactly like the dict-backed index."""
-        return plan_for_query(
+        """The probe plan a broad-match over ``words`` executes —
+        :func:`repro.kernels.pipeline.plan_query`, so the compressed
+        path prunes exactly like the dict-backed index."""
+        return plan_query(
             words,
+            None,
             fast_path=self.fast_path,
-            vocabulary=self._vocabulary if self._vocabulary is not None else (),
-            size_histogram=(
-                self._size_histogram if self._size_histogram is not None else {}
-            ),
+            vocabulary=self._vocabulary,
+            size_histogram=self._size_histogram,
             max_words=self.max_words,
             max_query_words=self.max_query_words,
         )
 
-    def _probe_keys(self, plan: ProbePlan) -> Iterable[int]:
-        """Hash keys for every probe of ``plan``, in enumeration order,
-        assembled from memoized per-word contributions when the canonical
-        hash is in effect."""
-        if wordhash is _CANONICAL_WORDHASH:
-            contribs = [word_contrib(word) for word in plan.candidates]
-            return (key for key, _ in hashed_index_subsets(contribs, plan.sizes))
-        return (
-            wordhash(subset)
-            for subset in sized_subsets(plan.candidates, plan.sizes)
-        )
-
-    def query_broad(self, query: Query) -> list[Advertisement]:
-        """Broad match over the compressed structure (verified, exact)."""
+    def query(
+        self, query: Query, match_type: MatchType = MatchType.BROAD
+    ) -> list[Advertisement]:
+        """Broad match over the compressed structure (verified, exact),
+        then phrase/exact verification on the stored phrases — the
+        shared :class:`RetrievalIndex` surface."""
         plan = self.probe_plan(query.words)
         words = plan.words
         tracker = self.tracker
         results: list[Advertisement] = []
         visited: set[int] = set()
-        for key in self._probe_keys(plan):
+        for key in probe_keys(plan):
             sw = hash_suffix(key, self.suffix_bits)
             if tracker is not None:
                 # Two random bit-array touches: B^sig probe + B^off select.
@@ -231,14 +215,7 @@ class CompressedWordSetIndex:
             results.extend(matched)
         if tracker is not None:
             tracker.query_done()
-        return results
-
-    def query(
-        self, query: Query, match_type: MatchType = MatchType.BROAD
-    ) -> list[Advertisement]:
-        """The shared :class:`RetrievalIndex` surface: broad candidates,
-        then phrase/exact verification on the stored phrases."""
-        return apply_match_type(self.query_broad(query), query, match_type)
+        return apply_match_type(results, query, match_type)
 
     def stats(self) -> dict[str, float]:
         """Structural statistics (the :class:`RetrievalIndex` surface)."""

@@ -71,7 +71,7 @@ def _workload_access_ns(
         for query, frequency in workload:
             tracker = AccessTracker()
             compressed.tracker = tracker
-            compressed.query_broad(query)
+            compressed.query(query)
             total += frequency * tracker.stats.modeled_ns(model)
     finally:
         compressed.tracker = saved

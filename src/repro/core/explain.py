@@ -6,7 +6,7 @@ probe and node visit with its cost contribution — the operational
 visibility a production serving team needs when a query is slow (too many
 probed subsets? one giant data node? a colliding bucket?).
 
-The execution path mirrors ``WordSetIndex._probe`` exactly; a test pins the
+The execution path mirrors ``WordSetIndex.query`` exactly; a test pins the
 two together by asserting identical results and identical modeled cost.
 """
 
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from repro.core.queries import Query
 from repro.core.wordset_index import HASH_BUCKET_BYTES, WordSetIndex
 from repro.cost.model import CostModel
+from repro.kernels.pipeline import probe_keys
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +120,7 @@ def explain_broad_match(
     empty = 0
     visits: list[NodeVisit] = []
     visited: set[int] = set()
-    for key in index._probe_keys(plan):
+    for key in probe_keys(plan):
         probes += 1
         if key in visited:
             continue

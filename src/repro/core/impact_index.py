@@ -31,6 +31,7 @@ from repro.core.wordset_index import (
     WordSetIndex,
 )
 from repro.cost.accounting import AccessTracker
+from repro.kernels.pipeline import probe_keys
 
 
 class ImpactOrderedIndex:
@@ -110,7 +111,7 @@ class ImpactOrderedIndex:
 
         candidates: list[tuple[int, int]] = []  # (-max_bid, key)
         visited: set[int] = set()
-        for key in self._inner._probe_keys(plan):
+        for key in probe_keys(plan):
             if tracker is not None:
                 tracker.hash_probe(HASH_BUCKET_BYTES)
             if key in visited:

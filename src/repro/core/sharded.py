@@ -141,18 +141,6 @@ class ShardedWordSetIndex:
             results.extend(shard.query(query, match_type, deadline))
         return results
 
-    def query_broad_batch(
-        self, queries: Iterable[Query], max_workers: int | None = None
-    ) -> list[list[Advertisement]]:
-        """Batched scatter-gather: dedup identical word-sets across the
-        batch, then run each shard's probe pass on a worker-pool thread
-        (see :class:`repro.perf.batch.BatchQueryEngine`).  Per-query
-        results equal sequential broad ``query`` calls, in input order."""
-        from repro.perf.batch import BatchQueryEngine
-
-        engine = BatchQueryEngine(self, max_workers=max_workers)
-        return engine.query_broad_batch(list(queries))
-
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
 

@@ -16,31 +16,29 @@ measure and compare structures.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from time import perf_counter
+from typing import Any
 
 from repro.core.ads import AdCorpus, Advertisement
 from repro.core.data_node import DataNode
 from repro.core.matching import MatchType, apply_match_type
 from repro.core.queries import Query
-from repro.core.subset_enum import sized_subsets
 from repro.core.wordhash import wordhash
 from repro.cost.accounting import AccessTracker
-from repro.kernels import active_backend
 from repro.kernels.flat import flat_probe_keys
+from repro.kernels.pipeline import (
+    PlanMemo,
+    engaged,
+    plan_query,
+    probe_keys,
+    split_hits,
+)
+from repro.kernels.probe import SortedKeyTable
 from repro.obs.registry import MetricsRegistry, active_or_none
-from repro.perf.memohash import hashed_index_subsets, word_contrib
-from repro.perf.prefilter import ProbePlan, plan_for_query
+from repro.perf.prefilter import ProbePlan
 from repro.resilience.deadline import Deadline, DegradedReason
-
-#: The canonical hash at import time.  ``_probe`` compares the module
-#: binding against this to detect a swapped-in hash function (tests patch
-#: ``wordset_index.wordhash`` to force collisions) and fall back from the
-#: memoized-contribution combine to hashing materialized subsets, so probes
-#: always use the same function that placed the nodes.
-_CANONICAL_WORDHASH = wordhash
 
 #: Default cap on query words considered during subset enumeration — the
 #: paper's "heuristic cutoff for extremely long queries" (Section IV-B).
@@ -142,18 +140,12 @@ class WordSetIndex:
         #: locator size -> number of live placements with that size; lets
         #: probe plans cap and skip subset sizes no locator has.
         self._size_histogram: dict[int, int] = {}
-        #: Bumped on every structural mutation; the kernel path's sorted
-        #: key table is a per-generation snapshot rebuilt lazily.
+        #: Bumped on every structural mutation; the array path's sorted
+        #: key table and plan memo are per-generation, rebuilt lazily.
         self._mutation_gen = 0
-        self._kernel_table = None
+        self._kernel_table: SortedKeyTable | None = None
         self._kernel_table_gen = -1
-        #: Bounded word-set -> ProbePlan memo for deadline-free kernel
-        #: batches; plans depend only on prefilter state, so one
-        #: generation's plans are reusable until the next mutation.
-        self._plan_cache: OrderedDict[frozenset[str], ProbePlan] = (
-            OrderedDict()
-        )
-        self._plan_cache_gen = -1
+        self._plan_memo = PlanMemo()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -330,110 +322,59 @@ class WordSetIndex:
         With a ``deadline``, the probe loop stops at budget expiry and
         the (partial) result is flagged on the deadline object.
         """
-        return self._probe(query, match_type, deadline)
+        plan = self.probe_plan(query.words, deadline)
+        # ``wordhash`` as this module binds it: collision tests swap the
+        # binding, and probes must hash the way inserts did.
+        return self._scan(
+            query, plan, probe_keys(plan, wordhash), match_type, deadline
+        )
 
     def probe_plan(
         self, words: frozenset[str], deadline: Deadline | None = None
     ) -> ProbePlan:
-        """The probe plan a broad-match over ``words`` executes.
-
-        On the fast path the plan prunes to locator-vocabulary words and
-        locator sizes actually present; with ``fast_path=False`` it is the
-        paper's unpruned Section IV-B enumeration.  ``explain`` and the
-        analytic cost model replay the same plan, so measured and modeled
-        probe counts always agree.
-
-        A ``deadline`` carrying degradation constraints tightens the
-        plan: ``max_query_words`` hardens the Section IV truncation
-        cutoff, ``max_probes`` caps the enumeration
-        (:meth:`~repro.perf.prefilter.ProbePlan.capped`); either
-        tightening marks the budget partial with an explicit reason.
+        """The probe plan a broad-match over ``words`` executes
+        (:func:`repro.kernels.pipeline.plan_query` over this index's
+        live prefilter state).  ``explain`` and the analytic cost model
+        replay the same plan, so measured and modeled probe counts
+        always agree.
         """
-        max_query_words = self.max_query_words
-        if deadline is not None and deadline.max_query_words is not None:
-            max_query_words = min(max_query_words, deadline.max_query_words)
-        plan = plan_for_query(
+        return plan_query(
             words,
+            deadline,
             fast_path=self.fast_path,
             vocabulary=self._vocab_refcount,
             size_histogram=self._size_histogram,
             max_words=self.max_words,
-            max_query_words=max_query_words,
+            max_query_words=self.max_query_words,
             selectivity=self._word_freq_fn,
         )
-        if deadline is not None:
-            # TRUNCATED means the *budget's* tighter cutoff dropped words
-            # the index's own configuration would have kept — ordinary
-            # long-query truncation is normal operation, not degradation.
-            if min(len(words), self.max_query_words) > max_query_words:
-                deadline.mark_partial(DegradedReason.TRUNCATED)
-            if deadline.max_probes is not None:
-                capped = plan.capped(deadline.max_probes)
-                if capped is not plan:
-                    deadline.mark_partial(DegradedReason.PROBES_CAPPED)
-                    plan = capped
-        return plan
 
     def probe_count(self, query: Query) -> int:
         """Exact number of hash probes a broad ``query(query)`` performs."""
         return self.probe_plan(query.words).probe_count()
 
-    def _probe(
+    def _scan(
         self,
         query: Query,
+        plan: ProbePlan,
+        keys: Iterable[int],
         match_type: MatchType,
         deadline: Deadline | None = None,
+        num_probes: int | None = None,
     ) -> list[Advertisement]:
-        obs = self._obs
-        if obs is not None:
-            return self._probe_observed(query, match_type, obs, deadline)
-        plan = self.probe_plan(query.words, deadline)
-        words = plan.words
-        tracker = self.tracker
-        results: list[Advertisement] = []
-        visited: set[int] = set()
-        nodes = self._nodes
-        for key in self._probe_keys(plan):
-            if deadline is not None and deadline.expired():
-                deadline.mark_partial(DegradedReason.DEADLINE)
-                break
-            if tracker is not None:
-                tracker.hash_probe(HASH_BUCKET_BYTES)
-            if key in visited:
-                # Two probed subsets collided to the same bucket; scanning
-                # the node again would duplicate results.
-                continue
-            visited.add(key)
-            node = nodes.get(key)
-            if node is not None:
-                # The bucket may belong to a different (hash-colliding)
-                # word-set than the probed subset; scanning verifies stored
-                # phrases against the query words, so results stay exact
-                # either way and the subset itself never needs
-                # materializing.
-                results.extend(self._scan_node(node, query, words, match_type))
-        if tracker is not None:
-            tracker.query_done()
-        return results
+        """Look ``keys`` up in probe-enumeration order and scan the hit
+        nodes — the one loop behind :meth:`query` (``keys`` is the
+        plan's whole key stream) and :meth:`query_kernel_batch`
+        (``keys`` holds only the hits, misses were eliminated in bulk,
+        and ``num_probes`` says how many keys were probed).
 
-    def _probe_observed(
-        self,
-        query: Query,
-        match_type: MatchType,
-        obs: MetricsRegistry,
-        deadline: Deadline | None = None,
-    ) -> list[Advertisement]:
-        """The :meth:`_probe` loop with per-query metrics recording.
-
-        Kept as a separate method so the uninstrumented hot path carries
-        zero extra work beyond one ``is not None`` check; the measured
-        probe counter always equals the closed-form
+        The measured probe counter equals the closed-form
         :meth:`probe_count` because the enumeration yields exactly the
-        plan's subsets (unless a deadline stopped the loop early, which
-        counts ``resilience.deadline_partials``).
+        plan's subsets, unless a deadline stopped the loop early, which
+        counts ``resilience.deadline_partials``.
         """
-        started = perf_counter()
-        plan = self.probe_plan(query.words, deadline)
+        obs = self._obs
+        started = perf_counter() if obs is not None else 0.0
         words = plan.words
         tracker = self.tracker
         results: list[Advertisement] = []
@@ -443,70 +384,51 @@ class WordSetIndex:
         node_scans = 0
         candidates = 0
         scan_seconds = 0.0
-        for key in self._probe_keys(plan):
+        for key in keys:
             if deadline is not None and deadline.expired():
                 deadline.mark_partial(DegradedReason.DEADLINE)
-                obs.counter("resilience.deadline_partials").inc()
+                if obs is not None:
+                    obs.counter("resilience.deadline_partials").inc()
                 break
             probes += 1
             if tracker is not None:
                 tracker.hash_probe(HASH_BUCKET_BYTES)
             if key in visited:
+                # Two probed subsets collided to the same bucket; scanning
+                # the node again would duplicate results.
                 continue
             visited.add(key)
             node = nodes.get(key)
-            if node is not None:
-                node_scans += 1
-                candidates += sum(
-                    1 for e in node.entries if e.word_count <= len(words)
-                )
-                scan_started = perf_counter()
+            if node is None:  # a miss, or a hit the key snapshot outlived
+                continue
+            # The bucket may belong to a different (hash-colliding)
+            # word-set than the probed subset; scanning verifies stored
+            # phrases against the query words, so results stay exact
+            # either way and the subset itself never needs materializing.
+            if obs is None:
                 results.extend(self._scan_node(node, query, words, match_type))
-                scan_seconds += perf_counter() - scan_started
+                continue
+            node_scans += 1
+            candidates += sum(
+                1 for e in node.entries if e.word_count <= len(words)
+            )
+            scan_started = perf_counter()
+            results.extend(self._scan_node(node, query, words, match_type))
+            scan_seconds += perf_counter() - scan_started
         if tracker is not None:
             tracker.query_done()
-        obs.counter("index.queries").inc()
-        obs.counter("index.probes").inc(probes)
-        obs.counter("index.node_scans").inc(node_scans)
-        obs.counter("index.candidates").inc(candidates)
-        obs.counter("index.results").inc(len(results))
-        obs.histogram("span.scan").observe(scan_seconds * 1e3)
-        obs.histogram("span.probe").observe((perf_counter() - started) * 1e3)
-        return results
-
-    def _probe_keys(self, plan: ProbePlan) -> Iterable[int]:
-        """Hash keys for every probe of ``plan``, in enumeration order."""
-        if wordhash is _CANONICAL_WORDHASH:
-            contribs = [word_contrib(word) for word in plan.candidates]
-            return (key for key, _ in hashed_index_subsets(contribs, plan.sizes))
-        # The module-level hash was swapped (collision-forcing tests do
-        # this); memoized contributions would disagree with node placement.
-        return (
-            wordhash(subset)
-            for subset in sized_subsets(plan.candidates, plan.sizes)
-        )
-
-    def query_broad_batch(
-        self, queries: Iterable[Query]
-    ) -> list[list[Advertisement]]:
-        """Broad-match a batch, computing each distinct word-set once.
-
-        Queries that fold to the same word-set (order and duplicate words
-        are irrelevant for broad match) share one probe pass; per-word hash
-        contributions are shared across the whole batch through the memo
-        cache.  Returns one (independent) result list per input query, in
-        input order.
-        """
-        queries = list(queries)
-        distinct: dict[frozenset[str], list[int]] = {}
-        for position, query in enumerate(queries):
-            distinct.setdefault(query.words, []).append(position)
-        results: list[list[Advertisement]] = [[] for _ in queries]
-        for words in sorted(distinct, key=sorted):
-            positions = distinct[words]
-            matched = self.query(queries[positions[0]])
-            for position in positions:
-                results[position] = list(matched)
+        if obs is not None:
+            obs.counter("index.queries").inc()
+            obs.counter("index.probes").inc(
+                probes if num_probes is None else num_probes
+            )
+            obs.counter("index.node_scans").inc(node_scans)
+            obs.counter("index.candidates").inc(candidates)
+            obs.counter("index.results").inc(len(results))
+            obs.histogram("span.scan").observe(scan_seconds * 1e3)
+            obs.histogram("span.probe").observe(
+                (perf_counter() - started) * 1e3
+            )
         return results
 
     # ------------------------------------------------------------------ #
@@ -524,62 +446,40 @@ class WordSetIndex:
         and (under the numpy backend) one bulk membership pass over the
         whole batch, instead of a per-probe interpreted loop.  Results,
         observability counters, and deadline-constraint handling are
-        bit-identical to calling :meth:`query` per query; situations
-        that need per-probe observation points — a bound tracker, a
-        *timed* deadline, or a swapped-in hash function — fall back to
-        the scalar path.
+        bit-identical to calling :meth:`query` per query, which is what
+        happens when :func:`repro.kernels.pipeline.engaged` says the
+        per-probe loop must serve.
         """
         queries = list(queries)
-        backend = active_backend()
-        if (
-            backend == "off"
-            or wordhash is not _CANONICAL_WORDHASH
-            or self.tracker is not None
-            or (deadline is not None and deadline.timed)
-        ):
-            return [self._probe(q, match_type, deadline) for q in queries]
-        plans = self._kernel_plans(queries, deadline)
+        backend = engaged(self, deadline, wordhash)
+        if backend is None:
+            return [self.query(q, match_type, deadline) for q in queries]
+        plans = self._plan_memo.plans(
+            queries, deadline, self.probe_plan, self._mutation_gen
+        )
+        keys_per = [
+            flat_probe_keys(plan.candidates, plan.sizes, backend)
+            for plan in plans
+        ]
         if backend == "numpy":
-            return self._kernel_batch_numpy(queries, plans, match_type)
-        return self._kernel_batch_python(queries, plans, match_type)
+            hits_per = split_hits(keys_per, self._table_hits)
+        else:
+            nodes = self._nodes
+            hits_per = [
+                [key for key in keys if key in nodes] for keys in keys_per
+            ]
+        return [
+            self._scan(
+                query, plan, hits, match_type, num_probes=len(keys)
+            )
+            for query, plan, keys, hits in zip(
+                queries, plans, keys_per, hits_per
+            )
+        ]
 
-    #: Bound on the per-generation plan memo (one power-law head).
-    _MAX_CACHED_PLANS = 4096
-
-    def _kernel_plans(
-        self, queries: list[Query], deadline: Deadline | None
-    ) -> list[ProbePlan]:
-        """Probe plans for a kernel batch, memoized across batches.
-
-        A deadline can carry request-specific degradation constraints
-        (and must record partiality marks), so only deadline-free
-        queries hit the memo; it is dropped wholesale at the first
-        batch after any index mutation.
-        """
-        if deadline is not None:
-            return [self.probe_plan(q.words, deadline) for q in queries]
-        cache = self._plan_cache
-        if self._plan_cache_gen != self._mutation_gen:
-            cache.clear()
-            self._plan_cache_gen = self._mutation_gen
-        plans = []
-        for query in queries:
-            plan = cache.get(query.words)
-            if plan is None:
-                plan = self.probe_plan(query.words)
-                cache[query.words] = plan
-                if len(cache) > self._MAX_CACHED_PLANS:
-                    cache.popitem(last=False)
-            else:
-                cache.move_to_end(query.words)
-            plans.append(plan)
-        return plans
-
-    def _node_key_table(self):
-        """Sorted ``uint64`` snapshot of the node keys for bulk
-        membership, rebuilt lazily after mutations."""
-        from repro.kernels.probe import SortedKeyTable
-
+    def _table_hits(self, all_keys: Any) -> tuple[Any, Any]:
+        """Bulk membership against a sorted ``uint64`` snapshot of the
+        node keys, rebuilt lazily after mutations."""
         table = self._kernel_table
         if (
             table is None
@@ -589,130 +489,7 @@ class WordSetIndex:
             table = SortedKeyTable(self._nodes.keys(), len(self._nodes))
             self._kernel_table = table
             self._kernel_table_gen = self._mutation_gen
-        return table
-
-    def _kernel_batch_numpy(
-        self,
-        queries: list[Query],
-        plans: list[ProbePlan],
-        match_type: MatchType,
-    ) -> list[list[Advertisement]]:
-        import numpy as np
-
-        from repro.kernels.probe import split_by_query
-
-        keys_per = [
-            flat_probe_keys(plan.candidates, plan.sizes, "numpy")
-            for plan in plans
-        ]
-        boundaries: list[int] = []
-        total = 0
-        for keys in keys_per:
-            total += len(keys)
-            boundaries.append(total)
-        if total:
-            all_keys = (
-                np.concatenate(keys_per) if len(keys_per) > 1 else keys_per[0]
-            )
-            hits = self._node_key_table().hit_positions(all_keys)
-            # One C-speed conversion for the whole batch's (few) hits.
-            hit_keys: list[int] = all_keys[hits].tolist()
-            ends = split_by_query(hits, boundaries).tolist()
-        else:
-            hit_keys = []
-            ends = [0] * len(queries)
-        out: list[list[Advertisement]] = []
-        start = 0
-        for i, query in enumerate(queries):
-            end = ends[i]
-            out.append(
-                self._kernel_scan_one(
-                    query,
-                    plans[i],
-                    len(keys_per[i]),
-                    hit_keys[start:end],
-                    match_type,
-                )
-            )
-            start = end
-        return out
-
-    def _kernel_batch_python(
-        self,
-        queries: list[Query],
-        plans: list[ProbePlan],
-        match_type: MatchType,
-    ) -> list[list[Advertisement]]:
-        nodes = self._nodes
-        out: list[list[Advertisement]] = []
-        for query, plan in zip(queries, plans):
-            keys = flat_probe_keys(plan.candidates, plan.sizes, "python")
-            out.append(
-                self._kernel_scan_one(
-                    query,
-                    plan,
-                    len(keys),
-                    (key for key in keys if key in nodes),
-                    match_type,
-                )
-            )
-        return out
-
-    def _kernel_scan_one(
-        self,
-        query: Query,
-        plan: ProbePlan,
-        num_probes: int,
-        hit_keys: Iterable[int],
-        match_type: MatchType,
-    ) -> list[Advertisement]:
-        """Scan one query's hit nodes, in probe-enumeration order,
-        recording the same per-query metrics as the scalar path.
-
-        ``hit_keys`` yields only the probed keys present in the table
-        (misses were eliminated in bulk); duplicate hits — subsets
-        colliding to one bucket — are deduplicated here exactly as the
-        scalar loop's ``visited`` set does.
-        """
-        obs = self._obs
-        started = perf_counter() if obs is not None else 0.0
-        words = plan.words
-        nodes = self._nodes
-        results: list[Advertisement] = []
-        visited: set[int] = set()
-        node_scans = 0
-        candidates = 0
-        scan_seconds = 0.0
-        for key in hit_keys:
-            if key in visited:
-                continue
-            visited.add(key)
-            node = nodes.get(key)
-            if node is None:  # table snapshot raced a mutation; stay exact
-                continue
-            if obs is None:
-                results.extend(
-                    self._scan_node(node, query, words, match_type)
-                )
-                continue
-            node_scans += 1
-            candidates += sum(
-                1 for e in node.entries if e.word_count <= len(words)
-            )
-            scan_started = perf_counter()
-            results.extend(self._scan_node(node, query, words, match_type))
-            scan_seconds += perf_counter() - scan_started
-        if obs is not None:
-            obs.counter("index.queries").inc()
-            obs.counter("index.probes").inc(num_probes)
-            obs.counter("index.node_scans").inc(node_scans)
-            obs.counter("index.candidates").inc(candidates)
-            obs.counter("index.results").inc(len(results))
-            obs.histogram("span.scan").observe(scan_seconds * 1e3)
-            obs.histogram("span.probe").observe(
-                (perf_counter() - started) * 1e3
-            )
-        return results
+        return all_keys, table.hit_positions(all_keys)
 
     def _scan_node(
         self,

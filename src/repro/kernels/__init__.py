@@ -1,13 +1,17 @@
-"""Array-at-a-time probe kernels for the serving hot path.
+"""The shared probe pipeline and its array-at-a-time kernels.
 
-PR 1 cut hash probes ~134x and PR 4 cut resident memory 6.2x; what is
-left on the broad-match hot path is CPython interpreter overhead *per
-probe* and *per decoded node*.  This package restructures the inner
-loops shared by :class:`~repro.perf.batch.BatchQueryEngine`,
-:class:`~repro.core.wordset_index.WordSetIndex`, and
-:class:`~repro.segment.packed.PackedSegmentIndex` around bulk
-operations over flat arrays:
+This package holds the front half of the paper's Section IV-B query
+algorithm, written once for
+:class:`~repro.core.wordset_index.WordSetIndex`,
+:class:`~repro.segment.packed.PackedSegmentIndex` and
+:class:`~repro.compress.compressed_hash.CompressedWordSetIndex`, and
+the bulk operations over flat arrays that take the CPython interpreter
+overhead *per probe* out of their loops:
 
+* :mod:`repro.kernels.pipeline` — how a query's words become a
+  budget-tightened probe plan and an ordered stream of probe keys, and
+  the one rule (:func:`~repro.kernels.pipeline.engaged`) for when the
+  array path may replace the per-probe loop;
 * :mod:`repro.kernels.flat` — subset-hash enumeration flattened into
   precomputed flat key arrays (cached across batches, since power-law
   traffic re-probes the same word-sets constantly);
@@ -25,18 +29,17 @@ Two interchangeable backends implement the kernels:
 
 Backend selection is governed by the ``REPRO_KERNELS`` environment
 variable: ``numpy``, ``python``, ``auto`` (the default: numpy when
-importable, else python), or ``off`` (the pre-kernel scalar code paths,
-bit-identical to the engine before this package existed).
+importable, else python), or ``off`` (the per-probe loops only).
 
 **Equivalence guarantee.**  Every backend — and ``off`` — returns
 bit-identical result slates and records identical observability
 counters (``index.probes``, ``segment.probes``, node-scan and candidate
 counts) for any fault-free query, including plans capped by
 degradation constraints.  Kernels only change *how fast* the same
-probes run.  Time-budgeted deadlines, access trackers, and swapped-in
-hash functions (collision tests) all fall back to the scalar path,
-where per-probe deadline checks and per-probe accounting keep firing at
-exactly the points they always did.
+probes run: both paths of an index end in the same node-scan body.
+Time-budgeted deadlines, access trackers, and swapped-in hash functions
+(collision tests) all take the per-probe loop, where deadline checks
+and accounting keep firing at exactly the points they always did.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "BACKEND_ENV",
     "BACKENDS",
     "active_backend",
-    "engaged",
     "numpy_available",
     "resolve_backend",
     "set_backend",
@@ -114,29 +116,3 @@ def set_backend(value: str | None) -> None:
     override taking precedence over the environment flag."""
     global _OVERRIDE
     _OVERRIDE = None if value is None else resolve_backend(value)
-
-
-def engaged(index: object, deadline: object = None) -> str | None:
-    """The backend the kernel path should use for ``index``, or ``None``
-    when the scalar path must serve instead.
-
-    The scalar path is required whenever per-probe observation points
-    matter more than throughput: an :class:`AccessTracker` charging
-    every probe, or a *timed* deadline checked between hash probes.
-    Plan-level degradation constraints (``max_probes`` /
-    ``max_query_words``) are applied before enumeration and therefore
-    work identically under kernels.
-    """
-    backend = active_backend()
-    if backend == "off":
-        return None
-    # Resolve on the class, not the instance: delegating wrappers
-    # (``CachedIndex.__getattr__``) would otherwise advertise the inner
-    # index's batch method and get silently bypassed.
-    if getattr(type(index), "query_kernel_batch", None) is None:
-        return None
-    if getattr(index, "tracker", None) is not None:
-        return None
-    if deadline is not None and getattr(deadline, "timed", True):
-        return None
-    return backend

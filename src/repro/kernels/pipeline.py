@@ -1,0 +1,224 @@
+"""The paper's Section IV-B query algorithm, front half, written once.
+
+A broad-match query runs the same four steps against every hash-shaped
+index (``WordSetIndex``, ``PackedSegmentIndex``,
+``CompressedWordSetIndex``):
+
+1. **plan** — cut the query to its rarest words, prune to the locator
+   vocabulary and the locator sizes present, then tighten by the
+   request's degradation budget (:func:`plan_query`);
+2. **keys** — enumerate the plan's subsets as an ordered stream of
+   64-bit probe keys (:func:`probe_keys` per probe, or
+   :func:`repro.kernels.flat.flat_probe_keys` as one array);
+3. **membership** — test each key against the structure;
+4. **node scan** — scan the hit nodes with early termination.
+
+Steps 1 and 2, the rule for when the array-at-a-time form of steps 2-3
+may replace the per-probe loop (:func:`engaged`), the plan memo that
+form keeps (:class:`PlanMemo`) and its batch bookkeeping
+(:func:`split_hits`) live here and nowhere else.  Each index keeps only
+what is its own: one membership test and one node-scan body.  Sharing
+is per query and per batch; nothing in this module runs per probe
+except the key generator itself.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from collections.abc import Callable, Container, Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Any
+
+from repro.core.queries import Query
+from repro.core.subset_enum import sized_subsets
+from repro.core.wordhash import wordhash
+from repro.kernels import active_backend
+from repro.kernels.probe import split_by_query
+from repro.perf.memohash import hashed_index_subsets, word_contrib
+from repro.perf.prefilter import ProbePlan, plan_for_query
+from repro.resilience.deadline import Deadline, DegradedReason
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised in the no-numpy CI leg
+    _np = None  # type: ignore[assignment]
+
+__all__ = ["PlanMemo", "engaged", "plan_query", "probe_keys", "split_hits"]
+
+HashFn = Callable[[frozenset[str]], int]
+
+#: The canonical hash at import time.  An index passes the ``wordhash``
+#: binding of its own module; comparing it against this detects a
+#: swapped-in hash function (collision tests patch
+#: ``repro.core.wordset_index.wordhash``), so probes always use the
+#: function that placed the nodes.
+_CANONICAL_WORDHASH = wordhash
+
+
+def plan_query(
+    words: frozenset[str],
+    deadline: Deadline | None,
+    *,
+    fast_path: bool,
+    vocabulary: Container[str],
+    size_histogram: Mapping[int, int],
+    max_words: int | None,
+    max_query_words: int,
+    selectivity: Callable[[str], int] | None = None,
+) -> ProbePlan:
+    """The probe plan a broad-match over ``words`` executes.
+
+    On the fast path the plan prunes to locator-vocabulary words and
+    locator sizes actually present; with ``fast_path=False`` it is the
+    paper's unpruned Section IV-B enumeration.
+
+    A ``deadline`` carrying degradation constraints tightens the plan:
+    ``max_query_words`` hardens the Section IV truncation cutoff,
+    ``max_probes`` caps the enumeration
+    (:meth:`~repro.perf.prefilter.ProbePlan.capped`); either tightening
+    marks the budget partial with an explicit reason.
+    """
+    cutoff = max_query_words
+    if deadline is not None and deadline.max_query_words is not None:
+        cutoff = min(cutoff, deadline.max_query_words)
+    plan = plan_for_query(
+        words,
+        fast_path=fast_path,
+        vocabulary=vocabulary,
+        size_histogram=size_histogram,
+        max_words=max_words,
+        max_query_words=cutoff,
+        selectivity=selectivity,
+    )
+    if deadline is not None:
+        # TRUNCATED means the *budget's* tighter cutoff dropped words
+        # the index's own configuration would have kept — ordinary
+        # long-query truncation is normal operation, not degradation.
+        if min(len(words), max_query_words) > cutoff:
+            deadline.mark_partial(DegradedReason.TRUNCATED)
+        if deadline.max_probes is not None:
+            capped = plan.capped(deadline.max_probes)
+            if capped is not plan:
+                deadline.mark_partial(DegradedReason.PROBES_CAPPED)
+                plan = capped
+    return plan
+
+
+def probe_keys(
+    plan: ProbePlan, hash_fn: HashFn = _CANONICAL_WORDHASH
+) -> Iterable[int]:
+    """Hash keys for every probe of ``plan``, in enumeration order."""
+    if hash_fn is _CANONICAL_WORDHASH:
+        contribs = [word_contrib(word) for word in plan.candidates]
+        return (key for key, _ in hashed_index_subsets(contribs, plan.sizes))
+    # Memoized contributions would disagree with where a swapped hash
+    # placed the nodes; hash the materialized subsets instead.
+    return (
+        hash_fn(subset)
+        for subset in sized_subsets(plan.candidates, plan.sizes)
+    )
+
+
+def engaged(
+    index: object,
+    deadline: Deadline | None = None,
+    hash_fn: HashFn = _CANONICAL_WORDHASH,
+) -> str | None:
+    """The backend the array-at-a-time path should use for ``index``, or
+    ``None`` when the per-probe loop must serve instead.
+
+    The per-probe loop is required whenever per-probe observation
+    points matter more than throughput: an
+    :class:`~repro.cost.accounting.AccessTracker` charging every probe,
+    a *timed* deadline checked between hash probes, or a swapped hash
+    the flat key arrays know nothing of.  Plan-level degradation
+    constraints (``max_probes`` / ``max_query_words``) are applied
+    before enumeration and therefore work identically on both paths.
+    """
+    backend = active_backend()
+    if backend == "off" or hash_fn is not _CANONICAL_WORDHASH:
+        return None
+    # Resolve on the class, not the instance: delegating wrappers
+    # (``CachedIndex.__getattr__``) would otherwise advertise the inner
+    # index's batch method and get silently bypassed.
+    if getattr(type(index), "query_kernel_batch", None) is None:
+        return None
+    if getattr(index, "tracker", None) is not None:
+        return None
+    if deadline is not None and deadline.timed:
+        return None
+    return backend
+
+
+class PlanMemo:
+    """Bounded word-set -> :class:`ProbePlan` LRU for deadline-free
+    batches.
+
+    Plans depend only on an index's prefilter state, so one
+    ``generation``'s plans are reusable until the next mutation; an
+    immutable index never changes generation.  A deadline can carry
+    request-specific degradation constraints (and must record
+    partiality marks), so queries under one bypass the memo.
+    """
+
+    #: One power-law head.
+    MAX_PLANS = 4096
+
+    __slots__ = ("cache", "_generation")
+
+    def __init__(self) -> None:
+        self.cache: OrderedDict[frozenset[str], ProbePlan] = OrderedDict()
+        self._generation = 0
+
+    def plans(
+        self,
+        queries: Sequence[Query],
+        deadline: Deadline | None,
+        plan: Callable[[frozenset[str], Deadline | None], ProbePlan],
+        generation: int = 0,
+    ) -> list[ProbePlan]:
+        """``plan(query.words, deadline)`` for every query, memoized."""
+        if deadline is not None:
+            return [plan(query.words, deadline) for query in queries]
+        cache = self.cache
+        if generation != self._generation:
+            cache.clear()
+            self._generation = generation
+        out = []
+        for query in queries:
+            words = query.words
+            cached = cache.get(words)
+            if cached is None:
+                cached = cache[words] = plan(words, None)
+                if len(cache) > self.MAX_PLANS:
+                    cache.popitem(last=False)
+            else:
+                cache.move_to_end(words)
+            out.append(cached)
+        return out
+
+
+def split_hits(
+    keys_per: Sequence[Any],
+    membership: Callable[[Any], tuple[Any, Any]],
+) -> list[list[int]]:
+    """One bulk membership pass over a batch's flat key arrays (numpy).
+
+    ``keys_per`` holds one ``uint64`` key array per query;
+    ``membership(all_keys)`` is the index's own test over their
+    concatenation, returning the per-probe values to report (the keys,
+    or their ``B^sig`` suffixes) and the ascending positions that hit.
+    Returns each query's hit values in probe order — misses never
+    surface into Python.
+    """
+    boundaries = list(accumulate(len(keys) for keys in keys_per))
+    if not boundaries or not boundaries[-1]:
+        return [[] for _ in keys_per]
+    all_keys = _np.concatenate(keys_per) if len(keys_per) > 1 else keys_per[0]
+    values, hits = membership(all_keys)
+    # One C-speed conversion for the whole batch's (few) hits.
+    hit_values: list[int] = values[hits].tolist()
+    ends: list[int] = split_by_query(hits, boundaries).tolist()
+    return [
+        hit_values[start:end] for start, end in zip([0, *ends], ends)
+    ]

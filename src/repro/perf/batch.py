@@ -30,7 +30,10 @@ from repro.core.ads import Advertisement
 from repro.core.matching import MatchType
 from repro.core.protocols import RetrievalIndex
 from repro.core.queries import Query
-from repro.kernels import engaged as _kernels_engaged
+# Imported as a module: ``repro.perf`` and the pipeline import each
+# other, so whichever loads second sees the first half-initialised and
+# ``from repro.kernels.pipeline import engaged`` could fail.
+from repro.kernels import pipeline
 from repro.obs.registry import MetricsRegistry, active_or_none
 from repro.resilience.deadline import Deadline, DegradedReason
 
@@ -185,12 +188,13 @@ class BatchQueryEngine:
     ) -> list[list[Advertisement]]:
         """Probe every deduplicated representative against one index.
 
-        When the :mod:`repro.kernels` fast path is engaged the whole
-        columnar batch is handed to the index's ``query_kernel_batch``
-        in one call; otherwise the scalar per-query loop runs with its
-        between-representative deadline checks.
+        When :func:`repro.kernels.pipeline.engaged` allows the array
+        path the whole columnar batch is handed to the index's
+        ``query_kernel_batch`` in one call; otherwise the scalar
+        per-query loop runs with its between-representative deadline
+        checks.
         """
-        if _kernels_engaged(index, deadline) is not None:
+        if pipeline.engaged(index, deadline) is not None:
             return index.query_kernel_batch(  # type: ignore[attr-defined]
                 representatives, match_type, deadline
             )

@@ -8,7 +8,8 @@ locator sizes present in the index's size histogram — the two structural
 facts :class:`~repro.core.wordset_index.WordSetIndex` maintains online.
 
 The resulting :class:`ProbePlan` is the single source of truth for probe
-enumeration: ``WordSetIndex._probe`` executes it,
+enumeration: every hash-shaped index executes it through
+:mod:`repro.kernels.pipeline`,
 :func:`repro.core.explain.explain_broad_match` replays it, and
 :func:`repro.cost.workload_cost.cost_hash_index` prices it analytically —
 which is how tracker accounting and the cost model stay reconciled.
@@ -122,13 +123,13 @@ def plan_for_query(
     max_query_words: int,
     selectivity: Callable[[str], int] | None = None,
 ) -> ProbePlan:
-    """The full query-to-plan pipeline shared by every index front-end.
+    """Words to plan, before any request budget.
 
     Applies the long-query cutoff, then builds either the pruned plan
     (against the index's locator vocabulary and size histogram) or the
-    paper's naive enumeration.  ``WordSetIndex.probe_plan``,
-    ``CompressedWordSetIndex``, and ``PackedSegmentIndex`` all call this
-    one function, so the three query paths can never drift apart.
+    paper's naive enumeration.  Indexes reach it only through
+    :func:`repro.kernels.pipeline.plan_query`, which adds the
+    deadline's tightening.
     """
     cut = truncate_query(words, max_query_words, selectivity)
     was_cut = cut != words

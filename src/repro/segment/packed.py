@@ -8,7 +8,7 @@ query never touches long phrases).
 
 The query path is the Fig 6 lookup with the PR 1 probe plan in front:
 
-1. :func:`repro.perf.prefilter.plan_for_query` prunes subset enumeration
+1. :func:`repro.kernels.pipeline.plan_query` prunes subset enumeration
    using the locator vocabulary and size histogram persisted in the
    segment header — the packed path plans probes *identically* to the
    ``WordSetIndex`` it was built from;
@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import mmap
 from array import array
-from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from time import perf_counter
@@ -49,14 +48,19 @@ from repro.compress.bitvector import BitVector
 from repro.core.ads import AdInfo, Advertisement
 from repro.core.matching import MatchType, apply_match_type
 from repro.core.queries import Query
-from repro.core.subset_enum import sized_subsets
 from repro.core.wordhash import hash_suffix, wordhash
 from repro.cost.accounting import AccessTracker
-from repro.kernels import active_backend, numpy_available
+from repro.kernels import numpy_available, probe
 from repro.kernels.flat import flat_probe_keys
+from repro.kernels.pipeline import (
+    PlanMemo,
+    engaged,
+    plan_query,
+    probe_keys,
+    split_hits,
+)
 from repro.obs.registry import MetricsRegistry, active_or_none
-from repro.perf.memohash import hashed_index_subsets, word_contrib
-from repro.perf.prefilter import ProbePlan, plan_for_query
+from repro.perf.prefilter import ProbePlan
 from repro.resilience.deadline import Deadline, DegradedReason
 from repro.segment.format import (
     SegmentFormatError,
@@ -65,10 +69,6 @@ from repro.segment.format import (
     section_bounds,
 )
 from repro.segment.sizing import deep_sizeof
-
-#: Import-time binding of the canonical hash — same collision-test guard
-#: as :mod:`repro.core.wordset_index`.
-_CANONICAL_WORDHASH = wordhash
 
 #: Default decoded-node cache budget. Sized for a hot working set (the
 #: nodes a real workload actually probes), not the corpus — the whole
@@ -114,11 +114,8 @@ class PackedSegmentIndex:
         # zero-allocation decode guarantee).  Charged to
         # :meth:`resident_bytes` like every other Python-side table.
         self._ad_intern: dict[tuple[object, ...], Advertisement] = {}
-        #: Bounded word-set -> ProbePlan memo for deadline-free kernel
-        #: batches (the segment is immutable, so plans never go stale).
-        self._plan_cache: OrderedDict[frozenset[str], ProbePlan] = (
-            OrderedDict()
-        )
+        #: The segment is immutable, so memoized plans never go stale.
+        self._plan_memo = PlanMemo()
         #: ``B^sig`` words as a zero-copy numpy view (numpy backend only).
         self._sig_np: Any = None
         try:
@@ -169,11 +166,9 @@ class PackedSegmentIndex:
         self.bsig = BitVector.from_buffer(bsig_view, bsig_bits)
         self.boff = BitVector.from_buffer(boff_view, boff_bits)
         if numpy_available():
-            from repro.kernels.probe import sig_words_array
-
             # Zero-copy u64 view for the vectorized bulk bit-test; must
             # be dropped before the mmap views are released on close.
-            self._sig_np = sig_words_array(bsig_view)
+            self._sig_np = probe.sig_words_array(bsig_view)
         self._nodes_buf = nodes_view
         self._nodes_len = nodes_len
 
@@ -242,7 +237,7 @@ class PackedSegmentIndex:
         self._node_cache.clear()
         self._phrase_cache.clear()
         self._ad_intern.clear()
-        self._plan_cache.clear()
+        self._plan_memo.cache.clear()
         self._sig_np = None  # drop the buffer export before releasing views
         for packed in (getattr(self, "bsig", None), getattr(self, "boff", None)):
             if packed is not None:
@@ -290,40 +285,19 @@ class PackedSegmentIndex:
     def probe_plan(
         self, words: frozenset[str], deadline: Deadline | None = None
     ) -> ProbePlan:
-        """The shared :func:`plan_for_query` pipeline over the header's
+        """:func:`repro.kernels.pipeline.plan_query` over the header's
         persisted prefilter state — probe-for-probe identical to the
-        source ``WordSetIndex``.  A ``deadline`` carrying degradation
-        constraints tightens the cutoff and caps the plan exactly as the
-        mutable index does, so both serving paths degrade identically.
+        source ``WordSetIndex``, and degraded by a ``deadline`` exactly
+        as the mutable index is.
         """
-        max_query_words = self.max_query_words
-        if deadline is not None and deadline.max_query_words is not None:
-            max_query_words = min(max_query_words, deadline.max_query_words)
-        plan = plan_for_query(
+        return plan_query(
             words,
+            deadline,
             fast_path=self.fast_path,
             vocabulary=self._vocab,
             size_histogram=self._size_histogram,
             max_words=self.max_words,
-            max_query_words=max_query_words,
-        )
-        if deadline is not None:
-            if min(len(words), self.max_query_words) > max_query_words:
-                deadline.mark_partial(DegradedReason.TRUNCATED)
-            if deadline.max_probes is not None:
-                capped = plan.capped(deadline.max_probes)
-                if capped is not plan:
-                    deadline.mark_partial(DegradedReason.PROBES_CAPPED)
-                    plan = capped
-        return plan
-
-    def _probe_keys(self, plan: ProbePlan) -> Iterable[int]:
-        if wordhash is _CANONICAL_WORDHASH:
-            contribs = [word_contrib(word) for word in plan.candidates]
-            return (key for key, _ in hashed_index_subsets(contribs, plan.sizes))
-        return (
-            wordhash(subset)
-            for subset in sized_subsets(plan.candidates, plan.sizes)
+            max_query_words=self.max_query_words,
         )
 
     def query(
@@ -338,9 +312,27 @@ class PackedSegmentIndex:
         probes; the partial result is flagged on the budget object, not
         returned silently.
         """
+        plan = self.probe_plan(query.words, deadline)
+        return self._scan(query, plan, probe_keys(plan), match_type, deadline)
+
+    def _scan(
+        self,
+        query: Query,
+        plan: ProbePlan,
+        keys: Iterable[int],
+        match_type: MatchType,
+        deadline: Deadline | None = None,
+        num_probes: int | None = None,
+    ) -> list[Advertisement]:
+        """Test ``keys`` against ``B^sig`` in probe-enumeration order
+        and scan the hit nodes — the one loop behind :meth:`query`
+        (``keys`` is the plan's whole key stream) and
+        :meth:`query_kernel_batch` (``keys`` holds only the hit
+        suffixes, misses were eliminated in bulk, and ``num_probes``
+        says how many keys were probed; masking and re-testing a hit
+        suffix is idempotent)."""
         obs = self._obs
         started = perf_counter() if obs is not None else 0.0
-        plan = self.probe_plan(query.words, deadline)
         words = plan.words
         query_len = len(words)
         tracker = self.tracker
@@ -355,13 +347,17 @@ class PackedSegmentIndex:
         node_scans = 0
         entries_scanned = 0
         cache_hits = 0
-        for key in self._probe_keys(plan):
+        for key in keys:
             if deadline is not None and deadline.expired():
                 deadline.mark_partial(DegradedReason.DEADLINE)
                 if obs is not None:
                     obs.counter("resilience.deadline_partials").inc()
                 break
             probes += 1
+            if tracker is not None:
+                # Every probed subset is one random ``B^sig`` word read,
+                # hit or miss (Section IV's ``Cost_Random`` per lookup).
+                tracker.hash_probe(8)
             suffix = key & suffix_mask
             if suffix in visited:
                 continue
@@ -385,7 +381,6 @@ class PackedSegmentIndex:
                         append(ad)
                 entries_scanned += scanned
                 if tracker is not None:
-                    tracker.hash_probe(8)
                     tracker.candidate(scanned)
             else:
                 ads = self._admit(node_index)
@@ -402,13 +397,14 @@ class PackedSegmentIndex:
                     if ad_words <= words:
                         append(ad)
                 if tracker is not None:
-                    tracker.hash_probe(8)
                     tracker.candidate(len(ads))
         if tracker is not None:
             tracker.query_done()
         if obs is not None:
             obs.counter("segment.queries").inc()
-            obs.counter("segment.probes").inc(probes)
+            obs.counter("segment.probes").inc(
+                probes if num_probes is None else num_probes
+            )
             obs.counter("segment.node_scans").inc(node_scans)
             obs.counter("segment.entries_scanned").inc(entries_scanned)
             obs.counter("segment.results").inc(len(results))
@@ -435,191 +431,48 @@ class PackedSegmentIndex:
         one vectorized gather-shift-mask pass under the numpy backend,
         one tight local-variable loop under the python backend — instead
         of a per-probe interpreted loop.  Results and observability
-        counters are bit-identical to calling :meth:`query` per query;
-        bound trackers, *timed* deadlines, and swapped-in hash functions
-        fall back to the scalar path.
+        counters are bit-identical to calling :meth:`query` per query,
+        which is what happens when
+        :func:`repro.kernels.pipeline.engaged` says the per-probe loop
+        must serve.
         """
         batch = list(queries)
-        backend = active_backend()
-        if (
-            backend == "off"
-            or wordhash is not _CANONICAL_WORDHASH
-            or self.tracker is not None
-            or (deadline is not None and deadline.timed)
-        ):
+        backend = engaged(self, deadline)
+        if backend is None:
             return [self.query(q, match_type, deadline) for q in batch]
-        plans = self._kernel_plans(batch, deadline)
-        if backend == "numpy" and self._sig_np is not None:
-            return self._kernel_batch_numpy(batch, plans, match_type)
-        return self._kernel_batch_python(batch, plans, match_type)
-
-    #: Bound on the plan memo (one power-law head).
-    _MAX_CACHED_PLANS = 4096
-
-    def _kernel_plans(
-        self, queries: list[Query], deadline: Deadline | None
-    ) -> list[ProbePlan]:
-        """Probe plans for a kernel batch, memoized across batches.
-
-        Deadlines carry request-specific degradation constraints (and
-        record partiality), so only deadline-free queries hit the memo.
-        """
-        if deadline is not None:
-            return [self.probe_plan(q.words, deadline) for q in queries]
-        cache = self._plan_cache
-        plans = []
-        for query in queries:
-            plan = cache.get(query.words)
-            if plan is None:
-                plan = self.probe_plan(query.words)
-                cache[query.words] = plan
-                if len(cache) > self._MAX_CACHED_PLANS:
-                    cache.popitem(last=False)
-            else:
-                cache.move_to_end(query.words)
-            plans.append(plan)
-        return plans
-
-    def _kernel_batch_numpy(
-        self,
-        queries: list[Query],
-        plans: list[ProbePlan],
-        match_type: MatchType,
-    ) -> list[list[Advertisement]]:
-        import numpy as np
-
-        from repro.kernels.probe import sig_hit_positions, split_by_query
-
+        plans = self._plan_memo.plans(batch, deadline, self.probe_plan)
         keys_per = [
-            flat_probe_keys(plan.candidates, plan.sizes, "numpy")
+            flat_probe_keys(plan.candidates, plan.sizes, backend)
             for plan in plans
         ]
-        boundaries: list[int] = []
-        total = 0
-        for keys in keys_per:
-            total += len(keys)
-            boundaries.append(total)
-        if total:
-            all_keys = (
-                np.concatenate(keys_per) if len(keys_per) > 1 else keys_per[0]
-            )
-            suffixes = all_keys & np.uint64((1 << self.suffix_bits) - 1)
-            hits = sig_hit_positions(suffixes, self._sig_np)
-            # One C-speed conversion for the whole batch's (few) hits.
-            hit_suffixes: list[int] = suffixes[hits].tolist()
-            ends: list[int] = split_by_query(hits, boundaries).tolist()
+        if backend == "numpy":
+            hits_per = split_hits(keys_per, self._sig_hits)
         else:
-            hit_suffixes = []
-            ends = [0] * len(queries)
-        out: list[list[Advertisement]] = []
-        start = 0
-        for i, query in enumerate(queries):
-            end = ends[i]
-            out.append(
-                self._kernel_scan_one(
-                    query,
-                    plans[i],
-                    len(keys_per[i]),
-                    hit_suffixes[start:end],
-                    match_type,
+            mask = (1 << self.suffix_bits) - 1
+            test_positions = self.bsig.test_positions
+            hits_per = []
+            for keys in keys_per:
+                suffixes = [key & mask for key in keys]
+                hits_per.append(
+                    [suffixes[hit] for hit in test_positions(suffixes)]
                 )
+        return [
+            self._scan(
+                query, plan, hits, match_type, num_probes=len(keys)
             )
-            start = end
-        return out
+            for query, plan, keys, hits in zip(
+                batch, plans, keys_per, hits_per
+            )
+        ]
 
-    def _kernel_batch_python(
-        self,
-        queries: list[Query],
-        plans: list[ProbePlan],
-        match_type: MatchType,
-    ) -> list[list[Advertisement]]:
-        mask = (1 << self.suffix_bits) - 1
-        test_positions = self.bsig.test_positions
-        out: list[list[Advertisement]] = []
-        for query, plan in zip(queries, plans):
-            keys = flat_probe_keys(plan.candidates, plan.sizes, "python")
-            suffixes = [key & mask for key in keys]
-            hit_indexes = test_positions(suffixes)
-            out.append(
-                self._kernel_scan_one(
-                    query,
-                    plan,
-                    len(keys),
-                    (suffixes[h] for h in hit_indexes),
-                    match_type,
-                )
-            )
-        return out
-
-    def _kernel_scan_one(
-        self,
-        query: Query,
-        plan: ProbePlan,
-        num_probes: int,
-        hit_suffixes: Iterable[int],
-        match_type: MatchType,
-    ) -> list[Advertisement]:
-        """Scan one query's hit nodes in probe order, mirroring the
-        scalar :meth:`query` loop's cache/decode branches and recording
-        the same per-query metrics.  ``hit_suffixes`` yields only the
-        suffixes whose ``B^sig`` bit is set (misses were eliminated in
-        bulk); duplicates are deduplicated exactly as the scalar
-        ``visited`` set does."""
-        obs = self._obs
-        started = perf_counter() if obs is not None else 0.0
-        words = plan.words
-        query_len = len(words)
-        rank1 = self.bsig.rank1
-        cache = self._node_cache
-        results: list[Advertisement] = []
-        append = results.append
-        visited: set[int] = set()
-        node_scans = 0
-        entries_scanned = 0
-        cache_hits = 0
-        for suffix in hit_suffixes:
-            if suffix in visited:
-                continue
-            visited.add(suffix)
-            node_index = rank1(suffix + 1) - 1
-            node_scans += 1
-            ads = cache.get(node_index)
-            if ads is not None:
-                cache_hits += 1
-                scanned = 0
-                for ad in ads:
-                    ad_words = ad.words
-                    if len(ad_words) > query_len:
-                        break
-                    scanned += 1
-                    if ad_words <= words:
-                        append(ad)
-                entries_scanned += scanned
-            else:
-                ads = self._admit(node_index)
-                if ads is None:
-                    chunk = self._node_chunk(node_index)
-                    ads, _consumed = self._decode_entries(chunk, query_len)
-                entries_scanned += len(ads)
-                for ad in ads:
-                    ad_words = ad.words
-                    if len(ad_words) > query_len:
-                        break
-                    if ad_words <= words:
-                        append(ad)
-        if obs is not None:
-            obs.counter("segment.queries").inc()
-            obs.counter("segment.probes").inc(num_probes)
-            obs.counter("segment.node_scans").inc(node_scans)
-            obs.counter("segment.entries_scanned").inc(entries_scanned)
-            obs.counter("segment.results").inc(len(results))
-            obs.counter("segment.cache_hits").inc(cache_hits)
-            obs.counter("segment.cache_misses").inc(node_scans - cache_hits)
-            obs.gauge("segment.cache_bytes").set(float(self._cache_used))
-            obs.histogram("span.segment_query").observe(
-                (perf_counter() - started) * 1e3
-            )
-        return apply_match_type(results, query, match_type)
+    def _sig_hits(self, all_keys: Any) -> tuple[Any, Any]:
+        """Bulk ``B^sig`` membership: the keys' suffixes and the
+        positions whose bit is set."""
+        suffixes = all_keys & all_keys.dtype.type(
+            (1 << self.suffix_bits) - 1
+        )
+        # Looked up on the module at call time: ``bench/`` wraps it.
+        return suffixes, probe.sig_hit_positions(suffixes, self._sig_np)
 
     # ------------------------------------------------------------------ #
     # Node decoding
@@ -852,7 +705,7 @@ class PackedSegmentIndex:
             self._token_intern,
             self._phrase_cache,
             self._ad_intern,
-            self._plan_cache,
+            self._plan_memo.cache,
             self._node_cache,
             self._node_offsets,
             self.bsig,

@@ -830,7 +830,9 @@ class TieredSegmentedIndex:
         self.seal()
         with self._lock:
             victims = list(self._segments)
-        if len(victims) > 1:
+            tombstoned = bool(self._tombstones)
+        # A lone segment is already folded unless tombstones still mask it.
+        if len(victims) > 1 or (victims and tombstoned):
             top = max(
                 open_segment.record.level for open_segment in victims
             )

@@ -185,11 +185,6 @@ class CachedIndex:
             self._obs.counter("cache.stale_hits").inc()
         return list(entry)
 
-    def query_broad_batch(self, queries) -> list[list[Advertisement]]:
-        """Batched broad match through the cache: each distinct word-set
-        pays at most one miss, repeats within the batch hit."""
-        return [self.query(query) for query in queries]
-
     # ------------------------------------------------------------------ #
     # Mutations pass through and invalidate.
 

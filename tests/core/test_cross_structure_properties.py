@@ -20,7 +20,9 @@ from repro.core.queries import Query
 from repro.core.sharded import ShardedWordSetIndex
 from repro.core.tree_index import TrieWordSetIndex
 from repro.core.wordset_index import WordSetIndex
+from repro.cost.accounting import AccessTracker
 from repro.optimize.mapping import corpus_groups
+from repro.segment import PackedSegmentIndex, SegmentBuilder
 
 words_alphabet = [f"w{i}" for i in range(9)]
 
@@ -108,3 +110,39 @@ class TestEveryStructureAgrees:
             )[:3]
             got = [a.info.bid_price_micros for a in impact.query_top_k(query, 3)]
             assert got == oracle_bids
+
+
+class TestEveryStructureChargesEveryProbe:
+    @given(full_setup())
+    @settings(max_examples=30, deadline=None)
+    def test_hash_probes_equal_the_plans_probe_count(
+        self, tmp_path_factory, setup
+    ):
+        """Section IV prices ``Cost_Random`` per lookup, hit or miss: on
+        the dict, compressed and packed structures alike the tracker
+        sees exactly the probes the plans enumerate."""
+        corpus, assignment, queries, suffix_bits, *_ = setup
+        source = WordSetIndex.from_corpus(corpus, mapping=assignment)
+        path = tmp_path_factory.mktemp("parity") / "seg.bin"
+        SegmentBuilder(source).write(path)
+        trackers = [AccessTracker(), AccessTracker(), AccessTracker()]
+        structures = [
+            WordSetIndex.from_corpus(
+                corpus, mapping=assignment, tracker=trackers[0]
+            ),
+            CompressedWordSetIndex.from_index(
+                source, suffix_bits=suffix_bits, tracker=trackers[1]
+            ),
+            PackedSegmentIndex(path, tracker=trackers[2]),
+        ]
+        try:
+            for structure, tracker in zip(structures, trackers):
+                expected = 0
+                for query in queries:
+                    expected += structure.probe_plan(query.words).probe_count()
+                    structure.query(query)
+                assert tracker.stats.hash_probes == expected, type(
+                    structure
+                ).__name__
+        finally:
+            structures[2].close()

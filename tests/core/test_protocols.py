@@ -70,6 +70,14 @@ def build_cached(corpus):
     return CachedIndex(WordSetIndex.from_corpus(corpus), capacity=8)
 
 
+def build_compressed(corpus):
+    from repro.compress.compressed_hash import CompressedWordSetIndex
+
+    return CompressedWordSetIndex.from_index(
+        WordSetIndex.from_corpus(corpus), suffix_bits=12
+    )
+
+
 def _packed_segment(corpus, directory):
     from repro.segment import PackedSegmentIndex, SegmentBuilder
 
@@ -96,6 +104,7 @@ BUILDERS = {
     "ShardedWordSetIndex": build_sharded,
     "ImpactOrderedIndex": build_impact,
     "CachedIndex": build_cached,
+    "CompressedWordSetIndex": build_compressed,
 }
 
 # Segment-backed structures need a scratch file; their builders take the

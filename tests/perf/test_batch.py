@@ -93,9 +93,9 @@ class TestOrderEquivalence:
             [a.info.listing_id for a in b] for b in batch
         ] == [[a.info.listing_id for a in s] for s in sequential]
 
-    def test_sharded_convenience_method(self, corpus):
+    def test_sharded_default_engine(self, corpus):
         sharded = ShardedWordSetIndex.from_corpus(corpus, num_shards=2)
-        got = sharded.query_broad_batch(self.queries())
+        got = BatchQueryEngine(sharded).query_broad_batch(self.queries())
         want = [sharded.query(q) for q in self.queries()]
         assert ids(got) == ids(want)
 

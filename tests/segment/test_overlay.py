@@ -216,6 +216,8 @@ class TestCompaction:
             segmented.delete(BASE_ADS[0])
             segmented.compact()
             generation = segmented.generation
+            # A lone segment is rewritten too: its tombstone is consumed.
+            assert segmented.tombstone_count() == 0
             assert_matches(segmented, BASE_ADS[1:])
         with TieredSegmentedIndex(tmp_path, read_only=True) as reopened:
             assert reopened.generation == generation

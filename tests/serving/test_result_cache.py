@@ -8,6 +8,7 @@ from repro.core.queries import Query
 from repro.core.wordset_index import WordSetIndex
 from repro.datagen.corpus import CorpusConfig, generate_corpus
 from repro.datagen.querygen import QueryConfig, generate_workload
+from repro.perf.batch import BatchQueryEngine
 from repro.serving.result_cache import CachedIndex
 
 
@@ -143,10 +144,11 @@ class TestDelegation:
     def test_batch_pays_one_miss_per_wordset(self, cached):
         q1 = Query.from_text("used books")
         q2 = Query.from_text("books used")
-        results = cached.query_broad_batch([q1, q2, q1])
+        results = BatchQueryEngine(cached).query_broad_batch([q1, q2, q1])
         assert [len(r) for r in results] == [2, 2, 2]
+        # The engine folds the repeats before the cache sees them.
         assert cached.cache_stats.misses == 1
-        assert cached.cache_stats.hits == 2
+        assert cached.cache_stats.hits == 0
 
 
 class TestPowerLawHitRate:

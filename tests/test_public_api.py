@@ -101,9 +101,9 @@ class TestInterchangeability:
             ShardedWordSetIndex,
             ImpactOrderedIndex,
             CachedIndex,
+            CompressedWordSetIndex,
         )
         baselines = (
-            CompressedWordSetIndex,
             NonRedundantInvertedIndex,
             CountingInvertedIndex,
             RedundantInvertedIndex,
