@@ -13,14 +13,10 @@ oracle.  Gates:
   ``read_amp_bound()`` (= ``fan_in * (top_level + 1) + 1``) once the
   merger drains.
 
-``test_full_bench_document_persisted`` runs the drill at the 100k-op
-acceptance configuration and writes ``BENCH_PR8.json`` at the repo
-root; the CI smoke job runs the standalone driver at a smaller size on
-every push.
+The drill runs once, at the 100k-op acceptance configuration, and the
+gates assert on its result; no file is written.  The CI smoke job runs
+the standalone driver at a smaller size on every push.
 """
-
-import json
-import pathlib
 
 import pytest
 
@@ -28,8 +24,6 @@ from repro.core.ads import AdInfo, Advertisement
 from repro.core.queries import Query
 from repro.segment import TieredConfig, TieredSegmentedIndex
 from repro.segment.churn import ChurnConfig, run_churn_drill
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 DRILL = ChurnConfig(
     ops=100_000,
@@ -118,27 +112,8 @@ def test_bench_tiered_query_replay(benchmark, tmp_path_factory):
         assert total > 0
 
 
-def test_full_bench_document_persisted(drill_result):
-    """Persist the PR 8 acceptance document at the repo root."""
-    document = dict(drill_result.to_json())
-    document["config"] = {
-        "ops": DRILL.ops,
-        "seed": DRILL.seed,
-        "probe_every": DRILL.probe_every,
-        "seal_threshold": DRILL.seal_threshold,
-        "fan_in": DRILL.fan_in,
-    }
-    stats = drill_result.final_stats
-    document["gates"] = {
-        "zero_failed_queries": drill_result.failed_queries == 0,
-        "zero_mismatches": not drill_result.mismatches,
-        "zero_lost_writes": drill_result.lost_writes == 0,
-        "zero_phantom_ads": drill_result.phantom_ads == 0,
-        "reopen_consistent": drill_result.reopen_consistent,
-        "read_amp_within_bound": (
-            stats["read_amplification"] <= stats["read_amp_bound"]
-        ),
-    }
-    assert all(document["gates"].values()), document["gates"]
-    out = REPO_ROOT / "BENCH_PR8.json"
-    out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+def test_drill_ok_gate(drill_result):
+    """``ok`` is what ``python -m repro.segment.churn`` exits on (the
+    ``tiered-ingest-smoke`` CI job); it must hold at the acceptance size
+    too.  Nothing is written: speed numbers come from ``bench/run.py``."""
+    assert drill_result.ok, drill_result.to_json()

@@ -18,6 +18,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.ads import AdCorpus, Advertisement
 from repro.core.queries import Query
+from repro.core.tokens import word_set
 
 
 class MatchType(enum.Enum):
@@ -75,9 +76,11 @@ def apply_match_type(
 def passes_exclusions(ad: Advertisement, query: Query) -> bool:
     """Secondary filter: an ad is excluded if any of its exclusion phrases is
     fully contained in the query (Section I-B's keyword-exclusion)."""
-    from repro.core.tokens import word_set
-
-    return all(not word_set(p) <= query.words for p in ad.info.exclusion_phrases)
+    words = query.words
+    for phrase in ad.info.exclusion_phrases:
+        if word_set(phrase) <= words:
+            return False
+    return True
 
 
 def naive_broad_match(

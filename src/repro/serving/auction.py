@@ -15,6 +15,7 @@ depend on query-independent factors, which is why these scores enter
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -60,35 +61,40 @@ def run_gsp_auction(
 ) -> AuctionOutcome:
     """Rank ``candidates`` into at most ``slots`` positions, GSP-priced.
 
-    Ads bidding below the reserve (after quality adjustment) are excluded.
-    Deterministic: ties on ad rank break by listing id.
+    Ads whose raw bid (``bid_price_micros``, *before* quality adjustment)
+    is below the reserve are excluded; a non-positive quality score on
+    any candidate, excluded or not, raises ``ValueError``.
+    Deterministic: ties on ad rank break by listing id, full ties by
+    candidate order.
+
+    Slot ``i`` is priced from the ad ranked ``i + 1``, so only the top
+    ``slots + 1`` are selected; the rest are scored once and never sorted.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
     if reserve_micros < 0:
         raise ValueError("reserve must be non-negative")
 
-    def quality(ad: Advertisement) -> float:
-        q = quality_fn(ad) if quality_fn is not None else 1.0
-        if q <= 0:
-            raise ValueError(f"quality score must be positive, got {q}")
-        return q
-
-    scored = [
-        (ad.info.bid_price_micros * quality(ad), ad, quality(ad))
-        for ad in candidates
-    ]
-    eligible = [
-        entry
-        for entry in scored
-        if entry[1].info.bid_price_micros >= reserve_micros
-    ]
-    eligible.sort(key=lambda entry: (-entry[0], entry[1].info.listing_id))
+    # Entries order by ``(-ad_rank, listing_id)``; the position makes the
+    # order total, so a full tie falls to candidate order (what a stable
+    # sort on that key gives) and never compares two unorderable ads.
+    scored: list[tuple[float, int, int, Advertisement, float]] = []
+    for position, ad in enumerate(candidates):
+        q = 1.0
+        if quality_fn is not None:
+            q = quality_fn(ad)
+            if q <= 0:
+                raise ValueError(f"quality score must be positive, got {q}")
+        info = ad.info
+        bid = info.bid_price_micros
+        if bid >= reserve_micros:
+            scored.append((-(bid * q), info.listing_id, position, ad, q))
+    top = heapq.nsmallest(slots + 1, scored)
 
     awards: list[SlotAward] = []
-    for i, (ad_rank, ad, q) in enumerate(eligible[:slots]):
-        if i + 1 < len(eligible):
-            next_rank = eligible[i + 1][0]
+    for i, (_, _, _, ad, q) in enumerate(top[:slots]):
+        if i + 1 < len(top):
+            next_rank = -top[i + 1][0]
             price = int(next_rank / q) + 1
         else:
             price = reserve_micros

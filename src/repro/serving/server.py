@@ -684,18 +684,21 @@ class AdServer:
         dropped_exclusion = 0
         dropped_budget = 0
         dropped_frequency = 0
+        # Per-request invariants, so a candidate no filter applies to
+        # (no exclusion phrases, no budgets, no cap for this user) costs
+        # three truth tests.  Order stays exclusion -> budget -> frequency.
+        any_budget = bool(self._budgets)
+        capped = self.frequency_cap is not None and user_id is not None
         eligible: list[Advertisement] = []
         for ad in candidates:
-            if not passes_exclusions(ad, query):
+            if ad.info.exclusion_phrases and not passes_exclusions(ad, query):
                 dropped_exclusion += 1
-                continue
-            if not self._passes_budget(ad):
+            elif any_budget and not self._passes_budget(ad):
                 dropped_budget += 1
-                continue
-            if not self._passes_frequency_cap(ad, user_id):
+            elif capped and not self._passes_frequency_cap(ad, user_id):
                 dropped_frequency += 1
-                continue
-            eligible.append(ad)
+            else:
+                eligible.append(ad)
         self.stats.filtered_exclusion += dropped_exclusion
         self.stats.filtered_budget += dropped_budget
         self.stats.filtered_frequency_cap += dropped_frequency

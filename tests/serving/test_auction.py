@@ -66,6 +66,14 @@ class TestPricing:
         )
         assert [a.info.listing_id for a in outcome.winners()] == [2]
 
+    def test_reserve_compares_the_raw_bid_not_the_ad_rank(self):
+        # bid 40 < reserve 50, although ad rank 40 * 2.0 = 80 clears it.
+        outcome = run_gsp_auction(
+            [ad(1, 40)], slots=1, reserve_micros=50, quality_fn=lambda a: 2.0
+        )
+        assert outcome.awards == ()
+        assert outcome.candidates == 1
+
     def test_quality_adjusted_price(self):
         # winner quality 2.0, next ad rank 100 -> price = 100/2 + 1 = 51.
         outcome = run_gsp_auction(
@@ -92,6 +100,28 @@ class TestValidation:
     def test_rejects_nonpositive_quality(self):
         with pytest.raises(ValueError):
             run_gsp_auction([ad(1, 100)], slots=1, quality_fn=lambda a: 0.0)
+
+    def test_rejects_nonpositive_quality_below_reserve(self):
+        # Validation covers every candidate, not only reserve-passing ones.
+        with pytest.raises(ValueError):
+            run_gsp_auction(
+                [ad(1, 500), ad(2, 10)],
+                slots=1,
+                reserve_micros=50,
+                quality_fn=lambda a: -1.0 if a.info.listing_id == 2 else 1.0,
+            )
+
+    def test_quality_fn_called_once_per_candidate(self):
+        calls = []
+
+        def quality(a):
+            calls.append(a.info.listing_id)
+            return 1.0
+
+        # Below-reserve (3) and beyond-the-slate (4, 5) ads are scored too.
+        ads = [ad(1, 300), ad(2, 200), ad(3, 10), ad(4, 150), ad(5, 100)]
+        run_gsp_auction(ads, slots=1, reserve_micros=50, quality_fn=quality)
+        assert calls == [1, 2, 3, 4, 5]
 
 
 class TestProperties:

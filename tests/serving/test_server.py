@@ -7,6 +7,7 @@ from repro.core.queries import Query
 from repro.core.sharded import ShardedWordSetIndex
 from repro.core.tree_index import TrieWordSetIndex
 from repro.core.wordset_index import WordSetIndex
+from repro.serving import server as server_module
 from repro.serving.server import AdServer, serve_trace
 
 
@@ -232,6 +233,25 @@ class TestServeBatch:
         server = AdServer(WordSetIndex.from_corpus(corpus))
         assert server.serve_batch([]) == []
         assert server.stats.queries == 0
+
+    def test_one_auction_per_served_query_via_the_module_global(
+        self, corpus, monkeypatch
+    ):
+        # The traced benchmark times the auction by patching this module
+        # global, so serving must look the name up at call time.
+        calls = []
+        real = server_module.run_gsp_auction
+
+        def counting(candidates, **kwargs):
+            calls.append(len(candidates))
+            return real(candidates, **kwargs)
+
+        monkeypatch.setattr(server_module, "run_gsp_auction", counting)
+        server = AdServer(WordSetIndex.from_corpus(corpus), slots=2)
+        server.serve(Query.from_text("cheap used books"))
+        assert len(calls) == 1
+        server.serve_batch(self.queries())
+        assert len(calls) == 1 + len(self.QUERIES)
 
 
 class _BrokenIndex:
