@@ -540,7 +540,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         admission=admission,
         frontend_process=True,
         max_batch=args.max_batch,
-        batch_wait_us=args.batch_wait_us,
         reload_check_interval_s=args.reload_check_interval_s,
         coalesce=args.coalesce,
         cache_entries=args.cache_entries,
@@ -912,12 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker micro-batch size (1 = scalar serving)",
-    )
-    serve.add_argument(
-        "--batch-wait-us",
-        type=float,
-        default=500.0,
-        help="how long a worker batch waits for stragglers",
     )
     serve.add_argument(
         "--reload-check-interval-s",

@@ -93,7 +93,6 @@ class ClusterConfig:
     # max_batch=1 serves every request on the scalar path, coalesce off
     # and cache_entries=0 keep the frontend a pure relay.
     max_batch: int = 1
-    batch_wait_us: float = 500.0
     worker_queue_depth: int = 1024
     reload_check_interval_s: float = DEFAULT_RELOAD_CHECK_INTERVAL_S
     coalesce: bool = False
@@ -123,7 +122,6 @@ class ClusterConfig:
             default_deadline_ms=self.default_deadline_ms,
             max_frame_bytes=self.max_frame_bytes,
             max_batch=self.max_batch,
-            batch_wait_us=self.batch_wait_us,
             queue_depth=self.worker_queue_depth,
             reload_check_interval_s=self.reload_check_interval_s,
             drain_timeout_s=self.drain_timeout_s,

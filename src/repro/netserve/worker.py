@@ -28,9 +28,11 @@ length-prefixed JSON frames (:mod:`repro.netserve.wire`) on an
 
 Serving is **micro-batched**: connection threads decode and validate
 ``serve`` frames, then enqueue the :class:`ServeRequest` (with a reply
-slot) on a bounded dispatch queue.  A single dispatcher thread drains
-up to ``max_batch`` requests — waiting at most ``batch_wait_us`` for
-stragglers once it has one — and routes the whole batch through
+slot) on a bounded dispatch queue.  A single dispatcher thread blocks
+only while idle: woken by a request, it takes whatever else is already
+queued, up to ``max_batch``, and serves at once — a batch is what
+accumulated while the previous one was being served, never something
+a request slept for.  A batch of more than one goes through
 :meth:`AdServer.serve_batch`, which engages the
 :class:`~repro.index.batch.BatchQueryEngine` word-set dedup and the
 vectorized probe kernels.  Each :class:`ServeResult` fans back to its
@@ -112,11 +114,8 @@ class WorkerConfig:
     max_batch:
         Most requests one dispatcher batch may carry.  1 (the default)
         serves every request through the scalar path — bit-identical to
-        the pre-batching worker.
-    batch_wait_us:
-        Once the dispatcher holds one request, how long it waits for
-        batch-mates before serving short.  Latency floor the batch adds
-        under light load; irrelevant once the queue runs hot.
+        the pre-batching worker.  Batches fill only from what is already
+        queued, so the bound costs nothing under light load.
     queue_depth:
         Bound on the dispatch queue.  A full queue answers a typed
         retryable ``error`` frame instead of blocking the connection
@@ -141,7 +140,6 @@ class WorkerConfig:
     default_deadline_ms: float | None = None
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
     max_batch: int = 1
-    batch_wait_us: float = 500.0
     queue_depth: int = 1024
     reload_check_interval_s: float = DEFAULT_RELOAD_CHECK_INTERVAL_S
     drain_timeout_s: float = 5.0
@@ -149,8 +147,6 @@ class WorkerConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.batch_wait_us < 0:
-            raise ValueError("batch_wait_us must be >= 0")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if self.reload_check_interval_s < 0:
@@ -292,22 +288,16 @@ class _Worker:
                 return
 
     def _collect(self, batch: list[_PendingServe]) -> bool:
-        """Top up ``batch`` to ``max_batch`` within the wait budget.
+        """Top up ``batch`` to ``max_batch`` from what is already queued.
 
-        Returns True when the shutdown sentinel surfaced mid-collect
-        (the batch in hand is still served before draining).
+        Never blocks: waiting for batch-mates costs every request the
+        wait and buys nothing ``serve_batch`` amortises.  Returns True
+        when the shutdown sentinel surfaced mid-collect (the batch in
+        hand is still served before draining).
         """
-        config = self.config
-        if config.max_batch <= 1:
-            return False
-        deadline = perf_counter() + config.batch_wait_us / 1e6
-        while len(batch) < config.max_batch:
-            remaining = deadline - perf_counter()
+        while len(batch) < self.config.max_batch:
             try:
-                if remaining <= 0:
-                    item = self._queue.get_nowait()
-                else:
-                    item = self._queue.get(timeout=remaining)
+                item = self._queue.get_nowait()
             except queue.Empty:
                 return False
             if item is _SHUTDOWN:
@@ -533,7 +523,6 @@ class _Worker:
             },
             "batching": {
                 "max_batch": self.config.max_batch,
-                "batch_wait_us": self.config.batch_wait_us,
                 "queue_depth": self.config.queue_depth,
                 "batches": self.batches,
                 "queue_rejects": self.queue_rejects,

@@ -1,7 +1,8 @@
 """The worker micro-batching dispatcher (PR 9).
 
 Covers: batched serving stays bit-identical to the in-process scalar
-path, batches actually form under concurrent load, result frames carry
+path, a batch is exactly what queued while the dispatcher was busy and
+the dispatcher never waits for more, result frames carry
 the generation stamp, control frames (``stats``/``ping``) never queue
 behind an in-flight serve batch, the manifest reload probe is throttled
 off the per-request hot path (and a committed generation is still
@@ -10,10 +11,10 @@ degrades only itself.
 """
 
 import os
+import queue
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.netserve.worker import WorkerConfig, _PendingServe, _Worker
 from repro.segment import TieredConfig, TieredSegmentedIndex
 from repro.serving import AdServer, ServeRequest
 
-from tests.netserve.conftest import requires_af_unix
+from tests.netserve.conftest import HeldDispatcher, requires_af_unix
 
 pytestmark = requires_af_unix
 
@@ -36,11 +37,11 @@ def _ad(text, listing_id):
     )
 
 
-def _sample_queries(generated_corpus):
+def _sample_queries(generated_corpus, stride=97):
     ads = generated_corpus.corpus.ads
     return [
         Query(ads[i].phrase + ("extra", "words"))
-        for i in range(0, len(ads), 97)
+        for i in range(0, len(ads), stride)
     ]
 
 
@@ -52,7 +53,6 @@ def batched_cluster(segment_path):
         conns_per_worker=8,
         default_deadline_ms=2_000.0,
         max_batch=8,
-        batch_wait_us=20_000.0,  # generous: let batches actually fill
     )
     with ServingCluster(config) as running:
         yield running
@@ -69,29 +69,6 @@ class TestBatchedServing:
                 remote = client.serve(ServeRequest(query=query))
                 expected = local.serve(query)
                 assert remote.to_dict() == expected.to_dict()
-
-    def test_batches_form_under_concurrent_load(
-        self, batched_cluster, generated_corpus
-    ):
-        host, port = batched_cluster.address
-        queries = _sample_queries(generated_corpus)
-
-        def hammer(client_id):
-            with ServeClient(host, port) as client:
-                for i in range(6):
-                    query = queries[(client_id + i) % len(queries)]
-                    client.serve(ServeRequest(query=query))
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(hammer, range(8)))
-        with ServeClient(host, port) as client:
-            stats = client.stats()
-        batching = stats["workers"][0]["batching"]
-        assert batching["max_batch"] == 8
-        assert batching["batches"] >= 1
-        # 8 closed-loop clients against a 20 ms batch window: at least
-        # one multi-request batch must have formed.
-        assert batching["batch_size"]["max"] >= 2
 
     def test_result_frames_carry_generation_stamp(self, batched_cluster):
         host, port = batched_cluster.address
@@ -115,6 +92,105 @@ class TestBatchedServing:
             )
             assert reply["type"] == "error"
             assert client.ping()
+
+
+class _RecordingQueue(queue.Queue):
+    """Logs ``(block, timeout, got)`` for every ``get``, ``got`` being
+    the item or None on Empty (``get_nowait`` is ``get(block=False)``)."""
+
+    def __init__(self, maxsize=0):
+        super().__init__(maxsize)
+        self.gets = []
+
+    def get(self, block=True, timeout=None):
+        try:
+            item = super().get(block, timeout)
+        except queue.Empty:
+            self.gets.append((block, timeout, None))
+            raise
+        self.gets.append((block, timeout, item))
+        return item
+
+
+class TestEventDrivenDispatch:
+    MAX_BATCH = 8
+
+    @pytest.fixture
+    def worker(self, segment_path, tmp_path):
+        worker = _Worker(
+            WorkerConfig(
+                segment_path=str(segment_path),
+                socket_path=str(tmp_path / "unused.sock"),
+                max_batch=self.MAX_BATCH,
+            )
+        )
+        yield worker
+        worker.close()
+
+    def test_backlog_behind_busy_dispatcher_forms_exact_batches(
+        self, worker, reference_index, generated_corpus
+    ):
+        """A batch is what accumulated while the previous one was being
+        served: ``max_batch + 3`` queued behind one held serve come out
+        as one full batch and one of 3, each reply its own."""
+        backlog = self.MAX_BATCH + 3
+        queries = _sample_queries(generated_corpus, stride=61)[:backlog]
+        assert len(queries) == backlog
+        batch_sizes = []
+        serve_batch = worker.server.serve_batch
+
+        def recording_serve_batch(requests):
+            batch_sizes.append(len(requests))
+            return serve_batch(requests)
+
+        worker.server.serve_batch = recording_serve_batch
+        held = HeldDispatcher(worker)
+        histogram = worker.obs.histogram("worker.batch_size")
+        assert (worker.batches, histogram.count, histogram.sum) == (1, 1, 1.0)
+        for i, query in enumerate(queries):
+            held.submit(i, ServeRequest(query=query, request_id=f"backlog-{i}"))
+        held.wait_queued(len(queries))
+        replies = held.join()
+
+        assert batch_sizes == [self.MAX_BATCH, 3]
+        assert worker.batches == 3
+        assert (histogram.count, histogram.sum) == (3, 1.0 + len(queries))
+        assert histogram.snapshot()["max"] == self.MAX_BATCH
+        assert replies["held"]["type"] == "result"
+        local = AdServer(reference_index)
+        for i, query in enumerate(queries):
+            reply = replies[i]
+            assert reply["type"] == "result"
+            assert reply["request_id"] == f"backlog-{i}"
+            expected = local.serve(
+                ServeRequest(query=query, request_id=f"backlog-{i}")
+            )
+            assert reply["result"] == expected.to_dict()
+
+    def test_lone_request_is_served_without_waiting_for_batch_mates(
+        self, worker
+    ):
+        """Holding one request, the dispatcher may only *poll* for more:
+        a blocking or timed ``get`` after the first item is the timer
+        this worker no longer has."""
+        # The dispatcher re-reads ``_queue`` every turn, so a swap takes
+        # effect once its current idle wait on the old queue lapses.
+        recording = _RecordingQueue(maxsize=worker.config.queue_depth)
+        worker._queue = recording
+        reply = worker.handle(
+            {"type": "serve", "request": {"query": ["books"]}}
+        )
+        assert reply["type"] == "result"
+        assert worker.batches == 1
+
+        gets = recording.gets
+        first = next(
+            i for i, (_, _, got) in enumerate(gets) if got is not None
+        )
+        # The idle wait may block; the top-up that follows must not, and
+        # on an empty queue it ends the collect at once.
+        assert gets[first][0] is True
+        assert gets[first + 1] == (False, None, None)
 
 
 class TestControlPlaneNotBatched:

@@ -22,7 +22,7 @@ from repro.netserve.supervisor import (
 from repro.netserve.worker import _SHUTDOWN, WorkerConfig, _PendingServe, _Worker
 from repro.serving import ServeRequest
 
-from tests.netserve.conftest import requires_af_unix
+from tests.netserve.conftest import HeldDispatcher, requires_af_unix
 
 pytestmark = requires_af_unix
 
@@ -297,3 +297,61 @@ class TestGracefulDrain:
             assert worker.drained == 0
         finally:
             worker.index.close()
+
+    def test_shutdown_behind_backlog_serves_batch_in_hand_and_queue(
+        self, segment_path, tmp_path
+    ):
+        """A ``shutdown`` frame landing mid-backlog: the batch in hand is
+        served, then everything still queued is drained — every request
+        a ``result``, none an ``error``."""
+        max_batch, drain_timeout_s = 4, 5.0
+        worker = _Worker(
+            WorkerConfig(
+                segment_path=str(segment_path),
+                socket_path=str(tmp_path / "drain.sock"),
+                max_batch=max_batch,
+                drain_timeout_s=drain_timeout_s,
+            )
+        )
+        try:
+            held = HeldDispatcher(worker)
+            for i in range(max_batch + 1):
+                held.submit(
+                    i, ServeRequest.from_text(f"books {i}", request_id=f"q-{i}")
+                )
+            held.wait_queued(max_batch + 1)
+            assert worker.handle({"type": "shutdown"}) == {"type": "ok"}
+            # Admitted just before ``_stop`` was set, enqueued just after
+            # the sentinel: the stragglers the drain exists for.
+            late = [
+                _PendingServe(
+                    ServeRequest.from_text(f"late {i}", request_id=f"late-{i}")
+                )
+                for i in range(max_batch)
+            ]
+            for item in late:
+                worker._queue.put(item)
+
+            started = time.monotonic()
+            replies = held.join(timeout_s=drain_timeout_s)
+            worker._dispatcher.join(timeout=drain_timeout_s)
+            assert not worker._dispatcher.is_alive()
+            assert time.monotonic() - started < drain_timeout_s
+
+            assert replies["held"]["type"] == "result"
+            for i in range(max_batch + 1):
+                assert replies[i]["type"] == "result"
+                assert replies[i]["request_id"] == f"q-{i}"
+            for i, item in enumerate(late):
+                assert item.done.is_set()
+                assert item.response["type"] == "result"
+                assert item.response["request_id"] == f"late-{i}"
+            # held | a full batch | one in hand when the sentinel
+            # surfaced mid-collect | the rest through the drain.
+            assert worker.batches == 3
+            assert worker.served == 2 * max_batch + 2
+            assert worker.drained == max_batch
+            assert worker.drain_errors == 0
+            assert worker.errors == 0
+        finally:
+            worker.close()
