@@ -34,7 +34,7 @@ from repro.segment.tiered import (
     ShardedSegmentedIndex,
     TieredConfig,
     TieredSegmentedIndex,
-    filter_tombstones,
+    Tombstones,
     manifest_fingerprint,
     pack_corpus_tiered,
     read_manifest,
@@ -52,9 +52,9 @@ __all__ = [
     "TIERED_CRASHPOINTS",
     "TieredConfig",
     "TieredSegmentedIndex",
+    "Tombstones",
     "deep_sizeof",
     "default_suffix_bits",
-    "filter_tombstones",
     "manifest_fingerprint",
     "pack_corpus_tiered",
     "read_manifest",

@@ -14,12 +14,13 @@ workload-driven re-mapping later):
   :mod:`repro.obs` registry (:class:`~repro.obs.workload
   .WorkloadRecorder`), so placements track the observed workload;
 * **deletes** of overlay ads are plain deletes; deletes of sealed ads
-  record a *tombstone* (a count per exact ad, since the corpus permits
-  duplicate ads);
+  record a *tombstone* in :class:`Tombstones` (a count per exact ad,
+  since the corpus permits duplicate ads, indexed by ``listing_id``);
 * **queries** fan over the tiers newest-first, filter cross-tier
-  tombstones (:func:`filter_tombstones`), and finish with the overlay.
-  Read amplification is bounded by ``fan_in`` segments per level plus
-  the overlay;
+  tombstones (:meth:`Tombstones.filter`: an int ``listing_id`` test per
+  result, an :class:`Advertisement` hash per *dead* one), and finish
+  with the overlay.  Read amplification is bounded by ``fan_in``
+  segments per level plus the overlay;
 * **compact** seals, then folds *every* tier into one segment — the
   offline, full-corpus end of the same merge machinery.
 
@@ -96,7 +97,7 @@ __all__ = [
     "ShardedSegmentedIndex",
     "TieredConfig",
     "TieredSegmentedIndex",
-    "filter_tombstones",
+    "Tombstones",
     "manifest_fingerprint",
     "pack_corpus_tiered",
     "read_manifest",
@@ -405,31 +406,107 @@ class _OpenSegment:
 # The tiered index
 
 
-def filter_tombstones(
-    results: list[Advertisement],
-    tombstones: dict[Advertisement, int],
-) -> list[Advertisement]:
-    """Drop up to ``tombstones[ad]`` occurrences of each dead ad.
+class Tombstones:
+    """Pending cross-tier deletions, indexed so readers pay per *dead*
+    ad rather than per ad seen.
 
-    Allocation-aware: the common serving case is "tombstones exist but
-    none of *these* results are dead", so the mutable scratch copy of
-    the tombstone map (and the kept-list rebuild) is deferred until the
-    first actual hit.  When nothing is filtered the input list is
-    returned as-is — zero allocations on the hot path.
+    ``counts`` holds a count per exact ad (the corpus permits duplicate
+    ads), ``dead_ids`` the dead occurrences per ``listing_id`` and
+    ``total`` their sum; :meth:`add` and :meth:`discard` are the only
+    writers and keep the three in step.  Readers test the int
+    ``ad.info.listing_id in dead_ids`` first and hash a whole
+    :class:`Advertisement` (phrase, info and word-set) only for the few
+    *suspects* that pass.
     """
-    remaining: dict[Advertisement, int] | None = None
-    kept: list[Advertisement] | None = None
-    for index, ad in enumerate(results):
-        source = tombstones if remaining is None else remaining
-        pending = source.get(ad, 0)
-        if pending > 0:
-            if remaining is None or kept is None:
-                remaining = dict(tombstones)
-                kept = results[:index]
-            remaining[ad] = pending - 1
-        elif kept is not None:
-            kept.append(ad)
-    return results if kept is None else kept
+
+    __slots__ = ("counts", "dead_ids", "total")
+
+    def __init__(
+        self, items: Iterable[tuple[Advertisement, int]] = ()
+    ) -> None:
+        self.counts: dict[Advertisement, int] = {}
+        self.dead_ids: dict[int, int] = {}
+        self.total = 0
+        for ad, count in items:
+            if count > 0:
+                self.add(ad, count)
+
+    def copy(self) -> Tombstones:
+        clone = Tombstones()
+        clone.counts = self.counts.copy()
+        clone.dead_ids = self.dead_ids.copy()
+        clone.total = self.total
+        return clone
+
+    def count(self, ad: Advertisement) -> int:
+        return self.counts.get(ad, 0)
+
+    def add(self, ad: Advertisement, count: int = 1) -> None:
+        listing_id = ad.info.listing_id
+        self.counts[ad] = self.counts.get(ad, 0) + count
+        self.dead_ids[listing_id] = self.dead_ids.get(listing_id, 0) + count
+        self.total += count
+
+    def discard(self, ad: Advertisement, count: int = 1) -> int:
+        """Forget up to ``count`` pending deletions of ``ad``; returns
+        how many were pending and are now forgotten."""
+        dropped = min(count, self.counts.get(ad, 0))
+        if dropped:
+            listing_id = ad.info.listing_id
+            self.counts[ad] -= dropped
+            if not self.counts[ad]:
+                del self.counts[ad]
+            self.dead_ids[listing_id] -= dropped
+            if not self.dead_ids[listing_id]:
+                del self.dead_ids[listing_id]
+            self.total -= dropped
+        return dropped
+
+    def encoded(self) -> tuple[tuple[Advertisement, int], ...]:
+        """The manifest form: sorted by ``(phrase, listing_id)``, ties
+        in first-tombstoned order (stable sort, insertion-ordered)."""
+        return tuple(
+            sorted(
+                self.counts.items(),
+                key=lambda item: (item[0].phrase, item[0].info.listing_id),
+            )
+        )
+
+    def filter(
+        self,
+        results: list[Advertisement],
+        consumed: dict[Advertisement, int] | None = None,
+    ) -> list[Advertisement]:
+        """``results`` minus the first ``count`` occurrences of each
+        dead ad, in result order.  The common serving case is
+        "tombstones exist but none of *these* results are dead": with
+        no suspect, or none that is exactly a dead ad, the input list
+        itself comes back.  ``consumed`` tallies the occurrences
+        dropped; one dict passed across calls spends each count over
+        several lists (a fold's victims, oldest first)."""
+        dead_ids = self.dead_ids
+        suspects = [
+            index
+            for index, ad in enumerate(results)
+            if ad.info.listing_id in dead_ids
+        ]
+        if not suspects:
+            return results
+        if consumed is None:
+            consumed = {}
+        kept: list[Advertisement] = []
+        start = 0
+        for index in suspects:
+            ad = results[index]
+            used = consumed.get(ad, 0)
+            if self.counts.get(ad, 0) > used:
+                consumed[ad] = used + 1
+                kept += results[start:index]
+                start = index + 1
+        if not start:
+            return results
+        kept += results[start:]
+        return kept
 
 
 class TieredSegmentedIndex:
@@ -498,10 +575,7 @@ class TieredSegmentedIndex:
             for open_segment in self._segments:
                 open_segment.index.close()
             raise
-        self._tombstones: Counter[Advertisement] = Counter()
-        for ad, count in manifest.tombstones:
-            if count > 0:
-                self._tombstones[ad] += count
+        self._tombstones = Tombstones(manifest.tombstones)
         self._overlay = self._fresh_overlay()
         self._manifest = manifest
         self._next_seq = manifest.next_seq
@@ -562,7 +636,7 @@ class TieredSegmentedIndex:
             ).set(float(len(self._overlay)))
             obs.gauge(
                 "tiered.tombstones", help="Pending cross-tier deletions"
-            ).set(float(sum(self._tombstones.values())))
+            ).set(float(self._tombstones.total))
 
     def _assert_writable(self) -> None:
         if self._read_only:
@@ -582,15 +656,11 @@ class TieredSegmentedIndex:
         copy plus the still-pending tombstone nets out identically)."""
         self._assert_writable()
         with self._lock:
-            if (
+            if not (
                 locator is None
                 and not self._merge_inflight
-                and self._tombstones.get(ad, 0) > 0
+                and self._tombstones.discard(ad)
             ):
-                self._tombstones[ad] -= 1
-                if not self._tombstones[ad]:
-                    del self._tombstones[ad]
-            else:
                 self._overlay.insert(ad, locator)
             overlay_ads = len(self._overlay)
         self._update_gauges()
@@ -610,8 +680,8 @@ class TieredSegmentedIndex:
                 open_segment.index.lookup_count(ad)
                 for open_segment in self._segments
             )
-            if sealed - self._tombstones.get(ad, 0) > 0:
-                self._tombstones[ad] += 1
+            if sealed - self._tombstones.count(ad) > 0:
+                self._tombstones.add(ad)
                 self._update_gauges()
                 return True
             return False
@@ -624,7 +694,7 @@ class TieredSegmentedIndex:
                 open_segment.index.lookup_count(ad)
                 for open_segment in self._segments
             )
-            return sealed > self._tombstones.get(ad, 0)
+            return sealed > self._tombstones.count(ad)
 
     # ------------------------------------------------------------------ #
     # Query processing
@@ -656,8 +726,8 @@ class TieredSegmentedIndex:
                 results.extend(
                     open_segment.index.query(query, match_type, deadline)
                 )
-            if tombstones:
-                results = filter_tombstones(results, tombstones)
+            if tombstones.total:
+                results = tombstones.filter(results)
             results.extend(overlay.query(query, match_type, deadline))
             return results
         finally:
@@ -689,7 +759,7 @@ class TieredSegmentedIndex:
         self._assert_writable()
         if not len(self._overlay):
             with self._lock:
-                tombstones = self._encode_tombstones()
+                tombstones = self._tombstones.encoded()
                 if tombstones == self._manifest.tombstones:
                     return None
                 self._faults.crashpoint(CRASH_SEAL_START)
@@ -730,7 +800,7 @@ class TieredSegmentedIndex:
                     generation=self._manifest.generation + 1,
                     next_seq=self._next_seq,
                     segments=self._manifest.segments + (record,),
-                    tombstones=self._encode_tombstones(),
+                    tombstones=self._tombstones.encoded(),
                 )
                 self._commit_locked(
                     manifest,
@@ -747,22 +817,12 @@ class TieredSegmentedIndex:
         self._faults.crashpoint(CRASH_MANIFEST_SWAPPED)
         return path
 
-    def _encode_tombstones(self) -> tuple[tuple[Advertisement, int], ...]:
-        return tuple(
-            (ad, count)
-            for ad, count in sorted(
-                self._tombstones.items(),
-                key=lambda item: (item[0].phrase, item[0].info.listing_id),
-            )
-            if count > 0
-        )
-
     def _commit_locked(
         self,
         manifest: Manifest,
         segments: list[_OpenSegment],
         fresh_overlay: bool = False,
-        tombstones: Counter[Advertisement] | None = None,
+        tombstones: Tombstones | None = None,
     ) -> None:
         """Write the manifest, then swap in-memory state — caller holds
         the lock.  No crashpoint separates the rename from the swap;
@@ -830,7 +890,7 @@ class TieredSegmentedIndex:
         self.seal()
         with self._lock:
             victims = list(self._segments)
-            tombstoned = bool(self._tombstones)
+            tombstoned = bool(self._tombstones.total)
         # A lone segment is already folded unless tombstones still mask it.
         if len(victims) > 1 or (victims and tombstoned):
             top = max(
@@ -851,23 +911,21 @@ class TieredSegmentedIndex:
         merge never loses a concurrent write.
         """
         with self._lock:
-            tomb_snapshot = dict(self._tombstones)
+            tomb_snapshot = self._tombstones.copy()
             self._merge_inflight = True
         try:
             self._faults.crashpoint(CRASH_MERGE_START)
             with self._lock:
                 seq = self._next_seq
                 self._next_seq += 1
-            consumed: Counter[Advertisement] = Counter()
+            consumed: dict[Advertisement, int] = {}
             placements: dict[frozenset[str], frozenset[str]] = {}
             survivors: list[Advertisement] = []
             for open_segment in victims:
                 placements.update(open_segment.index.placements())
-                for ad in open_segment.index.iter_ads():
-                    if tomb_snapshot.get(ad, 0) - consumed[ad] > 0:
-                        consumed[ad] += 1
-                        continue
-                    survivors.append(ad)
+                survivors += tomb_snapshot.filter(
+                    list(open_segment.index.iter_ads()), consumed
+                )
             mapping = self._merge_mapping(survivors)
             fresh = self._fresh_overlay()
             for ad in survivors:
@@ -897,13 +955,9 @@ class TieredSegmentedIndex:
                     # Copy-on-write tombstone reconciliation: in-flight
                     # query snapshots keep the counter matching their
                     # segment list.
-                    new_tombstones = Counter(self._tombstones)
+                    new_tombstones = self._tombstones.copy()
                     for ad, count in consumed.items():
-                        left = new_tombstones[ad] - count
-                        if left > 0:
-                            new_tombstones[ad] = left
-                        else:
-                            del new_tombstones[ad]
+                        new_tombstones.discard(ad, count)
                     kept = [
                         open_segment
                         for open_segment in self._segments
@@ -932,16 +986,7 @@ class TieredSegmentedIndex:
                         generation=self._manifest.generation + 1,
                         next_seq=self._next_seq,
                         segments=records,
-                        tombstones=tuple(
-                            (ad, count)
-                            for ad, count in sorted(
-                                new_tombstones.items(),
-                                key=lambda item: (
-                                    item[0].phrase,
-                                    item[0].info.listing_id,
-                                ),
-                            )
-                        ),
+                        tombstones=new_tombstones.encoded(),
                     )
                     self._commit_locked(
                         manifest,
@@ -1052,7 +1097,7 @@ class TieredSegmentedIndex:
 
     def tombstone_count(self) -> int:
         with self._lock:
-            return sum(self._tombstones.values())
+            return self._tombstones.total
 
     def __len__(self) -> int:
         with self._lock:
@@ -1061,7 +1106,7 @@ class TieredSegmentedIndex:
             )
             return (
                 sealed
-                - sum(self._tombstones.values())
+                - self._tombstones.total
                 + len(self._overlay)
             )
 
@@ -1070,15 +1115,13 @@ class TieredSegmentedIndex:
         overlay."""
         with self._lock:
             segments = tuple(self._segments)
-            remaining = dict(self._tombstones)
+            tombstones = self._tombstones.copy()
             overlay = self._overlay
+        consumed: dict[Advertisement, int] = {}
         for open_segment in segments:
-            for ad in open_segment.index.iter_ads():
-                pending = remaining.get(ad, 0)
-                if pending > 0:
-                    remaining[ad] = pending - 1
-                else:
-                    yield ad
+            yield from tombstones.filter(
+                list(open_segment.index.iter_ads()), consumed
+            )
         for node in overlay.nodes.values():
             for entry in node.entries:
                 yield entry.ad
@@ -1130,7 +1173,7 @@ class TieredSegmentedIndex:
                     for level, count in sorted(per_level.items())
                 },
                 "overlay_ads": len(self._overlay),
-                "tombstones": sum(self._tombstones.values()),
+                "tombstones": self._tombstones.total,
                 "read_amplification": len(self._segments) + 1,
                 "read_amp_bound": self.read_amp_bound(),
                 "segment_bytes": sum(

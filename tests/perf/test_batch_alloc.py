@@ -26,7 +26,7 @@ from repro.perf.batch import BatchQueryEngine
 from repro.segment import (
     PackedSegmentIndex,
     SegmentBuilder,
-    filter_tombstones,
+    Tombstones,
 )
 
 ADS = [
@@ -104,42 +104,43 @@ def test_steady_state_batches_do_not_grow_memory(segment_path, cache_bytes):
 
 
 class TestFilterTombstonesAllocation:
-    """``filter_tombstones`` defers every allocation until the first
+    """``Tombstones.filter`` defers every allocation until the first
     actual hit: the no-hit serving case returns the input list itself
     (identity, not an equal copy) and never clones the tombstone map."""
 
     def test_no_hit_returns_the_input_list_identity(self):
         results = list(ADS[:3])
-        tombstones = {ADS[4]: 1}  # dead ad not in these results
-        filtered = filter_tombstones(results, tombstones)
+        tombstones = Tombstones([(ADS[4], 1)])  # dead ad not in results
+        filtered = tombstones.filter(results)
         assert filtered is results
 
     def test_empty_tombstones_is_identity(self):
         results = list(ADS)
-        assert filter_tombstones(results, {}) is results
+        assert Tombstones().filter(results) is results
 
     def test_hit_rebuilds_without_mutating_inputs(self):
         results = list(ADS)
-        tombstones = {ADS[0]: 1}
-        filtered = filter_tombstones(results, tombstones)
+        tombstones = Tombstones([(ADS[0], 1)])
+        filtered = tombstones.filter(results)
         assert filtered is not results
         assert filtered == ADS[1:]
-        # The caller's tombstone map is scratch-copied, not consumed.
-        assert tombstones == {ADS[0]: 1}
+        # The tombstones are tallied against, not consumed.
+        assert tombstones.counts == {ADS[0]: 1}
+        assert tombstones.dead_ids == {1: 1} and tombstones.total == 1
         assert results == ADS
 
     def test_no_hit_filtering_is_allocation_flat(self):
         results = list(ADS)
-        tombstones = {ADS[4]: 2}
+        tombstones = Tombstones([(ADS[4], 2)])
         del results[4]  # ensure zero hits
         for _ in range(5):
-            filter_tombstones(results, tombstones)
+            tombstones.filter(results)
         gc.collect()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             for _ in range(1000):
-                filter_tombstones(results, tombstones)
+                tombstones.filter(results)
             gc.collect()
             after, _ = tracemalloc.get_traced_memory()
         finally:

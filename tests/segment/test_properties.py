@@ -1,8 +1,10 @@
 """Property test: the tiered serving path is indistinguishable from a
-plain ``WordSetIndex`` under any interleaving of inserts, deletes, seals
-and compactions — including a compaction that crashes mid-flight."""
+plain ``WordSetIndex`` under any interleaving of inserts, deletes, seals,
+tier merges, reopens and compactions — including a compaction that
+crashes mid-flight."""
 
 import string
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -31,18 +33,31 @@ def phrase_strategy():
     ).map(tuple)
 
 
+# Two bids, so ads that agree on (phrase, listing id) — one tombstone
+# id bucket, one manifest sort key — can still be unequal ads.
 def ad_strategy():
     return st.builds(
-        lambda phrase, listing: Advertisement(
-            phrase, AdInfo(listing_id=listing)
+        lambda phrase, listing, bid: Advertisement(
+            phrase, AdInfo(listing_id=listing, bid_price_micros=bid)
         ),
         phrase_strategy(),
         st.integers(min_value=0, max_value=30),
+        st.sampled_from([0, 500]),
     )
 
 
 # An op is ("insert", ad) | ("insert_locator", ad) | ("delete", ad) |
-# ("seal", None) | ("compact", None) | ("crash_compact", point).
+# ("delete_live", i) | ("insert_twin", i) | ("seal", None) |
+# ("merge", None) | ("reopen", None) | ("compact", None) |
+# ("crash_compact", point).
+# A drawn ``delete`` rarely names an ad that exists, so ``delete_live``
+# deletes the oracle's ``i``-th live ad (sealed ones become tombstones)
+# and ``insert_twin`` inserts its copy at the other bid — a live ad in a
+# dead ad's id bucket.
+# ``merge`` folds the two oldest L0 segments (when there are two), so
+# tombstones cross a partial fold; ``reopen`` seals (the durability
+# point for overlay ads and deletes alike), closes, and reopens the
+# directory, so they cross a manifest round trip mid-script.
 # ``insert_locator`` pins an explicit placement, which must BYPASS the
 # tombstone-resurrect shortcut: the ad lands in the overlay at the
 # requested node and the pending tombstone keeps cancelling the sealed
@@ -55,7 +70,11 @@ def op_strategy():
         st.tuples(st.just("insert"), ad_strategy()),
         st.tuples(st.just("insert_locator"), ad_strategy()),
         st.tuples(st.just("delete"), ad_strategy()),
+        st.tuples(st.just("delete_live"), st.integers(0, 40)),
+        st.tuples(st.just("insert_twin"), st.integers(0, 40)),
         st.tuples(st.just("seal"), st.none()),
+        st.tuples(st.just("merge"), st.none()),
+        st.tuples(st.just("reopen"), st.none()),
         st.tuples(st.just("compact"), st.none()),
         st.tuples(
             st.just("crash_compact"),
@@ -93,9 +112,25 @@ class Oracle:
         index = WordSetIndex()
         for ad in self.ads:
             index.insert(ad)
-        return sorted(
-            (a.info.listing_id, a.phrase) for a in index.query(query)
-        )
+        return sorted(map(slate_key, index.query(query)))
+
+
+def slate_key(ad):
+    return (ad.info.listing_id, ad.phrase, ad.info.bid_price_micros)
+
+
+def assert_tombstones_match(segmented, oracle):
+    """Pending deletions are exactly the sealed copies the oracle no
+    longer holds, the type's three views of them agree, and the live
+    multiset is the oracle's."""
+    sealed = sum(len(segment) for segment in segmented.segments)
+    pending = sealed + len(segmented.overlay) - len(oracle.ads)
+    tombstones = segmented._tombstones
+    assert segmented.tombstone_count() == pending
+    assert sum(tombstones.counts.values()) == pending
+    assert sum(tombstones.dead_ids.values()) == pending
+    assert all(count > 0 for count in tombstones.counts.values())
+    assert Counter(segmented.live_ads()) == Counter(oracle.ads)
 
 
 PROBE_QUERIES = [
@@ -119,12 +154,24 @@ def test_interleavings_match_wordset_oracle(tmp_path_factory, base, ops):
     directory = tmp_path_factory.mktemp("prop")
     injector = FaultInjector()
     oracle = Oracle(base)
-    # Seals stay explicit ops; merges only happen inside ``compact``.
-    config = TieredConfig(seal_threshold=1_000, auto_merge=False)
-    with TieredSegmentedIndex.pack_corpus(
+    # Seals and merges stay explicit ops (plus the folds in ``compact``).
+    config = TieredConfig(seal_threshold=1_000, fan_in=2, auto_merge=False)
+    segmented = TieredSegmentedIndex.pack_corpus(
         base, directory, config=config, faults=injector
-    ) as segmented:
+    )
+    try:
         for step, (kind, arg) in enumerate(ops):
+            if kind in ("delete_live", "insert_twin"):
+                if not oracle.ads:
+                    continue
+                arg = oracle.ads[arg % len(oracle.ads)]
+                if kind == "insert_twin":
+                    bid = 500 - arg.info.bid_price_micros
+                    arg = Advertisement(
+                        arg.phrase,
+                        AdInfo(arg.info.listing_id, bid_price_micros=bid),
+                    )
+                kind = kind.split("_")[0]
             if kind == "insert":
                 segmented.insert(arg)
                 oracle.insert(arg)
@@ -138,6 +185,14 @@ def test_interleavings_match_wordset_oracle(tmp_path_factory, base, ops):
                 assert segmented.delete(arg) == oracle.delete(arg)
             elif kind == "seal":
                 segmented.seal()
+            elif kind == "merge":
+                segmented.merge_level(0)
+            elif kind == "reopen":
+                segmented.seal()
+                segmented.close()
+                segmented = TieredSegmentedIndex(
+                    directory, config=config, faults=injector
+                )
             elif kind == "compact":
                 segmented.compact()
                 assert len(segmented.segments) <= 1
@@ -154,10 +209,10 @@ def test_interleavings_match_wordset_oracle(tmp_path_factory, base, ops):
                     kind,
                 )
             assert len(segmented) == len(oracle.ads), (step, kind)
+            assert_tombstones_match(segmented, oracle)
             for query in PROBE_QUERIES:
-                got = sorted(
-                    (a.info.listing_id, a.phrase)
-                    for a in segmented.query(query)
-                )
+                got = sorted(map(slate_key, segmented.query(query)))
                 assert got == oracle.results(query), (step, kind)
         assert len(segmented) == len(oracle.ads)
+    finally:
+        segmented.close()
