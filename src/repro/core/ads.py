@@ -28,8 +28,8 @@ class AdInfo:
 
     def size_bytes(self) -> int:
         """Compact encoded size: ids + price + exclusion text."""
-        exclusion = sum(len(p.encode("utf-8")) + 1 for p in self.exclusion_phrases)
-        return 8 + 4 + 4 + exclusion
+        phrases = self.exclusion_phrases
+        return 8 + 4 + 4 + len("".join(phrases).encode("utf-8")) + len(phrases)
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +54,7 @@ class Advertisement:
 
     def phrase_size_bytes(self) -> int:
         """``size(phrase(A_i))``: UTF-8 bytes plus one separator per word."""
-        return sum(len(w.encode("utf-8")) + 1 for w in self.phrase)
+        return len("".join(self.phrase).encode("utf-8")) + len(self.phrase)
 
     def size_bytes(self) -> int:
         """``size(A_i)`` = phrase + metadata footprint."""

@@ -9,6 +9,20 @@ XOR; XOR is commutative/associative, so the combination is order-free, and
 because individual word hashes are well mixed, collisions between distinct
 small sets are rare (and tolerated: data nodes store full phrases and every
 probe verifies them, as the paper requires).
+
+A word's mixed hash — its *contribution* to every set containing it — is
+memoized once per process by :func:`word_contrib`, and :func:`wordhash`
+is the XOR of memoized contributions.  Inserts, deletes, point lookups,
+shard routing and probe-key enumeration (:mod:`repro.perf.memohash`,
+:mod:`repro.kernels.flat`) therefore share one definition and one cache.
+The memo is never evicted (only :func:`clear_contrib_cache` empties it);
+it is bounded by the distinct words ever inserted or probed: the words of
+inserted ads, the candidate words of probed queries
+(the fast path's prefilter keeps only locator-vocabulary words;
+``fast_path=False`` hashes every query word), and the words of ads routed
+by ``wordhash % num_shards``.  Deletes and point lookups of ads an index
+cannot hold return before hashing (placement and header-vocabulary
+pre-tests), so they do not grow it.
 """
 
 from __future__ import annotations
@@ -23,6 +37,9 @@ _MASK64 = (1 << 64) - 1
 # empty set would hash to 0 and collide with nothing useful — give it a fixed
 # non-zero value so downstream suffix arithmetic stays uniform.
 _EMPTY_SET_HASH = 0x9E3779B97F4A7C15
+
+#: word -> mixed 64-bit contribution to any set hash containing it.
+_MEMO: dict[str, int] = {}
 
 
 def fnv1a(word: str) -> int:
@@ -46,19 +63,35 @@ def _mix(value: int) -> int:
     return value ^ (value >> 31)
 
 
+def word_contrib(word: str) -> int:
+    """The word's XOR contribution to ``wordhash`` of any containing set."""
+    contrib = _MEMO.get(word)
+    if contrib is None:
+        contrib = _MEMO[word] = _mix(fnv1a(word))
+    return contrib
+
+
+def clear_contrib_cache() -> int:
+    """Drop all memoized contributions; returns how many were cached."""
+    size = len(_MEMO)
+    _MEMO.clear()
+    return size
+
+
 def wordhash(words: Iterable[str]) -> int:
     """Order-independent 64-bit hash of a set of words.
 
     >>> wordhash({"used", "books"}) == wordhash(["books", "used"])
     True
     """
-    combined = 0
-    empty = True
-    for word in set(words):
-        combined ^= _mix(fnv1a(word))
-        empty = False
-    if empty:
+    unique = words if isinstance(words, (set, frozenset)) else set(words)
+    if not unique:
         return _EMPTY_SET_HASH
+    combined = 0
+    memo = _MEMO
+    for word in unique:
+        # A memoized 0 falls through to ``word_contrib``, which returns it.
+        combined ^= memo.get(word) or word_contrib(word)
     return combined
 
 

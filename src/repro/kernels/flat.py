@@ -35,7 +35,8 @@ from itertools import chain, combinations
 from math import comb
 from typing import Any, Sequence
 
-from repro.perf.memohash import hashed_index_subsets, word_contrib
+from repro.core.wordhash import word_contrib
+from repro.perf.memohash import hashed_index_subsets
 
 try:
     import numpy as _np

@@ -31,10 +31,10 @@ from typing import Any
 
 from repro.core.queries import Query
 from repro.core.subset_enum import sized_subsets
-from repro.core.wordhash import wordhash
+from repro.core.wordhash import word_contrib, wordhash
 from repro.kernels import active_backend
 from repro.kernels.probe import split_by_query
-from repro.perf.memohash import hashed_index_subsets, word_contrib
+from repro.perf.memohash import hashed_index_subsets
 from repro.perf.prefilter import ProbePlan, plan_for_query
 from repro.resilience.deadline import Deadline, DegradedReason
 

@@ -8,9 +8,9 @@ The paper bounds the number of hash probes per query analytically
   the indexed locator vocabulary and cap/skip subset sizes using the
   index's locator-size histogram, so subsets that cannot address any node
   are never generated;
-* :mod:`repro.perf.memohash` — memoized per-word hash contributions and
-  incremental subset-hash enumeration, so each probed subset costs an O(1)
-  XOR combine instead of re-hashing its words;
+* :mod:`repro.perf.memohash` — incremental subset-hash enumeration over
+  the per-word contributions :mod:`repro.core.wordhash` memoizes, so each
+  probed subset costs an O(1) XOR combine instead of re-hashing its words;
 * :mod:`repro.perf.batch` — :class:`BatchQueryEngine`: deduplicates
   identical word-sets across a batch of queries and fans work out across
   :class:`~repro.core.sharded.ShardedWordSetIndex` shards via a worker
@@ -23,22 +23,14 @@ tests in ``tests/perf`` pin this.
 """
 
 from repro.perf.batch import BatchQueryEngine, BatchStats
-from repro.perf.memohash import (
-    clear_contrib_cache,
-    hashed_index_subsets,
-    hashed_subsets,
-    word_contrib,
-)
+from repro.perf.memohash import hashed_index_subsets
 from repro.perf.prefilter import ProbePlan, naive_plan, plan_probes
 
 __all__ = [
     "BatchQueryEngine",
     "BatchStats",
     "ProbePlan",
-    "clear_contrib_cache",
     "hashed_index_subsets",
-    "hashed_subsets",
     "naive_plan",
     "plan_probes",
-    "word_contrib",
 ]

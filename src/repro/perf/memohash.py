@@ -1,21 +1,18 @@
-"""Memoized word hashing and incremental subset-hash enumeration.
+"""Incremental subset-hash enumeration over memoized word hashes.
 
-``wordhash`` of a set is the XOR of a mixed per-word hash (see
-:mod:`repro.core.wordhash`).  XOR is associative and invertible, so the
-hash of every probed subset can be assembled from per-word *contributions*
-computed once — instead of re-hashing each word's bytes for every subset a
-query enumerates (a ``|Q|``-word query probes up to ``2^|Q| - 1`` subsets,
-touching each word ``2^(|Q|-1)`` times under naive re-hashing).
+``wordhash`` of a set is the XOR of a mixed per-word hash, each memoized
+once per process by :func:`repro.core.wordhash.word_contrib` (the one
+memo, shared with inserts, deletes and point lookups; its growth bound is
+documented there).  XOR is associative and invertible, so the hash of
+every probed subset can be assembled from those *contributions* — instead
+of re-hashing each word's bytes for every subset a query enumerates (a
+``|Q|``-word query probes up to ``2^|Q| - 1`` subsets, touching each word
+``2^(|Q|-1)`` times under naive re-hashing).
 
-Two layers of reuse:
-
-* :func:`word_contrib` memoizes the mixed 64-bit hash per word across
-  queries (the cache is bounded by the corpus vocabulary because the
-  prefilter only ever asks for indexed words);
-* :func:`hashed_index_subsets` enumerates subset hashes *incrementally*:
-  consecutive combinations in lexicographic order share a prefix, and the
-  enumerator maintains prefix XOR accumulators, so advancing to the next
-  subset costs O(1) amortized XOR work rather than O(|subset|).
+:func:`hashed_index_subsets` enumerates subset hashes *incrementally*:
+consecutive combinations in lexicographic order share a prefix, and the
+enumerator maintains prefix XOR accumulators, so advancing to the next
+subset costs O(1) amortized XOR work rather than O(|subset|).
 
 The enumeration order (size-ascending, lexicographic within a size over
 the sorted candidate words) is exactly that of
@@ -26,27 +23,6 @@ result order are preserved bit-for-bit against the naive path.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-
-from repro.core.wordhash import fnv1a, _mix
-
-#: word -> mixed 64-bit contribution to any set hash containing it.
-_CONTRIB_CACHE: dict[str, int] = {}
-
-
-def word_contrib(word: str) -> int:
-    """The word's XOR contribution to ``wordhash`` of any containing set."""
-    contrib = _CONTRIB_CACHE.get(word)
-    if contrib is None:
-        contrib = _mix(fnv1a(word))
-        _CONTRIB_CACHE[word] = contrib
-    return contrib
-
-
-def clear_contrib_cache() -> int:
-    """Drop all memoized contributions; returns how many were cached."""
-    size = len(_CONTRIB_CACHE)
-    _CONTRIB_CACHE.clear()
-    return size
 
 
 def hashed_index_subsets(
@@ -88,13 +64,3 @@ def hashed_index_subsets(
                 indices[k] = indices[k - 1] + 1
             for k in range(j, size):
                 prefix[k + 1] = prefix[k] ^ contribs[indices[k]]
-
-
-def hashed_subsets(
-    words: Sequence[str], sizes: Iterable[int]
-) -> Iterator[tuple[frozenset[str], int]]:
-    """Yield ``(subset, subset_hash)`` pairs — the materialized convenience
-    form of :func:`hashed_index_subsets`, used by tests and diagnostics."""
-    contribs = [word_contrib(w) for w in words]
-    for key, indices in hashed_index_subsets(contribs, sizes):
-        yield frozenset(words[i] for i in indices), key

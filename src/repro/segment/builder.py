@@ -7,9 +7,10 @@ as one contiguous artifact a serving process can mmap:
   same collision-tolerant merge :class:`CompressedWordSetIndex` does),
   entries re-sorted to keep the global word-count order early termination
   depends on while grouping similar phrases for prefix sharing;
-* phrases are front-coded and bid prices delta-coded per node (reusing
-  :mod:`repro.compress.frontcoding` / :mod:`repro.compress.deltas` — the
-  Section VI codings, now on the serving path);
+* phrases are front-coded and bid prices delta-coded per node (the
+  Section VI codings of :mod:`repro.compress.frontcoding` /
+  :mod:`repro.compress.deltas`, written in one pass by
+  :func:`encode_node`, now on the serving path);
 * ``B^sig`` (suffix occupancy) and ``B^off`` (node start offsets) address
   the nodes via rank/select, serialized as little-endian u64 words;
 * the header persists the probe-prefilter state (locator vocabulary
@@ -33,8 +34,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.compress.bitvector import pack_bits
-from repro.compress.deltas import delta_encode_prices, varint_encode, zigzag_encode
-from repro.compress.frontcoding import front_encode
+from repro.compress.deltas import zigzag_encode
 from repro.core.data_node import NodeEntry
 from repro.core.wordhash import hash_suffix
 from repro.core.wordset_index import WordSetIndex
@@ -64,9 +64,18 @@ def default_suffix_bits(num_nodes: int) -> int:
     return min(26, max(12, max(num_nodes, 1).bit_length() + 6))
 
 
-def _encode_str(text: str) -> bytes:
+def _put(out: bytearray, value: int) -> None:
+    """Append ``value`` (non-negative) to ``out`` as a LEB128 varint."""
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def _put_str(out: bytearray, text: str) -> None:
     blob = text.encode("utf-8")
-    return varint_encode(len(blob)) + blob
+    _put(out, len(blob))
+    out += blob
 
 
 def encode_node(entries: Sequence[NodeEntry]) -> bytes:
@@ -86,25 +95,44 @@ def encode_node(entries: Sequence[NodeEntry]) -> bytes:
     The prices blob leads so a scan can decode one price per entry it
     touches, in step with the entry walk, and early termination never
     decodes prices (or anything else) past the cut.
+
+    One pass over the entries appends straight into two buffers (prices,
+    entries): the encoder-side mirror of the inlined decode in
+    :meth:`repro.segment.packed.PackedSegmentIndex._decode_entries`.
+    Same bytes as :func:`repro.compress.deltas.delta_encode_prices` and
+    :func:`repro.compress.frontcoding.front_encode` would give.
     """
-    prices = delta_encode_prices([e.ad.info.bid_price_micros for e in entries])
-    out = bytearray(varint_encode(len(entries)))
-    out += varint_encode(len(prices))
-    out += prices
-    coded = front_encode([e.ad.phrase for e in entries])
-    for entry, phrase in zip(entries, coded):
-        info = entry.ad.info
-        out += varint_encode(entry.word_count)
-        out += varint_encode(phrase.shared_tokens)
-        out += varint_encode(len(phrase.suffix))
-        for token in phrase.suffix:
-            out += _encode_str(token)
-        out += varint_encode(zigzag_encode(info.listing_id))
-        out += varint_encode(zigzag_encode(info.campaign_id))
-        out += varint_encode(len(info.exclusion_phrases))
+    prices = bytearray()
+    body = bytearray()
+    previous_price = 0
+    previous: tuple[str, ...] = ()
+    for entry in entries:
+        ad = entry.ad
+        info = ad.info
+        # The first bid is coded against 0, i.e. as itself.
+        _put(prices, zigzag_encode(info.bid_price_micros - previous_price))
+        previous_price = info.bid_price_micros
+        phrase = ad.phrase
+        shared = 0
+        for mine, theirs in zip(previous, phrase):
+            if mine != theirs:
+                break
+            shared += 1
+        previous = phrase
+        _put(body, entry.word_count)
+        _put(body, shared)
+        _put(body, len(phrase) - shared)
+        for token in phrase[shared:]:
+            _put_str(body, token)
+        _put(body, zigzag_encode(info.listing_id))
+        _put(body, zigzag_encode(info.campaign_id))
+        _put(body, len(info.exclusion_phrases))
         for exclusion in info.exclusion_phrases:
-            out += _encode_str(exclusion)
-    return bytes(out)
+            _put_str(body, exclusion)
+    out = bytearray()
+    _put(out, len(entries))
+    _put(out, len(prices))
+    return bytes(out + prices + body)
 
 
 def _entry_order(entry: NodeEntry) -> tuple[int, tuple[str, ...], tuple[str, ...]]:

@@ -649,9 +649,14 @@ class PackedSegmentIndex:
         """Occurrences of exactly ``ad`` stored in the segment.
 
         A point lookup, not a query: the header's persisted placements
-        route the ad's word-set to the one node that could hold it.
+        route the ad's word-set to the one node that could hold it.  A
+        locator with a word outside the header vocabulary addresses no
+        stored ad and is answered without hashing; candidates are
+        compared by ``listing_id`` before full ``Advertisement`` equality.
         """
         locator = self._placements.get(ad.words, ad.words)
+        if not self._vocab.keys() >= locator:
+            return 0
         node_index = self._node_index_for(locator)
         if node_index is None:
             return 0
@@ -660,7 +665,12 @@ class PackedSegmentIndex:
             candidates, _ = self._decode_entries(
                 self._node_chunk(node_index), len(ad.words)
             )
-        return sum(1 for candidate in candidates if candidate == ad)
+        listing_id = ad.info.listing_id
+        return sum(
+            1
+            for candidate in candidates
+            if candidate.info.listing_id == listing_id and candidate == ad
+        )
 
     def iter_ads(self) -> Iterator[Advertisement]:
         """Every stored ad, in node order (full sequential decode)."""

@@ -217,10 +217,12 @@ class Manifest:
         }
 
     def encode(self) -> bytes:
-        body = self.body()
-        blob = json.dumps(body, sort_keys=True).encode("utf-8")
-        body["checksum"] = hashlib.sha256(blob).hexdigest()
-        return json.dumps(body, sort_keys=True, indent=1).encode("utf-8")
+        """Compact JSON: the sorted-key body the checksum covers, with
+        ``"checksum"`` appended as its last key — one C-encoder pass.
+        :meth:`decode` also reads the indented form older writers left."""
+        blob = json.dumps(self.body(), sort_keys=True).encode("utf-8")
+        checksum = hashlib.sha256(blob).hexdigest()
+        return blob[:-1] + b', "checksum": "' + checksum.encode() + b'"}'
 
     @classmethod
     def decode(cls, data: bytes) -> Manifest:
@@ -676,11 +678,7 @@ class TieredSegmentedIndex:
             if self._overlay.delete(ad):
                 self._update_gauges()
                 return True
-            sealed = sum(
-                open_segment.index.lookup_count(ad)
-                for open_segment in self._segments
-            )
-            if sealed - self._tombstones.count(ad) > 0:
+            if self._sealed_live(ad):
                 self._tombstones.add(ad)
                 self._update_gauges()
                 return True
@@ -688,13 +686,19 @@ class TieredSegmentedIndex:
 
     def contains(self, ad: Advertisement) -> bool:
         with self._lock:
-            if self._overlay.contains(ad):
+            return self._overlay.contains(ad) or self._sealed_live(ad)
+
+    def _sealed_live(self, ad: Advertisement) -> bool:
+        """Whether the sealed tiers hold more copies of ``ad`` than its
+        pending tombstones cancel — caller holds the lock.  Walks the
+        tiers newest-first and stops as soon as the answer is known."""
+        pending = self._tombstones.count(ad)
+        sealed = 0
+        for open_segment in reversed(self._segments):
+            sealed += open_segment.index.lookup_count(ad)
+            if sealed > pending:
                 return True
-            sealed = sum(
-                open_segment.index.lookup_count(ad)
-                for open_segment in self._segments
-            )
-            return sealed > self._tombstones.count(ad)
+        return False
 
     # ------------------------------------------------------------------ #
     # Query processing

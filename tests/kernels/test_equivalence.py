@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 from repro.core.ads import AdCorpus, AdInfo, Advertisement
 from repro.core.queries import Query
+from repro.core.wordhash import word_contrib
 from repro.core.wordset_index import WordSetIndex
 from repro.kernels import numpy_available, set_backend
 from repro.kernels.flat import clear_caches, flat_probe_keys
 from repro.obs.registry import MetricsRegistry
-from repro.perf.memohash import hashed_index_subsets, word_contrib
+from repro.perf.memohash import hashed_index_subsets
 from repro.resilience.deadline import Deadline
 from repro.segment import PackedSegmentIndex, SegmentBuilder
 

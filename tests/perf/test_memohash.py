@@ -5,15 +5,18 @@ from itertools import combinations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.wordhash import wordhash
-from repro.perf.memohash import (
-    clear_contrib_cache,
-    hashed_index_subsets,
-    hashed_subsets,
-    word_contrib,
-)
+from repro.core.wordhash import clear_contrib_cache, word_contrib, wordhash
+from repro.perf.memohash import hashed_index_subsets
 
 WORDS = ["apple", "banana", "cherry", "date", "elderberry", "fig"]
+
+
+def hashed_subsets(words, sizes):
+    """``(subset, subset_hash)`` pairs: the materialized form of
+    :func:`hashed_index_subsets`."""
+    contribs = [word_contrib(w) for w in words]
+    for key, indices in hashed_index_subsets(contribs, sizes):
+        yield frozenset(words[i] for i in indices), key
 
 
 class TestWordContrib:

@@ -292,6 +292,71 @@ class TestLifecycle:
             )
 
 
+class TestPointLookups:
+    """``delete`` stops once the answer is known; ``lookup_count``
+    skips what its segment cannot hold."""
+
+    def test_delete_walks_newest_first_and_stops_early(self, tmp_path):
+        config = TieredConfig(seal_threshold=1_000, auto_merge=False)
+        twin = ad("twin common", listing_id=3)
+        with TieredSegmentedIndex(tmp_path, config=config) as index:
+            index.insert(twin)
+            index.seal()
+            index.insert(twin)  # nothing tombstoned: a second copy
+            index.seal()
+            older, newer = index.segments
+            calls = Counter()
+            for name, segment in (("older", older), ("newer", newer)):
+                original = segment.lookup_count
+
+                def counting(target, name=name, original=original):
+                    calls[name] += 1
+                    return original(target)
+
+                segment.lookup_count = counting
+            assert index.delete(twin) is True
+            assert calls == {"newer": 1}  # 1 sealed > 0 pending
+            assert index.delete(twin) is True
+            assert calls == {"newer": 2, "older": 1}  # 2 > 1 only after both
+            assert index.delete(twin) is False
+            assert calls == {"newer": 3, "older": 2}
+            assert index.tombstone_count() == 2
+            assert not index.contains(twin)
+
+    def test_same_listing_other_bid_is_not_counted(self, tmp_path):
+        with TieredSegmentedIndex(tmp_path) as index:
+            index.insert(ad("red shoes", listing_id=5, bid=100))
+            index.seal()
+            (segment,) = index.segments
+            assert segment.lookup_count(ad("red shoes", listing_id=5, bid=100)) == 1
+            assert segment.lookup_count(ad("red shoes", listing_id=5, bid=200)) == 0
+            assert segment.lookup_count(ad("red shoes", listing_id=6, bid=100)) == 0
+            assert not index.delete(ad("red shoes", listing_id=5, bid=200))
+
+    def test_word_outside_the_vocabulary_is_answered_without_hashing(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.segment.packed as packed
+
+        with TieredSegmentedIndex(tmp_path) as index:
+            index.insert(ad("red shoes", listing_id=5))
+            index.seal()
+            (segment,) = index.segments
+            calls = []
+            original = packed.wordhash
+
+            def counting(words):
+                calls.append(frozenset(words))
+                return original(words)
+
+            monkeypatch.setattr(packed, "wordhash", counting)
+            assert segment.lookup_count(ad("red boots", listing_id=5)) == 0
+            assert segment.lookup_count(ad("shoes", listing_id=5)) == 0
+            assert calls == [frozenset({"shoes"})]  # in the vocabulary: hashed
+            assert segment.lookup_count(ad("red shoes", listing_id=5)) == 1
+            assert len(calls) == 2
+
+
 class TestCrashRecovery:
     """Every named crashpoint: the reopened index is exactly one
     committed generation, with no stray files."""

@@ -1,5 +1,5 @@
 """``Tombstones``: differential against the filter it replaced, the
-"no per-result hash" cost contract, and manifest byte-stability.
+"no per-result hash" cost contract, and manifest content stability.
 
 ``Tombstones.filter`` pre-tests ``ad.info.listing_id`` (an int lookup)
 and resolves only the suspects against the exact per-ad counts.  The
@@ -9,6 +9,7 @@ equal, and the same list object must come back when nothing is dropped.
 """
 
 import hashlib
+import json
 from collections import Counter
 
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.ads import AdInfo, Advertisement
 from repro.segment import TieredConfig, TieredSegmentedIndex, Tombstones
-from repro.segment.tiered import MANIFEST_NAME
+from repro.segment.tiered import MANIFEST_NAME, Manifest, read_manifest
 
 # ---------------------------------------------------------------------- #
 # The reference: the replaced code, verbatim.
@@ -211,13 +212,15 @@ def test_merge_hashes_dead_ads_not_live_ones(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------- #
 # Manifest stability
 
-# sha256 of MANIFEST.json after each step of ``scripted_history``, as
-# written by the PARENT commit (28c32dc, ``Counter[Advertisement]`` and
-# inline sorts) running the same script from a parent checkout.
-PARENT_MANIFEST_SHA256 = {
-    "tombstone-only seal": "fe5d75fa4ecf1cf4c2a1586161731f397b85fa045bcf8617876cc849824233da",
-    "merge": "f82f01d74babbee160f3d9aad830b8981c39d19e60a4c674bc195362a5ca5547",
-    "final seal": "bba106a4653642e98972c489fd54afedb7d096064c9844438ac1899a1ff07797",
+# The ``checksum`` field of MANIFEST.json after each step of
+# ``scripted_history``, as written by the PARENT commit (4667605, which
+# wrote indented JSON) running the same script from a parent checkout.
+# The field is the sha256 of the canonical sorted-key body, so it pins
+# the manifest's content independently of how the file is laid out.
+PARENT_MANIFEST_CHECKSUM = {
+    "tombstone-only seal": "42c846f8f7def230b68c76b4f928c486701d49b469a59f7a3c600461c86d7fc7",
+    "merge": "2bb297fa073a5e596d94ae9d08e784ead413f672dcdcc8cc6b9e18d4c0dd3027",
+    "final seal": "721eadb7a285cd33ac1efe2313fb3e42780a2e4dc029f31c1916c61aba1f740d",
 }
 
 
@@ -260,11 +263,12 @@ def scripted_history(directory):
         yield "final seal", index
 
 
-def test_manifest_bytes_match_the_parent_and_reopen_restores(tmp_path):
+def test_manifest_content_matches_the_parent_and_reopen_restores(tmp_path):
     path = tmp_path / MANIFEST_NAME
     for step, index in scripted_history(tmp_path):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == PARENT_MANIFEST_SHA256[step], step
+        data = path.read_bytes()
+        assert json.loads(data)["checksum"] == PARENT_MANIFEST_CHECKSUM[step], step
+        assert b"\n" not in data  # compact, one C-encoder pass
         live = index._tombstones
     # The twins tie under (phrase, listing_id): first-tombstoned first.
     assert [
@@ -278,3 +282,40 @@ def test_manifest_bytes_match_the_parent_and_reopen_restores(tmp_path):
         assert restored.dead_ids == live.dead_ids == {9: 2, 7: 1}
         assert restored.total == live.total == 3
         assert reopened.manifest.tombstones == live.encoded()
+
+
+def parent_encode(self: Manifest) -> bytes:
+    """``Manifest.encode`` as the parent commit wrote it (indented JSON),
+    kept verbatim: directories written before the compact form hold
+    manifests in this shape."""
+    body = self.body()
+    blob = json.dumps(body, sort_keys=True).encode("utf-8")
+    body["checksum"] = hashlib.sha256(blob).hexdigest()
+    return json.dumps(body, sort_keys=True, indent=1).encode("utf-8")
+
+
+def test_a_manifest_in_the_parents_indented_form_still_opens(tmp_path):
+    path = tmp_path / MANIFEST_NAME
+    for _step, _index in scripted_history(tmp_path):
+        pass
+    with TieredSegmentedIndex(tmp_path, read_only=True) as compact:
+        manifest = compact.manifest
+        segments = [segment.path.name for segment in compact.segments]
+        tombstones = compact._tombstones
+        live = Counter(compact.live_ads())
+    indented = parent_encode(manifest)
+    assert b"\n" in indented and indented != manifest.encode()
+    assert Manifest.decode(indented) == manifest
+    path.write_bytes(indented)
+    with TieredSegmentedIndex(tmp_path, read_only=True) as reopened:
+        assert reopened.manifest == manifest
+        assert [segment.path.name for segment in reopened.segments] == segments
+        assert reopened._tombstones.counts == tombstones.counts
+        assert reopened._tombstones.dead_ids == tombstones.dead_ids
+        assert Counter(reopened.live_ads()) == live
+    # A writer picks the directory up and commits in the compact form.
+    with TieredSegmentedIndex(tmp_path) as writer:
+        writer.insert(ad("late arrival", 11))
+        writer.seal()
+    assert b"\n" not in path.read_bytes()
+    assert read_manifest(path).tombstones == manifest.tombstones
