@@ -73,12 +73,25 @@ def apply_match_type(
     return [ad for ad in ads if exact_match(ad.phrase, query.tokens)]
 
 
+#: exclusion phrase -> its folded word-set.  Tokenizing and folding a
+#: phrase costs ~8x the subset test, and the same phrases are checked on
+#: every query their ads match, so each is folded once per process.
+#: Never evicted; bounded by the distinct exclusion phrases ever checked
+#: (those of ads a query returned), which a corpus fixes.  Threads racing
+#: on a miss store the same value.
+_EXCLUSION_WORDS: dict[str, frozenset[str]] = {}
+
+
 def passes_exclusions(ad: Advertisement, query: Query) -> bool:
     """Secondary filter: an ad is excluded if any of its exclusion phrases is
     fully contained in the query (Section I-B's keyword-exclusion)."""
     words = query.words
+    memo = _EXCLUSION_WORDS
     for phrase in ad.info.exclusion_phrases:
-        if word_set(phrase) <= words:
+        excluded = memo.get(phrase)
+        if excluded is None:
+            excluded = memo[phrase] = word_set(phrase)
+        if excluded <= words:
             return False
     return True
 

@@ -39,6 +39,7 @@ breakers — the self-healing layer the chaos harness
 from __future__ import annotations
 
 import contextlib
+import gc
 import multiprocessing
 import os
 import shutil
@@ -159,6 +160,9 @@ def _run_frontend_process(
     and every connection through :meth:`Frontend.stop` — stop admitting
     first is what makes the workers' queue drain finite.
     """
+    # As in ``run_worker``: keep the pages inherited through ``fork``
+    # shared.
+    gc.freeze()
     import asyncio
     import signal
 

@@ -54,6 +54,7 @@ connection is served by a daemon thread.
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 import queue
 import signal
@@ -628,6 +629,11 @@ class _Worker:
 
 def run_worker(config: WorkerConfig) -> None:
     """Process entry point: serve until ``shutdown`` or ``SIGTERM``."""
+    # What a forked worker inherits moves to the collector's permanent
+    # generation: a full collection writes to every object it traverses,
+    # which would copy the parent's pages into this process and undo
+    # the copy-on-write sharing the cluster forks for.
+    gc.freeze()
     worker = _Worker(config)
 
     def _terminate(signum: int, frame: object) -> None:

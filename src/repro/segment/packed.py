@@ -20,12 +20,20 @@ The query path is the Fig 6 lookup with the PR 1 probe plan in front:
    instead of a bit scan — and decodes the node record, front-decoding
    phrases and delta-decoding bids incrementally.
 
+A node stores every ad of one word-set together (condition IV), so
+whether its ads match a query is a property of the word-set, not of
+each ad.  A decoded node is therefore a list of **runs**: consecutive
+entries sharing one word-set object, as ``(word_set, ads)`` pairs in
+entry order (word-sets are interned by value, so the phrase orders of
+one word-set share a run).  The scan makes one length cut, one subset
+test and one ``list.extend`` per run.
+
 Serving reality check: a Python-level entry decode can never race a
 pointer chase through live objects, so the index keeps a **bounded
 decoded-node cache** (the block-cache every packed serving tier runs,
 cf. the Baidu system the issue cites).  Nodes are admitted fully decoded
-until ``cache_bytes`` is spent, after which admission stops — no
-eviction churn, strictly bounded, and the cache is charged to
+(as runs) until ``cache_bytes`` is spent, after which admission stops —
+no eviction churn, strictly bounded, and the cache is charged to
 :meth:`resident_bytes` so the space accounting stays honest.  Hot nodes
 then serve at materialized-object speed while the corpus stays packed.
 
@@ -79,6 +87,9 @@ DEFAULT_CACHE_BYTES = 8 << 20
 _NEW_AD = object.__new__
 _SET = object.__setattr__
 
+#: A decoded node: ``(word_set, ads)`` runs in entry order.
+_Runs = list[tuple[frozenset[str], list[Advertisement]]]
+
 
 class PackedSegmentIndex:
     """Read-only broad-match index served from a mapped segment file."""
@@ -101,13 +112,17 @@ class PackedSegmentIndex:
         self._cache_budget = max(0, cache_bytes)
         self._cache_used = 0
         self._cache_open = self._cache_budget > 0
-        self._node_cache: dict[int, list[Advertisement]] = {}
+        self._node_cache: dict[int, _Runs] = {}
         # Phrase intern table: duplicate bids colocate in a node
         # (condition IV places all ads of one word-set together), so ads
         # sharing a phrase share one tuple and one words frozenset.
         self._phrase_cache: dict[
             tuple[str, ...], tuple[tuple[str, ...], frozenset[str]]
         ] = {}
+        # Word-set intern table, by value: every phrase order of one
+        # word-set shares one frozenset, so a node's ads of one word-set
+        # form one run however their phrases are ordered.
+        self._word_set_intern: dict[frozenset[str], frozenset[str]] = {}
         # Ad intern table: re-decoding a node outside the bounded cache
         # returns the *same* Advertisement objects, so steady-state
         # queries retain no new per-node lists/strings (the kernels
@@ -236,6 +251,7 @@ class PackedSegmentIndex:
         self._closed = True
         self._node_cache.clear()
         self._phrase_cache.clear()
+        self._word_set_intern.clear()
         self._ad_intern.clear()
         self._plan_memo.cache.clear()
         self._sig_np = None  # drop the buffer export before releasing views
@@ -341,7 +357,7 @@ class PackedSegmentIndex:
         rank1 = self.bsig.rank1
         cache = self._node_cache
         results: list[Advertisement] = []
-        append = results.append
+        extend = results.extend
         visited: set[int] = set()
         probes = 0
         node_scans = 0
@@ -368,36 +384,34 @@ class PackedSegmentIndex:
                 continue
             node_index = rank1(suffix + 1) - 1
             node_scans += 1
-            ads = cache.get(node_index)
-            if ads is not None:
+            runs = cache.get(node_index)
+            if runs is not None:
+                # A hit is charged for the entries up to the length cut.
                 cache_hits += 1
                 scanned = 0
-                for ad in ads:
-                    ad_words = ad.words
-                    if len(ad_words) > query_len:
+                for run_words, run in runs:
+                    if len(run_words) > query_len:
                         break
-                    scanned += 1
-                    if ad_words <= words:
-                        append(ad)
-                entries_scanned += scanned
-                if tracker is not None:
-                    tracker.candidate(scanned)
+                    scanned += len(run)
+                    if run_words <= words:
+                        extend(run)
             else:
-                ads = self._admit(node_index)
-                if ads is None:
+                # A decode is charged for every entry it decoded; a run
+                # longer than the query fails the subset test by size.
+                runs = self._admit(node_index)
+                if runs is None:
                     chunk = self._node_chunk(node_index)
-                    ads, consumed = self._decode_entries(chunk, query_len)
+                    runs, consumed = self._decode_entries(chunk, query_len)
                     if tracker is not None:
                         tracker.random_access(consumed)
-                entries_scanned += len(ads)
-                for ad in ads:
-                    ad_words = ad.words
-                    if len(ad_words) > query_len:
-                        break
-                    if ad_words <= words:
-                        append(ad)
-                if tracker is not None:
-                    tracker.candidate(len(ads))
+                scanned = 0
+                for run_words, run in runs:
+                    scanned += len(run)
+                    if run_words <= words:
+                        extend(run)
+            entries_scanned += scanned
+            if tracker is not None:
+                tracker.candidate(scanned)
         if tracker is not None:
             tracker.query_done()
         if obs is not None:
@@ -492,148 +506,206 @@ class PackedSegmentIndex:
 
     def _decode_entries(
         self, chunk: bytes, max_word_count: int | None
-    ) -> tuple[list[Advertisement], int]:
-        """Decode one node record into materialized ads (entry order).
+    ) -> tuple[_Runs, int]:
+        """Decode one node record into runs of materialized ads.
 
-        ``max_word_count`` stops the scan at the first entry longer than
-        the query (entries are stored word-count-ordered); ``None``
-        decodes every entry (cache admission, :meth:`iter_ads`,
-        compaction).  Returns the ads and the bytes consumed.
+        A run is a maximal stretch of consecutive entries that share one
+        interned word-set object, returned as a ``(word_set, ads)`` pair;
+        runs come in entry order.  ``max_word_count`` stops the decode at
+        the first entry longer than the query (entries are stored
+        word-count-ordered); ``None`` decodes every entry (cache
+        admission, :meth:`iter_ads`, compaction).  Returns the runs and
+        the bytes consumed.
 
-        The hot loop inlines the one-byte varint case — the overwhelming
-        majority — and falls back to :func:`read_varint` for multi-byte
-        values.  Ads are built by direct slot assignment (what the frozen
-        dataclass ``__init__`` does anyway) and **interned**: tokens,
-        phrase tuples, and whole Advertisement objects are shared across
-        decodes, so re-decoding a node the bounded cache did not admit
-        allocates no new persistent objects — the zero-allocation
-        steady state the kernel hot path relies on.  One token scratch
-        list is reused across the node's entries.
+        Zigzag doubles the bid delta, the listing id and the campaign id,
+        so those three are multi-byte on nearly every entry: their
+        continuation bytes are decoded inline.  Counts and lengths (entry
+        and word counts, shared and suffix token counts, token and
+        exclusion lengths) almost always fit one byte, which is inlined,
+        with :func:`read_varint` for the rest.  Ads are built by direct
+        slot assignment (what the frozen dataclass ``__init__`` does
+        anyway) and **interned**: tokens, phrase tuples, and whole
+        Advertisement objects are shared across decodes, so re-decoding
+        a node the bounded cache did not admit allocates no new
+        persistent objects — the zero-allocation steady state the kernel
+        hot path relies on.  One token scratch list is reused across the
+        node's entries.
+
+        The record is untrusted input: one that is truncated, indexes
+        past its end, holds invalid UTF-8, or (fully decoded) does not
+        end exactly at its last byte raises :class:`SegmentFormatError`.
         """
         intern = self._token_intern
         phrase_cache = self._phrase_cache
         ad_intern = self._ad_intern
+        word_sets = self._word_set_intern
         tokens: list[str] = []
-        pos = 0
-        num_entries = chunk[pos]
-        pos += 1
-        if num_entries >= 128:
-            num_entries, pos = read_varint(chunk, pos - 1)
-        prices_len = chunk[pos]
-        pos += 1
-        if prices_len >= 128:
-            prices_len, pos = read_varint(chunk, pos - 1)
-        price_pos = pos
-        pos += prices_len
-        price = 0
-        ads: list[Advertisement] = []
-        for index in range(num_entries):
-            word_count = chunk[pos]
+        runs: _Runs = []
+        run_words: frozenset[str] | None = None
+        run: list[Advertisement] = []
+        pos = price_pos = prices_end = 0
+        try:
+            num_entries = chunk[pos]
             pos += 1
-            if word_count >= 128:
-                word_count, pos = read_varint(chunk, pos - 1)
-            if max_word_count is not None and word_count > max_word_count:
-                break
-            raw = chunk[price_pos]
-            price_pos += 1
-            if raw >= 128:
-                raw, price_pos = read_varint(chunk, price_pos - 1)
-            delta = (raw >> 1) ^ -(raw & 1)
-            price = delta if index == 0 else price + delta
-            shared = chunk[pos]
+            if num_entries >= 128:
+                num_entries, pos = read_varint(chunk, pos - 1)
+            prices_len = chunk[pos]
             pos += 1
-            if shared >= 128:
-                shared, pos = read_varint(chunk, pos - 1)
-            num_suffix = chunk[pos]
-            pos += 1
-            if num_suffix >= 128:
-                num_suffix, pos = read_varint(chunk, pos - 1)
-            del tokens[shared:]
-            for _ in range(num_suffix):
-                token_len = chunk[pos]
+            if prices_len >= 128:
+                prices_len, pos = read_varint(chunk, pos - 1)
+            price_pos = pos
+            pos += prices_len
+            prices_end = pos
+            price = 0
+            for _ in range(num_entries):
+                word_count = chunk[pos]
                 pos += 1
-                if token_len >= 128:
-                    token_len, pos = read_varint(chunk, pos - 1)
-                end = pos + token_len
-                token = chunk[pos:end].decode("utf-8")
-                pos = end
-                tokens.append(intern.setdefault(token, token))
-            phrase = tuple(tokens)
-            shared_phrase = phrase_cache.get(phrase)
-            if shared_phrase is None:
-                shared_phrase = (phrase, frozenset(phrase))
-                phrase_cache[phrase] = shared_phrase
-            phrase, word_set = shared_phrase
-            raw_listing = chunk[pos]
-            pos += 1
-            if raw_listing >= 128:
-                raw_listing, pos = read_varint(chunk, pos - 1)
-            raw_campaign = chunk[pos]
-            pos += 1
-            if raw_campaign >= 128:
-                raw_campaign, pos = read_varint(chunk, pos - 1)
-            num_exclusions = chunk[pos]
-            pos += 1
-            if num_exclusions >= 128:
-                num_exclusions, pos = read_varint(chunk, pos - 1)
-            exclusions: tuple[str, ...] = ()
-            if num_exclusions:
-                decoded: list[str] = []
-                for _ in range(num_exclusions):
-                    text_len = chunk[pos]
+                if word_count >= 128:
+                    word_count, pos = read_varint(chunk, pos - 1)
+                if max_word_count is not None and word_count > max_word_count:
+                    break
+                raw = chunk[price_pos]
+                price_pos += 1
+                if raw >= 128:
+                    raw &= 127
+                    shift = 7
+                    while True:
+                        byte = chunk[price_pos]
+                        price_pos += 1
+                        raw |= (byte & 127) << shift
+                        if byte < 128:
+                            break
+                        shift += 7
+                # The first delta is coded against 0.
+                price += (raw >> 1) ^ -(raw & 1)
+                shared = chunk[pos]
+                pos += 1
+                if shared >= 128:
+                    shared, pos = read_varint(chunk, pos - 1)
+                num_suffix = chunk[pos]
+                pos += 1
+                if num_suffix >= 128:
+                    num_suffix, pos = read_varint(chunk, pos - 1)
+                del tokens[shared:]
+                for _ in range(num_suffix):
+                    token_len = chunk[pos]
                     pos += 1
-                    if text_len >= 128:
-                        text_len, pos = read_varint(chunk, pos - 1)
-                    end = pos + text_len
-                    decoded.append(chunk[pos:end].decode("utf-8"))
+                    if token_len >= 128:
+                        token_len, pos = read_varint(chunk, pos - 1)
+                    end = pos + token_len
+                    token = chunk[pos:end].decode("utf-8")
                     pos = end
-                exclusions = tuple(decoded)
-            listing_id = (raw_listing >> 1) ^ -(raw_listing & 1)
-            campaign_id = (raw_campaign >> 1) ^ -(raw_campaign & 1)
-            # Intern the finished ad: the key's phrase tuple is already
-            # the interned instance, so identical entries re-decoded
-            # later hash straight to the shared object.
-            ident = (phrase, listing_id, campaign_id, price, exclusions)
-            ad = ad_intern.get(ident)
-            if ad is None:
-                ad = _NEW_AD(Advertisement)
-                _SET(ad, "phrase", phrase)
-                _SET(
-                    ad,
-                    "info",
-                    AdInfo(
-                        listing_id=listing_id,
-                        campaign_id=campaign_id,
-                        bid_price_micros=price,
-                        exclusion_phrases=exclusions,
-                    ),
-                )
-                _SET(ad, "words", word_set)
-                ad_intern[ident] = ad
-            ads.append(ad)
-        return ads, pos
+                    tokens.append(intern.setdefault(token, token))
+                phrase = tuple(tokens)
+                shared_phrase = phrase_cache.get(phrase)
+                if shared_phrase is None:
+                    value = frozenset(phrase)
+                    shared_phrase = (phrase, word_sets.setdefault(value, value))
+                    phrase_cache[phrase] = shared_phrase
+                phrase, word_set = shared_phrase
+                raw_listing = chunk[pos]
+                pos += 1
+                if raw_listing >= 128:
+                    raw_listing &= 127
+                    shift = 7
+                    while True:
+                        byte = chunk[pos]
+                        pos += 1
+                        raw_listing |= (byte & 127) << shift
+                        if byte < 128:
+                            break
+                        shift += 7
+                raw_campaign = chunk[pos]
+                pos += 1
+                if raw_campaign >= 128:
+                    raw_campaign &= 127
+                    shift = 7
+                    while True:
+                        byte = chunk[pos]
+                        pos += 1
+                        raw_campaign |= (byte & 127) << shift
+                        if byte < 128:
+                            break
+                        shift += 7
+                num_exclusions = chunk[pos]
+                pos += 1
+                if num_exclusions >= 128:
+                    num_exclusions, pos = read_varint(chunk, pos - 1)
+                exclusions: tuple[str, ...] = ()
+                if num_exclusions:
+                    decoded: list[str] = []
+                    for _ in range(num_exclusions):
+                        text_len = chunk[pos]
+                        pos += 1
+                        if text_len >= 128:
+                            text_len, pos = read_varint(chunk, pos - 1)
+                        end = pos + text_len
+                        decoded.append(chunk[pos:end].decode("utf-8"))
+                        pos = end
+                    exclusions = tuple(decoded)
+                listing_id = (raw_listing >> 1) ^ -(raw_listing & 1)
+                campaign_id = (raw_campaign >> 1) ^ -(raw_campaign & 1)
+                # Intern the finished ad: the key's phrase tuple is already
+                # the interned instance, so identical entries re-decoded
+                # later hash straight to the shared object.
+                ident = (phrase, listing_id, campaign_id, price, exclusions)
+                ad = ad_intern.get(ident)
+                if ad is None:
+                    ad = _NEW_AD(Advertisement)
+                    _SET(ad, "phrase", phrase)
+                    _SET(
+                        ad,
+                        "info",
+                        AdInfo(
+                            listing_id=listing_id,
+                            campaign_id=campaign_id,
+                            bid_price_micros=price,
+                            exclusion_phrases=exclusions,
+                        ),
+                    )
+                    _SET(ad, "words", word_set)
+                    ad_intern[ident] = ad
+                if word_set is not run_words:
+                    run_words = word_set
+                    run = []
+                    runs.append((word_set, run))
+                run.append(ad)
+        except (IndexError, UnicodeDecodeError) as exc:
+            raise SegmentFormatError(f"malformed node record: {exc}") from exc
+        # A slice running past the end shortens a string instead of
+        # raising, so the cursors are checked once, here.
+        size = len(chunk)
+        if (
+            pos > size
+            or price_pos > prices_end
+            or (max_word_count is None and (pos, price_pos) != (size, prices_end))
+        ):
+            raise SegmentFormatError(
+                "malformed node record: fields run past its end or stop short"
+            )
+        return runs, pos
 
-    def _admit(self, node_index: int) -> list[Advertisement] | None:
+    def _admit(self, node_index: int) -> _Runs | None:
         """Decode a node fully and cache it if the budget allows.
 
         Admission is first-come until ``cache_bytes`` is spent, then
         stops for good — no eviction churn, a strict bound, and (unlike
         LRU) no pathological thrash under cyclic workloads.  Returns the
-        decoded ads either way, or ``None`` when admission has stopped so
+        decoded runs either way, or ``None`` when admission has stopped so
         the caller uses the early-terminating direct scan instead.
         """
         if not self._cache_open:
             return None
-        ads, _ = self._decode_entries(self._node_chunk(node_index), None)
+        runs, _ = self._decode_entries(self._node_chunk(node_index), None)
         # Conservative charge: a per-node deep walk double-counts objects
         # shared across nodes, so the bound errs toward over-charging.
-        charge = deep_sizeof(ads)
+        charge = deep_sizeof(runs)
         if self._cache_used + charge <= self._cache_budget:
-            self._node_cache[node_index] = ads
+            self._node_cache[node_index] = runs
             self._cache_used += charge
         else:
             self._cache_open = False
-        return ads
+        return runs
 
     # ------------------------------------------------------------------ #
     # Point access
@@ -660,27 +732,29 @@ class PackedSegmentIndex:
         node_index = self._node_index_for(locator)
         if node_index is None:
             return 0
-        candidates = self._node_cache.get(node_index)
-        if candidates is None:
-            candidates, _ = self._decode_entries(
+        runs = self._node_cache.get(node_index)
+        if runs is None:
+            runs, _ = self._decode_entries(
                 self._node_chunk(node_index), len(ad.words)
             )
         listing_id = ad.info.listing_id
         return sum(
             1
-            for candidate in candidates
+            for _, run in runs
+            for candidate in run
             if candidate.info.listing_id == listing_id and candidate == ad
         )
 
     def iter_ads(self) -> Iterator[Advertisement]:
         """Every stored ad, in node order (full sequential decode)."""
         for node_index in range(self._num_nodes):
-            ads = self._node_cache.get(node_index)
-            if ads is None:
-                ads, _ = self._decode_entries(
+            runs = self._node_cache.get(node_index)
+            if runs is None:
+                runs, _ = self._decode_entries(
                     self._node_chunk(node_index), None
                 )
-            yield from ads
+            for _, run in runs:
+                yield from run
 
     def placements(self) -> dict[frozenset[str], frozenset[str]]:
         """The persisted non-identity word-set -> locator placements."""
@@ -714,6 +788,7 @@ class PackedSegmentIndex:
             self._placements,
             self._token_intern,
             self._phrase_cache,
+            self._word_set_intern,
             self._ad_intern,
             self._plan_memo.cache,
             self._node_cache,

@@ -16,6 +16,7 @@ depend on query-independent factors, which is why these scores enter
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -68,17 +69,23 @@ def run_gsp_auction(
     candidate order.
 
     Slot ``i`` is priced from the ad ranked ``i + 1``, so only the top
-    ``slots + 1`` are selected; the rest are scored once and never sorted.
+    ``slots + 1`` are kept.  Once that many are held, the worst kept
+    rank is a floor: a candidate ranked below it is dropped after one
+    float compare, and only the rest are compared in full.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
     if reserve_micros < 0:
         raise ValueError("reserve must be non-negative")
 
-    # Entries order by ``(-ad_rank, listing_id)``; the position makes the
-    # order total, so a full tie falls to candidate order (what a stable
-    # sort on that key gives) and never compares two unorderable ads.
-    scored: list[tuple[float, int, int, Advertisement, float]] = []
+    # Best first is ``(-ad_rank, listing_id, position)``; the position
+    # makes the order total, so a full tie falls to candidate order (what
+    # a stable sort on that key gives) and never compares two unorderable
+    # ads.  The heap holds that key negated, so its root is the worst
+    # kept entry.
+    keep = slots + 1
+    heap: list[tuple[float, int, int, Advertisement, float]] = []
+    floor = -math.inf
     for position, ad in enumerate(candidates):
         q = 1.0
         if quality_fn is not None:
@@ -87,14 +94,25 @@ def run_gsp_auction(
                 raise ValueError(f"quality score must be positive, got {q}")
         info = ad.info
         bid = info.bid_price_micros
-        if bid >= reserve_micros:
-            scored.append((-(bid * q), info.listing_id, position, ad, q))
-    top = heapq.nsmallest(slots + 1, scored)
+        if bid < reserve_micros:
+            continue
+        rank = bid * q
+        if rank < floor:
+            continue
+        entry = (rank, -info.listing_id, -position, ad, q)
+        if len(heap) < keep:
+            heapq.heappush(heap, entry)
+            if len(heap) < keep:
+                continue
+        else:
+            heapq.heappushpop(heap, entry)
+        floor = heap[0][0]
+    top = sorted(heap, reverse=True)
 
     awards: list[SlotAward] = []
     for i, (_, _, _, ad, q) in enumerate(top[:slots]):
         if i + 1 < len(top):
-            next_rank = -top[i + 1][0]
+            next_rank = top[i + 1][0]
             price = int(next_rank / q) + 1
         else:
             price = reserve_micros

@@ -1,5 +1,9 @@
 """Tests for match semantics (broad / phrase / exact) and the naive oracle."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import matching
 from repro.core.ads import AdCorpus, AdInfo, Advertisement
 from repro.core.matching import (
     MatchType,
@@ -12,6 +16,7 @@ from repro.core.matching import (
     phrase_match,
 )
 from repro.core.queries import Query
+from repro.core.tokens import word_set
 
 
 def ad(text, listing_id=0, exclusions=()):
@@ -108,6 +113,50 @@ class TestExclusions:
 
     def test_no_exclusions_always_passes(self):
         assert passes_exclusions(ad("x"), Query.from_text("x y"))
+
+    def test_each_distinct_phrase_is_folded_once(self):
+        phrases = ("Memo-Test Phrase!", "memo test phrase", "Memo-Test Phrase!")
+        a = ad("used books", exclusions=phrases)
+        query = Query.from_text("cheap used books")
+        before = len(matching._EXCLUSION_WORDS)
+        for _ in range(3):
+            assert passes_exclusions(a, query)
+        assert len(matching._EXCLUSION_WORDS) == before + 2
+        assert matching._EXCLUSION_WORDS["memo test phrase"] == word_set(
+            "memo test phrase"
+        )
+
+
+def reference_passes_exclusions(ad: Advertisement, query: Query) -> bool:
+    """Secondary filter: an ad is excluded if any of its exclusion phrases is
+    fully contained in the query (Section I-B's keyword-exclusion)."""
+    words = query.words
+    for phrase in ad.info.exclusion_phrases:
+        if word_set(phrase) <= words:
+            return False
+    return True
+
+
+# Case, punctuation, apostrophes, underscores, repeated and non-ASCII
+# words, joined by assorted separators; plus raw text.
+WORDS = ("talk", "Talk", "TALK", "rock'n'roll", "café", "CAFÉ", "日本", "a_b", "x")
+SEPARATORS = (" ", ", ", "! ", "-", "  ", "'", "_", "\t")
+texts = st.one_of(
+    st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(SEPARATORS))).map(
+        lambda parts: "".join(word + sep for word, sep in parts)
+    ),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exclusions=st.lists(texts, max_size=4), query_text=texts)
+def test_exclusion_verdicts_match_the_unmemoized_filter(exclusions, query_text):
+    a = ad("used books", exclusions=exclusions)
+    query = Query.from_text(query_text)
+    # Twice: the second call reads every phrase from the memo.
+    for _ in range(2):
+        assert passes_exclusions(a, query) == reference_passes_exclusions(a, query)
 
 
 class TestNaiveMatchers:

@@ -1,6 +1,8 @@
 """End-to-end cluster tests: remote answers equal in-process answers,
 stats carry the memory evidence, and overload sheds by priority."""
 
+import asyncio
+import gc
 import socket
 import time
 from pathlib import Path
@@ -9,6 +11,8 @@ import pytest
 
 from repro.core.queries import Query
 from repro.netserve import ClusterConfig, ServeClient, ServingCluster
+from repro.netserve import cluster as cluster_module
+from repro.netserve import worker as worker_module
 from repro.resilience.admission import AdmissionConfig, Priority
 from repro.resilience.deadline import DegradedReason
 from repro.serving import AdServer, ServeRequest
@@ -214,3 +218,46 @@ class TestLifecycle:
                 host, port = cluster.address
                 with ServeClient(host, port) as client:
                     assert client.ping()
+
+
+class TestChildEntryPointsFreezeWhatTheyInherit:
+    """Both child entry points move what ``fork`` handed them to the
+    collector's permanent generation before they build anything, so a
+    full collection in the child never writes to, and so copies, the
+    parent's pages."""
+
+    def test_worker_freezes_before_building_its_server(self, monkeypatch):
+        assert gc.get_freeze_count() == 0
+        seen = []
+
+        class Stub:
+            def __init__(self, config):
+                seen.append(gc.get_freeze_count())
+
+            def run(self):
+                pass
+
+        monkeypatch.setattr(worker_module, "_Worker", Stub)
+        monkeypatch.setattr(worker_module.signal, "signal", lambda *args: None)
+        try:
+            worker_module.run_worker(None)
+        finally:
+            gc.unfreeze()
+        assert seen and seen[0] > 0
+
+    def test_frontend_freezes_before_starting_its_loop(self, monkeypatch, tmp_path):
+        assert gc.get_freeze_count() == 0
+        seen = []
+
+        def run(main):
+            seen.append(gc.get_freeze_count())
+            main.close()
+
+        monkeypatch.setattr(asyncio, "run", run)
+        try:
+            cluster_module._run_frontend_process(
+                ClusterConfig(segment_path="unused"), [], str(tmp_path / "port")
+            )
+        finally:
+            gc.unfreeze()
+        assert seen and seen[0] > 0

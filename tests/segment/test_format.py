@@ -3,9 +3,13 @@
 import pytest
 
 from repro.core.ads import AdCorpus, AdInfo, Advertisement
+from repro.core.data_node import NodeEntry
+from repro.core.queries import Query
 from repro.core.wordset_index import WordSetIndex
+from repro.datagen.corpus import CorpusConfig, generate_corpus
 from repro.faults import bit_flip, truncate_at
 from repro.segment import PackedSegmentIndex, SegmentBuilder, SegmentFormatError
+from repro.segment.builder import encode_node
 from repro.segment.format import (
     FORMAT_VERSION,
     HEADER_START,
@@ -125,3 +129,110 @@ class TestOnDiskCorruption:
     def test_missing_file_detected(self, tmp_path):
         with pytest.raises(SegmentFormatError, match="cannot open"):
             PackedSegmentIndex(tmp_path / "nope.seg")
+
+
+# ---------------------------------------------------------------------- #
+# Node records: untrusted bytes (``B^off`` gives the boundaries, and
+# whoever wrote the file can recompute ``payload_sha256``).
+
+LONG = "é" * 70  # 140 UTF-8 bytes: a two-byte length varint
+
+
+def rich_ad(text, listing_id, bid, exclusions=()):
+    return Advertisement.from_text(
+        text,
+        AdInfo(
+            listing_id=listing_id,
+            campaign_id=-listing_id,
+            bid_price_micros=bid,
+            exclusion_phrases=exclusions,
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def records(tmp_path_factory):
+    """A packed index over a generated corpus plus ads carrying every
+    field a cut can land in; every fourth node record and every record
+    holding an exclusion phrase; the word-count limits to decode at."""
+    ads = list(generate_corpus(CorpusConfig(num_ads=2_000, seed=7)).corpus)
+    ads += [
+        rich_ad(f"café {LONG} books", -(2**40), 2**33, ("free", LONG)),
+        rich_ad(f"books {LONG} café", 2**21, 5, ("crédit",)),
+        rich_ad("café books", 3, 2**20, ("free shipping", "ünï")),
+        rich_ad("café books", 3, 2**20, ("free shipping", "ünï")),
+    ]
+    path = tmp_path_factory.mktemp("records") / "records.seg"
+    SegmentBuilder(WordSetIndex.from_corpus(ads)).write(path)
+    with PackedSegmentIndex(path, cache_bytes=0) as packed:
+        chosen = set(range(0, packed.num_nodes(), 4))
+        chosen |= {
+            packed._node_index_for(ad.words)
+            for ad in ads
+            if ad.info.exclusion_phrases
+        }
+        chunks = [packed._node_chunk(i) for i in sorted(chosen)]
+        longest = max(len(ad.words) for ad in ads)
+        limits = (None, *range(1, longest + 1))
+        yield packed, chunks, limits, ads
+
+
+class TestNodeRecords:
+    def test_every_truncation_raises_or_decodes_what_it_kept(self, records):
+        """A full decode of a cut record raises ``SegmentFormatError``;
+        a partial decode raises exactly when the cut falls before the
+        bytes it consumes, and otherwise returns the intact answer."""
+        packed, chunks, limits, _ = records
+        assert len(chunks) > 100
+        for chunk in chunks:
+            for limit in limits:
+                intact = packed._decode_entries(chunk, limit)
+                consumed = intact[1]
+                for cut in range(len(chunk)):
+                    if limit is None or cut < consumed:
+                        with pytest.raises(SegmentFormatError):
+                            packed._decode_entries(chunk[:cut], limit)
+                    else:
+                        assert packed._decode_entries(chunk[:cut], limit) == intact
+
+    def test_trailing_bytes_fail_a_full_decode_only(self, records):
+        packed, chunks, _, _ = records
+        for chunk in chunks[:50]:
+            with pytest.raises(SegmentFormatError, match="malformed node"):
+                packed._decode_entries(chunk + b"\x00", None)
+            assert packed._decode_entries(
+                chunk + b"\x00", 1
+            ) == packed._decode_entries(chunk, 1)
+
+    def test_bit_flips_raise_only_the_typed_error(self, records):
+        packed, chunks, _, _ = records
+        for chunk in chunks[::8]:
+            for bit in range(len(chunk) * 8):
+                flipped = bytearray(chunk)
+                flipped[bit // 8] ^= 1 << (bit % 8)
+                for limit in (None, 1):
+                    try:
+                        packed._decode_entries(bytes(flipped), limit)
+                    except SegmentFormatError:
+                        pass
+
+    @pytest.mark.parametrize("field", ["token", "exclusion"])
+    def test_invalid_utf8_is_a_format_error(self, records, field):
+        packed = records[0]
+        chunk = encode_node([NodeEntry(rich_ad("qq zz", 1, 1, ("xy",)))])
+        target = b"qq" if field == "token" else b"xy"
+        assert chunk.count(target) == 1
+        with pytest.raises(SegmentFormatError, match="malformed node"):
+            packed._decode_entries(chunk.replace(target, b"\xff\xfe"), None)
+
+    def test_a_cut_record_surfaces_through_query(self, records, monkeypatch):
+        """A node whose ``B^off`` range is cut short raises
+        ``SegmentFormatError`` out of ``query``, not ``IndexError``."""
+        packed, _, limits, ads = records
+        target = ads[-1]
+        chunk = packed._node_chunk(packed._node_index_for(target.words))
+        monkeypatch.setattr(packed, "_node_chunk", lambda index: chunk[:-1])
+        # Longer than every entry, so the decode reads to the cut.
+        padding = tuple(f"pad{i}" for i in range(limits[-1]))
+        with pytest.raises(SegmentFormatError):
+            packed.query(Query(target.phrase + padding))

@@ -1,8 +1,9 @@
 """Differential test: candidates -> slate against the full-sort reference.
 
 ``AdServer._finish`` filters with hoisted per-request invariants and
-``run_gsp_auction`` scores once and selects ``slots + 1`` with
-``heapq.nsmallest``.  The code they replaced — three filter calls per
+``run_gsp_auction`` scores once and keeps only ``slots + 1`` (its
+selection is pinned against the one it replaced in
+``test_auction_floor.py``).  The code they replaced — three filter calls per
 candidate, two quality calls, a full sort — is kept here *verbatim* as
 the reference, and every observable must stay bit-identical: the wire
 form of each result, the stats snapshot, the frequency-cap memory, the
