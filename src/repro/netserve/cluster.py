@@ -71,7 +71,12 @@ __all__ = ["ClusterConfig", "ServingCluster"]
 
 @dataclass(frozen=True, slots=True)
 class ClusterConfig:
-    """Shape of one serving cluster (see class docstring)."""
+    """Shape of one serving cluster (see class docstring).
+
+    ``cache_bytes`` is the decoded-node cache budget per open segment
+    and per worker: ``num_workers`` workers each keep up to that much
+    decoded, privately, for every segment they have open.
+    """
 
     segment_path: str
     num_workers: int = 2

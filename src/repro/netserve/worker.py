@@ -105,9 +105,10 @@ class WorkerConfig:
     slots / reserve_micros:
         Auction shape, passed through to :class:`AdServer`.
     cache_bytes:
-        Per-worker decoded-node cache budget.  This is *private* memory
-        by design — the gate on shared bytes covers the mapping, not
-        the cache.
+        Decoded-node cache budget per open segment, in this worker: it
+        bounds everything decoding retains (tiered mode: per sealed
+        tier).  This is *private* memory by design — the gate on
+        shared bytes covers the mapping, not the cache.
     default_deadline_ms:
         Server-side budget applied when a request carries none.
     max_frame_bytes:

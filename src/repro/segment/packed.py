@@ -24,18 +24,21 @@ A node stores every ad of one word-set together (condition IV), so
 whether its ads match a query is a property of the word-set, not of
 each ad.  A decoded node is therefore a list of **runs**: consecutive
 entries sharing one word-set object, as ``(word_set, ads)`` pairs in
-entry order (word-sets are interned by value, so the phrase orders of
-one word-set share a run).  The scan makes one length cut, one subset
-test and one ``list.extend`` per run.
+entry order (within a record word-sets are shared by value, so the
+phrase orders of one word-set share a run).  The scan makes one length
+cut, one subset test and one ``list.extend`` per run.
 
 Serving reality check: a Python-level entry decode can never race a
 pointer chase through live objects, so the index keeps a **bounded
-decoded-node cache** (the block-cache every packed serving tier runs,
-cf. the Baidu system the issue cites).  Nodes are admitted fully decoded
+decoded-node cache** (the block-cache every packed serving tier runs).
+It is the one owner of decoded ads: nodes are admitted fully decoded
 (as runs) until ``cache_bytes`` is spent, after which admission stops —
-no eviction churn, strictly bounded, and the cache is charged to
-:meth:`resident_bytes` so the space accounting stays honest.  Hot nodes
-then serve at materialized-object speed while the corpus stays packed.
+no eviction churn — and nothing else keeps an ad, phrase or word-set
+past the query that decoded it.  The charge counts each cached ad once
+and is part of :meth:`resident_bytes`, so what decoding retains is
+bounded by ``cache_bytes``.  Hot nodes serve at materialized-object
+speed while the corpus stays packed; a node beyond the budget is
+decoded afresh on every scan.
 
 Implements the :class:`repro.core.protocols.RetrievalIndex` protocol.
 The structure is immutable; inserts/deletes are the job of the overlay
@@ -78,11 +81,15 @@ from repro.segment.format import (
 )
 from repro.segment.sizing import deep_sizeof
 
-#: Default decoded-node cache budget. Sized for a hot working set (the
-#: nodes a real workload actually probes), not the corpus — the whole
-#: point of the packed tier is that resident state is O(traffic), while
-#: the dict index is O(corpus).
-DEFAULT_CACHE_BYTES = 8 << 20
+#: Default decoded-node cache budget, per open segment.  Sized from a
+#: measured working set: fully decoded, the 100 k-ad benchmark segment
+#: charges 37.3 MB; its long-query workload (seed 1) reaches 15 712 of
+#: the 17 494 nodes, and 32 MiB admits 15 318 of them.  Over seven seeds
+#: that workload's batch p50 was 13.44 ms at 32 MiB, 13.48 ms at 64 MiB
+#: and 14.72 ms at 16 MiB (2-core host), so 32 MiB is the smallest power
+#: of two as fast as holding the whole segment.  Resident state stays
+#: O(traffic) up to this bound, while the dict index is O(corpus).
+DEFAULT_CACHE_BYTES = 32 << 20
 
 _NEW_AD = object.__new__
 _SET = object.__setattr__
@@ -113,22 +120,6 @@ class PackedSegmentIndex:
         self._cache_used = 0
         self._cache_open = self._cache_budget > 0
         self._node_cache: dict[int, _Runs] = {}
-        # Phrase intern table: duplicate bids colocate in a node
-        # (condition IV places all ads of one word-set together), so ads
-        # sharing a phrase share one tuple and one words frozenset.
-        self._phrase_cache: dict[
-            tuple[str, ...], tuple[tuple[str, ...], frozenset[str]]
-        ] = {}
-        # Word-set intern table, by value: every phrase order of one
-        # word-set shares one frozenset, so a node's ads of one word-set
-        # form one run however their phrases are ordered.
-        self._word_set_intern: dict[frozenset[str], frozenset[str]] = {}
-        # Ad intern table: re-decoding a node outside the bounded cache
-        # returns the *same* Advertisement objects, so steady-state
-        # queries retain no new per-node lists/strings (the kernels
-        # zero-allocation decode guarantee).  Charged to
-        # :meth:`resident_bytes` like every other Python-side table.
-        self._ad_intern: dict[tuple[object, ...], Advertisement] = {}
         #: The segment is immutable, so memoized plans never go stale.
         self._plan_memo = PlanMemo()
         #: ``B^sig`` words as a zero-copy numpy view (numpy backend only).
@@ -250,9 +241,6 @@ class PackedSegmentIndex:
             return
         self._closed = True
         self._node_cache.clear()
-        self._phrase_cache.clear()
-        self._word_set_intern.clear()
-        self._ad_intern.clear()
         self._plan_memo.cache.clear()
         self._sig_np = None  # drop the buffer export before releasing views
         for packed in (getattr(self, "bsig", None), getattr(self, "boff", None)):
@@ -510,8 +498,8 @@ class PackedSegmentIndex:
         """Decode one node record into runs of materialized ads.
 
         A run is a maximal stretch of consecutive entries that share one
-        interned word-set object, returned as a ``(word_set, ads)`` pair;
-        runs come in entry order.  ``max_word_count`` stops the decode at
+        word-set object, returned as a ``(word_set, ads)`` pair; runs
+        come in entry order.  ``max_word_count`` stops the decode at
         the first entry longer than the query (entries are stored
         word-count-ordered); ``None`` decodes every entry (cache
         admission, :meth:`iter_ads`, compaction).  Returns the runs and
@@ -522,23 +510,26 @@ class PackedSegmentIndex:
         continuation bytes are decoded inline.  Counts and lengths (entry
         and word counts, shared and suffix token counts, token and
         exclusion lengths) almost always fit one byte, which is inlined,
-        with :func:`read_varint` for the rest.  Ads are built by direct
-        slot assignment (what the frozen dataclass ``__init__`` does
-        anyway) and **interned**: tokens, phrase tuples, and whole
-        Advertisement objects are shared across decodes, so re-decoding
-        a node the bounded cache did not admit allocates no new
-        persistent objects — the zero-allocation steady state the kernel
-        hot path relies on.  One token scratch list is reused across the
-        node's entries.
+        with :func:`read_varint` for the rest.  Ads are built fresh by
+        direct slot assignment (what the frozen dataclass ``__init__``
+        does anyway); only tokens are shared across decodes, through the
+        O(vocabulary) token table.  Phrase tuples and word-sets are
+        shared *within the record*: condition IV keeps all ads of one
+        word-set in one node, so a per-record table by value is enough
+        for every phrase order of a word-set to form one run.  Nothing a
+        decode builds outlives its caller unless the node cache admits
+        it, so what decoding retains is bounded by ``cache_bytes``.  One
+        token scratch list is reused across the node's entries.
 
         The record is untrusted input: one that is truncated, indexes
         past its end, holds invalid UTF-8, or (fully decoded) does not
         end exactly at its last byte raises :class:`SegmentFormatError`.
         """
         intern = self._token_intern
-        phrase_cache = self._phrase_cache
-        ad_intern = self._ad_intern
-        word_sets = self._word_set_intern
+        phrases: dict[
+            tuple[str, ...], tuple[tuple[str, ...], frozenset[str]]
+        ] = {}
+        word_sets: dict[frozenset[str], frozenset[str]] = {}
         tokens: list[str] = []
         runs: _Runs = []
         run_words: frozenset[str] | None = None
@@ -597,11 +588,11 @@ class PackedSegmentIndex:
                     pos = end
                     tokens.append(intern.setdefault(token, token))
                 phrase = tuple(tokens)
-                shared_phrase = phrase_cache.get(phrase)
+                shared_phrase = phrases.get(phrase)
                 if shared_phrase is None:
                     value = frozenset(phrase)
                     shared_phrase = (phrase, word_sets.setdefault(value, value))
-                    phrase_cache[phrase] = shared_phrase
+                    phrases[phrase] = shared_phrase
                 phrase, word_set = shared_phrase
                 raw_listing = chunk[pos]
                 pos += 1
@@ -643,28 +634,19 @@ class PackedSegmentIndex:
                         decoded.append(chunk[pos:end].decode("utf-8"))
                         pos = end
                     exclusions = tuple(decoded)
-                listing_id = (raw_listing >> 1) ^ -(raw_listing & 1)
-                campaign_id = (raw_campaign >> 1) ^ -(raw_campaign & 1)
-                # Intern the finished ad: the key's phrase tuple is already
-                # the interned instance, so identical entries re-decoded
-                # later hash straight to the shared object.
-                ident = (phrase, listing_id, campaign_id, price, exclusions)
-                ad = ad_intern.get(ident)
-                if ad is None:
-                    ad = _NEW_AD(Advertisement)
-                    _SET(ad, "phrase", phrase)
-                    _SET(
-                        ad,
-                        "info",
-                        AdInfo(
-                            listing_id=listing_id,
-                            campaign_id=campaign_id,
-                            bid_price_micros=price,
-                            exclusion_phrases=exclusions,
-                        ),
-                    )
-                    _SET(ad, "words", word_set)
-                    ad_intern[ident] = ad
+                ad = _NEW_AD(Advertisement)
+                _SET(ad, "phrase", phrase)
+                _SET(
+                    ad,
+                    "info",
+                    AdInfo(
+                        listing_id=(raw_listing >> 1) ^ -(raw_listing & 1),
+                        campaign_id=(raw_campaign >> 1) ^ -(raw_campaign & 1),
+                        bid_price_micros=price,
+                        exclusion_phrases=exclusions,
+                    ),
+                )
+                _SET(ad, "words", word_set)
                 if word_set is not run_words:
                     run_words = word_set
                     run = []
@@ -697,8 +679,9 @@ class PackedSegmentIndex:
         if not self._cache_open:
             return None
         runs, _ = self._decode_entries(self._node_chunk(node_index), None)
-        # Conservative charge: a per-node deep walk double-counts objects
-        # shared across nodes, so the bound errs toward over-charging.
+        # Conservative charge: a per-node deep walk counts each of the
+        # node's ads once and double-counts the tokens shared across
+        # nodes, so the bound errs toward over-charging.
         charge = deep_sizeof(runs)
         if self._cache_used + charge <= self._cache_budget:
             self._node_cache[node_index] = runs
@@ -780,16 +763,13 @@ class PackedSegmentIndex:
     def resident_bytes(self) -> int:
         """Honest resident footprint: the mapped file plus every
         Python-side auxiliary object — header dicts, rank directories,
-        the node-offset array, the intern table, and the decoded-node
-        cache — deep-counted with identity dedup."""
+        the node-offset array, the token table, the plan memo and the
+        decoded-node cache — deep-counted with identity dedup."""
         return len(self._mmap) + deep_sizeof(
             self._vocab,
             self._size_histogram,
             self._placements,
             self._token_intern,
-            self._phrase_cache,
-            self._word_set_intern,
-            self._ad_intern,
             self._plan_memo.cache,
             self._node_cache,
             self._node_offsets,
@@ -812,5 +792,4 @@ class PackedSegmentIndex:
             "node_bytes": self._nodes_len,
             "cached_nodes": len(self._node_cache),
             "cache_bytes_used": self._cache_used,
-            "interned_ads": len(self._ad_intern),
         }

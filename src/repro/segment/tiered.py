@@ -373,7 +373,9 @@ class TieredConfig:
     suffix_bits / max_words / max_query_words / fast_path / cache_bytes:
         Passed through to the per-tier builder, overlay, and packed
         reader.  The index-shape fields are persisted in the manifest
-        and adopted from it on reopen.
+        and adopted from it on reopen.  ``cache_bytes`` bounds the
+        decoded state of *each* open segment, so a stack of ``n``
+        sealed tiers may hold up to ``n * cache_bytes`` decoded.
     """
 
     seal_threshold: int = 512

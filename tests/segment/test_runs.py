@@ -2,10 +2,12 @@
 replaced.
 
 ``PackedSegmentIndex._decode_entries`` returns a node as runs (consecutive
-entries sharing one interned word-set object) and ``_scan`` makes one
-length cut, one subset test and one ``list.extend`` per run.  The
-decoder, scan, cache admission, point lookup and full iteration they
-replaced are kept here *verbatim* as ``ReferencePackedSegmentIndex``.
+entries sharing one word-set object) and ``_scan`` makes one length cut,
+one subset test and one ``list.extend`` per run.  The decoder, scan,
+cache admission, point lookup and full iteration they replaced are kept
+here *verbatim* as ``ReferencePackedSegmentIndex``, which owns the
+phrase and ad intern tables its decoder reads (the index under test no
+longer has them).
 On Hypothesis-built segments (mixed nodes under small ``suffix_bits``,
 non-identity placements, one word-set in several phrase orders,
 duplicate ads) both must give the same ads in the same order, the same
@@ -51,6 +53,13 @@ _SET = object.__setattr__
 
 class ReferencePackedSegmentIndex(PackedSegmentIndex):
     """``PackedSegmentIndex`` with the per-ad decoder and scan."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._phrase_cache: dict[
+            tuple[str, ...], tuple[tuple[str, ...], frozenset[str]]
+        ] = {}
+        self._ad_intern: dict[tuple[object, ...], Advertisement] = {}
+        super().__init__(*args, **kwargs)
 
     def _scan(
         self,
@@ -423,26 +432,24 @@ def segment_counters(registry):
 @settings(max_examples=150, deadline=None)
 @given(corpus=corpora(), suffix_bits=suffix_widths)
 def test_runs_decode_the_replaced_decoders_ads(corpus, suffix_bits):
-    """Both decoders run on one index, so they share its intern tables:
-    the runs must hold the very objects the reference returns, and each
-    run must be a maximal stretch of one word-set, whatever the order of
-    its phrases (word-sets are interned by value)."""
+    """Both decoders run on one file: the runs must hold ads equal, in
+    order, to the ones the reference returns, and each run must be a
+    maximal stretch of one word-set object, whatever the order of its
+    phrases (word-sets are shared by value within a record)."""
     ads, mapping = corpus
     longest = max(len(ad.words) for ad in ads)
     with segment(ads, mapping, suffix_bits) as path, PackedSegmentIndex(
         path, cache_bytes=0
-    ) as packed:
+    ) as packed, ReferencePackedSegmentIndex(path, cache_bytes=0) as reference:
         for node_index in range(packed.num_nodes()):
             chunk = packed._node_chunk(node_index)
             for limit in (None, *range(longest + 2)):
                 runs, consumed = packed._decode_entries(chunk, limit)
-                want, want_consumed = ReferencePackedSegmentIndex._decode_entries(
-                    packed, chunk, limit
-                )
+                want, want_consumed = reference._decode_entries(chunk, limit)
                 assert consumed == want_consumed
                 got = [ad for _, run in runs for ad in run]
-                assert len(got) == len(want)
-                assert all(mine is theirs for mine, theirs in zip(got, want))
+                assert got == want
+                assert [ad.words for ad in got] == [ad.words for ad in want]
                 for i, (words, run) in enumerate(runs):
                     assert run and all(ad.words is words for ad in run)
                     assert i == 0 or runs[i - 1][0] != words
