@@ -96,7 +96,7 @@ class ClusterConfig:
     boot_timeout_s: float = 30.0
     frontend_process: bool = False
     # Batched-pipeline knobs (PR 9), all off-by-default-equivalent:
-    # max_batch=1 serves every request on the scalar path, coalesce off
+    # max_batch=1 serves every request as a batch of one, coalesce off
     # and cache_entries=0 keep the frontend a pure relay.
     max_batch: int = 1
     worker_queue_depth: int = 1024

@@ -32,10 +32,11 @@ slot) on a bounded dispatch queue.  A single dispatcher thread blocks
 only while idle: woken by a request, it takes whatever else is already
 queued, up to ``max_batch``, and serves at once — a batch is what
 accumulated while the previous one was being served, never something
-a request slept for.  A batch of more than one goes through
-:meth:`AdServer.serve_batch`, which engages the
-:class:`~repro.index.batch.BatchQueryEngine` word-set dedup and the
-vectorized probe kernels.  Each :class:`ServeResult` fans back to its
+a request slept for.  Every batch, a lone request included, goes
+through :meth:`AdServer.serve_batch`, whose
+:class:`~repro.perf.batch.BatchQueryEngine` dedups word-sets and engages
+the vectorized probe kernels once a batch holds two or more distinct
+word-sets.  Each :class:`ServeResult` fans back to its
 originating connection thread via its reply slot.  There is **no
 global serve lock**: the dispatcher owns the index between batches,
 which is also the only place the tiered manifest hot-reload swap
@@ -114,10 +115,11 @@ class WorkerConfig:
     max_frame_bytes:
         Per-frame wire budget.
     max_batch:
-        Most requests one dispatcher batch may carry.  1 (the default)
-        serves every request through the scalar path — bit-identical to
-        the pre-batching worker.  Batches fill only from what is already
-        queued, so the bound costs nothing under light load.
+        Most requests one dispatcher batch (or one shutdown-drain
+        chunk) may carry.  1 (the default) serves every request as a
+        batch of one, which retrieves exactly as a lone query does.
+        Batches fill only from what is already queued, so the bound
+        costs nothing under light load.
     queue_depth:
         Bound on the dispatch queue.  A full queue answers a typed
         retryable ``error`` frame instead of blocking the connection
@@ -317,55 +319,44 @@ class _Worker:
         self.obs.histogram("worker.batch_size").observe(float(len(batch)))
         self.batches += 1
         batch_started = perf_counter()
+        self._serve_and_reply(batch)
+        self.obs.histogram("span.worker_batch").observe(
+            (perf_counter() - batch_started) * 1e3
+        )
+
+    def _serve_and_reply(self, batch: list[_PendingServe]) -> int:
+        """Serve ``batch`` through :meth:`AdServer.serve_batch` and
+        resolve every reply slot; returns how many got a ``result``.
+
+        One poisoned request must not fail its batch-mates: when the
+        batch raises, each item is re-served as a batch of its own, so
+        only the bad item is answered with an error frame.
+        """
         results: list[ServeResult | None]
         try:
-            if len(batch) == 1:
-                # The scalar path, exactly as the pre-batching worker
-                # ran it — a size-1 batch must stay bit-identical.
-                results = [self.server.serve(batch[0].request)]
-            else:
-                results = list(
-                    self.server.serve_batch(
-                        [item.request for item in batch]
-                    )
-                )
-        except Exception as exc:  # noqa: BLE001 — the worker never dies
-            if len(batch) == 1:
-                self.errors += 1
-                batch[0].resolve(
-                    self._error_frame(
-                        f"{type(exc).__name__}: {exc}",
-                        batch[0].request.request_id,
-                        retryable=True,
-                    )
-                )
-                return
-            # One poisoned request must not fail its batch-mates: fall
-            # back to per-request serving so only the bad item errors.
+            results = self.server.serve_batch([item.request for item in batch])
+        except Exception:  # noqa: BLE001 — the worker never dies
             results = []
             for item in batch:
                 try:
-                    results.append(self.server.serve(item.request))
-                except Exception as item_exc:  # noqa: BLE001
+                    results.extend(self.server.serve_batch([item.request]))
+                except Exception as exc:  # noqa: BLE001
                     self.errors += 1
                     item.resolve(
                         self._error_frame(
-                            f"{type(item_exc).__name__}: {item_exc}",
+                            f"{type(exc).__name__}: {exc}",
                             item.request.request_id,
                             retryable=True,
                         )
                     )
                     results.append(None)
-        self.obs.histogram("span.worker_batch").observe(
-            (perf_counter() - batch_started) * 1e3
-        )
         finished = perf_counter()
         latency = self.obs.histogram("span.worker_serve")
+        served = 0
         for item, result in zip(batch, results):
             if result is None:
                 continue  # already answered with an error frame
             latency.observe((finished - item.enqueued_at) * 1e3)
-            self.served += 1
             response: dict[str, Any] = {
                 "type": "result",
                 "result": result.to_dict(),
@@ -374,26 +365,33 @@ class _Worker:
             if item.request.request_id is not None:
                 response["request_id"] = item.request.request_id
             item.resolve(response)
+            served += 1
+        self.served += served
+        return served
 
     def _drain_shutdown(self) -> None:
         """Graceful drain: flush replies for everything already queued.
 
         The clients behind those reply slots were *admitted* — erroring
         them now would turn a planned shutdown into visible failures.
-        Serve them within the ``drain_timeout_s`` budget; only what the
-        budget cannot cover gets the retryable shutdown error.  New
-        work is already refused at the door (``_serve`` checks
-        ``_stop`` before enqueueing), so the queue can only shrink.
+        Serve them, in chunks of at most ``max_batch``, within the
+        ``drain_timeout_s`` budget; only what the budget cannot cover
+        gets the retryable shutdown error.  New work is already refused
+        at the door (``_serve`` checks ``_stop`` before enqueueing), so
+        the queue can only shrink.
         """
         deadline = monotonic() + self.config.drain_timeout_s
         while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
+            chunk: list[_PendingServe] = []
+            saw_shutdown = self._collect(chunk)
+            if not chunk:
+                if saw_shutdown:
+                    continue  # a repeated sentinel: work may follow it
                 return
-            if item is _SHUTDOWN:
+            if monotonic() < deadline:
+                self.drained += self._serve_and_reply(chunk)
                 continue
-            if monotonic() >= deadline:
+            for item in chunk:
                 self.drain_errors += 1
                 item.resolve(
                     self._error_frame(
@@ -402,29 +400,6 @@ class _Worker:
                         retryable=True,
                     )
                 )
-                continue
-            try:
-                result = self.server.serve(item.request)
-            except Exception as exc:  # noqa: BLE001 — drain never dies
-                self.errors += 1
-                item.resolve(
-                    self._error_frame(
-                        f"{type(exc).__name__}: {exc}",
-                        item.request.request_id,
-                        retryable=True,
-                    )
-                )
-                continue
-            self.served += 1
-            self.drained += 1
-            response: dict[str, Any] = {
-                "type": "result",
-                "result": result.to_dict(),
-                "generation": self._generation,
-            }
-            if item.request.request_id is not None:
-                response["request_id"] = item.request.request_id
-            item.resolve(response)
 
     # ------------------------ frame handling ------------------ #
 

@@ -16,7 +16,9 @@ micro-batches.  Within one batch two structural savings apply:
 
 The engine works with any :class:`~repro.core.protocols.RetrievalIndex`
 (hash index, trie, cached, compressed); shard fan-out engages when the
-structure has a ``shards`` attribute.
+structure has a ``shards`` attribute and no ``guard`` (a guarded index
+gathers through its own breakers).  Both savings need two distinct
+word-sets: a lone one is one plain ``index.query``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.core.queries import Query
 # other, so whichever loads second sees the first half-initialised and
 # ``from repro.kernels.pipeline import engaged`` could fail.
 from repro.kernels import pipeline
-from repro.obs.registry import MetricsRegistry, active_or_none
+from repro.obs.registry import MetricsRegistry, Span, active_or_none
 from repro.resilience.deadline import Deadline, DegradedReason
 
 
@@ -61,7 +63,8 @@ class BatchQueryEngine:
     ----------
     index:
         Any :class:`~repro.core.protocols.RetrievalIndex`.  A ``shards``
-        attribute (list of per-shard indexes) enables worker-pool fan-out.
+        attribute (list of per-shard indexes) without a ``guard``
+        enables worker-pool fan-out.
     max_workers:
         Worker-pool width for shard fan-out; defaults to
         ``min(num_shards, cpu_count)``.  ``1`` forces sequential scatter.
@@ -91,11 +94,16 @@ class BatchQueryEngine:
         obs = active_or_none(obs)
         self._obs = obs
         if obs is not None:
-            obs.counter("batch.batches", help="Micro-batches processed")
-            obs.counter("batch.queries", help="Queries across all batches")
-            obs.counter(
-                "batch.distinct_wordsets",
-                help="Distinct retrieval keys actually probed",
+            # Bound once: every serve is a batch, so the per-batch
+            # bookkeeping must not pay four registry lookups.
+            self._instruments = (
+                obs.histogram("span.batch"),
+                obs.counter("batch.batches", help="Micro-batches processed"),
+                obs.counter("batch.queries", help="Queries across all batches"),
+                obs.counter(
+                    "batch.distinct_wordsets",
+                    help="Distinct retrieval keys actually probed",
+                ),
             )
 
     # ------------------------------------------------------------------ #
@@ -122,14 +130,14 @@ class BatchQueryEngine:
         result lists with the budget flagged partial — never a silent
         half-answer.
         """
-        obs = self._obs
-        if obs is None:
+        if self._obs is None:
             return self._run_batch(queries, match_type, deadline)
-        with obs.span("batch"):
+        span, batches, queried, distinct = self._instruments
+        with Span(span):
             results = self._run_batch(queries, match_type, deadline)
-        obs.counter("batch.batches").inc()
-        obs.counter("batch.queries").inc(len(results))
-        obs.counter("batch.distinct_wordsets").inc(self._last_distinct)
+        batches.inc()
+        queried.inc(len(results))
+        distinct.inc(self._last_distinct)
         return results
 
     def _run_batch(
@@ -138,46 +146,65 @@ class BatchQueryEngine:
         match_type: MatchType,
         deadline: Deadline | None = None,
     ) -> list[list[Advertisement]]:
-        queries = list(queries)
-        if match_type is MatchType.BROAD:
-            key_of = _wordset_key
+        if len(queries) == 1:
+            # A batch of one is one plain query: no grouping, no sort,
+            # no copies.
+            results = self._probe(queries, match_type, deadline)
+            distinct = 1
         else:
-            key_of = _token_key
-        groups: dict[object, list[int]] = {}
-        for position, query in enumerate(queries):
-            groups.setdefault(key_of(query), []).append(position)
-        # Deterministic processing order: sorted keys keep similar word-sets
-        # adjacent (shared memoized hash contributions stay hot) and make
-        # traces reproducible across runs regardless of set iteration order.
-        ordered_keys = sorted(groups, key=sorted)
-        representatives = [queries[groups[key][0]] for key in ordered_keys]
-
-        shards = getattr(self.index, "shards", None)
-        if shards:
-            per_rep = self._scatter_shards(
-                shards, representatives, match_type, deadline
-            )
-        else:
-            per_rep = self._probe_representatives(
-                self.index, representatives, match_type, deadline
-            )
-
-        results: list[list[Advertisement]] = [[] for _ in queries]
-        for key, matched in zip(ordered_keys, per_rep):
-            positions = groups[key]
-            # The representative's slate is a fresh list owned by this
-            # batch — hand it to the first asker and copy only for
-            # duplicate positions, so a dedup hit costs no allocation.
-            results[positions[0]] = matched
-            for position in positions[1:]:
-                results[position] = list(matched)
+            if match_type is MatchType.BROAD:
+                key_of = _wordset_key
+            else:
+                key_of = _token_key
+            groups: dict[object, list[int]] = {}
+            for position, query in enumerate(queries):
+                groups.setdefault(key_of(query), []).append(position)
+            # Deterministic processing order: sorted keys keep similar
+            # word-sets adjacent (shared memoized hash contributions stay
+            # hot) and make traces reproducible across runs regardless of
+            # set iteration order.
+            ordered_keys = sorted(groups, key=sorted)
+            representatives = [queries[groups[key][0]] for key in ordered_keys]
+            per_rep = self._probe(representatives, match_type, deadline)
+            results = [[] for _ in queries]
+            for key, matched in zip(ordered_keys, per_rep):
+                positions = groups[key]
+                # The representative's slate is a fresh list owned by this
+                # batch — hand it to the first asker and copy only for
+                # duplicate positions, so a dedup hit costs no allocation.
+                results[positions[0]] = matched
+                for position in positions[1:]:
+                    results[position] = list(matched)
+            distinct = len(representatives)
         self.stats.batches += 1
         self.stats.queries += len(queries)
-        self.stats.distinct_wordsets += len(representatives)
-        self._last_distinct = len(representatives)
+        self.stats.distinct_wordsets += distinct
+        self._last_distinct = distinct
         return results
 
     # ------------------------------------------------------------------ #
+
+    def _probe(
+        self,
+        representatives: Sequence[Query],
+        match_type: MatchType,
+        deadline: Deadline | None,
+    ) -> list[list[Advertisement]]:
+        """One representative is one plain :func:`query_one` (no kernel
+        batch, no thread pool).  The engine scatters across ``shards``
+        itself only when the index has no ``guard``: a guarded index is
+        queried through its own ``query``, so its breakers see the call."""
+        index = self.index
+        if len(representatives) == 1:
+            return [query_one(index, representatives[0], match_type, deadline)]
+        shards = getattr(index, "shards", None)
+        if shards and getattr(index, "guard", None) is None:
+            return self._scatter_shards(
+                shards, representatives, match_type, deadline
+            )
+        return self._probe_representatives(
+            index, representatives, match_type, deadline
+        )
 
     def _probe_representatives(
         self,
@@ -204,7 +231,7 @@ class BatchQueryEngine:
                 deadline.mark_partial(DegradedReason.DEADLINE)
                 out.append([])
                 continue
-            out.append(self._query_one(index, query, match_type, deadline))
+            out.append(query_one(index, query, match_type, deadline))
         return out
 
     def _scatter_shards(
@@ -241,18 +268,20 @@ class BatchQueryEngine:
             for i in range(len(representatives))
         ]
 
-    @staticmethod
-    def _query_one(
-        index: RetrievalIndex,
-        query: Query,
-        match_type: MatchType,
-        deadline: Deadline | None = None,
-    ) -> list[Advertisement]:
-        if deadline is not None and getattr(
-            index, "supports_deadline", False
-        ):
-            return index.query(query, match_type, deadline)
-        return index.query(query, match_type)
+def query_one(
+    index: RetrievalIndex,
+    query: Query,
+    match_type: MatchType = MatchType.BROAD,
+    deadline: Deadline | None = None,
+) -> list[Advertisement]:
+    """One query against ``index``, the budget threaded through when the
+    index advertises ``supports_deadline``.  Broad match, every index's
+    default, is left implicit."""
+    if deadline is not None and getattr(index, "supports_deadline", False):
+        return index.query(query, match_type, deadline)
+    if match_type is MatchType.BROAD:
+        return index.query(query)
+    return index.query(query, match_type)
 
 
 def _wordset_key(query: Query) -> frozenset[str]:

@@ -11,9 +11,11 @@ The retrieval structure is pluggable — any
 index, sharded, compressed, cached), which is exactly the
 interchangeability the library's structures guarantee.
 
-With an :mod:`repro.obs` registry attached, every query records the
-``span.retrieve`` / ``span.filter`` / ``span.auction`` stage timings and
-the ``serve.*`` counters (candidates, per-reason filter drops, impressions,
+There is one pipeline: :meth:`AdServer.serve` is a batch of one through
+:meth:`AdServer.serve_batch`.  With an :mod:`repro.obs` registry
+attached, every retrieval call (one per batch) records ``span.retrieve``,
+every query the ``span.filter`` / ``span.auction`` stage timings and the
+``serve.*`` counters (candidates, per-reason filter drops, impressions,
 clicks, revenue), correlated with whatever the index and cache layers
 recorded for the same query.
 """
@@ -31,7 +33,7 @@ from repro.core.matching import passes_exclusions
 from repro.core.protocols import RetrievalIndex
 from repro.core.queries import Query
 from repro.obs.registry import MetricsRegistry, active_or_none
-from repro.perf.batch import BatchQueryEngine
+from repro.perf.batch import BatchQueryEngine, query_one
 from repro.resilience.admission import AdmissionController, Priority
 from repro.resilience.deadline import ClockMs, Deadline, DegradedReason
 from repro.resilience.degrade import DegradationPolicy
@@ -393,86 +395,20 @@ class AdServer:
         priority: Priority = Priority.NORMAL,
         deadline: Deadline | None = None,
     ) -> ServeResult:
-        """Run the full pipeline for one request.
+        """Run the full pipeline for one request: a batch of one.
 
         ``request`` is either a :class:`ServeRequest` — the one-object
-        API the network tier speaks — or a bare :class:`Query` with the
-        per-request fields as keyword arguments (the pre-redesign
-        signature, kept bit-identical).  Mixing both styles is an error.
-
-        Admission control (if configured) runs first — a shed request
-        returns an empty, explicitly flagged result without touching
-        retrieval.  The request's deadline budget (explicit, or built
-        from ``default_deadline_ms``) is tightened by the degradation
-        ladder and threaded through retrieval.
+        API the network tier speaks, whose own budget is the deadline —
+        or a bare :class:`Query` with the per-request fields as keyword
+        arguments (the pre-redesign signature).  Mixing both styles is
+        an error.  Everything else is :meth:`serve_batch`.
         """
-        if isinstance(request, ServeRequest):
-            if (
-                user_id is not None
-                or priority is not Priority.NORMAL
-                or deadline is not None
-            ):
-                raise TypeError(
-                    "pass per-request fields inside the ServeRequest, "
-                    "not as keyword arguments"
-                )
-            query = request.query
-            user_id = request.user_id
-            priority = request.priority
-            deadline = request.resolve_deadline(self._clock)
-        else:
-            query = request
-        if self.admission is not None:
-            decision = self.admission.try_admit(priority)
-            if not decision.admitted:
-                return self._shed(query, decision.reason)
-            try:
-                return self._serve_admitted(query, user_id, deadline)
-            finally:
-                self.admission.release()
-        return self._serve_admitted(query, user_id, deadline)
-
-    def _serve_admitted(
-        self, query: Query, user_id: object, deadline: Deadline | None
-    ) -> ServeResult:
-        obs = self._obs
-        deadline = self._request_deadline(deadline)
-        try:
-            if obs is None:
-                candidates = self._retrieve(query, deadline)
-            else:
-                with obs.span("retrieve"):
-                    candidates = self._retrieve(query, deadline)
-        except Exception:
-            stale = self._stale_fallback(query)
-            if stale is not None:
-                return self._finish(
-                    query, stale, user_id, DegradedReason.STALE_CACHE
-                )
-            if not self.degrade_on_error:
-                raise
-            candidates = self._degraded()
-            return self._finish(
-                query, candidates, user_id, DegradedReason.RETRIEVAL_ERROR
+        if deadline is not None and isinstance(request, ServeRequest):
+            raise TypeError(
+                "pass per-request fields inside the ServeRequest, "
+                "not as keyword arguments"
             )
-        reason = (
-            deadline.primary_reason()
-            if deadline is not None
-            else DegradedReason.NONE
-        )
-        if deadline is not None and deadline.partial:
-            if DegradedReason.DEADLINE in deadline.partial_reasons:
-                self.stats.deadline_partials += 1
-        return self._finish(query, candidates, user_id, reason)
-
-    def _retrieve(
-        self, query: Query, deadline: Deadline | None
-    ) -> list[Advertisement]:
-        if deadline is not None and getattr(
-            self.index, "supports_deadline", False
-        ):
-            return self.index.query(query, deadline=deadline)
-        return self.index.query(query)
+        return self.serve_batch([request], user_id, priority, deadline)[0]
 
     def _request_deadline(self, deadline: Deadline | None) -> Deadline | None:
         """The effective budget: caller's, or one from
@@ -536,6 +472,41 @@ class AdServer:
             self._obs.counter("serve.retrieval_errors").inc()
         return []
 
+    def _retry_alone(
+        self,
+        queries: list[Query],
+        deadline: Deadline | None,
+        error: Exception,
+    ) -> tuple[list[list[Advertisement]], dict[int, DegradedReason]]:
+        """The failure rule, applied per position once the batched
+        retrieval raised ``error``: each query is retried alone (a lone
+        query already was); one that still fails is answered from the
+        stale store when allowed, else with an empty slate flagged
+        ``RETRIEVAL_ERROR`` under ``degrade_on_error``, else its error
+        propagates.  Returns the candidate lists and the reason of every
+        position that failed."""
+        candidate_lists: list[list[Advertisement]] = []
+        failed: dict[int, DegradedReason] = {}
+        for position, query in enumerate(queries):
+            if len(queries) > 1:
+                try:
+                    candidate_lists.append(
+                        query_one(self.index, query, deadline=deadline)
+                    )
+                    continue
+                except Exception as exc:
+                    error = exc
+            stale = self._stale_fallback(query)
+            if stale is not None:
+                failed[position] = DegradedReason.STALE_CACHE
+                candidate_lists.append(stale)
+            elif self.degrade_on_error:
+                failed[position] = DegradedReason.RETRIEVAL_ERROR
+                candidate_lists.append(self._degraded())
+            else:
+                raise error
+        return candidate_lists, failed
+
     def serve_batch(
         self,
         requests: Iterable[ServeRequest | Query],
@@ -543,8 +514,8 @@ class AdServer:
         priority: Priority = Priority.NORMAL,
         deadline: Deadline | None = None,
     ) -> list[ServeResult]:
-        """Serve a micro-batch: batched retrieval, then the sequential
-        filter/auction pipeline per query.
+        """The serving pipeline: admission, one batched retrieval, then
+        the sequential filter/auction pipeline per query.
 
         ``requests`` is a homogeneous sequence of either bare
         :class:`Query` objects (the pre-redesign signature: ``user_id``
@@ -553,29 +524,28 @@ class AdServer:
         admission priority.  With ``ServeRequest`` items the batch
         budget is the explicit ``deadline`` argument when given,
         otherwise the *tightest* of the items' own budgets (one deadline
-        always covers the whole batch).
-
-        Retrieval deduplicates identical word-sets and fans out across
-        shards via the worker pool (:class:`BatchQueryEngine`); filters,
-        budgets, frequency caps, and auctions then run in input order, so
-        every stateful outcome (budget pacing, caps) is identical to
-        calling :meth:`serve` query by query.
-
-        With ``degrade_on_error`` set, a failing batched retrieval falls
-        back to per-query retrieval so one poisoned word-set degrades
-        only its own queries, not the whole batch.
+        always covers the whole batch).  The budget is then built from
+        ``default_deadline_ms`` when absent and tightened by the
+        degradation ladder.
 
         Admission control admits each position individually before the
         batched retrieval runs; shed positions get flagged empty results
-        and the surviving queries share the batch deadline.
+        without touching retrieval.  Retrieval deduplicates identical
+        word-sets (:class:`BatchQueryEngine`); filters, budgets,
+        frequency caps, and auctions then run in input order, so every
+        stateful outcome (budget pacing, caps) is identical to serving
+        the queries one by one.  A failing retrieval follows the
+        per-position rule of :meth:`_retry_alone`.
         """
         items = list(requests)
-        if any(isinstance(item, ServeRequest) for item in items):
-            if not all(isinstance(item, ServeRequest) for item in items):
-                raise TypeError(
-                    "serve_batch takes all ServeRequests or all Queries, "
-                    "not a mix"
-                )
+        as_requests = bool(items) and isinstance(items[0], ServeRequest)
+        if len(items) > 1 and any(
+            isinstance(item, ServeRequest) is not as_requests for item in items
+        ):
+            raise TypeError(
+                "serve_batch takes all ServeRequests or all Queries, not a mix"
+            )
+        if as_requests:
             if user_id is not None or priority is not Priority.NORMAL:
                 raise TypeError(
                     "pass per-request fields inside the ServeRequests, "
@@ -586,22 +556,22 @@ class AdServer:
                 deadline = self._tightest_deadline(items)
         else:
             plan = [(query, user_id, priority) for query in items]
-        admitted = plan
+        admission = self.admission
+        if admission is None:
+            return self._serve_batch_admitted(plan, deadline)
+        admitted = []
         shed_at: dict[int, DegradedReason] = {}
-        if self.admission is not None:
-            admitted = []
-            for position, (query, uid, prio) in enumerate(plan):
-                decision = self.admission.try_admit(prio)
-                if decision.admitted:
-                    admitted.append((query, uid, prio))
-                else:
-                    shed_at[position] = decision.reason
+        for position, (query, uid, prio) in enumerate(plan):
+            decision = admission.try_admit(prio)
+            if decision.admitted:
+                admitted.append((query, uid, prio))
+            else:
+                shed_at[position] = decision.reason
         try:
             results = self._serve_batch_admitted(admitted, deadline)
         finally:
-            if self.admission is not None:
-                for _ in admitted:
-                    self.admission.release()
+            for _ in admitted:
+                admission.release()
         if not shed_at:
             return results
         merged: list[ServeResult] = []
@@ -620,14 +590,15 @@ class AdServer:
         """The batch budget for ServeRequest items: the member deadline
         with the least remaining time (an untimed deadline counts as
         infinite but still carries its degradation constraints)."""
-        resolved = [
-            deadline
-            for item in items
-            if (deadline := item.resolve_deadline(self._clock)) is not None
-        ]
-        if not resolved:
-            return None
-        return min(resolved, key=lambda deadline: deadline.remaining_ms())
+        tightest = None
+        for item in items:
+            deadline = item.resolve_deadline(self._clock)
+            if deadline is not None and (
+                tightest is None
+                or deadline.remaining_ms() < tightest.remaining_ms()
+            ):
+                tightest = deadline
+        return tightest
 
     def _serve_batch_admitted(
         self,
@@ -638,23 +609,23 @@ class AdServer:
             return []
         queries = [query for query, _, _ in plan]
         deadline = self._request_deadline(deadline)
-        if self._batch_engine is None or self._batch_engine.index is not self.index:
-            self._batch_engine = BatchQueryEngine(
+        engine = self._batch_engine
+        if engine is None or engine.index is not self.index:
+            engine = self._batch_engine = BatchQueryEngine(
                 self.index, max_workers=self.batch_workers, obs=self._obs
             )
+        obs = self._obs
+        failed: dict[int, DegradedReason] = {}
         try:
-            candidate_lists = self._batch_engine.query_broad_batch(
-                queries, deadline
-            )
-        except Exception:
-            if not self.degrade_on_error:
-                raise
-            candidate_lists = []
-            for query in queries:
-                try:
-                    candidate_lists.append(self._retrieve(query, deadline))
-                except Exception:
-                    candidate_lists.append(self._degraded())
+            if obs is None:
+                candidate_lists = engine.query_broad_batch(queries, deadline)
+            else:
+                with obs.span("retrieve"):
+                    candidate_lists = engine.query_broad_batch(
+                        queries, deadline
+                    )
+        except Exception as exc:
+            candidate_lists, failed = self._retry_alone(queries, deadline, exc)
         reason = (
             deadline.primary_reason()
             if deadline is not None
@@ -662,10 +633,12 @@ class AdServer:
         )
         if deadline is not None and deadline.partial:
             if DegradedReason.DEADLINE in deadline.partial_reasons:
-                self.stats.deadline_partials += len(queries)
+                self.stats.deadline_partials += len(queries) - len(failed)
         return [
-            self._finish(query, candidates, uid, reason)
-            for (query, uid, _), candidates in zip(plan, candidate_lists)
+            self._finish(query, candidates, uid, failed.get(position, reason))
+            for position, ((query, uid, _), candidates) in enumerate(
+                zip(plan, candidate_lists)
+            )
         ]
 
     def _finish(

@@ -37,8 +37,8 @@ def segment_path(tmp_path_factory, reference_index):
 
 
 class HeldDispatcher:
-    """Park a ``_Worker``'s dispatcher inside one scalar serve, so a
-    backlog can be queued behind it and released all at once."""
+    """Park a ``_Worker``'s dispatcher inside one ``serve_batch`` call,
+    so a backlog can be queued behind it and released all at once."""
 
     def __init__(self, worker):
         self.worker = worker
@@ -46,15 +46,15 @@ class HeldDispatcher:
         self.replies = {}
         self._threads = []
         entered = threading.Event()
-        original = worker.server.serve
+        original = worker.server.serve_batch
 
-        def held_serve(request, **kwargs):
-            if not entered.is_set():  # only the first serve is held
+        def held_serve_batch(requests, **kwargs):
+            if not entered.is_set():  # only the first batch is held
                 entered.set()
                 assert self.release.wait(10.0), "dispatcher never released"
-            return original(request, **kwargs)
+            return original(requests, **kwargs)
 
-        worker.server.serve = held_serve
+        worker.server.serve_batch = held_serve_batch
         self.submit("held", ServeRequest.from_text("books", request_id="held"))
         assert entered.wait(5.0), "dispatcher never picked up the held serve"
 

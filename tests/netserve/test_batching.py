@@ -1,9 +1,9 @@
 """The worker micro-batching dispatcher (PR 9).
 
-Covers: batched serving stays bit-identical to the in-process scalar
-path, a batch is exactly what queued while the dispatcher was busy and
-the dispatcher never waits for more, result frames carry
-the generation stamp, control frames (``stats``/``ping``) never queue
+Covers: batched serving stays bit-identical to serving in process, a
+batch is exactly what queued while the dispatcher was busy and the
+dispatcher never waits for more, result frames carry the generation
+stamp, control frames (``stats``/``ping``) never queue
 behind an in-flight serve batch, the manifest reload probe is throttled
 off the per-request hot path (and a committed generation is still
 picked up within the interval), and one poisoned request in a batch
@@ -152,7 +152,8 @@ class TestEventDrivenDispatch:
         held.wait_queued(len(queries))
         replies = held.join()
 
-        assert batch_sizes == [self.MAX_BATCH, 3]
+        # The held serve is a batch of one through the same call.
+        assert batch_sizes == [1, self.MAX_BATCH, 3]
         assert worker.batches == 3
         assert (histogram.count, histogram.sum) == (3, 1.0 + len(queries))
         assert histogram.snapshot()["max"] == self.MAX_BATCH
@@ -204,13 +205,13 @@ class TestControlPlaneNotBatched:
                 segment_path=str(segment_path), socket_path=sock_path
             )
         )
-        original_serve = worker.server.serve
+        original_serve_batch = worker.server.serve_batch
 
-        def slow_serve(request, **kwargs):
+        def slow_serve_batch(requests, **kwargs):
             time.sleep(1.0)
-            return original_serve(request, **kwargs)
+            return original_serve_batch(requests, **kwargs)
 
-        worker.server.serve = slow_serve
+        worker.server.serve_batch = slow_serve_batch
         thread = threading.Thread(target=worker.run, daemon=True)
         thread.start()
         try:
@@ -343,18 +344,16 @@ class TestPoisonedBatch:
             )
         )
         try:
-            original_serve = worker.server.serve
+            original_serve_batch = worker.server.serve_batch
+            batches = []
 
-            def failing_batch(requests):
-                raise RuntimeError("batch kernel exploded")
-
-            def picky_serve(request, **kwargs):
-                if "poison" in request.query.tokens:
+            def picky_serve_batch(requests):
+                batches.append([r.request_id for r in requests])
+                if any("poison" in r.query.tokens for r in requests):
                     raise RuntimeError("bad request state")
-                return original_serve(request, **kwargs)
+                return original_serve_batch(requests)
 
-            worker.server.serve_batch = failing_batch
-            worker.server.serve = picky_serve
+            worker.server.serve_batch = picky_serve_batch
             good = _PendingServe(
                 ServeRequest(query=Query(("books",)), request_id="ok-1")
             )
@@ -369,5 +368,7 @@ class TestPoisonedBatch:
             assert bad.response["request_id"] == "bad-1"
             assert worker.errors == 1
             assert worker.served == 1
+            # The batch, then each item re-served as a batch of its own.
+            assert batches == [["ok-1", "bad-1"], ["ok-1"], ["bad-1"]]
         finally:
             worker.close()

@@ -246,7 +246,9 @@ class TestCrashLoop:
 
 
 class TestGracefulDrain:
-    def _quiesced_worker(self, segment_path, tmp_path, drain_timeout_s):
+    def _quiesced_worker(
+        self, segment_path, tmp_path, drain_timeout_s, max_batch=1
+    ):
         """A ``_Worker`` with its dispatcher already retired, so the
         drain path can be driven synchronously."""
         worker = _Worker(
@@ -254,6 +256,7 @@ class TestGracefulDrain:
                 segment_path=str(segment_path),
                 socket_path=str(tmp_path / "drain.sock"),
                 drain_timeout_s=drain_timeout_s,
+                max_batch=max_batch,
             )
         )
         worker._stop.set()
@@ -280,6 +283,36 @@ class TestGracefulDrain:
                 assert item.response["type"] == "result"
             assert worker.drained == 3
             assert worker.drain_errors == 0
+        finally:
+            worker.index.close()
+
+    def test_drain_serves_in_chunks_of_max_batch(self, segment_path, tmp_path):
+        """The drain is the dispatcher's own call: ``serve_batch`` over
+        chunks of at most ``max_batch``, and a repeated shutdown
+        sentinel does not end it while work is still queued."""
+        worker = self._quiesced_worker(segment_path, tmp_path, 5.0, max_batch=3)
+        try:
+            sizes = []
+            serve_batch = worker.server.serve_batch
+
+            def recording_serve_batch(requests):
+                sizes.append(len(requests))
+                return serve_batch(requests)
+
+            worker.server.serve_batch = recording_serve_batch
+            items = [
+                _PendingServe(ServeRequest.from_text(f"books {i}"))
+                for i in range(7)
+            ]
+            for item in items[:-1]:
+                worker._queue.put(item)
+            worker._queue.put(_SHUTDOWN)
+            worker._queue.put(items[-1])
+            worker._drain_shutdown()
+            assert sizes == [3, 3, 1]
+            assert [item.response["type"] for item in items] == ["result"] * 7
+            assert worker.drained == 7
+            assert worker.batches == 0  # drain chunks are not dispatcher batches
         finally:
             worker.index.close()
 

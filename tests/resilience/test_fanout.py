@@ -16,6 +16,7 @@ from repro.resilience import (
     ManualClock,
     ShardsUnavailableError,
 )
+from repro.serving import AdServer
 
 
 def ad(text, listing_id=0):
@@ -192,3 +193,48 @@ class TestShardedIndexIntegration:
         partial = index.query(query, deadline=deadline)
         assert {a.info.listing_id for a in partial} <= full_ids
         assert DegradedReason.PARTIAL_SHARDS in deadline.partial_reasons
+
+    QUERIES = ("cheap used books", "comic books", "cheap used books", "cheap flights")
+
+    def test_batched_serve_matches_unguarded(self, corpus):
+        """A guarded index is gathered through its breakers, never by
+        the batch engine's own scatter — at no cost in answers."""
+        plain = ShardedWordSetIndex.from_corpus(corpus, num_shards=4)
+        guarded = ShardedWordSetIndex.from_corpus(corpus, num_shards=4)
+        guarded.guard = FanoutGuard(4, clock=ManualClock())
+        queries = [Query.from_text(text) for text in self.QUERIES]
+        got = AdServer(guarded, slots=4, reserve_micros=0).serve_batch(queries)
+        want = AdServer(plain, slots=4, reserve_micros=0).serve_batch(queries)
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+        assert all(r.ads for r in got)
+        assert all(
+            breaker.failure_rate() == 0.0 for breaker in guarded.guard.breakers
+        )
+
+    def test_broken_shard_flags_batched_serve_partial(self, corpus):
+        index = ShardedWordSetIndex.from_corpus(corpus, num_shards=4)
+        index.guard = FanoutGuard(4, clock=ManualClock())
+        server = AdServer(index, slots=4, reserve_micros=0)
+        queries = [Query.from_text(text) for text in self.QUERIES]
+        full = [
+            {a.info.listing_id for a in r.ads}
+            for r in server.serve_batch(queries)
+        ]
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("segment corrupted")
+
+        # Both entry points: the per-query probe loop and the kernel
+        # batch a shard-level scatter would call directly.
+        index.shards[0].query = boom
+        index.shards[0].query_kernel_batch = boom
+        results = server.serve_batch(queries, deadline=Deadline.unlimited())
+        assert [r.degraded_reason for r in results] == [
+            DegradedReason.PARTIAL_SHARDS
+        ] * len(queries)
+        for result, full_ids in zip(results, full):
+            assert {a.info.listing_id for a in result.ads} <= full_ids
+        assert index.guard.breakers[0].failure_rate() > 0.0
+        assert server.stats.snapshot()["degraded_reason.partial_shards"] == len(
+            queries
+        )

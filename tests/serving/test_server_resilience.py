@@ -287,6 +287,116 @@ class TestStaleFallback:
         assert result.degraded_reason is DegradedReason.STALE_CACHE
 
 
+class PoisonedIndex(FailingIndex):
+    """Raises only for queries holding the word ``poison``."""
+
+    def query(self, query, match_type=MatchType.BROAD):
+        if "poison" in query.words:
+            raise RuntimeError("poisoned word-set")
+        return self.inner.query(query, match_type)
+
+
+class TestBatchFailureRule:
+    """``serve_batch`` applies the same per-position failure rule as
+    ``serve``: retry alone, stale fallback, flagged empty slate, raise."""
+
+    def test_batch_retrieval_errors_are_flagged(self, index):
+        failing = FailingIndex(index)
+        failing.healthy = False
+        server = AdServer(failing, slots=2, degrade_on_error=True)
+        queries = [Query.from_text("used books"), Query.from_text("books")]
+        results = server.serve_batch(queries)
+        results += server.serve_batch(queries[:1])
+        results.append(server.serve(queries[0]))
+        assert [r.degraded_reason for r in results] == [
+            DegradedReason.RETRIEVAL_ERROR
+        ] * 4
+        assert all(r.ads == [] for r in results)
+        snapshot = server.stats.snapshot()
+        assert snapshot["retrieval_errors"] == 4
+        assert snapshot["degraded"] == 4
+        assert snapshot["degraded_reason.retrieval_error"] == 4
+
+    def test_only_the_failing_position_degrades(self, index):
+        server = AdServer(PoisonedIndex(index), slots=2, degrade_on_error=True)
+        healthy = AdServer(index, slots=2)
+        good, bad = Query.from_text("cheap used books"), Query(("poison",))
+        results = server.serve_batch([good, bad, good])
+        assert [r.degraded_reason for r in results] == [
+            DegradedReason.NONE,
+            DegradedReason.RETRIEVAL_ERROR,
+            DegradedReason.NONE,
+        ]
+        assert results[0].ads == healthy.serve(good).ads
+        assert server.stats.retrieval_errors == 1
+        assert server.stats.degraded == 1
+
+    def test_batch_errors_propagate_by_default(self, index):
+        server = AdServer(PoisonedIndex(index), slots=2)
+        with pytest.raises(RuntimeError, match="poisoned"):
+            server.serve_batch(
+                [Query.from_text("books"), Query(("poison",))]
+            )
+
+
+class TestBatchStaleFallback:
+    def make_cached_server(self, index, **kwargs):
+        failing = FailingIndex(index)
+        cached = CachedIndex(failing, capacity=16)
+        return AdServer(cached, slots=2, **kwargs), failing, cached
+
+    def test_stale_results_served_per_position(self, index):
+        server, failing, cached = self.make_cached_server(
+            index, stale_on_error=True
+        )
+        queries = [Query.from_text("cheap used books"), Query.from_text("books")]
+        fresh = server.serve_batch(queries)
+        cached.invalidate()
+        failing.healthy = False
+        stale = server.serve_batch(queries)
+        assert [r.degraded_reason for r in stale] == [
+            DegradedReason.STALE_CACHE
+        ] * 2
+        assert [r.ads for r in stale] == [r.ads for r in fresh]
+        assert server.stats.stale_results == 2
+        assert server.stats.snapshot()["degraded_reason.stale_cache"] == 2
+
+    def test_unknown_query_in_a_batch_still_raises(self, index):
+        server, failing, cached = self.make_cached_server(
+            index, stale_on_error=True
+        )
+        known = Query.from_text("books")
+        server.serve(known)
+        cached.invalidate()
+        failing.healthy = False
+        with pytest.raises(RuntimeError):
+            server.serve_batch([known, Query.from_text("never seen before")])
+
+    def test_degradation_ladder_enables_batch_stale_fallback(self, index):
+        failing = FailingIndex(index)
+        cached = CachedIndex(failing, capacity=16)
+        policy = DegradationPolicy(
+            high_ms=50.0,
+            low_ms=10.0,
+            ladder=(
+                DegradationLevel(),
+                DegradationLevel(stale_fallback=True),
+            ),
+            cooldown_queries=1,
+            pressure_fn=lambda: 100.0,
+        )
+        server = AdServer(cached, slots=2, degradation=policy)
+        queries = [Query.from_text("books"), Query.from_text("used books")]
+        server.serve_batch(queries)  # populates the cache
+        server.serve_batch(queries)  # the ladder steps down
+        cached.invalidate()
+        failing.healthy = False
+        results = server.serve_batch(queries)
+        assert [r.degraded_reason for r in results] == [
+            DegradedReason.STALE_CACHE
+        ] * 2
+
+
 class TestPartialNeverCached:
     def test_partial_results_bypass_the_cache(self, index):
         clock = ManualClock()
