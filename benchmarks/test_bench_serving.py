@@ -1,11 +1,10 @@
-"""Benches for the serving layer: pipeline throughput, cache, persistence,
-sharded scatter-gather."""
+"""Benches for the serving layer: pipeline throughput, cache, sharded
+scatter-gather."""
 
 import pytest
 
 from repro.core.sharded import ShardedWordSetIndex
 from repro.optimize.remap import build_index
-from repro.persist import load_index, save_index
 from repro.serving.result_cache import CachedIndex
 from repro.serving.server import AdServer
 
@@ -52,18 +51,3 @@ def test_bench_sharded_query(benchmark, corpus, trace):
     sharded_total = benchmark(replay)
     assert sharded_total >= 0
 
-
-def test_bench_persist_save(benchmark, corpus, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("bench-persist")
-
-    def save():
-        save_index(directory / "index.jsonl", corpus)
-
-    benchmark.pedantic(save, rounds=3, iterations=1)
-
-
-def test_bench_persist_load(benchmark, corpus, tmp_path_factory):
-    path = tmp_path_factory.mktemp("bench-persist") / "index.jsonl"
-    save_index(path, corpus)
-    loaded = benchmark.pedantic(load_index, args=(path,), rounds=3, iterations=1)
-    assert len(loaded.corpus) == len(corpus)

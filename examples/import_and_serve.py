@@ -1,11 +1,14 @@
-"""The adopter path end-to-end: import, optimize, persist, serve, survive.
+"""The adopter path end-to-end: import, optimize, pack, serve, survive.
 
 1. Import an advertiser CSV and a query trace (the files are written by
    this script to keep the example self-contained).
 2. Optimize the mapping for the observed workload.
-3. Persist a snapshot; restart from it; verify identical results.
-4. Serve with durability: mutations go to an op-log, a simulated crash
-   loses nothing, compaction folds a re-optimization into a new snapshot.
+3. Pack a tiered index directory; reopen it read-only; query it.
+4. Mutate it: inserts and deletes land in the overlay, ``seal`` commits
+   them as a new manifest generation, and reopening the directory — the
+   same path crash recovery takes — sees exactly the committed state.
+   Compaction then folds every tier into one segment, re-running the
+   set cover over the queries the reopened index served.
 
 Run with::
 
@@ -19,9 +22,10 @@ from repro.core.ads import AdInfo, Advertisement
 from repro.core.queries import Query
 from repro.cost.model import CostModel
 from repro.datagen.importers import load_corpus_csv, load_workload_tsv
-from repro.oplog import DurableIndex
+from repro.obs import MetricsRegistry
+from repro.obs.workload import WorkloadRecorder
 from repro.optimize.mapping import OptimizerConfig, optimize_mapping
-from repro.persist import load_index, save_index
+from repro.segment import TieredConfig, TieredSegmentedIndex
 
 ADS_CSV = """bid_phrase,listing_id,campaign_id,bid_price_micros,exclusions
 used books,1,100,300000,
@@ -59,43 +63,67 @@ def main() -> None:
     )
     print(f"optimizer re-mapped {mapping.remapped_count()} word-set group(s)")
 
-    # 3. Persist and restart.
-    snapshot = workdir / "index.jsonl"
-    save_index(snapshot, corpus, mapping)
-    restarted = load_index(snapshot)
+    # 3. Pack a directory and reopen it.
+    directory = workdir / "index"
+    placements = {
+        words: locator
+        for words, locator in mapping.as_dict().items()
+        if words != locator
+    }
+    TieredSegmentedIndex.pack_corpus(
+        corpus,
+        directory,
+        config=TieredConfig(max_words=mapping.max_words),
+        mapping=placements,
+    ).close()
     q = Query.from_text("cheap used books online")
-    before = sorted(a.info.listing_id for a in restarted.index.query(q))
-    print(f"after restart, {q.tokens} -> listings {before}")
+    with TieredSegmentedIndex(directory, read_only=True) as reopened:
+        before = sorted(a.info.listing_id for a in reopened.query(q))
+    print(f"after reopen, {q.tokens} -> listings {before}")
 
-    # 4. Durable serving with an op-log.
-    log = workdir / "ops.log"
-    durable = DurableIndex(snapshot, log, corpus=corpus, mapping=mapping)
-    durable.insert(
-        Advertisement.from_text(
-            "used books bulk", AdInfo(listing_id=9, bid_price_micros=80_000)
+    # 4. Mutate and commit; the process then exits, the files remain.
+    flights = Advertisement.from_text(
+        "flights",
+        AdInfo(listing_id=7, campaign_id=104, bid_price_micros=150_000),
+    )
+    with TieredSegmentedIndex(directory) as index:
+        index.insert(
+            Advertisement.from_text(
+                "used books bulk",
+                AdInfo(listing_id=9, bid_price_micros=80_000),
+            )
         )
-    )
-    durable.delete(Advertisement.from_text("flights", AdInfo(
-        listing_id=7, campaign_id=104, bid_price_micros=150_000)))
-    print(f"op-log holds {durable.log_ops} mutation(s)")
-    durable.close()  # simulated crash: process gone, files remain
+        assert index.delete(flights)
+        index.seal()
+        print(
+            f"sealed generation {index.generation}: "
+            f"{len(index.segments)} segment(s), "
+            f"{index.tombstone_count()} tombstone(s)"
+        )
 
-    recovered = DurableIndex(snapshot, log)
-    print(
-        f"recovery replayed {recovered.recovery.replayed_ops} op(s); "
-        f"corpus now {len(recovered)} ads"
-    )
-    bulk = recovered.query(Query.from_text("used books bulk order"))
-    assert 9 in {a.info.listing_id for a in bulk}
-    assert recovered.query(Query.from_text("flights")) == []
+    # Reopening is the recovery: exactly the committed generation.
+    recorder = WorkloadRecorder(MetricsRegistry())
+    with TieredSegmentedIndex(directory, recorder=recorder) as recovered:
+        print(
+            f"reopened generation {recovered.generation} with "
+            f"{len(recovered)} ads"
+        )
+        bulk = recovered.query(Query.from_text("used books bulk order"))
+        assert 9 in {a.info.listing_id for a in bulk}
+        assert recovered.query(Query.from_text("flights")) == []
+        for query, _ in workload:
+            recovered.query(query)
 
-    # Compaction folds a fresh optimization into the snapshot.
-    new_mapping = optimize_mapping(
-        recovered.corpus, workload, CostModel(), OptimizerConfig(max_words=10)
-    )
-    recovered.compact(mapping=new_mapping)
-    print(f"compacted; log now holds {recovered.log_ops} op(s)")
-    recovered.close()
+        # Compaction folds every tier into one segment, re-running the
+        # set cover over the queries this index just served.
+        recovered.compact()
+        print(
+            f"compacted into {len(recovered.segments)} segment(s), "
+            f"{recovered.tombstone_count()} tombstone(s)"
+        )
+        assert recovered.query(Query.from_text("flights")) == []
+        after = sorted(a.info.listing_id for a in recovered.query(q))
+        assert after == before, after
     print("done — all stages verified")
 
 

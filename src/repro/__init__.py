@@ -14,9 +14,11 @@ Public API highlights:
 * :mod:`repro.obs` — zero-dependency metrics registry and trace spans wired
   through every :class:`repro.core.RetrievalIndex` implementation and the
   serving stack (off-by-default, Prometheus/JSON exposition).
-* :mod:`repro.oplog` / :mod:`repro.faults` — crash-safe snapshot + op-log
-  durability (WAL discipline, generation-stamped compaction) and the
-  deterministic fault-injection harness that proves the recovery protocol.
+* :mod:`repro.segment` — the packed serving layout and the one durable
+  index, :class:`repro.segment.TieredSegmentedIndex`: a mutable overlay
+  over immutable segment files, committed through a checksummed manifest.
+* :mod:`repro.faults` — the deterministic fault-injection harness that
+  crashes that commit protocol at every step to prove recovery.
 * :mod:`repro.datagen` — synthetic corpus/workload generators calibrated to
   the paper's published distributions.
 * :mod:`repro.experiments` — one module per paper table/figure.
@@ -38,8 +40,6 @@ from repro.core import (
 from repro.cost import AccessTracker, CostModel
 from repro.faults import FaultInjector, InjectedCrash
 from repro.obs import MetricsRegistry, NullRegistry
-from repro.oplog import DurableIndex
-from repro.persist import load_index, save_index
 
 __version__ = "1.0.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "Advertisement",
     "AccessTracker",
     "CostModel",
-    "DurableIndex",
     "FaultInjector",
     "InjectedCrash",
     "MatchType",
@@ -63,6 +62,4 @@ __all__ = [
     "WordSetIndex",
     "__version__",
     "explain_broad_match",
-    "load_index",
-    "save_index",
 ]

@@ -1,24 +1,24 @@
 """Operational command-line interface.
 
-Everything an operator needs without writing Python::
+Everything an operator needs without writing Python.  Every command
+that reads an index takes one kind: the tiered index directory ``build``
+writes (:class:`~repro.segment.tiered.TieredSegmentedIndex`)::
 
-    python -m repro.cli build --ads ads.csv --out index.jsonl \
+    python -m repro.cli build --ads ads.csv --out DIR \
         [--workload trace.tsv --optimize --max-words 10]
-    python -m repro.cli query index.jsonl "cheap used books" \
+    python -m repro.cli query DIR "cheap used books" \
         [--match broad|phrase|exact] [--top 5] [--deadline-ms 5] \
         [--metrics-out m.prom]
-    python -m repro.cli batch index.jsonl queries.txt \
+    python -m repro.cli batch DIR queries.txt \
         [--match broad] [--shards 4] [--workers 4] [--show] \
         [--deadline-ms 50] [--metrics-out m.json]
-    python -m repro.cli explain index.jsonl "cheap used books"
-    python -m repro.cli stats index.jsonl \
+    python -m repro.cli explain DIR "cheap used books"
+    python -m repro.cli stats DIR \
         [--replay queries.txt] [--resilience] [--deadline-ms 5] \
         [--priority low|normal|high] [--metrics-format prom|json] \
         [--metrics-out m.prom]
-    python -m repro.cli recover snapshot.jsonl ops.log \
-        [--verify] [--compact] [--pack index.seg]
-    python -m repro.cli pack index.jsonl index.seg [--suffix-bits 18]
-    python -m repro.cli serve index.seg --workers 4 \
+    python -m repro.cli compact DIR [--merge | --full]
+    python -m repro.cli serve DIR --workers 4 \
         [--host 127.0.0.1 --port 7707] [--deadline-ms 50] \
         [--rate-per-s 500 --burst 32 --max-queue-depth 64]
     python -m repro.cli loadgen queries.txt --port 7707 \
@@ -26,30 +26,27 @@ Everything an operator needs without writing Python::
         [--priority low|normal|high] [--out report.json]
 
 ``build`` imports a corpus (CSV; see :mod:`repro.datagen.importers`),
-optionally optimizes the mapping against an imported workload, and writes
-a snapshot.  ``query``/``batch``/``explain``/``stats`` operate on
-snapshots; ``batch`` reads one query per line (``-`` for stdin), dedups
-identical word-sets, and optionally re-shards the corpus for worker-pool
-fan-out.  ``recover`` runs snapshot + op-log crash recovery, reports what
-replay found (truncated torn tail, stale-generation ops skipped), and
-with ``--verify`` proves every recovered ad is retrievable against a
-freshly rebuilt oracle index; ``--compact`` then folds the log into a
-new snapshot generation, and ``--pack`` emits a packed segment of the
-recovered state so cold start becomes recover-once/serve-packed.
-``pack`` freezes a snapshot into a segment file; ``query --segment``
-and ``stats --segment`` serve directly off a segment via
-:class:`~repro.segment.PackedSegmentIndex`.
+optionally optimizes the mapping against an imported workload, and
+packs it into a new tiered directory as one L0 segment under a
+committed manifest.  ``query``/``batch``/``explain``/``stats`` open the
+committed generation read-only — opening *is* the recovery, see
+``docs/durability.md``.  ``batch`` reads one query per line (``-`` for
+stdin), dedups identical word-sets, and with ``--shards`` re-shards the
+live ads for worker-pool fan-out; ``explain`` profiles the probes of an
+in-memory index rebuilt from the same live ads and placements.
+``compact`` seals and merges the directory in place.
 
 ``serve`` boots the network tier of :mod:`repro.netserve`: forked
-worker processes sharing one mmap'd segment behind an asyncio frontend
-speaking the length-prefixed ``ServeRequest``/``ServeResult`` wire
-protocol; workers are supervised by default (crash/hang detection and
-respawn — ``--no-supervise`` opts out).  ``loadgen`` drives a running
-tier closed-loop and prints the SLO report (QPS, latency percentiles,
-shed rate, per-worker split); see ``docs/serving-tier.md``.  ``chaos``
-boots a fresh supervised cluster and SIGKILLs/SIGSTOPs workers under
-load, gating on zero hangs and full recovery
-(:mod:`repro.netserve.chaos`).
+worker processes sharing the directory's mmap'd segments behind an
+asyncio frontend speaking the length-prefixed ``ServeRequest``/
+``ServeResult`` wire protocol, each worker reloading when a new
+generation commits; workers are supervised by default (crash/hang
+detection and respawn — ``--no-supervise`` opts out).  ``loadgen``
+drives a running tier closed-loop and prints the SLO report (QPS,
+latency percentiles, shed rate, per-worker split); see
+``docs/serving-tier.md``.  ``chaos`` boots a fresh supervised cluster
+and SIGKILLs/SIGSTOPs workers under load, gating on zero hangs and full
+recovery (:mod:`repro.netserve.chaos`).
 
 ``--deadline-ms`` runs queries under a :mod:`repro.resilience` budget:
 retrieval stops between hash probes when the budget expires and the
@@ -65,11 +62,14 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
+from repro.core.ads import AdCorpus
 from repro.core.explain import explain_broad_match
 from repro.core.matching import MatchType
 from repro.core.queries import Query
 from repro.core.sharded import ShardedWordSetIndex
+from repro.core.wordset_index import WordSetIndex
 from repro.cost.model import CostModel
 from repro.datagen.importers import load_corpus_csv, load_workload_tsv
 from repro.datagen.stats import profile_corpus, profile_workload
@@ -78,8 +78,8 @@ from repro.obs.export import to_json, to_prometheus, write_metrics
 from repro.optimize.mapping import Mapping, OptimizerConfig, optimize_mapping
 from repro.optimize.remap import long_phrase_mapping
 from repro.perf.batch import BatchQueryEngine
-from repro.persist import load_index, save_index
 from repro.resilience.deadline import Deadline
+from repro.segment.tiered import TieredConfig, TieredSegmentedIndex
 
 
 def _request_deadline(args: argparse.Namespace) -> Deadline | None:
@@ -94,6 +94,14 @@ def _report_partial(deadline: Deadline | None) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        print(
+            f"error: --out {out} already holds files; build writes a new "
+            "index directory",
+            file=sys.stderr,
+        )
+        return 2
     corpus = load_corpus_csv(args.ads, delimiter=args.delimiter)
     print(f"imported {len(corpus):,} ads from {args.ads}")
     mapping: Mapping
@@ -120,8 +128,22 @@ def _cmd_build(args: argparse.Namespace) -> int:
         mapping = long_phrase_mapping(corpus, args.max_words)
     else:
         mapping = Mapping({})
-    save_index(args.out, corpus, mapping)
-    print(f"wrote {args.out}")
+    placements = {
+        words: locator
+        for words, locator in mapping.as_dict().items()
+        if words != locator
+    }
+    with TieredSegmentedIndex.pack_corpus(
+        corpus,
+        out,
+        config=TieredConfig(max_words=mapping.max_words),
+        mapping=placements,
+    ) as tiered:
+        stats = tiered.stats()
+    print(
+        f"wrote {out} (generation {stats['generation']}, "
+        f"{stats['segment_bytes']:,} segment bytes)"
+    )
     return 0
 
 
@@ -146,31 +168,51 @@ def _flush_metrics(
         print(f"wrote metrics to {args.metrics_out}")
 
 
-def _open_index(args: argparse.Namespace, registry: MetricsRegistry | None):
-    """The retrieval index named by ``args.index``: a packed segment when
-    ``--segment`` was passed, otherwise a loaded snapshot's index.
-    Returns ``(index, close_callable)``."""
-    if getattr(args, "segment", False):
-        from repro.segment import PackedSegmentIndex
+def _open_index(
+    args: argparse.Namespace, registry: MetricsRegistry | None = None
+) -> TieredSegmentedIndex:
+    """The committed generation of the directory ``args.index``,
+    read-only, reporting into ``registry``."""
+    return TieredSegmentedIndex(args.index, read_only=True, obs=registry)
 
-        packed = PackedSegmentIndex(args.index, obs=registry)
-        return packed, packed.close
-    loaded = load_index(args.index)
-    if registry is not None:
-        loaded.index.bind_obs(registry)
-    return loaded.index, lambda: None
+
+def _rebuild(
+    tiered: TieredSegmentedIndex,
+    num_shards: int | None = None,
+    registry: MetricsRegistry | None = None,
+) -> WordSetIndex | ShardedWordSetIndex:
+    """An in-memory index over the live ads under the segments' merged
+    placements: the structure ``explain`` profiles and ``batch
+    --shards`` scatters over."""
+    placements: dict[frozenset[str], frozenset[str]] = {}
+    for segment in tiered.segments:
+        placements.update(segment.placements())
+    corpus = AdCorpus(tiered.live_ads())
+    manifest = tiered.manifest
+    if num_shards is None:
+        return WordSetIndex.from_corpus(
+            corpus,
+            mapping=placements,
+            max_words=manifest.max_words,
+            max_query_words=manifest.max_query_words,
+            obs=registry,
+        )
+    return ShardedWordSetIndex.from_corpus(
+        corpus,
+        num_shards=num_shards,
+        mapping=placements,
+        max_words=manifest.max_words,
+        obs=registry,
+    )
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
     registry = _metrics_registry(args)
-    index, close = _open_index(args, registry)
-    try:
-        query = Query.from_text(args.query)
+    with _open_index(args, registry) as index:
         deadline = _request_deadline(args)
-        if deadline is not None and getattr(index, "supports_deadline", False):
-            results = index.query(query, _match_type(args.match), deadline)
-        else:
-            results = index.query(query, _match_type(args.match))
+        results = index.query(
+            Query.from_text(args.query), _match_type(args.match), deadline
+        )
         results.sort(key=lambda ad: -ad.info.bid_price_micros)
         for ad in results[: args.top]:
             print(
@@ -181,8 +223,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(f"({len(results)} {args.match}-match result(s))")
         _report_partial(deadline)
         _flush_metrics(registry, args)
-    finally:
-        close()
     return 0
 
 
@@ -196,26 +236,22 @@ def _read_batch_queries(path: str) -> list[Query]:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    loaded = load_index(args.index)
     queries = _read_batch_queries(args.queries)
     if not queries:
         print("error: no queries in input", file=sys.stderr)
         return 2
-    index = loaded.index
-    if args.shards is not None:
-        index = ShardedWordSetIndex.from_corpus(
-            loaded.corpus,
-            num_shards=args.shards,
-            mapping=loaded.mapping.as_dict(),
-        )
     registry = _metrics_registry(args)
-    if registry is not None:
-        index.bind_obs(registry)
-    engine = BatchQueryEngine(index, max_workers=args.workers, obs=registry)
-    deadline = _request_deadline(args)
-    start = time.perf_counter()
-    batches = engine.query_batch(queries, _match_type(args.match), deadline)
-    elapsed = time.perf_counter() - start
+    with _open_index(args, registry) as tiered:
+        index = (
+            tiered
+            if args.shards is None
+            else _rebuild(tiered, args.shards, registry)
+        )
+        engine = BatchQueryEngine(index, max_workers=args.workers, obs=registry)
+        deadline = _request_deadline(args)
+        start = time.perf_counter()
+        batches = engine.query_batch(queries, _match_type(args.match), deadline)
+        elapsed = time.perf_counter() - start
     if args.show:
         for query, results in zip(queries, batches):
             print(f"{' '.join(query.tokens)!r}: {len(results)} result(s)")
@@ -233,42 +269,43 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    loaded = load_index(args.index)
-    explanation = explain_broad_match(
-        loaded.index, Query.from_text(args.query)
-    )
+    with _open_index(args) as tiered:
+        index = _rebuild(tiered)
+    explanation = explain_broad_match(index, Query.from_text(args.query))
     print(explanation.summary())
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if getattr(args, "tiered", False):
-        return _cmd_stats_tiered(args)
-    if args.segment:
-        return _cmd_stats_segment(args)
-    loaded = load_index(args.index)
-    stats = loaded.index.stats()
-    print(f"ads:                 {stats.num_ads:,}")
-    print(f"distinct word-sets:  {stats.num_distinct_wordsets:,}")
-    print(f"data nodes:          {stats.num_nodes:,}")
-    print(f"re-mapped groups:    {loaded.mapping.remapped_count():,}")
-    print(f"hash table bytes:    {stats.hash_table_bytes:,}")
-    print(f"node bytes:          {stats.node_bytes:,}")
-    print(f"largest node:        {stats.max_node_entries:,} entries")
-    if args.replay:
-        registry = MetricsRegistry()
-        loaded.index.bind_obs(registry)
-        _replay(loaded.index, args, registry)
-        _emit_replay_metrics(registry, args)
+    registry = MetricsRegistry() if args.replay else None
+    with _open_index(args, registry) as tiered:
+        stats = tiered.stats()
+        print(f"ads:                 {stats['num_ads']:,}")
+        print(f"generation:          {stats['generation']}")
+        print(f"sealed segments:     {len(stats['segments'])}")
+        for level, count in stats["levels"].items():
+            print(f"  level {level}:           {count} segment(s)")
+        print(f"overlay ads:         {stats['overlay_ads']:,}")
+        print(f"tombstones:          {stats['tombstones']:,}")
+        print(f"read amplification:  {stats['read_amplification']}")
+        print(f"read amp bound:      {stats['read_amp_bound']}")
+        print(f"segment bytes:       {stats['segment_bytes']:,}")
+        if registry is not None:
+            _replay(tiered, args, registry)
+            _emit_replay_metrics(registry, args)
     return 0
 
 
-def _replay(index, args: argparse.Namespace, registry: MetricsRegistry) -> None:
+def _replay(
+    index: TieredSegmentedIndex,
+    args: argparse.Namespace,
+    registry: MetricsRegistry,
+) -> None:
     """Replay the trace directly, or — with ``--resilience`` — through a
     full serving pipeline with deadline budgets and adaptive degradation,
     printing the resulting resilience breakdown."""
     queries = _read_batch_queries(args.replay)
-    if not getattr(args, "resilience", False):
+    if not args.resilience:
         for query in queries:
             index.query(query)
         return
@@ -280,10 +317,10 @@ def _replay(index, args: argparse.Namespace, registry: MetricsRegistry) -> None:
         index,
         degrade_on_error=True,
         degradation=DegradationPolicy(obs=registry),
-        default_deadline_ms=getattr(args, "deadline_ms", None),
+        default_deadline_ms=args.deadline_ms,
         obs=registry,
     )
-    priority = Priority.from_name(getattr(args, "priority", "normal"))
+    priority = Priority.from_name(args.priority)
     for query in queries:
         server.serve(query, priority=priority)
     snapshot = server.stats.snapshot()
@@ -296,53 +333,7 @@ def _replay(index, args: argparse.Namespace, registry: MetricsRegistry) -> None:
             print(f"{key + ':':21s}{value:,.0f}")
 
 
-def _cmd_stats_segment(args: argparse.Namespace) -> int:
-    from repro.segment import PackedSegmentIndex
-
-    with PackedSegmentIndex(args.index) as packed:
-        stats = packed.stats()
-        print(f"ads:                 {stats['num_ads']:,}")
-        print(f"packed nodes:        {stats['num_nodes']:,}")
-        print(f"generation:          {stats['generation']}")
-        print(f"suffix bits:         {stats['suffix_bits']}")
-        print(f"segment bytes:       {stats['segment_bytes']:,}")
-        print(f"node bytes:          {stats['node_bytes']:,}")
-        print(f"B^sig bits:          {stats['bsig_bits']:,}")
-        print(f"B^off bits:          {stats['boff_bits']:,}")
-        print(f"resident bytes:      {stats['resident_bytes']:,}")
-        if args.replay:
-            registry = MetricsRegistry()
-            packed.bind_obs(registry)
-            _replay(packed, args, registry)
-            _emit_replay_metrics(registry, args)
-    return 0
-
-
-def _cmd_stats_tiered(args: argparse.Namespace) -> int:
-    from repro.segment.tiered import TieredSegmentedIndex
-
-    with TieredSegmentedIndex(args.index, read_only=True) as tiered:
-        stats = tiered.stats()
-        print(f"ads:                 {stats['num_ads']:,}")
-        print(f"generation:          {stats['generation']}")
-        print(f"sealed segments:     {len(stats['segments'])}")
-        for level, count in stats["levels"].items():
-            print(f"  level {level}:           {count} segment(s)")
-        print(f"overlay ads:         {stats['overlay_ads']:,}")
-        print(f"tombstones:          {stats['tombstones']:,}")
-        print(f"read amplification:  {stats['read_amplification']}")
-        print(f"read amp bound:      {stats['read_amp_bound']}")
-        print(f"segment bytes:       {stats['segment_bytes']:,}")
-        if args.replay:
-            registry = MetricsRegistry()
-            _replay(tiered, args, registry)
-            _emit_replay_metrics(registry, args)
-    return 0
-
-
 def _cmd_compact(args: argparse.Namespace) -> int:
-    from repro.segment.tiered import TieredSegmentedIndex
-
     with TieredSegmentedIndex(args.directory) as tiered:
         before = tiered.stats()
         if args.full:
@@ -378,135 +369,6 @@ def _emit_replay_metrics(
         print(to_prometheus(registry), end="")
 
 
-def _cmd_pack(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.segment import SegmentBuilder
-
-    loaded = load_index(args.index)
-    if getattr(args, "tiered", False):
-        return _pack_tiered(args, loaded)
-    builder = SegmentBuilder(loaded.index, suffix_bits=args.suffix_bits)
-    builder.write(args.out, generation=loaded.generation)
-    size = os.path.getsize(args.out)
-    print(
-        f"packed {len(loaded.index):,} ads "
-        f"({len(loaded.index.nodes):,} nodes -> "
-        f"suffix bits {builder.suffix_bits}) into {args.out} "
-        f"({size:,} bytes)"
-    )
-    return 0
-
-
-def _pack_tiered(args: argparse.Namespace, loaded) -> int:
-    from repro.segment.tiered import (
-        TieredConfig,
-        TieredSegmentedIndex,
-        pack_corpus_tiered,
-    )
-
-    config = TieredConfig(
-        seal_threshold=args.seal_threshold,
-        fan_in=args.fan_in,
-        suffix_bits=args.suffix_bits,
-        max_words=loaded.index.max_words,
-        max_query_words=loaded.index.max_query_words,
-        fast_path=loaded.index.fast_path,
-    )
-    ads = [
-        entry.ad
-        for node in loaded.index.nodes.values()
-        for entry in node.entries
-    ]
-    mapping = {
-        words: locator
-        for words, locator in loaded.index.placement().items()
-        if words != locator
-    }
-    if args.shards > 1:
-        sharded = pack_corpus_tiered(
-            ads, args.out, num_shards=args.shards,
-            config=config, mapping=mapping,
-        )
-        for shard in sharded.shards:
-            shard.close()
-        print(
-            f"packed {len(ads):,} ads into {args.shards} tiered "
-            f"shard(s) under {args.out}"
-        )
-    else:
-        with TieredSegmentedIndex.pack_corpus(
-            ads, args.out, config=config, mapping=mapping
-        ) as tiered:
-            stats = tiered.stats()
-        print(
-            f"packed {len(ads):,} ads into tiered index {args.out} "
-            f"(generation {stats['generation']}, "
-            f"{stats['segment_bytes']:,} segment bytes)"
-        )
-    return 0
-
-
-def _cmd_recover(args: argparse.Namespace) -> int:
-    from repro.core.matching import naive_broad_match
-    from repro.core.wordset_index import WordSetIndex
-    from repro.oplog import DurableIndex
-    from repro.persist import PersistenceError
-
-    try:
-        durable = DurableIndex(args.snapshot, args.log)
-    except PersistenceError as exc:
-        print(f"recovery FAILED: {exc}", file=sys.stderr)
-        return 1
-    report = durable.recovery
-    print(f"snapshot generation:  {report.generation}")
-    print(f"replayed ops:         {report.replayed_ops:,}")
-    print(f"stale ops skipped:    {report.stale_ops_skipped:,}")
-    print(f"torn tail truncated:  {report.truncated_tail}")
-    print(f"live ads:             {len(durable):,}")
-    status = 0
-    if args.verify:
-        # Oracle: a fresh in-memory index over the recovered corpus;
-        # every ad must be retrievable through the recovered structure
-        # with exactly the oracle's result set for its own phrase.
-        oracle = WordSetIndex.from_corpus(durable.corpus)
-        mismatches = 0
-        for ad in durable.corpus:
-            probe = Query(tokens=ad.phrase)
-            got = sorted(
-                (a.phrase, a.info.listing_id) for a in durable.query(probe)
-            )
-            want = sorted(
-                (a.phrase, a.info.listing_id)
-                for a in naive_broad_match(durable.corpus, probe)
-            )
-            oracle_got = sorted(
-                (a.phrase, a.info.listing_id) for a in oracle.query(probe)
-            )
-            if got != want or oracle_got != want:
-                mismatches += 1
-        if mismatches:
-            print(f"verify FAILED: {mismatches} ad(s) not retrievable")
-            status = 1
-        else:
-            print(f"verify OK: {len(durable.corpus):,} ads retrievable")
-    if args.compact and status == 0:
-        durable.compact()
-        print(
-            f"compacted into generation {durable.generation} "
-            f"(log truncated)"
-        )
-    if args.pack and status == 0:
-        from repro.segment import SegmentBuilder
-
-        SegmentBuilder(durable.index).write(
-            args.pack, generation=durable.generation
-        )
-        print(f"packed recovered index into {args.pack}")
-    durable.close()
-    return status
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     corpus = load_corpus_csv(args.ads, delimiter=args.delimiter)
     print("== corpus ==")
@@ -531,7 +393,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_queue_depth=args.max_queue_depth,
         )
     config = ClusterConfig(
-        segment_path=args.segment,
+        segment_path=args.index,
         num_workers=args.workers,
         host=args.host,
         port=args.port,
@@ -557,7 +419,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "unsupervised" if args.no_supervise else "supervised"
         )
         print(
-            f"serving {args.segment} on {host}:{port} "
+            f"serving {args.index} on {host}:{port} "
             f"({args.workers} worker(s), {supervision}, {batching}, "
             "Ctrl-C to stop)"
         )
@@ -656,9 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build", help="import ads and write a snapshot")
+    build = sub.add_parser(
+        "build", help="import ads and write a tiered index directory"
+    )
     build.add_argument("--ads", required=True, help="ad corpus CSV")
-    build.add_argument("--out", required=True, help="snapshot path")
+    build.add_argument(
+        "--out", required=True, help="new (or empty) index directory"
+    )
     build.add_argument("--delimiter", default=",")
     build.add_argument("--workload", help="query trace TSV for --optimize")
     build.add_argument(
@@ -669,16 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--max-words", type=int, default=None)
     build.set_defaults(handler=_cmd_build)
 
-    query = sub.add_parser(
-        "query", help="run one query against a snapshot or packed segment"
-    )
+    query = sub.add_parser("query", help="run one query against an index")
     query.add_argument("index")
     query.add_argument("query")
-    query.add_argument(
-        "--segment",
-        action="store_true",
-        help="treat INDEX as a packed segment file (serve via mmap)",
-    )
     query.add_argument(
         "--match", choices=("broad", "phrase", "exact"), default="broad"
     )
@@ -740,20 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("query")
     explain.set_defaults(handler=_cmd_explain)
 
-    stats = sub.add_parser(
-        "stats", help="snapshot or packed-segment statistics"
-    )
+    stats = sub.add_parser("stats", help="index statistics")
     stats.add_argument("index")
-    stats.add_argument(
-        "--segment",
-        action="store_true",
-        help="treat INDEX as a packed segment file",
-    )
-    stats.add_argument(
-        "--tiered",
-        action="store_true",
-        help="treat INDEX as a tiered-segment directory",
-    )
     stats.add_argument(
         "--replay",
         default=None,
@@ -791,79 +638,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.set_defaults(handler=_cmd_stats)
 
-    recover = sub.add_parser(
-        "recover", help="run snapshot + op-log crash recovery"
-    )
-    recover.add_argument("snapshot", help="base snapshot path")
-    recover.add_argument("log", help="op-log path")
-    recover.add_argument(
-        "--verify",
-        action="store_true",
-        help="check every recovered ad is retrievable against a rebuilt "
-        "oracle index (exit 1 on mismatch)",
-    )
-    recover.add_argument(
-        "--compact",
-        action="store_true",
-        help="fold the recovered log into a fresh snapshot generation",
-    )
-    recover.add_argument(
-        "--pack",
-        default=None,
-        metavar="SEGMENT",
-        help="write a packed segment of the recovered index, so cold "
-        "start is recover-once/serve-packed",
-    )
-    recover.set_defaults(handler=_cmd_recover)
-
-    pack = sub.add_parser(
-        "pack", help="freeze a snapshot into a packed segment file"
-    )
-    pack.add_argument("index", help="snapshot path")
-    pack.add_argument("out", help="segment output path")
-    pack.add_argument(
-        "--suffix-bits",
-        type=int,
-        default=None,
-        help="B^sig suffix width (default: adaptive to node count)",
-    )
-    pack.add_argument(
-        "--tiered",
-        action="store_true",
-        help="write a tiered-segment directory (manifest + L0 seed) "
-        "instead of a single segment file",
-    )
-    pack.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="tiered only: partition into this many shard directories",
-    )
-    pack.add_argument(
-        "--seal-threshold",
-        type=int,
-        default=512,
-        help="tiered only: overlay ads per automatic seal",
-    )
-    pack.add_argument(
-        "--fan-in",
-        type=int,
-        default=4,
-        help="tiered only: segments per level before a merge",
-    )
-    pack.set_defaults(handler=_cmd_pack)
-
     compact = sub.add_parser(
         "compact",
         help="seal and merge a tiered-segment directory",
     )
     compact.add_argument("directory", help="tiered index directory")
-    compact.add_argument(
+    mode = compact.add_mutually_exclusive_group()
+    mode.add_argument(
         "--merge",
         action="store_true",
         help="only run ratio-triggered merges (no seal)",
     )
-    compact.add_argument(
+    mode.add_argument(
         "--full",
         action="store_true",
         help="seal and fold every tier into a single segment",
@@ -880,9 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="boot the network serving tier over a packed segment",
+        help="boot the network serving tier over an index directory",
     )
-    serve.add_argument("segment", help="packed segment file (see 'pack')")
+    serve.add_argument("index", help="tiered index directory (see 'build')")
     serve.add_argument("--workers", type=int, default=2)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0)

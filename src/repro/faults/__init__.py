@@ -5,8 +5,9 @@ they have survived.  This package provides the harness the durability
 tests (and any operator drill) use to *prove* the recovery protocol:
 
 * :class:`FaultInjector` — named **crashpoints** threaded through
-  :func:`repro.persist.save_index`, :class:`repro.oplog.DurableIndex`,
-  and the distsim write path.  Arm a point and the instrumented code
+  :meth:`repro.segment.SegmentBuilder.write`, the seals, merges and
+  manifest commits of :class:`repro.segment.TieredSegmentedIndex`, and
+  the distsim write path.  Arm a point and the instrumented code
   raises :class:`InjectedCrash` exactly there, simulating the process
   dying mid-operation; ``should_fail`` schedules model transient RPC
   failures for the scatter-gather retry path.

@@ -18,10 +18,10 @@ as one contiguous artifact a serving process can mmap:
   the packed reader plans probes exactly like the source index and
   compaction preserves re-mapping.
 
-``write`` is atomic and durable in the PR 3 sense: unique temp file,
-fsync before rename, best-effort directory sync, with crashpoints
-``segment.tmp_written`` / ``segment.tmp_synced`` / ``segment.renamed``
-registered with :mod:`repro.faults`.
+``write`` is atomic and durable: unique temp file, fsync before rename,
+best-effort directory sync, with crashpoints ``segment.tmp_written`` /
+``segment.tmp_synced`` / ``segment.renamed`` registered with
+:mod:`repro.faults` (the protocol is ``docs/durability.md``).
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ from repro.core.data_node import NodeEntry
 from repro.core.wordhash import hash_suffix
 from repro.core.wordset_index import WordSetIndex
 from repro.faults.injector import FaultInjector, InjectedCrash, active_injector
-from repro.persist import fsync_directory
 from repro.segment.format import (
     CRASH_RENAMED,
     CRASH_TMP_SYNCED,
     CRASH_TMP_WRITTEN,
     encode_file,
+    fsync_directory,
 )
 
 #: Distinguishes temp files of concurrent builders within one process.
@@ -224,9 +224,10 @@ class SegmentBuilder:
     ) -> None:
         """Write the segment to ``path`` atomically and durably.
 
-        Same contract as :func:`repro.persist.save_index`: a power loss at
-        any instant leaves either the old complete file or the new
-        complete file, never a torn one.  Crashpoints:
+        A power loss at any instant leaves either the old complete file
+        or the new complete file, never a torn one: the temp file is
+        fsynced before the rename and the directory after it.
+        Crashpoints:
         ``segment.tmp_written``, ``segment.tmp_synced``,
         ``segment.renamed``.
         """

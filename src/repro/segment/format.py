@@ -26,7 +26,9 @@ produced by :mod:`repro.segment.builder` and decoded lazily by
 from __future__ import annotations
 
 import json
+import os
 import struct
+from pathlib import Path
 from typing import Any
 
 MAGIC = b"REPROSEG"
@@ -38,9 +40,8 @@ _FIXED = struct.Struct("<II")
 #: Byte offset where the JSON header starts.
 HEADER_START = len(MAGIC) + _FIXED.size
 
-#: Crashpoint names visited by the atomic segment write (the PR 3
-#: ``save.*`` convention; see ``docs/durability.md`` and
-#: ``docs/segments.md``).
+#: Crashpoint names visited by the atomic segment write (see
+#: ``docs/durability.md``).
 CRASH_TMP_WRITTEN = "segment.tmp_written"
 CRASH_TMP_SYNCED = "segment.tmp_synced"
 CRASH_RENAMED = "segment.renamed"
@@ -73,6 +74,22 @@ TIERED_CRASHPOINTS = (
 
 class SegmentFormatError(ValueError):
     """Raised when a segment file is invalid, corrupt, or truncated."""
+
+
+def fsync_directory(directory: Path) -> None:
+    """Best-effort directory fsync so a rename into it is itself durable
+    (the segment write and the manifest commit both end with this).
+    Platforms that refuse O_RDONLY directory fds simply skip it."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
 
 
 def encode_file(header: dict[str, Any], payload: bytes) -> bytes:

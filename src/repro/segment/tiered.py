@@ -72,7 +72,6 @@ from repro.faults.injector import FaultInjector, active_injector
 from repro.obs.registry import MetricsRegistry, active_or_none
 from repro.obs.workload import WorkloadRecorder
 from repro.optimize import Mapping, OptimizerConfig, optimize_mapping
-from repro.persist import fsync_directory
 from repro.resilience.deadline import Deadline, DegradedReason
 from repro.resilience.fanout import FanoutGuard
 from repro.segment.builder import SegmentBuilder
@@ -85,6 +84,7 @@ from repro.segment.format import (
     CRASH_SEAL_START,
     CRASH_SEAL_WRITTEN,
     SegmentFormatError,
+    fsync_directory,
 )
 from repro.segment.packed import DEFAULT_CACHE_BYTES, PackedSegmentIndex
 

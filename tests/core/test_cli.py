@@ -1,8 +1,17 @@
-"""Tests for the operational CLI (build / query / explain / stats)."""
+"""Tests for the operational CLI over the one durable index format, the
+tiered index directory (build / query / batch / explain / stats /
+compact)."""
+
+import re
 
 import pytest
 
 from repro.cli import main
+from repro.core.ads import AdInfo, Advertisement
+from repro.core.matching import naive_broad_match
+from repro.core.queries import Query
+from repro.datagen.importers import load_corpus_csv
+from repro.segment import TieredSegmentedIndex
 
 
 @pytest.fixture()
@@ -25,21 +34,28 @@ def trace_tsv(tmp_path):
 
 
 @pytest.fixture()
-def snapshot(tmp_path, ads_csv):
-    out = tmp_path / "index.jsonl"
+def index_dir(tmp_path, ads_csv):
+    out = tmp_path / "index"
     assert main(["build", "--ads", str(ads_csv), "--out", str(out)]) == 0
     return out
 
 
+def listings(out):
+    """The listing ids a ``query`` run printed, in print order."""
+    return [int(n) for n in re.findall(r"^listing (\d+) ", out, re.M)]
+
+
 class TestBuild:
     def test_plain_build(self, tmp_path, ads_csv, capsys):
-        out_path = tmp_path / "plain.jsonl"
+        out_path = tmp_path / "plain"
         assert main(["build", "--ads", str(ads_csv), "--out", str(out_path)]) == 0
-        assert out_path.exists()
-        assert "imported 3 ads" in capsys.readouterr().out
+        assert (out_path / "MANIFEST.json").exists()
+        out = capsys.readouterr().out
+        assert "imported 3 ads" in out
+        assert "generation 1" in out
 
     def test_build_with_optimize(self, tmp_path, ads_csv, trace_tsv, capsys):
-        out_path = tmp_path / "opt.jsonl"
+        out_path = tmp_path / "opt"
         code = main(
             [
                 "build",
@@ -52,53 +68,91 @@ class TestBuild:
         )
         assert code == 0
         assert "optimizing against 2 distinct queries" in capsys.readouterr().out
-        assert out_path.exists()
+        assert (out_path / "MANIFEST.json").exists()
 
     def test_optimize_without_workload_errors(self, tmp_path, ads_csv):
+        out_path = tmp_path / "x"
         code = main(
             [
                 "build",
                 "--ads", str(ads_csv),
-                "--out", str(tmp_path / "x.jsonl"),
+                "--out", str(out_path),
                 "--optimize",
             ]
         )
         assert code == 2
+        assert not out_path.exists()
 
     def test_build_with_max_words_only(self, tmp_path, ads_csv):
-        out_path = tmp_path / "mw.jsonl"
+        out_path = tmp_path / "mw"
         code = main(
             ["build", "--ads", str(ads_csv), "--out", str(out_path),
              "--max-words", "2"]
         )
         assert code == 0
+        with TieredSegmentedIndex(out_path, read_only=True) as index:
+            assert index.manifest.max_words == 2
+
+    def test_build_refuses_an_out_that_holds_files(
+        self, tmp_path, ads_csv, index_dir, capsys
+    ):
+        """``pack_corpus`` appends to an existing index, so a second
+        build into the same directory would double every ad."""
+        capsys.readouterr()
+        before = sorted(p.name for p in index_dir.iterdir())
+        assert main(
+            ["build", "--ads", str(ads_csv), "--out", str(index_dir)]
+        ) == 2
+        assert "already holds files" in capsys.readouterr().err
+        assert sorted(p.name for p in index_dir.iterdir()) == before
+        stray = tmp_path / "file.txt"
+        stray.write_text("x")
+        assert main(["build", "--ads", str(ads_csv), "--out", str(stray)]) == 2
+
+    def test_build_into_an_empty_directory(self, tmp_path, ads_csv):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["build", "--ads", str(ads_csv), "--out", str(empty)]) == 0
+        with TieredSegmentedIndex(empty, read_only=True) as index:
+            assert len(index) == 3
 
 
 class TestQuery:
-    def test_broad_query(self, snapshot, capsys):
-        assert main(["query", str(snapshot), "cheap used books online"]) == 0
+    def test_broad_query(self, index_dir, capsys):
+        assert main(["query", str(index_dir), "cheap used books online"]) == 0
         out = capsys.readouterr().out
         assert "listing 3" in out and "listing 1" in out and "listing 2" in out
         assert "3 broad-match result(s)" in out
 
-    def test_exact_query(self, snapshot, capsys):
+    def test_exact_query(self, index_dir, capsys):
         assert main(
-            ["query", str(snapshot), "used books", "--match", "exact"]
+            ["query", str(index_dir), "used books", "--match", "exact"]
         ) == 0
         out = capsys.readouterr().out
         assert "listing 1" in out
         assert "1 exact-match result(s)" in out
 
-    def test_top_limits_output(self, snapshot, capsys):
+    def test_top_limits_output(self, index_dir, capsys):
         assert main(
-            ["query", str(snapshot), "cheap used books", "--top", "1"]
+            ["query", str(index_dir), "cheap used books", "--top", "1"]
         ) == 0
         out = capsys.readouterr().out
         assert out.count("listing ") == 1
 
-    def test_no_results(self, snapshot, capsys):
-        assert main(["query", str(snapshot), "zz qq"]) == 0
+    def test_no_results(self, index_dir, capsys):
+        assert main(["query", str(index_dir), "zz qq"]) == 0
         assert "0 broad-match result(s)" in capsys.readouterr().out
+
+    def test_query_sees_committed_writes_only(self, index_dir, capsys):
+        with TieredSegmentedIndex(index_dir) as index:
+            index.insert(
+                Advertisement.from_text("rare maps", AdInfo(listing_id=9))
+            )
+            assert main(["query", str(index_dir), "rare maps shop"]) == 0
+            assert listings(capsys.readouterr().out) == []
+            index.seal()
+        assert main(["query", str(index_dir), "rare maps shop"]) == 0
+        assert listings(capsys.readouterr().out) == [9]
 
 
 class TestBatch:
@@ -114,64 +168,121 @@ class TestBatch:
         )
         return path
 
-    def test_batch_summary(self, snapshot, queries_file, capsys):
-        assert main(["batch", str(snapshot), str(queries_file)]) == 0
+    def test_batch_summary(self, index_dir, queries_file, capsys):
+        assert main(["batch", str(index_dir), str(queries_file)]) == 0
         out = capsys.readouterr().out
         assert "4 queries (3 distinct, 25% deduped)" in out
         assert "qps" in out
 
-    def test_batch_show_per_query(self, snapshot, queries_file, capsys):
+    def test_batch_show_per_query(self, index_dir, queries_file, capsys):
         assert main(
-            ["batch", str(snapshot), str(queries_file), "--show"]
+            ["batch", str(index_dir), str(queries_file), "--show"]
         ) == 0
         out = capsys.readouterr().out
         assert "'cheap used books': 3 result(s)" in out
         assert "'zz qq': 0 result(s)" in out
 
-    def test_batch_sharded_with_workers(self, snapshot, queries_file, capsys):
+    def test_batch_sharded_with_workers(self, index_dir, queries_file, capsys):
         assert main(
             [
-                "batch", str(snapshot), str(queries_file),
+                "batch", str(index_dir), str(queries_file),
                 "--shards", "2", "--workers", "2", "--show",
             ]
         ) == 0
         out = capsys.readouterr().out
         assert "'cheap used books': 3 result(s)" in out
 
-    def test_batch_exact_match(self, snapshot, queries_file, capsys):
+    def test_batch_exact_match(self, index_dir, queries_file, capsys):
         assert main(
-            ["batch", str(snapshot), str(queries_file), "--match", "exact"]
+            ["batch", str(index_dir), str(queries_file), "--match", "exact"]
         ) == 0
         assert "-> 2 results" in capsys.readouterr().out
 
-    def test_batch_stdin(self, snapshot, capsys, monkeypatch):
+    def test_batch_stdin(self, index_dir, capsys, monkeypatch):
         import io
 
         monkeypatch.setattr("sys.stdin", io.StringIO("books\n"))
-        assert main(["batch", str(snapshot), "-"]) == 0
+        assert main(["batch", str(index_dir), "-"]) == 0
         assert "1 queries" in capsys.readouterr().out
 
-    def test_batch_empty_input_errors(self, snapshot, tmp_path):
+    def test_batch_empty_input_errors(self, index_dir, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("\n")
-        assert main(["batch", str(snapshot), str(empty)]) == 2
+        assert main(["batch", str(index_dir), str(empty)]) == 2
 
 
 class TestExplainAndStats:
-    def test_explain(self, snapshot, capsys):
-        assert main(["explain", str(snapshot), "cheap used books"]) == 0
+    def test_explain(self, index_dir, capsys):
+        assert main(["explain", str(index_dir), "cheap used books"]) == 0
         out = capsys.readouterr().out
         assert "hash probes" in out and "matches: 3" in out
 
-    def test_stats(self, snapshot, capsys):
-        assert main(["stats", str(snapshot)]) == 0
+    def test_stats(self, index_dir, capsys):
+        assert main(["stats", str(index_dir)]) == 0
         out = capsys.readouterr().out
         assert "ads:                 3" in out
-        assert "data nodes:" in out
+        assert "sealed segments:     1" in out
+        assert "segment bytes:" in out
+
+    def test_stats_replay_emits_metrics(self, index_dir, trace_tsv, capsys):
+        """The replayed queries count into the registry: the index is
+        opened with it, not handed it after the fact."""
+        assert main(
+            ["stats", str(index_dir), "--replay", str(trace_tsv),
+             "--metrics-format", "prom"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "repro_segment_queries_total 2" in out
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestCompact:
+    def test_default_mode_on_a_fresh_build_keeps_the_generation(
+        self, index_dir, capsys
+    ):
+        capsys.readouterr()
+        assert main(["compact", str(index_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "seal + 0 merge(s): generation 1 -> 1" in out
+        assert "segments:            1 -> 1" in out
+
+    def test_full_leaves_one_segment_and_the_same_answers(
+        self, index_dir, capsys
+    ):
+        with TieredSegmentedIndex(index_dir) as index:
+            index.insert(
+                Advertisement.from_text(
+                    "cheap books", AdInfo(listing_id=4, bid_price_micros=50)
+                )
+            )
+            index.seal()
+            assert index.delete(
+                Advertisement.from_text(
+                    "books", AdInfo(listing_id=2, bid_price_micros=200)
+                )
+            )
+            index.seal()
+        capsys.readouterr()
+        assert main(["query", str(index_dir), "cheap used books"]) == 0
+        before = capsys.readouterr().out
+        assert listings(before) == [3, 1, 4]
+
+        assert main(["compact", str(index_dir), "--full"]) == 0
+        out = capsys.readouterr().out
+        assert "full compaction" in out
+        assert "segments:            2 -> 1" in out
+        assert "tombstones:          1 -> 0" in out
+        assert main(["query", str(index_dir), "cheap used books"]) == 0
+        assert capsys.readouterr().out == before
+
+    def test_merge_and_full_are_mutually_exclusive(self, index_dir, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compact", str(index_dir), "--merge", "--full"])
+        assert excinfo.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
 
 class TestProfile:
@@ -188,152 +299,58 @@ class TestProfile:
         assert "== workload ==" in out and "traffic" in out
 
 
-class TestRecover:
-    @pytest.fixture()
-    def durable_paths(self, tmp_path):
-        from repro.core.ads import AdCorpus, AdInfo, Advertisement
-        from repro.oplog import DurableIndex
+class TestRoundTrip:
+    PHRASES = (
+        "used books",
+        "cheap used books",
+        "books",
+        "rare first edition books",
+        "comic books",
+        "cheap flights",
+        "flights",
+        "talk talk",
+    )
 
-        snapshot = tmp_path / "snapshot.jsonl"
-        log = tmp_path / "ops.log"
-        seed = AdCorpus(
-            [
-                Advertisement.from_text(
-                    "used books", AdInfo(listing_id=1)
-                )
-            ]
-        )
-        durable = DurableIndex(snapshot, log, corpus=seed)
-        durable.insert(
-            Advertisement.from_text(
-                "cheap maps", AdInfo(listing_id=2)
+    def test_build_optimize_query_explain_compact(self, tmp_path, capsys):
+        """Every ad is retrievable by its own phrase exactly as the
+        naive oracle says, before and after a full compaction."""
+        ads_csv = tmp_path / "ads.csv"
+        ads_csv.write_text(
+            "bid_phrase,listing_id,bid_price_micros\n"
+            + "".join(
+                f"{phrase},{i},{100 * (i + 1)}\n"
+                for i, phrase in enumerate(self.PHRASES)
             )
         )
-        durable.close()
-        return snapshot, log
-
-    def test_plain_recover_reports(self, durable_paths, capsys):
-        snapshot, log = durable_paths
-        assert main(["recover", str(snapshot), str(log)]) == 0
-        out = capsys.readouterr().out
-        assert "replayed ops:         1" in out
-        assert "live ads:             2" in out
-        assert "snapshot generation:  0" in out
-
-    def test_recover_verify_ok(self, durable_paths, capsys):
-        snapshot, log = durable_paths
-        assert main(["recover", str(snapshot), str(log), "--verify"]) == 0
-        assert "verify OK: 2 ads retrievable" in capsys.readouterr().out
-
-    def test_recover_compact_bumps_generation(self, durable_paths, capsys):
-        snapshot, log = durable_paths
-        assert main(["recover", str(snapshot), str(log), "--compact"]) == 0
-        out = capsys.readouterr().out
-        assert "compacted into generation 1" in out
-        assert log.read_text() == ""
-        # Second invocation sees the new generation and an empty log.
-        assert main(["recover", str(snapshot), str(log)]) == 0
-        out = capsys.readouterr().out
-        assert "snapshot generation:  1" in out
-        assert "replayed ops:         0" in out
-
-    def test_recover_truncates_torn_tail(self, durable_paths, capsys):
-        from repro.faults import tear_tail
-
-        snapshot, log = durable_paths
-        tear_tail(log, keep_fraction=0.5)
-        assert main(["recover", str(snapshot), str(log)]) == 0
-        out = capsys.readouterr().out
-        assert "torn tail truncated:  True" in out
-        assert "replayed ops:         0" in out
-
-    def test_recover_unreadable_snapshot_fails(self, tmp_path, capsys):
-        snapshot = tmp_path / "snapshot.jsonl"
-        snapshot.write_text("not json\n")
-        log = tmp_path / "ops.log"
-        log.write_text("")
-        assert main(["recover", str(snapshot), str(log)]) == 1
-        assert "recovery FAILED" in capsys.readouterr().err
-
-
-class TestPackAndSegmentServing:
-    @pytest.fixture()
-    def segment(self, tmp_path, snapshot):
-        out = tmp_path / "index.seg"
-        assert main(["pack", str(snapshot), str(out)]) == 0
-        return out
-
-    def test_pack_reports_summary(self, tmp_path, snapshot, capsys):
-        out = tmp_path / "packed.seg"
-        assert main(["pack", str(snapshot), str(out)]) == 0
-        stdout = capsys.readouterr().out
-        assert "packed 3 ads" in stdout
-        assert out.exists()
-
-    def test_pack_with_suffix_bits(self, tmp_path, snapshot, capsys):
-        out = tmp_path / "narrow.seg"
-        assert main(
-            ["pack", str(snapshot), str(out), "--suffix-bits", "4"]
-        ) == 0
-        assert "suffix bits 4" in capsys.readouterr().out
-
-    def test_query_segment_matches_snapshot(self, snapshot, segment, capsys):
-        assert main(["query", str(snapshot), "cheap used books online"]) == 0
-        from_snapshot = capsys.readouterr().out
-        assert main(
-            ["query", "--segment", str(segment), "cheap used books online"]
-        ) == 0
-        assert capsys.readouterr().out == from_snapshot
-
-    def test_query_segment_exact_match(self, segment, capsys):
-        assert main(
-            ["query", "--segment", str(segment), "used books",
-             "--match", "exact"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "listing 1" in out
-        assert "1 exact-match result(s)" in out
-
-    def test_stats_segment(self, segment, capsys):
-        assert main(["stats", "--segment", str(segment)]) == 0
-        out = capsys.readouterr().out
-        assert "ads:                 3" in out
-        assert "segment bytes:" in out
-        assert "suffix bits:" in out
-
-    def test_stats_segment_replay_emits_metrics(
-        self, segment, trace_tsv, capsys
-    ):
-        assert main(
-            ["stats", "--segment", str(segment), "--replay", str(trace_tsv),
-             "--metrics-format", "prom"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "repro_segment_queries_total 2" in out
-
-    def test_recover_pack_emits_servable_segment(self, tmp_path, capsys):
-        from repro.core.ads import AdCorpus, AdInfo, Advertisement
-        from repro.oplog import DurableIndex
-
-        snapshot = tmp_path / "snapshot.jsonl"
-        log = tmp_path / "ops.log"
-        seed = AdCorpus(
-            [Advertisement.from_text("used books", AdInfo(listing_id=1))]
+        trace = tmp_path / "trace.tsv"
+        trace.write_text(
+            "cheap used books\t120\nused books\t80\ncomic books online\t25\n"
+            "cheap flights paris\t40\ntalk talk greatest hits\t10\n"
         )
-        durable = DurableIndex(snapshot, log, corpus=seed)
-        durable.insert(
-            Advertisement.from_text("cheap maps", AdInfo(listing_id=2))
-        )
-        durable.close()
-
-        segment = tmp_path / "recovered.seg"
+        index_dir = tmp_path / "index"
         assert main(
-            ["recover", str(snapshot), str(log), "--pack", str(segment)]
+            ["build", "--ads", str(ads_csv), "--out", str(index_dir),
+             "--workload", str(trace), "--optimize", "--max-words", "10"]
         ) == 0
-        assert "packed recovered index" in capsys.readouterr().out
+        corpus = load_corpus_csv(ads_csv)
 
-        # The packed artifact serves the recovered corpus, log included.
-        assert main(
-            ["query", "--segment", str(segment), "cheap maps here"]
-        ) == 0
-        assert "listing 2" in capsys.readouterr().out
+        def answers():
+            outputs = []
+            for phrase in self.PHRASES:
+                capsys.readouterr()
+                assert main(
+                    ["query", str(index_dir), phrase, "--top", "100"]
+                ) == 0
+                out = capsys.readouterr().out
+                want = naive_broad_match(corpus, Query.from_text(phrase))
+                assert sorted(listings(out)) == sorted(
+                    a.info.listing_id for a in want
+                ), phrase
+                outputs.append(out)
+            return outputs
+
+        before = answers()
+        assert main(["explain", str(index_dir), "cheap used books"]) == 0
+        assert "matches: 3" in capsys.readouterr().out
+        assert main(["compact", str(index_dir), "--full"]) == 0
+        assert answers() == before

@@ -53,4 +53,4 @@ class TestExamples:
     def test_import_and_serve(self):
         out = run_example("import_and_serve.py")
         assert "done — all stages verified" in out
-        assert "recovery replayed 2 op(s)" in out
+        assert "reopened generation 2 with 8 ads" in out
