@@ -14,11 +14,11 @@ The query path is the Fig 6 lookup with the PR 1 probe plan in front:
    ``WordSetIndex`` it was built from;
 2. each probe key's ``s``-bit suffix tests one bit of ``B^sig`` (inlined
    word access, no function call on the miss path);
-3. a hit ranks ``B^sig`` into the node-offset directory — ``B^off``
-   materialized as a flat ``array('Q')`` at load time, the classic fully
-   sampled select dictionary, so locating a node is one list index
-   instead of a bit scan — and decodes the node record, front-decoding
-   phrases and delta-decoding bids incrementally.
+3. a hit's node ordinal is one entry of a per-word ``B^sig`` rank
+   directory plus a popcount of the word just tested; it indexes
+   ``B^off``, materialized as a flat ``array('Q')`` at load time (the
+   fully sampled select dictionary), and the node record is decoded,
+   front-decoding phrases and delta-decoding bids incrementally.
 
 A node stores every ad of one word-set together (condition IV), so
 whether its ads match a query is a property of the word-set, not of
@@ -51,6 +51,7 @@ import hashlib
 import mmap
 from array import array
 from collections.abc import Iterable, Iterator
+from itertools import accumulate
 from pathlib import Path
 from time import perf_counter
 from typing import Any
@@ -70,7 +71,7 @@ from repro.kernels.pipeline import (
     probe_keys,
     split_hits,
 )
-from repro.obs.registry import MetricsRegistry, active_or_none
+from repro.obs.registry import Histogram, MetricsRegistry, active_or_none
 from repro.perf.prefilter import ProbePlan
 from repro.resilience.deadline import Deadline, DegradedReason
 from repro.segment.format import (
@@ -79,7 +80,7 @@ from repro.segment.format import (
     read_varint,
     section_bounds,
 )
-from repro.segment.sizing import deep_sizeof
+from repro.segment.sizing import deep_sizeof, runs_sizeof
 
 #: Default decoded-node cache budget, per open segment.  Sized from a
 #: measured working set: fully decoded, the 100 k-ad benchmark segment
@@ -96,6 +97,18 @@ _SET = object.__setattr__
 
 #: A decoded node: ``(word_set, ads)`` runs in entry order.
 _Runs = list[tuple[frozenset[str], list[Advertisement]]]
+
+
+#: ``(name, help)`` of the counters ``_scan`` bumps, in its order.
+_SCAN_COUNTERS = (
+    ("segment.queries", "Queries served off segments"),
+    ("segment.probes", "B^sig probes issued"),
+    ("segment.node_scans", "Packed nodes scanned"),
+    ("segment.entries_scanned", "Entries examined during node scans"),
+    ("segment.results", "Matching ads returned"),
+    ("segment.cache_hits", "Node scans served decoded"),
+    ("segment.cache_misses", "Node scans that paid a decode"),
+)
 
 
 class PackedSegmentIndex:
@@ -152,46 +165,6 @@ class PackedSegmentIndex:
         payload = view[payload_start:]
         self._views.append(payload)
 
-        bsig_off, bsig_bits = section_bounds(header, "bsig")
-        boff_off, boff_bits = section_bounds(header, "boff")
-        nodes_off, nodes_len = section_bounds(header, "nodes")
-        if len(payload) != nodes_off + nodes_len:
-            raise SegmentFormatError(
-                "segment payload truncated or oversized"
-            )
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != header.get("payload_sha256"):
-            raise SegmentFormatError(
-                "segment checksum mismatch: file corrupt"
-            )
-
-        bsig_view = payload[bsig_off:boff_off]
-        boff_view = payload[boff_off:nodes_off]
-        nodes_view = payload[nodes_off:]
-        self._views.extend((bsig_view, boff_view, nodes_view))
-        self.bsig = BitVector.from_buffer(bsig_view, bsig_bits)
-        self.boff = BitVector.from_buffer(boff_view, boff_bits)
-        if numpy_available():
-            # Zero-copy u64 view for the vectorized bulk bit-test; must
-            # be dropped before the mmap views are released on close.
-            self._sig_np = probe.sig_words_array(bsig_view)
-        self._nodes_buf = nodes_view
-        self._nodes_len = nodes_len
-
-        # Fully materialized select directory over B^off: the j-th set
-        # bit's position (the j-th node's byte offset), extracted in one
-        # linear pass.  Node lookup becomes rank1(B^sig) + one index.
-        offsets = array("Q")
-        boff_words = self.boff.words
-        for word_index in range(len(boff_view) // 8):
-            word = boff_words[word_index]
-            base = word_index * 64
-            while word:
-                low = word & -word
-                offsets.append(base + low.bit_length() - 1)
-                word ^= low
-        self._node_offsets = offsets
-
         try:
             self.suffix_bits = int(header["suffix_bits"])
             raw_max_words = header["max_words"]
@@ -223,7 +196,66 @@ class PackedSegmentIndex:
             ) from exc
         if not 1 <= self.suffix_bits <= 48:
             raise SegmentFormatError("suffix_bits out of range in header")
-        if self.bsig.ones != self._num_nodes or len(offsets) != self._num_nodes:
+
+        # The one layout SegmentBuilder writes, checked before any view is
+        # cast: each section starts where the last one's 64-bit words end.
+        bsig_off, bsig_bits = section_bounds(header, "bsig")
+        boff_off, boff_bits = section_bounds(header, "boff")
+        nodes_off, nodes_len = section_bounds(header, "nodes")
+        if (
+            (bsig_off, bsig_bits) != (0, 1 << self.suffix_bits)
+            or boff_off != (bsig_bits + 63) // 64 * 8
+            or boff_bits != max(nodes_len, 1)
+            or nodes_off != boff_off + (boff_bits + 63) // 64 * 8
+        ):
+            raise SegmentFormatError(
+                "segment sections disagree with the layout of suffix_bits"
+            )
+        if len(payload) != nodes_off + nodes_len:
+            raise SegmentFormatError(
+                "segment payload truncated or oversized"
+            )
+        digest = hashlib.sha256(payload).hexdigest()
+        if digest != header.get("payload_sha256"):
+            raise SegmentFormatError(
+                "segment checksum mismatch: file corrupt"
+            )
+
+        bsig_view = payload[bsig_off:boff_off]
+        boff_view = payload[boff_off:nodes_off]
+        nodes_view = payload[nodes_off:]
+        self._views.extend((bsig_view, boff_view, nodes_view))
+        self.bsig = BitVector.from_buffer(bsig_view, bsig_bits)
+        self.boff = BitVector.from_buffer(boff_view, boff_bits)
+        if numpy_available():
+            # Zero-copy u64 view for the vectorized bulk bit-test; must
+            # be dropped before the mmap views are released on close.
+            self._sig_np = probe.sig_words_array(bsig_view)
+        self._nodes_buf = nodes_view
+        self._nodes_len = nodes_len
+
+        # Per-word rank directory over B^sig: the ones before each 64-bit
+        # word (built from a list, so the array is allocated to size).
+        counts = map(int.bit_count, self.bsig.words)
+        ranks = array("I", list(accumulate(counts, initial=0)))
+        ones = ranks.pop()
+        self._sig_ranks = ranks
+
+        # Fully materialized select directory over B^off: the j-th set
+        # bit's position (the j-th node's byte offset), extracted in one
+        # linear pass.  Node lookup becomes a rank plus one index.
+        offsets = array("Q")
+        boff_words = self.boff.words
+        for word_index in range(len(boff_view) // 8):
+            word = boff_words[word_index]
+            base = word_index * 64
+            while word:
+                low = word & -word
+                offsets.append(base + low.bit_length() - 1)
+                word ^= low
+        self._node_offsets = offsets
+
+        if ones != self._num_nodes or len(offsets) != self._num_nodes:
             raise SegmentFormatError(
                 "bit-array population disagrees with header node count"
             )
@@ -261,27 +293,20 @@ class PackedSegmentIndex:
         """Attach (or detach, with ``None``) a metrics registry."""
         obs = active_or_none(obs)
         self._obs = obs
+        self._scan_span: Histogram | None = None
         if obs is not None:
-            obs.counter("segment.queries", help="Queries served off segments")
-            obs.counter("segment.probes", help="B^sig probes issued")
-            obs.counter("segment.node_scans", help="Packed nodes scanned")
-            obs.counter(
-                "segment.entries_scanned",
-                help="Entries examined during node scans",
-            )
-            obs.counter("segment.results", help="Matching ads returned")
-            obs.counter(
-                "segment.cache_hits", help="Node scans served decoded"
-            )
-            obs.counter(
-                "segment.cache_misses", help="Node scans that paid a decode"
-            )
             obs.gauge(
                 "segment.bytes", help="Mapped segment file size"
             ).set(float(len(self._mmap)))
-            obs.gauge(
+            # Bound once, not nine lookups a scan; the span's histogram at
+            # the first scan, so no empty timing is listed.
+            self._cache_gauge = obs.gauge(
                 "segment.cache_bytes", help="Decoded-node cache residency"
-            ).set(float(self._cache_used))
+            )
+            self._cache_gauge.set(float(self._cache_used))
+            self._counters = [
+                obs.counter(name, help=text) for name, text in _SCAN_COUNTERS
+            ]
 
     # ------------------------------------------------------------------ #
     # Query processing
@@ -342,7 +367,7 @@ class PackedSegmentIndex:
         tracker = self.tracker
         suffix_mask = (1 << self.suffix_bits) - 1
         sig_words = self.bsig.words
-        rank1 = self.bsig.rank1
+        sig_ranks = self._sig_ranks
         cache = self._node_cache
         results: list[Advertisement] = []
         extend = results.extend
@@ -367,10 +392,15 @@ class PackedSegmentIndex:
                 continue
             visited.add(suffix)
             # Inlined B^sig bit test: the overwhelmingly common miss costs
-            # one word load, no call.
-            if not (sig_words[suffix >> 6] >> (suffix & 63)) & 1:
+            # one word load, no call.  A hit ranks off the same word.
+            word_index = suffix >> 6
+            word = sig_words[word_index]
+            bit = suffix & 63
+            if not (word >> bit) & 1:
                 continue
-            node_index = rank1(suffix + 1) - 1
+            node_index = (
+                sig_ranks[word_index] + (word & ((1 << bit) - 1)).bit_count()
+            )
             node_scans += 1
             runs = cache.get(node_index)
             if runs is not None:
@@ -403,19 +433,22 @@ class PackedSegmentIndex:
         if tracker is not None:
             tracker.query_done()
         if obs is not None:
-            obs.counter("segment.queries").inc()
-            obs.counter("segment.probes").inc(
-                probes if num_probes is None else num_probes
+            amounts = (
+                1,
+                probes if num_probes is None else num_probes,
+                node_scans,
+                entries_scanned,
+                len(results),
+                cache_hits,
+                node_scans - cache_hits,
             )
-            obs.counter("segment.node_scans").inc(node_scans)
-            obs.counter("segment.entries_scanned").inc(entries_scanned)
-            obs.counter("segment.results").inc(len(results))
-            obs.counter("segment.cache_hits").inc(cache_hits)
-            obs.counter("segment.cache_misses").inc(node_scans - cache_hits)
-            obs.gauge("segment.cache_bytes").set(float(self._cache_used))
-            obs.histogram("span.segment_query").observe(
-                (perf_counter() - started) * 1e3
-            )
+            for counter, amount in zip(self._counters, amounts):
+                counter.inc(amount)
+            self._cache_gauge.set(float(self._cache_used))
+            span = self._scan_span
+            if span is None:
+                span = self._scan_span = obs.histogram("span.segment_query")
+            span.observe((perf_counter() - started) * 1e3)
         return apply_match_type(results, query, match_type)
 
     # ------------------------------------------------------------------ #
@@ -679,10 +712,11 @@ class PackedSegmentIndex:
         if not self._cache_open:
             return None
         runs, _ = self._decode_entries(self._node_chunk(node_index), None)
-        # Conservative charge: a per-node deep walk counts each of the
-        # node's ads once and double-counts the tokens shared across
-        # nodes, so the bound errs toward over-charging.
-        charge = deep_sizeof(runs)
+        # Conservative charge: exactly a per-node deep walk, computed from
+        # the runs' known shape; it counts each of the node's ads once and
+        # double-counts the tokens shared across nodes, so the bound errs
+        # toward over-charging.
+        charge = runs_sizeof(runs)
         if self._cache_used + charge <= self._cache_budget:
             self._node_cache[node_index] = runs
             self._cache_used += charge
@@ -696,9 +730,12 @@ class PackedSegmentIndex:
     def _node_index_for(self, locator: frozenset[str]) -> int | None:
         """Index of the node a locator addresses, or ``None``."""
         suffix = hash_suffix(wordhash(locator), self.suffix_bits)
-        if not self.bsig[suffix]:
+        word = self.bsig.words[suffix >> 6]
+        bit = suffix & 63
+        if not (word >> bit) & 1:
             return None
-        return self.bsig.rank1(suffix + 1) - 1
+        rank_in_word = (word & ((1 << bit) - 1)).bit_count()
+        return self._sig_ranks[suffix >> 6] + rank_in_word
 
     def lookup_count(self, ad: Advertisement) -> int:
         """Occurrences of exactly ``ad`` stored in the segment.
@@ -773,6 +810,7 @@ class PackedSegmentIndex:
             self._plan_memo.cache,
             self._node_cache,
             self._node_offsets,
+            self._sig_ranks,
             self.bsig,
             self.boff,
             exclude=(self._mmap, *self._views),

@@ -19,6 +19,7 @@ import gc
 import sys
 from collections.abc import Iterable
 from types import BuiltinFunctionType, FunctionType, MethodType, ModuleType
+from typing import Any
 
 #: Reachable objects that are code/infrastructure, not resident data.
 _EXCLUDED_TYPES = (
@@ -49,4 +50,48 @@ def deep_sizeof(*roots: object, exclude: Iterable[object] = ()) -> int:
             continue
         total += sys.getsizeof(obj)
         stack.extend(gc.get_referents(obj))
+    return total
+
+
+def runs_sizeof(runs: list[tuple[frozenset[str], list[Any]]]) -> int:
+    """``deep_sizeof(runs)`` for one fully decoded packed node, walked in
+    the decoder's shape.  Identity dedup is paid only where one decode
+    can share: tokens (interned, so a word-set's elements are its
+    phrases' tokens), word-sets, phrases, small ints, the empty tuple and
+    strings of at most one character (CPython singletons)."""
+    seen: set[int] = set()
+    add = seen.add
+    getsizeof = sys.getsizeof
+    total = getsizeof(runs)
+    for pair in runs:
+        word_set, ads = pair
+        total += getsizeof(pair) + getsizeof(ads)
+        if id(word_set) not in seen:
+            add(id(word_set))
+            total += getsizeof(word_set)
+        # Slotted instances of one class all have one size.
+        total += len(ads) * (getsizeof(ads[0]) + getsizeof(ads[0].info))
+        for ad in ads:
+            phrase = ad.phrase
+            if id(phrase) not in seen:
+                add(id(phrase))
+                total += getsizeof(phrase)
+                for token in phrase:
+                    if id(token) not in seen:
+                        add(id(token))
+                        total += getsizeof(token)
+            info = ad.info
+            for number in (info.listing_id, info.campaign_id, info.bid_price_micros):
+                if -5 <= number <= 256:
+                    if id(number) in seen:
+                        continue
+                    add(id(number))
+                total += getsizeof(number)
+            exclusions = info.exclusion_phrases
+            for item in (exclusions, *exclusions):
+                if len(item) <= 1:
+                    if id(item) in seen:
+                        continue
+                    add(id(item))
+                total += getsizeof(item)
     return total

@@ -32,7 +32,13 @@ from repro.core.ads import Advertisement
 from repro.core.matching import passes_exclusions
 from repro.core.protocols import RetrievalIndex
 from repro.core.queries import Query
-from repro.obs.registry import MetricsRegistry, active_or_none
+from repro.obs.registry import (
+    SPAN_PREFIX,
+    Histogram,
+    MetricsRegistry,
+    Span,
+    active_or_none,
+)
 from repro.perf.batch import BatchQueryEngine, query_one
 from repro.resilience.admission import AdmissionController, Priority
 from repro.resilience.deadline import ClockMs, Deadline, DegradedReason
@@ -230,6 +236,27 @@ class ServeResult:
         return cls.from_dict(payload)
 
 
+#: ``(name, help)`` of the counters ``_finish`` bumps, in its order.
+_FINISH_COUNTERS = (
+    ("serve.queries", "Queries served"),
+    ("serve.candidates", "Retrieval candidates before filters"),
+    ("serve.filtered.exclusion", "Candidates dropped by exclusion phrases"),
+    ("serve.filtered.budget", "Candidates dropped by exhausted campaign budgets"),
+    ("serve.filtered.frequency_cap", "Candidates dropped by the per-user frequency cap"),
+    ("serve.impressions", "Auction slots awarded"),
+    ("serve.auctions_unfilled", "Auctions that awarded no slot at all"),
+    ("serve.degraded", "Served queries flagged degraded in any way"),
+)
+#: The other ``serve.*`` counters, looked up where they are bumped.
+_COUNTERS = (
+    ("serve.clicks", "Clicks recorded"),
+    ("serve.revenue_micros", "GSP revenue charged on clicks"),
+    ("serve.retrieval_errors", "Queries degraded to empty results by retrieval errors"),
+    ("serve.shed", "Requests refused by admission control"),
+    ("serve.stale_results", "Queries answered from the stale result store"),
+)
+
+
 class AdServer:
     """Serving pipeline over any retrieval structure.
 
@@ -328,49 +355,25 @@ class AdServer:
         """Attach (or detach, with ``None``) a metrics registry."""
         obs = active_or_none(obs)
         self._obs = obs
+        self._spans: dict[str, Histogram] = {}
         if self._batch_engine is not None:
             self._batch_engine.bind_obs(obs)
         if obs is not None:
-            obs.counter("serve.queries", help="Queries served")
-            obs.counter(
-                "serve.candidates", help="Retrieval candidates before filters"
-            )
-            obs.counter(
-                "serve.filtered.exclusion",
-                help="Candidates dropped by exclusion phrases",
-            )
-            obs.counter(
-                "serve.filtered.budget",
-                help="Candidates dropped by exhausted campaign budgets",
-            )
-            obs.counter(
-                "serve.filtered.frequency_cap",
-                help="Candidates dropped by the per-user frequency cap",
-            )
-            obs.counter("serve.impressions", help="Auction slots awarded")
-            obs.counter(
-                "serve.auctions_unfilled",
-                help="Auctions that awarded no slot at all",
-            )
-            obs.counter("serve.clicks", help="Clicks recorded")
-            obs.counter(
-                "serve.revenue_micros", help="GSP revenue charged on clicks"
-            )
-            obs.counter(
-                "serve.retrieval_errors",
-                help="Queries degraded to empty results by retrieval errors",
-            )
-            obs.counter(
-                "serve.shed", help="Requests refused by admission control"
-            )
-            obs.counter(
-                "serve.degraded",
-                help="Served queries flagged degraded in any way",
-            )
-            obs.counter(
-                "serve.stale_results",
-                help="Queries answered from the stale result store",
-            )
+            for name, text in _COUNTERS:
+                obs.counter(name, help=text)
+            # Bound once: ``_finish`` runs per query and would otherwise
+            # pay a registry lookup per counter.
+            self._counters = [
+                obs.counter(name, help=text) for name, text in _FINISH_COUNTERS
+            ]
+
+    def _span(self, name: str) -> Histogram:
+        """``span.<name>``, bound at first use: no empty timing is listed."""
+        spans = self._spans
+        if name not in spans:
+            assert self._obs is not None
+            spans[name] = self._obs.histogram(SPAN_PREFIX + name)
+        return spans[name]
 
     # ------------------------------------------------------------------ #
 
@@ -620,7 +623,7 @@ class AdServer:
             if obs is None:
                 candidate_lists = engine.query_broad_batch(queries, deadline)
             else:
-                with obs.span("retrieve"):
+                with Span(self._span("retrieve")):
                     candidate_lists = engine.query_broad_batch(
                         queries, deadline
                     )
@@ -676,7 +679,7 @@ class AdServer:
         self.stats.filtered_budget += dropped_budget
         self.stats.filtered_frequency_cap += dropped_frequency
         if obs is not None:
-            obs.histogram("span.filter").observe(
+            self._span("filter").observe(
                 (perf_counter() - filter_started) * 1e3
             )
 
@@ -688,7 +691,7 @@ class AdServer:
                 quality_fn=self.quality_fn,
             )
         else:
-            with obs.span("auction"):
+            with Span(self._span("auction")):
                 outcome = run_gsp_auction(
                     eligible,
                     slots=self.slots,
@@ -704,16 +707,18 @@ class AdServer:
             self.stats.degraded += 1
             self.stats.record_reason(reason)
         if obs is not None:
-            obs.counter("serve.queries").inc()
-            obs.counter("serve.candidates").inc(len(candidates))
-            obs.counter("serve.filtered.exclusion").inc(dropped_exclusion)
-            obs.counter("serve.filtered.budget").inc(dropped_budget)
-            obs.counter("serve.filtered.frequency_cap").inc(dropped_frequency)
-            obs.counter("serve.impressions").inc(len(outcome.awards))
-            if not outcome.awards:
-                obs.counter("serve.auctions_unfilled").inc()
-            if reason is not DegradedReason.NONE:
-                obs.counter("serve.degraded").inc()
+            amounts = (
+                1,
+                len(candidates),
+                dropped_exclusion,
+                dropped_budget,
+                dropped_frequency,
+                len(outcome.awards),
+                int(not outcome.awards),
+                int(reason is not DegradedReason.NONE),
+            )
+            for counter, amount in zip(self._counters, amounts):
+                counter.inc(amount)
         return ServeResult(
             query=query, outcome=outcome, degraded_reason=reason
         )

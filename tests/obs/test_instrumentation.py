@@ -15,6 +15,7 @@ from repro.core.queries import Query
 from repro.core.wordset_index import WordSetIndex
 from repro.obs import SPAN_PREFIX, MetricsRegistry
 from repro.perf.batch import BatchQueryEngine
+from repro.segment import PackedSegmentIndex, SegmentBuilder
 from repro.serving.result_cache import CachedIndex
 from repro.serving.server import AdServer
 
@@ -142,6 +143,113 @@ class TestServePipelineSnapshot:
         assert counters["batch.queries"] == 3
         assert counters["batch.distinct_wordsets"] == 2
         assert obs.snapshot()["histograms"][f"{SPAN_PREFIX}batch"]["count"] == 1
+
+
+class TestBoundInstruments:
+    """``AdServer`` and ``PackedSegmentIndex`` bind their hot-path
+    instruments once, as a worker attaches one registry to both: serving
+    makes no registry lookup once each stage span has timed something
+    (a span's histogram is bound at its first use, so a registry lists
+    no timing before anything was timed)."""
+
+    SCRIPT_COUNTERS = {
+        "batch.batches": 2,
+        "batch.distinct_wordsets": 5,
+        "batch.queries": 6,
+        "segment.cache_hits": 0,
+        "segment.cache_misses": 7,
+        "segment.entries_scanned": 9,
+        "segment.node_scans": 7,
+        "segment.probes": 14,
+        "segment.queries": 5,
+        "segment.results": 9,
+        "serve.auctions_unfilled": 1,
+        "serve.candidates": 13,
+        "serve.clicks": 1,
+        "serve.degraded": 0,
+        "serve.filtered.budget": 3,
+        "serve.filtered.exclusion": 2,
+        "serve.filtered.frequency_cap": 0,
+        "serve.impressions": 8,
+        "serve.queries": 6,
+        "serve.retrieval_errors": 0,
+        "serve.revenue_micros": 1501,
+        "serve.shed": 0,
+        "serve.stale_results": 0,
+    }
+    SCRIPT_SPANS = {
+        "span.auction": 6,
+        "span.batch": 2,
+        "span.filter": 6,
+        "span.retrieve": 2,
+        "span.segment_query": 5,
+    }
+
+    @pytest.fixture()
+    def served(self, corpus, tmp_path):
+        path = tmp_path / "bound.seg"
+        SegmentBuilder(WordSetIndex.from_corpus(corpus)).write(path)
+        obs = MetricsRegistry()
+        # No node cache, so a second run of the script scans alike.
+        with PackedSegmentIndex(path, obs=obs, cache_bytes=0) as packed:
+            server = AdServer(
+                packed, slots=2, campaign_budgets_micros={7: 0}, obs=obs
+            )
+            yield server, packed, obs
+
+    @staticmethod
+    def run_script(server):
+        results = server.serve_batch(
+            [
+                Query.from_text(text)
+                for text in (
+                    "cheap used books",
+                    "used books",
+                    "rare maps",
+                    "cheap used books",
+                    "zz",
+                )
+            ]
+        )
+        server.serve(Query.from_text("books"))
+        server.record_click(results[0], 0)
+
+    def test_serving_makes_no_registry_lookup(self, served, monkeypatch):
+        server, _, obs = served
+        queries = [Query.from_text("cheap used books"), Query.from_text("x")]
+        server.serve_batch(queries)
+        calls = []
+        lookup = obs._get_or_create
+
+        def counted(*args):
+            calls.append(args[0])
+            return lookup(*args)
+
+        monkeypatch.setattr(obs, "_get_or_create", counted)
+        server.serve_batch(queries)
+        server.serve_batch(queries[:1])
+        server.serve(Query.from_text("rare maps"))
+        assert calls == []
+        assert obs.value("serve.queries") == 6
+
+    def test_script_snapshot_keeps_its_values_across_reset(self, served):
+        server, packed, obs = served
+        for round_ in range(2):
+            self.run_script(server)
+            snapshot = obs.snapshot()
+            assert snapshot["counters"] == self.SCRIPT_COUNTERS
+            if round_ == 0:
+                # ``reset`` zeroes ``segment.bytes``, which only bind sets.
+                assert snapshot["gauges"] == {
+                    "segment.bytes": packed.segment_bytes(),
+                    "segment.cache_bytes": 0,
+                }
+            assert {
+                name: histogram["count"]
+                for name, histogram in snapshot["histograms"].items()
+            } == self.SCRIPT_SPANS
+            # Zeroed in place, so the bound instruments stay the live ones.
+            obs.reset()
 
 
 class TestOffByDefault:

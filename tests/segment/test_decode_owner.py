@@ -9,7 +9,10 @@ three instance tables that only ``close()`` cleared; it is kept here
 *verbatim* as ``ParentPackedSegmentIndex._decode_entries``, with its
 tables on the reference object.  Scan, admission, point lookup and full
 iteration did not change, so the two indexes differ in the decoder
-alone.
+alone.  Admission is kept verbatim as well, charging by the generic
+deep walk: the interning decoder can hand one ad object to a record
+twice, which the walk charges once and the shape-aware charge of the
+index under test (sized for a decoder that shares no ad) would not.
 
 On the Hypothesis segments of ``test_runs`` (mixed nodes under small
 ``suffix_bits``, non-identity placements, one word-set in several phrase
@@ -36,6 +39,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.segment import PackedSegmentIndex
 from repro.segment.format import SegmentFormatError, read_varint
 from repro.segment.packed import DEFAULT_CACHE_BYTES
+from repro.segment.sizing import deep_sizeof
 from tests.segment.test_runs import (
     corpora,
     queries,
@@ -245,6 +249,29 @@ class ParentPackedSegmentIndex(PackedSegmentIndex):
                 "malformed node record: fields run past its end or stop short"
             )
         return runs, pos
+
+    def _admit(self, node_index: int) -> _Runs | None:
+        """Decode a node fully and cache it if the budget allows.
+
+        Admission is first-come until ``cache_bytes`` is spent, then
+        stops for good — no eviction churn, a strict bound, and (unlike
+        LRU) no pathological thrash under cyclic workloads.  Returns the
+        decoded runs either way, or ``None`` when admission has stopped so
+        the caller uses the early-terminating direct scan instead.
+        """
+        if not self._cache_open:
+            return None
+        runs, _ = self._decode_entries(self._node_chunk(node_index), None)
+        # Conservative charge: a per-node deep walk counts each of the
+        # node's ads once and double-counts the tokens shared across
+        # nodes, so the bound errs toward over-charging.
+        charge = deep_sizeof(runs)
+        if self._cache_used + charge <= self._cache_budget:
+            self._node_cache[node_index] = runs
+            self._cache_used += charge
+        else:
+            self._cache_open = False
+        return runs
 
 
 # ---------------------------------------------------------------------- #

@@ -236,3 +236,62 @@ class TestNodeRecords:
         padding = tuple(f"pad{i}" for i in range(limits[-1]))
         with pytest.raises(SegmentFormatError):
             packed.query(Query(target.phrase + padding))
+
+
+# ---------------------------------------------------------------------- #
+# Section layout: the header must describe the one layout SegmentBuilder
+# writes for its ``suffix_bits``.  Each mutation keeps the payload and its
+# sha256 intact, so only the layout check can refuse it.
+
+
+@pytest.fixture(scope="module")
+def layout_segment(tmp_path_factory):
+    """A 2 000-ad segment at ``suffix_bits=12``: its file bytes and the
+    own-phrase queries of its first 300 ads."""
+    ads = list(generate_corpus(CorpusConfig(num_ads=2_000, seed=3)).corpus)
+    path = tmp_path_factory.mktemp("layout") / "layout.seg"
+    SegmentBuilder(WordSetIndex.from_corpus(ads), suffix_bits=12).write(path)
+    return path.read_bytes(), [Query(ad.phrase) for ad in ads[:300]]
+
+
+def remade(blob, **changes):
+    """``blob`` with header fields replaced (``sections`` entries by name)."""
+    header, payload_start = read_header(blob)
+    sections = dict(header["sections"], **changes.pop("sections", {}))
+    header = dict(header, sections=sections, **changes)
+    return encode_file(header, blob[payload_start:])
+
+
+LAYOUT_MUTATIONS = {
+    "suffix_bits_wider": lambda h: {"suffix_bits": 20},
+    "suffix_bits_narrower": lambda h: {"suffix_bits": 10},
+    "bsig_longer": lambda h: {"sections": {"bsig": [0, 8192]}},
+    "bsig_offset": lambda h: {"sections": {"bsig": [8, 4096]}},
+    "boff_short": lambda h: {
+        "sections": {"boff": [h["boff"][0], h["boff"][1] - 64]}
+    },
+    "nodes_offset": lambda h: {
+        "sections": {"nodes": [h["nodes"][0] - 8, h["nodes"][1] + 8]}
+    },
+}
+
+
+class TestSectionLayout:
+    def test_intact_file_opens_and_answers(self, layout_segment, tmp_path):
+        blob, queries = layout_segment
+        path = tmp_path / "intact.seg"
+        path.write_bytes(remade(blob))
+        with PackedSegmentIndex(path) as packed:
+            assert packed.suffix_bits == 12
+            assert all(packed.query(query) for query in queries)
+
+    @pytest.mark.parametrize("mutation", sorted(LAYOUT_MUTATIONS))
+    def test_mutated_layout_is_refused_at_open(
+        self, layout_segment, tmp_path, mutation
+    ):
+        blob, _ = layout_segment
+        sections = read_header(blob)[0]["sections"]
+        path = tmp_path / f"{mutation}.seg"
+        path.write_bytes(remade(blob, **LAYOUT_MUTATIONS[mutation](sections)))
+        with pytest.raises(SegmentFormatError, match="layout"):
+            PackedSegmentIndex(path)
