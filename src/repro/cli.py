@@ -49,7 +49,7 @@ and SIGKILLs/SIGSTOPs workers under load, gating on zero hangs and full
 recovery (:mod:`repro.netserve.chaos`).
 
 ``--deadline-ms`` runs queries under a :mod:`repro.resilience` budget:
-retrieval stops between hash probes when the budget expires and the
+retrieval stops before its next node scan when the budget expires and the
 (flagged) partial result is reported as such.  ``stats --replay
 --resilience`` replays the trace through a full
 :class:`~repro.serving.server.AdServer` with adaptive degradation

@@ -138,24 +138,6 @@ class BitVector:
         """The raw u64 words — exposed so hot loops can inline bit tests."""
         return self._words
 
-    def test_positions(self, positions: Iterable[int]) -> list[int]:
-        """Bulk membership: indexes (into ``positions``) whose bit is set.
-
-        The pure-python batch-probe kernel (see :mod:`repro.kernels`):
-        one call tests a whole probe batch in a single tight loop over
-        hoisted locals — no per-probe method dispatch — and only the
-        set positions (the rare hits) surface back into caller code.
-        Misses never allocate.  Positions are not bounds-checked; the
-        caller masks them to the bit-array's suffix domain.
-        """
-        words = self._words
-        hits: list[int] = []
-        append = hits.append
-        for index, pos in enumerate(positions):
-            if (words[pos >> 6] >> (pos & 63)) & 1:
-                append(index)
-        return hits
-
     def rank1(self, i: int) -> int:
         """Number of 1-bits in the prefix ``B[0:i]`` (exclusive of ``i``)."""
         if not 0 <= i <= self._n:

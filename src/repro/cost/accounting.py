@@ -59,10 +59,13 @@ class AccessTracker:
         """Sequential read continuing from the current position."""
         self.stats.bytes_scanned += nbytes
 
-    def hash_probe(self, nbytes: int) -> None:
-        """A hash-table probe: random access reading one bucket entry."""
-        self.stats.hash_probes += 1
-        self.random_access(nbytes)
+    def hash_probe(self, nbytes: int, count: int = 1) -> None:
+        """``count`` hash-table probes, each a random access reading one
+        ``nbytes`` bucket entry."""
+        stats = self.stats
+        stats.hash_probes += count
+        stats.random_accesses += count
+        stats.bytes_scanned += nbytes * count
 
     def candidate(self, count: int = 1) -> None:
         self.stats.candidates_examined += count

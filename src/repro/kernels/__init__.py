@@ -10,36 +10,36 @@ overhead *per probe* out of their loops:
 
 * :mod:`repro.kernels.pipeline` — how a query's words become a
   budget-tightened probe plan and an ordered stream of probe keys, and
-  the one rule (:func:`~repro.kernels.pipeline.engaged`) for when the
-  array path may replace the per-probe loop;
+  the one rule (:func:`~repro.kernels.pipeline.bulk_membership`) for
+  whether a plan's keys are tested in bulk or streamed;
 * :mod:`repro.kernels.flat` — subset-hash enumeration flattened into
   precomputed flat key arrays (cached across batches, since power-law
   traffic re-probes the same word-sets constantly);
-* :mod:`repro.kernels.probe` — batched membership tests: one
-  ``searchsorted`` over the index's sorted key table, or one vectorized
-  bit-test pass against the segment's ``B^sig`` words, instead of a
-  Python-level probe loop.
+* :mod:`repro.kernels.probe` — one vectorized bit-test pass of a
+  batch's bulk keys against the segment's ``B^sig`` words, instead of
+  a Python-level probe loop.
 
-Two interchangeable backends implement the kernels:
+Two backends exist:
 
-* ``numpy`` — vectorized enumeration and membership (optional
-  dependency, the ``perf`` extra);
-* ``python`` — pure-python fallback with zero dependencies, proven
-  bit-identical by the property suite in ``tests/kernels``.
+* ``numpy`` — plans with at least
+  :data:`~repro.kernels.pipeline.BULK_MIN_KEYS` probe keys are
+  enumerated and tested in bulk (optional dependency, the ``perf``
+  extra);
+* ``python`` — zero dependencies; every plan streams.
 
 Backend selection is governed by the ``REPRO_KERNELS`` environment
-variable: ``numpy``, ``python``, ``auto`` (the default: numpy when
-importable, else python), or ``off`` (the per-probe loops only).
+variable: ``numpy``, ``python``, or ``auto`` (the default: numpy when
+importable, else python).
 
-**Equivalence guarantee.**  Every backend — and ``off`` — returns
-bit-identical result slates and records identical observability
-counters (``index.probes``, ``segment.probes``, node-scan and candidate
-counts) for any fault-free query, including plans capped by
-degradation constraints.  Kernels only change *how fast* the same
-probes run: both paths of an index end in the same node-scan body.
-Time-budgeted deadlines, access trackers, and swapped-in hash functions
-(collision tests) all take the per-probe loop, where deadline checks
-and accounting keep firing at exactly the points they always did.
+**Equivalence guarantee.**  Both backends, and both ways a plan's keys
+reach the scan, return bit-identical result slates and record identical
+observability counters (``index.probes``, ``segment.probes``, node-scan
+and candidate counts) and ``AccessStats`` for any fault-free untimed
+query, including plans capped by degradation constraints: each index
+has one probe body and one node-scan body, and the rule only changes
+*how fast* the same probes run.  A timed deadline is checked before
+each node scan on either way, so an expired budget never scans another
+node.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ __all__ = [
 BACKEND_ENV = "REPRO_KERNELS"
 
 #: Accepted ``REPRO_KERNELS`` values.
-BACKENDS = ("auto", "numpy", "python", "off")
+BACKENDS = ("auto", "numpy", "python")
 
 try:  # The optional ``perf`` extra; the base install has no numpy.
     import numpy as _np  # noqa: F401
@@ -104,7 +104,7 @@ def resolve_backend(value: str | None = None) -> str:
 def active_backend() -> str:
     """The backend in effect: the :func:`set_backend` override when one
     is installed, else the ``REPRO_KERNELS`` environment variable, else
-    auto-detection.  Returns ``"numpy"``, ``"python"``, or ``"off"``.
+    auto-detection.  Returns ``"numpy"`` or ``"python"``.
     """
     if _OVERRIDE is not None:
         return _OVERRIDE

@@ -1,24 +1,20 @@
 """Flat probe-key enumeration: subset hashes as precomputed arrays.
 
-The scalar path enumerates a query's probe keys through the
+A streamed plan enumerates its probe keys through the
 :func:`repro.perf.memohash.hashed_index_subsets` generator — amortized
 O(1) XOR work per subset, but still one generator hop, one ``yield``,
-and one loop iteration of interpreter overhead per probe.  This module
-flattens the whole enumeration into one flat array of keys computed (or
-fetched) up front:
+and one loop iteration of interpreter overhead per probe.  A bulk plan
+(see :func:`repro.kernels.pipeline.bulk_membership`) takes its keys
+from here instead: one flat ``numpy.uint64`` array enumerated without
+any per-subset Python work.  For each subset size ``k`` the query's
+per-word contribution array is XOR-reduced through a precomputed
+``C(n, k) x k`` combination-index matrix (cached per ``(n, k)``, shared
+by every query with ``n`` candidate words).
 
-* the **python** backend materializes the generator once into a plain
-  ``list[int]``;
-* the **numpy** backend enumerates without any per-subset Python work:
-  for each subset size ``k`` it XOR-reduces the query's per-word
-  contribution array gathered through a precomputed ``C(n, k) x k``
-  combination-index matrix (cached per ``(n, k)``, shared by every
-  query with ``n`` candidate words).
-
-Both produce keys in exactly the canonical enumeration order
+The keys come in exactly the canonical enumeration order
 (size-ascending, lexicographic within a size) that
 :func:`~repro.core.subset_enum.sized_subsets` defines, so downstream
-results are bit-identical to the scalar path.
+results are bit-identical to the streamed plan's.
 
 Because broad-match traffic is power-law, the same ``(candidates,
 sizes)`` plans recur constantly; a bounded LRU keyed by the plan caches
@@ -36,7 +32,6 @@ from math import comb
 from typing import Any, Sequence
 
 from repro.core.wordhash import word_contrib
-from repro.perf.memohash import hashed_index_subsets
 
 try:
     import numpy as _np
@@ -58,7 +53,7 @@ _MAX_CACHED_KEYS = 1 << 16
 #: transiently rather than cached.
 _MAX_COMBO_CELLS = 1 << 20
 
-_plan_cache: OrderedDict[tuple[str, tuple[str, ...], tuple[int, ...]], Any]
+_plan_cache: OrderedDict[tuple[tuple[str, ...], tuple[int, ...]], Any]
 _plan_cache = OrderedDict()
 _combo_cache: dict[tuple[int, int], Any] = {}
 
@@ -112,35 +107,18 @@ def _keys_numpy(candidates: Sequence[str], sizes: Sequence[int]) -> Any:
     return _np.concatenate(parts)
 
 
-def _keys_python(
-    candidates: Sequence[str], sizes: Sequence[int]
-) -> list[int]:
-    contribs = [word_contrib(word) for word in candidates]
-    return [key for key, _ in hashed_index_subsets(contribs, sizes)]
-
-
-def flat_probe_keys(
-    candidates: tuple[str, ...],
-    sizes: tuple[int, ...],
-    backend: str,
-) -> Sequence[int]:
+def flat_probe_keys(candidates: tuple[str, ...], sizes: tuple[int, ...]) -> Any:
     """Every probe key of the plan ``(candidates, sizes)`` as one flat
-    array, in canonical enumeration order.
-
-    Returns a ``numpy.uint64`` array under the numpy backend and a
-    ``list[int]`` under the python backend; both hold exactly the keys
-    :func:`~repro.perf.memohash.hashed_index_subsets` would yield.
+    ``numpy.uint64`` array, in canonical enumeration order: exactly the
+    keys :func:`~repro.perf.memohash.hashed_index_subsets` would yield.
     Results are served from a bounded LRU keyed by the plan.
     """
-    cache_key = (backend, candidates, sizes)
+    cache_key = (candidates, sizes)
     cached = _plan_cache.get(cache_key)
     if cached is not None:
         _plan_cache.move_to_end(cache_key)
-        return cached  # type: ignore[no-any-return]
-    if backend == "numpy":
-        keys: Sequence[int] = _keys_numpy(candidates, sizes)
-    else:
-        keys = _keys_python(candidates, sizes)
+        return cached
+    keys = _keys_numpy(candidates, sizes)
     if len(keys) <= _MAX_CACHED_KEYS:
         _plan_cache[cache_key] = keys
         if len(_plan_cache) > _MAX_PLANS:

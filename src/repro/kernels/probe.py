@@ -1,25 +1,19 @@
 """Bulk membership kernels: probe a whole batch of keys in one pass.
 
-Two membership shapes exist on the serving hot path:
-
-* the mutable :class:`~repro.core.wordset_index.WordSetIndex` keys its
-  nodes in a Python dict — :class:`SortedKeyTable` snapshots the keys
-  into one sorted ``uint64`` array so a batch of probes becomes a
-  single ``searchsorted`` + equality pass instead of one ``dict.get``
-  per interpreted loop iteration;
-* the packed segment keys its nodes by ``B^sig`` bit — s
-  :func:`sig_hit_positions` tests every probe suffix against the
-  segment's u64 word array in one vectorized expression.
-
-Both return the *positions* of the hits within the probe array, in
-probe order, so callers preserve the scalar path's node-visit order
-exactly.  Misses — the overwhelming majority after prefiltering — never
-surface into Python at all.
+The packed segment keys its nodes by ``B^sig`` bit:
+:func:`sig_hit_positions` tests every probe suffix of a batch's bulk
+plans against the segment's u64 word array in one vectorized
+expression.  It returns the *positions* of the hits within the probe
+array, in probe order, so the node scan visits nodes in exactly the
+streamed order.  Misses — the overwhelming majority after prefiltering
+— never surface into Python at all.  (The mutable
+:class:`~repro.core.wordset_index.WordSetIndex` needs no kernel here:
+its bulk plans stream their flat keys through its dict.)
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 try:
     import numpy as _np
@@ -27,42 +21,10 @@ except ImportError:  # pragma: no cover - exercised in the no-numpy CI leg
     _np = None  # type: ignore[assignment]
 
 __all__ = [
-    "SortedKeyTable",
     "sig_hit_positions",
     "sig_words_array",
     "split_by_query",
 ]
-
-
-class SortedKeyTable:
-    """A sorted ``uint64`` snapshot of a hash table's keys, supporting
-    bulk membership for whole probe batches.
-
-    The owning index rebuilds the table lazily after mutations (tracked
-    by its mutation generation); queries between mutations share one
-    snapshot.
-    """
-
-    __slots__ = ("_keys",)
-
-    def __init__(self, keys: Iterable[int], count: int) -> None:
-        arr = _np.fromiter(keys, dtype=_np.uint64, count=count)
-        arr.sort()
-        self._keys = arr
-
-    def __len__(self) -> int:
-        return int(self._keys.shape[0])
-
-    def hit_positions(self, probe_keys: Any) -> Any:
-        """Positions (ascending) of ``probe_keys`` entries present in
-        the table.  ``probe_keys`` is a ``uint64`` array; the result is
-        an index array into it."""
-        table = self._keys
-        if table.shape[0] == 0 or probe_keys.shape[0] == 0:
-            return _np.empty(0, dtype=_np.intp)
-        slots = _np.searchsorted(table, probe_keys)
-        _np.minimum(slots, table.shape[0] - 1, out=slots)
-        return _np.nonzero(table[slots] == probe_keys)[0]
 
 
 def sig_words_array(buffer: Any) -> Any:
@@ -75,7 +37,7 @@ def sig_hit_positions(suffixes: Any, sig_words: Any) -> Any:
     """Positions (ascending) of the suffixes whose ``B^sig`` bit is set.
 
     One vectorized gather-shift-mask over the segment's u64 words — the
-    bulk form of the scalar path's inlined
+    bulk form of the streamed scan's inlined
     ``(words[s >> 6] >> (s & 63)) & 1`` test.
     """
     words = sig_words[suffixes >> _np.uint64(6)]

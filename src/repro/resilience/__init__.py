@@ -8,7 +8,7 @@ under overload instead of falling over.  Around that knob this package
 builds the standard production defences:
 
 * :class:`Deadline` — a per-request budget object propagated end-to-end.
-  Index query paths check it between hash probes and return a partial,
+  Index query paths check it before each node scan and return a partial,
   *flagged* result instead of blowing the budget; scatter-gather derives
   per-attempt timeouts from the remaining budget and suppresses retries
   the budget cannot cover.

@@ -179,19 +179,8 @@ class Deadline:
     # -------------------------------------------------------------- #
     # Budget
 
-    @property
-    def timed(self) -> bool:
-        """True when this budget carries an actual expiry time.
-
-        Untimed deadlines are pure carriers for degradation constraints
-        and the partiality record; the :mod:`repro.kernels` bulk probe
-        path engages only for untimed budgets, because a timed budget
-        must be checked between individual hash probes.
-        """
-        return self._expires_at_ms is not None
-
     def expired(self) -> bool:
-        """True once the budget is spent.  Checked between hash probes
+        """True once the budget is spent.  Checked before each node scan
         and between shard legs; never raises — callers return what they
         have, flagged."""
         expires = self._expires_at_ms

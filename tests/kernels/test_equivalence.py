@@ -1,11 +1,14 @@
-"""Property suite: every kernel backend is bit-identical to the scalar path.
+"""Property suite: every kernel backend is bit-identical to the parent's
+per-probe loop.
 
 The equivalence guarantee (see :mod:`repro.kernels`): for any corpus and
 any batch of queries, the ``python`` and ``numpy`` backends return
-exactly the slates — same ads, same order — the ``off`` scalar path
-returns, and record identical observability counters, including against
-a forced-collision segment (``suffix_bits=1`` maps every node onto one
-or two ``B^sig`` bits) and under probe-capped degraded plans.
+exactly the slates — same ads, same order — the per-probe loop the
+size rule replaced returns (kept verbatim in
+:mod:`tests.kernels.test_probe_path`), and record identical
+observability counters, including against a forced-collision segment
+(``suffix_bits=1`` maps every node onto one or two ``B^sig`` bits) and
+under probe-capped degraded plans.
 """
 
 import string
@@ -24,6 +27,10 @@ from repro.obs.registry import MetricsRegistry
 from repro.perf.memohash import hashed_index_subsets
 from repro.resilience.deadline import Deadline
 from repro.segment import PackedSegmentIndex, SegmentBuilder
+from tests.kernels.test_probe_path import (
+    ParentPackedSegmentIndex,
+    ParentWordSetIndex,
+)
 
 WORDS = [c1 + c2 for c1 in string.ascii_lowercase[:8] for c2 in "xy"]
 
@@ -67,8 +74,11 @@ def slate_ids(results):
 
 
 def run_backend(make_index, queries, backend, deadline_factory=None):
+    """``make_index(parent, obs)`` answering ``queries`` as one batch;
+    ``backend=None`` builds the parent's index, whose loop answers per
+    probe (its ``off``)."""
     obs = MetricsRegistry()
-    index = make_index(obs)
+    index = make_index(backend is None, obs)
     set_backend(backend)
     try:
         deadline = deadline_factory() if deadline_factory else None
@@ -82,7 +92,7 @@ def run_backend(make_index, queries, backend, deadline_factory=None):
 
 
 def assert_backends_agree(make_index, queries, deadline_factory=None):
-    baseline = run_backend(make_index, queries, "off", deadline_factory)
+    baseline = run_backend(make_index, queries, None, deadline_factory)
     for backend in BACKENDS:
         clear_caches()
         observed = run_backend(make_index, queries, backend, deadline_factory)
@@ -98,7 +108,9 @@ def assert_backends_agree(make_index, queries, deadline_factory=None):
 def test_wordset_index_backends_bit_identical(data):
     ads, queries = data
     assert_backends_agree(
-        lambda obs: WordSetIndex.from_corpus(AdCorpus(ads), obs=obs),
+        lambda parent, obs: (
+            ParentWordSetIndex if parent else WordSetIndex
+        ).from_corpus(AdCorpus(ads), obs=obs),
         queries,
     )
 
@@ -120,7 +132,9 @@ def test_packed_segment_backends_bit_identical(tmp_path_factory, data, bits):
         WordSetIndex.from_corpus(AdCorpus(ads)), suffix_bits=bits
     ).write(path)
     assert_backends_agree(
-        lambda obs: PackedSegmentIndex(path, obs=obs, cache_bytes=512),
+        lambda parent, obs: (
+            ParentPackedSegmentIndex if parent else PackedSegmentIndex
+        )(path, obs=obs, cache_bytes=512),
         queries,
     )
 
@@ -133,17 +147,19 @@ def test_packed_segment_backends_bit_identical(tmp_path_factory, data, bits):
 @given(corpus_and_queries, st.integers(min_value=1, max_value=5))
 def test_probe_capped_partials_bit_identical(data, max_probes):
     """An untimed deadline carrying ``max_probes`` tightens the plan
-    before enumeration, so kernels stay engaged; the capped (partial)
-    slates and the recorded degradation reasons must match the scalar
-    path exactly."""
+    before enumeration; the capped (partial) slates and the recorded
+    degradation reasons must match the per-probe loop exactly."""
     ads, queries = data
     assert_backends_agree(
-        lambda obs: WordSetIndex.from_corpus(AdCorpus(ads), obs=obs),
+        lambda parent, obs: (
+            ParentWordSetIndex if parent else WordSetIndex
+        ).from_corpus(AdCorpus(ads), obs=obs),
         queries,
         deadline_factory=lambda: Deadline.unlimited(max_probes=max_probes),
     )
 
 
+@pytest.mark.skipif(not numpy_available(), reason="flat keys need numpy")
 @settings(
     max_examples=30,
     deadline=None,
@@ -154,23 +170,19 @@ def test_probe_capped_partials_bit_identical(data, max_probes):
     st.sets(st.integers(min_value=1, max_value=8), min_size=1),
 )
 def test_flat_probe_keys_match_generator(candidates, sizes):
-    """Both backends' flat key arrays equal the scalar generator's
-    output, element for element, in canonical enumeration order."""
+    """The flat key array equals the streamed generator's output,
+    element for element, in canonical enumeration order."""
     candidates = tuple(candidates)
     sizes = tuple(sorted(sizes))
     contribs = [word_contrib(word) for word in candidates]
     expected = [key for key, _ in hashed_index_subsets(contribs, sizes)]
     clear_caches()
-    assert list(flat_probe_keys(candidates, sizes, "python")) == expected
-    if numpy_available():
-        assert (
-            list(flat_probe_keys(candidates, sizes, "numpy")) == expected
-        )
+    assert list(flat_probe_keys(candidates, sizes)) == expected
 
 
 def test_mutation_invalidates_kernel_state():
     """Insert/delete between kernel batches must be visible immediately:
-    the sorted key table and the plan memo are generation-checked."""
+    the plan memo is generation-checked."""
     extra = Advertisement(("zq", "zr"), AdInfo(listing_id=99))
     index = WordSetIndex.from_corpus(
         AdCorpus([Advertisement(("ax",), AdInfo(listing_id=1))])
