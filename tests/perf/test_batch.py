@@ -8,6 +8,7 @@ from repro.core.queries import Query
 from repro.core.sharded import ShardedWordSetIndex
 from repro.core.wordset_index import WordSetIndex
 from repro.perf.batch import BatchQueryEngine
+from repro.resilience import Deadline, DegradedReason, ManualClock
 from repro.serving.result_cache import CachedIndex
 
 
@@ -122,6 +123,50 @@ class TestMatchTypes:
         engine.query_broad_batch([q, q, q])
         # Engine dedups before the cache sees repeats: one miss total.
         assert cached.cache_stats.misses == 1
+
+
+class TickingIndex:
+    """A plain index without ``supports_deadline`` or
+    ``query_kernel_batch``: each query advances ``clock`` by 1 ms."""
+
+    def __init__(self, inner, clock):
+        self.inner = inner
+        self.clock = clock
+        self.calls = 0
+
+    def query(self, query):
+        self.calls += 1
+        self.clock.advance(1.0)
+        return self.inner.query(query)
+
+
+class TestDeadlineWithoutIndexSupport:
+    def test_batch_stops_between_representatives(self, corpus):
+        """An index that never sees the budget is stopped by the engine:
+        once the deadline expires the remaining positions come back
+        empty, and the budget is flagged DEADLINE."""
+        clock = ManualClock()
+        inner = WordSetIndex.from_corpus(corpus)
+        index = TickingIndex(inner, clock)
+        batch = [Query.from_text(f"w{i} common") for i in range(5)]
+        deadline = Deadline.after_ms(2.0, clock=clock)
+        got = BatchQueryEngine(index).query_broad_batch(batch, deadline)
+        assert index.calls == 2
+        assert ids(got[:2]) == ids([inner.query(q) for q in batch[:2]])
+        assert got[2:] == [[], [], []]
+        assert deadline.partial
+        assert DegradedReason.DEADLINE in deadline.partial_reasons
+
+    def test_generous_budget_is_invisible(self, corpus):
+        clock = ManualClock()
+        inner = WordSetIndex.from_corpus(corpus)
+        batch = [Query.from_text(f"w{i} common") for i in range(5)]
+        deadline = Deadline.after_ms(10.0, clock=clock)
+        got = BatchQueryEngine(TickingIndex(inner, clock)).query_broad_batch(
+            batch, deadline
+        )
+        assert ids(got) == ids([inner.query(q) for q in batch])
+        assert not deadline.partial
 
 
 class TestValidation:
