@@ -1,11 +1,10 @@
-"""Benches for the serving layer: pipeline throughput, cache, sharded
+"""Benches for the serving layer: pipeline throughput and sharded
 scatter-gather."""
 
 import pytest
 
 from repro.core.sharded import ShardedWordSetIndex
 from repro.optimize.remap import build_index
-from repro.serving.result_cache import CachedIndex
 from repro.serving.server import AdServer
 
 
@@ -24,19 +23,6 @@ def test_bench_adserver_pipeline(benchmark, plain_index, trace):
 
     impressions = benchmark(serve_batch)
     assert impressions > 0
-
-
-def test_bench_cached_index(benchmark, plain_index, trace):
-    cached = CachedIndex(plain_index, capacity=256)
-
-    def replay():
-        for query in trace[:500]:
-            cached.query(query)
-        return cached.cache_stats.hit_rate()
-
-    benchmark(replay)
-    # The Zipf head must make the cache worthwhile.
-    assert cached.cache_stats.hit_rate() > 0.3
 
 
 def test_bench_sharded_query(benchmark, corpus, trace):

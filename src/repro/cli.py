@@ -325,8 +325,7 @@ def _replay(
         server.serve(query, priority=priority)
     snapshot = server.stats.snapshot()
     print("== resilience ==")
-    for key in ("queries", "shed", "degraded", "stale_results",
-                "deadline_partials"):
+    for key in ("queries", "shed", "degraded", "deadline_partials"):
         print(f"{key + ':':21s}{snapshot[key]:,.0f}")
     for key, value in snapshot.items():
         if key.startswith("degraded_reason."):

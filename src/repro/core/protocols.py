@@ -5,10 +5,10 @@ Historically each structure grew its own ad-hoc query methods
 argument, duck-typed consumers).  :class:`RetrievalIndex` is the one
 contract now: consumers (:class:`~repro.serving.server.AdServer`,
 :class:`~repro.perf.batch.BatchQueryEngine`, the CLI, the experiment
-drivers) type against it, and all five concrete structures —
-``WordSetIndex``, ``TrieWordSetIndex``, ``ShardedWordSetIndex``,
-``ImpactOrderedIndex``, and ``CachedIndex`` — implement it, as do the
-inverted-index baselines and the compressed hash replacement.
+drivers) type against it, and all four concrete structures —
+``WordSetIndex``, ``TrieWordSetIndex``, ``ShardedWordSetIndex`` and
+``ImpactOrderedIndex`` — implement it, as do the inverted-index
+baselines and the compressed hash replacement.
 
 The PR 2 migration is complete: the primary structures expose only
 ``query`` — their ``query_broad`` DeprecationWarning aliases have been

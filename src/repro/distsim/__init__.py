@@ -8,11 +8,6 @@ from repro.distsim.cluster import (
 from repro.distsim.events import EventQueue
 from repro.distsim.metrics import RunMetrics, smooth_histogram
 from repro.distsim.network import NetworkModel
-from repro.distsim.replication import (
-    ReplicatedCluster,
-    ReplicatedRunResult,
-    ReplicationConfig,
-)
 from repro.distsim.scatter import (
     ScatterConfig,
     ScatterGatherCluster,
@@ -25,9 +20,6 @@ __all__ = [
     "ClusterConfig",
     "EventQueue",
     "NetworkModel",
-    "ReplicatedCluster",
-    "ReplicatedRunResult",
-    "ReplicationConfig",
     "RunMetrics",
     "ScatterConfig",
     "ScatterGatherCluster",

@@ -1,9 +1,8 @@
 """repro.obs — the unified observability layer.
 
 One :class:`MetricsRegistry` instance correlates everything a query does
-across the serving stack: hash probes and node scans in the index, cache
-hits in :class:`~repro.serving.result_cache.CachedIndex`, dedup in
-:class:`~repro.perf.batch.BatchQueryEngine`, filter drops and auction
+across the serving stack: hash probes and node scans in the index, dedup
+in :class:`~repro.perf.batch.BatchQueryEngine`, filter drops and auction
 outcomes in :class:`~repro.serving.server.AdServer`, and per-stage span
 timings for each of those layers.
 
@@ -13,7 +12,7 @@ Usage::
 
     registry = obs.MetricsRegistry()
     index = WordSetIndex.from_corpus(corpus, obs=registry)
-    server = AdServer(CachedIndex(index, obs=registry), obs=registry)
+    server = AdServer(index, obs=registry)
     server.serve(query)
 
     print(obs.to_prometheus(registry))   # scrape-format text

@@ -216,9 +216,9 @@ class BatchQueryEngine:
         deadline between representatives (an index without
         ``supports_deadline`` never sees the budget itself).
 
-        The method is resolved on the class, not the instance:
-        delegating wrappers (``CachedIndex.__getattr__``) would otherwise
-        advertise the inner index's batch method and get bypassed.
+        The method is resolved on the class, not the instance, so only a
+        class that implements the batch method itself takes that path;
+        attributes forwarded through ``__getattr__`` do not count.
         """
         if getattr(type(index), "query_kernel_batch", None) is not None:
             return index.query_kernel_batch(  # type: ignore[attr-defined]

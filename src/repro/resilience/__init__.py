@@ -21,8 +21,7 @@ builds the standard production defences:
   about).
 * :class:`DegradationPolicy` — an adaptive ladder that responds to
   measured pressure (p95 latency from :mod:`repro.obs` histograms) by
-  stepping down query truncation, capping probe plans, and enabling
-  stale-cache fallback.
+  stepping down query truncation and capping probe plans.
 * :class:`FanoutGuard` — breakers + partial-result policy for the
   in-process sharded fan-out paths
   (:class:`~repro.core.sharded.ShardedWordSetIndex`,

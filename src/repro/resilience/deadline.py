@@ -69,10 +69,10 @@ class DegradedReason(Enum):
     """Why a response is not the full-fidelity answer.
 
     Shared by every degradation path — load shedding, deadline expiry,
-    probe capping, stale-cache fallback, partial shard fan-outs, and the
-    PR 3 ``degrade_on_error`` empty slate — so a
-    :class:`~repro.serving.server.ServeResult` always carries one
-    machine-readable cause instead of an inexplicable empty list.
+    probe capping, partial shard fan-outs, and the ``degrade_on_error``
+    empty slate — so a :class:`~repro.serving.server.ServeResult`
+    always carries one machine-readable cause instead of an inexplicable
+    empty list.
     """
 
     #: The full-fidelity answer; nothing was degraded.
@@ -90,8 +90,6 @@ class DegradedReason(Enum):
     PROBES_CAPPED = "probes_capped"
     #: Query truncation was tightened below the index's configuration.
     TRUNCATED = "truncated"
-    #: Retrieval failed but a stale cached result was served instead.
-    STALE_CACHE = "stale_cache"
     #: Some shards were skipped (open breaker) or failed; the result is
     #: the union of the shards that answered.
     PARTIAL_SHARDS = "partial_shards"

@@ -12,10 +12,8 @@ cooldown (minimum queries between steps) keep it from flapping.
 
 Each ladder level tightens per-request constraints on the
 :class:`~repro.resilience.deadline.Deadline` budget object —
-``max_query_words`` (harder truncation), ``max_probes`` (a cap the probe
-planner applies via :meth:`~repro.perf.prefilter.ProbePlan.capped`) —
-and may enable stale-cache fallback so a retrieval error serves
-yesterday's answer instead of an empty slate.
+``max_query_words`` (harder truncation) and ``max_probes`` (a cap the
+probe planner applies via :meth:`~repro.perf.prefilter.ProbePlan.capped`).
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ class DegradationLevel:
     max_query_words: int | None = None
     #: Cap each query's probe plan at this many hash probes.
     max_probes: int | None = None
-    #: Serve stale cached results on retrieval error at this level.
-    stale_fallback: bool = False
 
     def __post_init__(self) -> None:
         if self.max_query_words is not None and self.max_query_words < 1:
@@ -58,12 +54,12 @@ class DegradationLevel:
 
 
 #: The default ladder: level 0 is full fidelity; each step roughly
-#: quarters the probe budget, and the deep levels accept stale results.
+#: quarters the probe budget, and the deep levels truncate harder.
 DEFAULT_LADDER: tuple[DegradationLevel, ...] = (
     DegradationLevel(),
     DegradationLevel(max_probes=4_096),
-    DegradationLevel(max_query_words=8, max_probes=1_024, stale_fallback=True),
-    DegradationLevel(max_query_words=5, max_probes=256, stale_fallback=True),
+    DegradationLevel(max_query_words=8, max_probes=1_024),
+    DegradationLevel(max_query_words=5, max_probes=256),
 )
 
 
@@ -148,9 +144,6 @@ class DegradationPolicy:
     @property
     def degraded(self) -> bool:
         return self._level > 0
-
-    def stale_fallback_enabled(self) -> bool:
-        return self.current.stale_fallback
 
     def tighten(self, deadline: Deadline) -> None:
         """Apply the current level's constraints to a request budget."""

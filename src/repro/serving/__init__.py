@@ -19,14 +19,11 @@ from repro.serving.request import (
     ad_from_dict,
     ad_to_dict,
 )
-from repro.serving.result_cache import CachedIndex, CacheStats
 from repro.serving.server import AdServer, ServeResult, ServingStats
 
 __all__ = [
     "AdServer",
     "AuctionOutcome",
-    "CacheStats",
-    "CachedIndex",
     "ServeRequest",
     "ServeResult",
     "ServingStats",

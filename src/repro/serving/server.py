@@ -77,9 +77,7 @@ class ServingStats:
     * ``shed`` — requests refused by admission control *before* the
       pipeline ran (shed requests do **not** count in ``queries``).
     * ``degraded`` — served queries whose result was flagged degraded in
-      any way (partial, truncated, capped, stale, ...).
-    * ``stale_results`` — queries answered from the result cache's stale
-      store after a retrieval error.
+      any way (partial, truncated, capped, ...).
     * ``deadline_partials`` — served queries whose deadline expired
       mid-retrieval.
     * ``degraded_reasons`` — per-:class:`DegradedReason` breakdown of
@@ -98,7 +96,6 @@ class ServingStats:
     retrieval_errors: int = 0
     shed: int = 0
     degraded: int = 0
-    stale_results: int = 0
     deadline_partials: int = 0
     degraded_reasons: dict[str, int] = field(default_factory=dict)
 
@@ -149,7 +146,7 @@ class ServeResult:
     #: Why (if at all) this result is less than the full answer:
     #: :attr:`DegradedReason.NONE` for a normal serve, a shed reason for
     #: a request admission refused, or the primary degradation cause for
-    #: a partial/truncated/stale result.  Always machine-readable —
+    #: a partial/truncated result.  Always machine-readable —
     #: degraded results are flagged, never silent.
     degraded_reason: DegradedReason = DegradedReason.NONE
 
@@ -253,7 +250,6 @@ _COUNTERS = (
     ("serve.revenue_micros", "GSP revenue charged on clicks"),
     ("serve.retrieval_errors", "Queries degraded to empty results by retrieval errors"),
     ("serve.shed", "Requests refused by admission control"),
-    ("serve.stale_results", "Queries answered from the stale result store"),
 )
 
 
@@ -290,17 +286,11 @@ class AdServer:
         carrying the shed reason, without touching the pipeline.
     degradation:
         Optional :class:`~repro.resilience.degrade.DegradationPolicy`;
-        its current ladder level tightens every request's deadline budget
-        and can enable stale-cache fallback.
+        its current ladder level tightens every request's deadline budget.
     default_deadline_ms:
         Per-request retrieval budget applied when the caller passes no
         explicit deadline; ``None`` (the default) leaves requests
         unbudgeted, preserving the exact baseline behaviour.
-    stale_on_error:
-        When True (or when the degradation ladder's current level says
-        so), a retrieval error is answered from the wrapped
-        :class:`~repro.serving.result_cache.CachedIndex` stale store if
-        the index exposes one, flagged ``STALE_CACHE``.
     clock:
         Millisecond clock for deadline budgets (defaults to wall time;
         inject a manual clock in tests).
@@ -324,7 +314,6 @@ class AdServer:
         admission: AdmissionController | None = None,
         degradation: DegradationPolicy | None = None,
         default_deadline_ms: float | None = None,
-        stale_on_error: bool = False,
         clock: ClockMs | None = None,
         obs: MetricsRegistry | None = None,
     ) -> None:
@@ -342,7 +331,6 @@ class AdServer:
         self.admission = admission
         self.degradation = degradation
         self.default_deadline_ms = default_deadline_ms
-        self.stale_on_error = stale_on_error
         self._clock = clock
         self._budgets = dict(campaign_budgets_micros or {})
         self._seen: dict[tuple[object, int], int] = {}
@@ -432,27 +420,6 @@ class AdServer:
             degradation.tighten(deadline)
         return deadline
 
-    def _stale_fallback(self, query: Query) -> list[Advertisement] | None:
-        """A stale cached answer for a failed retrieval, when allowed."""
-        allowed = self.stale_on_error or (
-            self.degradation is not None
-            and self.degradation.stale_fallback_enabled()
-        )
-        if not allowed:
-            return None
-        query_stale = getattr(self.index, "query_stale", None)
-        if query_stale is None:
-            return None
-        stale = query_stale(query)
-        if stale is None:
-            return None
-        self.stats.stale_results += 1
-        self.stats.retrieval_errors += 1
-        if self._obs is not None:
-            self._obs.counter("serve.stale_results").inc()
-            self._obs.counter("serve.retrieval_errors").inc()
-        return list(stale)
-
     def _shed(self, query: Query, reason: DegradedReason) -> ServeResult:
         """An explicit refused-at-the-door result: empty auction, the
         shed reason attached, no pipeline work done."""
@@ -483,11 +450,10 @@ class AdServer:
     ) -> tuple[list[list[Advertisement]], dict[int, DegradedReason]]:
         """The failure rule, applied per position once the batched
         retrieval raised ``error``: each query is retried alone (a lone
-        query already was); one that still fails is answered from the
-        stale store when allowed, else with an empty slate flagged
-        ``RETRIEVAL_ERROR`` under ``degrade_on_error``, else its error
-        propagates.  Returns the candidate lists and the reason of every
-        position that failed."""
+        query already was); one that still fails is answered with an
+        empty slate flagged ``RETRIEVAL_ERROR`` under
+        ``degrade_on_error``, else its error propagates.  Returns the
+        candidate lists and the reason of every position that failed."""
         candidate_lists: list[list[Advertisement]] = []
         failed: dict[int, DegradedReason] = {}
         for position, query in enumerate(queries):
@@ -499,11 +465,7 @@ class AdServer:
                     continue
                 except Exception as exc:
                     error = exc
-            stale = self._stale_fallback(query)
-            if stale is not None:
-                failed[position] = DegradedReason.STALE_CACHE
-                candidate_lists.append(stale)
-            elif self.degrade_on_error:
+            if self.degrade_on_error:
                 failed[position] = DegradedReason.RETRIEVAL_ERROR
                 candidate_lists.append(self._degraded())
             else:

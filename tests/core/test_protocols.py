@@ -19,7 +19,6 @@ from repro.core.queries import Query
 from repro.core.sharded import ShardedWordSetIndex
 from repro.core.tree_index import TrieWordSetIndex
 from repro.core.wordset_index import WordSetIndex
-from repro.serving.result_cache import CachedIndex
 
 
 def ad(text, listing_id=0):
@@ -66,10 +65,6 @@ def build_impact(corpus):
     return ImpactOrderedIndex.from_corpus(corpus)
 
 
-def build_cached(corpus):
-    return CachedIndex(WordSetIndex.from_corpus(corpus), capacity=8)
-
-
 def build_compressed(corpus):
     from repro.compress.compressed_hash import CompressedWordSetIndex
 
@@ -103,7 +98,6 @@ BUILDERS = {
     "TrieWordSetIndex": build_trie,
     "ShardedWordSetIndex": build_sharded,
     "ImpactOrderedIndex": build_impact,
-    "CachedIndex": build_cached,
     "CompressedWordSetIndex": build_compressed,
 }
 

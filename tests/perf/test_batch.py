@@ -9,7 +9,6 @@ from repro.core.sharded import ShardedWordSetIndex
 from repro.core.wordset_index import WordSetIndex
 from repro.perf.batch import BatchQueryEngine
 from repro.resilience import Deadline, DegradedReason, ManualClock
-from repro.serving.result_cache import CachedIndex
 
 
 def ad(text, listing_id=0):
@@ -115,14 +114,6 @@ class TestMatchTypes:
         assert ids(exact) == [[1], [2]]
         # Token-keyed dedup: two distinct token sequences, no sharing.
         assert engine.stats.distinct_wordsets == 2
-
-    def test_broad_through_cache_wrapper(self, corpus):
-        cached = CachedIndex(WordSetIndex.from_corpus(corpus), capacity=8)
-        engine = BatchQueryEngine(cached)
-        q = Query.from_text("common")
-        engine.query_broad_batch([q, q, q])
-        # Engine dedups before the cache sees repeats: one miss total.
-        assert cached.cache_stats.misses == 1
 
 
 class TickingIndex:

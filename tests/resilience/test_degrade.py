@@ -15,7 +15,7 @@ from repro.resilience.degrade import DEFAULT_LADDER
 LADDER = (
     DegradationLevel(),
     DegradationLevel(max_probes=64),
-    DegradationLevel(max_query_words=4, max_probes=16, stale_fallback=True),
+    DegradationLevel(max_query_words=4, max_probes=16),
 )
 
 
@@ -118,11 +118,11 @@ class TestConstraints:
         assert deadline.max_probes is None
         assert deadline.max_query_words is None
 
-    def test_stale_fallback_tracks_level(self):
-        policy = make(lambda: 100.0)
-        assert not policy.stale_fallback_enabled()
-        tick(policy, 8)
-        assert policy.stale_fallback_enabled()
+    def test_default_ladder_rungs(self):
+        assert [
+            (level.max_query_words, level.max_probes)
+            for level in DEFAULT_LADDER
+        ] == [(None, None), (None, 4_096), (8, 1_024), (5, 256)]
 
     def test_default_ladder_monotone(self):
         assert DEFAULT_LADDER[0] == DegradationLevel()

@@ -1,6 +1,7 @@
 """Resilience features of the ad server: admission shedding, deadline
-budgets, adaptive degradation, stale-cache fallback — and the guarantee
-that with everything disabled the baseline pipeline is untouched."""
+budgets, adaptive degradation, the retrieval failure rule — and the
+guarantee that with everything disabled the baseline pipeline is
+untouched."""
 
 import pytest
 
@@ -18,7 +19,8 @@ from repro.resilience import (
     ManualClock,
     Priority,
 )
-from repro.serving.result_cache import CachedIndex
+from repro.resilience.degrade import DEFAULT_LADDER
+from repro.segment import PackedSegmentIndex, SegmentBuilder
 from repro.serving.server import AdServer, ServingStats
 
 
@@ -76,7 +78,7 @@ class TestBaselineUntouched:
         snapshot = server.stats.snapshot()
         assert snapshot["shed"] == 0
         assert snapshot["degraded"] == 0
-        assert snapshot["stale_results"] == 0
+        assert "stale_results" not in snapshot
         assert snapshot["deadline_partials"] == 0
         assert not any(k.startswith("degraded_reason.") for k in snapshot)
 
@@ -190,7 +192,7 @@ class TestDegradation:
             low_ms=10.0,
             ladder=(
                 DegradationLevel(),
-                DegradationLevel(max_query_words=1, stale_fallback=True),
+                DegradationLevel(max_query_words=1),
             ),
             cooldown_queries=2,
             pressure_fn=pressure,
@@ -225,68 +227,6 @@ class TestDegradation:
         assert result.degraded_reason is DegradedReason.NONE
 
 
-class TestStaleFallback:
-    def make_cached_server(self, index, **kwargs):
-        failing = FailingIndex(index)
-        cached = CachedIndex(failing, capacity=16)
-        return AdServer(cached, slots=2, **kwargs), failing, cached
-
-    def test_stale_result_served_on_error(self, index):
-        server, failing, cached = self.make_cached_server(
-            index, stale_on_error=True
-        )
-        query = Query.from_text("cheap used books")
-        fresh = server.serve(query)
-        assert fresh.ads
-        cached.invalidate()  # demotes the cached result to the stale store
-        failing.healthy = False
-        stale = server.serve(query)
-        assert stale.degraded_reason is DegradedReason.STALE_CACHE
-        assert [a.info.listing_id for a in stale.ads] == [
-            a.info.listing_id for a in fresh.ads
-        ]
-        assert server.stats.stale_results == 1
-        assert server.stats.snapshot()["degraded_reason.stale_cache"] == 1
-
-    def test_unknown_query_still_raises(self, index):
-        server, failing, cached = self.make_cached_server(
-            index, stale_on_error=True
-        )
-        failing.healthy = False
-        with pytest.raises(RuntimeError):
-            server.serve(Query.from_text("never seen before"))
-
-    def test_stale_fallback_gated_off_by_default(self, index):
-        server, failing, cached = self.make_cached_server(index)
-        query = Query.from_text("books")
-        server.serve(query)
-        cached.invalidate()
-        failing.healthy = False
-        with pytest.raises(RuntimeError):
-            server.serve(query)
-
-    def test_degradation_ladder_enables_stale_fallback(self, index):
-        failing = FailingIndex(index)
-        cached = CachedIndex(failing, capacity=16)
-        policy = DegradationPolicy(
-            high_ms=50.0,
-            low_ms=10.0,
-            ladder=(
-                DegradationLevel(),
-                DegradationLevel(stale_fallback=True),
-            ),
-            cooldown_queries=1,
-            pressure_fn=lambda: 100.0,
-        )
-        server = AdServer(cached, slots=2, degradation=policy)
-        query = Query.from_text("books")
-        server.serve(query)  # populates the cache; ladder steps down
-        cached.invalidate()
-        failing.healthy = False
-        result = server.serve(query)
-        assert result.degraded_reason is DegradedReason.STALE_CACHE
-
-
 class PoisonedIndex(FailingIndex):
     """Raises only for queries holding the word ``poison``."""
 
@@ -298,7 +238,7 @@ class PoisonedIndex(FailingIndex):
 
 class TestBatchFailureRule:
     """``serve_batch`` applies the same per-position failure rule as
-    ``serve``: retry alone, stale fallback, flagged empty slate, raise."""
+    ``serve``: retry alone, then a flagged empty slate, else raise."""
 
     def test_batch_retrieval_errors_are_flagged(self, index):
         failing = FailingIndex(index)
@@ -338,78 +278,37 @@ class TestBatchFailureRule:
                 [Query.from_text("books"), Query(("poison",))]
             )
 
-
-class TestBatchStaleFallback:
-    def make_cached_server(self, index, **kwargs):
-        failing = FailingIndex(index)
-        cached = CachedIndex(failing, capacity=16)
-        return AdServer(cached, slots=2, **kwargs), failing, cached
-
-    def test_stale_results_served_per_position(self, index):
-        server, failing, cached = self.make_cached_server(
-            index, stale_on_error=True
+    @pytest.mark.parametrize("kind", ["wordset", "packed"])
+    def test_deepest_default_rung_flags_retrieval_errors(
+        self, corpus, kind, tmp_path, monkeypatch
+    ):
+        # The deepest DEFAULT_LADDER rung over the indexes production
+        # serves: a raising retrieval, lone or batched, still gets an
+        # empty slate flagged RETRIEVAL_ERROR.
+        index = WordSetIndex.from_corpus(corpus)
+        if kind == "packed":
+            SegmentBuilder(index).write(tmp_path / "rung.seg")
+            index = PackedSegmentIndex(tmp_path / "rung.seg")
+        policy = DegradationPolicy(cooldown_queries=1, pressure_fn=lambda: 1e9)
+        server = AdServer(
+            index, slots=2, degrade_on_error=True, degradation=policy
         )
         queries = [Query.from_text("cheap used books"), Query.from_text("books")]
-        fresh = server.serve_batch(queries)
-        cached.invalidate()
-        failing.healthy = False
-        stale = server.serve_batch(queries)
-        assert [r.degraded_reason for r in stale] == [
-            DegradedReason.STALE_CACHE
-        ] * 2
-        assert [r.ads for r in stale] == [r.ads for r in fresh]
-        assert server.stats.stale_results == 2
-        assert server.stats.snapshot()["degraded_reason.stale_cache"] == 2
+        while policy.current is not DEFAULT_LADDER[-1]:
+            assert server.serve(queries[0]).ads
 
-    def test_unknown_query_in_a_batch_still_raises(self, index):
-        server, failing, cached = self.make_cached_server(
-            index, stale_on_error=True
-        )
-        known = Query.from_text("books")
-        server.serve(known)
-        cached.invalidate()
-        failing.healthy = False
-        with pytest.raises(RuntimeError):
-            server.serve_batch([known, Query.from_text("never seen before")])
+        def down(*args, **kwargs):
+            raise RuntimeError("retrieval down")
 
-    def test_degradation_ladder_enables_batch_stale_fallback(self, index):
-        failing = FailingIndex(index)
-        cached = CachedIndex(failing, capacity=16)
-        policy = DegradationPolicy(
-            high_ms=50.0,
-            low_ms=10.0,
-            ladder=(
-                DegradationLevel(),
-                DegradationLevel(stale_fallback=True),
-            ),
-            cooldown_queries=1,
-            pressure_fn=lambda: 100.0,
-        )
-        server = AdServer(cached, slots=2, degradation=policy)
-        queries = [Query.from_text("books"), Query.from_text("used books")]
-        server.serve_batch(queries)  # populates the cache
-        server.serve_batch(queries)  # the ladder steps down
-        cached.invalidate()
-        failing.healthy = False
-        results = server.serve_batch(queries)
+        monkeypatch.setattr(index, "query", down)
+        monkeypatch.setattr(index, "query_kernel_batch", down, raising=False)
+        results = server.serve_batch(queries) + [server.serve(queries[1])]
+        assert policy.current is DEFAULT_LADDER[-1]
         assert [r.degraded_reason for r in results] == [
-            DegradedReason.STALE_CACHE
-        ] * 2
-
-
-class TestPartialNeverCached:
-    def test_partial_results_bypass_the_cache(self, index):
-        clock = ManualClock()
-        cached = CachedIndex(index, capacity=16)
-        query = Query.from_text("cheap used books")
-        deadline = Deadline.after_ms(1.0, clock=clock)
-        clock.advance(5.0)  # expired before the first probe
-        partial = cached.query(query, deadline=deadline)
-        assert partial == []
-        assert deadline.partial
-        # The empty partial was not cached: a fresh query sees full results.
-        assert cached.query(query)
-        assert cached.cache_stats.hits == 0
+            DegradedReason.RETRIEVAL_ERROR
+        ] * 3
+        assert all(r.ads == [] for r in results)
+        assert server.stats.retrieval_errors == 3
 
 
 class TestSnapshotShape:

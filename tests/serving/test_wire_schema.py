@@ -146,6 +146,12 @@ class TestServeResultRoundTrip:
         with pytest.raises(WireSchemaError):
             ServeResult.from_dict(encoded)
 
+    def test_retired_stale_cache_reason_raises_schema_error(self):
+        encoded = self._result().to_dict()
+        encoded["degraded_reason"] = "stale_cache"
+        with pytest.raises(WireSchemaError):
+            ServeResult.from_dict(encoded)
+
     def test_missing_outcome_raises_schema_error(self):
         with pytest.raises(WireSchemaError):
             ServeResult.from_dict({"query": ["books"]})

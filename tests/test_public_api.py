@@ -46,6 +46,29 @@ class TestExports:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
+    @pytest.mark.parametrize(
+        "module_name, names",
+        [
+            ("repro.serving", ["CachedIndex", "CacheStats"]),
+            (
+                "repro.distsim",
+                ["ReplicatedCluster", "ReplicatedRunResult", "ReplicationConfig"],
+            ),
+        ],
+    )
+    def test_retired_names_stay_gone(self, module_name, names):
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert name not in module.__all__
+            assert not hasattr(module, name)
+
+    @pytest.mark.parametrize(
+        "module_name", ["repro.serving.result_cache", "repro.distsim.replication"]
+    )
+    def test_retired_modules_stay_gone(self, module_name):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module_name)
+
 
 class TestDocumentation:
     @pytest.mark.parametrize("module_name", SUBPACKAGES + ["repro"])
@@ -93,14 +116,12 @@ class TestInterchangeability:
             NonRedundantInvertedIndex,
             RedundantInvertedIndex,
         )
-        from repro.serving.result_cache import CachedIndex
 
         primary = (
             WordSetIndex,
             TrieWordSetIndex,
             ShardedWordSetIndex,
             ImpactOrderedIndex,
-            CachedIndex,
             CompressedWordSetIndex,
         )
         baselines = (
