@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 from repro.core.ads import AdCorpus, Advertisement
 from repro.core.queries import Query
@@ -71,6 +72,24 @@ def apply_match_type(
     if match_type is MatchType.PHRASE:
         return [ad for ad in ads if phrase_match(ad.phrase, query.tokens)]
     return [ad for ad in ads if exact_match(ad.phrase, query.tokens)]
+
+
+@dataclass(frozen=True, slots=True)
+class RankedMatches:
+    """A broad match read for an auction that keeps ``top`` ranked ads.
+
+    ``count`` is the exact number of matching ads.  ``ads`` holds every
+    matching ad with exclusion phrases and the best ``top`` of the others
+    by ``(-bid, listing_id)``, in the order the full match list would
+    give them.  Every match left out carries no exclusion phrase and
+    ranks below ``top`` others, so no exclusion drops it and no slot or
+    price can read it.  Built by a ranked read
+    (:meth:`repro.segment.packed.PackedSegmentIndex.query` with ``top``),
+    consumed by :meth:`repro.serving.server.AdServer._finish`.
+    """
+
+    count: int
+    ads: tuple[Advertisement, ...]
 
 
 #: exclusion phrase -> its folded word-set.  Tokenizing and folding a

@@ -29,11 +29,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.ads import Advertisement
-from repro.core.matching import MatchType
+from repro.core.matching import MatchType, RankedMatches
 from repro.core.protocols import RetrievalIndex
 from repro.core.queries import Query
 from repro.obs.registry import MetricsRegistry, Span, active_or_none
 from repro.resilience.deadline import Deadline, DegradedReason
+
+
+#: What retrieval hands the serving pipeline for one query: the full
+#: match list, or a ranked read.
+Candidates = list[Advertisement] | RankedMatches
 
 
 @dataclass(slots=True)
@@ -105,18 +110,22 @@ class BatchQueryEngine:
     # ------------------------------------------------------------------ #
 
     def query_broad_batch(
-        self, queries: Sequence[Query], deadline: Deadline | None = None
-    ) -> list[list[Advertisement]]:
-        """Broad-match every query; one independent result list per input
+        self,
+        queries: Sequence[Query],
+        deadline: Deadline | None = None,
+        top: int | None = None,
+    ) -> list[Candidates]:
+        """Broad-match every query; one independent result per input
         position, in input order."""
-        return self.query_batch(queries, MatchType.BROAD, deadline)
+        return self.query_batch(queries, MatchType.BROAD, deadline, top)
 
     def query_batch(
         self,
         queries: Sequence[Query],
         match_type: MatchType,
         deadline: Deadline | None = None,
-    ) -> list[list[Advertisement]]:
+        top: int | None = None,
+    ) -> list[Candidates]:
         """Process a batch under any match semantics.
 
         Broad match dedups on the word-set; phrase and exact match verify
@@ -126,12 +135,19 @@ class BatchQueryEngine:
         any other index stops between representatives; once it expires
         the remaining positions get empty result lists, with the budget
         flagged partial — never a silent half-answer.
+
+        With ``top`` each position gets the index's ranked read
+        (:class:`~repro.core.matching.RankedMatches`) instead of a list;
+        only an index with ``query_kernel_batch`` and a ranked read may
+        be handed one (:func:`repro.serving.server.ranked_read`).  A
+        duplicate position shares its representative's (immutable)
+        ranked read.
         """
         if self._obs is None:
-            return self._run_batch(queries, match_type, deadline)
+            return self._run_batch(queries, match_type, deadline, top)
         span, batches, queried, distinct = self._instruments
         with Span(span):
-            results = self._run_batch(queries, match_type, deadline)
+            results = self._run_batch(queries, match_type, deadline, top)
         batches.inc()
         queried.inc(len(results))
         distinct.inc(self._last_distinct)
@@ -142,11 +158,12 @@ class BatchQueryEngine:
         queries: Sequence[Query],
         match_type: MatchType,
         deadline: Deadline | None = None,
-    ) -> list[list[Advertisement]]:
+        top: int | None = None,
+    ) -> list[Candidates]:
         if len(queries) == 1:
             # A batch of one is one plain query: no grouping, no sort,
             # no copies.
-            results = self._probe(queries, match_type, deadline)
+            results = self._probe(queries, match_type, deadline, top)
             distinct = 1
         else:
             if match_type is MatchType.BROAD:
@@ -162,8 +179,8 @@ class BatchQueryEngine:
             # set iteration order.
             ordered_keys = sorted(groups, key=sorted)
             representatives = [queries[groups[key][0]] for key in ordered_keys]
-            per_rep = self._probe(representatives, match_type, deadline)
-            results = [[] for _ in queries]
+            per_rep = self._probe(representatives, match_type, deadline, top)
+            results: list[Candidates] = [[] for _ in queries]
             for key, matched in zip(ordered_keys, per_rep):
                 positions = groups[key]
                 # The representative's slate is a fresh list owned by this
@@ -171,7 +188,7 @@ class BatchQueryEngine:
                 # duplicate positions, so a dedup hit costs no allocation.
                 results[positions[0]] = matched
                 for position in positions[1:]:
-                    results[position] = list(matched)
+                    results[position] = matched if top is not None else list(matched)
             distinct = len(representatives)
         self.stats.batches += 1
         self.stats.queries += len(queries)
@@ -186,12 +203,25 @@ class BatchQueryEngine:
         representatives: Sequence[Query],
         match_type: MatchType,
         deadline: Deadline | None,
-    ) -> list[list[Advertisement]]:
+        top: int | None = None,
+    ) -> list[Candidates]:
         """One representative is one plain :func:`query_one` (no kernel
         batch, no thread pool).  The engine scatters across ``shards``
         itself only when the index has no ``guard``: a guarded index is
-        queried through its own ``query``, so its breakers see the call."""
+        queried through its own ``query``, so its breakers see the call.
+        A ranked read (``top``) goes to the index's own ``query`` or
+        ``query_kernel_batch``, the same split."""
         index = self.index
+        if top is not None:
+            if len(representatives) == 1:
+                return [
+                    index.query(  # type: ignore[call-arg]
+                        representatives[0], match_type, deadline, top=top
+                    )
+                ]
+            return index.query_kernel_batch(  # type: ignore[attr-defined]
+                representatives, match_type, deadline, top=top
+            )
         if len(representatives) == 1:
             return [query_one(index, representatives[0], match_type, deadline)]
         shards = getattr(index, "shards", None)

@@ -4,13 +4,14 @@ The builder folds the live hash table into the paper's Fig 6 shape, but
 as one contiguous artifact a serving process can mmap:
 
 * data nodes are merged by the ``s``-bit suffix of their hash key (the
-  same collision-tolerant merge :class:`CompressedWordSetIndex` does),
-  entries re-sorted to keep the global word-count order early termination
-  depends on while grouping similar phrases for prefix sharing;
-* phrases are front-coded and bid prices delta-coded per node (the
-  Section VI codings of :mod:`repro.compress.frontcoding` /
-  :mod:`repro.compress.deltas`, written in one pass by
-  :func:`encode_node`, now on the serving path);
+  same collision-tolerant merge :class:`CompressedWordSetIndex` does);
+  each merged node is one record (:func:`encode_node`): a table of its
+  word-sets in the word-count order early termination depends on, and
+  per word-set its entries in the auction's rank order, so a read can
+  stop at the first bid that cannot enter the slate;
+* each word-set's words are stored once, its phrase orders front-coded
+  as positions into them, and its bids delta-coded down the rank order
+  (the Section VI codings, written in one pass on the serving path);
 * ``B^sig`` (suffix occupancy) and ``B^off`` (node start offsets) address
   the nodes via rank/select, serialized as little-endian u64 words;
 * the header persists the probe-prefilter state (locator vocabulary
@@ -29,12 +30,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
-from collections.abc import Sequence
+from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
 from repro.compress.bitvector import pack_bits
-from repro.compress.deltas import zigzag_encode
+from repro.core.ads import Advertisement
 from repro.core.data_node import NodeEntry
 from repro.core.wordhash import hash_suffix
 from repro.core.wordset_index import WordSetIndex
@@ -78,68 +79,185 @@ def _put_str(out: bytearray, text: str) -> None:
     out += blob
 
 
-def encode_node(entries: Sequence[NodeEntry]) -> bytes:
-    """One node record: entry count, delta-coded prices, front-coded entries.
+def _ad_order(ad: Advertisement) -> tuple[Any, ...]:
+    """An entry's place within its row: carriers (ads with exclusion
+    phrases) first, each group in the auction's own total order
+    ``(-bid, listing_id)``, then the rest of the ad, so equal ads are the
+    only ties and the record is a function of the node's ad multiset."""
+    info = ad.info
+    return (
+        not info.exclusion_phrases,
+        -info.bid_price_micros,
+        info.listing_id,
+        ad.phrase,
+        info.campaign_id,
+        info.exclusion_phrases,
+    )
+
+
+def encode_node(
+    entries: Iterable[NodeEntry], coded_words: dict[str, bytes] | None = None
+) -> bytes:
+    """One version-2 node record: a word-set table whose every row is
+    followed by that word-set's entry block.
 
     Layout (all ints LEB128 varints)::
 
-        num_entries
-        prices_len  prices_blob          # delta+zigzag bids, entry order
-        per entry:
-          word_count                     # |words(A)| — the scan-order key
-          shared_tokens                  # front-coding vs previous phrase
-          num_suffix_tokens  (len token)*
-          zigzag(listing_id)  zigzag(campaign_id)
-          num_exclusions  (len phrase)*
+        num_rows
+        per row, in (word count, sorted words) order:
+          word_count  (len token)*          # the word-set, sorted
+          num_entries  num_carriers         # carriers: ads with exclusions
+          num_phrases  phrases_len  phrases # front-coded, see below
+          block_len                         # bytes of the entry block
+          entry block: the carriers, then the other entries, each group
+          in (-bid, listing_id) order:
+            bid                   # a group's first: zigzag(bid);
+                                  #   then previous bid - bid
+            zigzag(listing_id)  zigzag(campaign_id)
+            phrase_index                    # only if num_phrases > 1
+            num_exclusions  (len phrase)*   # only for a carrier
 
-    The prices blob leads so a scan can decode one price per entry it
-    touches, in step with the entry walk, and early termination never
-    decodes prices (or anything else) past the cut.
+    A row's phrases are its distinct phrase orders, sorted, each written
+    as positions into the row's sorted words and front-coded against the
+    previous phrase of the row: ``shared  num_suffix  position*``.
 
-    One pass over the entries appends straight into two buffers (prices,
-    entries): the encoder-side mirror of the inlined decode in
-    :meth:`repro.segment.packed.PackedSegmentIndex._decode_entries`.
-    Same bytes as :func:`repro.compress.deltas.delta_encode_prices` and
-    :func:`repro.compress.frontcoding.front_encode` would give.
+    The layout serves a walk that wants every carrier and the best few
+    of the rest: the carriers lead, so the walk has read them all after
+    ``num_carriers`` entries, and from there bids only fall, so it can
+    stop at the first bid below its floor.  ``phrases_len`` and
+    ``block_len`` let a read step over a row's phrases or its block
+    without decoding them, and the word-count order lets it stop at the
+    first row longer than the query.  The decoder is
+    :meth:`repro.segment.packed.PackedSegmentIndex._decode_entries`; the
+    record depends only on the entries' multiset, not on their order.
+
+    ``coded_words`` memoizes each word's length-prefixed UTF-8 bytes; a
+    build passes one table to all its nodes.
     """
-    prices = bytearray()
-    body = bytearray()
-    previous_price = 0
-    previous: tuple[str, ...] = ()
+    rows: dict[frozenset[str], list[Advertisement]] = {}
     for entry in entries:
         ad = entry.ad
-        info = ad.info
-        # The first bid is coded against 0, i.e. as itself.
-        _put(prices, zigzag_encode(info.bid_price_micros - previous_price))
-        previous_price = info.bid_price_micros
-        phrase = ad.phrase
+        row = rows.get(ad.words)
+        if row is None:
+            rows[ad.words] = [ad]
+        else:
+            row.append(ad)
+    if coded_words is None:
+        coded_words = {}
+    out = bytearray()
+    _put(out, len(rows))
+    if len(rows) == 1:
+        ((words, ads),) = rows.items()
+        _encode_row(out, sorted(words), ads, coded_words)
+    else:
+        for _, ordered_words, ads in sorted(
+            (len(words), sorted(words), ads) for words, ads in rows.items()
+        ):
+            _encode_row(out, ordered_words, ads, coded_words)
+    return bytes(out)
+
+
+def _encode_row(
+    out: bytearray,
+    ordered_words: list[str],
+    ads: list[Advertisement],
+    coded_words: dict[str, bytes],
+) -> None:
+    """Append one row and its entry block (layout in :func:`encode_node`)."""
+    if len(ads) > 1:
+        ads.sort(key=_ad_order)
+        phrases = sorted({ad.phrase for ad in ads})
+    else:
+        phrases = [ads[0].phrase]
+    carriers = 0
+    for ad in ads:
+        if not ad.info.exclusion_phrases:
+            break
+        carriers += 1
+    _put(out, len(ordered_words))
+    for word in ordered_words:
+        coded = coded_words.get(word)
+        if coded is None:
+            blob = bytearray()
+            _put_str(blob, word)
+            coded = coded_words[word] = bytes(blob)
+        out += coded
+    position = ordered_words.index
+    # The three counts, the phrases' byte length (slot 3) and the
+    # front-coded phrases; nearly always every one of them fits a byte.
+    codes = [len(ads), carriers, len(phrases), 0]
+    previous: list[int] = []
+    for phrase in phrases:
+        positions = [position(token) for token in phrase]
         shared = 0
-        for mine, theirs in zip(previous, phrase):
+        for mine, theirs in zip(previous, positions):
             if mine != theirs:
                 break
             shared += 1
-        previous = phrase
-        _put(body, entry.word_count)
-        _put(body, shared)
-        _put(body, len(phrase) - shared)
-        for token in phrase[shared:]:
-            _put_str(body, token)
-        _put(body, zigzag_encode(info.listing_id))
-        _put(body, zigzag_encode(info.campaign_id))
-        _put(body, len(info.exclusion_phrases))
-        for exclusion in info.exclusion_phrases:
-            _put_str(body, exclusion)
-    out = bytearray()
-    _put(out, len(entries))
-    _put(out, len(prices))
-    return bytes(out + prices + body)
+        codes += (shared, len(positions) - shared, *positions[shared:])
+        previous = positions
+    codes[3] = len(codes) - 4
+    if max(codes) < 0x80:
+        out += bytes(codes)
+    else:
+        phrases_blob = bytearray()
+        for value in codes[4:]:
+            _put(phrases_blob, value)
+        codes[3] = len(phrases_blob)
+        for value in codes[:4]:
+            _put(out, value)
+        out += phrases_blob
+    block = _encode_block(ads, carriers, phrases)
+    _put(out, len(block))
+    out += block
 
 
-def _entry_order(entry: NodeEntry) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
-    """Word-count-major sort preserving early termination, with phrases of
-    equal count sorted for maximal front-coding prefix sharing (the
-    :func:`repro.compress.frontcoding.node_phrase_order` policy)."""
-    return (entry.word_count, tuple(sorted(entry.ad.phrase)), entry.ad.phrase)
+def _encode_block(
+    ads: list[Advertisement], carriers: int, phrases: list[tuple[str, ...]]
+) -> bytearray:
+    """A row's entry block (layout in :func:`encode_node`).  The three
+    ints of every entry are zigzag-mapped and varint-coded inline: this
+    loop runs once per ad of every seal, merge and build."""
+    block = bytearray()
+    append = block.append
+    phrase_index = (
+        {phrase: at for at, phrase in enumerate(phrases)}
+        if len(phrases) > 1
+        else None
+    )
+    previous = 0
+    for at, ad in enumerate(ads):
+        info = ad.info
+        bid = info.bid_price_micros
+        # A group's first bid is zigzag-coded; the rest fall from it.
+        if at and at != carriers:
+            coded_bid = previous - bid
+        else:
+            coded_bid = bid << 1 if bid >= 0 else (-bid << 1) - 1
+        previous = bid
+        listing = info.listing_id
+        campaign = info.campaign_id
+        listing = listing << 1 if listing >= 0 else (-listing << 1) - 1
+        campaign = campaign << 1 if campaign >= 0 else (-campaign << 1) - 1
+        while coded_bid > 0x7F:
+            append(coded_bid & 0x7F | 0x80)
+            coded_bid >>= 7
+        append(coded_bid)
+        while listing > 0x7F:
+            append(listing & 0x7F | 0x80)
+            listing >>= 7
+        append(listing)
+        while campaign > 0x7F:
+            append(campaign & 0x7F | 0x80)
+            campaign >>= 7
+        append(campaign)
+        if phrase_index is not None:
+            _put(block, phrase_index[ad.phrase])
+        if at < carriers:
+            _put(block, len(info.exclusion_phrases))
+            for exclusion in info.exclusion_phrases:
+                _put_str(block, exclusion)
+    return block
 
 
 class SegmentBuilder:
@@ -168,9 +286,10 @@ class SegmentBuilder:
         offsets: list[int] = []
         position = 0
         num_ads = 0
+        coded_words: dict[str, bytes] = {}
         for suffix in suffixes:
-            entries = sorted(merged[suffix], key=_entry_order)
-            chunk = encode_node(entries)
+            entries = merged[suffix]
+            chunk = encode_node(entries, coded_words)
             offsets.append(position)
             position += len(chunk)
             num_ads += len(entries)

@@ -18,9 +18,12 @@ instead of surfacing as silently wrong auctions.
 
 ``B^sig`` and ``B^off`` are stored as little-endian 64-bit words (the
 layout :class:`repro.compress.bitvector.BitVector` ranks/selects over
-without copying).  Node records are the front-coded/delta-coded encoding
-produced by :mod:`repro.segment.builder` and decoded lazily by
-:mod:`repro.segment.packed`.
+without copying).  Node records are the version-2 encoding produced by
+:func:`repro.segment.builder.encode_node` (a word-set table, each row
+followed by its entries, carriers of exclusion phrases first, then in
+the auction's rank order) and read lazily by
+:mod:`repro.segment.packed`.  Any other version is refused: there is
+one reader.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from pathlib import Path
 from typing import Any
 
 MAGIC = b"REPROSEG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Fixed-size fields following the magic: format version, header length.
 _FIXED = struct.Struct("<II")
@@ -107,7 +110,8 @@ def read_header(buf: bytes | memoryview) -> tuple[dict[str, Any], int]:
     version, header_len = _FIXED.unpack(bytes(buf[len(MAGIC) : HEADER_START]))
     if version != FORMAT_VERSION:
         raise SegmentFormatError(
-            f"unsupported segment format version {version}"
+            f"unsupported segment format version {version} "
+            f"(this reader reads version {FORMAT_VERSION} only)"
         )
     end = HEADER_START + header_len
     if len(buf) < end:

@@ -19,16 +19,26 @@ The query path is the Fig 6 lookup with the PR 1 probe plan in front:
 3. a hit's node ordinal is one entry of a per-word ``B^sig`` rank
    directory plus a popcount of the word just tested; it indexes
    ``B^off``, materialized as a flat ``array('Q')`` at load time (the
-   fully sampled select dictionary), and the node record is decoded,
-   front-decoding phrases and delta-decoding bids incrementally.
+   fully sampled select dictionary), and the node record is read.
 
-A node stores every ad of one word-set together (condition IV), so
-whether its ads match a query is a property of the word-set, not of
-each ad.  A decoded node is therefore a list of **runs**: consecutive
-entries sharing one word-set object, as ``(word_set, ads)`` pairs in
-entry order (within a record word-sets are shared by value, so the
-phrase orders of one word-set share a run).  The scan makes one length
-cut, one subset test and one ``list.extend`` per run.
+A node record (format version 2, :func:`repro.segment.builder.encode_node`)
+is a table of word-set rows, each followed by its entries: carriers
+(ads with exclusion phrases) first, then the rest in the auction's own
+order ``(-bid, listing_id)``.  A node stores every ad of one word-set
+together (condition IV), so whether its ads match a query is a property
+of the row, not of each ad.  A decoded node is therefore a list of
+**runs**, one ``(word_set, ads)`` pair per row.  The scan makes one
+length cut, one subset test and one ``list.extend`` per run.
+
+The **ranked read** (``query(..., top=k)``) serves an auction that
+shows at most ``k - 1`` ads: it counts every match from the rows, keeps
+every matching carrier (an exclusion filter must see them) and walks
+each matching row's other entries only while their bid can still enter
+the best ``k``, keeping the running floor across nodes.  Only the kept
+entries become ``Advertisement`` objects, once the scan is over
+(:class:`~repro.core.matching.RankedMatches`).  It walks a cached node
+as runs and reads any other node off the bytes; it never admits one,
+so its cost stays the same while the node cache fills.
 
 Serving reality check: a Python-level entry decode can never race a
 pointer chase through live objects, so the index keeps a **bounded
@@ -50,17 +60,20 @@ and tombstones in :class:`repro.segment.tiered.TieredSegmentedIndex`.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import math
 import mmap
 from array import array
 from collections.abc import Iterable, Iterator
 from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 from time import perf_counter
-from typing import Any
+from typing import Any, overload
 
 from repro.compress.bitvector import BitVector
 from repro.core.ads import AdInfo, Advertisement
-from repro.core.matching import MatchType, apply_match_type
+from repro.core.matching import MatchType, RankedMatches, apply_match_type
 from repro.core.queries import Query
 from repro.core.wordhash import hash_suffix, wordhash
 from repro.cost.accounting import AccessTracker
@@ -97,8 +110,46 @@ DEFAULT_CACHE_BYTES = 32 << 20
 _NEW_AD = object.__new__
 _SET = object.__setattr__
 
-#: A decoded node: ``(word_set, ads)`` runs in entry order.
+#: A decoded node: one ``(word_set, ads)`` run per word-set row, in
+#: record order, each run's ads in the row's order (carriers first).
 _Runs = list[tuple[frozenset[str], list[Advertisement]]]
+
+
+class _Ranking:
+    """One ranked read in progress.
+
+    ``heap`` keeps the best ``top`` matches without exclusion phrases,
+    keyed ``(rank, -listing_id, -position)`` as
+    :func:`~repro.serving.auction.run_gsp_auction` keys its own (the
+    root is the worst kept), and ``floor`` is that root's rank once the
+    heap is full; ``carriers`` lists every matching ad with exclusion
+    phrases.  ``matched`` counts the matches so far, so it is also the
+    next match's position in the full match list.  A kept item is an
+    ``Advertisement`` when it came from a decoded node, else the fields
+    :meth:`PackedSegmentIndex._materialise` builds one from.
+    """
+
+    __slots__ = ("top", "heap", "floor", "carriers", "matched")
+
+    def __init__(self, top: int) -> None:
+        self.top = top
+        self.heap: list[tuple[float, int, int, Any]] = []
+        self.floor = -math.inf
+        self.carriers: list[tuple[int, Any]] = []
+        self.matched = 0
+
+    def keep(self, rank: float, listing_id: int, position: int, item: Any) -> None:
+        """Offer a match without exclusion phrases that is not below the
+        floor."""
+        heap = self.heap
+        entry = (rank, -listing_id, -position, item)
+        if len(heap) < self.top:
+            heapq.heappush(heap, entry)
+            if len(heap) < self.top:
+                return
+        else:
+            heapq.heappushpop(heap, entry)
+        self.floor = heap[0][0]
 
 
 #: ``(name, help)`` of the counters ``_scan`` bumps, in its order.
@@ -111,6 +162,120 @@ _SCAN_COUNTERS = (
     ("segment.cache_hits", "Node scans served decoded"),
     ("segment.cache_misses", "Node scans that paid a decode"),
 )
+#: ``(name, help)`` of the counters bumped where a record is read and
+#: where an ad is built, so every path that reads the mapping counts.
+_READ_COUNTERS = (
+    ("segment.nodes_read", "Node records read off the mapping"),
+    ("segment.ads_materialised", "Advertisements built from node records"),
+)
+
+
+def _read_words(
+    chunk: bytes, pos: int, count: int, intern: dict[str, str]
+) -> tuple[list[str], int]:
+    """A row's ``count`` words, interned; returns them and the next
+    offset."""
+    words: list[str] = []
+    for _ in range(count):
+        token_len = chunk[pos]
+        pos += 1
+        if token_len >= 128:
+            token_len, pos = read_varint(chunk, pos - 1)
+        end = pos + token_len
+        token = chunk[pos:end].decode("utf-8")
+        pos = end
+        words.append(intern.setdefault(token, token))
+    return words, pos
+
+
+def _read_row(
+    chunk: bytes, pos: int, word_count: int, intern: dict[str, str]
+) -> tuple[list[str], int, int, int, int, int, int, int]:
+    """The rest of a row header after its word count: the words, the
+    entry, carrier and phrase counts, where the phrases start and end,
+    and where the entry block starts and ends."""
+    words, pos = _read_words(chunk, pos, word_count, intern)
+    head = chunk[pos : pos + 4]
+    if len(head) == 4 and max(head) < 0x80:
+        # The four counts, each one byte: the common case.
+        num_entries, num_carriers, num_phrases, phrases_len = head
+        phrases_at = pos + 4
+    else:
+        num_entries, pos = read_varint(chunk, pos)
+        num_carriers, pos = read_varint(chunk, pos)
+        num_phrases, pos = read_varint(chunk, pos)
+        phrases_len, phrases_at = read_varint(chunk, pos)
+    phrases_end = phrases_at + phrases_len
+    block_len = chunk[phrases_end]
+    pos = phrases_end + 1
+    if block_len >= 128:
+        block_len, pos = read_varint(chunk, phrases_end)
+    if num_carriers > num_entries or (num_entries and not num_phrases):
+        raise SegmentFormatError(
+            "malformed node record: a row miscounts its carriers or phrases"
+        )
+    return (
+        words,
+        num_entries,
+        num_carriers,
+        num_phrases,
+        phrases_at,
+        phrases_end,
+        pos,
+        pos + block_len,
+    )
+
+
+def _read_phrases(
+    chunk: bytes, pos: int, end: int, count: int, words: list[str]
+) -> list[tuple[str, ...]]:
+    """A row's ``count`` front-coded phrases, which fill ``chunk[pos:end]``
+    exactly, as tuples of the row's word objects.  Positions are below
+    128 for any word-set under 128 words, so a suffix is read as its
+    bytes, with :func:`read_varint` for the rest."""
+    phrases: list[tuple[str, ...]] = []
+    positions: list[int] = []
+    for _ in range(count):
+        shared, pos = read_varint(chunk, pos)
+        num_suffix, pos = read_varint(chunk, pos)
+        del positions[shared:]
+        suffix = chunk[pos : pos + num_suffix]
+        if max(suffix, default=0) < 0x80:
+            positions += suffix
+            pos += num_suffix
+        else:
+            for _ in range(num_suffix):
+                at, pos = read_varint(chunk, pos)
+                positions.append(at)
+        phrases.append(tuple([words[at] for at in positions]))
+    if pos != end:
+        raise SegmentFormatError(
+            "malformed node record: phrases disagree with their length"
+        )
+    return phrases
+
+
+def _read_exclusions(chunk: bytes, pos: int) -> tuple[tuple[str, ...], int]:
+    """A carrier's exclusion phrases (at least one); returns them and the
+    next offset."""
+    count = chunk[pos]
+    pos += 1
+    if count >= 128:
+        count, pos = read_varint(chunk, pos - 1)
+    if not count:
+        raise SegmentFormatError(
+            "malformed node record: a carrier without exclusion phrases"
+        )
+    decoded: list[str] = []
+    for _ in range(count):
+        text_len = chunk[pos]
+        pos += 1
+        if text_len >= 128:
+            text_len, pos = read_varint(chunk, pos - 1)
+        end = pos + text_len
+        decoded.append(chunk[pos:end].decode("utf-8"))
+        pos = end
+    return tuple(decoded), pos
 
 
 class PackedSegmentIndex:
@@ -118,6 +283,9 @@ class PackedSegmentIndex:
 
     #: Capability marker: ``query`` accepts a ``deadline`` budget.
     supports_deadline = True
+    #: Capability marker: ``query`` and ``query_kernel_batch`` take
+    #: ``top`` (see :func:`repro.serving.server.ranked_read`).
+    supports_ranked_read = True
 
     def __init__(
         self,
@@ -309,6 +477,9 @@ class PackedSegmentIndex:
             self._counters = [
                 obs.counter(name, help=text) for name, text in _SCAN_COUNTERS
             ]
+            self._nodes_read, self._ads_materialised = (
+                obs.counter(name, help=text) for name, text in _READ_COUNTERS
+            )
 
     # ------------------------------------------------------------------ #
     # Query processing
@@ -331,27 +502,70 @@ class PackedSegmentIndex:
             max_query_words=self.max_query_words,
         )
 
+    @overload
+    def query(
+        self,
+        query: Query,
+        match_type: MatchType = ...,
+        deadline: Deadline | None = ...,
+        top: None = ...,
+    ) -> list[Advertisement]: ...
+
+    @overload
+    def query(
+        self,
+        query: Query,
+        match_type: MatchType = ...,
+        deadline: Deadline | None = ...,
+        *,
+        top: int,
+    ) -> RankedMatches: ...
+
     def query(
         self,
         query: Query,
         match_type: MatchType = MatchType.BROAD,
         deadline: Deadline | None = None,
-    ) -> list[Advertisement]:
+        top: int | None = None,
+    ) -> list[Advertisement] | RankedMatches:
         """Broad match off the mapped file; phrase/exact verify on top.
 
-        An expired ``deadline`` stops the scan before its next node; the
-        partial result is flagged on the budget object, not returned
-        silently.
+        With ``top``, the ranked read: a :class:`RankedMatches` holding
+        the exact match count, every matching ad with exclusion phrases
+        and the best ``top`` others, the only ads it materialises (broad
+        match only).  An expired ``deadline`` stops the scan before its
+        next node; the partial result is flagged on the budget object,
+        not returned silently.
         """
         plan = self.probe_plan(query.words, deadline)
-        return self._probe(query, plan, match_type, deadline)
+        return self._probe(query, plan, match_type, deadline, None, top)
+
+    @overload
+    def query_kernel_batch(
+        self,
+        queries: Iterable[Query],
+        match_type: MatchType = ...,
+        deadline: Deadline | None = ...,
+        top: None = ...,
+    ) -> list[list[Advertisement]]: ...
+
+    @overload
+    def query_kernel_batch(
+        self,
+        queries: Iterable[Query],
+        match_type: MatchType = ...,
+        deadline: Deadline | None = ...,
+        *,
+        top: int,
+    ) -> list[RankedMatches]: ...
 
     def query_kernel_batch(
         self,
         queries: Iterable[Query],
         match_type: MatchType = MatchType.BROAD,
         deadline: Deadline | None = None,
-    ) -> list[list[Advertisement]]:
+        top: int | None = None,
+    ) -> list[Any]:
         """:meth:`query` for every query of a batch (the entry point
         :class:`~repro.perf.batch.BatchQueryEngine` hands a deduplicated
         batch to), with one ``B^sig`` pass for all its bulk plans.  A
@@ -361,7 +575,7 @@ class PackedSegmentIndex:
         plans = self._plan_memo.plans(batch, deadline, self.probe_plan)
         hits = self._bulk_hits(plans, deadline)
         return [
-            self._probe(query, plan, match_type, deadline, hits.get(at))
+            self._probe(query, plan, match_type, deadline, hits.get(at), top)
             for at, (query, plan) in enumerate(zip(batch, plans))
         ]
 
@@ -372,7 +586,8 @@ class PackedSegmentIndex:
         match_type: MatchType,
         deadline: Deadline | None,
         hits: tuple[list[int], int] | None = None,
-    ) -> list[Advertisement]:
+        top: int | None = None,
+    ) -> list[Advertisement] | RankedMatches:
         """The one probe body: the plan's keys, then :meth:`_scan`.
 
         A plan :func:`~repro.kernels.pipeline.bulk_membership` sends to
@@ -381,14 +596,15 @@ class PackedSegmentIndex:
         any other streams its key generator through the scan's inline
         bit test.
         """
+        if top is not None and match_type is not MatchType.BROAD:
+            raise ValueError("a ranked read is broad match only")
         if hits is None and bulk_membership(plan):
             hits = self._bulk_hits([plan], deadline).get(0)
-        if hits is None:
-            return self._scan(query, plan, probe_keys(plan), match_type, deadline)
-        hit_suffixes, num_probes = hits
-        return self._scan(
-            query, plan, hit_suffixes, match_type, deadline, num_probes
-        )
+        keys: Iterable[int] = probe_keys(plan) if hits is None else hits[0]
+        num_probes = None if hits is None else hits[1]
+        if top is None:
+            return self._scan(query, plan, keys, match_type, deadline, num_probes)
+        return self._scan(query, plan, keys, match_type, deadline, num_probes, top)
 
     def _bulk_hits(
         self, plans: list[ProbePlan], deadline: Deadline | None
@@ -421,13 +637,19 @@ class PackedSegmentIndex:
         match_type: MatchType,
         deadline: Deadline | None = None,
         num_probes: int | None = None,
-    ) -> list[Advertisement]:
+        top: int | None = None,
+    ) -> list[Advertisement] | RankedMatches:
         """Test ``keys`` against ``B^sig`` in probe-enumeration order
         and scan the hit nodes.  ``keys`` is a streamed plan's whole key
         stream, or a bulk plan's hit suffixes with ``num_probes`` saying
         how many keys the bulk pass tested (masking and re-testing a hit
         suffix is idempotent).  A ``deadline`` is checked before the
-        first key and before each node scan."""
+        first key and before each node scan.
+
+        Without ``top`` every matching ad is listed.  With it each node
+        is walked in rank order (as runs when cached, else by
+        :meth:`_rank_record` off the bytes) and only the ads a
+        :class:`RankedMatches` keeps are built, at the end."""
         obs = self._obs
         started = perf_counter() if obs is not None else 0.0
         words = plan.words
@@ -437,6 +659,7 @@ class PackedSegmentIndex:
         sig_words = self.bsig.words
         sig_ranks = self._sig_ranks
         cache = self._node_cache
+        ranking = None if top is None else _Ranking(top)
         results: list[Advertisement] = []
         extend = results.extend
         visited: set[int] = set()
@@ -467,27 +690,73 @@ class PackedSegmentIndex:
             )
             node_scans += 1
             runs = cache.get(node_index)
-            if runs is not None:
-                # A hit is charged for the entries up to the length cut.
+            hit = runs is not None
+            if hit:
                 cache_hits += 1
-                scanned = 0
-                for run_words, run in runs:
-                    if len(run_words) > query_len:
-                        break
-                    scanned += len(run)
-                    if run_words <= words:
-                        extend(run)
             else:
-                # A decode is charged for every entry it decoded; a run
-                # longer than the query fails the subset test by size.
-                runs = self._admit(node_index)
+                # A ranked read never admits.  Admitting is a full
+                # decode, which costs several ranked reads of the node,
+                # so a ranked query got cheaper as the cache filled.
+                runs = self._admit(node_index) if ranking is None else None
                 if runs is None:
                     chunk = self._node_chunk(node_index)
-                    runs, consumed = self._decode_entries(chunk, query_len)
+                    if ranking is None:
+                        runs, consumed = self._decode_entries(chunk, query_len)
+                    else:
+                        scanned, consumed = self._rank_record(
+                            chunk, words, ranking
+                        )
                     if tracker is not None:
                         tracker.random_access(consumed)
+            if runs is None:
+                pass  # ranked off the bytes above
+            elif ranking is not None:
+                # The ranked walk over decoded runs: a matching run's
+                # carriers (its leading ads with exclusion phrases) are
+                # all kept, then its other ads in rank order until one
+                # falls below the floor.  A rank is the auction's at
+                # quality 1, ``bid * 1.0``.
+                scanned = 0
+                floor = ranking.floor
+                position = ranking.matched
+                try:
+                    for run_words, run in runs:
+                        if len(run_words) > query_len:
+                            break
+                        if not run_words <= words:
+                            continue
+                        info = run[0].info
+                        if (
+                            not info.exclusion_phrases
+                            and info.bid_price_micros * 1.0 < floor
+                        ):
+                            position += len(run)
+                            continue
+                        for at, ad in enumerate(run, position):
+                            info = ad.info
+                            if info.exclusion_phrases:
+                                ranking.carriers.append((at, ad))
+                            else:
+                                rank = info.bid_price_micros * 1.0
+                                if rank < floor:
+                                    break
+                                ranking.keep(rank, info.listing_id, at, ad)
+                                floor = ranking.floor
+                            scanned += 1
+                        position += len(run)
+                except OverflowError as exc:
+                    raise SegmentFormatError(
+                        f"malformed node record: bid out of range: {exc}"
+                    ) from exc
+                ranking.matched = position
+            else:
+                # A hit is charged for the entries up to the length cut;
+                # a decode for every entry it decoded (a run longer than
+                # the query fails the subset test by size).
                 scanned = 0
                 for run_words, run in runs:
+                    if hit and len(run_words) > query_len:
+                        break
                     scanned += len(run)
                     if run_words <= words:
                         extend(run)
@@ -500,6 +769,22 @@ class PackedSegmentIndex:
                 obs.counter("resilience.deadline_partials").inc()
         if num_probes is not None:
             probes = num_probes
+        if ranking is None:
+            matched = len(results)
+        else:
+            matched = ranking.matched
+            chosen = ranking.carriers + [
+                (-position, item) for _, _, position, item in ranking.heap
+            ]
+            chosen.sort(key=itemgetter(0))
+            ranked = tuple(
+                item if type(item) is Advertisement else self._materialise(item)
+                for _, item in chosen
+            )
+            if obs is not None:
+                self._ads_materialised.inc(
+                    sum(type(item) is not Advertisement for _, item in chosen)
+                )
         if tracker is not None:
             # Every probed subset is one random ``B^sig`` word read, hit
             # or miss (Section IV's ``Cost_Random`` per lookup).
@@ -511,7 +796,7 @@ class PackedSegmentIndex:
                 probes,
                 node_scans,
                 entries_scanned,
-                len(results),
+                matched,
                 cache_hits,
                 node_scans - cache_hits,
             )
@@ -522,6 +807,8 @@ class PackedSegmentIndex:
             if span is None:
                 span = self._scan_span = obs.histogram("span.segment_query")
             span.observe((perf_counter() - started) * 1e3)
+        if ranking is not None:
+            return RankedMatches(count=matched, ads=ranked)
         return apply_match_type(results, query, match_type)
 
     def _sig_hits(self, all_keys: Any) -> tuple[Any, Any]:
@@ -547,6 +834,8 @@ class PackedSegmentIndex:
             if node_index + 1 < len(offsets)
             else self._nodes_len
         )
+        if self._obs is not None:
+            self._nodes_read.inc()
         return bytes(self._nodes_buf[start:end])
 
     def _decode_entries(
@@ -554,175 +843,315 @@ class PackedSegmentIndex:
     ) -> tuple[_Runs, int]:
         """Decode one node record into runs of materialized ads.
 
-        A run is a maximal stretch of consecutive entries that share one
-        word-set object, returned as a ``(word_set, ads)`` pair; runs
-        come in entry order.  ``max_word_count`` stops the decode at
-        the first entry longer than the query (entries are stored
-        word-count-ordered); ``None`` decodes every entry (cache
-        admission, :meth:`iter_ads`, compaction).  Returns the runs and
-        the bytes consumed.
+        One run per word-set row, as ``(word_set, ads)``, in record
+        order, its ads in the row's order: the carriers, then the rest,
+        each group by ``(-bid, listing_id)``.
+        ``max_word_count`` stops the decode at the first row longer than
+        the query (rows are word-count-ordered); ``None`` decodes every
+        row (cache admission, :meth:`iter_ads`, compaction).  Returns the
+        runs and the bytes consumed.
 
-        Zigzag doubles the bid delta, the listing id and the campaign id,
-        so those three are multi-byte on nearly every entry: their
-        continuation bytes are decoded inline.  Counts and lengths (entry
-        and word counts, shared and suffix token counts, token and
-        exclusion lengths) almost always fit one byte, which is inlined,
-        with :func:`read_varint` for the rest.  Ads are built fresh by
-        direct slot assignment (what the frozen dataclass ``__init__``
-        does anyway); only tokens are shared across decodes, through the
-        O(vocabulary) token table.  Phrase tuples and word-sets are
-        shared *within the record*: condition IV keeps all ads of one
-        word-set in one node, so a per-record table by value is enough
-        for every phrase order of a word-set to form one run.  Nothing a
+        A row's words are decoded once, interned through the O(vocabulary)
+        token table, and its phrase tuples are built from them, so the
+        run's word-set, its phrases and its ads share one object each.
+        Zigzag doubles the listing and campaign ids, so those are
+        multi-byte on nearly every entry and their continuation bytes are
+        decoded inline; so are the bids.  Counts and lengths almost
+        always fit one byte, which is inlined, with :func:`read_varint`
+        for the rest.  Ads are built fresh by direct slot assignment
+        (what the frozen dataclass ``__init__`` does anyway).  Nothing a
         decode builds outlives its caller unless the node cache admits
-        it, so what decoding retains is bounded by ``cache_bytes``.  One
-        token scratch list is reused across the node's entries.
+        it, so what decoding retains is bounded by ``cache_bytes``.
 
         The record is untrusted input: one that is truncated, indexes
-        past its end, holds invalid UTF-8, or (fully decoded) does not
-        end exactly at its last byte raises :class:`SegmentFormatError`.
+        past its end, holds invalid UTF-8, miscounts its carriers or its
+        phrases, or (fully decoded) does not end exactly at its last byte
+        raises :class:`SegmentFormatError`.
         """
         intern = self._token_intern
-        phrases: dict[
-            tuple[str, ...], tuple[tuple[str, ...], frozenset[str]]
-        ] = {}
-        word_sets: dict[frozenset[str], frozenset[str]] = {}
-        tokens: list[str] = []
         runs: _Runs = []
-        run_words: frozenset[str] | None = None
-        run: list[Advertisement] = []
-        pos = price_pos = prices_end = 0
+        built = 0
+        pos = 0
         try:
-            num_entries = chunk[pos]
+            num_rows = chunk[pos]
             pos += 1
-            if num_entries >= 128:
-                num_entries, pos = read_varint(chunk, pos - 1)
-            prices_len = chunk[pos]
-            pos += 1
-            if prices_len >= 128:
-                prices_len, pos = read_varint(chunk, pos - 1)
-            price_pos = pos
-            pos += prices_len
-            prices_end = pos
-            price = 0
-            for _ in range(num_entries):
+            if num_rows >= 128:
+                num_rows, pos = read_varint(chunk, pos - 1)
+            for _ in range(num_rows):
                 word_count = chunk[pos]
                 pos += 1
                 if word_count >= 128:
                     word_count, pos = read_varint(chunk, pos - 1)
                 if max_word_count is not None and word_count > max_word_count:
                     break
-                raw = chunk[price_pos]
-                price_pos += 1
-                if raw >= 128:
-                    raw &= 127
-                    shift = 7
-                    while True:
-                        byte = chunk[price_pos]
-                        price_pos += 1
-                        raw |= (byte & 127) << shift
-                        if byte < 128:
-                            break
-                        shift += 7
-                # The first delta is coded against 0.
-                price += (raw >> 1) ^ -(raw & 1)
-                shared = chunk[pos]
-                pos += 1
-                if shared >= 128:
-                    shared, pos = read_varint(chunk, pos - 1)
-                num_suffix = chunk[pos]
-                pos += 1
-                if num_suffix >= 128:
-                    num_suffix, pos = read_varint(chunk, pos - 1)
-                del tokens[shared:]
-                for _ in range(num_suffix):
-                    token_len = chunk[pos]
-                    pos += 1
-                    if token_len >= 128:
-                        token_len, pos = read_varint(chunk, pos - 1)
-                    end = pos + token_len
-                    token = chunk[pos:end].decode("utf-8")
-                    pos = end
-                    tokens.append(intern.setdefault(token, token))
-                phrase = tuple(tokens)
-                shared_phrase = phrases.get(phrase)
-                if shared_phrase is None:
-                    value = frozenset(phrase)
-                    shared_phrase = (phrase, word_sets.setdefault(value, value))
-                    phrases[phrase] = shared_phrase
-                phrase, word_set = shared_phrase
-                raw_listing = chunk[pos]
-                pos += 1
-                if raw_listing >= 128:
-                    raw_listing &= 127
-                    shift = 7
-                    while True:
-                        byte = chunk[pos]
-                        pos += 1
-                        raw_listing |= (byte & 127) << shift
-                        if byte < 128:
-                            break
-                        shift += 7
-                raw_campaign = chunk[pos]
-                pos += 1
-                if raw_campaign >= 128:
-                    raw_campaign &= 127
-                    shift = 7
-                    while True:
-                        byte = chunk[pos]
-                        pos += 1
-                        raw_campaign |= (byte & 127) << shift
-                        if byte < 128:
-                            break
-                        shift += 7
-                num_exclusions = chunk[pos]
-                pos += 1
-                if num_exclusions >= 128:
-                    num_exclusions, pos = read_varint(chunk, pos - 1)
-                exclusions: tuple[str, ...] = ()
-                if num_exclusions:
-                    decoded: list[str] = []
-                    for _ in range(num_exclusions):
-                        text_len = chunk[pos]
-                        pos += 1
-                        if text_len >= 128:
-                            text_len, pos = read_varint(chunk, pos - 1)
-                        end = pos + text_len
-                        decoded.append(chunk[pos:end].decode("utf-8"))
-                        pos = end
-                    exclusions = tuple(decoded)
-                ad = _NEW_AD(Advertisement)
-                _SET(ad, "phrase", phrase)
-                _SET(
-                    ad,
-                    "info",
-                    AdInfo(
-                        listing_id=(raw_listing >> 1) ^ -(raw_listing & 1),
-                        campaign_id=(raw_campaign >> 1) ^ -(raw_campaign & 1),
-                        bid_price_micros=price,
-                        exclusion_phrases=exclusions,
-                    ),
+                (
+                    words,
+                    num_entries,
+                    carriers,
+                    num_phrases,
+                    phrases_at,
+                    phrases_end,
+                    pos,
+                    block_end,
+                ) = _read_row(chunk, pos, word_count, intern)
+                word_set = frozenset(words)
+                phrases = _read_phrases(
+                    chunk, phrases_at, phrases_end, num_phrases, words
                 )
-                _SET(ad, "words", word_set)
-                if word_set is not run_words:
-                    run_words = word_set
-                    run = []
-                    runs.append((word_set, run))
-                run.append(ad)
+                phrase = phrases[0] if phrases else ()
+                ads: list[Advertisement] = []
+                bid = 0
+                for at in range(num_entries):
+                    raw = chunk[pos]
+                    pos += 1
+                    if raw >= 128:
+                        raw &= 127
+                        shift = 7
+                        while True:
+                            byte = chunk[pos]
+                            pos += 1
+                            raw |= (byte & 127) << shift
+                            if byte < 128:
+                                break
+                            shift += 7
+                    # Each group's first bid is zigzag-coded; the rest
+                    # fall by ``raw``.
+                    if at and at != carriers:
+                        bid -= raw
+                    else:
+                        bid = (raw >> 1) ^ -(raw & 1)
+                    raw_listing = chunk[pos]
+                    pos += 1
+                    if raw_listing >= 128:
+                        raw_listing &= 127
+                        shift = 7
+                        while True:
+                            byte = chunk[pos]
+                            pos += 1
+                            raw_listing |= (byte & 127) << shift
+                            if byte < 128:
+                                break
+                            shift += 7
+                    raw_campaign = chunk[pos]
+                    pos += 1
+                    if raw_campaign >= 128:
+                        raw_campaign &= 127
+                        shift = 7
+                        while True:
+                            byte = chunk[pos]
+                            pos += 1
+                            raw_campaign |= (byte & 127) << shift
+                            if byte < 128:
+                                break
+                            shift += 7
+                    if num_phrases > 1:
+                        index = chunk[pos]
+                        pos += 1
+                        if index >= 128:
+                            index, pos = read_varint(chunk, pos - 1)
+                        phrase = phrases[index]
+                    exclusions: tuple[str, ...] = ()
+                    if at < carriers:
+                        exclusions, pos = _read_exclusions(chunk, pos)
+                    ad = _NEW_AD(Advertisement)
+                    _SET(ad, "phrase", phrase)
+                    _SET(
+                        ad,
+                        "info",
+                        AdInfo(
+                            listing_id=(raw_listing >> 1) ^ -(raw_listing & 1),
+                            campaign_id=(raw_campaign >> 1) ^ -(raw_campaign & 1),
+                            bid_price_micros=bid,
+                            exclusion_phrases=exclusions,
+                        ),
+                    )
+                    _SET(ad, "words", word_set)
+                    ads.append(ad)
+                if pos != block_end:
+                    raise SegmentFormatError(
+                        "malformed node record: an entry block disagrees "
+                        "with its length"
+                    )
+                runs.append((word_set, ads))
+                built += num_entries
         except (IndexError, UnicodeDecodeError) as exc:
             raise SegmentFormatError(f"malformed node record: {exc}") from exc
         # A slice running past the end shortens a string instead of
-        # raising, so the cursors are checked once, here.
-        size = len(chunk)
-        if (
-            pos > size
-            or price_pos > prices_end
-            or (max_word_count is None and (pos, price_pos) != (size, prices_end))
-        ):
+        # raising, so the cursor is checked once, here.
+        if pos > len(chunk) or (max_word_count is None and pos != len(chunk)):
             raise SegmentFormatError(
                 "malformed node record: fields run past its end or stop short"
             )
+        if self._obs is not None:
+            self._ads_materialised.inc(built)
         return runs, pos
+
+    def _rank_record(
+        self, chunk: bytes, words: frozenset[str], ranking: _Ranking
+    ) -> tuple[int, int]:
+        """The ranked walk of :meth:`_scan`, off the record's bytes.  A
+        row's words are decoded for the subset test; a matching row's
+        entries are read only as far as the walk goes, and a row that
+        does not match, or the rest of one past its floor, is stepped
+        over by its ``block_len``.  Phrases stay undecoded unless an
+        entry is kept, and a kept entry is held as its fields and its
+        row (see :meth:`_materialise`).  Returns the entries walked and
+        the bytes consumed; a malformed record raises
+        :class:`SegmentFormatError` like :meth:`_decode_entries`."""
+        intern = self._token_intern
+        query_len = len(words)
+        walked = 0
+        pos = 0
+        try:
+            num_rows = chunk[0]
+            pos = 1
+            if num_rows >= 128:
+                num_rows, pos = read_varint(chunk, 0)
+            for _ in range(num_rows):
+                word_count = chunk[pos]
+                pos += 1
+                if word_count >= 128:
+                    word_count, pos = read_varint(chunk, pos - 1)
+                if word_count > query_len:
+                    break
+                (
+                    row_words,
+                    num_entries,
+                    carriers,
+                    num_phrases,
+                    phrases_at,
+                    phrases_end,
+                    pos,
+                    block_end,
+                ) = _read_row(chunk, pos, word_count, intern)
+                word_set = frozenset(row_words)
+                if not word_set <= words:
+                    pos = block_end
+                    continue
+                row = [phrases_at, phrases_end, num_phrases, row_words, word_set, None]
+                position = ranking.matched
+                ranking.matched += num_entries
+                floor = ranking.floor
+                bid = 0
+                for at in range(num_entries):
+                    # The varints are decoded inline, as in
+                    # :meth:`_decode_entries`.
+                    raw = chunk[pos]
+                    pos += 1
+                    if raw >= 128:
+                        raw &= 127
+                        shift = 7
+                        while True:
+                            byte = chunk[pos]
+                            pos += 1
+                            raw |= (byte & 127) << shift
+                            if byte < 128:
+                                break
+                            shift += 7
+                    if at and at != carriers:
+                        bid -= raw
+                    else:
+                        bid = (raw >> 1) ^ -(raw & 1)
+                    rank = bid * 1.0
+                    if at >= carriers and rank < floor:
+                        break
+                    walked += 1
+                    raw_listing = chunk[pos]
+                    pos += 1
+                    if raw_listing >= 128:
+                        raw_listing &= 127
+                        shift = 7
+                        while True:
+                            byte = chunk[pos]
+                            pos += 1
+                            raw_listing |= (byte & 127) << shift
+                            if byte < 128:
+                                break
+                            shift += 7
+                    raw_campaign = chunk[pos]
+                    pos += 1
+                    if raw_campaign >= 128:
+                        raw_campaign &= 127
+                        shift = 7
+                        while True:
+                            byte = chunk[pos]
+                            pos += 1
+                            raw_campaign |= (byte & 127) << shift
+                            if byte < 128:
+                                break
+                            shift += 7
+                    index = 0
+                    if num_phrases > 1:
+                        index = chunk[pos]
+                        pos += 1
+                        if index >= 128:
+                            index, pos = read_varint(chunk, pos - 1)
+                        if index >= num_phrases:
+                            raise SegmentFormatError(
+                                "malformed node record: phrase index out of range"
+                            )
+                    exclusions: tuple[str, ...] = ()
+                    if at < carriers:
+                        exclusions, pos = _read_exclusions(chunk, pos)
+                    listing_id = (raw_listing >> 1) ^ -(raw_listing & 1)
+                    item = (
+                        bid,
+                        listing_id,
+                        (raw_campaign >> 1) ^ -(raw_campaign & 1),
+                        exclusions,
+                        chunk,
+                        row,
+                        index,
+                    )
+                    if at < carriers:
+                        ranking.carriers.append((position + at, item))
+                    else:
+                        ranking.keep(rank, listing_id, position + at, item)
+                        floor = ranking.floor
+                if pos > block_end:
+                    raise SegmentFormatError(
+                        "malformed node record: an entry block runs past "
+                        "its length"
+                    )
+                pos = block_end
+        except (IndexError, UnicodeDecodeError, OverflowError) as exc:
+            raise SegmentFormatError(f"malformed node record: {exc}") from exc
+        if pos > len(chunk):
+            raise SegmentFormatError(
+                "malformed node record: fields run past its end"
+            )
+        return walked, pos
+
+    @staticmethod
+    def _materialise(item: tuple[Any, ...]) -> Advertisement:
+        """The ``Advertisement`` of an entry :meth:`_rank_record` kept.
+        Its row's phrases are decoded once, for the first entry built
+        from the row."""
+        bid, listing_id, campaign_id, exclusions, chunk, row, index = item
+        phrases_at, phrases_end, num_phrases, words, word_set, phrases = row
+        if phrases is None:
+            try:
+                phrases = row[5] = _read_phrases(
+                    chunk, phrases_at, phrases_end, num_phrases, words
+                )
+            except IndexError as exc:
+                raise SegmentFormatError(
+                    f"malformed node record: {exc}"
+                ) from exc
+        ad = _NEW_AD(Advertisement)
+        _SET(ad, "phrase", phrases[index])
+        _SET(
+            ad,
+            "info",
+            AdInfo(
+                listing_id=listing_id,
+                campaign_id=campaign_id,
+                bid_price_micros=bid,
+                exclusion_phrases=exclusions,
+            ),
+        )
+        _SET(ad, "words", word_set)
+        return ad
 
     def _admit(self, node_index: int) -> _Runs | None:
         """Decode a node fully and cache it if the budget allows.

@@ -23,13 +23,13 @@ recorded for the same query.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, fields
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 from typing import Any
 
 from repro.core.ads import Advertisement
-from repro.core.matching import passes_exclusions
+from repro.core.matching import RankedMatches, passes_exclusions
 from repro.core.protocols import RetrievalIndex
 from repro.core.queries import Query
 from repro.obs.registry import (
@@ -39,7 +39,7 @@ from repro.obs.registry import (
     Span,
     active_or_none,
 )
-from repro.perf.batch import BatchQueryEngine, query_one
+from repro.perf.batch import BatchQueryEngine, Candidates, query_one
 from repro.resilience.admission import AdmissionController, Priority
 from repro.resilience.deadline import ClockMs, Deadline, DegradedReason
 from repro.resilience.degrade import DegradationPolicy
@@ -447,14 +447,14 @@ class AdServer:
         queries: list[Query],
         deadline: Deadline | None,
         error: Exception,
-    ) -> tuple[list[list[Advertisement]], dict[int, DegradedReason]]:
+    ) -> tuple[list[Candidates], dict[int, DegradedReason]]:
         """The failure rule, applied per position once the batched
         retrieval raised ``error``: each query is retried alone (a lone
         query already was); one that still fails is answered with an
         empty slate flagged ``RETRIEVAL_ERROR`` under
         ``degrade_on_error``, else its error propagates.  Returns the
         candidate lists and the reason of every position that failed."""
-        candidate_lists: list[list[Advertisement]] = []
+        candidate_lists: list[Candidates] = []
         failed: dict[int, DegradedReason] = {}
         for position, query in enumerate(queries):
             if len(queries) > 1:
@@ -580,14 +580,16 @@ class AdServer:
                 self.index, max_workers=self.batch_workers, obs=self._obs
             )
         obs = self._obs
+        top = self.slots + 1 if ranked_read(self) else None
         failed: dict[int, DegradedReason] = {}
+        candidate_lists: list[Candidates]
         try:
             if obs is None:
-                candidate_lists = engine.query_broad_batch(queries, deadline)
+                candidate_lists = engine.query_broad_batch(queries, deadline, top)
             else:
                 with Span(self._span("retrieve")):
                     candidate_lists = engine.query_broad_batch(
-                        queries, deadline
+                        queries, deadline, top
                     )
         except Exception as exc:
             candidate_lists, failed = self._retry_alone(queries, deadline, exc)
@@ -609,14 +611,21 @@ class AdServer:
     def _finish(
         self,
         query: Query,
-        candidates: list[Advertisement],
+        candidates: Candidates,
         user_id: object,
         reason: DegradedReason = DegradedReason.NONE,
     ) -> ServeResult:
-        """Filters -> auction -> stats for one query's candidate set."""
+        """Filters -> auction -> stats for one query's candidate set: the
+        full match list, or a ranked read's materialised part and its
+        exact match count."""
         obs = self._obs
+        ads: Sequence[Advertisement]
+        if isinstance(candidates, RankedMatches):
+            matched, ads = candidates.count, candidates.ads
+        else:
+            matched, ads = len(candidates), candidates
         self.stats.queries += 1
-        self.stats.candidates += len(candidates)
+        self.stats.candidates += matched
 
         filter_started = perf_counter() if obs is not None else 0.0
         dropped_exclusion = 0
@@ -628,7 +637,7 @@ class AdServer:
         any_budget = bool(self._budgets)
         capped = self.frequency_cap is not None and user_id is not None
         eligible: list[Advertisement] = []
-        for ad in candidates:
+        for ad in ads:
             if ad.info.exclusion_phrases and not passes_exclusions(ad, query):
                 dropped_exclusion += 1
             elif any_budget and not self._passes_budget(ad):
@@ -660,6 +669,12 @@ class AdServer:
                     reserve_micros=self.reserve_micros,
                     quality_fn=self.quality_fn,
                 )
+        if matched != len(ads):
+            # The matches a ranked read left out pass every filter and
+            # win nothing, but they are eligible candidates all the same.
+            outcome = replace(
+                outcome, candidates=outcome.candidates + matched - len(ads)
+            )
         self.stats.impressions += len(outcome.awards)
         if user_id is not None and self.frequency_cap is not None:
             for award in outcome.awards:
@@ -671,7 +686,7 @@ class AdServer:
         if obs is not None:
             amounts = (
                 1,
-                len(candidates),
+                matched,
                 dropped_exclusion,
                 dropped_budget,
                 dropped_frequency,
@@ -707,6 +722,34 @@ class AdServer:
 
     def exhausted_campaigns(self) -> list[int]:
         return [c for c, b in self._budgets.items() if b <= 0]
+
+
+def ranked_read(server: AdServer) -> bool:
+    """Whether ``server`` retrieves with the index's ranked read (a
+    :class:`~repro.core.matching.RankedMatches` per query, see
+    :meth:`repro.segment.packed.PackedSegmentIndex.query`) instead of
+    the full match list.
+
+    The ranked read keeps every exclusion-carrying match and the best
+    ``slots + 1`` of the others by bid, which is all an exclusion filter
+    and a pure-bid GSP auction can read.  Everything that could drop or
+    re-rank any other match takes the full list:
+
+    * campaign budgets (a budget can drop a top bid);
+    * a frequency cap (a cap can drop a top listing);
+    * a ``quality_fn`` (``bid x quality`` is not the stored order);
+    * an index without a ranked read (``WordSetIndex``, tiered,
+      sharded): one whose class lacks ``supports_ranked_read``.
+
+    PHRASE/EXACT match never gets here: :class:`AdServer` retrieves
+    broad match, and the ranked read refuses the other two.
+    """
+    return (
+        not server._budgets
+        and server.frequency_cap is None
+        and server.quality_fn is None
+        and getattr(type(server.index), "supports_ranked_read", False)
+    )
 
 
 def serve_trace(

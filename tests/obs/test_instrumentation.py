@@ -138,10 +138,12 @@ class TestBoundInstruments:
         "batch.batches": 2,
         "batch.distinct_wordsets": 5,
         "batch.queries": 6,
+        "segment.ads_materialised": 9,
         "segment.cache_hits": 0,
         "segment.cache_misses": 7,
         "segment.entries_scanned": 9,
         "segment.node_scans": 7,
+        "segment.nodes_read": 7,
         "segment.probes": 14,
         "segment.queries": 5,
         "segment.results": 9,

@@ -1,15 +1,20 @@
 """``encode_node``: differential against the encoder it replaced, and the
-bytes of a whole built segment pinned to what that encoder wrote.
+bytes of a whole built segment pinned.
 
-The one-pass encoder appends varints straight into its buffers instead
-of going through ``delta_encode_prices``, ``front_encode`` and a
-``varint_encode`` per value.  The function it replaced is kept here
-*verbatim* as the reference; every generated node must encode to the
-same bytes under both.
+Format version 2 replaced the version-1 node record, so the two encoders
+no longer write the same bytes.  The version-1 encoder (the
+helper-composed one, which wrote exactly the bytes of the one-pass
+version-1 encoder) is kept here *verbatim* as the reference; every
+generated node, encoded by each and decoded by its own format's decoder
+(the version-1 one is ``test_runs``'s verbatim reference), must hold the
+same ads, and the version-2 record must not depend on the order the
+entries come in.
 """
 
 import hashlib
+from collections import Counter
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +27,8 @@ from repro.core.wordset_index import WordSetIndex
 from repro.datagen.corpus import CorpusConfig, generate_corpus
 from repro.segment import builder
 from repro.segment.builder import SegmentBuilder
+from repro.segment.packed import PackedSegmentIndex
+from tests.segment.test_runs import ReferencePackedSegmentIndex
 
 # ---------------------------------------------------------------------- #
 # The reference: the replaced code, verbatim.
@@ -143,10 +150,34 @@ def nodes(draw):
     return entries
 
 
+def decoded(data):
+    """The ads of a version-2 record, through the index's decoder."""
+    runs, _ = PackedSegmentIndex._decode_entries(
+        SimpleNamespace(_token_intern={}, _obs=None), data, None
+    )
+    return [ad for _, run in runs for ad in run]
+
+
+def decoded_v1(data):
+    """The ads of a version-1 record, through the replaced decoder."""
+    ads, _ = ReferencePackedSegmentIndex._decode_entries(
+        SimpleNamespace(_token_intern={}, _phrase_cache={}, _ad_intern={}),
+        data,
+        None,
+    )
+    return ads
+
+
 @settings(max_examples=400, deadline=None)
-@given(nodes())
-def test_encoder_matches_the_replaced_encoder(entries):
-    assert builder.encode_node(entries) == encode_node(entries)
+@given(nodes(), st.randoms(use_true_random=False))
+def test_encoder_matches_the_replaced_encoder(entries, rng):
+    data = builder.encode_node(entries)
+    want = Counter(entry.ad for entry in entries)
+    assert Counter(decoded(data)) == want
+    assert Counter(decoded_v1(encode_node(entries))) == want
+    shuffled = list(entries)
+    rng.shuffle(shuffled)
+    assert builder.encode_node(shuffled) == data
 
 
 def test_every_feature_in_one_node():
@@ -166,18 +197,23 @@ def test_every_feature_in_one_node():
     ]
     entries = [base[i % len(base)] for i in range(130)]
     data = builder.encode_node(entries)
-    assert data == encode_node(entries)
-    assert data[:2] == b"\x82\x01"  # 130 entries: a two-byte count
+    want = Counter(entry.ad for entry in entries)
+    assert Counter(decoded(data)) == want
+    assert Counter(decoded_v1(encode_node(entries))) == want
+    assert builder.encode_node(entries[::-1]) == data
+    # One row (one word, "used") of 130 entries: a two-byte count.
+    used = builder.encode_node([entry(("used",), i) for i in range(130)])
+    assert used[:9] == b"\x01\x01\x04used\x82\x01"
 
 
 # ---------------------------------------------------------------------- #
 # A whole segment, pinned
 
-# sha256 of ``SegmentBuilder(...).build()`` over ``pinned_corpus()``, as
-# written by the PARENT commit (4667605, the verbatim encoder above
-# inside ``SegmentBuilder``) running the same script from a parent
-# checkout.
-PARENT_SEGMENT_SHA256 = "c4eb0ff48a6fcfa13f7696f0412c8a2294957104a900875a0c4896a84abf5b97"
+# sha256 of ``SegmentBuilder(...).build()`` over ``pinned_corpus()``.
+# Re-taken when format version 2 changed the node record on purpose (the
+# version-1 bytes were c4eb0ff4...5b97); a change that means to keep the
+# bytes must keep this.
+PARENT_SEGMENT_SHA256 = "7f95120e23b9acdba817881e1a3d09f95a9d8bb264e6b3a4e34bc12a7f3ec3f9"
 
 
 def pinned_corpus():

@@ -14,20 +14,25 @@ deep walk: the interning decoder can hand one ad object to a record
 twice, which the walk charges once and the shape-aware charge of the
 index under test (sized for a decoder that shares no ad) would not.
 
-On the Hypothesis segments of ``test_runs`` (mixed nodes under small
-``suffix_bits``, non-identity placements, one word-set in several phrase
-orders, duplicate ads) both must give equal ads in the same order, the
-same run boundaries and word-sets, and the same bytes consumed — on a
-first decode and on every re-decode, which the reference answers from
-its tables.  The same script of ``query`` / ``query_kernel_batch`` calls,
-run twice, must give equal results, ``segment.*`` counters and
-``AccessTracker`` stats at ``cache_bytes`` 0 (every scan decodes), 512
-(the first admission is refused and closes the cache, then every scan
-decodes) and the default (every node admitted, the second pass all
-cache hits).
+The reference decoder reads version-1 node records, so each Hypothesis
+segment of ``test_runs`` (mixed nodes under small ``suffix_bits``,
+non-identity placements, one word-set in several phrase orders,
+duplicate ads) is written once per format and each index reads its own
+file.  Both must give the same word-sets in the same order, each with
+the same ads (as multisets: version 2 orders a word-set's ads carriers
+first, then by ``(-bid, listing_id)``) — on a first decode and on every
+re-decode, which the reference answers from its tables.  The same
+script of ``query`` / ``query_kernel_batch`` calls, run twice, must give
+equal results, ``segment.*`` counters and ``AccessTracker`` stats (bytes
+read and ``segment.ads_materialised`` aside, see ``test_runs``) at
+``cache_bytes`` 0 (every scan decodes), 512 (the first admission is
+refused and closes the cache, then every scan decodes) and the default
+(every node admitted, the second pass all cache hits).
 """
 
 from __future__ import annotations
+
+from collections import Counter as Multiset
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,10 +47,13 @@ from repro.segment.packed import DEFAULT_CACHE_BYTES
 from repro.segment.sizing import deep_sizeof
 from tests.segment.test_runs import (
     corpora,
+    counted_work,
+    multisets,
     queries,
     segment,
     segment_counters,
     suffix_widths,
+    v1_segment,
 )
 
 # ---------------------------------------------------------------------- #
@@ -279,8 +287,9 @@ class ParentPackedSegmentIndex(PackedSegmentIndex):
 
 
 def shape(runs):
-    """A decode as comparable values: each run's word-set and ads."""
-    return [(words, list(run)) for words, run in runs]
+    """A decode as comparable values: each run's word-set and its ads as
+    a multiset."""
+    return [(words, Multiset(run)) for words, run in runs]
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,16 +300,18 @@ def test_decode_matches_the_interning_decoder(corpus, suffix_bits):
     builds afresh both times."""
     ads, mapping = corpus
     longest = max(len(ad.words) for ad in ads)
-    with segment(ads, mapping, suffix_bits) as path, PackedSegmentIndex(
+    with segment(ads, mapping, suffix_bits) as path, v1_segment(
+        ads, mapping, suffix_bits
+    ) as v1_path, PackedSegmentIndex(
         path, cache_bytes=0
-    ) as packed, ParentPackedSegmentIndex(path, cache_bytes=0) as reference:
+    ) as packed, ParentPackedSegmentIndex(v1_path, cache_bytes=0) as reference:
         for _ in range(2):
             for node_index in range(packed.num_nodes()):
                 chunk = packed._node_chunk(node_index)
+                v1_chunk = reference._node_chunk(node_index)
                 for limit in (None, *range(longest + 2)):
-                    runs, consumed = packed._decode_entries(chunk, limit)
-                    want, want_consumed = reference._decode_entries(chunk, limit)
-                    assert consumed == want_consumed
+                    runs, _ = packed._decode_entries(chunk, limit)
+                    want, _ = reference._decode_entries(v1_chunk, limit)
                     assert shape(runs) == shape(want)
                     for words, run in runs:
                         assert all(ad.words is words for ad in run)
@@ -329,17 +340,19 @@ def test_serving_matches_the_interning_decoder(
     a registry (``query`` or ``query_kernel_batch``) and with a tracker
     (``query``)."""
     ads, mapping = corpus
-    with segment(ads, mapping, suffix_bits) as path:
+    with segment(ads, mapping, suffix_bits) as path, v1_segment(
+        ads, mapping, suffix_bits
+    ) as v1_path:
         registry, reference_registry = MetricsRegistry(), MetricsRegistry()
         tracker, reference_tracker = AccessTracker(), AccessTracker()
         indexes = [
             PackedSegmentIndex(path, obs=registry, cache_bytes=cache_bytes),
             ParentPackedSegmentIndex(
-                path, obs=reference_registry, cache_bytes=cache_bytes
+                v1_path, obs=reference_registry, cache_bytes=cache_bytes
             ),
             PackedSegmentIndex(path, tracker=tracker, cache_bytes=cache_bytes),
             ParentPackedSegmentIndex(
-                path, tracker=reference_tracker, cache_bytes=cache_bytes
+                v1_path, tracker=reference_tracker, cache_bytes=cache_bytes
             ),
         ]
         packed, reference, tracked, reference_tracked = indexes
@@ -353,14 +366,18 @@ def test_serving_matches_the_interning_decoder(
                     else:
                         got = packed.query_kernel_batch(batch, match_type)
                         want = reference.query_kernel_batch(batch, match_type)
-                    assert got == want
+                    assert multisets(got) == multisets(want)
                     assert segment_counters(registry) == segment_counters(
                         reference_registry
                     )
-                    assert [tracked.query(q, match_type) for q in batch] == [
+                    assert multisets(
+                        tracked.query(q, match_type) for q in batch
+                    ) == multisets(
                         reference_tracked.query(q, match_type) for q in batch
-                    ]
-                    assert tracker.stats == reference_tracker.stats
+                    )
+                    assert counted_work(tracker.stats) == counted_work(
+                        reference_tracker.stats
+                    )
                 counters = segment_counters(registry)
                 if cache_bytes == DEFAULT_CACHE_BYTES and round_ == 1:
                     # Admitted on the first pass, hit on the second.
@@ -383,7 +400,7 @@ def test_serving_matches_the_interning_decoder(
                     assert packed.lookup_count(probe) == reference.lookup_count(
                         probe
                     )
-            assert list(packed.iter_ads()) == list(reference.iter_ads())
+            assert Multiset(packed.iter_ads()) == Multiset(reference.iter_ads())
         finally:
             for index in indexes:
                 index.close()

@@ -10,6 +10,7 @@ from repro.datagen.corpus import CorpusConfig, generate_corpus
 from repro.faults import bit_flip, truncate_at
 from repro.segment import PackedSegmentIndex, SegmentBuilder, SegmentFormatError
 from repro.segment.builder import encode_node
+from repro.segment import tiered
 from repro.segment.format import (
     FORMAT_VERSION,
     HEADER_START,
@@ -19,6 +20,7 @@ from repro.segment.format import (
     read_varint,
     section_bounds,
 )
+from tests.segment.format_v1 import write_v1_segment
 
 
 def ad(text, listing_id=0):
@@ -76,6 +78,56 @@ class TestPreamble:
         blob = MAGIC + struct.pack("<II", FORMAT_VERSION, len(body)) + body
         with pytest.raises(SegmentFormatError, match="not an object"):
             read_header(blob)
+
+
+class TestVersionOne:
+    """Format version 2 has one reader: a genuine version-1 file (its
+    node records in the version-1 layout, its preamble saying 1) is
+    refused at open with an error naming the version."""
+
+    def test_a_v1_segment_file_is_refused(self, tmp_path):
+        path = tmp_path / "v1.seg"
+        corpus = AdCorpus([ad("cheap used books", 1), ad("books", 2)])
+        write_v1_segment(WordSetIndex.from_corpus(corpus), path, version=1)
+        blob = path.read_bytes()
+        assert blob[len(MAGIC) : len(MAGIC) + 4] == (1).to_bytes(4, "little")
+        with pytest.raises(SegmentFormatError, match="version 1"):
+            PackedSegmentIndex(path)
+
+    def test_a_tiered_directory_listing_a_v1_segment_is_refused_at_open(
+        self, tmp_path, monkeypatch
+    ):
+        """Two sealed segments, the second rewritten as version 1: a
+        writable and a read-only open both refuse, leave every file as it
+        was, and close the segment they had already mapped."""
+        directory = tmp_path / "tiered"
+        with tiered.TieredSegmentedIndex(directory) as index:
+            for listing, text in enumerate(["cheap used books", "books", "rare maps"]):
+                index.insert(ad(text, listing))
+                index.seal()
+        manifest = tiered.read_manifest(directory / tiered.MANIFEST_NAME)
+        names = [record.name for record in manifest.segments]
+        assert len(names) == 3
+        victim = directory / names[1]
+        with PackedSegmentIndex(victim) as segment:
+            ads = list(segment.iter_ads())
+        write_v1_segment(WordSetIndex.from_corpus(ads), victim, version=1)
+        before = {child.name: child.read_bytes() for child in directory.iterdir()}
+        opened: list[PackedSegmentIndex] = []
+
+        class Tracked(PackedSegmentIndex):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tiered, "PackedSegmentIndex", Tracked)
+        for read_only in (False, True):
+            opened.clear()
+            with pytest.raises(SegmentFormatError, match="version 1"):
+                tiered.TieredSegmentedIndex(directory, read_only=read_only)
+            assert len(opened) == 2
+            assert opened[0]._closed
+            assert {child.name: child.read_bytes() for child in directory.iterdir()} == before
 
 
 class TestVarint:

@@ -1,18 +1,24 @@
 """Runs, not ads: the packed node decode and scan against the code they
 replaced.
 
-``PackedSegmentIndex._decode_entries`` returns a node as runs (consecutive
-entries sharing one word-set object) and ``_scan`` makes one length cut,
-one subset test and one ``list.extend`` per run.  The decoder, scan,
-cache admission, point lookup and full iteration they replaced are kept
-here *verbatim* as ``ReferencePackedSegmentIndex``, which owns the
-phrase and ad intern tables its decoder reads (the index under test no
-longer has them).
+``PackedSegmentIndex._decode_entries`` returns a node as runs (one per
+word-set row of a version-2 record, its ads sharing one word-set object)
+and ``_scan`` makes one length cut, one subset test and one
+``list.extend`` per run.  The decoder, scan, cache admission, point
+lookup and full iteration they replaced are kept here *verbatim* as
+``ReferencePackedSegmentIndex``, which owns the phrase and ad intern
+tables its decoder reads (the index under test no longer has them).
+That decoder reads version-1 node records, so each Hypothesis corpus is
+written twice, once per format (:mod:`tests.segment.format_v1`), and
+each index reads its own file.
 On Hypothesis-built segments (mixed nodes under small ``suffix_bits``,
 non-identity placements, one word-set in several phrase orders,
-duplicate ads) both must give the same ads in the same order, the same
-bytes consumed, and equal ``query`` / ``query_kernel_batch`` results,
-``segment.*`` counters and tracker stats.
+duplicate ads) both must give the same ads — as multisets, since
+version 2 orders a word-set's ads carriers first, then by
+``(-bid, listing_id)`` — and equal ``query`` / ``query_kernel_batch``
+results, ``segment.*`` counters and tracker stats (bytes read aside:
+the records differ).  ``segment.ads_materialised`` is bumped inside the
+decoder, which the reference replaces, so it is left out.
 
 Cache budgets are 0 (no cache), 512 bytes (the first admission attempt
 decodes a whole node, is refused and closes the cache) and the default
@@ -23,7 +29,9 @@ charge, so such a budget can close earlier than the reference's.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
+from collections import Counter as Multiset
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from time import perf_counter
@@ -43,6 +51,7 @@ from repro.segment import PackedSegmentIndex, SegmentBuilder
 from repro.segment.format import read_varint
 from repro.segment.packed import DEFAULT_CACHE_BYTES
 from repro.segment.sizing import deep_sizeof
+from tests.segment.format_v1 import write_v1_segment
 
 # ---------------------------------------------------------------------- #
 # The reference: the replaced code, verbatim.
@@ -417,12 +426,45 @@ class segment:
         self.tmp.cleanup()
 
 
+class v1_segment(segment):
+    """The same corpus as ``segment`` writes, in version-1 node records
+    (under the current preamble, which the references' loader checks)."""
+
+    def __init__(self, ads, mapping, suffix_bits):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.path = Path(self.tmp.name) / "runs-v1.seg"
+        index = WordSetIndex.from_corpus(ads, mapping=mapping)
+        write_v1_segment(index, self.path, suffix_bits=suffix_bits)
+
+
+#: Bumped by the decoder under test, which the references replace.
+DECODER_COUNTERS = frozenset({"segment.ads_materialised"})
+
+
 def segment_counters(registry):
     return {
         metric.name: metric.value
         for metric in registry
-        if isinstance(metric, Counter) and metric.name.startswith("segment.")
+        if isinstance(metric, Counter)
+        and metric.name.startswith("segment.")
+        and metric.name not in DECODER_COUNTERS
     }
+
+
+def multisets(results):
+    """Per query, its ads as a multiset."""
+    return [Multiset(ads) for ads in results]
+
+
+def counted_work(stats):
+    """Tracker stats with the bytes read left out (the records differ)."""
+    return dataclasses.replace(stats, bytes_scanned=0)
+
+
+def row_order(ad):
+    """A version-2 row's entry order: carriers first, then by rank."""
+    info = ad.info
+    return (not info.exclusion_phrases, -info.bid_price_micros, info.listing_id)
 
 
 # ---------------------------------------------------------------------- #
@@ -432,27 +474,37 @@ def segment_counters(registry):
 @settings(max_examples=150, deadline=None)
 @given(corpus=corpora(), suffix_bits=suffix_widths)
 def test_runs_decode_the_replaced_decoders_ads(corpus, suffix_bits):
-    """Both decoders run on one file: the runs must hold ads equal, in
-    order, to the ones the reference returns, and each run must be a
-    maximal stretch of one word-set object, whatever the order of its
-    phrases (word-sets are shared by value within a record)."""
+    """Each decoder reads its own format's record of every node: at every
+    length cut the runs must hold the ads the reference returns, one run
+    per word-set in word-count order, each run's ads sharing its word-set
+    object and standing in row order."""
     ads, mapping = corpus
     longest = max(len(ad.words) for ad in ads)
-    with segment(ads, mapping, suffix_bits) as path, PackedSegmentIndex(
+    with segment(ads, mapping, suffix_bits) as path, v1_segment(
+        ads, mapping, suffix_bits
+    ) as v1_path, PackedSegmentIndex(
         path, cache_bytes=0
-    ) as packed, ReferencePackedSegmentIndex(path, cache_bytes=0) as reference:
+    ) as packed, ReferencePackedSegmentIndex(v1_path, cache_bytes=0) as reference:
+        assert packed.num_nodes() == reference.num_nodes()
         for node_index in range(packed.num_nodes()):
             chunk = packed._node_chunk(node_index)
+            v1_chunk = reference._node_chunk(node_index)
             for limit in (None, *range(longest + 2)):
                 runs, consumed = packed._decode_entries(chunk, limit)
-                want, want_consumed = reference._decode_entries(chunk, limit)
-                assert consumed == want_consumed
+                want, _ = reference._decode_entries(v1_chunk, limit)
                 got = [ad for _, run in runs for ad in run]
-                assert got == want
-                assert [ad.words for ad in got] == [ad.words for ad in want]
-                for i, (words, run) in enumerate(runs):
+                assert Multiset(got) == Multiset(want)
+                assert limit is not None or consumed == len(chunk)
+                word_sets = [words for words, _ in runs]
+                assert len(set(word_sets)) == len(word_sets)
+                assert [len(words) for words in word_sets] == sorted(
+                    len(words) for words in word_sets
+                )
+                for words, run in runs:
                     assert run and all(ad.words is words for ad in run)
-                    assert i == 0 or runs[i - 1][0] != words
+                    assert [row_order(ad) for ad in run] == sorted(
+                        row_order(ad) for ad in run
+                    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -471,21 +523,24 @@ def test_runs_decode_the_replaced_decoders_ads(corpus, suffix_bits):
     ),
 )
 def test_scans_match_the_replaced_scan(corpus, suffix_bits, cache_bytes, script):
-    """The same script on four indexes over one file: the run scan and
-    the reference, each once with a registry (``query`` or
-    ``query_kernel_batch``) and once with a tracker (``query``)."""
+    """The same script on four indexes: the run scan over the version-2
+    file and the reference over the version-1 file, each once with a
+    registry (``query`` or ``query_kernel_batch``) and once with a
+    tracker (``query``)."""
     ads, mapping = corpus
-    with segment(ads, mapping, suffix_bits) as path:
+    with segment(ads, mapping, suffix_bits) as path, v1_segment(
+        ads, mapping, suffix_bits
+    ) as v1_path:
         registry, reference_registry = MetricsRegistry(), MetricsRegistry()
         tracker, reference_tracker = AccessTracker(), AccessTracker()
         indexes = [
             PackedSegmentIndex(path, obs=registry, cache_bytes=cache_bytes),
             ReferencePackedSegmentIndex(
-                path, obs=reference_registry, cache_bytes=cache_bytes
+                v1_path, obs=reference_registry, cache_bytes=cache_bytes
             ),
             PackedSegmentIndex(path, tracker=tracker, cache_bytes=cache_bytes),
             ReferencePackedSegmentIndex(
-                path, tracker=reference_tracker, cache_bytes=cache_bytes
+                v1_path, tracker=reference_tracker, cache_bytes=cache_bytes
             ),
         ]
         packed, reference, tracked, reference_tracked = indexes
@@ -497,14 +552,16 @@ def test_scans_match_the_replaced_scan(corpus, suffix_bits, cache_bytes, script)
                 else:
                     got = packed.query_kernel_batch(batch, match_type)
                     want = reference.query_kernel_batch(batch, match_type)
-                assert got == want
+                assert multisets(got) == multisets(want)
                 assert segment_counters(registry) == segment_counters(
                     reference_registry
                 )
-                assert [tracked.query(q, match_type) for q in batch] == [
-                    reference_tracked.query(q, match_type) for q in batch
-                ]
-                assert tracker.stats == reference_tracker.stats
+                assert multisets(tracked.query(q, match_type) for q in batch) == (
+                    multisets(reference_tracked.query(q, match_type) for q in batch)
+                )
+                assert counted_work(tracker.stats) == counted_work(
+                    reference_tracker.stats
+                )
             if cache_bytes == 512:
                 # Refused on both sides, so admission cannot diverge.
                 assert packed.cache_bytes_used() == 0
@@ -521,7 +578,7 @@ def test_scans_match_the_replaced_scan(corpus, suffix_bits, cache_bytes, script)
                     assert packed.lookup_count(probe) == reference.lookup_count(
                         probe
                     )
-            assert list(packed.iter_ads()) == list(reference.iter_ads())
+            assert Multiset(packed.iter_ads()) == Multiset(reference.iter_ads())
         finally:
             for index in indexes:
                 index.close()
