@@ -7,8 +7,8 @@
 4. Mutate it: inserts and deletes land in the overlay, ``seal`` commits
    them as a new manifest generation, and reopening the directory — the
    same path crash recovery takes — sees exactly the committed state.
-   Compaction then folds every tier into one segment, re-running the
-   set cover over the queries the reopened index served.
+   Compaction then folds every tier into one segment; every ad keeps
+   the placement the optimizer gave it in step 2.
 
 Run with::
 
@@ -22,8 +22,6 @@ from repro.core.ads import AdInfo, Advertisement
 from repro.core.queries import Query
 from repro.cost.model import CostModel
 from repro.datagen.importers import load_corpus_csv, load_workload_tsv
-from repro.obs import MetricsRegistry
-from repro.obs.workload import WorkloadRecorder
 from repro.optimize.mapping import OptimizerConfig, optimize_mapping
 from repro.segment import TieredConfig, TieredSegmentedIndex
 
@@ -102,8 +100,7 @@ def main() -> None:
         )
 
     # Reopening is the recovery: exactly the committed generation.
-    recorder = WorkloadRecorder(MetricsRegistry())
-    with TieredSegmentedIndex(directory, recorder=recorder) as recovered:
+    with TieredSegmentedIndex(directory) as recovered:
         print(
             f"reopened generation {recovered.generation} with "
             f"{len(recovered)} ads"
@@ -111,12 +108,11 @@ def main() -> None:
         bulk = recovered.query(Query.from_text("used books bulk order"))
         assert 9 in {a.info.listing_id for a in bulk}
         assert recovered.query(Query.from_text("flights")) == []
-        for query, _ in workload:
-            recovered.query(query)
 
-        # Compaction folds every tier into one segment, re-running the
-        # set cover over the queries this index just served.
+        # Compaction folds every tier into one segment; the survivors
+        # keep their persisted placements.
         recovered.compact()
+        assert recovered.segments[0].placements() == placements
         print(
             f"compacted into {len(recovered.segments)} segment(s), "
             f"{recovered.tombstone_count()} tombstone(s)"

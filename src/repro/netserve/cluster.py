@@ -64,7 +64,6 @@ from repro.netserve.worker import (
 )
 from repro.resilience.admission import AdmissionConfig
 from repro.resilience.breaker import BreakerConfig
-from repro.segment.packed import DEFAULT_CACHE_BYTES
 
 __all__ = ["ClusterConfig", "ServingCluster"]
 
@@ -73,9 +72,8 @@ __all__ = ["ClusterConfig", "ServingCluster"]
 class ClusterConfig:
     """Shape of one serving cluster (see class docstring).
 
-    ``cache_bytes`` is the decoded-node cache budget per open segment
-    and per worker: ``num_workers`` workers each keep up to that much
-    decoded, privately, for every segment they have open.
+    Each worker keeps a private decoded-node cache of
+    ``DEFAULT_CACHE_BYTES`` for every segment it has open.
     """
 
     segment_path: str
@@ -88,7 +86,6 @@ class ClusterConfig:
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
     slots: int = 4
     reserve_micros: int = 1
-    cache_bytes: int = DEFAULT_CACHE_BYTES
     default_deadline_ms: float | None = None
     admission: AdmissionConfig | None = None
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
@@ -124,7 +121,6 @@ class ClusterConfig:
             worker_id=worker_id,
             slots=self.slots,
             reserve_micros=self.reserve_micros,
-            cache_bytes=self.cache_bytes,
             default_deadline_ms=self.default_deadline_ms,
             max_frame_bytes=self.max_frame_bytes,
             max_batch=self.max_batch,

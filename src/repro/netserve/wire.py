@@ -21,7 +21,9 @@ Fault taxonomy (every subclass of :class:`WireError`):
 * :class:`TornFrame` — the peer disconnected mid-frame (a partial
   header or a payload shorter than its prefix promised).  Clean EOF
   *between* frames is not an error: readers return ``None``.
-* :class:`FrameFormatError` — the payload is not a JSON object.
+* :class:`FrameFormatError` — the payload is not a JSON object, or
+  not one the decoder can read (nesting past its depth, an integer
+  literal past its digit limit).
 
 Both a blocking-socket codec (workers, the sync client) and an asyncio
 codec (the frontend) are provided, plus raw-bytes variants the frontend
@@ -93,7 +95,9 @@ def decode_payload(body: bytes) -> dict[str, Any]:
     """Decode one frame body; the payload must be a JSON object."""
     try:
         payload = json.loads(body)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or UTF-8, or an integer past the digit
+        # limit; RecursionError: nesting past the decoder's depth.
         raise FrameFormatError(f"frame is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise FrameFormatError("frame payload must be a JSON object")

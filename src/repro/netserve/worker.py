@@ -74,12 +74,8 @@ from repro.netserve.wire import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.segment.format import SegmentFormatError
-from repro.segment.packed import DEFAULT_CACHE_BYTES, PackedSegmentIndex
-from repro.segment.tiered import (
-    TieredConfig,
-    TieredSegmentedIndex,
-    manifest_fingerprint,
-)
+from repro.segment.packed import PackedSegmentIndex
+from repro.segment.tiered import TieredSegmentedIndex, manifest_fingerprint
 from repro.serving.request import ServeRequest, WireSchemaError
 from repro.serving.server import AdServer, ServeResult
 
@@ -105,11 +101,6 @@ class WorkerConfig:
         Stable id used in stats and frontend routing.
     slots / reserve_micros:
         Auction shape, passed through to :class:`AdServer`.
-    cache_bytes:
-        Decoded-node cache budget per open segment, in this worker: it
-        bounds everything decoding retains (tiered mode: per sealed
-        tier).  This is *private* memory by design — the gate on
-        shared bytes covers the mapping, not the cache.
     default_deadline_ms:
         Server-side budget applied when a request carries none.
     max_frame_bytes:
@@ -140,7 +131,6 @@ class WorkerConfig:
     worker_id: int = 0
     slots: int = 4
     reserve_micros: int = 1
-    cache_bytes: int = DEFAULT_CACHE_BYTES
     default_deadline_ms: float | None = None
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
     max_batch: int = 1
@@ -192,11 +182,7 @@ class _Worker:
             self._manifest_fp = manifest_fingerprint(config.segment_path)
             self._generation = self.index.generation
         else:
-            self.index = PackedSegmentIndex(
-                config.segment_path,
-                cache_bytes=config.cache_bytes,
-                obs=self.obs,
-            )
+            self.index = PackedSegmentIndex(config.segment_path, obs=self.obs)
             self._manifest_fp = None
             self._generation = 0
         self.server = AdServer(
@@ -229,7 +215,6 @@ class _Worker:
     def _open_tiered(self) -> TieredSegmentedIndex:
         return TieredSegmentedIndex(
             self.config.segment_path,
-            config=TieredConfig(cache_bytes=self.config.cache_bytes),
             obs=self.obs,
             read_only=True,
         )

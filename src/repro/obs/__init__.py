@@ -45,7 +45,6 @@ from repro.obs.registry import (
     active_or_none,
     uniform_histogram,
 )
-from repro.obs.workload import WorkloadRecorder
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
@@ -57,7 +56,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "Span",
-    "WorkloadRecorder",
     "active_or_none",
     "prometheus_name",
     "to_json",

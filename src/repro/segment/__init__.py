@@ -12,8 +12,8 @@ and :class:`PackedSegmentIndex` serves queries straight off the mapping.
 :class:`TieredSegmentedIndex` takes inserts into an overlay and deletes
 as tombstones, seals the overlay into small L0 segments,
 background-merges tiers upward under a checksummed manifest (crash-safe
-via atomic tmp+fsync+rename), re-optimizes placements from observed
-co-access during merges, and folds everything into one segment on
+via atomic tmp+fsync+rename) keeping every ad's persisted placement, and
+folds everything into one segment on
 :meth:`~TieredSegmentedIndex.compact`; :class:`ShardedSegmentedIndex`
 runs one per shard.  :mod:`repro.segment.churn` is the continuous-ingest
 correctness drill.

@@ -38,7 +38,6 @@ from repro.core.queries import Query
 from repro.core.wordset_index import WordSetIndex
 from repro.faults.injector import FaultInjector, InjectedCrash
 from repro.obs.registry import MetricsRegistry
-from repro.obs.workload import WorkloadRecorder
 from repro.segment.format import TIERED_CRASHPOINTS
 from repro.segment.tiered import (
     BackgroundMerger,
@@ -70,7 +69,7 @@ class ChurnConfig:
     #: (the resurrect path) or duplicate a live one.
     reinsert_fraction: float = 0.1
     duplicate_fraction: float = 0.05
-    #: Keyword / category vocabulary sizes (smaller -> denser co-access).
+    #: Keyword / category vocabulary sizes (smaller -> more shared words).
     keywords: int = 60
     categories: int = 12
     #: Compare slates against the oracle every this many ops.
@@ -79,14 +78,12 @@ class ChurnConfig:
     crash_every: int = 0
     seal_threshold: int = 256
     fan_in: int = 4
-    optimize_merges: bool = True
 
     def tiered_config(self) -> TieredConfig:
         return TieredConfig(
             seal_threshold=self.seal_threshold,
             fan_in=self.fan_in,
             auto_merge=False,
-            optimize_merges=self.optimize_merges,
         )
 
 
@@ -188,7 +185,6 @@ def run_churn_drill(
     config = config if config is not None else ChurnConfig()
     rng = random.Random(config.seed)
     registry = obs if obs is not None else MetricsRegistry()
-    recorder = WorkloadRecorder(registry)
     faults = FaultInjector() if config.crash_every else None
     result = ChurnResult()
 
@@ -197,7 +193,6 @@ def run_churn_drill(
         config=config.tiered_config(),
         obs=registry,
         faults=faults,
-        recorder=recorder,
     )
     oracle = WordSetIndex()
     live: list[Advertisement] = []

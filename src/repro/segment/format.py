@@ -118,7 +118,9 @@ def read_header(buf: bytes | memoryview) -> tuple[dict[str, Any], int]:
         raise SegmentFormatError("segment file truncated: incomplete header")
     try:
         header = json.loads(bytes(buf[HEADER_START:end]).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or UTF-8, or an integer past the digit
+        # limit; RecursionError: nesting past the decoder's depth.
         raise SegmentFormatError(f"corrupt segment header: {exc}") from exc
     if not isinstance(header, dict):
         raise SegmentFormatError("corrupt segment header: not an object")

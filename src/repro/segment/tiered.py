@@ -2,17 +2,17 @@
 
 A packed segment is immutable; serving still needs inserts and deletes.
 This module is the one mutable index over packed segments, in the LSM
-shape the paper's maintenance story implies (fast local placement now,
-workload-driven re-mapping later):
+shape of the paper's fast local placement (the periodic Section V
+re-optimization is offline: ``repro.cli build --optimize`` and
+:class:`~repro.optimize.online.MaintainedIndex`):
 
 * **ingest** lands in the mutable :class:`WordSetIndex` overlay;
 * **seal** freezes the overlay into a small immutable L0 segment file
   once it crosses ``seal_threshold`` ads;
 * **merge** folds ``fan_in`` same-level segments into one segment a
-  level up (size-ratio policy), re-running the Section V greedy
-  set-cover over live co-access counts harvested from the
-  :mod:`repro.obs` registry (:class:`~repro.obs.workload
-  .WorkloadRecorder`), so placements track the observed workload;
+  level up (size-ratio policy), re-inserting the survivors at their
+  victims' persisted placements, so a merge's output is a function of
+  its victims and tombstones only;
 * **deletes** of overlay ads are plain deletes; deletes of sealed ads
   record a *tombstone* in :class:`Tombstones` (a count per exact ad,
   since the corpus permits duplicate ads, indexed by ``listing_id``);
@@ -55,7 +55,6 @@ import hashlib
 import json
 import os
 import threading
-import time
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
@@ -64,14 +63,11 @@ from typing import Any
 
 from repro.core.ads import AdCorpus, AdInfo, Advertisement
 from repro.core.matching import MatchType
-from repro.core.queries import Query, Workload
+from repro.core.queries import Query
 from repro.core.wordhash import wordhash
 from repro.core.wordset_index import WordSetIndex
-from repro.cost.model import CostModel
 from repro.faults.injector import FaultInjector, active_injector
 from repro.obs.registry import MetricsRegistry, active_or_none
-from repro.obs.workload import WorkloadRecorder
-from repro.optimize import Mapping, OptimizerConfig, optimize_mapping
 from repro.resilience.deadline import Deadline, DegradedReason
 from repro.resilience.fanout import FanoutGuard
 from repro.segment.builder import SegmentBuilder
@@ -86,7 +82,7 @@ from repro.segment.format import (
     SegmentFormatError,
     fsync_directory,
 )
-from repro.segment.packed import DEFAULT_CACHE_BYTES, PackedSegmentIndex
+from repro.segment.packed import PackedSegmentIndex
 
 __all__ = [
     "BackgroundMerger",
@@ -146,7 +142,7 @@ class SegmentRecord:
                 seq=int(payload["seq"]),
                 num_ads=int(payload["num_ads"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ManifestFormatError(
                 f"bad segment record: {exc}"
             ) from exc
@@ -178,7 +174,7 @@ def _ad_from_json(payload: dict[str, Any]) -> Advertisement:
                 ),
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ManifestFormatError(f"bad tombstone ad: {exc}") from exc
 
 
@@ -228,7 +224,10 @@ class Manifest:
     def decode(cls, data: bytes) -> Manifest:
         try:
             payload = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: bad JSON or UTF-8, or an integer past the
+            # digit limit; RecursionError: nesting past the decoder's
+            # depth.
             raise ManifestFormatError(f"corrupt manifest: {exc}") from exc
         if (
             not isinstance(payload, dict)
@@ -243,8 +242,8 @@ class Manifest:
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         if checksum != hashlib.sha256(blob).hexdigest():
             raise ManifestFormatError("manifest checksum mismatch")
-        index = payload.get("index") or {}
         try:
+            index = payload.get("index") or {}
             max_words = index.get("max_words")
             manifest = cls(
                 generation=int(payload["generation"]),
@@ -261,7 +260,10 @@ class Manifest:
                 max_query_words=int(index.get("max_query_words", 16)),
                 fast_path=bool(index.get("fast_path", True)),
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (
+            KeyError, TypeError, ValueError, IndexError, AttributeError,
+            OverflowError,
+        ) as exc:
             raise ManifestFormatError(f"malformed manifest: {exc}") from exc
         names = [record.name for record in manifest.segments]
         if len(set(names)) != len(names):
@@ -345,51 +347,30 @@ class TieredConfig:
     Parameters
     ----------
     seal_threshold:
-        Overlay ads that trigger an automatic seal (when ``auto_seal``).
+        Overlay ads that trigger a seal inside ``insert``.
     fan_in:
         Segments accumulated at one level before they merge into one
         segment a level up.  Also the per-level read-amplification
         bound.
-    auto_seal / auto_merge:
-        Seal on threshold inside ``insert``; run ratio-triggered merges
-        inline right after an auto-seal.  Inline merging is disabled
-        automatically while a :class:`BackgroundMerger` owns merging.
-    optimize_merges:
-        Re-run the Section V greedy set cover during merges, over
-        co-access counts harvested from the attached
-        :class:`~repro.obs.workload.WorkloadRecorder` (no-op when no
-        recorder or no counts yet).
-    optimize_top_queries:
-        Head of the harvested workload fed to the optimizer.
-    optimize_max_ads:
-        Survivor-count ceiling for in-merge re-optimization.  The
-        greedy set cover is superlinear in corpus size, so top-tier
-        merges of a large live set would stall the merger for seconds;
-        above this bound the merge keeps the victims' existing
-        placements (workload-driven re-homing concentrates at the low
-        tiers, where freshly churned ads live — a full-corpus remap is
-        an offline ``compact()``-scale job, not a background-merge
-        one).
-    suffix_bits / max_words / max_query_words / fast_path / cache_bytes:
-        Passed through to the per-tier builder, overlay, and packed
-        reader.  The index-shape fields are persisted in the manifest
-        and adopted from it on reopen.  ``cache_bytes`` bounds the
-        decoded state of *each* open segment, so a stack of ``n``
-        sealed tiers may hold up to ``n * cache_bytes`` decoded.
+    auto_merge:
+        Run ratio-triggered merges inline right after a threshold seal.
+        Inline merging is disabled automatically while a
+        :class:`BackgroundMerger` owns merging.
+    suffix_bits / max_words / max_query_words / fast_path:
+        Passed through to the per-tier builder and overlay.  The
+        index-shape fields are persisted in the manifest and adopted
+        from it on reopen.  Each open segment keeps a decoded-node
+        cache of ``DEFAULT_CACHE_BYTES``, so a stack of ``n`` sealed
+        tiers may hold up to ``n`` times that decoded.
     """
 
     seal_threshold: int = 512
     fan_in: int = 4
-    auto_seal: bool = True
     auto_merge: bool = True
-    optimize_merges: bool = True
-    optimize_top_queries: int = 128
-    optimize_max_ads: int = 8192
     suffix_bits: int | None = None
     max_words: int | None = None
     max_query_words: int = 16
     fast_path: bool = True
-    cache_bytes: int = DEFAULT_CACHE_BYTES
 
     def __post_init__(self) -> None:
         if self.seal_threshold < 1:
@@ -525,14 +506,12 @@ class TieredSegmentedIndex:
         config: TieredConfig | None = None,
         obs: MetricsRegistry | None = None,
         faults: FaultInjector | None = None,
-        recorder: WorkloadRecorder | None = None,
         read_only: bool = False,
     ) -> None:
         self.directory = Path(directory)
         self.config = config if config is not None else TieredConfig()
         self._faults = active_injector(faults)
         self._obs = active_or_none(obs)
-        self._recorder = recorder
         self._read_only = read_only
         self._lock = threading.RLock()
         self._merge_inflight = False
@@ -569,9 +548,7 @@ class TieredSegmentedIndex:
                     _OpenSegment(
                         record=record,
                         index=PackedSegmentIndex(
-                            self.directory / record.name,
-                            obs=self._obs,
-                            cache_bytes=self.config.cache_bytes,
+                            self.directory / record.name, obs=self._obs
                         ),
                     )
                 )
@@ -623,10 +600,6 @@ class TieredSegmentedIndex:
         if obs is not None:
             obs.counter("tiered.seals", help="Overlay seals committed")
             obs.counter("tiered.merges", help="Tier merges committed")
-            obs.counter(
-                "tiered.optimized_merges",
-                help="Merges that re-ran the set-cover optimizer",
-            )
             self._update_gauges()
 
     def _update_gauges(self) -> None:
@@ -668,7 +641,7 @@ class TieredSegmentedIndex:
                 self._overlay.insert(ad, locator)
             overlay_ads = len(self._overlay)
         self._update_gauges()
-        if self.config.auto_seal and overlay_ads >= self.config.seal_threshold:
+        if overlay_ads >= self.config.seal_threshold:
             self.seal()
             if self.config.auto_merge and not self._concurrent_readers:
                 self.maybe_merge()
@@ -722,8 +695,6 @@ class TieredSegmentedIndex:
             tombstones = self._tombstones
             overlay = self._overlay
         try:
-            if self._recorder is not None and match_type is MatchType.BROAD:
-                self._recorder.record(query.words)
             results: list[Advertisement] = []
             for open_segment in reversed(segments):
                 if deadline is not None and deadline.expired():
@@ -793,9 +764,7 @@ class TieredSegmentedIndex:
             faults=self._faults,
         )
         self._faults.crashpoint(CRASH_SEAL_WRITTEN)
-        segment = PackedSegmentIndex(
-            path, obs=self._obs, cache_bytes=self.config.cache_bytes
-        )
+        segment = PackedSegmentIndex(path, obs=self._obs)
         record = SegmentRecord(
             name=name, level=0, seq=seq, num_ads=len(segment)
         )
@@ -932,13 +901,9 @@ class TieredSegmentedIndex:
                 survivors += tomb_snapshot.filter(
                     list(open_segment.index.iter_ads()), consumed
                 )
-            mapping = self._merge_mapping(survivors)
             fresh = self._fresh_overlay()
             for ad in survivors:
-                if mapping is not None:
-                    fresh.insert(ad, mapping.locator_for(ad.words))
-                else:
-                    fresh.insert(ad, placements.get(ad.words))
+                fresh.insert(ad, placements.get(ad.words))
             name = f"seg-{seq:06d}-L{out_level}.seg"
             path = self.directory / name
             SegmentBuilder(
@@ -949,9 +914,7 @@ class TieredSegmentedIndex:
                 faults=self._faults,
             )
             self._faults.crashpoint(CRASH_MERGE_WRITTEN)
-            segment = PackedSegmentIndex(
-                path, obs=self._obs, cache_bytes=self.config.cache_bytes
-            )
+            segment = PackedSegmentIndex(path, obs=self._obs)
             record = SegmentRecord(
                 name=name, level=out_level, seq=seq, num_ads=len(segment)
             )
@@ -1006,8 +969,6 @@ class TieredSegmentedIndex:
             obs = self._obs
             if obs is not None:
                 obs.counter("tiered.merges").inc()
-                if mapping is not None:
-                    obs.counter("tiered.optimized_merges").inc()
             self._faults.crashpoint(CRASH_MANIFEST_SWAPPED)
             return path
         finally:
@@ -1039,35 +1000,6 @@ class TieredSegmentedIndex:
                 (self.directory / open_segment.record.name).unlink()
             except OSError:
                 pass
-
-    def _merge_mapping(
-        self, ads: list[Advertisement]
-    ) -> Mapping | None:
-        """Section V re-optimization over the live co-access harvest."""
-        if (
-            not self.config.optimize_merges
-            or self._recorder is None
-            or not ads
-            or len(ads) > self.config.optimize_max_ads
-        ):
-            return None
-        pairs = self._recorder.harvest()[: self.config.optimize_top_queries]
-        if not pairs:
-            return None
-        workload = Workload(
-            (Query(tokens=tuple(sorted(words))), frequency)
-            for words, frequency in pairs
-        )
-        max_words = self._max_words if self._max_words is not None else 10
-        try:
-            return optimize_mapping(
-                AdCorpus(ads),
-                workload,
-                CostModel(),
-                OptimizerConfig(max_words=max_words),
-            )
-        except ValueError:
-            return None
 
     # ------------------------------------------------------------------ #
     # Concurrency plumbing
@@ -1212,13 +1144,9 @@ class TieredSegmentedIndex:
         mapping: dict[frozenset[str], frozenset[str]] | None = None,
         obs: MetricsRegistry | None = None,
         faults: FaultInjector | None = None,
-        recorder: WorkloadRecorder | None = None,
     ) -> TieredSegmentedIndex:
         """Create a tiered directory seeded with ``corpus`` as one L0."""
-        index = cls(
-            directory, config=config, obs=obs, faults=faults,
-            recorder=recorder,
-        )
+        index = cls(directory, config=config, obs=obs, faults=faults)
         try:
             index.bulk_load(corpus, mapping)
         except BaseException:
@@ -1444,7 +1372,3 @@ def pack_corpus_tiered(
         raise
     return ShardedSegmentedIndex(shards, guard=guard)
 
-
-# Re-exported for drills that want wall-clock pacing without importing
-# ``time`` themselves.
-_ = time

@@ -23,6 +23,7 @@ from repro.netserve.wire import (
     read_raw_frame,
     recv_frame,
 )
+from repro.netserve.worker import WorkerConfig, _Worker
 from repro.serving import ServeRequest
 
 from tests.netserve.conftest import requires_af_unix
@@ -227,3 +228,43 @@ class TestOversizedFrames:
         assert reply is not None and reply["type"] == "error"
         assert "teleport" in reply["error"]
         _assert_still_serving(cluster)
+
+
+#: 50 kB of ``[``: inside the fixture's 64 KiB frame budget, far past
+#: the JSON decoder's nesting depth (the interpreter's recursion limit).
+DEEP_BODY = b"[" * 50_000
+
+
+class TestDeepNesting:
+    """A nesting depth the decoder cannot follow is a malformed frame,
+    not a ``RecursionError`` out of the codec."""
+
+    def test_frontend_answers_a_typed_error_and_counts_it(
+        self, cluster, raw_socket
+    ):
+        before = _counters(cluster)["frontend.wire_errors"]
+        raw_socket.sendall(HEADER.pack(len(DEEP_BODY)) + DEEP_BODY)
+        reply = recv_frame(raw_socket)
+        assert reply is not None and reply["type"] == "error"
+        assert reply["retryable"] is False
+        assert raw_socket.recv(4096) == b""
+        assert _counters(cluster)["frontend.wire_errors"] == before + 1
+        _assert_still_serving(cluster)
+
+    def test_worker_connection_counts_it_and_ends(self, segment_path, tmp_path):
+        worker = _Worker(
+            WorkerConfig(
+                segment_path=str(segment_path),
+                socket_path=str(tmp_path / "deep.sock"),
+            )
+        )
+        left, right = socket.socketpair()
+        try:
+            left.sendall(HEADER.pack(len(DEEP_BODY)) + DEEP_BODY)
+            left.shutdown(socket.SHUT_WR)
+            worker.serve_connection(right)
+            assert worker.wire_errors == 1
+            assert left.recv(4096) == b""  # the connection was closed
+        finally:
+            left.close()
+            worker.close()

@@ -1,5 +1,7 @@
 """Segment file format: preamble validation, corruption, truncation."""
 
+import struct
+
 import pytest
 
 from repro.core.ads import AdCorpus, AdInfo, Advertisement
@@ -72,12 +74,22 @@ class TestPreamble:
 
     def test_non_object_header_rejected(self):
         import json
-        import struct
 
         body = json.dumps([1, 2]).encode()
         blob = MAGIC + struct.pack("<II", FORMAT_VERSION, len(body)) + body
         with pytest.raises(SegmentFormatError, match="not an object"):
             read_header(blob)
+
+    def test_deeply_nested_header_rejected(self, segment_path):
+        # Past the JSON decoder's nesting depth: a format error, not a
+        # RecursionError, from the parser and from an open alike.
+        body = b"[" * 100_000
+        blob = MAGIC + struct.pack("<II", FORMAT_VERSION, len(body)) + body
+        with pytest.raises(SegmentFormatError, match="corrupt"):
+            read_header(blob)
+        segment_path.write_bytes(blob)
+        with pytest.raises(SegmentFormatError, match="corrupt"):
+            PackedSegmentIndex(segment_path)
 
 
 class TestVersionOne:

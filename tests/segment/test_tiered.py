@@ -9,7 +9,7 @@ from repro.core.ads import AdInfo, Advertisement
 from repro.core.queries import Query
 from repro.core.wordset_index import WordSetIndex
 from repro.faults import FaultInjector, InjectedCrash
-from repro.obs import MetricsRegistry, WorkloadRecorder
+from repro.obs import MetricsRegistry
 from repro.segment import (
     TIERED_CRASHPOINTS,
     BackgroundMerger,
@@ -105,6 +105,16 @@ class TestManifest:
             Manifest.decode(b"\x00\xffnot json")
         with pytest.raises(ManifestFormatError):
             Manifest.decode(b'{"format": "something-else"}')
+
+    def test_deep_nesting_rejected(self, tmp_path):
+        # Past the JSON decoder's nesting depth: a format error, not a
+        # RecursionError, from the codec and from a read-only open.
+        deep = b"[" * 100_000
+        with pytest.raises(ManifestFormatError, match="corrupt"):
+            Manifest.decode(deep)
+        (tmp_path / MANIFEST_NAME).write_bytes(deep)
+        with pytest.raises(ManifestFormatError, match="corrupt"):
+            TieredSegmentedIndex(tmp_path, read_only=True)
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(ManifestFormatError):
@@ -474,27 +484,6 @@ class TestContinuousChurn:
                 index.insert(ad(f"w{i % 9} common i{i}", listing_id=i))
         merger.drain()
         assert index.read_amplification() <= index.read_amp_bound()
-
-
-class TestWorkloadDrivenMerges:
-    def test_merges_consume_recorded_coaccess(self, tmp_path):
-        obs = MetricsRegistry()
-        recorder = WorkloadRecorder(obs)
-        config = TieredConfig(seal_threshold=4, fan_in=2)
-        index = TieredSegmentedIndex(
-            tmp_path, config=config, obs=obs, recorder=recorder
-        )
-        oracle = WordSetIndex()
-        with index:
-            fill(index, oracle, 10)
-            # Broad queries record co-access before the next merges.
-            for _ in range(5):
-                for query in PROBES:
-                    index.query(query)
-            assert recorder.distinct_tracked() > 0
-            fill(index, oracle, 30, start=10)
-            assert obs.value("tiered.optimized_merges") >= 1
-            assert_matches(index, oracle)
 
 
 class TestServingIntegration:

@@ -186,10 +186,7 @@ def test_filter_hashes_suspects_only(monkeypatch):
 
 def test_merge_hashes_dead_ads_not_live_ones(tmp_path, monkeypatch):
     n, d = 600, 5
-    config = TieredConfig(
-        seal_threshold=n // 2, fan_in=2, auto_merge=False,
-        optimize_merges=False,
-    )
+    config = TieredConfig(seal_threshold=n // 2, fan_in=2, auto_merge=False)
     ads = [ad(f"word{i % 7} item{i}", listing_id=i) for i in range(n + d)]
     with TieredSegmentedIndex(tmp_path, config=config) as index:
         for live in ads[:n]:
@@ -230,10 +227,7 @@ def scripted_history(directory):
     a resurrect, seals, a tombstone-only seal and a merge.  Yields
     ``(step, index)`` after each commit worth pinning; uses nothing the
     parent commit lacks."""
-    config = TieredConfig(
-        seal_threshold=1_000, fan_in=2, auto_merge=False,
-        optimize_merges=False,
-    )
+    config = TieredConfig(seal_threshold=1_000, fan_in=2, auto_merge=False)
     twin_low, twin_high = ad("red shoes", 1, bid=100), ad("red shoes", 1, bid=200)
     late_low, late_high = ad("grey coat", 9, bid=100), ad("grey coat", 9, bid=200)
     double = ad("green hat", 3)

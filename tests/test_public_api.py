@@ -54,6 +54,7 @@ class TestExports:
                 "repro.distsim",
                 ["ReplicatedCluster", "ReplicatedRunResult", "ReplicationConfig"],
             ),
+            ("repro.obs", ["WorkloadRecorder"]),
         ],
     )
     def test_retired_names_stay_gone(self, module_name, names):
@@ -63,7 +64,12 @@ class TestExports:
             assert not hasattr(module, name)
 
     @pytest.mark.parametrize(
-        "module_name", ["repro.serving.result_cache", "repro.distsim.replication"]
+        "module_name",
+        [
+            "repro.serving.result_cache",
+            "repro.distsim.replication",
+            "repro.obs.workload",
+        ],
     )
     def test_retired_modules_stay_gone(self, module_name):
         with pytest.raises(ModuleNotFoundError):
