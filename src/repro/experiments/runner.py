@@ -10,11 +10,17 @@ Usage::
 ``--metrics-out`` records one ``span.experiment.<id>`` wall-clock sample
 per experiment into a shared :class:`repro.obs.MetricsRegistry` and writes
 it on exit (``.json`` -> JSON snapshot, else Prometheus exposition).
+
+Run as a module, the runner re-executes itself under
+``PYTHONHASHSEED=0`` unless the variable is already ``0``: the query
+generator orders a query's tokens by iterating a set, so phrase-match
+counts (``ext-matchtypes``) follow the interpreter's hash seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -121,5 +127,17 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def pin_hash_seed() -> None:
+    """Re-exec this module under ``PYTHONHASHSEED=0`` unless it already
+    runs under it, so that every table is a function of ``--seed``."""
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.environ["PYTHONHASHSEED"] = "0"
+        os.execv(
+            sys.executable,
+            [sys.executable, "-m", "repro.experiments.runner", *sys.argv[1:]],
+        )
+
+
 if __name__ == "__main__":
+    pin_hash_seed()
     sys.exit(main())

@@ -14,6 +14,9 @@ as one contiguous artifact a serving process can mmap:
   (the Section VI codings, written in one pass on the serving path);
 * ``B^sig`` (suffix occupancy) and ``B^off`` (node start offsets) address
   the nodes via rank/select, serialized as little-endian u64 words;
+* one fingerprint byte per node (:func:`repro.segment.format.fingerprint`
+  of its locator's key, or the shared mark when several locators share
+  its suffix) lets a probe turn away a suffix collision unread;
 * the header persists the probe-prefilter state (locator vocabulary
   refcounts, locator-size histogram) and the non-identity placements, so
   the packed reader plans probes exactly like the source index and
@@ -44,7 +47,9 @@ from repro.segment.format import (
     CRASH_RENAMED,
     CRASH_TMP_SYNCED,
     CRASH_TMP_WRITTEN,
+    SHARED_FINGERPRINT,
     encode_file,
+    fingerprint,
     fsync_directory,
 )
 
@@ -53,16 +58,32 @@ _TEMP_COUNTER = itertools.count()
 
 
 def default_suffix_bits(num_nodes: int) -> int:
-    """Suffix width giving ~1-2% B^sig occupancy for ``num_nodes``.
+    """Suffix width sizing ``B^sig`` at 32-64x ``num_nodes`` bits.
 
-    Short suffixes shrink ``B^sig`` but make *every* probe of an absent
-    subset hit a merged node and pay a decode; sizing the table ~64x the
-    node count keeps spurious scans off the hot path for a few KiB of
-    bits.  Clamped to [12, 26] — the paper's own sizing experiments
-    (:mod:`repro.compress.suffix_opt`) explore the space/speed curve
-    below this point.
+    A short suffix shrinks ``B^sig`` but lets more probe keys of absent
+    subsets hit it.  Since the fingerprint byte turns nearly all of
+    those hits away unread, a hit costs a byte test rather than a node
+    read, and ``B^sig`` can be half as wide as it had to be without
+    fingerprints.  Measured on the 100 k-ad benchmark corpus (17 562
+    locators) over the 2 400 sixteen-word queries of its long pool,
+    served ranked, per query:
+
+    ===============  ==========  =============  =============
+    ``suffix_bits``  node reads  not matchable  file bytes/ad
+    ===============  ==========  =============  =============
+    21, version 2    27.70       15.48          21.36
+    21               12.33       0.11           21.54
+    20 (default)     12.59       0.37           20.23
+    19               13.34       1.12           19.57
+    18               16.18       3.96           19.23
+    ===============  ==========  =============  =============
+
+    20 bits keeps the reads that cannot match under 3 % of all reads,
+    in a file smaller than version 2's.  Clamped to [12, 26] — the
+    paper's own sizing experiments (:mod:`repro.compress.suffix_opt`)
+    explore the space/speed curve below this point.
     """
-    return min(26, max(12, max(num_nodes, 1).bit_length() + 6))
+    return min(26, max(12, max(num_nodes, 1).bit_length() + 5))
 
 
 def _put(out: bytearray, value: int) -> None:
@@ -98,8 +119,9 @@ def _ad_order(ad: Advertisement) -> tuple[Any, ...]:
 def encode_node(
     entries: Iterable[NodeEntry], coded_words: dict[str, bytes] | None = None
 ) -> bytes:
-    """One version-2 node record: a word-set table whose every row is
-    followed by that word-set's entry block.
+    """One node record (format version 2's, unchanged by version 3): a
+    word-set table whose every row is followed by that word-set's entry
+    block.
 
     Layout (all ints LEB128 varints)::
 
@@ -279,8 +301,17 @@ class SegmentBuilder:
         """Produce the complete segment file as bytes."""
         s = self.suffix_bits
         merged: dict[int, list[NodeEntry]] = {}
+        # Each suffix's fingerprint: its one locator's, or the shared mark.
+        fingerprints: dict[int, int] = {}
         for key, node in self.index.nodes.items():
-            merged.setdefault(hash_suffix(key, s), []).extend(node.entries)
+            suffix = hash_suffix(key, s)
+            entries = merged.get(suffix)
+            if entries is None:
+                merged[suffix] = list(node.entries)
+                fingerprints[suffix] = fingerprint(key, s)
+            else:
+                entries.extend(node.entries)
+                fingerprints[suffix] = SHARED_FINGERPRINT
         suffixes = sorted(merged)
         chunks: list[bytes] = []
         offsets: list[int] = []
@@ -300,7 +331,8 @@ class SegmentBuilder:
         bsig = pack_bits(bsig_bits, suffixes)
         boff_bits = max(position, 1)
         boff = pack_bits(boff_bits, offsets)
-        payload = bsig + boff + nodes_blob
+        fps = bytes(fingerprints[suffix] for suffix in suffixes)
+        payload = bsig + boff + fps + nodes_blob
 
         placements = [
             [sorted(words), sorted(locator)]
@@ -329,7 +361,8 @@ class SegmentBuilder:
             "sections": {
                 "bsig": [0, bsig_bits],
                 "boff": [len(bsig), boff_bits],
-                "nodes": [len(bsig) + len(boff), len(nodes_blob)],
+                "fingerprints": [len(bsig) + len(boff), len(fps)],
+                "nodes": [len(bsig) + len(boff) + len(fps), len(nodes_blob)],
             },
             "payload_sha256": hashlib.sha256(payload).hexdigest(),
         }

@@ -6,7 +6,8 @@ A segment file is one contiguous, immutable artifact::
     u32 LE           format version
     u32 LE           header length in bytes
     header           JSON (UTF-8, sorted keys)
-    payload          B^sig words || B^off words || node records
+    payload          B^sig words || B^off words || fingerprints
+                     || node records
 
 The JSON header carries everything the reader needs before touching the
 payload: the suffix width, section offsets/lengths, the probe-prefilter
@@ -18,12 +19,20 @@ instead of surfacing as silently wrong auctions.
 
 ``B^sig`` and ``B^off`` are stored as little-endian 64-bit words (the
 layout :class:`repro.compress.bitvector.BitVector` ranks/selects over
-without copying).  Node records are the version-2 encoding produced by
-:func:`repro.segment.builder.encode_node` (a word-set table, each row
-followed by its entries, carriers of exclusion phrases first, then in
-the auction's rank order) and read lazily by
-:mod:`repro.segment.packed`.  Any other version is refused: there is
-one reader.
+without copying).  The fingerprint section holds one byte per node
+ordinal (:func:`fingerprint`): the locator hash's bits just above the
+``B^sig`` suffix when one locator owns the node, or
+:data:`SHARED_FINGERPRINT` when several locators share its suffix.  A
+probe key whose suffix hits ``B^sig`` but whose fingerprint differs
+cannot belong to the node, so the node is not read (the quotient
+filter's remainders, Bender et al., VLDB 2012; the cuckoo filter's
+fingerprints, Fan et al., CoNEXT 2014).  Node records are the encoding
+produced by :func:`repro.segment.builder.encode_node` (a word-set
+table, each row followed by its entries, carriers of exclusion phrases
+first, then in the auction's rank order) and read lazily by
+:mod:`repro.segment.packed`.  Version 3 added the fingerprint section
+to version 2's layout; any other version is refused: there is one
+reader.
 """
 
 from __future__ import annotations
@@ -35,7 +44,11 @@ from pathlib import Path
 from typing import Any
 
 MAGIC = b"REPROSEG"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+#: The fingerprint byte of a node that several locators share by suffix:
+#: every probe key that hits its ``B^sig`` bit reads it.
+SHARED_FINGERPRINT = 0
 
 #: Fixed-size fields following the magic: format version, header length.
 _FIXED = struct.Struct("<II")
@@ -127,6 +140,14 @@ def read_header(buf: bytes | memoryview) -> tuple[dict[str, Any], int]:
     return header, end
 
 
+def fingerprint(key: int, suffix_bits: int) -> int:
+    """The node fingerprint of a locator's 64-bit ``wordhash``: the byte
+    just above its ``suffix_bits``-bit ``B^sig`` suffix, with
+    :data:`SHARED_FINGERPRINT` moved to 1 so a single-locator node never
+    carries the reserved value."""
+    return (key >> suffix_bits) & 0xFF or 1
+
+
 def read_varint(data: bytes | memoryview, offset: int) -> tuple[int, int]:
     """Decode one LEB128 varint from a buffer; returns (value, next offset).
 
@@ -153,8 +174,9 @@ def section_bounds(
 ) -> tuple[int, int]:
     """A section's ``(byte offset, length)`` entry, validated.
 
-    For the bit-array sections the length is in *bits*; for ``nodes`` it
-    is in bytes.  Offsets are relative to the payload start.
+    For the bit-array sections the length is in *bits*; for
+    ``fingerprints`` and ``nodes`` it is in bytes.  Offsets are relative
+    to the payload start.
     """
     sections = header.get("sections")
     if not isinstance(sections, dict) or name not in sections:

@@ -17,11 +17,16 @@ The query path is the Fig 6 lookup with the PR 1 probe plan in front:
    plan, one vectorized pass over a batch's bulk plans (plans with at
    least :data:`~repro.kernels.pipeline.BULK_MIN_KEYS` keys, numpy only);
 3. a hit's node ordinal is one entry of a per-word ``B^sig`` rank
-   directory plus a popcount of the word just tested; it indexes
-   ``B^off``, materialized as a flat ``array('Q')`` at load time (the
-   fully sampled select dictionary), and the node record is read.
+   directory plus a popcount of the word just tested;
+4. the node's fingerprint byte (format version 3) is compared with the
+   key's bits above the suffix: a mismatch is a suffix collision with
+   another locator, turned away unread.  A node several locators share
+   by suffix carries the shared mark and passes every key;
+5. the ordinal indexes ``B^off``, materialized as a flat ``array('Q')``
+   at load time (the fully sampled select dictionary), and the node
+   record is read.
 
-A node record (format version 2, :func:`repro.segment.builder.encode_node`)
+A node record (:func:`repro.segment.builder.encode_node`)
 is a table of word-set rows, each followed by its entries: carriers
 (ads with exclusion phrases) first, then the rest in the auction's own
 order ``(-bid, listing_id)``.  A node stores every ad of one word-set
@@ -90,7 +95,9 @@ from repro.obs.registry import Histogram, MetricsRegistry, active_or_none
 from repro.perf.prefilter import ProbePlan
 from repro.resilience.deadline import Deadline, DegradedReason
 from repro.segment.format import (
+    SHARED_FINGERPRINT,
     SegmentFormatError,
+    fingerprint,
     read_header,
     read_varint,
     section_bounds,
@@ -161,6 +168,7 @@ _SCAN_COUNTERS = (
     ("segment.results", "Matching ads returned"),
     ("segment.cache_hits", "Node scans served decoded"),
     ("segment.cache_misses", "Node scans that paid a decode"),
+    ("segment.fingerprint_rejects", "B^sig hits the fingerprint turned away"),
 )
 #: ``(name, help)`` of the counters bumped where a record is read and
 #: where an ad is built, so every path that reads the mapping counts.
@@ -371,15 +379,21 @@ class PackedSegmentIndex:
         # cast: each section starts where the last one's 64-bit words end.
         bsig_off, bsig_bits = section_bounds(header, "bsig")
         boff_off, boff_bits = section_bounds(header, "boff")
+        fps_off, fps_len = section_bounds(header, "fingerprints")
         nodes_off, nodes_len = section_bounds(header, "nodes")
         if (
             (bsig_off, bsig_bits) != (0, 1 << self.suffix_bits)
             or boff_off != (bsig_bits + 63) // 64 * 8
             or boff_bits != max(nodes_len, 1)
-            or nodes_off != boff_off + (boff_bits + 63) // 64 * 8
+            or fps_off != boff_off + (boff_bits + 63) // 64 * 8
+            or nodes_off != fps_off + fps_len
         ):
             raise SegmentFormatError(
                 "segment sections disagree with the layout of suffix_bits"
+            )
+        if fps_len != self._num_nodes:
+            raise SegmentFormatError(
+                "fingerprint section disagrees with the header node count"
             )
         if len(payload) != nodes_off + nodes_len:
             raise SegmentFormatError(
@@ -392,9 +406,12 @@ class PackedSegmentIndex:
             )
 
         bsig_view = payload[bsig_off:boff_off]
-        boff_view = payload[boff_off:nodes_off]
+        boff_view = payload[boff_off:fps_off]
+        fps_view = payload[fps_off:nodes_off]
         nodes_view = payload[nodes_off:]
-        self._views.extend((bsig_view, boff_view, nodes_view))
+        self._views.extend((bsig_view, boff_view, fps_view, nodes_view))
+        #: One byte per node ordinal, read off the mapping.
+        self._fingerprints = fps_view
         self.bsig = BitVector.from_buffer(bsig_view, bsig_bits)
         self.boff = BitVector.from_buffer(boff_view, boff_bits)
         if numpy_available():
@@ -639,12 +656,13 @@ class PackedSegmentIndex:
         num_probes: int | None = None,
         top: int | None = None,
     ) -> list[Advertisement] | RankedMatches:
-        """Test ``keys`` against ``B^sig`` in probe-enumeration order
-        and scan the hit nodes.  ``keys`` is a streamed plan's whole key
-        stream, or a bulk plan's hit suffixes with ``num_probes`` saying
-        how many keys the bulk pass tested (masking and re-testing a hit
-        suffix is idempotent).  A ``deadline`` is checked before the
-        first key and before each node scan.
+        """Test ``keys`` against ``B^sig`` and the node fingerprints in
+        probe-enumeration order and scan the hit nodes.  ``keys`` is a
+        streamed plan's whole key stream, or a bulk plan's keys that hit
+        ``B^sig`` with ``num_probes`` saying how many keys the bulk pass
+        tested (masking and re-testing a hit key is idempotent).  A
+        ``deadline`` is checked before the first key and before each
+        node read.
 
         Without ``top`` every matching ad is listed.  With it each node
         is walked in rank order (as runs when cached, else by
@@ -655,9 +673,12 @@ class PackedSegmentIndex:
         words = plan.words
         query_len = len(words)
         tracker = self.tracker
-        suffix_mask = (1 << self.suffix_bits) - 1
+        suffix_bits = self.suffix_bits
+        suffix_mask = (1 << suffix_bits) - 1
         sig_words = self.bsig.words
         sig_ranks = self._sig_ranks
+        fingerprints = self._fingerprints
+        shared = SHARED_FINGERPRINT
         cache = self._node_cache
         ranking = None if top is None else _Ranking(top)
         results: list[Advertisement] = []
@@ -667,8 +688,9 @@ class PackedSegmentIndex:
         node_scans = 0
         entries_scanned = 0
         cache_hits = 0
+        rejects = 0
         # The budget is checked before the first key and before each node
-        # scan, so a cut lands between nodes.
+        # read, so a cut lands between nodes.
         cut = deadline is not None and deadline.expired()
         if cut:
             keys = ()
@@ -681,13 +703,21 @@ class PackedSegmentIndex:
             bit = suffix & 63
             if not (word >> bit) & 1 or suffix in visited:
                 continue
+            node_index = (
+                sig_ranks[word_index] + (word & ((1 << bit) - 1)).bit_count()
+            )
+            # The fingerprint test (:func:`~repro.segment.format.fingerprint`,
+            # inlined): a key of another locator with the node's suffix
+            # is turned away unread.  It does not mark the suffix, since
+            # a later key may be the node's own locator.
+            mark = fingerprints[node_index]
+            if mark != shared and mark != ((key >> suffix_bits) & 0xFF or 1):
+                rejects += 1
+                continue
             visited.add(suffix)
             if deadline is not None and deadline.expired():
                 cut = True
                 break
-            node_index = (
-                sig_ranks[word_index] + (word & ((1 << bit) - 1)).bit_count()
-            )
             node_scans += 1
             runs = cache.get(node_index)
             hit = runs is not None
@@ -799,6 +829,7 @@ class PackedSegmentIndex:
                 matched,
                 cache_hits,
                 node_scans - cache_hits,
+                rejects,
             )
             for counter, amount in zip(self._counters, amounts):
                 counter.inc(amount)
@@ -812,13 +843,14 @@ class PackedSegmentIndex:
         return apply_match_type(results, query, match_type)
 
     def _sig_hits(self, all_keys: Any) -> tuple[Any, Any]:
-        """Bulk ``B^sig`` membership: the keys' suffixes and the
+        """Bulk ``B^sig`` membership: the keys themselves (the scan's
+        fingerprint test needs their bits above the suffix) and the
         positions whose bit is set."""
         suffixes = all_keys & all_keys.dtype.type(
             (1 << self.suffix_bits) - 1
         )
         # Looked up on the module at call time: ``bench/`` wraps it.
-        return suffixes, probe.sig_hit_positions(suffixes, self._sig_np)
+        return all_keys, probe.sig_hit_positions(suffixes, self._sig_np)
 
     # ------------------------------------------------------------------ #
     # Node decoding
@@ -1181,14 +1213,23 @@ class PackedSegmentIndex:
     # Point access
 
     def _node_index_for(self, locator: frozenset[str]) -> int | None:
-        """Index of the node a locator addresses, or ``None``."""
-        suffix = hash_suffix(wordhash(locator), self.suffix_bits)
+        """Index of the node a locator addresses, or ``None`` when its
+        ``B^sig`` bit is clear or the node's fingerprint turns it away
+        (the test :meth:`_scan` makes)."""
+        key = wordhash(locator)
+        suffix = hash_suffix(key, self.suffix_bits)
         word = self.bsig.words[suffix >> 6]
         bit = suffix & 63
         if not (word >> bit) & 1:
             return None
         rank_in_word = (word & ((1 << bit) - 1)).bit_count()
-        return self._sig_ranks[suffix >> 6] + rank_in_word
+        node_index = self._sig_ranks[suffix >> 6] + rank_in_word
+        mark = self._fingerprints[node_index]
+        if mark != SHARED_FINGERPRINT and mark != fingerprint(
+            key, self.suffix_bits
+        ):
+            return None
+        return node_index
 
     def lookup_count(self, ad: Advertisement) -> int:
         """Occurrences of exactly ``ad`` stored in the segment.

@@ -54,6 +54,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -107,6 +108,12 @@ MANIFEST_VERSION = 1
 #: Unique temp names for manifest writes (same scheme as the builder's).
 _MANIFEST_TEMP = iter(range(1 << 62))
 
+#: The segment file names this module writes, ``seg-<seq>-L<level>.seg``.
+#: A record naming anything else is refused: its name is opened, and
+#: unlinked after a merge, inside the index directory, so a name such as
+#: ``../outside.seg`` must never reach a path.
+_SEGMENT_NAME = re.compile(r"seg-[0-9]{6,}-L[0-9]+\.seg")
+
 
 class ManifestFormatError(SegmentFormatError):
     """Raised when a tiered manifest is missing, corrupt, or torn."""
@@ -136,7 +143,7 @@ class SegmentRecord:
     @classmethod
     def from_json(cls, payload: dict[str, Any]) -> SegmentRecord:
         try:
-            return cls(
+            record = cls(
                 name=str(payload["name"]),
                 level=int(payload["level"]),
                 seq=int(payload["seq"]),
@@ -146,6 +153,12 @@ class SegmentRecord:
             raise ManifestFormatError(
                 f"bad segment record: {exc}"
             ) from exc
+        if not _SEGMENT_NAME.fullmatch(record.name):
+            raise ManifestFormatError(
+                f"bad segment record: {record.name!r} is not a segment "
+                "file name"
+            )
+        return record
 
 
 def _ad_to_json(ad: Advertisement) -> dict[str, Any]:

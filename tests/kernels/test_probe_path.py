@@ -7,12 +7,13 @@ bound ``AccessTracker``, a timed deadline, a swapped hash, or a lone
 dispatch, both per-probe ``_scan`` loops and the bulk membership they
 were fed (the sorted key table of the mutable index, the ``B^sig`` pass
 of the segment) are kept here *verbatim* as ``ParentWordSetIndex`` and
-``ParentPackedSegmentIndex``.  Three edits only: ``active_backend`` is
+``ParentPackedSegmentIndex``.  Four edits only: ``active_backend`` is
 the parent's backend choice (``PARENT_BACKEND``, which could be
 ``off``), ``deadline.timed`` is the parent's property body (``_timed``),
-and the python-backend branches, which no reference here runs, are left
+the python-backend branches, which no reference here runs, are left
 out (the parent's ``flat_probe_keys(..., "numpy")`` is today's
-``flat_probe_keys``).
+``flat_probe_keys``), and the segment's scan makes format version 3's
+fingerprint test after its ``B^sig`` test.
 
 On Hypothesis corpora, including ``suffix_bits=1`` segments (every node
 on one or two ``B^sig`` bits) and ``max_probes``-capped plans, the index
@@ -55,6 +56,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.perf.prefilter import ProbePlan
 from repro.resilience.deadline import Deadline, DegradedReason
 from repro.segment import PackedSegmentIndex, SegmentBuilder
+from repro.segment.format import SHARED_FINGERPRINT, fingerprint
 
 try:
     import numpy as _np
@@ -358,6 +360,7 @@ class ParentPackedSegmentIndex(PackedSegmentIndex):
         node_scans = 0
         entries_scanned = 0
         cache_hits = 0
+        rejects = 0
         for key in keys:
             if deadline is not None and deadline.expired():
                 deadline.mark_partial(DegradedReason.DEADLINE)
@@ -372,7 +375,6 @@ class ParentPackedSegmentIndex(PackedSegmentIndex):
             suffix = key & suffix_mask
             if suffix in visited:
                 continue
-            visited.add(suffix)
             # Inlined B^sig bit test: the overwhelmingly common miss costs
             # one word load, no call.  A hit ranks off the same word.
             word_index = suffix >> 6
@@ -383,6 +385,15 @@ class ParentPackedSegmentIndex(PackedSegmentIndex):
             node_index = (
                 sig_ranks[word_index] + (word & ((1 << bit) - 1)).bit_count()
             )
+            # The fingerprint test; a rejected key leaves the suffix
+            # unvisited.
+            mark = self._fingerprints[node_index]
+            if mark != SHARED_FINGERPRINT and mark != fingerprint(
+                key, self.suffix_bits
+            ):
+                rejects += 1
+                continue
+            visited.add(suffix)
             node_scans += 1
             runs = cache.get(node_index)
             if runs is not None:
@@ -423,6 +434,7 @@ class ParentPackedSegmentIndex(PackedSegmentIndex):
                 len(results),
                 cache_hits,
                 node_scans - cache_hits,
+                rejects,
             )
             for counter, amount in zip(self._counters, amounts):
                 counter.inc(amount)

@@ -142,6 +142,7 @@ class TestBoundInstruments:
         "segment.cache_hits": 0,
         "segment.cache_misses": 7,
         "segment.entries_scanned": 9,
+        "segment.fingerprint_rejects": 0,
         "segment.node_scans": 7,
         "segment.nodes_read": 7,
         "segment.probes": 14,

@@ -1,4 +1,5 @@
-"""Version-1 node records, for tests that compare the two formats.
+"""Version-1 node records and version-2 files, for tests that compare
+formats.
 
 Format version 2 replaced the version-1 node record (one entry list per
 node in word-count and phrase order, delta-coded bids, one front-coded
@@ -9,16 +10,25 @@ layouts and check the version-2 reader against the decoders it replaced
 a genuine version-1 file is refused.
 
 :func:`write_v1_segment` runs today's :class:`SegmentBuilder` (whose
-node placement, bit arrays and header did not change) with the version-1
+node placement and bit arrays did not change; version 3 added the
+fingerprint section, which such a file carries too) with the version-1
 encoder in place of :func:`repro.segment.builder.encode_node`.  The
-preamble carries the version asked for: ``1`` for a genuine version-1
-file, which the reader refuses, or the current version, so that the
-unchanged loader opens the file and a reference subclass decodes its
-version-1 records.
+preamble carries the version asked for: ``1`` for a version-1 file,
+which the reader refuses, or the current version, so that the current
+loader opens the file and a reference subclass decodes its version-1
+records.
+
+Version 3 inserted one section into version 2's file, the node
+fingerprints between ``B^off`` and the node records, and changed
+nothing else; :func:`version_2_bytes` takes it out again, giving the
+bytes the version-2 builder wrote for the same index and suffix width.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import struct
 from collections.abc import Sequence
 from pathlib import Path
 from unittest import mock
@@ -136,3 +146,23 @@ def write_v1_segment(
         segment_format, "FORMAT_VERSION", version
     ):
         SegmentBuilder(index, suffix_bits=suffix_bits).write(path)
+
+
+def version_2_bytes(data: bytes) -> bytes:
+    """The version-2 file of a version-3 segment file ``data``: its
+    fingerprint section and that section's header entry dropped, the
+    node records moved up, the checksum re-taken, the preamble saying 2."""
+    header, start = segment_format.read_header(data)
+    payload = data[start:]
+    sections = dict(header["sections"])
+    fps_off, _ = sections.pop("fingerprints")
+    nodes_off, nodes_len = sections["nodes"]
+    sections["nodes"] = [fps_off, nodes_len]
+    payload = payload[:fps_off] + payload[nodes_off:]
+    header = dict(
+        header,
+        sections=sections,
+        payload_sha256=hashlib.sha256(payload).hexdigest(),
+    )
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return segment_format.MAGIC + struct.pack("<II", 2, len(blob)) + blob + payload

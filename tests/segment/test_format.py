@@ -1,5 +1,6 @@
 """Segment file format: preamble validation, corruption, truncation."""
 
+import hashlib
 import struct
 
 import pytest
@@ -22,7 +23,7 @@ from repro.segment.format import (
     read_varint,
     section_bounds,
 )
-from tests.segment.format_v1 import write_v1_segment
+from tests.segment.format_v1 import version_2_bytes, write_v1_segment
 
 
 def ad(text, listing_id=0):
@@ -93,9 +94,9 @@ class TestPreamble:
 
 
 class TestVersionOne:
-    """Format version 2 has one reader: a genuine version-1 file (its
-    node records in the version-1 layout, its preamble saying 1) is
-    refused at open with an error naming the version."""
+    """Format version 3 has one reader: a version-1 file (its node
+    records in the version-1 layout, its preamble saying 1) is refused
+    at open with an error naming the version."""
 
     def test_a_v1_segment_file_is_refused(self, tmp_path):
         path = tmp_path / "v1.seg"
@@ -140,6 +141,42 @@ class TestVersionOne:
             assert len(opened) == 2
             assert opened[0]._closed
             assert {child.name: child.read_bytes() for child in directory.iterdir()} == before
+
+
+class TestVersionTwo:
+    """A version-2 file (no fingerprint section, its preamble saying 2)
+    is refused at open, alone or listed by a tiered manifest; so is a
+    version-2 header under a version-3 preamble."""
+
+    def test_a_v2_segment_file_is_refused(self, segment_path):
+        segment_path.write_bytes(version_2_bytes(segment_path.read_bytes()))
+        with pytest.raises(SegmentFormatError, match="version 2"):
+            PackedSegmentIndex(segment_path)
+
+    def test_a_v2_header_without_fingerprints_is_refused(self, segment_path):
+        header, start = read_header(segment_path.read_bytes())
+        del header["sections"]["fingerprints"]
+        payload = segment_path.read_bytes()[start:]
+        segment_path.write_bytes(encode_file(header, payload))
+        with pytest.raises(SegmentFormatError, match="'fingerprints'"):
+            PackedSegmentIndex(segment_path)
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_a_tiered_directory_listing_a_v2_segment_is_refused(
+        self, tmp_path, read_only
+    ):
+        directory = tmp_path / "tiered"
+        with tiered.TieredSegmentedIndex(directory) as index:
+            index.insert(ad("cheap used books", 1))
+            index.seal()
+        manifest = tiered.read_manifest(directory / tiered.MANIFEST_NAME)
+        (record,) = manifest.segments
+        victim = directory / record.name
+        victim.write_bytes(version_2_bytes(victim.read_bytes()))
+        before = victim.read_bytes()
+        with pytest.raises(SegmentFormatError, match="version 2"):
+            tiered.TieredSegmentedIndex(directory, read_only=read_only)
+        assert victim.read_bytes() == before
 
 
 class TestVarint:
@@ -337,6 +374,19 @@ LAYOUT_MUTATIONS = {
     "nodes_offset": lambda h: {
         "sections": {"nodes": [h["nodes"][0] - 8, h["nodes"][1] + 8]}
     },
+    "fingerprints_offset": lambda h: {
+        "sections": {
+            "fingerprints": [h["fingerprints"][0] + 8, h["fingerprints"][1]]
+        }
+    },
+    "fingerprints_short": lambda h: {
+        "sections": {
+            "fingerprints": [h["fingerprints"][0], h["fingerprints"][1] - 1]
+        }
+    },
+    "fingerprints_before_boff": lambda h: {
+        "sections": {"fingerprints": [h["boff"][0], h["fingerprints"][1]]}
+    },
 }
 
 
@@ -359,3 +409,58 @@ class TestSectionLayout:
         path.write_bytes(remade(blob, **LAYOUT_MUTATIONS[mutation](sections)))
         with pytest.raises(SegmentFormatError, match="layout"):
             PackedSegmentIndex(path)
+
+
+def resized_fingerprints(blob, change):
+    """``blob`` with its fingerprint section ``change`` bytes longer (or
+    shorter), the node records moved to follow it and the checksum
+    re-taken: a layout that adds up, around a section of the wrong
+    length."""
+    header, start = read_header(blob)
+    payload = blob[start:]
+    sections = dict(header["sections"])
+    fps_off, fps_len = sections["fingerprints"]
+    nodes_off, nodes_len = sections["nodes"]
+    fps = payload[fps_off:nodes_off]
+    fps = fps[: fps_len + change] if change < 0 else fps + b"\x01" * change
+    payload = payload[:fps_off] + fps + payload[nodes_off:]
+    sections["fingerprints"] = [fps_off, len(fps)]
+    sections["nodes"] = [fps_off + len(fps), nodes_len]
+    header = dict(
+        header,
+        sections=sections,
+        payload_sha256=hashlib.sha256(payload).hexdigest(),
+    )
+    return encode_file(header, payload)
+
+
+class TestFingerprintSection:
+    """One byte per node ordinal, between ``B^off`` and the records."""
+
+    def test_it_sits_between_boff_and_the_records(self, layout_segment):
+        blob, _ = layout_segment
+        header, _ = read_header(blob)
+        sections = header["sections"]
+        boff_off, boff_bits = sections["boff"]
+        assert sections["fingerprints"] == [
+            boff_off + (boff_bits + 63) // 64 * 8,
+            header["num_nodes"],
+        ]
+        assert sections["nodes"][0] == sum(sections["fingerprints"])
+
+    @pytest.mark.parametrize("change", [-1, 1, 8])
+    def test_a_section_of_the_wrong_length_is_refused(
+        self, layout_segment, tmp_path, change
+    ):
+        blob, _ = layout_segment
+        path = tmp_path / "resized.seg"
+        path.write_bytes(resized_fingerprints(blob, change))
+        with pytest.raises(SegmentFormatError, match="fingerprint section"):
+            PackedSegmentIndex(path)
+
+    def test_a_resize_by_nothing_opens(self, layout_segment, tmp_path):
+        blob, queries = layout_segment
+        path = tmp_path / "same.seg"
+        path.write_bytes(resized_fingerprints(blob, 0))
+        with PackedSegmentIndex(path) as packed:
+            assert all(packed.query(query) for query in queries)

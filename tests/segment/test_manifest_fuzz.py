@@ -15,7 +15,10 @@ bit-flipped, spliced, replaced by random bytes, nested deeper than the
 JSON decoder follows, given an integer past the interpreter's digit
 limit, or — aimed past the checksum — changed structurally (a value at
 the top, in ``index`` or anywhere replaced by an edge value or any JSON
-value, or a key dropped) and re-checksummed.
+value, or a key dropped) or given a segment name that is a path or not
+a name the writer makes, and re-checksummed.  A segment name is opened,
+and unlinked after a merge, inside the index directory, so every such
+name must be refused.
 """
 
 from __future__ import annotations
@@ -47,6 +50,23 @@ PINNED = ("format", "version")
 #: numbers past any sane range, and every JSON type in an int's place.
 EDGE_VALUES = (
     float("inf"), float("-inf"), 2**70, -1, True, "7", [1], {"k": 1}, None
+)
+
+#: Segment names a record may not carry: paths that leave the index
+#: directory or enter a subdirectory, and names the writer never makes.
+hostile_names = st.one_of(
+    st.sampled_from(
+        ["../outside.seg", "..", "", ".", "MANIFEST.json", "seg-1-L0.seg",
+         "seg-000001-L0.seg.tmp", "seg-000001-L0.seg\n", "seg-000001-L0.seg\x00",
+         "seg-000001-L0.seg/..", "/tmp/seg-000001-L0.seg"]
+    ),
+    st.builds(
+        "{}seg-{:06d}-L{}.seg{}".format,
+        st.sampled_from(["../", "./", "/", "sub/", "../../", "\\", "é"]),
+        st.integers(0, 10**6),
+        st.integers(0, 5),
+        st.sampled_from(["", "/", "/..", "/x"]),
+    ),
 )
 
 json_values = st.recursive(
@@ -141,7 +161,7 @@ def damaged(draw):
     kind = draw(
         st.sampled_from(
             ["intact", "truncate", "flip", "splice", "random", "deep",
-             "digits", "restructure"]
+             "digits", "restructure", "rename"]
         )
     )
     if kind == "truncate":
@@ -182,6 +202,15 @@ def damaged(draw):
         else:
             container.pop(key)
         data = bytearray(encode(body, indented))
+    elif kind == "rename":
+        body = manifest.body()
+        name = draw(hostile_names)
+        records = body["segments"]
+        if records:
+            records[draw(st.integers(0, len(records) - 1))]["name"] = name
+        else:
+            records.append({"name": name, "level": 0, "seq": 0, "num_ads": 0})
+        data = bytearray(encode(body, indented))
     return manifest, kind, bytes(data)
 
 
@@ -210,6 +239,8 @@ def test_damaged_bytes_are_a_typed_error_or_a_manifest(case):
         assert perf_counter() - started < HANG_S
     if kind == "intact":
         assert decoded == manifest
+    if kind == "rename":
+        assert decoded is None
     if decoded is not None:
         assert isinstance(decoded, Manifest)
         assert Manifest.decode(decoded.encode()) == decoded

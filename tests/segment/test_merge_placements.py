@@ -7,7 +7,11 @@ writes the same bytes every time.  The sha256 of every segment file and
 the manifest checksum after each step are pinned to what the commit
 that still carried the in-merge set-cover re-optimizer wrote for the
 same script with no workload recorder attached (the only configuration
-any serving path, CLI command or benchmark ever ran).
+any serving path, CLI command or benchmark ever ran).  The segment
+hashes were re-taken for format version 3, whose files add the
+fingerprint section; their ``B^sig``, ``B^off`` and node-record
+sections are byte for byte those of the pinned version-2 files, and the
+manifest checksums did not move.
 """
 
 import hashlib
@@ -97,26 +101,26 @@ def scripted_history(directory):
 PARENT_SNAPSHOT = {
     "packed": (
         "0ea3d857ffb109dcebad1f54a4960a2216868238a7121440881c408edab31430",
-        {"seg-000000-L0.seg": "2f190e9c1b6b23b4dae90737c6fedb044d0335c8114511771e2ac09adfb98418"},
+        {"seg-000000-L0.seg": "f7feb17e6f85d06667921575f15c85045bc9d80b06d4e980af9626d9226991e1"},
     ),
     "first merge": (
         "ce73d3fc2de44986c44a5d0d3068e658c264953bc5d1754e884579e3fca2e888",
-        {"seg-000002-L1.seg": "2a790f18d077aac1f3239b0749193c03cadbbe6ae2e6df4839688d724763fca0"},
+        {"seg-000002-L1.seg": "632e208a5ce5e11f9a385684d19351fdab5ebdad545c97287c78720133c945a4"},
     ),
     "tombstones pending": (
         "ea8a97babc231fb320028ea1fecee27741278dbc1ec4b594ad2e99942f7a9cf5",
         {
-            "seg-000002-L1.seg": "2a790f18d077aac1f3239b0749193c03cadbbe6ae2e6df4839688d724763fca0",
-            "seg-000003-L0.seg": "7359f5eed2fa03899d7e38b5c862a174aaab11ee16e0ffbe57c6decf85821832",
+            "seg-000002-L1.seg": "632e208a5ce5e11f9a385684d19351fdab5ebdad545c97287c78720133c945a4",
+            "seg-000003-L0.seg": "a359ce33782bb7463313dd9c90799e981da0fc02c162149d6896354d7ccd394f",
         },
     ),
     "second-level merge": (
         "c6f5c0eb5a38d6469782ca438bf2e7426c3deb9bed799ff705900f0ed5e347d0",
-        {"seg-000006-L2.seg": "981641027425955fe7690432d67cefb6df13759378a6c19873ac57aaa57527e3"},
+        {"seg-000006-L2.seg": "65fa85ac441811fc9cdacfd58847fba43d532c3f5cdb438dda1cbf9614dd1e76"},
     ),
     "compact": (
         "83a026d780a3b961a11a752ef3ad36ac4b3c895e20b0939837b561fa6ea2024f",
-        {"seg-000008-L3.seg": "3c28e8a4bbccef09a32c511c97f7990d81c054c951c7aba81947fb247152ac41"},
+        {"seg-000008-L3.seg": "d019ae56a00e394fa34e482b3812e748612c644979ce7d4f1511034310f343bb"},
     ),
 }
 

@@ -1,5 +1,5 @@
-"""Fuzzing the version-2 node record parsers: the full decode and the
-ranked read.
+"""Fuzzing the node record parsers: the full decode and the ranked
+read.
 
 A node record is untrusted input: ``B^off`` gives its boundaries, and
 whoever wrote the file can recompute ``payload_sha256``.  Both readers
@@ -15,9 +15,10 @@ repeated words, several phrase orders, exclusion phrases) and are then
 truncated, bit-flipped, spliced with random bytes or replaced by random
 bytes outright.  The readers run on them directly and through
 ``query`` with and without ``top`` (cache on and off), the damaged
-record standing in for every node the probes reach.  The intact record
-must decode to its ads, and its ranked read must agree with the full
-decode.
+record standing in for every node the probes reach through the loaded
+segment's ``B^sig`` and fingerprint tests, which must reach at least
+one.  The intact record must decode to its ads, and its ranked read
+must agree with the full decode.
 """
 
 from __future__ import annotations
@@ -172,16 +173,19 @@ def test_a_damaged_record_is_refused_or_read(packed, case, top):
 @given(case=damaged(), top=st.integers(1, 5))
 def test_a_damaged_record_surfaces_through_query_typed(tmp_path, case, top):
     """The damaged record answers every node a query reaches, on an
-    index with the node cache off and one with it on."""
+    index with the node cache off and one with it on.  The query holds
+    every word, so each locator's own key reaches its node."""
     ads, kind, chunk = case
     path = tmp_path / "through.seg"
     SegmentBuilder(WordSetIndex.from_corpus(ads)).write(path)
     query = Query(tokens=tuple(sorted(QUERY_WORDS)))
     for cache_bytes in (0, DEFAULT_CACHE_BYTES):
         with PackedSegmentIndex(path, cache_bytes=cache_bytes) as index:
-            index._node_chunk = lambda node_index: chunk
+            reads: list[int] = []
+            index._node_chunk = lambda node_index: reads.append(node_index) or chunk
             listed = timed(index.query, query)
             answer = timed(lambda: index.query(query, top=top))
+            assert reads
             if answer is not None:
                 assert isinstance(answer, RankedMatches)
                 assert len(answer.ads) <= answer.count

@@ -48,7 +48,7 @@ from repro.obs.registry import Counter, MetricsRegistry
 from repro.perf.prefilter import ProbePlan
 from repro.resilience.deadline import Deadline, DegradedReason
 from repro.segment import PackedSegmentIndex, SegmentBuilder
-from repro.segment.format import read_varint
+from repro.segment.format import SHARED_FINGERPRINT, fingerprint, read_varint
 from repro.segment.packed import DEFAULT_CACHE_BYTES
 from repro.segment.sizing import deep_sizeof
 from tests.segment.format_v1 import write_v1_segment
@@ -102,6 +102,7 @@ class ReferencePackedSegmentIndex(PackedSegmentIndex):
         node_scans = 0
         entries_scanned = 0
         cache_hits = 0
+        rejects = 0
         for key in keys:
             if deadline is not None and deadline.expired():
                 deadline.mark_partial(DegradedReason.DEADLINE)
@@ -116,12 +117,20 @@ class ReferencePackedSegmentIndex(PackedSegmentIndex):
             suffix = key & suffix_mask
             if suffix in visited:
                 continue
-            visited.add(suffix)
             # Inlined B^sig bit test: the overwhelmingly common miss costs
             # one word load, no call.
             if not (sig_words[suffix >> 6] >> (suffix & 63)) & 1:
                 continue
             node_index = rank1(suffix + 1) - 1
+            # Format version 3's fingerprint test, added to the
+            # reference: a rejected key leaves the suffix unvisited.
+            mark = self._fingerprints[node_index]
+            if mark != SHARED_FINGERPRINT and mark != fingerprint(
+                key, self.suffix_bits
+            ):
+                rejects += 1
+                continue
+            visited.add(suffix)
             node_scans += 1
             ads = cache.get(node_index)
             if ads is not None:
@@ -165,6 +174,7 @@ class ReferencePackedSegmentIndex(PackedSegmentIndex):
             obs.counter("segment.results").inc(len(results))
             obs.counter("segment.cache_hits").inc(cache_hits)
             obs.counter("segment.cache_misses").inc(node_scans - cache_hits)
+            obs.counter("segment.fingerprint_rejects").inc(rejects)
             obs.gauge("segment.cache_bytes").set(float(self._cache_used))
             obs.histogram("span.segment_query").observe(
                 (perf_counter() - started) * 1e3

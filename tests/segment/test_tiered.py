@@ -1,6 +1,8 @@
 """Tiered segments: seal/merge lifecycle, crash-safe manifest, oracle
 equivalence under churn, and wiring into the serving stack."""
 
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -30,6 +32,7 @@ from repro.segment.format import (
     CRASH_SEAL_START,
     CRASH_SEAL_WRITTEN,
 )
+from repro.segment import tiered as tiered_module
 from repro.segment.tiered import MANIFEST_NAME
 
 
@@ -115,6 +118,59 @@ class TestManifest:
         (tmp_path / MANIFEST_NAME).write_bytes(deep)
         with pytest.raises(ManifestFormatError, match="corrupt"):
             TieredSegmentedIndex(tmp_path, read_only=True)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "../outside.seg",
+            "../seg-000000-L0.seg",
+            "sub/seg-000000-L0.seg",
+            "seg-000000-L0.seg/",
+            "seg-000000-L0.seg\n",
+            "seg-0-L0.seg",
+            "MANIFEST.json",
+        ],
+    )
+    def test_a_segment_name_outside_the_writers_shape_is_refused(self, name):
+        record = {"name": name, "level": 0, "seq": 0, "num_ads": 1}
+        with pytest.raises(ManifestFormatError, match="segment file name"):
+            SegmentRecord.from_json(record)
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_a_manifest_cannot_reach_outside_its_directory(
+        self, tmp_path, monkeypatch, read_only
+    ):
+        # A valid index whose one segment is moved out of the directory
+        # and named by a path, the manifest re-checksummed around it.
+        directory = tmp_path / "index"
+        index = TieredSegmentedIndex.pack_corpus(
+            [ad("red shoes", 1), ad("blue shoes", 2)], directory
+        )
+        index.close()
+        manifest = read_manifest(directory / MANIFEST_NAME)
+        (record,) = manifest.segments
+        outside = tmp_path / "outside.seg"
+        (directory / record.name).rename(outside)
+        before = outside.read_bytes()
+        body = manifest.body()
+        body["segments"][0]["name"] = "../outside.seg"
+        blob = json.dumps(body, sort_keys=True).encode("utf-8")
+        checksum = hashlib.sha256(blob).hexdigest()
+        (directory / MANIFEST_NAME).write_bytes(
+            blob[:-1] + b', "checksum": "' + checksum.encode() + b'"}'
+        )
+        opened = []
+        real = tiered_module.PackedSegmentIndex
+        monkeypatch.setattr(
+            tiered_module,
+            "PackedSegmentIndex",
+            lambda path, *args, **kwargs: opened.append(path)
+            or real(path, *args, **kwargs),
+        )
+        with pytest.raises(ManifestFormatError, match="segment file name"):
+            TieredSegmentedIndex(directory, read_only=read_only)
+        assert opened == []
+        assert outside.read_bytes() == before
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(ManifestFormatError):
