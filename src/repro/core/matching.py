@@ -78,17 +78,17 @@ def apply_match_type(
 class RankedMatches:
     """A broad match read for an auction that keeps ``top`` ranked ads.
 
-    ``count`` is the exact number of matching ads.  ``ads`` holds every
-    matching ad with exclusion phrases and the best ``top`` of the others
-    by ``(-bid, listing_id)``, in the order the full match list would
-    give them.  Every match left out carries no exclusion phrase and
-    ranks below ``top`` others, so no exclusion drops it and no slot or
-    price can read it.  Built by a ranked read
+    ``count`` is the exact number of matching ads, ``excluded`` the exact
+    number an exclusion phrase drops, and ``ads`` the best ``top`` of the
+    rest by ``(-bid, listing_id)``, in the order the full match list
+    would give them.  Every other match is excluded or ranks below
+    ``top`` others, so no slot or price can read it.  Built by a ranked read
     (:meth:`repro.segment.packed.PackedSegmentIndex.query` with ``top``),
     consumed by :meth:`repro.serving.server.AdServer._finish`.
     """
 
     count: int
+    excluded: int
     ads: tuple[Advertisement, ...]
 
 
@@ -96,23 +96,28 @@ class RankedMatches:
 #: phrase costs ~8x the subset test, and the same phrases are checked on
 #: every query their ads match, so each is folded once per process.
 #: Never evicted; bounded by the distinct exclusion phrases ever checked
-#: (those of ads a query returned), which a corpus fixes.  Threads racing
+#: (those of ads a query matched), which a corpus fixes.  Threads racing
 #: on a miss store the same value.
 _EXCLUSION_WORDS: dict[str, frozenset[str]] = {}
+
+
+def excluded_by(phrases: Iterable[str], words: frozenset[str]) -> bool:
+    """Whether any of ``phrases`` folds into a subset of ``words``: the
+    one exclusion test, for :func:`passes_exclusions` and ranked reads."""
+    memo = _EXCLUSION_WORDS
+    for phrase in phrases:
+        folded = memo.get(phrase)
+        if folded is None:
+            folded = memo[phrase] = word_set(phrase)
+        if folded <= words:
+            return True
+    return False
 
 
 def passes_exclusions(ad: Advertisement, query: Query) -> bool:
     """Secondary filter: an ad is excluded if any of its exclusion phrases is
     fully contained in the query (Section I-B's keyword-exclusion)."""
-    words = query.words
-    memo = _EXCLUSION_WORDS
-    for phrase in ad.info.exclusion_phrases:
-        excluded = memo.get(phrase)
-        if excluded is None:
-            excluded = memo[phrase] = word_set(phrase)
-        if excluded <= words:
-            return False
-    return True
+    return not excluded_by(ad.info.exclusion_phrases, query.words)
 
 
 def naive_broad_match(

@@ -36,10 +36,11 @@ of the row, not of each ad.  A decoded node is therefore a list of
 length cut, one subset test and one ``list.extend`` per run.
 
 The **ranked read** (``query(..., top=k)``) serves an auction that
-shows at most ``k - 1`` ads: it counts every match from the rows, keeps
-every matching carrier (an exclusion filter must see them) and walks
-each matching row's other entries only while their bid can still enter
-the best ``k``, keeping the running floor across nodes.  Only the kept
+shows at most ``k - 1`` ads: it counts every match from the rows, tests
+every matching carrier's exclusion phrases as it reads it (counting
+those excluded) and walks each matching row's other entries only while
+their bid can still enter the best ``k``, keeping the running floor
+across nodes.  Only the kept
 entries become ``Advertisement`` objects, once the scan is over
 (:class:`~repro.core.matching.RankedMatches`).  It walks a cached node
 as runs and reads any other node off the bytes; it never admits one,
@@ -78,7 +79,7 @@ from typing import Any, overload
 
 from repro.compress.bitvector import BitVector
 from repro.core.ads import AdInfo, Advertisement
-from repro.core.matching import MatchType, RankedMatches, apply_match_type
+from repro.core.matching import MatchType, RankedMatches, apply_match_type, excluded_by
 from repro.core.queries import Query
 from repro.core.wordhash import hash_suffix, wordhash
 from repro.cost.accounting import AccessTracker
@@ -125,29 +126,30 @@ _Runs = list[tuple[frozenset[str], list[Advertisement]]]
 class _Ranking:
     """One ranked read in progress.
 
-    ``heap`` keeps the best ``top`` matches without exclusion phrases,
+    ``heap`` keeps the best ``top`` matches no exclusion phrase drops,
     keyed ``(rank, -listing_id, -position)`` as
     :func:`~repro.serving.auction.run_gsp_auction` keys its own (the
     root is the worst kept), and ``floor`` is that root's rank once the
-    heap is full; ``carriers`` lists every matching ad with exclusion
-    phrases.  ``matched`` counts the matches so far, so it is also the
-    next match's position in the full match list.  A kept item is an
+    heap is full; ``excluded`` counts the matches whose exclusion
+    phrases fold into ``query_words``, the query's whole word-set.
+    ``matched`` counts the matches so far, so it is also the next
+    match's position in the full match list.  A kept item is an
     ``Advertisement`` when it came from a decoded node, else the fields
     :meth:`PackedSegmentIndex._materialise` builds one from.
     """
 
-    __slots__ = ("top", "heap", "floor", "carriers", "matched")
+    __slots__ = ("top", "query_words", "heap", "floor", "excluded", "matched")
 
-    def __init__(self, top: int) -> None:
+    def __init__(self, top: int, query_words: frozenset[str]) -> None:
         self.top = top
+        self.query_words = query_words
         self.heap: list[tuple[float, int, int, Any]] = []
         self.floor = -math.inf
-        self.carriers: list[tuple[int, Any]] = []
+        self.excluded = 0
         self.matched = 0
 
     def keep(self, rank: float, listing_id: int, position: int, item: Any) -> None:
-        """Offer a match without exclusion phrases that is not below the
-        floor."""
+        """Offer a match no exclusion drops that is not below the floor."""
         heap = self.heap
         entry = (rank, -listing_id, -position, item)
         if len(heap) < self.top:
@@ -548,11 +550,11 @@ class PackedSegmentIndex:
         """Broad match off the mapped file; phrase/exact verify on top.
 
         With ``top``, the ranked read: a :class:`RankedMatches` holding
-        the exact match count, every matching ad with exclusion phrases
-        and the best ``top`` others, the only ads it materialises (broad
-        match only).  An expired ``deadline`` stops the scan before its
-        next node; the partial result is flagged on the budget object,
-        not returned silently.
+        the exact match count, the exact count of matches an exclusion
+        phrase drops, and the best ``top`` of the rest, the only ads it
+        materialises (broad match only).  An expired ``deadline`` stops
+        the scan before its next node; the partial result is flagged on
+        the budget object, not returned silently.
         """
         plan = self.probe_plan(query.words, deadline)
         return self._probe(query, plan, match_type, deadline, None, top)
@@ -680,7 +682,7 @@ class PackedSegmentIndex:
         fingerprints = self._fingerprints
         shared = SHARED_FINGERPRINT
         cache = self._node_cache
-        ranking = None if top is None else _Ranking(top)
+        ranking = None if top is None else _Ranking(top, query.words)
         results: list[Advertisement] = []
         extend = results.extend
         visited: set[int] = set()
@@ -743,35 +745,30 @@ class PackedSegmentIndex:
             elif ranking is not None:
                 # The ranked walk over decoded runs: a matching run's
                 # carriers (its leading ads with exclusion phrases) are
-                # all kept, then its other ads in rank order until one
-                # falls below the floor.  A rank is the auction's at
-                # quality 1, ``bid * 1.0``.
+                # all tested and offered unless excluded, then its other
+                # ads in rank order until one falls below the floor.  A
+                # rank is the auction's at quality 1, ``bid * 1.0``.
                 scanned = 0
                 floor = ranking.floor
                 position = ranking.matched
+                query_words = ranking.query_words
                 try:
                     for run_words, run in runs:
                         if len(run_words) > query_len:
                             break
                         if not run_words <= words:
                             continue
-                        info = run[0].info
-                        if (
-                            not info.exclusion_phrases
-                            and info.bid_price_micros * 1.0 < floor
-                        ):
-                            position += len(run)
-                            continue
                         for at, ad in enumerate(run, position):
                             info = ad.info
-                            if info.exclusion_phrases:
-                                ranking.carriers.append((at, ad))
-                            else:
-                                rank = info.bid_price_micros * 1.0
-                                if rank < floor:
-                                    break
+                            rank = info.bid_price_micros * 1.0
+                            exclusions = info.exclusion_phrases
+                            if exclusions and excluded_by(exclusions, query_words):
+                                ranking.excluded += 1
+                            elif rank >= floor:
                                 ranking.keep(rank, info.listing_id, at, ad)
                                 floor = ranking.floor
+                            elif not exclusions:
+                                break
                             scanned += 1
                         position += len(run)
                 except OverflowError as exc:
@@ -803,17 +800,14 @@ class PackedSegmentIndex:
             matched = len(results)
         else:
             matched = ranking.matched
-            chosen = ranking.carriers + [
-                (-position, item) for _, _, position, item in ranking.heap
-            ]
-            chosen.sort(key=itemgetter(0))
+            # In the full match list's order: ``-position`` descending.
             ranked = tuple(
                 item if type(item) is Advertisement else self._materialise(item)
-                for _, item in chosen
+                for *_, item in sorted(ranking.heap, key=itemgetter(2), reverse=True)
             )
             if obs is not None:
                 self._ads_materialised.inc(
-                    sum(type(item) is not Advertisement for _, item in chosen)
+                    sum(type(item) is not Advertisement for *_, item in ranking.heap)
                 )
         if tracker is not None:
             # Every probed subset is one random ``B^sig`` word read, hit
@@ -839,7 +833,7 @@ class PackedSegmentIndex:
                 span = self._scan_span = obs.histogram("span.segment_query")
             span.observe((perf_counter() - started) * 1e3)
         if ranking is not None:
-            return RankedMatches(count=matched, ads=ranked)
+            return RankedMatches(matched, ranking.excluded, ranked)
         return apply_match_type(results, query, match_type)
 
     def _sig_hits(self, all_keys: Any) -> tuple[Any, Any]:
@@ -1023,15 +1017,16 @@ class PackedSegmentIndex:
     ) -> tuple[int, int]:
         """The ranked walk of :meth:`_scan`, off the record's bytes.  A
         row's words are decoded for the subset test; a matching row's
-        entries are read only as far as the walk goes, and a row that
-        does not match, or the rest of one past its floor, is stepped
-        over by its ``block_len``.  Phrases stay undecoded unless an
-        entry is kept, and a kept entry is held as its fields and its
-        row (see :meth:`_materialise`).  Returns the entries walked and
-        the bytes consumed; a malformed record raises
-        :class:`SegmentFormatError` like :meth:`_decode_entries`."""
+        entries are read only as far as the walk goes (every carrier, its
+        exclusions tested as read), and a row that does not match, or the
+        rest of one past its floor, is stepped over by its ``block_len``.
+        Phrases stay undecoded unless an entry is kept, and a kept entry
+        is held as its fields and its row (see :meth:`_materialise`).
+        Returns the entries walked and the bytes consumed; a malformed
+        record raises :class:`SegmentFormatError` like :meth:`_decode_entries`."""
         intern = self._token_intern
         query_len = len(words)
+        query_words = ranking.query_words
         walked = 0
         pos = 0
         try:
@@ -1125,6 +1120,11 @@ class PackedSegmentIndex:
                     exclusions: tuple[str, ...] = ()
                     if at < carriers:
                         exclusions, pos = _read_exclusions(chunk, pos)
+                        if excluded_by(exclusions, query_words):
+                            ranking.excluded += 1
+                            continue
+                        if rank < floor:
+                            continue
                     listing_id = (raw_listing >> 1) ^ -(raw_listing & 1)
                     item = (
                         bid,
@@ -1135,11 +1135,8 @@ class PackedSegmentIndex:
                         row,
                         index,
                     )
-                    if at < carriers:
-                        ranking.carriers.append((position + at, item))
-                    else:
-                        ranking.keep(rank, listing_id, position + at, item)
-                        floor = ranking.floor
+                    ranking.keep(rank, listing_id, position + at, item)
+                    floor = ranking.floor
                 if pos > block_end:
                     raise SegmentFormatError(
                         "malformed node record: an entry block runs past "

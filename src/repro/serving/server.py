@@ -616,19 +616,19 @@ class AdServer:
         reason: DegradedReason = DegradedReason.NONE,
     ) -> ServeResult:
         """Filters -> auction -> stats for one query's candidate set: the
-        full match list, or a ranked read's materialised part and its
-        exact match count."""
+        full match list, or a ranked read's kept ads with its exact match
+        and exclusion counts."""
         obs = self._obs
         ads: Sequence[Advertisement]
         if isinstance(candidates, RankedMatches):
-            matched, ads = candidates.count, candidates.ads
+            matched, dropped_exclusion, ads = candidates.count, candidates.excluded, candidates.ads
         else:
-            matched, ads = len(candidates), candidates
+            matched, dropped_exclusion, ads = len(candidates), 0, candidates
+        left_out = matched - dropped_exclusion - len(ads)
         self.stats.queries += 1
         self.stats.candidates += matched
 
         filter_started = perf_counter() if obs is not None else 0.0
-        dropped_exclusion = 0
         dropped_budget = 0
         dropped_frequency = 0
         # Per-request invariants, so a candidate no filter applies to
@@ -669,12 +669,10 @@ class AdServer:
                     reserve_micros=self.reserve_micros,
                     quality_fn=self.quality_fn,
                 )
-        if matched != len(ads):
-            # The matches a ranked read left out pass every filter and
-            # win nothing, but they are eligible candidates all the same.
-            outcome = replace(
-                outcome, candidates=outcome.candidates + matched - len(ads)
-            )
+        if left_out:
+            # The unexcluded matches a ranked read left out pass every
+            # filter and win nothing, but are eligible candidates all the same.
+            outcome = replace(outcome, candidates=outcome.candidates + left_out)
         self.stats.impressions += len(outcome.awards)
         if user_id is not None and self.frequency_cap is not None:
             for award in outcome.awards:
@@ -730,10 +728,10 @@ def ranked_read(server: AdServer) -> bool:
     :meth:`repro.segment.packed.PackedSegmentIndex.query`) instead of
     the full match list.
 
-    The ranked read keeps every exclusion-carrying match and the best
-    ``slots + 1`` of the others by bid, which is all an exclusion filter
-    and a pure-bid GSP auction can read.  Everything that could drop or
-    re-rank any other match takes the full list:
+    The ranked read counts the matches an exclusion drops and keeps the
+    best ``slots + 1`` of the rest by bid, which is all a pure-bid GSP
+    auction can read.  Everything that could drop or re-rank any other
+    match takes the full list:
 
     * campaign budgets (a budget can drop a top bid);
     * a frequency cap (a cap can drop a top listing);

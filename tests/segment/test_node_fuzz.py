@@ -18,7 +18,9 @@ bytes outright.  The readers run on them directly and through
 record standing in for every node the probes reach through the loaded
 segment's ``B^sig`` and fingerprint tests, which must reach at least
 one.  The intact record must decode to its ads, and its ranked read
-must agree with the full decode.
+must agree with the full decode: the same match count, the exact count
+of matches an exclusion phrase drops, and the best ``top`` of the rest
+(:func:`ranked_oracle`).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.core.ads import AdInfo, Advertisement
 from repro.core.data_node import NodeEntry
 from repro.core.matching import RankedMatches
 from repro.core.queries import Query
+from repro.core.tokens import word_set
 from repro.core.wordset_index import WordSetIndex
 from repro.segment import PackedSegmentIndex, SegmentBuilder, SegmentFormatError
 from repro.segment.builder import encode_node
@@ -128,15 +131,34 @@ def full(packed, chunk, limit):
 
 
 def ranked(packed, chunk, words, top):
-    ranking = _Ranking(top)
+    ranking = _Ranking(top, words)
     walked, consumed = packed._rank_record(chunk, words, ranking)
     assert 0 <= consumed <= len(chunk) and walked >= 0
-    kept = ranking.carriers + [(-position, item) for _, _, position, item in ranking.heap]
+    kept = [(-position, item) for _, _, position, item in ranking.heap]
     assert len({position for position, _ in kept}) == len(kept)
     ads = [packed._materialise(item) for _, item in sorted(kept, key=lambda pair: pair[0])]
     assert all(type(ad) is Advertisement and ad.words <= words for ad in ads)
     assert len(ranking.heap) <= top
-    return ranking.matched, ads
+    return ranking.matched, ranking.excluded, ads
+
+
+def ranked_oracle(matches, query_words, top):
+    """What a ranked read of the full match list ``matches`` must give:
+    how many matches an exclusion phrase folds into ``query_words``, and
+    the best ``top`` of the rest by the auction's key (rank ``bid * 1.0``
+    descending, then listing id, then list position), in list order."""
+    kept = [
+        (at, ad)
+        for at, ad in enumerate(matches)
+        if not any(word_set(phrase) <= query_words for phrase in ad.info.exclusion_phrases)
+    ]
+
+    def auction_key(pair):
+        at, ad = pair
+        return -(ad.info.bid_price_micros * 1.0), ad.info.listing_id, at
+
+    best = sorted(sorted(kept, key=auction_key)[:top])
+    return len(matches) - len(kept), [ad for _, ad in best]
 
 
 QUERY_WORDS = frozenset(WORDS) | {"zz"}
@@ -158,11 +180,9 @@ def test_a_damaged_record_is_refused_or_read(packed, case, top):
         assert runs is not None and answer is not None
         decoded = [ad for _, run in runs for ad in run]
         assert Counter(decoded) == Counter(ads)
-        count, kept = answer
+        count, excluded, kept = answer
         assert count == len(decoded)
-        rest = iter(decoded)
-        assert all(any(ad == other for other in rest) for ad in kept)
-        assert Counter(ad for ad in decoded if ad.info.exclusion_phrases) <= Counter(kept)
+        assert (excluded, kept) == ranked_oracle(decoded, QUERY_WORDS, top)
 
 
 @settings(
@@ -188,13 +208,13 @@ def test_a_damaged_record_surfaces_through_query_typed(tmp_path, case, top):
             assert reads
             if answer is not None:
                 assert isinstance(answer, RankedMatches)
-                assert len(answer.ads) <= answer.count
+                assert answer.excluded + len(answer.ads) <= answer.count
             if kind == "intact":
                 assert listed is not None and answer is not None
                 assert answer.count == len(listed)
-                assert not Counter(answer.ads) - Counter(listed)
-                carriers = Counter(ad for ad in listed if ad.info.exclusion_phrases)
-                assert not carriers - Counter(answer.ads)
+                assert (answer.excluded, list(answer.ads)) == ranked_oracle(
+                    listed, query.words, top
+                )
 
 
 def test_byte_level_damage_to_real_records(packed):

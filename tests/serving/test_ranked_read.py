@@ -2,9 +2,10 @@
 
 With no budget, no frequency cap and no ``quality_fn``, ``AdServer``
 retrieves from a ``PackedSegmentIndex`` with its ranked read: per query
-the exact match count, every matching ad with exclusion phrases and the
-best ``slots + 1`` others (``RankedMatches``), and ``_finish`` filters
-and auctions only those.  The pipeline it replaced — full match lists
+the exact match count, the exact count of matches an exclusion phrase
+drops (tested as the walk reads them) and the best ``slots + 1`` of the
+rest (``RankedMatches``), and ``_finish`` filters and auctions only
+those.  The pipeline it replaced — full match lists
 into the parent's ``_finish`` and ``run_gsp_auction`` — is kept here
 *verbatim* as ``ParentAdServer``.  On random corpora both serve the
 same batches from their own ``PackedSegmentIndex`` over one segment
@@ -12,14 +13,19 @@ file, and every observable must be bit-identical: each result's wire
 form (slate, prices, ``outcome.candidates``, degraded reason), the
 ``ServingStats`` and the ``serve.*`` counters.
 
-The corpora carry exclusion phrases, reserves above some bids, bid ties
-and duplicate listing ids (full ties fall to candidate order, so the
-ranked read must hand ``_finish`` its ads in the full list's order).
-Batches repeat word-sets in other token orders.  Every fallback trigger
-of :func:`repro.serving.server.ranked_read` is drawn too, and the test
+The corpora carry exclusion phrases that fold into the queries and
+phrases that never do, at a drawn share of the ads, reserves above some
+bids, bid ties and duplicate listing ids (full ties fall to candidate
+order, so the ranked read must hand ``_finish`` its ads in the full
+list's order), and carriers that tie a non-carrier on bid and listing
+id.  Batches repeat word-sets in other token orders and with repeated
+tokens.  Every fallback trigger of
+:func:`repro.serving.server.ranked_read` is drawn too, and the test
 checks which path the predicate chose.  Deadlines are either absent or
 spent at a counted clock tick, so a scan can stop mid-way, at the same
-node on both sides.
+node on both sides; some cut the probe plan to one to three words
+(``max_query_words``), so an exclusion phrase can lie in the query's
+dropped words, where it still excludes.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from repro.core.ads import AdInfo, Advertisement
 from repro.core.matching import MatchType, RankedMatches, passes_exclusions
 from repro.core.queries import Query
 from repro.core.sharded import ShardedWordSetIndex
+from repro.core.tokens import word_set
 from repro.core.wordset_index import WordSetIndex
 from repro.obs.registry import Counter, MetricsRegistry, Span
 from repro.perf.batch import BatchQueryEngine
@@ -43,6 +50,7 @@ from repro.resilience.deadline import Deadline, DegradedReason
 from repro.segment import PackedSegmentIndex, SegmentBuilder, TieredSegmentedIndex
 from repro.segment.packed import DEFAULT_CACHE_BYTES
 from repro.serving.auction import AuctionOutcome, SlotAward
+from repro.serving.request import ad_to_dict
 from repro.serving.server import AdServer, ServeResult, ranked_read
 
 # ---------------------------------------------------------------------- #
@@ -247,17 +255,23 @@ class ParentAdServer(AdServer):
 WORDS = ("a", "b", "c", "d", "e", "f")
 #: Exclusion phrases: some are contained in the queries below, some not.
 EXCLUSIONS = ("a", "b c", "f", "zz")
+#: An exclusion phrase no query below holds.
+NEVER = "never"
 
 
 @st.composite
 def corpora(draw):
     """Ads over few words, so nodes mix word-sets and queries match
     many ads: bids from a small set (ties) or anywhere, listing ids that
-    repeat, and about one ad in four carrying exclusion phrases."""
+    repeat, and one ad in one, two or four carrying exclusion phrases.
+    Some ads without any get a twin carrier: the same word-set, bid and
+    listing id and a phrase no query holds, so a carrier that passes
+    ties a non-carrier wherever the floor falls."""
+    carrier_odds = draw(st.sampled_from([1, 2, 4]))
     ads = []
     for _ in range(draw(st.integers(1, 40))):
         words = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3, unique=True))
-        carries = draw(st.integers(0, 3)) == 0
+        carries = draw(st.integers(1, carrier_odds)) == 1
         ads.append(
             Advertisement(
                 phrase=tuple(draw(st.permutations(words))),
@@ -275,19 +289,33 @@ def corpora(draw):
                 ),
             )
         )
-    return ads
+    twins = [
+        Advertisement(
+            phrase=ad.phrase,
+            info=AdInfo(
+                listing_id=ad.info.listing_id,
+                campaign_id=ad.info.campaign_id,
+                bid_price_micros=ad.info.bid_price_micros,
+                exclusion_phrases=(NEVER,),
+            ),
+        )
+        for ad in ads
+        if not ad.info.exclusion_phrases and draw(st.integers(0, 3)) == 0
+    ]
+    return ads + twins
 
 
 @st.composite
 def batches(draw):
-    """A batch: queries plus other token orders of some of them (the
-    batch engine serves a repeated word-set once)."""
+    """A batch: queries plus other token orders of some of them, some
+    with a token repeated (the batch engine serves a repeated word-set
+    once, and every position shares its exclusion verdicts)."""
     queries = [
         tuple(draw(st.lists(st.sampled_from((*WORDS, "zz")), min_size=1, max_size=5)))
         for _ in range(draw(st.integers(1, 5)))
     ]
     repeats = [
-        tuple(draw(st.permutations(tokens)))
+        tuple(draw(st.permutations(tokens))) + tokens[: draw(st.integers(0, 1))]
         for tokens in queries
         if draw(st.booleans())
     ]
@@ -362,7 +390,12 @@ def serve_counters(registry):
     with_obs=st.booleans(),
     warm=st.booleans(),
     script=st.lists(
-        st.tuples(batches(), st.sampled_from([None, None, 1, 3, 6, 12]), st.booleans()),
+        st.tuples(
+            batches(),
+            st.sampled_from([None, None, 1, 3, 6, 12]),
+            st.sampled_from([None, None, 1, 2, 3]),
+            st.booleans(),
+        ),
         min_size=1,
         max_size=5,
     ),
@@ -383,12 +416,14 @@ def test_ranked_read_matches_the_full_list_pipeline(
         if warm and kind == RANKED:
             # A ranked read never admits a node; full-list reads do, so
             # the ranked reads below walk cached runs as well as records.
-            for queries, _, _ in script:
+            for queries, *_ in script:
                 for query in queries:
                     indexes[0].query(query)
-        for queries, spend_at, with_user in script:
+        for queries, spend_at, max_words, with_user in script:
             deadlines = [
-                None if spend_at is None else Deadline(spend_at, clock=Ticks())
+                None
+                if spend_at is None and max_words is None
+                else Deadline(spend_at, clock=Ticks(), max_query_words=max_words)
                 for _ in range(2)
             ]
             user = "u1" if with_user else None
@@ -451,23 +486,38 @@ def test_a_budget_spent_on_entry_gives_flagged_empty_slates(tmp_path, cache_byte
         assert result["outcome"]["candidates"] == 0
 
 
-def test_the_ranked_read_keeps_carriers_and_the_top(tmp_path):
-    """``query(top=3)`` on the fixture: the exact count, the three
-    carriers and the best three others, in the full list's order."""
+def oracle_excluded(matches, query):
+    """How many of ``matches`` an exclusion phrase drops from ``query``."""
+    return sum(
+        any(word_set(phrase) <= query.words for phrase in ad.info.exclusion_phrases)
+        for ad in matches
+    )
+
+
+@pytest.mark.parametrize("cache_bytes", [0, DEFAULT_CACHE_BYTES])
+def test_the_ranked_read_counts_exclusions_and_keeps_the_top(tmp_path, cache_bytes):
+    """``query(top=k)`` on the fixture: the exact count, the exact count
+    of carriers an exclusion drops, and the best ``k`` of the rest, in
+    the full list's order, off the bytes and off cached runs."""
     path = tmp_path / "top.seg"
     SegmentBuilder(WordSetIndex.from_corpus(corpus_with_every_feature())).write(path)
-    with PackedSegmentIndex(path, cache_bytes=0) as index:
+    with PackedSegmentIndex(path, cache_bytes=cache_bytes) as index:
         query = Query.from_text("a b c")
         full = index.query(query)
         ranked = index.query(query, top=3)
         assert isinstance(ranked, RankedMatches)
         assert ranked.count == len(full) == 10
-        listings = sorted(ad.info.listing_id for ad in ranked.ads)
-        # Carriers 1, 4 and 7, then the best three others: listing 2 and
-        # both copies of listing 3, all at 700; 8 (600) is the first left
-        # out.
-        assert listings == [1, 2, 3, 3, 4, 7]
+        # Carriers 1 ("c") and 7 ("a b") are excluded; 4 ("zz") is not.
+        assert ranked.excluded == oracle_excluded(full, query) == 2
+        # The best three of the rest: listing 2 and both copies of
+        # listing 3, all at 700; carrier 4 (650) is the first left out.
+        assert sorted(ad.info.listing_id for ad in ranked.ads) == [2, 3, 3]
         assert list(ranked.ads) == [ad for ad in full if ad in ranked.ads]
+        # One more slot takes carrier 4, a carrier that passes.
+        more = index.query(query, top=4)
+        assert (more.count, more.excluded) == (10, 2)
+        assert sorted(ad.info.listing_id for ad in more.ads) == [2, 3, 3, 4]
+        assert list(more.ads) == [ad for ad in full if ad in more.ads]
         with pytest.raises(ValueError, match="broad match only"):
             index.query(query, MatchType.PHRASE, top=3)
         with pytest.raises(ValueError, match="broad match only"):
@@ -501,10 +551,12 @@ def test_a_later_tie_with_a_lower_listing_still_wins(tmp_path, cache_bytes):
 
 def test_a_ranked_serve_materialises_only_what_it_can_show(tmp_path):
     """``segment.ads_materialised`` on the fixture, node cache off: of
-    ten matches a two-slot ranked serve builds the two winners, the ad
-    that prices the last slot and the three exclusion carriers; the
-    full-list path (a budget forces it) builds all ten.  Both read the
-    two nodes once (``segment.nodes_read``)."""
+    ten matches a two-slot ranked serve builds only the two winners and
+    the ad that prices the last slot.  It tests the three exclusion
+    carriers as it reads them and builds none: two are excluded, one of
+    them (7) below the floor, and the third ranks below the three kept.
+    The full-list path (a budget forces it) builds all ten.  Both read
+    the two nodes once (``segment.nodes_read``)."""
     path = tmp_path / "counted.seg"
     SegmentBuilder(WordSetIndex.from_corpus(corpus_with_every_feature())).write(path)
     query = Query.from_text("a b c")
@@ -525,7 +577,78 @@ def test_a_ranked_serve_materialises_only_what_it_can_show(tmp_path):
             obs.counter("segment.nodes_read").value,
             obs.counter("segment.results").value,
         )
-    assert counted == {"ranked": (6, 2, 10), "full": (10, 2, 10)}
+    assert counted == {"ranked": (3, 2, 10), "full": (10, 2, 10)}
+
+
+@pytest.mark.parametrize("cache_bytes", [0, DEFAULT_CACHE_BYTES])
+@pytest.mark.parametrize("other_words", [("a", "b"), ("a",)])
+def test_a_passing_carrier_tied_at_the_floor_falls_to_list_order(
+    tmp_path, cache_bytes, other_words
+):
+    """A carrier that passes and non-carriers with the same bid and
+    listing id, tied for the last kept places: the one earliest in the
+    full list wins the second slot, as in the full-list pipeline.  On
+    one word-set the carrier leads its row; with the others on "a" it
+    comes after them, in a node read later."""
+    def ad(phrase, bid, exclusions=()):
+        info = AdInfo(listing_id=5, bid_price_micros=bid, exclusion_phrases=exclusions)
+        return Advertisement(phrase=phrase, info=info)
+
+    ads = [
+        ad(("a",), 900),
+        ad(("a", "b"), 500, ("zz",)),
+        ad(other_words, 500),
+        ad(other_words, 500),
+        ad(("b",), 400),
+    ]
+    path = tmp_path / "tie.seg"
+    SegmentBuilder(WordSetIndex.from_corpus(ads)).write(path)
+    query = Query.from_text("a b")
+    results = []
+    for cls in (AdServer, ParentAdServer):
+        with PackedSegmentIndex(path, cache_bytes=cache_bytes) as index:
+            full = index.query(query)
+            server = cls(index, slots=2)
+            results.append((server.serve(query).to_dict(), server.stats))
+    (got, got_stats), (want, want_stats) = results
+    assert got == want and got_stats == want_stats
+    tied = [ad for ad in full if ad.info.bid_price_micros == 500]
+    assert bool(tied[0].info.exclusion_phrases) is (len(other_words) == 2)
+    assert got["outcome"]["awards"][1]["ad"] == ad_to_dict(tied[0])
+    assert got["outcome"]["candidates"] == 5
+
+
+@pytest.mark.parametrize("cache_bytes", [0, DEFAULT_CACHE_BYTES])
+def test_a_word_the_plan_drops_still_excludes(tmp_path, cache_bytes):
+    """``max_query_words=1`` cuts the plan of "a zz" to "a"; the carrier
+    on "a" excluded by "zz" must still be dropped, because exclusions
+    are tested against the whole query, not the cut plan.  Kept, it
+    would take one of the two places a one-slot read keeps, and the
+    winner would lose the ad that prices it."""
+    ads = [
+        Advertisement(
+            phrase=("a",),
+            info=AdInfo(listing_id=1, bid_price_micros=900, exclusion_phrases=("zz",)),
+        ),
+        Advertisement(phrase=("a",), info=AdInfo(listing_id=2, bid_price_micros=100)),
+        Advertisement(phrase=("a",), info=AdInfo(listing_id=3, bid_price_micros=50)),
+    ]
+    path = tmp_path / "cut.seg"
+    SegmentBuilder(WordSetIndex.from_corpus(ads)).write(path)
+    query = Query.from_text("a zz")
+    results = []
+    for cls in (AdServer, ParentAdServer):
+        with PackedSegmentIndex(path, cache_bytes=cache_bytes) as index:
+            if cache_bytes:
+                index.query(query)
+            server = cls(index, slots=1)
+            cut = Deadline(max_query_words=1)
+            results.append((server.serve(query, deadline=cut).to_dict(), server.stats))
+    (got, got_stats), (want, want_stats) = results
+    assert got == want and got_stats == want_stats
+    assert [award["ad"]["listing_id"] for award in got["outcome"]["awards"]] == [2]
+    assert got["outcome"]["awards"][0]["price_micros"] == 51
+    assert got_stats.filtered_exclusion == 1
 
 
 def test_a_ranked_read_never_admits_and_reads_cached_runs_alike(tmp_path):
