@@ -12,55 +12,33 @@ from collections import deque
 from collections.abc import Callable
 
 from repro.distsim.events import EventQueue
-from repro.faults.injector import FaultInjector, active_injector
 
 
 class Server:
-    """FCFS multi-core server attached to an :class:`EventQueue`.
-
-    With a :class:`~repro.faults.FaultInjector` attached, each submitted
-    job visits the ``server.<name>`` fault point: an armed fault drops
-    the job (the write/RPC never reaches the machine — a crashed or
-    partitioned server), firing ``on_fail`` if the caller supplied one
-    so retry/timeout layers above can react.
-    """
+    """FCFS multi-core server attached to an :class:`EventQueue`."""
 
     def __init__(
         self,
         events: EventQueue,
         cores: int = 4,
         name: str = "",
-        faults: FaultInjector | None = None,
     ) -> None:
         if cores < 1:
             raise ValueError("cores must be >= 1")
         self.events = events
         self.cores = cores
         self.name = name
-        self._faults = active_injector(faults)
         self._queue: deque[tuple[float, Callable[[], None]]] = deque()
         self._busy_cores = 0
         self.busy_core_time_ms = 0.0
         self._last_change = 0.0
         self.jobs_done = 0
-        self.jobs_failed = 0
 
-    def submit(
-        self,
-        service_ms: float,
-        on_done: Callable[[], None],
-        on_fail: Callable[[], None] | None = None,
-    ) -> None:
+    def submit(self, service_ms: float, on_done: Callable[[], None]) -> None:
         """Enqueue a job needing ``service_ms`` of CPU; ``on_done`` fires
-        when it completes.  An injected fault drops the job instead,
-        firing ``on_fail`` (when given) on the next event tick."""
+        when it completes."""
         if service_ms < 0:
             raise ValueError("service time must be non-negative")
-        if self._faults.should_fail(f"server.{self.name}"):
-            self.jobs_failed += 1
-            if on_fail is not None:
-                self.events.schedule(0.0, on_fail)
-            return
         self._queue.append((service_ms, on_done))
         self._try_start()
 

@@ -5,12 +5,10 @@ they have survived.  This package provides the harness the durability
 tests (and any operator drill) use to *prove* the recovery protocol:
 
 * :class:`FaultInjector` — named **crashpoints** threaded through
-  :meth:`repro.segment.SegmentBuilder.write`, the seals, merges and
-  manifest commits of :class:`repro.segment.TieredSegmentedIndex`, and
-  the distsim write path.  Arm a point and the instrumented code
-  raises :class:`InjectedCrash` exactly there, simulating the process
-  dying mid-operation; ``should_fail`` schedules model transient RPC
-  failures for the scatter-gather retry path.
+  :meth:`repro.segment.SegmentBuilder.write` and the seals, merges and
+  manifest commits of :class:`repro.segment.TieredSegmentedIndex`.  Arm
+  a point and the instrumented code raises :class:`InjectedCrash`
+  exactly there, simulating the process dying mid-operation.
 * :mod:`repro.faults.mutators` — torn-write and bit-flip file mutators
   that corrupt persisted state the way real power loss and bit-rot do.
 

@@ -1,4 +1,4 @@
-"""The fault injector: named crashpoints and transient-failure schedules.
+"""The fault injector: named crashpoints.
 
 Instrumented code declares *where* a crash could happen::
 
@@ -13,10 +13,7 @@ Tests declare *which* crash happens::
 
 Arming is deterministic: a plan fires on its ``hits``-th visit (default
 the first) and at most ``times`` times, so a test can crash the third
-append of a long run and nothing else.  ``should_fail`` points use the
-same plans but return ``True`` instead of raising — the shape transient
-RPC failures take in the scatter-gather simulation, where the caller
-retries rather than dies.
+append of a long run and nothing else.
 
 ``on(point, hook)`` registers an arbitrary callable to run whenever a
 crashpoint is visited (armed or not) — useful for mutating files at the
@@ -147,29 +144,16 @@ class FaultInjector:
 
     def crashpoint(self, point: str) -> None:
         """Visit ``point``; raise :class:`InjectedCrash` if armed."""
-        if self._fires(point):
-            raise InjectedCrash(point)
-
-    def should_fail(self, point: str) -> bool:
-        """Visit ``point``; report (rather than raise) an armed fault.
-
-        The non-fatal form: callers treat ``True`` as a transient
-        failure (an RPC drop, a replica down) and run their own retry
-        or degradation logic.
-        """
-        return self._fires(point)
-
-    def _fires(self, point: str) -> bool:
         self.visited.append(point)
         for hook in self._hooks.get(point, ()):
             hook(point)
         plan = self._plans.get(point)
         if plan is None or not plan.trigger():
-            return False
+            return
         self.fired.append(point)
         if self.obs is not None:
             self.obs.counter("faults_injected").inc()
-        return True
+        raise InjectedCrash(point)
 
 
 class NullFaultInjector(FaultInjector):
@@ -180,9 +164,6 @@ class NullFaultInjector(FaultInjector):
 
     def crashpoint(self, point: str) -> None:
         pass
-
-    def should_fail(self, point: str) -> bool:
-        return False
 
     def is_armed(self, point: str) -> bool:
         return False

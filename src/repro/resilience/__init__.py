@@ -9,16 +9,16 @@ builds the standard production defences:
 
 * :class:`Deadline` — a per-request budget object propagated end-to-end.
   Index query paths check it before each node scan and return a partial,
-  *flagged* result instead of blowing the budget; scatter-gather derives
-  per-attempt timeouts from the remaining budget and suppresses retries
-  the budget cannot cover.
+  *flagged* result instead of blowing the budget.
 * :class:`AdmissionController` — a token bucket with priority classes
-  and queue-depth load shedding (lowest priority first).  A shed request
-  still gets an explicit answer, never a dropped connection.
-* :class:`CircuitBreaker` — per-shard closed → open → half-open breakers
-  that stop retry storms against a struggling shard (the metastable-
+  and in-flight-depth load shedding (lowest priority first), used by
+  :class:`~repro.serving.server.AdServer` and the netserve frontend.  A
+  shed request still gets an explicit answer, never a dropped
+  connection.
+* :class:`CircuitBreaker` — closed → open → half-open breakers that stop
+  retry storms against a struggling shard or worker (the metastable-
   failure amplification the Dynamo / tail-at-scale literature warns
-  about).
+  about), held by :class:`FanoutGuard` and the netserve frontend.
 * :class:`DegradationPolicy` — an adaptive ladder that responds to
   measured pressure (p95 latency from :mod:`repro.obs` histograms) by
   stepping down query truncation and capping probe plans.
@@ -29,12 +29,10 @@ builds the standard production defences:
 
 Everything is **off by default**: with no resilience objects attached,
 every hot path is byte-for-byte the previous behaviour, and fault-free
-results are bit-identical to the pre-resilience baseline.
-
-All of it is exercised deterministically by
-:mod:`repro.resilience.overload` — a seeded distsim scenario combining a
-slow shard, an error burst, deadlines, breakers, and admission control —
-which the ``overload-smoke`` CI job gates on.
+results are bit-identical to the pre-resilience baseline.  Each piece
+has its own clock-injected unit tests (``tests/resilience``) and is
+tested again on the serving paths that hold it (``tests/serving``,
+``tests/netserve``).
 
 See ``docs/resilience.md`` for the shed/degrade ladder, the breaker
 state machine, and the tuning table.

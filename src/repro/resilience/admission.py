@@ -7,8 +7,8 @@ two ways:
 
 * a **token bucket** (``rate_per_s`` sustained, ``burst`` peak) — the
   capacity the operator believes the serving path can actually sustain;
-* a **queue-depth limit** — the backlog beyond which even rate-compliant
-  work would just wait out its deadline in line.
+* a **queue-depth limit** — the in-flight backlog beyond which even
+  rate-compliant work would just wait out its deadline in line.
 
 Both shed the *lowest priority first*: each priority class sees a
 reserve carved out of the bucket and a fraction of the depth limit, so
@@ -18,7 +18,8 @@ A shed request always gets an explicit
 into a flagged empty response, never a dropped connection.
 
 The clock is injectable (wall time in :class:`~repro.serving.server
-.AdServer`, simulated time in :mod:`repro.distsim.scatter`), so shed
+.AdServer` and the netserve frontend, a
+:class:`~repro.resilience.deadline.ManualClock` in tests), so shed
 behaviour is deterministic under test.
 """
 
@@ -84,7 +85,7 @@ class AdmissionConfig:
         Bucket capacity — admissions allowed back-to-back from a full
         bucket.
     max_queue_depth:
-        Backlog (caller-reported or tracked in-flight) beyond which
+        In-flight admissions (admitted, not yet released) beyond which
         requests shed; ``None`` disables depth shedding.
     """
 
@@ -117,10 +118,8 @@ class AdmissionController:
     """Priority-aware token bucket + queue-depth shedder.
 
     ``try_admit`` is the only hot-path call: one clock read, one refill,
-    two comparisons.  ``release`` returns an in-flight slot when the
-    caller tracks depth through the controller itself rather than
-    reporting it (``queue_depth=None`` uses the internal in-flight
-    count).
+    two comparisons.  ``release`` returns the in-flight slot an admitted
+    request took, so the depth limit sees the live backlog.
     """
 
     __slots__ = ("config", "_clock", "_obs", "_tokens", "_refilled_at_ms", "_inflight")
@@ -155,22 +154,16 @@ class AdmissionController:
 
     # -------------------------------------------------------------- #
 
-    def try_admit(
-        self,
-        priority: Priority = Priority.NORMAL,
-        queue_depth: int | None = None,
-    ) -> AdmissionDecision:
+    def try_admit(self, priority: Priority = Priority.NORMAL) -> AdmissionDecision:
         """Admit or shed one request of ``priority``.
 
-        ``queue_depth`` reports the caller's backlog (e.g. distsim's
-        outstanding jobs); ``None`` uses the controller's own in-flight
-        count (callers then pair each admit with :meth:`release`).
+        The depth limit counts the controller's own in-flight admissions,
+        so callers pair each admit with :meth:`release`.
         """
         config = self.config
         if config.max_queue_depth is not None:
-            depth = self._inflight if queue_depth is None else queue_depth
             limit = config.max_queue_depth * _QUEUE_FRACTION[priority]
-            if depth > limit:
+            if self._inflight > limit:
                 return self._shed(DegradedReason.SHED_QUEUE)
         if config.rate_per_s is not None:
             self._refill()

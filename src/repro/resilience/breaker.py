@@ -9,11 +9,11 @@ sending work there at all.  After a cooling-off period a half-open probe
 tests whether the shard recovered; one success closes the breaker, one
 failure re-opens it.
 
-The clock is injectable so the same breaker runs against wall time in
-the live fan-out paths and against simulated time inside
-:mod:`repro.distsim.scatter` — which is how the retry-storm regression
-test can assert, deterministically, that attempted legs to a dead shard
-stay bounded by the breaker window.
+Two serving paths hold one breaker per shard or worker:
+:class:`~repro.resilience.fanout.FanoutGuard` for the in-process sharded
+fan-outs, and the netserve frontend for its worker processes.  The clock
+is injectable, so tests step a breaker through its states on a
+:class:`~repro.resilience.deadline.ManualClock` instead of sleeping.
 """
 
 from __future__ import annotations

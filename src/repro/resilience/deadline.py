@@ -7,7 +7,7 @@ themselves.  It carries three things:
 
 1. **the time budget** — ``expired()`` / ``remaining_ms()`` against an
    injectable millisecond clock (wall time in production,
-   :class:`ManualClock` in tests, simulated time in distsim);
+   :class:`ManualClock` in tests);
 2. **degradation constraints** — optional ``max_probes`` /
    ``max_query_words`` overrides the adaptive
    :class:`~repro.resilience.degrade.DegradationPolicy` tightens under
@@ -46,9 +46,8 @@ class ManualClock:
     """A hand-advanced millisecond clock for deterministic tests.
 
     Call the instance to read the time; :meth:`advance` moves it.  The
-    overload scenario and the hypothesis deadline tests drive every
-    budget decision through one of these, so expiry is exact and
-    repeatable.
+    deadline, admission and breaker tests drive every budget decision
+    through one of these, so expiry is exact and repeatable.
     """
 
     __slots__ = ("now_ms",)

@@ -5,11 +5,11 @@
 sequentially in-process, so a shard that starts raising (mid-recovery,
 a corrupted segment, an injected fault) would fail every query even
 though the other shards hold most of the corpus.  :class:`FanoutGuard`
-wraps the gather loop with the same semantics PR 3 gave the simulated
-scatter: per-shard :class:`~repro.resilience.breaker.CircuitBreaker`\\ s
-short-circuit a failing shard, ``allow_partial``/``min_shards`` decide
-whether the surviving union is a usable answer, and every partial result
-is flagged on the request's :class:`~repro.resilience.deadline.Deadline`
+wraps the gather loop: per-shard
+:class:`~repro.resilience.breaker.CircuitBreaker`\\ s short-circuit a
+failing shard, ``allow_partial``/``min_shards`` decide whether the
+surviving union is a usable answer, and every partial result is
+flagged on the request's :class:`~repro.resilience.deadline.Deadline`
 with :attr:`DegradedReason.PARTIAL_SHARDS` — never returned silently.
 """
 

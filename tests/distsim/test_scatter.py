@@ -1,5 +1,7 @@
 """Tests for the scatter-gather sharded cluster simulation."""
 
+import hashlib
+
 import pytest
 
 from repro.core.queries import Query
@@ -8,6 +10,8 @@ from repro.distsim.scatter import (
     ScatterGatherCluster,
     uniform_shard_service,
 )
+from repro.experiments import ext_sharding
+from repro.experiments.common import SMALL
 
 QUERIES = [Query.from_text(f"q{i}") for i in range(4)]
 
@@ -75,3 +79,73 @@ class TestScatterGather:
     def test_uniform_service_floor(self):
         service = uniform_shard_service(lambda q: 0.0, 8)
         assert service(0, QUERIES[0]) == 0.001
+
+
+class TestScatterConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"num_shards": 0},
+            {"cores_per_server": 0},
+            {"duration_ms": 0.0},
+            {"network_base_ms": -1.0},
+            {"network_jitter_ms": -0.1},
+        ],
+    )
+    def test_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            ScatterConfig(**kwargs)
+
+    def test_defaults_are_valid(self):
+        config = ScatterConfig()
+        assert config.num_shards >= 1
+        assert config.cores_per_server >= 1
+
+
+def _skewed_service(shard, query):
+    """Legs of unequal length, so which leg the gather waits for shows."""
+    return 0.05 + 0.4 * len(query.words) / (shard + 1)
+
+
+_DIGEST_QUERIES = [Query.from_text(t) for t in ("a", "b c", "d e f", "g h i j")]
+
+
+class TestPinnedOutput:
+    """The simulator's exact output, pinned by hash.
+
+    Any change to the order of random draws or events, to when the
+    gather completes or to how a leg is charged moves these digests.
+    """
+
+    def test_grid_digest(self):
+        digest = hashlib.sha256()
+        for shards in (1, 2, 4, 16):
+            for jitter in (0.0, 0.3, 2.0):
+                for rate in (50.0, 400.0, 1500.0):
+                    config = ScatterConfig(
+                        num_shards=shards,
+                        network_jitter_ms=jitter,
+                        duration_ms=400.0,
+                        seed=7,
+                    )
+                    metrics = ScatterGatherCluster(
+                        _skewed_service, config
+                    ).run(_DIGEST_QUERIES, rate)
+                    digest.update(
+                        repr(
+                            (
+                                metrics.latencies_ms,
+                                metrics.cpu_utilization,
+                                metrics.completed_in_window,
+                            )
+                        ).encode()
+                    )
+        assert digest.hexdigest() == (
+            "47aeed18fcfdc395ae0b32c2081f419404daf5dc1e7f8ed64a3e17b54fe14e53"
+        )
+
+    def test_ext_sharding_small_report(self):
+        report = ext_sharding.format_report(ext_sharding.run(SMALL))
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "ebae5e7469e7a6e54508006e14875b850678660873c6494d3f0159cbf666c521"
+        )

@@ -52,13 +52,6 @@ class TestCrashpoints:
                 injector.crashpoint("p")
         injector.crashpoint("p")
 
-    def test_should_fail_reports_instead_of_raising(self):
-        injector = FaultInjector()
-        injector.arm_forever("rpc", times=2)
-        assert injector.should_fail("rpc")
-        assert injector.should_fail("rpc")
-        assert not injector.should_fail("rpc")
-
     def test_is_armed_previews_without_visiting(self):
         injector = FaultInjector()
         assert not injector.is_armed("p")
@@ -99,7 +92,6 @@ class TestCrashpoints:
 class TestNullInjector:
     def test_null_injector_never_fires(self):
         NULL_INJECTOR.crashpoint("anything")
-        assert not NULL_INJECTOR.should_fail("anything")
         assert not NULL_INJECTOR.is_armed("anything")
 
     def test_null_injector_cannot_be_armed(self):

@@ -94,13 +94,21 @@ class TestTokenBucket:
         )
 
 
+def admit_without_release(controller, count):
+    """Raise the controller's in-flight depth to ``count``."""
+    for _ in range(count):
+        assert controller.try_admit(Priority.HIGH).admitted
+    assert controller.inflight == count
+
+
 class TestQueueDepth:
     def test_explicit_depth_sheds(self):
         controller = AdmissionController(
             AdmissionConfig(max_queue_depth=10), clock=ManualClock()
         )
-        assert controller.try_admit(Priority.HIGH, queue_depth=10).admitted
-        decision = controller.try_admit(Priority.HIGH, queue_depth=11)
+        admit_without_release(controller, 10)
+        assert controller.try_admit(Priority.HIGH).admitted  # depth 10
+        decision = controller.try_admit(Priority.HIGH)  # depth 11
         assert not decision.admitted
         assert decision.reason is DegradedReason.SHED_QUEUE
 
@@ -109,12 +117,14 @@ class TestQueueDepth:
         controller = AdmissionController(
             AdmissionConfig(max_queue_depth=20), clock=ManualClock()
         )
-        assert not controller.try_admit(Priority.LOW, queue_depth=11).admitted
-        assert controller.try_admit(Priority.NORMAL, queue_depth=11).admitted
-        assert not controller.try_admit(
-            Priority.NORMAL, queue_depth=17
-        ).admitted
-        assert controller.try_admit(Priority.HIGH, queue_depth=17).admitted
+        admit_without_release(controller, 11)
+        assert not controller.try_admit(Priority.LOW).admitted
+        assert controller.try_admit(Priority.NORMAL).admitted  # depth 11
+        for _ in range(5):
+            assert controller.try_admit(Priority.HIGH).admitted
+        assert controller.inflight == 17
+        assert not controller.try_admit(Priority.NORMAL).admitted
+        assert controller.try_admit(Priority.HIGH).admitted  # depth 17
 
     def test_internal_inflight_tracking(self):
         controller = AdmissionController(
@@ -137,18 +147,23 @@ class TestQueueDepth:
 class TestCounters:
     def test_admitted_and_shed_counters(self):
         registry = MetricsRegistry()
+        clock = ManualClock()
         controller = AdmissionController(
             AdmissionConfig(rate_per_s=10.0, burst=2.0, max_queue_depth=5),
-            clock=ManualClock(),
+            clock=clock,
             obs=registry,
         )
         assert controller.try_admit(Priority.HIGH).admitted
         assert controller.try_admit(Priority.HIGH).admitted
         assert not controller.try_admit(Priority.HIGH).admitted  # bucket dry
-        assert not controller.try_admit(
-            Priority.HIGH, queue_depth=6
-        ).admitted
-        assert registry.value("resilience.admitted") == 2
+        # Refill two tokens at a time until six requests are in flight.
+        for _ in range(2):
+            clock.advance(200.0)
+            assert controller.try_admit(Priority.HIGH).admitted
+            assert controller.try_admit(Priority.HIGH).admitted
+        clock.advance(200.0)
+        assert not controller.try_admit(Priority.HIGH).admitted  # depth 6 > 5
+        assert registry.value("resilience.admitted") == 6
         assert registry.value("resilience.shed") == 2
         assert registry.value("resilience.shed_capacity") == 1
         assert registry.value("resilience.shed_queue") == 1
