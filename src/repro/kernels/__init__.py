@@ -13,8 +13,8 @@ overhead *per probe* out of their loops:
   the one rule (:func:`~repro.kernels.pipeline.bulk_membership`) for
   whether a plan's keys are tested in bulk or streamed;
 * :mod:`repro.kernels.flat` — subset-hash enumeration flattened into
-  precomputed flat key arrays (cached across batches, since power-law
-  traffic re-probes the same word-sets constantly);
+  one key array per plan, built a subset size at a time (each key is
+  its prefix's key XOR one word's contribution);
 * :mod:`repro.kernels.probe` — one vectorized bit-test pass of a
   batch's bulk keys against the segment's ``B^sig`` words, instead of
   a Python-level probe loop.

@@ -11,9 +11,10 @@ of the segment) are kept here *verbatim* as ``ParentWordSetIndex`` and
 the parent's backend choice (``PARENT_BACKEND``, which could be
 ``off``), ``deadline.timed`` is the parent's property body (``_timed``),
 the python-backend branches, which no reference here runs, are left
-out (the parent's ``flat_probe_keys(..., "numpy")`` is today's
-``flat_probe_keys``), and the segment's scan makes format version 3's
-fingerprint test after its ``B^sig`` test.
+out (the parent's ``flat_probe_keys(..., "numpy")`` is the
+combination-matrix enumerator kept verbatim in
+:mod:`tests.kernels.test_flat_levels`), and the segment's scan makes
+format version 3's fingerprint test after its ``B^sig`` test.
 
 On Hypothesis corpora, including ``suffix_bits=1`` segments (every node
 on one or two ``B^sig`` bits) and ``max_probes``-capped plans, the index
@@ -45,7 +46,6 @@ from repro.core.wordhash import wordhash
 from repro.core.wordset_index import HASH_BUCKET_BYTES, WordSetIndex
 from repro.cost.accounting import AccessTracker
 from repro.kernels import numpy_available, set_backend
-from repro.kernels.flat import flat_probe_keys as numpy_flat_probe_keys
 from repro.kernels.pipeline import (
     HashFn,
     _CANONICAL_WORDHASH,
@@ -57,6 +57,7 @@ from repro.perf.prefilter import ProbePlan
 from repro.resilience.deadline import Deadline, DegradedReason
 from repro.segment import PackedSegmentIndex, SegmentBuilder
 from repro.segment.format import SHARED_FINGERPRINT, fingerprint
+from tests.kernels.test_flat_levels import _keys_numpy
 
 try:
     import numpy as _np
@@ -84,7 +85,7 @@ def flat_probe_keys(
 ) -> Any:
     """The parent's ``flat_probe_keys`` on its numpy backend."""
     assert backend == "numpy"
-    return numpy_flat_probe_keys(candidates, sizes)
+    return _keys_numpy(candidates, sizes)
 
 
 def engaged(

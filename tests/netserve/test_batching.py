@@ -10,7 +10,6 @@ picked up within the interval), and one poisoned request in a batch
 degrades only itself.
 """
 
-import os
 import queue
 import socket
 import threading
@@ -215,13 +214,19 @@ class TestControlPlaneNotBatched:
         thread = threading.Thread(target=worker.run, daemon=True)
         thread.start()
         try:
+            # Wait for a connect that succeeds, not for the socket file:
+            # the path exists from ``bind`` on, but a connect refuses
+            # until the worker has called ``listen``.
             deadline = time.monotonic() + 5.0
-            while not os.path.exists(sock_path):
-                assert time.monotonic() < deadline, "worker never bound"
-                time.sleep(0.01)
-
-            serve_conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            serve_conn.connect(sock_path)
+            while True:
+                serve_conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                try:
+                    serve_conn.connect(sock_path)
+                    break
+                except (FileNotFoundError, ConnectionRefusedError):
+                    serve_conn.close()
+                    assert time.monotonic() < deadline, "worker never listened"
+                    time.sleep(0.01)
             send_frame(
                 serve_conn, {"type": "serve", "request": {"query": ["x"]}}
             )

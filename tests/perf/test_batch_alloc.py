@@ -9,10 +9,10 @@ Two guarantees pinned here:
   node cache is the only owner of decoded ads;
 * **allocation-flat batches** — replaying an identical batch through
   :class:`~repro.perf.batch.BatchQueryEngine` in steady state (node
-  cache, plan memos, and key caches warm) does not grow traced memory:
-  the engine hands slate ownership to the first asker instead of
-  re-copying for every position, and the kernel path reuses its
-  precomputed key arrays.
+  cache and plan memos warm) does not grow traced memory: the engine
+  hands slate ownership to the first asker instead of re-copying for
+  every position, and a bulk plan's key array is built afresh and
+  dropped with its batch, never retained.
 """
 
 import gc
@@ -82,9 +82,9 @@ def test_dedup_hands_ownership_without_copy():
 @pytest.mark.parametrize("cache_bytes", [0, 1 << 20])
 def test_steady_state_batches_do_not_grow_memory(segment_path, cache_bytes):
     """Repeated identical batches must be allocation-flat once every
-    cache (plan memo, flat-key LRU, node cache) is warm — the
-    tracemalloc regression gate for the bounded steady state: with the
-    node cache closed every batch decodes afresh and retains nothing."""
+    cache (plan memo, node cache) is warm — the tracemalloc regression
+    gate for the bounded steady state: with the node cache closed every
+    batch decodes afresh and retains nothing."""
     with PackedSegmentIndex(segment_path, cache_bytes=cache_bytes) as segment:
         engine = BatchQueryEngine(segment)
         for _ in range(5):  # fill every cache before measuring
