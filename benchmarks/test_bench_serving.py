@@ -1,9 +1,7 @@
-"""Benches for the serving layer: pipeline throughput and sharded
-scatter-gather."""
+"""Benches for the serving layer: pipeline throughput."""
 
 import pytest
 
-from repro.core.sharded import ShardedWordSetIndex
 from repro.optimize.remap import build_index
 from repro.serving.server import AdServer
 
@@ -23,17 +21,4 @@ def test_bench_adserver_pipeline(benchmark, plain_index, trace):
 
     impressions = benchmark(serve_batch)
     assert impressions > 0
-
-
-def test_bench_sharded_query(benchmark, corpus, trace):
-    sharded = ShardedWordSetIndex.from_corpus(corpus, num_shards=4)
-
-    def replay():
-        total = 0
-        for query in trace[:300]:
-            total += len(sharded.query(query))
-        return total
-
-    sharded_total = benchmark(replay)
-    assert sharded_total >= 0
 

@@ -31,7 +31,6 @@ from repro.core import (
     MatchType,
     Query,
     RetrievalIndex,
-    ShardedWordSetIndex,
     TrieWordSetIndex,
     Workload,
     WordSetIndex,
@@ -56,7 +55,6 @@ __all__ = [
     "NullRegistry",
     "Query",
     "RetrievalIndex",
-    "ShardedWordSetIndex",
     "TrieWordSetIndex",
     "Workload",
     "WordSetIndex",

@@ -10,8 +10,7 @@ writes (:class:`~repro.segment.tiered.TieredSegmentedIndex`)::
         [--match broad|phrase|exact] [--top 5] [--deadline-ms 5] \
         [--metrics-out m.prom]
     python -m repro.cli batch DIR queries.txt \
-        [--match broad] [--shards 4] [--workers 4] [--show] \
-        [--deadline-ms 50] [--metrics-out m.json]
+        [--match broad] [--show] [--deadline-ms 50] [--metrics-out m.json]
     python -m repro.cli explain DIR "cheap used books"
     python -m repro.cli stats DIR \
         [--replay queries.txt] [--resilience] [--deadline-ms 5] \
@@ -31,9 +30,9 @@ packs it into a new tiered directory as one L0 segment under a
 committed manifest.  ``query``/``batch``/``explain``/``stats`` open the
 committed generation read-only — opening *is* the recovery, see
 ``docs/durability.md``.  ``batch`` reads one query per line (``-`` for
-stdin), dedups identical word-sets, and with ``--shards`` re-shards the
-live ads for worker-pool fan-out; ``explain`` profiles the probes of an
-in-memory index rebuilt from the same live ads and placements.
+stdin) and runs them as one batch, probing each distinct word-set
+once; ``explain`` profiles the probes of an in-memory index rebuilt
+from the directory's live ads and placements.
 ``compact`` seals and merges the directory in place.
 
 ``serve`` boots the network tier of :mod:`repro.netserve`: forked
@@ -68,7 +67,6 @@ from repro.core.ads import AdCorpus
 from repro.core.explain import explain_broad_match
 from repro.core.matching import MatchType
 from repro.core.queries import Query
-from repro.core.sharded import ShardedWordSetIndex
 from repro.core.wordset_index import WordSetIndex
 from repro.cost.model import CostModel
 from repro.datagen.importers import load_corpus_csv, load_workload_tsv
@@ -176,33 +174,18 @@ def _open_index(
     return TieredSegmentedIndex(args.index, read_only=True, obs=registry)
 
 
-def _rebuild(
-    tiered: TieredSegmentedIndex,
-    num_shards: int | None = None,
-    registry: MetricsRegistry | None = None,
-) -> WordSetIndex | ShardedWordSetIndex:
+def _rebuild(tiered: TieredSegmentedIndex) -> WordSetIndex:
     """An in-memory index over the live ads under the segments' merged
-    placements: the structure ``explain`` profiles and ``batch
-    --shards`` scatters over."""
+    placements: the structure ``explain`` profiles."""
     placements: dict[frozenset[str], frozenset[str]] = {}
     for segment in tiered.segments:
         placements.update(segment.placements())
-    corpus = AdCorpus(tiered.live_ads())
     manifest = tiered.manifest
-    if num_shards is None:
-        return WordSetIndex.from_corpus(
-            corpus,
-            mapping=placements,
-            max_words=manifest.max_words,
-            max_query_words=manifest.max_query_words,
-            obs=registry,
-        )
-    return ShardedWordSetIndex.from_corpus(
-        corpus,
-        num_shards=num_shards,
+    return WordSetIndex.from_corpus(
+        AdCorpus(tiered.live_ads()),
         mapping=placements,
         max_words=manifest.max_words,
-        obs=registry,
+        max_query_words=manifest.max_query_words,
     )
 
 
@@ -241,13 +224,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print("error: no queries in input", file=sys.stderr)
         return 2
     registry = _metrics_registry(args)
+    # The summary line reads the engine's ``batch.*`` counters, so the
+    # engine always reports into a registry, the exported one if any.
+    counts = registry if registry is not None else MetricsRegistry()
     with _open_index(args, registry) as tiered:
-        index = (
-            tiered
-            if args.shards is None
-            else _rebuild(tiered, args.shards, registry)
-        )
-        engine = BatchQueryEngine(index, max_workers=args.workers, obs=registry)
+        engine = BatchQueryEngine(tiered, obs=counts)
         deadline = _request_deadline(args)
         start = time.perf_counter()
         batches = engine.query_batch(queries, _match_type(args.match), deadline)
@@ -256,12 +237,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         for query, results in zip(queries, batches):
             print(f"{' '.join(query.tokens)!r}: {len(results)} result(s)")
     total = sum(len(results) for results in batches)
-    stats = engine.stats
+    queried = counts.counter("batch.queries").value
+    distinct = counts.counter("batch.distinct_wordsets").value
     print(
-        f"{stats.queries:,} queries ({stats.distinct_wordsets:,} distinct, "
-        f"{stats.dedup_rate():.0%} deduped) -> {total:,} results "
+        f"{queried:,.0f} queries ({distinct:,.0f} distinct, "
+        f"{1 - distinct / queried:.0%} deduped) -> {total:,} results "
         f"in {elapsed * 1e3:.1f} ms "
-        f"({stats.queries / max(elapsed, 1e-9):,.0f} qps)"
+        f"({queried / max(elapsed, 1e-9):,.0f} qps)"
     )
     _report_partial(deadline)
     _flush_metrics(registry, args)
@@ -565,15 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--match", choices=("broad", "phrase", "exact"), default="broad"
-    )
-    batch.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="re-shard the corpus and fan out across shards",
-    )
-    batch.add_argument(
-        "--workers", type=int, default=None, help="worker-pool width"
     )
     batch.add_argument(
         "--show", action="store_true", help="print per-query result counts"

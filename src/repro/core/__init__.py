@@ -18,7 +18,6 @@ from repro.core.matching import (
 )
 from repro.core.protocols import RetrievalIndex
 from repro.core.queries import Query, Workload
-from repro.core.sharded import ShardedWordSetIndex
 from repro.core.subset_enum import (
     bounded_subsets,
     lookup_count,
@@ -44,7 +43,6 @@ __all__ = [
     "Query",
     "QueryExplanation",
     "RetrievalIndex",
-    "ShardedWordSetIndex",
     "TrieWordSetIndex",
     "WordSetIndex",
     "Workload",

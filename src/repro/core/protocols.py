@@ -5,9 +5,9 @@ Historically each structure grew its own ad-hoc query methods
 argument, duck-typed consumers).  :class:`RetrievalIndex` is the one
 contract now: consumers (:class:`~repro.serving.server.AdServer`,
 :class:`~repro.perf.batch.BatchQueryEngine`, the CLI, the experiment
-drivers) type against it, and all four concrete structures —
-``WordSetIndex``, ``TrieWordSetIndex``, ``ShardedWordSetIndex`` and
-``ImpactOrderedIndex`` — implement it, as do the inverted-index
+drivers) type against it, and the three concrete structures —
+``WordSetIndex``, ``TrieWordSetIndex`` and ``ImpactOrderedIndex`` —
+implement it, as do the inverted-index
 baselines and the compressed hash replacement.
 
 The PR 2 migration is complete: the primary structures expose only
@@ -39,7 +39,7 @@ class RetrievalIndex(Protocol):
       phrase/exact verify token order on the same candidates);
     * ``stats()`` reports structural statistics (shape is
       implementation-defined: :class:`~repro.core.wordset_index.IndexStats`
-      for the hash index, a per-shard list for the sharded one, ...);
+      for the hash index, a dict for the tiered one, ...);
     * ``len(index)`` is the number of indexed advertisements.
     """
 

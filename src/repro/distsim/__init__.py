@@ -11,7 +11,6 @@ from repro.distsim.network import NetworkModel
 from repro.distsim.scatter import (
     ScatterConfig,
     ScatterGatherCluster,
-    measured_shard_service,
     uniform_shard_service,
 )
 from repro.distsim.server import Server
@@ -26,7 +25,6 @@ __all__ = [
     "Server",
     "TwoTierCluster",
     "find_saturation_rate",
-    "measured_shard_service",
     "smooth_histogram",
     "uniform_shard_service",
 ]

@@ -10,14 +10,13 @@ even as they divide CPU work.
 Per-shard service times come from the same cost-model tables as the
 two-tier cluster, scaled by each shard's share of the work.  Every leg
 answers: the simulation has no retries, timeouts or breakers.  The
-serving tier's defences against slow or failing shards live in
+serving tier's defences against slow or failing workers live in
 :mod:`repro.resilience` and the netserve frontend.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -137,22 +136,3 @@ def uniform_shard_service(
 
     return service
 
-
-def measured_shard_service(
-    shards: Sequence[object],
-) -> Callable[[int, Query], float]:
-    """Service-time callable backed by *live* shard indexes.
-
-    Instead of an analytic cost model, time each shard's actual
-    ``query()`` call (e.g. the ``.shards`` of a
-    :class:`~repro.segment.ShardedSegmentedIndex`) and feed the measured
-    milliseconds into the simulator, so scatter-gather tail behaviour
-    reflects the real packed serving path.
-    """
-
-    def service(shard: int, query: Query) -> float:
-        start = time.perf_counter()
-        shards[shard].query(query)  # type: ignore[attr-defined]
-        return max(0.001, (time.perf_counter() - start) * 1000.0)
-
-    return service

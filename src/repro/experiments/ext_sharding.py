@@ -12,9 +12,12 @@ dominates; throughput scales near-linearly.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.core.sharded import ShardedWordSetIndex
+from repro.core.ads import Advertisement
+from repro.core.wordhash import wordhash
+from repro.core.wordset_index import WordSetIndex
 from repro.cost.accounting import AccessTracker
 from repro.datagen.corpus import CorpusConfig, generate_corpus
 from repro.datagen.querygen import QueryConfig, generate_workload
@@ -24,6 +27,48 @@ from repro.experiments.common import MODEL, SMALL, Scale, format_table
 #: Scale factor from modeled ns to simulated CPU ms (as in fig9, but
 #: heavier per-query work so sharding has something to divide).
 MS_PER_NS = 2e-3
+
+
+class ShardedWordSetIndex:
+    """The corpus hash-partitioned into ``num_shards`` independent
+    :class:`WordSetIndex` shards: an ad lives in shard
+    ``wordhash(ad.words) % num_shards``, so a word-set's ads stay whole.
+    Broad match admits no query-side routing, so every query goes to
+    every shard; one tracker per shard prices each shard's share."""
+
+    def __init__(self, shards: list[WordSetIndex]) -> None:
+        self.shards = shards
+
+    @classmethod
+    def from_corpus(
+        cls,
+        corpus: Iterable[Advertisement],
+        num_shards: int,
+        trackers: list[AccessTracker] | None = None,
+    ) -> ShardedWordSetIndex:
+        if num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
+        if trackers is not None and len(trackers) != num_shards:
+            raise ValueError("need one tracker per shard")
+        parts: list[list[Advertisement]] = [[] for _ in range(num_shards)]
+        for ad in corpus:
+            parts[wordhash(ad.words) % num_shards].append(ad)
+        return cls(
+            [
+                WordSetIndex.from_corpus(
+                    part, tracker=trackers[i] if trackers else None
+                )
+                for i, part in enumerate(parts)
+            ]
+        )
+
+    def balance_factor(self) -> float:
+        """max/mean shard size; 1.0 is perfectly balanced."""
+        sizes = [len(shard) for shard in self.shards]
+        mean = sum(sizes) / len(sizes)
+        if mean == 0:
+            return 1.0
+        return max(sizes) / mean
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,9 +12,8 @@ The paper bounds the number of hash probes per query analytically
   the per-word contributions :mod:`repro.core.wordhash` memoizes, so each
   probed subset costs an O(1) XOR combine instead of re-hashing its words;
 * :mod:`repro.perf.batch` — :class:`BatchQueryEngine`: deduplicates
-  identical word-sets across a batch of queries and fans work out across
-  :class:`~repro.core.sharded.ShardedWordSetIndex` shards via a worker
-  pool;
+  identical word-sets across a batch of queries and hands the distinct
+  ones to the index in one dispatch;
 * :mod:`repro.perf.bench` — ``make_long_queries``, the long-query
   workload generator the drills and ``bench/`` share.
 
@@ -22,13 +21,12 @@ All fast paths are result-identical to the naive enumeration; the property
 tests in ``tests/perf`` pin this.
 """
 
-from repro.perf.batch import BatchQueryEngine, BatchStats
+from repro.perf.batch import BatchQueryEngine
 from repro.perf.memohash import hashed_index_subsets
 from repro.perf.prefilter import ProbePlan, naive_plan, plan_probes
 
 __all__ = [
     "BatchQueryEngine",
-    "BatchStats",
     "ProbePlan",
     "hashed_index_subsets",
     "naive_plan",

@@ -16,16 +16,12 @@ builds the standard production defences:
   shed request still gets an explicit answer, never a dropped
   connection.
 * :class:`CircuitBreaker` — closed → open → half-open breakers that stop
-  retry storms against a struggling shard or worker (the metastable-
-  failure amplification the Dynamo / tail-at-scale literature warns
-  about), held by :class:`FanoutGuard` and the netserve frontend.
+  retry storms against a struggling worker (the metastable-failure
+  amplification the Dynamo / tail-at-scale literature warns about),
+  held by the netserve frontend, one per worker process.
 * :class:`DegradationPolicy` — an adaptive ladder that responds to
   measured pressure (p95 latency from :mod:`repro.obs` histograms) by
   stepping down query truncation and capping probe plans.
-* :class:`FanoutGuard` — breakers + partial-result policy for the
-  in-process sharded fan-out paths
-  (:class:`~repro.core.sharded.ShardedWordSetIndex`,
-  :class:`~repro.segment.ShardedSegmentedIndex`).
 
 Everything is **off by default**: with no resilience objects attached,
 every hot path is byte-for-byte the previous behaviour, and fault-free
@@ -60,7 +56,6 @@ from repro.resilience.degrade import (
     DegradationLevel,
     DegradationPolicy,
 )
-from repro.resilience.fanout import FanoutGuard, ShardsUnavailableError
 
 __all__ = [
     "AdmissionConfig",
@@ -74,9 +69,7 @@ __all__ = [
     "DegradationLevel",
     "DegradationPolicy",
     "DegradedReason",
-    "FanoutGuard",
     "ManualClock",
     "Priority",
-    "ShardsUnavailableError",
     "monotonic_ms",
 ]

@@ -1,17 +1,15 @@
-"""Per-shard circuit breakers: closed → open → half-open.
+"""Per-worker circuit breakers: closed → open → half-open.
 
-A wide fan-out with retries *amplifies* an overloaded shard: every query
+A fan-out with retries *amplifies* an overloaded backend: every query
 that times out against it is retried against it, which is exactly the
 metastable-failure pattern the tail-at-scale literature describes.  The
 breaker is the standard antidote — measure the recent error/timeout rate
-per shard over a sliding window, and once it crosses the threshold stop
+per backend over a sliding window, and once it crosses the threshold stop
 sending work there at all.  After a cooling-off period a half-open probe
-tests whether the shard recovered; one success closes the breaker, one
+tests whether the backend recovered; one success closes the breaker, one
 failure re-opens it.
 
-Two serving paths hold one breaker per shard or worker:
-:class:`~repro.resilience.fanout.FanoutGuard` for the in-process sharded
-fan-outs, and the netserve frontend for its worker processes.  The clock
+The netserve frontend holds one breaker per worker process.  The clock
 is injectable, so tests step a breaker through its states on a
 :class:`~repro.resilience.deadline.ManualClock` instead of sleeping.
 """
@@ -79,7 +77,7 @@ class BreakerConfig:
 
 
 class CircuitBreaker:
-    """One shard's breaker: sliding-window failure rate with a
+    """One backend's breaker: sliding-window failure rate with a
     half-open recovery probe.
 
     ``allow()`` is the admission gate callers check before dispatching a
@@ -121,7 +119,7 @@ class CircuitBreaker:
         self._opened_at_ms = 0.0
         self._half_open_issued = 0
         #: Legs rejected while open (this breaker's own tally; the shared
-        #: counter aggregates across shards).
+        #: counter aggregates across backends).
         self.short_circuits = 0
         #: Times this breaker transitioned closed/half-open -> open.
         self.opened_count = 0
@@ -138,7 +136,7 @@ class CircuitBreaker:
         return self._failures / len(self._outcomes)
 
     def allow(self) -> bool:
-        """May a leg be dispatched to this shard right now?"""
+        """May a leg be dispatched to this backend right now?"""
         if self._state is BreakerState.CLOSED:
             return True
         if self._state is BreakerState.OPEN:

@@ -2,7 +2,7 @@
 
 A :class:`Deadline` is created once per request at the serving edge and
 threaded through every layer the request touches: the ad server, the
-batch engine, the cache, the sharded fan-outs, and the index probe loops
+batch engine, the tiered index's segment legs, and the index probe loops
 themselves.  It carries three things:
 
 1. **the time budget** — ``expired()`` / ``remaining_ms()`` against an
@@ -68,7 +68,7 @@ class DegradedReason(Enum):
     """Why a response is not the full-fidelity answer.
 
     Shared by every degradation path — load shedding, deadline expiry,
-    probe capping, partial shard fan-outs, and the ``degrade_on_error``
+    probe capping, query truncation, and the ``degrade_on_error``
     empty slate — so a :class:`~repro.serving.server.ServeResult`
     always carries one machine-readable cause instead of an inexplicable
     empty list.
@@ -89,9 +89,6 @@ class DegradedReason(Enum):
     PROBES_CAPPED = "probes_capped"
     #: Query truncation was tightened below the index's configuration.
     TRUNCATED = "truncated"
-    #: Some shards were skipped (open breaker) or failed; the result is
-    #: the union of the shards that answered.
-    PARTIAL_SHARDS = "partial_shards"
 
 
 class Deadline:
@@ -178,7 +175,7 @@ class Deadline:
 
     def expired(self) -> bool:
         """True once the budget is spent.  Checked before each node scan
-        and between shard legs; never raises — callers return what they
+        and between segment legs; never raises — callers return what they
         have, flagged."""
         expires = self._expires_at_ms
         return expires is not None and self._clock() >= expires

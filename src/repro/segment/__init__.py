@@ -14,9 +14,8 @@ as tombstones, seals the overlay into small L0 segments,
 background-merges tiers upward under a checksummed manifest (crash-safe
 via atomic tmp+fsync+rename) keeping every ad's persisted placement, and
 folds everything into one segment on
-:meth:`~TieredSegmentedIndex.compact`; :class:`ShardedSegmentedIndex`
-runs one per shard.  :mod:`repro.segment.churn` is the continuous-ingest
-correctness drill.
+:meth:`~TieredSegmentedIndex.compact`.  :mod:`repro.segment.churn` is the
+continuous-ingest correctness drill.
 """
 
 from repro.segment.builder import SegmentBuilder, default_suffix_bits
@@ -31,12 +30,10 @@ from repro.segment.tiered import (
     Manifest,
     ManifestFormatError,
     SegmentRecord,
-    ShardedSegmentedIndex,
     TieredConfig,
     TieredSegmentedIndex,
     Tombstones,
     manifest_fingerprint,
-    pack_corpus_tiered,
     read_manifest,
 )
 
@@ -48,7 +45,6 @@ __all__ = [
     "SegmentBuilder",
     "SegmentFormatError",
     "SegmentRecord",
-    "ShardedSegmentedIndex",
     "TIERED_CRASHPOINTS",
     "TieredConfig",
     "TieredSegmentedIndex",
@@ -56,6 +52,5 @@ __all__ = [
     "deep_sizeof",
     "default_suffix_bits",
     "manifest_fingerprint",
-    "pack_corpus_tiered",
     "read_manifest",
 ]

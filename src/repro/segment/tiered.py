@@ -41,12 +41,6 @@ queries from the writer thread or — with ``concurrent readers``
 enabled — other threads.  Commits replace shared state copy-on-write
 under the internal lock, so an in-flight query always sees one
 consistent (segments, tombstones) pair.
-
-:class:`ShardedSegmentedIndex` runs one :class:`TieredSegmentedIndex`
-per shard, partitioned by the same ``wordhash(words) % num_shards`` rule
-as :class:`~repro.core.sharded.ShardedWordSetIndex`, and exposes
-``.shards`` so :class:`~repro.perf.batch.BatchQueryEngine` scatters
-batches across shards automatically.
 """
 
 from __future__ import annotations
@@ -57,7 +51,7 @@ import os
 import re
 import threading
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -65,12 +59,10 @@ from typing import Any
 from repro.core.ads import AdCorpus, AdInfo, Advertisement
 from repro.core.matching import MatchType
 from repro.core.queries import Query
-from repro.core.wordhash import wordhash
 from repro.core.wordset_index import WordSetIndex
 from repro.faults.injector import FaultInjector, active_injector
 from repro.obs.registry import MetricsRegistry, active_or_none
 from repro.resilience.deadline import Deadline, DegradedReason
-from repro.resilience.fanout import FanoutGuard
 from repro.segment.builder import SegmentBuilder
 from repro.segment.format import (
     CRASH_MANIFEST_SWAPPED,
@@ -91,12 +83,10 @@ __all__ = [
     "Manifest",
     "ManifestFormatError",
     "SegmentRecord",
-    "ShardedSegmentedIndex",
     "TieredConfig",
     "TieredSegmentedIndex",
     "Tombstones",
     "manifest_fingerprint",
-    "pack_corpus_tiered",
     "read_manifest",
     "write_manifest",
 ]
@@ -1251,137 +1241,3 @@ class BackgroundMerger:
 
     def __exit__(self, *exc: object) -> None:
         self.stop()
-
-
-# --------------------------------------------------------------------- #
-# Sharded wiring
-
-
-class ShardedSegmentedIndex:
-    """Tiered serving sharded by ``wordhash(words) % num_shards``.
-
-    The partitioning rule matches
-    :class:`~repro.core.sharded.ShardedWordSetIndex`, so a packed
-    deployment shards identically to the in-memory distributed
-    simulation.  Exposes ``.shards`` — the batch engine's scatter
-    heuristic picks it up without any adapter.  Built by
-    :func:`pack_corpus_tiered`.
-    """
-
-    #: Capability marker: ``query`` accepts a ``deadline`` budget.
-    supports_deadline = True
-
-    def __init__(
-        self,
-        shards: Sequence[TieredSegmentedIndex],
-        guard: FanoutGuard | None = None,
-    ) -> None:
-        if not shards:
-            raise ValueError("need at least one shard")
-        self.shards: list[TieredSegmentedIndex] = list(shards)
-        if guard is not None and len(guard.breakers) != len(self.shards):
-            raise ValueError(
-                "guard shard count does not match index shard count"
-            )
-        #: Optional breaker-guarded fan-out policy (see
-        #: :class:`~repro.resilience.fanout.FanoutGuard`).  ``None``
-        #: keeps the original fail-on-first-error gather.
-        self.guard = guard
-
-    def shard_of(self, words: frozenset[str]) -> int:
-        return wordhash(words) % len(self.shards)
-
-    def insert(
-        self, ad: Advertisement, locator: frozenset[str] | None = None
-    ) -> None:
-        self.shards[self.shard_of(ad.words)].insert(ad, locator)
-
-    def delete(self, ad: Advertisement) -> bool:
-        return self.shards[self.shard_of(ad.words)].delete(ad)
-
-    def contains(self, ad: Advertisement) -> bool:
-        return self.shards[self.shard_of(ad.words)].contains(ad)
-
-    def query(
-        self,
-        query: Query,
-        match_type: MatchType = MatchType.BROAD,
-        deadline: Deadline | None = None,
-    ) -> list[Advertisement]:
-        if self.guard is not None:
-            return self.guard.gather(
-                self.shards,
-                lambda shard: shard.query(query, match_type, deadline),
-                deadline,
-            )
-        results: list[Advertisement] = []
-        for shard in self.shards:
-            if deadline is not None and deadline.expired():
-                # Out of budget: the shards already gathered are the
-                # answer, flagged partial on the budget object.
-                deadline.mark_partial(DegradedReason.DEADLINE)
-                break
-            results.extend(shard.query(query, match_type, deadline))
-        return results
-
-    def compact_all(self) -> list[Path]:
-        """Compact every shard in place."""
-        return [shard.compact() for shard in self.shards]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    def stats(self) -> list[dict[str, Any]]:
-        return [shard.stats() for shard in self.shards]
-
-    def close(self) -> None:
-        for shard in self.shards:
-            shard.close()
-
-    def __enter__(self) -> ShardedSegmentedIndex:
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-def pack_corpus_tiered(
-    corpus: AdCorpus | Iterable[Advertisement],
-    directory: str | Path,
-    num_shards: int,
-    config: TieredConfig | None = None,
-    mapping: dict[frozenset[str], frozenset[str]] | None = None,
-    obs: MetricsRegistry | None = None,
-    faults: FaultInjector | None = None,
-    guard: FanoutGuard | None = None,
-) -> ShardedSegmentedIndex:
-    """Partition ``corpus`` into per-shard tiered directories
-    (``shard-NNN/``) under ``directory`` and open them behind a
-    :class:`ShardedSegmentedIndex` — same ``wordhash % num_shards``
-    rule, tiered lifecycle per shard."""
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    partitions: list[list[Advertisement]] = [[] for _ in range(num_shards)]
-    for ad in corpus:
-        partitions[wordhash(ad.words) % num_shards].append(ad)
-    shards: list[TieredSegmentedIndex] = []
-    try:
-        for i, partition in enumerate(partitions):
-            shards.append(
-                TieredSegmentedIndex.pack_corpus(
-                    partition,
-                    directory / f"shard-{i:03d}",
-                    config=config,
-                    mapping=mapping,
-                    obs=obs,
-                    faults=faults,
-                )
-            )
-    except BaseException:
-        for shard in shards:
-            shard.close()
-        raise
-    return ShardedSegmentedIndex(shards, guard=guard)
-

@@ -8,7 +8,7 @@ charge the winning campaign's budget.
 
 The retrieval structure is pluggable — any
 :class:`~repro.core.protocols.RetrievalIndex` works (hash index, trie
-index, sharded, compressed, cached), which is exactly the
+index, packed or tiered segments, compressed), which is exactly the
 interchangeability the library's structures guarantee.
 
 There is one pipeline: :meth:`AdServer.serve` is a batch of one through
@@ -271,12 +271,9 @@ class AdServer:
         Optional quality score per ad for the GSP ranking.
     frequency_cap:
         Max times one listing may be shown to the same user id.
-    batch_workers:
-        Worker-pool width for :meth:`serve_batch` retrieval fan-out over a
-        sharded index (None = one worker per shard, up to the CPU count).
     degrade_on_error:
-        When True, a retrieval failure (an index mid-recovery, a shard
-        fan-out dying) serves an empty candidate set — an unfilled
+        When True, a retrieval failure (an index mid-recovery, a
+        corrupted segment) serves an empty candidate set — an unfilled
         auction — instead of propagating, and counts
         ``serve.retrieval_errors``.  Off by default: silent degradation
         must be an explicit operator choice.
@@ -309,7 +306,6 @@ class AdServer:
         campaign_budgets_micros: dict[int, int] | None = None,
         quality_fn: Callable[[Advertisement], float] | None = None,
         frequency_cap: int | None = None,
-        batch_workers: int | None = None,
         degrade_on_error: bool = False,
         admission: AdmissionController | None = None,
         degradation: DegradationPolicy | None = None,
@@ -326,7 +322,6 @@ class AdServer:
         self.reserve_micros = reserve_micros
         self.quality_fn = quality_fn
         self.frequency_cap = frequency_cap
-        self.batch_workers = batch_workers
         self.degrade_on_error = degrade_on_error
         self.admission = admission
         self.degradation = degradation
@@ -576,9 +571,7 @@ class AdServer:
         deadline = self._request_deadline(deadline)
         engine = self._batch_engine
         if engine is None or engine.index is not self.index:
-            engine = self._batch_engine = BatchQueryEngine(
-                self.index, max_workers=self.batch_workers, obs=self._obs
-            )
+            engine = self._batch_engine = BatchQueryEngine(self.index, obs=self._obs)
         obs = self._obs
         top = self.slots + 1 if ranked_read(self) else None
         failed: dict[int, DegradedReason] = {}
@@ -736,8 +729,8 @@ def ranked_read(server: AdServer) -> bool:
     * campaign budgets (a budget can drop a top bid);
     * a frequency cap (a cap can drop a top listing);
     * a ``quality_fn`` (``bid x quality`` is not the stored order);
-    * an index without a ranked read (``WordSetIndex``, tiered,
-      sharded): one whose class lacks ``supports_ranked_read``.
+    * an index without a ranked read (``WordSetIndex``, tiered): one
+      whose class lacks ``supports_ranked_read``.
 
     PHRASE/EXACT match never gets here: :class:`AdServer` retrieves
     broad match, and the ranked read refuses the other two.

@@ -182,16 +182,6 @@ class TestBatch:
         assert "'cheap used books': 3 result(s)" in out
         assert "'zz qq': 0 result(s)" in out
 
-    def test_batch_sharded_with_workers(self, index_dir, queries_file, capsys):
-        assert main(
-            [
-                "batch", str(index_dir), str(queries_file),
-                "--shards", "2", "--workers", "2", "--show",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "'cheap used books': 3 result(s)" in out
-
     def test_batch_exact_match(self, index_dir, queries_file, capsys):
         assert main(
             ["batch", str(index_dir), str(queries_file), "--match", "exact"]

@@ -3,9 +3,9 @@
 The library's central guarantee is that all retrieval structures are
 interchangeable.  This suite drives randomly generated corpora, mappings,
 and queries through the full zoo simultaneously — the hash index (plain
-and re-mapped), the trie, the sharded scatter-gather, the compressed
-lookup (random suffix size and encoding), and the impact index — and
-requires byte-identical result sets from all of them.
+and re-mapped), the trie, the compressed lookup (random suffix size and
+encoding), and the impact index — and requires byte-identical result
+sets from all of them.
 """
 
 
@@ -17,7 +17,6 @@ from repro.core.ads import AdCorpus, AdInfo, Advertisement
 from repro.core.impact_index import ImpactOrderedIndex
 from repro.core.matching import naive_broad_match
 from repro.core.queries import Query
-from repro.core.sharded import ShardedWordSetIndex
 from repro.core.tree_index import TrieWordSetIndex
 from repro.core.wordset_index import WordSetIndex
 from repro.cost.accounting import AccessTracker
@@ -63,23 +62,19 @@ def full_setup(draw):
     ]
     suffix_bits = draw(st.integers(2, 20))
     encoding = draw(st.sampled_from(["plain", "rrr", "eliasfano"]))
-    shards = draw(st.integers(1, 4))
-    return corpus, assignment, queries, suffix_bits, encoding, shards
+    return corpus, assignment, queries, suffix_bits, encoding
 
 
 class TestEveryStructureAgrees:
     @given(full_setup())
     @settings(max_examples=60, deadline=None)
     def test_broad_match_identical_everywhere(self, setup):
-        corpus, assignment, queries, suffix_bits, encoding, shards = setup
+        corpus, assignment, queries, suffix_bits, encoding = setup
         remapped_hash = WordSetIndex.from_corpus(corpus, mapping=assignment)
         structures = [
             WordSetIndex.from_corpus(corpus),
             remapped_hash,
             TrieWordSetIndex.from_corpus(corpus, mapping=assignment),
-            ShardedWordSetIndex.from_corpus(
-                corpus, num_shards=shards, mapping=assignment
-            ),
             CompressedWordSetIndex.from_index(
                 remapped_hash,
                 suffix_bits=suffix_bits,

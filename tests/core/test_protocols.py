@@ -16,7 +16,6 @@ from repro.core.ads import AdCorpus, AdInfo, Advertisement
 from repro.core.impact_index import ImpactOrderedIndex
 from repro.core.matching import MatchType, naive_broad_match
 from repro.core.queries import Query
-from repro.core.sharded import ShardedWordSetIndex
 from repro.core.tree_index import TrieWordSetIndex
 from repro.core.wordset_index import WordSetIndex
 
@@ -57,10 +56,6 @@ def build_trie(corpus):
     return TrieWordSetIndex.from_corpus(corpus)
 
 
-def build_sharded(corpus):
-    return ShardedWordSetIndex.from_corpus(corpus, num_shards=3)
-
-
 def build_impact(corpus):
     return ImpactOrderedIndex.from_corpus(corpus)
 
@@ -96,7 +91,6 @@ def build_tiered(corpus, tmp_path_factory):
 BUILDERS = {
     "WordSetIndex": build_wordset,
     "TrieWordSetIndex": build_trie,
-    "ShardedWordSetIndex": build_sharded,
     "ImpactOrderedIndex": build_impact,
     "CompressedWordSetIndex": build_compressed,
 }

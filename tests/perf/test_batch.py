@@ -1,12 +1,12 @@
-"""Tests for the deduplicating, shard-parallel batch query engine."""
+"""Tests for the deduplicating batch query engine."""
 
 import pytest
 
 from repro.core.ads import AdCorpus, AdInfo, Advertisement
 from repro.core.matching import MatchType
 from repro.core.queries import Query
-from repro.core.sharded import ShardedWordSetIndex
 from repro.core.wordset_index import WordSetIndex
+from repro.obs import MetricsRegistry
 from repro.perf.batch import BatchQueryEngine
 from repro.resilience import Deadline, DegradedReason, ManualClock
 
@@ -27,19 +27,27 @@ def ids(results):
     return [sorted(a.info.listing_id for a in batch) for batch in results]
 
 
+def counted(index):
+    """An engine over ``index`` and the registry its counters land in."""
+    registry = MetricsRegistry()
+    return BatchQueryEngine(index, obs=registry), registry
+
+
+def count(registry, name):
+    return registry.counter(f"batch.{name}").value
+
+
 class TestDedup:
     def test_same_wordset_computed_once(self, corpus):
-        index = WordSetIndex.from_corpus(corpus)
-        engine = BatchQueryEngine(index)
+        engine, registry = counted(WordSetIndex.from_corpus(corpus))
         batch = [
             Query.from_text("w1 common x1"),
             Query.from_text("common w1 x1"),  # same word-set, other order
             Query.from_text("common"),
         ]
         results = engine.query_broad_batch(batch)
-        assert engine.stats.queries == 3
-        assert engine.stats.distinct_wordsets == 2
-        assert engine.stats.dedup_rate() == pytest.approx(1 / 3)
+        assert count(registry, "queries") == 3
+        assert count(registry, "distinct_wordsets") == 2
         assert ids(results)[0] == ids(results)[1]
 
     def test_results_are_independent_copies(self, corpus):
@@ -50,11 +58,11 @@ class TestDedup:
         assert second  # clearing one position must not affect the other
 
     def test_stats_accumulate_across_batches(self, corpus):
-        engine = BatchQueryEngine(WordSetIndex.from_corpus(corpus))
+        engine, registry = counted(WordSetIndex.from_corpus(corpus))
         engine.query_broad_batch([Query.from_text("common")])
         engine.query_broad_batch([Query.from_text("common")])
-        assert engine.stats.batches == 2
-        assert engine.stats.queries == 2
+        assert count(registry, "batches") == 2
+        assert count(registry, "queries") == 2
 
     def test_empty_batch(self, corpus):
         engine = BatchQueryEngine(WordSetIndex.from_corpus(corpus))
@@ -81,31 +89,13 @@ class TestOrderEquivalence:
         sequential = [index.query(q) for q in self.queries()]
         assert ids(batch) == ids(sequential)
 
-    @pytest.mark.parametrize("max_workers", [None, 1, 2])
-    def test_matches_sequential_sharded(self, corpus, max_workers):
-        sharded = ShardedWordSetIndex.from_corpus(corpus, num_shards=3)
-        engine = BatchQueryEngine(sharded, max_workers=max_workers)
-        batch = engine.query_broad_batch(self.queries())
-        sequential = [sharded.query(q) for q in self.queries()]
-        assert ids(batch) == ids(sequential)
-        # Shard-order gather: exact result order matches scatter-gather.
-        assert [
-            [a.info.listing_id for a in b] for b in batch
-        ] == [[a.info.listing_id for a in s] for s in sequential]
-
-    def test_sharded_default_engine(self, corpus):
-        sharded = ShardedWordSetIndex.from_corpus(corpus, num_shards=2)
-        got = BatchQueryEngine(sharded).query_broad_batch(self.queries())
-        want = [sharded.query(q) for q in self.queries()]
-        assert ids(got) == ids(want)
-
 
 class TestMatchTypes:
     def test_phrase_and_exact_dedup_on_tokens(self):
         index = WordSetIndex.from_corpus(
             AdCorpus([ad("used books", 1), ad("books used", 2)])
         )
-        engine = BatchQueryEngine(index)
+        engine, registry = counted(index)
         batch = [
             Query.from_text("used books"),
             Query.from_text("books used"),  # same word-set, different tokens
@@ -113,7 +103,7 @@ class TestMatchTypes:
         exact = engine.query_batch(batch, MatchType.EXACT)
         assert ids(exact) == [[1], [2]]
         # Token-keyed dedup: two distinct token sequences, no sharing.
-        assert engine.stats.distinct_wordsets == 2
+        assert count(registry, "distinct_wordsets") == 2
 
 
 class TickingIndex:
@@ -159,8 +149,3 @@ class TestDeadlineWithoutIndexSupport:
         assert ids(got) == ids([inner.query(q) for q in batch])
         assert not deadline.partial
 
-
-class TestValidation:
-    def test_rejects_bad_worker_count(self, corpus):
-        with pytest.raises(ValueError):
-            BatchQueryEngine(WordSetIndex.from_corpus(corpus), max_workers=0)

@@ -86,11 +86,11 @@ class TestDeadline:
         assert not deadline.partial
         assert deadline.primary_reason() is DegradedReason.NONE
         deadline.mark_partial(DegradedReason.DEADLINE)
-        deadline.mark_partial(DegradedReason.PARTIAL_SHARDS)
+        deadline.mark_partial(DegradedReason.PROBES_CAPPED)
         assert deadline.partial
         assert deadline.partial_reasons == (
             DegradedReason.DEADLINE,
-            DegradedReason.PARTIAL_SHARDS,
+            DegradedReason.PROBES_CAPPED,
         )
         assert deadline.primary_reason() is DegradedReason.DEADLINE
 

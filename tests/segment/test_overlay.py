@@ -1,25 +1,21 @@
 """``TieredSegmentedIndex`` as the mutable index over packed segments:
-overlay inserts, per-ad tombstone counts, crash-safe full compaction,
-and the sharded wrapper."""
+overlay inserts, per-ad tombstone counts, per-query deadlines and
+crash-safe full compaction."""
 
 from collections import Counter
 
 import pytest
 
-from repro.core.ads import AdCorpus, AdInfo, Advertisement
+from repro.core.ads import AdInfo, Advertisement
 from repro.core.queries import Query
-from repro.core.sharded import ShardedWordSetIndex
 from repro.core.wordset_index import WordSetIndex
-from repro.datagen.corpus import CorpusConfig, generate_corpus
 from repro.faults import FaultInjector, InjectedCrash, tear_tail
 from repro.obs import MetricsRegistry
 from repro.resilience.deadline import Deadline, DegradedReason
 from repro.segment import (
     TIERED_CRASHPOINTS,
-    ShardedSegmentedIndex,
     TieredConfig,
     TieredSegmentedIndex,
-    pack_corpus_tiered,
 )
 from repro.segment.format import (
     CRASH_MANIFEST_SWAPPED,
@@ -363,55 +359,3 @@ class TestCompactionCrashes:
             assert list(tmp_path.glob("*.tmp"))  # read-only: not swept
             assert_matches(reopened, BASE_ADS)
 
-
-class TestSharded:
-    def test_pack_corpus_matches_sharded_wordset_index(self, tmp_path):
-        generated = generate_corpus(CorpusConfig(num_ads=600, seed=2))
-        oracle = ShardedWordSetIndex.from_corpus(
-            generated.corpus, num_shards=4
-        )
-        with pack_corpus_tiered(
-            generated.corpus, tmp_path, num_shards=4
-        ) as packed:
-            assert len(packed.shards) == 4
-            assert len(packed) == len(generated.corpus)
-            for i, a in enumerate(generated.corpus):
-                assert packed.shard_of(a.words) == oracle.shard_of(a.words)
-                if i % 29 == 0:
-                    query = Query(a.phrase + ("and", "more"))
-                    assert ids(packed.query(query)) == ids(
-                        oracle.query(query)
-                    )
-
-    def test_mutations_route_to_the_owning_shard(self, tmp_path):
-        with pack_corpus_tiered(
-            AdCorpus(BASE_ADS), tmp_path, num_shards=3
-        ) as packed:
-            new = ad("fresh inventory", 10)
-            packed.insert(new)
-            assert packed.contains(new)
-            assert packed.shards[packed.shard_of(new.words)].contains(new)
-            assert packed.delete(BASE_ADS[0])
-            assert not packed.contains(BASE_ADS[0])
-            expected = [a for a in BASE_ADS if a != BASE_ADS[0]] + [new]
-            assert len(packed) == len(expected)
-            oracle = oracle_for(expected)
-            for text in PROBES + ["fresh inventory now"]:
-                query = Query.from_text(text)
-                assert ids(packed.query(query)) == ids(oracle.query(query))
-
-    def test_compact_all_rolls_every_shard(self, tmp_path):
-        with pack_corpus_tiered(
-            AdCorpus(BASE_ADS), tmp_path, num_shards=2
-        ) as packed:
-            packed.insert(ad("fresh inventory", 10))
-            paths = packed.compact_all()
-            assert paths == [shard.directory for shard in packed.shards]
-            for shard in packed.shards:
-                assert len(shard.overlay) == 0
-                assert len(shard.segments) <= 1
-            assert len(packed) == len(BASE_ADS) + 1
-
-    def test_empty_shard_list_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedSegmentedIndex([])

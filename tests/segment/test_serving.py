@@ -1,12 +1,12 @@
-"""The packed serving path plugged into the serving and distsim layers."""
+"""The packed serving path plugged into the serving layer."""
 
 import pytest
 
-from repro.core.ads import AdCorpus, AdInfo, Advertisement
+from repro.core.ads import AdInfo, Advertisement
 from repro.core.queries import Query
 from repro.core.wordset_index import WordSetIndex
 from repro.datagen.corpus import CorpusConfig, generate_corpus
-from repro.segment import TieredSegmentedIndex, pack_corpus_tiered
+from repro.segment import TieredConfig, TieredSegmentedIndex
 from repro.serving.server import AdServer
 
 
@@ -68,13 +68,16 @@ class TestAdServer:
         ]
         assert before == after
 
-    def test_serve_batch_fans_out_over_segment_shards(self, tmp_path):
+    def test_serve_batch_over_a_multi_segment_directory(self, tmp_path):
         generated = generate_corpus(CorpusConfig(num_ads=400, seed=6))
         oracle = WordSetIndex.from_corpus(generated.corpus)
-        with pack_corpus_tiered(
-            generated.corpus, tmp_path, num_shards=3
-        ) as sharded:
-            server = AdServer(sharded, slots=4, reserve_micros=1)
+        with TieredSegmentedIndex(
+            tmp_path, config=TieredConfig(seal_threshold=64, fan_in=4)
+        ) as index:
+            for a in generated.corpus:
+                index.insert(a)
+            assert len(index.segments) > 1 and len(index.overlay) > 0
+            server = AdServer(index, slots=4, reserve_micros=1)
             queries = [
                 Query(a.phrase + ("extra",))
                 for i, a in enumerate(generated.corpus)
@@ -89,39 +92,3 @@ class TestAdServer:
                     for a in oracle_server.serve(query).ads
                 ]
                 assert [a.info.listing_id for a in page.ads] == want
-
-
-class TestDistsimAdapter:
-    def test_measured_shard_service_times_live_shards(self, tmp_path):
-        from repro.distsim import measured_shard_service
-
-        with pack_corpus_tiered(
-            AdCorpus(ADS), tmp_path, num_shards=2
-        ) as sharded:
-            service = measured_shard_service(sharded.shards)
-            query = Query.from_text("cheap used books")
-            for shard in range(2):
-                ms = service(shard, query)
-                assert ms >= 0.001
-
-    def test_scatter_gather_runs_on_measured_services(self, tmp_path):
-        from repro.distsim import (
-            ScatterConfig,
-            ScatterGatherCluster,
-            measured_shard_service,
-        )
-
-        generated = generate_corpus(CorpusConfig(num_ads=200, seed=8))
-        with pack_corpus_tiered(
-            generated.corpus, tmp_path, num_shards=4
-        ) as sharded:
-            cluster = ScatterGatherCluster(
-                measured_shard_service(sharded.shards),
-                ScatterConfig(num_shards=4),
-            )
-            queries = [
-                Query(a.phrase) for a in list(generated.corpus)[:30]
-            ]
-            metrics = cluster.run(queries, arrival_rate_qps=200.0)
-            assert len(metrics.latencies_ms) > 0
-            assert all(lat > 0 for lat in metrics.latencies_ms)

@@ -21,7 +21,6 @@ from repro.segment import (
     TieredConfig,
     TieredSegmentedIndex,
     manifest_fingerprint,
-    pack_corpus_tiered,
     read_manifest,
 )
 from repro.segment.churn import ChurnConfig, run_churn_drill
@@ -560,45 +559,31 @@ class TestServingIntegration:
             # Highest-bid copy of the matching phrase wins the auction.
             assert result.outcome.candidates > 0
 
-    def test_batch_engine_over_tiered_shards(self, tmp_path):
+    def test_batch_engine_over_a_multi_segment_directory(self, tmp_path):
         from repro.perf.batch import BatchQueryEngine
 
         ads = [ad(f"batch w{i % 7} common b{i}", listing_id=i)
-               for i in range(120)]
+               for i in range(123)]
         oracle = WordSetIndex()
-        for a in ads:
-            oracle.insert(a)
-        sharded = pack_corpus_tiered(
-            ads, tmp_path, num_shards=3,
-            config=TieredConfig(seal_threshold=8, fan_in=2),
-        )
-        try:
-            engine = BatchQueryEngine(sharded)
-            batch = [Query((f"w{i}", "common", "batch")) for i in range(7)]
+        with TieredSegmentedIndex(
+            tmp_path, config=TieredConfig(seal_threshold=8, fan_in=2)
+        ) as index:
+            for a in ads[:-3]:
+                index.insert(a)
+                oracle.insert(a)
+            for a in ads[:10]:
+                assert index.delete(a)
+                oracle.delete(a)
+            for a in ads[-3:]:
+                index.insert(a)
+                oracle.insert(a)
+            assert len(index.segments) > 1
+            assert len(index.overlay) > 0
+            engine = BatchQueryEngine(index)
+            batch = [Query((f"w{i % 7}", "common", "batch")) for i in range(10)]
             results = engine.query_broad_batch(batch)
             for query, got in zip(batch, results):
                 assert ids(got) == ids(oracle.query(query))
-        finally:
-            for shard in sharded.shards:
-                shard.close()
-
-    def test_sharded_mutations_route_and_compact(self, tmp_path):
-        ads = [ad(f"route w{i % 3} common", listing_id=i) for i in range(30)]
-        sharded = pack_corpus_tiered(
-            ads, tmp_path, num_shards=2,
-            config=TieredConfig(seal_threshold=4, fan_in=2),
-        )
-        try:
-            extra = ad("route w1 common fresh", listing_id=999)
-            sharded.insert(extra)
-            assert sharded.contains(extra)
-            assert sharded.delete(ads[0])
-            assert len(sharded) == 30
-            sharded.compact_all()
-            assert len(sharded) == 30
-        finally:
-            for shard in sharded.shards:
-                shard.close()
 
     def test_worker_reloads_on_manifest_swap(self, tmp_path):
         from repro.netserve.worker import WorkerConfig, _Worker

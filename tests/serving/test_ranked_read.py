@@ -41,7 +41,6 @@ from hypothesis import strategies as st
 from repro.core.ads import AdInfo, Advertisement
 from repro.core.matching import MatchType, RankedMatches, passes_exclusions
 from repro.core.queries import Query
-from repro.core.sharded import ShardedWordSetIndex
 from repro.core.tokens import word_set
 from repro.core.wordset_index import WordSetIndex
 from repro.obs.registry import Counter, MetricsRegistry, Span
@@ -145,9 +144,7 @@ class ParentAdServer(AdServer):
         deadline = self._request_deadline(deadline)
         engine = self._batch_engine
         if engine is None or engine.index is not self.index:
-            engine = self._batch_engine = BatchQueryEngine(
-                self.index, max_workers=self.batch_workers, obs=self._obs
-            )
+            engine = self._batch_engine = BatchQueryEngine(self.index, obs=self._obs)
         obs = self._obs
         failed: dict[int, DegradedReason] = {}
         try:
@@ -324,14 +321,12 @@ def batches(draw):
 
 #: Configurations the ranked read serves, and every fallback trigger.
 RANKED = "ranked"
-FALLBACKS = ("budgets", "frequency_cap", "quality_fn", "wordset", "sharded", "tiered")
+FALLBACKS = ("budgets", "frequency_cap", "quality_fn", "wordset", "tiered")
 
 
 def make_index(kind, path, ads, cache_bytes, tmp):
     if kind == "wordset":
         return WordSetIndex.from_corpus(ads)
-    if kind == "sharded":
-        return ShardedWordSetIndex.from_corpus(ads, num_shards=2)
     if kind == "tiered":
         index = TieredSegmentedIndex(Path(tempfile.mkdtemp(dir=tmp)))
         for ad in ads:

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.core.ads import AdCorpus, AdInfo, Advertisement
 from repro.core.queries import Query
-from repro.core.sharded import ShardedWordSetIndex
 from repro.core.wordset_index import WordSetIndex
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.perf.batch import BatchQueryEngine
@@ -193,9 +192,7 @@ class ReferenceAdServer(AdServer):
         queries = [query for query, _, _ in plan]
         deadline = self._request_deadline(deadline)
         if self._batch_engine is None or self._batch_engine.index is not self.index:
-            self._batch_engine = BatchQueryEngine(
-                self.index, max_workers=self.batch_workers, obs=self._obs
-            )
+            self._batch_engine = BatchQueryEngine(self.index, obs=self._obs)
         try:
             candidate_lists = self._batch_engine.query_broad_batch(
                 queries, deadline
@@ -251,8 +248,6 @@ def counted(index):
 def build_index(kind, corpus, workdir, side):
     if kind == "wordset":
         return WordSetIndex.from_corpus(corpus)
-    if kind == "sharded":
-        return ShardedWordSetIndex.from_corpus(corpus, num_shards=3)
     path = Path(workdir) / f"{side}.seg"
     SegmentBuilder(WordSetIndex.from_corpus(corpus)).write(path)
     return PackedSegmentIndex(path)
@@ -450,7 +445,7 @@ def run_op(op, server, reference, twins, clock):
     )
 
 
-@pytest.mark.parametrize("kind", ["wordset", "packed", "sharded"])
+@pytest.mark.parametrize("kind", ["wordset", "packed"])
 @given(
     corpus=st.lists(ads, min_size=1, max_size=20),
     config=configs,

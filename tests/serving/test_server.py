@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.ads import AdCorpus, AdInfo, Advertisement
+from repro.core.impact_index import ImpactOrderedIndex
 from repro.core.queries import Query
-from repro.core.sharded import ShardedWordSetIndex
 from repro.core.tree_index import TrieWordSetIndex
 from repro.core.wordset_index import WordSetIndex
 from repro.serving import server as server_module
@@ -144,7 +144,7 @@ class TestPluggableRetrieval:
         [
             lambda c: WordSetIndex.from_corpus(c),
             lambda c: TrieWordSetIndex.from_corpus(c),
-            lambda c: ShardedWordSetIndex.from_corpus(c, num_shards=3),
+            lambda c: ImpactOrderedIndex.from_corpus(c),
         ],
     )
     def test_same_slate_any_structure(self, corpus, factory):
@@ -172,7 +172,7 @@ class TestServeBatch:
         "factory",
         [
             lambda c: WordSetIndex.from_corpus(c),
-            lambda c: ShardedWordSetIndex.from_corpus(c, num_shards=3),
+            lambda c: TrieWordSetIndex.from_corpus(c),
         ],
     )
     def test_batch_equals_sequential_serving(self, corpus, factory):
@@ -224,7 +224,7 @@ class TestServeBatch:
         server = AdServer(WordSetIndex.from_corpus(corpus), slots=2)
         server.serve_batch([Query.from_text("books")])
         first_engine = server._batch_engine
-        server.index = ShardedWordSetIndex.from_corpus(corpus, num_shards=2)
+        server.index = TrieWordSetIndex.from_corpus(corpus)
         result = server.serve_batch([Query.from_text("cheap used books")])
         assert server._batch_engine is not first_engine
         assert [a.info.listing_id for a in result[0].ads] == [3, 1]

@@ -146,9 +146,11 @@ class TestServeResultRoundTrip:
         with pytest.raises(WireSchemaError):
             ServeResult.from_dict(encoded)
 
-    def test_retired_stale_cache_reason_raises_schema_error(self):
+    @pytest.mark.parametrize("reason", ["stale_cache", "partial_shards"])
+    def test_retired_stale_cache_reason_raises_schema_error(self, reason):
+        """A peer still sending a retired reason is refused cleanly."""
         encoded = self._result().to_dict()
-        encoded["degraded_reason"] = "stale_cache"
+        encoded["degraded_reason"] = reason
         with pytest.raises(WireSchemaError):
             ServeResult.from_dict(encoded)
 

@@ -55,6 +55,12 @@ class TestExports:
                 ["ReplicatedCluster", "ReplicatedRunResult", "ReplicationConfig"],
             ),
             ("repro.obs", ["WorkloadRecorder"]),
+            ("repro.segment", ["ShardedSegmentedIndex", "pack_corpus_tiered"]),
+            ("repro.resilience", ["FanoutGuard", "ShardsUnavailableError"]),
+            ("repro.perf", ["BatchStats"]),
+            ("repro.distsim", ["measured_shard_service"]),
+            ("repro.core", ["ShardedWordSetIndex"]),
+            ("repro", ["ShardedWordSetIndex"]),
         ],
     )
     def test_retired_names_stay_gone(self, module_name, names):
@@ -69,6 +75,8 @@ class TestExports:
             "repro.serving.result_cache",
             "repro.distsim.replication",
             "repro.obs.workload",
+            "repro.resilience.fanout",
+            "repro.core.sharded",
         ],
     )
     def test_retired_modules_stay_gone(self, module_name):
@@ -114,7 +122,6 @@ class TestInterchangeability:
         baselines keep it, as their native surface)."""
         from repro.compress.compressed_hash import CompressedWordSetIndex
         from repro.core.impact_index import ImpactOrderedIndex
-        from repro.core.sharded import ShardedWordSetIndex
         from repro.core.tree_index import TrieWordSetIndex
         from repro.core.wordset_index import WordSetIndex
         from repro.invindex import (
@@ -126,7 +133,6 @@ class TestInterchangeability:
         primary = (
             WordSetIndex,
             TrieWordSetIndex,
-            ShardedWordSetIndex,
             ImpactOrderedIndex,
             CompressedWordSetIndex,
         )
