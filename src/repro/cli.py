@@ -13,8 +13,7 @@ writes (:class:`~repro.segment.tiered.TieredSegmentedIndex`)::
         [--match broad] [--show] [--deadline-ms 50] [--metrics-out m.json]
     python -m repro.cli explain DIR "cheap used books"
     python -m repro.cli stats DIR \
-        [--replay queries.txt] [--resilience] [--deadline-ms 5] \
-        [--priority low|normal|high] [--metrics-format prom|json] \
+        [--replay queries.txt] [--metrics-format prom|json] \
         [--metrics-out m.prom]
     python -m repro.cli compact DIR [--merge | --full]
     python -m repro.cli serve DIR --workers 4 \
@@ -49,10 +48,8 @@ recovery (:mod:`repro.netserve.chaos`).
 
 ``--deadline-ms`` runs queries under a :mod:`repro.resilience` budget:
 retrieval stops before its next node scan when the budget expires and the
-(flagged) partial result is reported as such.  ``stats --replay
---resilience`` replays the trace through a full
-:class:`~repro.serving.server.AdServer` with adaptive degradation
-enabled and prints the resilience counters alongside the usual metrics.
+(flagged) partial result is reported as such.  ``stats --replay``
+replays a trace against the index with metrics enabled and prints them.
 """
 
 from __future__ import annotations
@@ -273,45 +270,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"read amp bound:      {stats['read_amp_bound']}")
         print(f"segment bytes:       {stats['segment_bytes']:,}")
         if registry is not None:
-            _replay(tiered, args, registry)
+            for query in _read_batch_queries(args.replay):
+                tiered.query(query)
             _emit_replay_metrics(registry, args)
     return 0
-
-
-def _replay(
-    index: TieredSegmentedIndex,
-    args: argparse.Namespace,
-    registry: MetricsRegistry,
-) -> None:
-    """Replay the trace directly, or — with ``--resilience`` — through a
-    full serving pipeline with deadline budgets and adaptive degradation,
-    printing the resulting resilience breakdown."""
-    queries = _read_batch_queries(args.replay)
-    if not args.resilience:
-        for query in queries:
-            index.query(query)
-        return
-    from repro.resilience.admission import Priority
-    from repro.resilience.degrade import DegradationPolicy
-    from repro.serving.server import AdServer
-
-    server = AdServer(
-        index,
-        degrade_on_error=True,
-        degradation=DegradationPolicy(obs=registry),
-        default_deadline_ms=args.deadline_ms,
-        obs=registry,
-    )
-    priority = Priority.from_name(args.priority)
-    for query in queries:
-        server.serve(query, priority=priority)
-    snapshot = server.stats.snapshot()
-    print("== resilience ==")
-    for key in ("queries", "shed", "degraded", "deadline_partials"):
-        print(f"{key + ':':21s}{snapshot[key]:,.0f}")
-    for key, value in snapshot.items():
-        if key.startswith("degraded_reason."):
-            print(f"{key + ':':21s}{value:,.0f}")
 
 
 def _cmd_compact(args: argparse.Namespace) -> int:
@@ -578,24 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="replay a file of queries ('-' for stdin) with metrics "
         "enabled and print/write the collected metrics",
-    )
-    stats.add_argument(
-        "--resilience",
-        action="store_true",
-        help="serve the --replay trace through the full AdServer with "
-        "adaptive degradation and print the resilience breakdown",
-    )
-    stats.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="per-query budget for --resilience replay",
-    )
-    stats.add_argument(
-        "--priority",
-        choices=("low", "normal", "high"),
-        default="normal",
-        help="priority class for --resilience replay",
     )
     stats.add_argument(
         "--metrics-format",

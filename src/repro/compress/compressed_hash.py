@@ -175,7 +175,6 @@ class CompressedWordSetIndex:
         path prunes exactly like the dict-backed index."""
         return plan_query(
             words,
-            None,
             fast_path=self.fast_path,
             vocabulary=self._vocabulary,
             size_histogram=self._size_histogram,

@@ -71,9 +71,7 @@ class WordSetIndex:
     Queries accept an optional :class:`~repro.resilience.deadline.Deadline`
     budget (``supports_deadline``): the scan checks it before each node
     it scans and returns a partial, *flagged* result instead of blowing
-    the budget, and the budget's degradation constraints
-    (``max_probes``, ``max_query_words``) tighten the probe plan before
-    enumeration.
+    the budget.
 
     Parameters
     ----------
@@ -318,7 +316,7 @@ class WordSetIndex:
         With a ``deadline``, the scan stops at budget expiry and the
         (partial) result is flagged on the deadline object.
         """
-        plan = self.probe_plan(query.words, deadline)
+        plan = self.probe_plan(query.words)
         return self._probe(query, plan, match_type, deadline)
 
     def query_kernel_batch(
@@ -332,9 +330,7 @@ class WordSetIndex:
         batch to).  A batch's plans are memoized: a lone query's would
         only grow the memo."""
         batch = list(queries)
-        plans = self._plan_memo.plans(
-            batch, deadline, self.probe_plan, self._mutation_gen
-        )
+        plans = self._plan_memo.plans(batch, self.probe_plan, self._mutation_gen)
         return [
             self._probe(query, plan, match_type, deadline)
             for query, plan in zip(batch, plans)
@@ -365,9 +361,7 @@ class WordSetIndex:
             keys = probe_keys(plan, wordhash)
         return self._scan(query, plan, keys, match_type, deadline)
 
-    def probe_plan(
-        self, words: frozenset[str], deadline: Deadline | None = None
-    ) -> ProbePlan:
+    def probe_plan(self, words: frozenset[str]) -> ProbePlan:
         """The probe plan a broad-match over ``words`` executes
         (:func:`repro.kernels.pipeline.plan_query` over this index's
         live prefilter state).  ``explain`` and the analytic cost model
@@ -376,7 +370,6 @@ class WordSetIndex:
         """
         return plan_query(
             words,
-            deadline,
             fast_path=self.fast_path,
             vocabulary=self._vocab_refcount,
             size_histogram=self._size_histogram,

@@ -8,8 +8,8 @@ algorithm, written once for
 the bulk operations over flat arrays that take the CPython interpreter
 overhead *per probe* out of their loops:
 
-* :mod:`repro.kernels.pipeline` — how a query's words become a
-  budget-tightened probe plan and an ordered stream of probe keys, and
+* :mod:`repro.kernels.pipeline` — how a query's words become a probe
+  plan and an ordered stream of probe keys, and
   the one rule (:func:`~repro.kernels.pipeline.bulk_membership`) for
   whether a plan's keys are tested in bulk or streamed;
 * :mod:`repro.kernels.flat` — subset-hash enumeration flattened into
@@ -35,11 +35,11 @@ importable, else python).
 reach the scan, return bit-identical result slates and record identical
 observability counters (``index.probes``, ``segment.probes``, node-scan
 and candidate counts) and ``AccessStats`` for any fault-free untimed
-query, including plans capped by degradation constraints: each index
-has one probe body and one node-scan body, and the rule only changes
-*how fast* the same probes run.  A timed deadline is checked before
-each node scan on either way, so an expired budget never scans another
-node.
+query: each index has one probe body and one node-scan body, and the
+rule only changes *how fast* the same probes run.  A timed deadline is
+checked before each node scan either way, so an expired budget never
+scans another node, and a budget that runs out mid-query cuts both
+ways' results at the same node.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ A broad-match query runs the same four steps against every hash-shaped
 index (``WordSetIndex``, ``PackedSegmentIndex``,
 ``CompressedWordSetIndex``):
 
-1. **plan** — cut the query to its rarest words, prune to the locator
-   vocabulary and the locator sizes present, then tighten by the
-   request's degradation budget (:func:`plan_query`);
+1. **plan** — cut the query to its rarest words, then prune to the
+   locator vocabulary and the locator sizes present (:func:`plan_query`);
 2. **keys** — enumerate the plan's subsets as an ordered stream of
    64-bit probe keys (:func:`probe_keys` per probe, or
    :func:`repro.kernels.flat.flat_probe_keys` as one array);
@@ -30,13 +29,12 @@ from itertools import accumulate
 from typing import Any
 
 from repro.core.queries import Query
-from repro.core.subset_enum import sized_subsets
+from repro.core.subset_enum import sized_subsets, truncate_query
 from repro.core.wordhash import word_contrib, wordhash
 from repro.kernels import active_backend
 from repro.kernels.probe import split_by_query
 from repro.perf.memohash import hashed_index_subsets
-from repro.perf.prefilter import ProbePlan, plan_for_query
-from repro.resilience.deadline import Deadline, DegradedReason
+from repro.perf.prefilter import ProbePlan, naive_plan, plan_probes
 
 try:
     import numpy as _np
@@ -70,7 +68,6 @@ BULK_MIN_KEYS = 64
 
 def plan_query(
     words: frozenset[str],
-    deadline: Deadline | None,
     *,
     fast_path: bool,
     vocabulary: Container[str],
@@ -83,38 +80,18 @@ def plan_query(
 
     On the fast path the plan prunes to locator-vocabulary words and
     locator sizes actually present; with ``fast_path=False`` it is the
-    paper's unpruned Section IV-B enumeration.
-
-    A ``deadline`` carrying degradation constraints tightens the plan:
-    ``max_query_words`` hardens the Section IV truncation cutoff,
-    ``max_probes`` caps the enumeration
-    (:meth:`~repro.perf.prefilter.ProbePlan.capped`); either tightening
-    marks the budget partial with an explicit reason.
+    paper's unpruned Section IV-B enumeration.  Either way the query is
+    first cut to its ``max_query_words`` rarest words.  A plan depends
+    only on the index's configuration and prefilter state, never on a
+    request's deadline.
     """
-    cutoff = max_query_words
-    if deadline is not None and deadline.max_query_words is not None:
-        cutoff = min(cutoff, deadline.max_query_words)
-    plan = plan_for_query(
-        words,
-        fast_path=fast_path,
-        vocabulary=vocabulary,
-        size_histogram=size_histogram,
-        max_words=max_words,
-        max_query_words=cutoff,
-        selectivity=selectivity,
-    )
-    if deadline is not None:
-        # TRUNCATED means the *budget's* tighter cutoff dropped words
-        # the index's own configuration would have kept — ordinary
-        # long-query truncation is normal operation, not degradation.
-        if min(len(words), max_query_words) > cutoff:
-            deadline.mark_partial(DegradedReason.TRUNCATED)
-        if deadline.max_probes is not None:
-            capped = plan.capped(deadline.max_probes)
-            if capped is not plan:
-                deadline.mark_partial(DegradedReason.PROBES_CAPPED)
-                plan = capped
-    return plan
+    cut = truncate_query(words, max_query_words, selectivity)
+    was_cut = cut != words
+    if fast_path:
+        return plan_probes(
+            cut, vocabulary, size_histogram, max_words, truncated=was_cut
+        )
+    return naive_plan(cut, max_words, truncated=was_cut)
 
 
 def probe_keys(
@@ -157,14 +134,11 @@ def bulk_membership(
 
 
 class PlanMemo:
-    """Bounded word-set -> :class:`ProbePlan` LRU for deadline-free
-    batches.
+    """Bounded word-set -> :class:`ProbePlan` LRU for a batch's plans.
 
     Plans depend only on an index's prefilter state, so one
     ``generation``'s plans are reusable until the next mutation; an
-    immutable index never changes generation.  A deadline can carry
-    request-specific degradation constraints (and must record
-    partiality marks), so queries under one bypass the memo.
+    immutable index never changes generation.
     """
 
     #: One power-law head.
@@ -179,13 +153,10 @@ class PlanMemo:
     def plans(
         self,
         queries: Sequence[Query],
-        deadline: Deadline | None,
-        plan: Callable[[frozenset[str], Deadline | None], ProbePlan],
+        plan: Callable[[frozenset[str]], ProbePlan],
         generation: int = 0,
     ) -> list[ProbePlan]:
-        """``plan(query.words, deadline)`` for every query, memoized."""
-        if deadline is not None:
-            return [plan(query.words, deadline) for query in queries]
+        """``plan(query.words)`` for every query, memoized."""
         cache = self.cache
         if generation != self._generation:
             cache.clear()
@@ -195,7 +166,7 @@ class PlanMemo:
             words = query.words
             cached = cache.get(words)
             if cached is None:
-                cached = cache[words] = plan(words, None)
+                cached = cache[words] = plan(words)
                 if len(cache) > self.MAX_PLANS:
                     cache.popitem(last=False)
             else:

@@ -473,7 +473,6 @@ class _Worker:
             "served": self.served,
             "errors": self.errors,
             "wire_errors": self.wire_errors,
-            "shed": self.server.stats.shed,
             "degraded": self.server.stats.degraded,
             "generation": self._generation,
             "serve_ms": {

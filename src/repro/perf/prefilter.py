@@ -8,8 +8,8 @@ locator sizes present in the index's size histogram — the two structural
 facts :class:`~repro.core.wordset_index.WordSetIndex` maintains online.
 
 The resulting :class:`ProbePlan` is the single source of truth for probe
-enumeration: every hash-shaped index executes it through
-:mod:`repro.kernels.pipeline`,
+enumeration: every hash-shaped index builds it with
+:func:`repro.kernels.pipeline.plan_query` and executes it there,
 :func:`repro.core.explain.explain_broad_match` replays it, and
 :func:`repro.cost.workload_cost.cost_hash_index` prices it analytically —
 which is how tracker accounting and the cost model stay reconciled.
@@ -25,11 +25,10 @@ query), so dropping the probe drops no matches.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Container, Mapping
+from collections.abc import Container, Mapping
 from dataclasses import dataclass
-from math import comb
 
-from repro.core.subset_enum import subset_count, truncate_query
+from repro.core.subset_enum import subset_count
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,38 +51,6 @@ class ProbePlan:
     def probe_count(self) -> int:
         """Exact number of hash probes executing this plan performs."""
         return subset_count(len(self.candidates), self.sizes)
-
-    def capped(self, max_probes: int) -> ProbePlan:
-        """A plan bounded to at most ``max_probes`` hash probes.
-
-        The overload-degradation knob (see :mod:`repro.resilience`):
-        subset sizes are kept smallest-first — small subsets are both
-        the cheap end of the ``C(n, i)`` explosion and the locators
-        re-mapping concentrates ads onto — and whole sizes are dropped
-        from the top until the plan fits.  Returns ``self`` unchanged
-        when it already fits; a genuinely capped plan is marked
-        ``truncated`` so callers can flag the result as partial.
-        """
-        if max_probes < 1:
-            raise ValueError("max_probes must be >= 1")
-        if self.probe_count() <= max_probes:
-            return self
-        kept: list[int] = []
-        total = 0
-        n = len(self.candidates)
-        for size in self.sizes:
-            cost = comb(n, size)
-            if total + cost > max_probes:
-                break
-            kept.append(size)
-            total += cost
-        return ProbePlan(
-            words=self.words,
-            truncated=True,
-            candidates=self.candidates,
-            sizes=tuple(kept),
-            pruned=self.pruned,
-        )
 
 
 def plan_probes(
@@ -111,33 +78,6 @@ def plan_probes(
         sizes=sizes,
         pruned=True,
     )
-
-
-def plan_for_query(
-    words: frozenset[str],
-    *,
-    fast_path: bool,
-    vocabulary: Container[str],
-    size_histogram: Mapping[int, int],
-    max_words: int | None,
-    max_query_words: int,
-    selectivity: Callable[[str], int] | None = None,
-) -> ProbePlan:
-    """Words to plan, before any request budget.
-
-    Applies the long-query cutoff, then builds either the pruned plan
-    (against the index's locator vocabulary and size histogram) or the
-    paper's naive enumeration.  Indexes reach it only through
-    :func:`repro.kernels.pipeline.plan_query`, which adds the
-    deadline's tightening.
-    """
-    cut = truncate_query(words, max_query_words, selectivity)
-    was_cut = cut != words
-    if fast_path:
-        return plan_probes(
-            cut, vocabulary, size_histogram, max_words, truncated=was_cut
-        )
-    return naive_plan(cut, max_words, truncated=was_cut)
 
 
 def naive_plan(

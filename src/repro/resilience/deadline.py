@@ -3,25 +3,20 @@
 A :class:`Deadline` is created once per request at the serving edge and
 threaded through every layer the request touches: the ad server, the
 batch engine, the tiered index's segment legs, and the index probe loops
-themselves.  It carries three things:
+themselves.  It carries two things:
 
 1. **the time budget** — ``expired()`` / ``remaining_ms()`` against an
    injectable millisecond clock (wall time in production,
    :class:`ManualClock` in tests);
-2. **degradation constraints** — optional ``max_probes`` /
-   ``max_query_words`` overrides the adaptive
-   :class:`~repro.resilience.degrade.DegradationPolicy` tightens under
-   pressure, which the probe planner applies on top of the index's own
-   configuration (the paper's Section IV truncation knob, pulled at
-   request granularity);
-3. **the partiality record** — any layer that returns early calls
+2. **the partiality record** — any layer that returns early calls
    :meth:`mark_partial` with a :class:`DegradedReason`, so the caller
    always knows *that* and *why* a result is incomplete.  A partial
    result is never silent.
 
-The clock is read lazily: an unlimited deadline never touches the clock,
-so passing ``Deadline.unlimited()`` purely to carry constraints costs
-nothing on the probe path.
+A deadline never changes what a query plans: the paper's one bound on a
+query's work is the Section IV truncation fixed in the index
+configuration (``max_words`` / ``max_query_words``).  The clock is read
+lazily: an unlimited deadline never touches the clock.
 """
 
 from __future__ import annotations
@@ -67,16 +62,15 @@ class ManualClock:
 class DegradedReason(Enum):
     """Why a response is not the full-fidelity answer.
 
-    Shared by every degradation path — load shedding, deadline expiry,
-    probe capping, query truncation, and the ``degrade_on_error``
-    empty slate — so a :class:`~repro.serving.server.ServeResult`
-    always carries one machine-readable cause instead of an inexplicable
-    empty list.
+    Shared by every degradation path — the frontend's load shedding and
+    its empty slate for a failed retrieval, and deadline expiry — so a
+    :class:`~repro.serving.server.ServeResult` always carries one
+    machine-readable cause instead of an inexplicable empty list.
     """
 
     #: The full-fidelity answer; nothing was degraded.
     NONE = "none"
-    #: Retrieval raised and the server degraded to an empty slate.
+    #: Retrieval raised and the frontend answered with an empty slate.
     RETRIEVAL_ERROR = "retrieval_error"
     #: Admission control shed the request: token bucket empty.
     SHED_CAPACITY = "shed_capacity"
@@ -85,15 +79,10 @@ class DegradedReason(Enum):
     #: The deadline expired mid-query; the result covers only the probes
     #: executed before expiry.
     DEADLINE = "deadline"
-    #: The probe plan was capped below the full enumeration.
-    PROBES_CAPPED = "probes_capped"
-    #: Query truncation was tightened below the index's configuration.
-    TRUNCATED = "truncated"
 
 
 class Deadline:
-    """One request's time budget, degradation constraints, and
-    partiality record.
+    """One request's time budget and partiality record.
 
     Parameters
     ----------
@@ -101,36 +90,17 @@ class Deadline:
         Absolute expiry on ``clock``'s axis; ``None`` means unlimited.
     clock:
         Millisecond clock (default :func:`monotonic_ms`).
-    max_probes:
-        Optional cap on hash probes per index query (see
-        :meth:`~repro.perf.prefilter.ProbePlan.capped`).
-    max_query_words:
-        Optional tightening of the index's query-truncation cutoff.
     """
 
-    __slots__ = (
-        "_expires_at_ms",
-        "_clock",
-        "max_probes",
-        "max_query_words",
-        "_partial_reasons",
-    )
+    __slots__ = ("_expires_at_ms", "_clock", "_partial_reasons")
 
     def __init__(
         self,
         expires_at_ms: float | None = None,
         clock: ClockMs | None = None,
-        max_probes: int | None = None,
-        max_query_words: int | None = None,
     ) -> None:
-        if max_probes is not None and max_probes < 1:
-            raise ValueError("max_probes must be >= 1")
-        if max_query_words is not None and max_query_words < 1:
-            raise ValueError("max_query_words must be >= 1")
         self._expires_at_ms = expires_at_ms
         self._clock: ClockMs = clock if clock is not None else monotonic_ms
-        self.max_probes = max_probes
-        self.max_query_words = max_query_words
         self._partial_reasons: list[DegradedReason] = []
 
     # -------------------------------------------------------------- #
@@ -138,37 +108,18 @@ class Deadline:
 
     @classmethod
     def after_ms(
-        cls,
-        budget_ms: float,
-        clock: ClockMs | None = None,
-        max_probes: int | None = None,
-        max_query_words: int | None = None,
+        cls, budget_ms: float, clock: ClockMs | None = None
     ) -> Deadline:
         """A deadline ``budget_ms`` from now on ``clock``'s axis."""
         if budget_ms <= 0:
             raise ValueError("budget_ms must be positive")
         clock = clock if clock is not None else monotonic_ms
-        return cls(
-            expires_at_ms=clock() + budget_ms,
-            clock=clock,
-            max_probes=max_probes,
-            max_query_words=max_query_words,
-        )
+        return cls(expires_at_ms=clock() + budget_ms, clock=clock)
 
     @classmethod
-    def unlimited(
-        cls,
-        max_probes: int | None = None,
-        max_query_words: int | None = None,
-        clock: ClockMs | None = None,
-    ) -> Deadline:
-        """No time limit — a pure carrier for degradation constraints
-        and the partiality record."""
-        return cls(
-            clock=clock,
-            max_probes=max_probes,
-            max_query_words=max_query_words,
-        )
+    def unlimited(cls, clock: ClockMs | None = None) -> Deadline:
+        """No time limit — a pure carrier for the partiality record."""
+        return cls(clock=clock)
 
     # -------------------------------------------------------------- #
     # Budget
@@ -186,26 +137,6 @@ class Deadline:
         if expires is None:
             return float("inf")
         return max(0.0, expires - self._clock())
-
-    def tighten(
-        self,
-        max_probes: int | None = None,
-        max_query_words: int | None = None,
-    ) -> None:
-        """Apply degradation constraints, keeping the strictest of the
-        existing and the new value for each knob."""
-        if max_probes is not None:
-            if self.max_probes is None:
-                self.max_probes = max_probes
-            else:
-                self.max_probes = min(self.max_probes, max_probes)
-        if max_query_words is not None:
-            if self.max_query_words is None:
-                self.max_query_words = max_query_words
-            else:
-                self.max_query_words = min(
-                    self.max_query_words, max_query_words
-                )
 
     # -------------------------------------------------------------- #
     # Partiality record

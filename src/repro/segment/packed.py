@@ -503,17 +503,13 @@ class PackedSegmentIndex:
     # ------------------------------------------------------------------ #
     # Query processing
 
-    def probe_plan(
-        self, words: frozenset[str], deadline: Deadline | None = None
-    ) -> ProbePlan:
+    def probe_plan(self, words: frozenset[str]) -> ProbePlan:
         """:func:`repro.kernels.pipeline.plan_query` over the header's
         persisted prefilter state — probe-for-probe identical to the
-        source ``WordSetIndex``, and degraded by a ``deadline`` exactly
-        as the mutable index is.
+        source ``WordSetIndex``.
         """
         return plan_query(
             words,
-            deadline,
             fast_path=self.fast_path,
             vocabulary=self._vocab,
             size_histogram=self._size_histogram,
@@ -556,7 +552,7 @@ class PackedSegmentIndex:
         the scan before its next node; the partial result is flagged on
         the budget object, not returned silently.
         """
-        plan = self.probe_plan(query.words, deadline)
+        plan = self.probe_plan(query.words)
         return self._probe(query, plan, match_type, deadline, None, top)
 
     @overload
@@ -591,7 +587,7 @@ class PackedSegmentIndex:
         batch's plans are memoized: a lone query's would only grow the
         memo."""
         batch = list(queries)
-        plans = self._plan_memo.plans(batch, deadline, self.probe_plan)
+        plans = self._plan_memo.plans(batch, self.probe_plan)
         hits = self._bulk_hits(plans, deadline)
         return [
             self._probe(query, plan, match_type, deadline, hits.get(at), top)

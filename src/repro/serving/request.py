@@ -93,7 +93,9 @@ class ServeRequest:
         Caller identity for frequency capping; must be JSON-scalar
         (str/int/None) to cross the wire.
     priority:
-        Admission-control class (lowest sheds first under overload).
+        Admission-control class the netserve frontend sheds by (lowest
+        first under overload); :class:`~repro.serving.server.AdServer`
+        does not read it.
     deadline_ms:
         Relative retrieval budget in milliseconds; the serialized form.
         ``None`` leaves the request unbudgeted.

@@ -39,10 +39,8 @@ from repro.obs.registry import (
     Span,
     active_or_none,
 )
-from repro.perf.batch import BatchQueryEngine, Candidates, query_one
-from repro.resilience.admission import AdmissionController, Priority
+from repro.perf.batch import BatchQueryEngine, Candidates
 from repro.resilience.deadline import ClockMs, Deadline, DegradedReason
-from repro.resilience.degrade import DegradationPolicy
 from repro.serving.auction import AuctionOutcome, SlotAward, run_gsp_auction
 from repro.serving.request import (
     ServeRequest,
@@ -72,17 +70,13 @@ class ServingStats:
       clipped to the campaign's remaining budget).  Impressions alone
       never move revenue: sponsored search bills per click, not per
       impression.
-    * ``retrieval_errors`` — retrieval raised and the server degraded to
-      an empty candidate set (only with ``degrade_on_error=True``).
-    * ``shed`` — requests refused by admission control *before* the
-      pipeline ran (shed requests do **not** count in ``queries``).
-    * ``degraded`` — served queries whose result was flagged degraded in
-      any way (partial, truncated, capped, ...).
+    * ``degraded`` — served queries whose result was flagged degraded
+      (a deadline that expired mid-retrieval).
     * ``deadline_partials`` — served queries whose deadline expired
       mid-retrieval.
     * ``degraded_reasons`` — per-:class:`DegradedReason` breakdown of
-      every non-``NONE`` outcome (shed and degraded alike); surfaced by
-      :meth:`snapshot` as ``degraded_reason.<value>`` keys.
+      every non-``NONE`` outcome; surfaced by :meth:`snapshot` as
+      ``degraded_reason.<value>`` keys.
     """
 
     queries: int = 0
@@ -93,8 +87,6 @@ class ServingStats:
     impressions: int = 0
     clicks: int = 0
     revenue_micros: int = 0
-    retrieval_errors: int = 0
-    shed: int = 0
     degraded: int = 0
     deadline_partials: int = 0
     degraded_reasons: dict[str, int] = field(default_factory=dict)
@@ -144,9 +136,9 @@ class ServeResult:
     query: Query
     outcome: AuctionOutcome
     #: Why (if at all) this result is less than the full answer:
-    #: :attr:`DegradedReason.NONE` for a normal serve, a shed reason for
-    #: a request admission refused, or the primary degradation cause for
-    #: a partial/truncated result.  Always machine-readable —
+    #: :attr:`DegradedReason.NONE` for a normal serve, the primary
+    #: cause for a partial result, or (in a frontend-built result) the
+    #: shed or retrieval-error reason.  Always machine-readable —
     #: degraded results are flagged, never silent.
     degraded_reason: DegradedReason = DegradedReason.NONE
 
@@ -248,8 +240,6 @@ _FINISH_COUNTERS = (
 _COUNTERS = (
     ("serve.clicks", "Clicks recorded"),
     ("serve.revenue_micros", "GSP revenue charged on clicks"),
-    ("serve.retrieval_errors", "Queries degraded to empty results by retrieval errors"),
-    ("serve.shed", "Requests refused by admission control"),
 )
 
 
@@ -271,19 +261,6 @@ class AdServer:
         Optional quality score per ad for the GSP ranking.
     frequency_cap:
         Max times one listing may be shown to the same user id.
-    degrade_on_error:
-        When True, a retrieval failure (an index mid-recovery, a
-        corrupted segment) serves an empty candidate set — an unfilled
-        auction — instead of propagating, and counts
-        ``serve.retrieval_errors``.  Off by default: silent degradation
-        must be an explicit operator choice.
-    admission:
-        Optional :class:`~repro.resilience.admission.AdmissionController`;
-        requests it refuses get an immediate empty :class:`ServeResult`
-        carrying the shed reason, without touching the pipeline.
-    degradation:
-        Optional :class:`~repro.resilience.degrade.DegradationPolicy`;
-        its current ladder level tightens every request's deadline budget.
     default_deadline_ms:
         Per-request retrieval budget applied when the caller passes no
         explicit deadline; ``None`` (the default) leaves requests
@@ -306,9 +283,6 @@ class AdServer:
         campaign_budgets_micros: dict[int, int] | None = None,
         quality_fn: Callable[[Advertisement], float] | None = None,
         frequency_cap: int | None = None,
-        degrade_on_error: bool = False,
-        admission: AdmissionController | None = None,
-        degradation: DegradationPolicy | None = None,
         default_deadline_ms: float | None = None,
         clock: ClockMs | None = None,
         obs: MetricsRegistry | None = None,
@@ -322,9 +296,6 @@ class AdServer:
         self.reserve_micros = reserve_micros
         self.quality_fn = quality_fn
         self.frequency_cap = frequency_cap
-        self.degrade_on_error = degrade_on_error
-        self.admission = admission
-        self.degradation = degradation
         self.default_deadline_ms = default_deadline_ms
         self._clock = clock
         self._budgets = dict(campaign_budgets_micros or {})
@@ -378,7 +349,6 @@ class AdServer:
         self,
         request: ServeRequest | Query,
         user_id: object = None,
-        priority: Priority = Priority.NORMAL,
         deadline: Deadline | None = None,
     ) -> ServeResult:
         """Run the full pipeline for one request: a batch of one.
@@ -394,108 +364,34 @@ class AdServer:
                 "pass per-request fields inside the ServeRequest, "
                 "not as keyword arguments"
             )
-        return self.serve_batch([request], user_id, priority, deadline)[0]
-
-    def _request_deadline(self, deadline: Deadline | None) -> Deadline | None:
-        """The effective budget: caller's, or one from
-        ``default_deadline_ms``; either way tightened by the degradation
-        ladder.  ``None`` only when no resilience feature asks for one —
-        the baseline path stays budget-free."""
-        degradation = self.degradation
-        if degradation is not None:
-            degradation.on_query()
-        if deadline is None:
-            if self.default_deadline_ms is not None:
-                deadline = Deadline.after_ms(
-                    self.default_deadline_ms, clock=self._clock
-                )
-            elif degradation is not None and degradation.degraded:
-                deadline = Deadline.unlimited(clock=self._clock)
-        if deadline is not None and degradation is not None:
-            degradation.tighten(deadline)
-        return deadline
-
-    def _shed(self, query: Query, reason: DegradedReason) -> ServeResult:
-        """An explicit refused-at-the-door result: empty auction, the
-        shed reason attached, no pipeline work done."""
-        self.stats.shed += 1
-        self.stats.record_reason(reason)
-        if self._obs is not None:
-            self._obs.counter("serve.shed").inc()
-        outcome = run_gsp_auction(
-            [],
-            slots=self.slots,
-            reserve_micros=self.reserve_micros,
-            quality_fn=self.quality_fn,
-        )
-        return ServeResult(query=query, outcome=outcome, degraded_reason=reason)
-
-    def _degraded(self) -> list[Advertisement]:
-        """Count one degraded query; serve the empty candidate set."""
-        self.stats.retrieval_errors += 1
-        if self._obs is not None:
-            self._obs.counter("serve.retrieval_errors").inc()
-        return []
-
-    def _retry_alone(
-        self,
-        queries: list[Query],
-        deadline: Deadline | None,
-        error: Exception,
-    ) -> tuple[list[Candidates], dict[int, DegradedReason]]:
-        """The failure rule, applied per position once the batched
-        retrieval raised ``error``: each query is retried alone (a lone
-        query already was); one that still fails is answered with an
-        empty slate flagged ``RETRIEVAL_ERROR`` under
-        ``degrade_on_error``, else its error propagates.  Returns the
-        candidate lists and the reason of every position that failed."""
-        candidate_lists: list[Candidates] = []
-        failed: dict[int, DegradedReason] = {}
-        for position, query in enumerate(queries):
-            if len(queries) > 1:
-                try:
-                    candidate_lists.append(
-                        query_one(self.index, query, deadline=deadline)
-                    )
-                    continue
-                except Exception as exc:
-                    error = exc
-            if self.degrade_on_error:
-                failed[position] = DegradedReason.RETRIEVAL_ERROR
-                candidate_lists.append(self._degraded())
-            else:
-                raise error
-        return candidate_lists, failed
+        return self.serve_batch([request], user_id, deadline)[0]
 
     def serve_batch(
         self,
         requests: Iterable[ServeRequest | Query],
         user_id: object = None,
-        priority: Priority = Priority.NORMAL,
         deadline: Deadline | None = None,
     ) -> list[ServeResult]:
-        """The serving pipeline: admission, one batched retrieval, then
-        the sequential filter/auction pipeline per query.
+        """The serving pipeline: one batched retrieval, then the
+        sequential filter/auction pipeline per query.
 
         ``requests`` is a homogeneous sequence of either bare
         :class:`Query` objects (the pre-redesign signature: ``user_id``
-        and ``priority`` apply to every position) or
-        :class:`ServeRequest` objects, each carrying its own user id and
-        admission priority.  With ``ServeRequest`` items the batch
-        budget is the explicit ``deadline`` argument when given,
+        applies to every position) or :class:`ServeRequest` objects,
+        each carrying its own user id.  With ``ServeRequest`` items the
+        batch budget is the explicit ``deadline`` argument when given,
         otherwise the *tightest* of the items' own budgets (one deadline
-        always covers the whole batch).  The budget is then built from
-        ``default_deadline_ms`` when absent and tightened by the
-        degradation ladder.
+        always covers the whole batch).  Absent both, the budget is
+        built from ``default_deadline_ms``.
 
-        Admission control admits each position individually before the
-        batched retrieval runs; shed positions get flagged empty results
-        without touching retrieval.  Retrieval deduplicates identical
-        word-sets (:class:`BatchQueryEngine`); filters, budgets,
-        frequency caps, and auctions then run in input order, so every
-        stateful outcome (budget pacing, caps) is identical to serving
-        the queries one by one.  A failing retrieval follows the
-        per-position rule of :meth:`_retry_alone`.
+        Retrieval deduplicates identical word-sets
+        (:class:`BatchQueryEngine`); filters, budgets, frequency caps,
+        and auctions then run in input order, so every stateful outcome
+        (budget pacing, caps) is identical to serving the queries one
+        by one.  A failing retrieval propagates: admission, shedding
+        and the answer to a failed request belong to the netserve
+        frontend, and re-serving a failed batch's items one by one to
+        the worker.
         """
         items = list(requests)
         as_requests = bool(items) and isinstance(items[0], ServeRequest)
@@ -506,50 +402,48 @@ class AdServer:
                 "serve_batch takes all ServeRequests or all Queries, not a mix"
             )
         if as_requests:
-            if user_id is not None or priority is not Priority.NORMAL:
+            if user_id is not None:
                 raise TypeError(
                     "pass per-request fields inside the ServeRequests, "
                     "not as keyword arguments"
                 )
-            plan = [(item.query, item.user_id, item.priority) for item in items]
+            plan = [(item.query, item.user_id) for item in items]
             if deadline is None:
                 deadline = self._tightest_deadline(items)
         else:
-            plan = [(query, user_id, priority) for query in items]
-        admission = self.admission
-        if admission is None:
-            return self._serve_batch_admitted(plan, deadline)
-        admitted = []
-        shed_at: dict[int, DegradedReason] = {}
-        for position, (query, uid, prio) in enumerate(plan):
-            decision = admission.try_admit(prio)
-            if decision.admitted:
-                admitted.append((query, uid, prio))
-            else:
-                shed_at[position] = decision.reason
-        try:
-            results = self._serve_batch_admitted(admitted, deadline)
-        finally:
-            for _ in admitted:
-                admission.release()
-        if not shed_at:
-            return results
-        merged: list[ServeResult] = []
-        served = iter(results)
-        for position, (query, _, _) in enumerate(plan):
-            reason = shed_at.get(position)
-            if reason is not None:
-                merged.append(self._shed(query, reason))
-            else:
-                merged.append(next(served))
-        return merged
+            plan = [(query, user_id) for query in items]
+        if not plan:
+            return []
+        if deadline is None and self.default_deadline_ms is not None:
+            deadline = Deadline.after_ms(
+                self.default_deadline_ms, clock=self._clock
+            )
+        queries = [query for query, _ in plan]
+        engine = self._batch_engine
+        if engine is None or engine.index is not self.index:
+            engine = self._batch_engine = BatchQueryEngine(self.index, obs=self._obs)
+        top = self.slots + 1 if ranked_read(self) else None
+        if self._obs is None:
+            candidate_lists = engine.query_broad_batch(queries, deadline, top)
+        else:
+            with Span(self._span("retrieve")):
+                candidate_lists = engine.query_broad_batch(queries, deadline, top)
+        reason = DegradedReason.NONE
+        if deadline is not None:
+            reason = deadline.primary_reason()
+            if DegradedReason.DEADLINE in deadline.partial_reasons:
+                self.stats.deadline_partials += len(queries)
+        return [
+            self._finish(query, candidates, uid, reason)
+            for (query, uid), candidates in zip(plan, candidate_lists)
+        ]
 
     def _tightest_deadline(
         self, items: list[ServeRequest]
     ) -> Deadline | None:
         """The batch budget for ServeRequest items: the member deadline
         with the least remaining time (an untimed deadline counts as
-        infinite but still carries its degradation constraints)."""
+        infinite)."""
         tightest = None
         for item in items:
             deadline = item.resolve_deadline(self._clock)
@@ -559,47 +453,6 @@ class AdServer:
             ):
                 tightest = deadline
         return tightest
-
-    def _serve_batch_admitted(
-        self,
-        plan: list[tuple[Query, object, Priority]],
-        deadline: Deadline | None,
-    ) -> list[ServeResult]:
-        if not plan:
-            return []
-        queries = [query for query, _, _ in plan]
-        deadline = self._request_deadline(deadline)
-        engine = self._batch_engine
-        if engine is None or engine.index is not self.index:
-            engine = self._batch_engine = BatchQueryEngine(self.index, obs=self._obs)
-        obs = self._obs
-        top = self.slots + 1 if ranked_read(self) else None
-        failed: dict[int, DegradedReason] = {}
-        candidate_lists: list[Candidates]
-        try:
-            if obs is None:
-                candidate_lists = engine.query_broad_batch(queries, deadline, top)
-            else:
-                with Span(self._span("retrieve")):
-                    candidate_lists = engine.query_broad_batch(
-                        queries, deadline, top
-                    )
-        except Exception as exc:
-            candidate_lists, failed = self._retry_alone(queries, deadline, exc)
-        reason = (
-            deadline.primary_reason()
-            if deadline is not None
-            else DegradedReason.NONE
-        )
-        if deadline is not None and deadline.partial:
-            if DegradedReason.DEADLINE in deadline.partial_reasons:
-                self.stats.deadline_partials += len(queries) - len(failed)
-        return [
-            self._finish(query, candidates, uid, failed.get(position, reason))
-            for position, ((query, uid, _), candidates) in enumerate(
-                zip(plan, candidate_lists)
-            )
-        ]
 
     def _finish(
         self,

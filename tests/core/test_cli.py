@@ -224,22 +224,10 @@ class TestExplainAndStats:
         out = capsys.readouterr().out
         assert "repro_segment_queries_total 2" in out
 
-    def test_stats_replay_resilience_breakdown(self, index_dir, tmp_path, capsys):
-        queries = tmp_path / "q.txt"
-        queries.write_text("cheap used books\nused books\n")
-        assert main(
-            ["stats", str(index_dir), "--replay", str(queries), "--resilience"]
-        ) == 0
-        out = capsys.readouterr().out
-        breakdown = out.split("== resilience ==\n", 1)[1]
-        rows = dict(re.findall(r"^(\w+):\s+(\d+)$", breakdown, re.M))
-        assert rows == {
-            "queries": "2",
-            "shed": "0",
-            "degraded": "0",
-            "deadline_partials": "0",
-        }
-        assert "stale_results" not in out
+    def test_stats_resilience_replay_is_gone(self, index_dir, trace_tsv):
+        for flag in (["--resilience"], ["--deadline-ms", "5"], ["--priority", "low"]):
+            with pytest.raises(SystemExit):
+                main(["stats", str(index_dir), "--replay", str(trace_tsv), *flag])
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

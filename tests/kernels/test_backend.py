@@ -209,13 +209,10 @@ class TestEngaged:
         assert not deadline.partial
 
     @needs_numpy
-    def test_untimed_constraint_deadline_engages(self, build, flat_calls):
-        deadline = Deadline.unlimited(max_probes=100)
+    def test_untimed_deadline_keeps_the_size_rule(self, build, flat_calls):
+        deadline = Deadline.unlimited()
         assert bulk_plans(build(), flat_calls, [LONG], deadline) == 1
-        # A cap below the threshold leaves a plan that streams.
-        capped = Deadline.unlimited(max_probes=12)
-        assert bulk_plans(build(), flat_calls, [LONG], capped) == 0
-        assert capped.partial
+        assert not deadline.partial
 
     def test_swapped_hash_forces_per_probe_loop(self, build):
         """Flat key arrays are built from the canonical per-word

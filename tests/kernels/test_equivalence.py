@@ -7,11 +7,13 @@ exactly the slates — same ads, same order — the per-probe loop the
 size rule replaced returns (kept verbatim in
 :mod:`tests.kernels.test_probe_path`), and record identical
 observability counters, including against a forced-collision segment
-(``suffix_bits=1`` maps every node onto one or two ``B^sig`` bits) and
-under probe-capped degraded plans.
+(``suffix_bits=1`` maps every node onto one or two ``B^sig`` bits).  A
+deadline that runs out mid-batch cuts every backend's slates at the same
+node.
 """
 
 import string
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,6 +23,7 @@ from repro.core.ads import AdCorpus, AdInfo, Advertisement
 from repro.core.queries import Query
 from repro.core.wordhash import word_contrib
 from repro.core.wordset_index import WordSetIndex
+import repro.kernels.pipeline as pipeline
 from repro.kernels import numpy_available, set_backend
 from repro.kernels.flat import clear_caches, flat_probe_keys
 from repro.obs.registry import MetricsRegistry
@@ -138,24 +141,66 @@ def test_packed_segment_backends_bit_identical(tmp_path_factory, data, bits):
     )
 
 
+class Ticks:
+    """A clock that advances one millisecond per read."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+def run_ticking(ads, queries, backend, all_bulk, spend_at):
+    """One batch under a deadline spent at clock read ``spend_at``: the
+    slates, the counters, the partiality reasons and how many times the
+    clock was read."""
+    obs = MetricsRegistry()
+    index = WordSetIndex.from_corpus(AdCorpus(ads), obs=obs)
+    clock = Ticks()
+    deadline = Deadline(spend_at, clock=clock)
+    set_backend(backend)
+    try:
+        with mock.patch.object(
+            pipeline, "BULK_MIN_KEYS", 0 if all_bulk else pipeline.BULK_MIN_KEYS
+        ):
+            results = index.query_kernel_batch(queries, deadline=deadline)
+    finally:
+        set_backend(None)
+    return (
+        slate_ids(results),
+        obs.snapshot()["counters"],
+        deadline.partial_reasons,
+        clock.now,
+    )
+
+
 @settings(
-    max_examples=20,
+    max_examples=30,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(corpus_and_queries, st.integers(min_value=1, max_value=5))
-def test_probe_capped_partials_bit_identical(data, max_probes):
-    """An untimed deadline carrying ``max_probes`` tightens the plan
-    before enumeration; the capped (partial) slates and the recorded
-    degradation reasons must match the per-probe loop exactly."""
+@given(corpus_and_queries, st.integers(min_value=1, max_value=12))
+def test_ticking_deadline_partials_bit_identical(data, spend_at):
+    """A deadline on a clock that ticks once per read runs out part way
+    through a batch.  Every way a plan's keys reach the scan reads the
+    clock at the same checks (before a query's first key and before each
+    node scan), so streamed plans (``python``), the size rule and every
+    plan in bulk (``numpy``) cut at the same node: the partial slates,
+    the counters and the partiality reasons must be identical."""
     ads, queries = data
-    assert_backends_agree(
-        lambda parent, obs: (
-            ParentWordSetIndex if parent else WordSetIndex
-        ).from_corpus(AdCorpus(ads), obs=obs),
+    streamed = run_ticking(ads, queries, "python", False, spend_at)
+    if numpy_available():
+        for all_bulk in (False, True):
+            assert run_ticking(ads, queries, "numpy", all_bulk, spend_at) == streamed
+    unbudgeted = run_backend(
+        lambda parent, obs: WordSetIndex.from_corpus(AdCorpus(ads), obs=obs),
         queries,
-        deadline_factory=lambda: Deadline.unlimited(max_probes=max_probes),
-    )
+        "python",
+    )[0]
+    for cut, full in zip(streamed[0], unbudgeted):
+        assert set(cut) <= set(full)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="flat keys need numpy")

@@ -7,23 +7,28 @@ bound ``AccessTracker``, a timed deadline, a swapped hash, or a lone
 dispatch, both per-probe ``_scan`` loops and the bulk membership they
 were fed (the sorted key table of the mutable index, the ``B^sig`` pass
 of the segment) are kept here *verbatim* as ``ParentWordSetIndex`` and
-``ParentPackedSegmentIndex``.  Four edits only: ``active_backend`` is
+``ParentPackedSegmentIndex``.  Five edits only: ``active_backend`` is
 the parent's backend choice (``PARENT_BACKEND``, which could be
 ``off``), ``deadline.timed`` is the parent's property body (``_timed``),
 the python-backend branches, which no reference here runs, are left
 out (the parent's ``flat_probe_keys(..., "numpy")`` is the
 combination-matrix enumerator kept verbatim in
-:mod:`tests.kernels.test_flat_levels`), and the segment's scan makes
-format version 3's fingerprint test after its ``B^sig`` test.
+:mod:`tests.kernels.test_flat_levels`), the segment's scan makes
+format version 3's fingerprint test after its ``B^sig`` test, and plans
+are built without the deadline (``probe_plan(words)``).
 
 On Hypothesis corpora, including ``suffix_bits=1`` segments (every node
-on one or two ``B^sig`` bits) and ``max_probes``-capped plans, the index
-under test must return the same slates, ``index.*`` / ``segment.*`` /
+on one or two ``B^sig`` bits) and timed deadlines, the index under test
+must return the same slates, ``index.*`` / ``segment.*`` /
 ``resilience.*`` counters, ``AccessStats`` and partiality reasons as the
 reference, for lone queries and batches, with every plan streamed
 (``python``), with plans on both sides of ``BULK_MIN_KEYS`` (up to
 eight query words, 255 keys), and with every plan in bulk
-(``BULK_MIN_KEYS`` patched to 0).
+(``BULK_MIN_KEYS`` patched to 0).  Against the reference no deadline
+runs out (it checked a budget before every key, the index under test
+before each node scan); a deadline on a ticking clock that runs out
+part way must cut the index under test at the same node in all three
+modes.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from repro.core.matching import MatchType, apply_match_type
 from repro.core.queries import Query
 from repro.core.wordhash import wordhash
 from repro.core.wordset_index import HASH_BUCKET_BYTES, WordSetIndex
-from repro.cost.accounting import AccessTracker
+from repro.cost.accounting import AccessStats, AccessTracker
 from repro.kernels import numpy_available, set_backend
 from repro.kernels.pipeline import (
     HashFn,
@@ -173,7 +178,7 @@ class ParentWordSetIndex(WordSetIndex):
         With a ``deadline``, the probe loop stops at budget expiry and
         the (partial) result is flagged on the deadline object.
         """
-        plan = self.probe_plan(query.words, deadline)
+        plan = self.probe_plan(query.words)
         # ``wordhash`` as this module binds it: collision tests swap the
         # binding, and probes must hash the way inserts did.
         return self._scan(
@@ -278,9 +283,7 @@ class ParentWordSetIndex(WordSetIndex):
         backend = engaged(self, deadline, wordhash)
         if backend is None:
             return [self.query(q, match_type, deadline) for q in queries]
-        plans = self._plan_memo.plans(
-            queries, deadline, self.probe_plan, self._mutation_gen
-        )
+        plans = self._plan_memo.plans(queries, self.probe_plan, self._mutation_gen)
         keys_per = [
             flat_probe_keys(plan.candidates, plan.sizes, backend)
             for plan in plans
@@ -326,7 +329,7 @@ class ParentPackedSegmentIndex(PackedSegmentIndex):
         probes; the partial result is flagged on the budget object, not
         returned silently.
         """
-        plan = self.probe_plan(query.words, deadline)
+        plan = self.probe_plan(query.words)
         return self._scan(query, plan, probe_keys(plan), match_type, deadline)
 
     def _scan(
@@ -470,7 +473,7 @@ class ParentPackedSegmentIndex(PackedSegmentIndex):
         backend = engaged(self, deadline)
         if backend is None:
             return [self.query(q, match_type, deadline) for q in batch]
-        plans = self._plan_memo.plans(batch, deadline, self.probe_plan)
+        plans = self._plan_memo.plans(batch, self.probe_plan)
         keys_per = [
             flat_probe_keys(plan.candidates, plan.sizes, backend)
             for plan in plans
@@ -510,8 +513,10 @@ queries_strategy = st.lists(
     min_size=1,
     max_size=5,
 )
-#: ``(op, queries, match type, max_probes)``; ``insert`` adds the
-#: queries' ads to a mutable index between probes.
+#: ``(op, queries, match type, spend_at)``; ``insert`` adds the
+#: queries' ads to a mutable index between probes.  ``spend_at`` is
+#: ``None`` (no deadline) or the clock read at which a :class:`Ticks`
+#: deadline runs out, so a call's slates are cut part way.
 script_strategy = st.lists(
     st.tuples(
         st.sampled_from(["query", "batch", "insert"]),
@@ -553,20 +558,64 @@ def parent_backend(request, monkeypatch):
     return request.param
 
 
+#: A budget no script spends: a timed deadline that never runs out.
+UNSPENT = 10**9
+
+
+class Ticks:
+    """A clock that advances one millisecond per read."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+class NodeReads:
+    """A clock that advances one millisecond per node record ``index``
+    reads off its mapping (see :func:`count_node_reads`)."""
+
+    def __init__(self, index) -> None:
+        self.index = index
+        self.start = index.node_reads
+
+    def __call__(self) -> float:
+        return float(self.index.node_reads - self.start)
+
+
+def count_node_reads(index):
+    """Count the node records a ``PackedSegmentIndex`` reads."""
+    index.node_reads = 0
+    node_chunk = index._node_chunk
+
+    def counted(node_index):
+        index.node_reads += 1
+        return node_chunk(node_index)
+
+    index._node_chunk = counted
+    return index
+
+
 def slate_ids(slates):
     """Order-preserving identity: the same ads in the same order."""
     return [[(ad.phrase, ad.info.listing_id) for ad in ads] for ads in slates]
 
 
-def run_script(make_index, script):
+def run_script(
+    make_index, script, spend=lambda spend_at: spend_at, clock=lambda index: Ticks()
+):
     """Everything observable from one script: per call the slates and
     partiality reasons of a registry-bound and a tracker-bound index,
-    then the registry's counters and the tracker's ``AccessStats``."""
+    then the registry's counters and the tracker's ``AccessStats``.
+    ``spend`` maps each row's ``spend_at`` to the budget it runs, on a
+    fresh ``clock(index)`` per call."""
     registry, tracker = MetricsRegistry(), AccessTracker()
     indexes = (make_index(obs=registry), make_index(tracker=tracker))
     seen = []
     try:
-        for op, queries, match_type, max_probes in script:
+        for op, queries, match_type, spend_at in script:
             if op == "insert":
                 if not hasattr(indexes[0], "insert"):
                     continue
@@ -579,8 +628,8 @@ def run_script(make_index, script):
             for index in indexes:
                 deadline = (
                     None
-                    if max_probes is None
-                    else Deadline.unlimited(max_probes=max_probes)
+                    if spend_at is None
+                    else Deadline(spend(spend_at), clock=clock(index))
                 )
                 if op == "query":
                     slates = [index.query(q, match_type, deadline) for q in queries]
@@ -597,14 +646,22 @@ def run_script(make_index, script):
     return seen
 
 
+def unspent(spend_at):
+    """The parent checked a timed budget before every key and the index
+    under test checks it before each node scan, so a budget spent part
+    way cuts the two at different keys; against the parent every
+    deadline is timed and never runs out."""
+    return UNSPENT
+
+
 @SETTINGS
 @given(ads=ads_strategy, script=script_strategy)
 def test_wordset_index_matches_the_parent(mode, parent_backend, ads, script):
     def make(cls):
         return lambda **kw: cls.from_corpus(AdCorpus(ads), **kw)
 
-    assert run_script(make(WordSetIndex), script) == run_script(
-        make(ParentWordSetIndex), script
+    assert run_script(make(WordSetIndex), script, unspent) == run_script(
+        make(ParentWordSetIndex), script, unspent
     )
 
 
@@ -626,6 +683,76 @@ def test_packed_segment_matches_the_parent(
     def make(cls):
         return lambda **kw: cls(path, cache_bytes=cache_bytes, **kw)
 
-    assert run_script(make(PackedSegmentIndex), script) == run_script(
-        make(ParentPackedSegmentIndex), script
+    assert run_script(make(PackedSegmentIndex), script, unspent) == run_script(
+        make(ParentPackedSegmentIndex), script, unspent
     )
+
+
+def every_plan_streamed(mode, run):
+    """``run()`` with every plan streamed (``python``), then ``mode``'s
+    backend restored."""
+    set_backend("python")
+    try:
+        return run()
+    finally:
+        set_backend("python" if mode == "streamed" else None)
+
+
+@SETTINGS
+@given(ads=ads_strategy, script=script_strategy)
+def test_wordset_index_cuts_alike_in_every_mode(mode, ads, script):
+    """A deadline spent part way cuts the slates at the same node
+    whether plans stream, follow the size rule or all go in bulk."""
+
+    def make(**kw):
+        return WordSetIndex.from_corpus(AdCorpus(ads), **kw)
+
+    assert run_script(make, script) == every_plan_streamed(
+        mode, lambda: run_script(make, script)
+    )
+
+
+@SETTINGS
+@given(
+    ads=ads_strategy,
+    script=script_strategy,
+    cache_bytes=st.sampled_from([0, 512, 1 << 20]),
+)
+def test_packed_segment_cuts_alike_in_every_mode(
+    tmp_path_factory, mode, ads, script, cache_bytes
+):
+    """As for the mutable index, with time counted in node records read:
+    a bulk pass checks its budget once on entry, so on a clock that
+    ticks per read its cut would fall one read earlier than a streamed
+    plan's, while the node reads are the same both ways.  Only the count
+    of keys tested differs: a bulk pass tests all of a plan's keys
+    before its scan stops."""
+    path = tmp_path_factory.mktemp("probe-cut") / "seg.bin"
+    SegmentBuilder(WordSetIndex.from_corpus(AdCorpus(ads))).write(path)
+
+    def make(**kw):
+        return count_node_reads(PackedSegmentIndex(path, cache_bytes=cache_bytes, **kw))
+
+    assert without_keys_tested(run_script(make, script, clock=NodeReads)) == (
+        without_keys_tested(
+            every_plan_streamed(mode, lambda: run_script(make, script, clock=NodeReads))
+        )
+    )
+
+
+def without_keys_tested(seen):
+    """:func:`run_script`'s record without the counts of keys tested:
+    ``segment.probes`` and the tracker's probe charges."""
+    view = []
+    for item in seen:
+        if isinstance(item, dict):
+            item = {k: v for k, v in item.items() if k != "segment.probes"}
+        elif isinstance(item, AccessStats):
+            item = replace(
+                item,
+                hash_probes=0,
+                random_accesses=item.random_accesses - item.hash_probes,
+                bytes_scanned=item.bytes_scanned - 8 * item.hash_probes,
+            )
+        view.append(item)
+    return view

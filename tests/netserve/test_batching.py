@@ -377,3 +377,59 @@ class TestPoisonedBatch:
             assert batches == [["ok-1", "bad-1"], ["ok-1"], ["bad-1"]]
         finally:
             worker.close()
+
+
+class PoisonIndex:
+    """A real index that raises on any query holding the word
+    ``poison`` (and has no batch entry point, so a batch holding one
+    fails as a whole)."""
+
+    supports_deadline = True
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def query(self, query, *args):
+        if "poison" in query.words:
+            raise RuntimeError("poisoned word-set")
+        return self.inner.query(query, *args)
+
+
+class TestWorkerIsolatesAFailingRequest:
+    def test_only_the_failing_request_gets_an_error_frame(self, segment_path):
+        """The real ``AdServer`` lets the batch's failure propagate; the
+        worker alone re-serves each item as a batch of its own, so the
+        good requests are answered and only the poisoned one errors."""
+        worker = _Worker(
+            WorkerConfig(
+                segment_path=str(segment_path),
+                socket_path="/tmp/unused-isolate.sock",
+                max_batch=4,
+            )
+        )
+        try:
+            reference = AdServer(worker.index)
+            worker.server.index = PoisonIndex(worker.index)
+            texts = ("books", "poison books", "cheap used books")
+            items = [
+                _PendingServe(
+                    ServeRequest(query=Query.from_text(text), request_id=f"r{i}")
+                )
+                for i, text in enumerate(texts)
+            ]
+            worker._serve_batch(items)
+            good = [items[0], items[2]]
+            for item in good:
+                assert item.response["type"] == "result"
+                want = reference.serve(ServeRequest(query=item.request.query))
+                assert item.response["result"] == want.to_dict()
+            bad = items[1].response
+            assert bad["type"] == "error"
+            assert bad["request_id"] == "r1"
+            assert bad["retryable"] is True
+            assert "poisoned word-set" in bad["error"]
+            assert worker.errors == 1
+            assert worker.served == 2
+            assert worker.server.stats.queries == 2
+        finally:
+            worker.close()

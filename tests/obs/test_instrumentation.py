@@ -157,9 +157,7 @@ class TestBoundInstruments:
         "serve.filtered.frequency_cap": 0,
         "serve.impressions": 8,
         "serve.queries": 6,
-        "serve.retrieval_errors": 0,
         "serve.revenue_micros": 1501,
-        "serve.shed": 0,
     }
     SCRIPT_SPANS = {
         "span.auction": 6,

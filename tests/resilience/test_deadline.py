@@ -1,7 +1,7 @@
-"""Deadline budgets: clocks, expiry, constraints, and the partiality
-record — including the end-to-end property that an index's scan never
-scans a node after the budget expires, whether the plan's keys are
-streamed or tested in bulk."""
+"""Deadline budgets: clocks, expiry and the partiality record —
+including the end-to-end property that an index's scan never scans a
+node after the budget expires, whether the plan's keys are streamed or
+tested in bulk."""
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -61,36 +61,16 @@ class TestDeadline:
         with pytest.raises(ValueError):
             Deadline.after_ms(-5.0)
 
-    def test_invalid_constraints_rejected(self):
-        with pytest.raises(ValueError):
-            Deadline.unlimited(max_probes=0)
-        with pytest.raises(ValueError):
-            Deadline.unlimited(max_query_words=0)
-
-    def test_tighten_keeps_strictest(self):
-        deadline = Deadline.unlimited(max_probes=100, max_query_words=8)
-        deadline.tighten(max_probes=50, max_query_words=10)
-        assert deadline.max_probes == 50
-        assert deadline.max_query_words == 8
-        deadline.tighten(max_probes=None)
-        assert deadline.max_probes == 50
-
-    def test_tighten_sets_unset_knobs(self):
-        deadline = Deadline.unlimited()
-        deadline.tighten(max_probes=16, max_query_words=4)
-        assert deadline.max_probes == 16
-        assert deadline.max_query_words == 4
-
     def test_partiality_record(self):
         deadline = Deadline.unlimited()
         assert not deadline.partial
         assert deadline.primary_reason() is DegradedReason.NONE
         deadline.mark_partial(DegradedReason.DEADLINE)
-        deadline.mark_partial(DegradedReason.PROBES_CAPPED)
+        deadline.mark_partial(DegradedReason.RETRIEVAL_ERROR)
         assert deadline.partial
         assert deadline.partial_reasons == (
             DegradedReason.DEADLINE,
-            DegradedReason.PROBES_CAPPED,
+            DegradedReason.RETRIEVAL_ERROR,
         )
         assert deadline.primary_reason() is DegradedReason.DEADLINE
 
@@ -155,26 +135,6 @@ class TestIndexDeadline:
         deadline = Deadline.after_ms(1e9)
         assert index.query(query, deadline=deadline) == full
         assert not deadline.partial
-
-    def test_max_probes_caps_and_flags(self, corpus):
-        index = WordSetIndex.from_corpus(corpus)
-        query = Query.from_text("cheap used books")
-        full_probes = index.probe_count(query)
-        assert full_probes > 1
-        deadline = Deadline.unlimited(max_probes=1)
-        result = index.query(query, deadline=deadline)
-        assert DegradedReason.PROBES_CAPPED in deadline.partial_reasons
-        full = index.query(query)
-        assert {a.info.listing_id for a in result} <= {
-            a.info.listing_id for a in full
-        }
-
-    def test_max_query_words_truncates_and_flags(self, corpus):
-        index = WordSetIndex.from_corpus(corpus)
-        deadline = Deadline.unlimited(max_query_words=1)
-        index.query(Query.from_text("cheap used books"), deadline=deadline)
-        assert DegradedReason.TRUNCATED in deadline.partial_reasons
-
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
 

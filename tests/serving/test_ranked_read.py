@@ -7,7 +7,10 @@ drops (tested as the walk reads them) and the best ``slots + 1`` of the
 rest (``RankedMatches``), and ``_finish`` filters and auctions only
 those.  The pipeline it replaced — full match lists
 into the parent's ``_finish`` and ``run_gsp_auction`` — is kept here
-*verbatim* as ``ParentAdServer``.  On random corpora both serve the
+*verbatim* as ``ParentAdServer``, but for its batch body: the hook it
+overrode went with ``AdServer``'s admission, so it overrides
+``serve_batch`` over the bare queries this file serves, without the
+default budget and the error fallback no server here uses.  On random corpora both serve the
 same batches from their own ``PackedSegmentIndex`` over one segment
 file, and every observable must be bit-identical: each result's wire
 form (slate, prices, ``outcome.candidates``, degraded reason), the
@@ -23,9 +26,9 @@ tokens.  Every fallback trigger of
 :func:`repro.serving.server.ranked_read` is drawn too, and the test
 checks which path the predicate chose.  Deadlines are either absent or
 spent at a counted clock tick, so a scan can stop mid-way, at the same
-node on both sides; some cut the probe plan to one to three words
-(``max_query_words``), so an exclusion phrase can lie in the query's
-dropped words, where it still excludes.
+node on both sides; some indexes cut every probe plan to one to three
+words (their ``max_query_words``), so an exclusion phrase can lie in the
+query's dropped words, where it still excludes.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from repro.core.wordset_index import WordSetIndex
 from repro.obs.registry import Counter, MetricsRegistry, Span
 from repro.perf.batch import BatchQueryEngine
 from repro.resilience.deadline import Deadline, DegradedReason
-from repro.segment import PackedSegmentIndex, SegmentBuilder, TieredSegmentedIndex
+from repro.segment import PackedSegmentIndex, SegmentBuilder, TieredConfig, TieredSegmentedIndex
 from repro.segment.packed import DEFAULT_CACHE_BYTES
 from repro.serving.auction import AuctionOutcome, SlotAward
 from repro.serving.request import ad_to_dict
@@ -137,26 +140,22 @@ class ParentAdServer(AdServer):
     """``AdServer`` with the full-list retrieval and ``_finish`` it had
     before the ranked read."""
 
-    def _serve_batch_admitted(self, plan, deadline):
+    def serve_batch(self, requests, user_id=None, deadline=None):
+        plan = [(query, user_id, None) for query in requests]
         if not plan:
             return []
         queries = [query for query, _, _ in plan]
-        deadline = self._request_deadline(deadline)
         engine = self._batch_engine
         if engine is None or engine.index is not self.index:
             engine = self._batch_engine = BatchQueryEngine(self.index, obs=self._obs)
         obs = self._obs
-        failed: dict[int, DegradedReason] = {}
-        try:
-            if obs is None:
-                candidate_lists = engine.query_broad_batch(queries, deadline)
-            else:
-                with Span(self._span("retrieve")):
-                    candidate_lists = engine.query_broad_batch(
-                        queries, deadline
-                    )
-        except Exception as exc:
-            candidate_lists, failed = self._retry_alone(queries, deadline, exc)
+        if obs is None:
+            candidate_lists = engine.query_broad_batch(queries, deadline)
+        else:
+            with Span(self._span("retrieve")):
+                candidate_lists = engine.query_broad_batch(
+                    queries, deadline
+                )
         reason = (
             deadline.primary_reason()
             if deadline is not None
@@ -164,12 +163,10 @@ class ParentAdServer(AdServer):
         )
         if deadline is not None and deadline.partial:
             if DegradedReason.DEADLINE in deadline.partial_reasons:
-                self.stats.deadline_partials += len(queries) - len(failed)
+                self.stats.deadline_partials += len(queries)
         return [
-            self._finish(query, candidates, uid, failed.get(position, reason))
-            for position, ((query, uid, _), candidates) in enumerate(
-                zip(plan, candidate_lists)
-            )
+            self._finish(query, candidates, uid, reason)
+            for (query, uid, _), candidates in zip(plan, candidate_lists)
         ]
 
     def _finish(self, query, candidates, user_id, reason=DegradedReason.NONE):
@@ -324,11 +321,14 @@ RANKED = "ranked"
 FALLBACKS = ("budgets", "frequency_cap", "quality_fn", "wordset", "tiered")
 
 
-def make_index(kind, path, ads, cache_bytes, tmp):
+def make_index(kind, path, ads, cache_bytes, tmp, max_query_words):
     if kind == "wordset":
-        return WordSetIndex.from_corpus(ads)
+        return WordSetIndex.from_corpus(ads, max_query_words=max_query_words)
     if kind == "tiered":
-        index = TieredSegmentedIndex(Path(tempfile.mkdtemp(dir=tmp)))
+        index = TieredSegmentedIndex(
+            Path(tempfile.mkdtemp(dir=tmp)),
+            config=TieredConfig(max_query_words=max_query_words),
+        )
         for ad in ads:
             index.insert(ad)
         index.compact()
@@ -384,11 +384,11 @@ def serve_counters(registry):
     reserve=st.sampled_from([1, 1, 50, 400]),
     with_obs=st.booleans(),
     warm=st.booleans(),
+    max_query_words=st.sampled_from([16, 16, 1, 2, 3]),
     script=st.lists(
         st.tuples(
             batches(),
             st.sampled_from([None, None, 1, 3, 6, 12]),
-            st.sampled_from([None, None, 1, 2, 3]),
             st.booleans(),
         ),
         min_size=1,
@@ -396,12 +396,14 @@ def serve_counters(registry):
     ),
 )
 def test_ranked_read_matches_the_full_list_pipeline(
-    tmp_path, ads, kind, cache_bytes, slots, reserve, with_obs, warm, script
+    tmp_path, ads, kind, cache_bytes, slots, reserve, with_obs, warm, max_query_words, script
 ):
     path = tmp_path / "ranked.seg"
-    SegmentBuilder(WordSetIndex.from_corpus(ads)).write(path)
+    SegmentBuilder(WordSetIndex.from_corpus(ads, max_query_words=max_query_words)).write(path)
     registries = (MetricsRegistry(), MetricsRegistry()) if with_obs else (None, None)
-    indexes = [make_index(kind, path, ads, cache_bytes, tmp_path) for _ in range(2)]
+    indexes = [
+        make_index(kind, path, ads, cache_bytes, tmp_path, max_query_words) for _ in range(2)
+    ]
     try:
         server, parent = (
             make_server(cls, kind, index, slots, reserve, obs)
@@ -414,11 +416,9 @@ def test_ranked_read_matches_the_full_list_pipeline(
             for queries, *_ in script:
                 for query in queries:
                     indexes[0].query(query)
-        for queries, spend_at, max_words, with_user in script:
+        for queries, spend_at, with_user in script:
             deadlines = [
-                None
-                if spend_at is None and max_words is None
-                else Deadline(spend_at, clock=Ticks(), max_query_words=max_words)
+                None if spend_at is None else Deadline(spend_at, clock=Ticks())
                 for _ in range(2)
             ]
             user = "u1" if with_user else None
@@ -615,7 +615,7 @@ def test_a_passing_carrier_tied_at_the_floor_falls_to_list_order(
 
 @pytest.mark.parametrize("cache_bytes", [0, DEFAULT_CACHE_BYTES])
 def test_a_word_the_plan_drops_still_excludes(tmp_path, cache_bytes):
-    """``max_query_words=1`` cuts the plan of "a zz" to "a"; the carrier
+    """An index's ``max_query_words=1`` cuts the plan of "a zz" to "a"; the carrier
     on "a" excluded by "zz" must still be dropped, because exclusions
     are tested against the whole query, not the cut plan.  Kept, it
     would take one of the two places a one-slot read keeps, and the
@@ -629,7 +629,7 @@ def test_a_word_the_plan_drops_still_excludes(tmp_path, cache_bytes):
         Advertisement(phrase=("a",), info=AdInfo(listing_id=3, bid_price_micros=50)),
     ]
     path = tmp_path / "cut.seg"
-    SegmentBuilder(WordSetIndex.from_corpus(ads)).write(path)
+    SegmentBuilder(WordSetIndex.from_corpus(ads, max_query_words=1)).write(path)
     query = Query.from_text("a zz")
     results = []
     for cls in (AdServer, ParentAdServer):
@@ -637,8 +637,7 @@ def test_a_word_the_plan_drops_still_excludes(tmp_path, cache_bytes):
             if cache_bytes:
                 index.query(query)
             server = cls(index, slots=1)
-            cut = Deadline(max_query_words=1)
-            results.append((server.serve(query, deadline=cut).to_dict(), server.stats))
+            results.append((server.serve(query).to_dict(), server.stats))
     (got, got_stats), (want, want_stats) = results
     assert got == want and got_stats == want_stats
     assert [award["ad"]["listing_id"] for award in got["outcome"]["awards"]] == [2]

@@ -2,15 +2,19 @@
 
 ``AdServer.serve`` is now ``serve_batch([request])[0]``, and
 ``serve_batch`` is the only path from retrieval to ``_finish``.  The
-code they replaced — a scalar ``serve`` with its own admission,
-deadline resolution and error fallback, next to a batch path with
-another copy of each — is kept here *verbatim* as the reference.  Over
-healthy indexes every observable must stay bit-identical after every
-op: the wire form of each result, the stats snapshot, the budgets, the
-frequency-cap memory, the ``serve.*`` counters, the admission
-controller's in-flight count and the number of ``index.query`` calls
-each side made (one per lone serve: a batch of one retrieves exactly as
-a lone query always did, never through the kernel batch).
+code they replaced — a scalar ``serve`` with its own deadline
+resolution, next to a batch path with another copy of it — is kept
+here as the reference, verbatim but for three edits: the admission
+branches and the ``priority`` argument are gone (``AdServer`` no longer
+admits; the netserve frontend does), the error fallbacks are gone (the
+indexes here never raise, and ``AdServer`` now lets a failing retrieval
+propagate), and ``_request_deadline`` is the parent's without its
+degradation ladder.  Over healthy indexes every observable must stay
+bit-identical after every op: the wire form of each result, the stats
+snapshot, the budgets, the frequency-cap memory, the ``serve.*``
+counters and the number of ``index.query`` calls each side made (one
+per lone serve: a batch of one retrieves exactly as a lone query always
+did, never through the kernel batch).
 
 The reference's batch path runs the same :class:`BatchQueryEngine` as
 the server under test, so this pins the server-level refactor; what the
@@ -30,23 +34,14 @@ from repro.core.queries import Query
 from repro.core.wordset_index import WordSetIndex
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.perf.batch import BatchQueryEngine
-from repro.resilience import (
-    AdmissionConfig,
-    AdmissionController,
-    Deadline,
-    DegradedReason,
-    ManualClock,
-    Priority,
-)
+from repro.resilience import Deadline, DegradedReason, ManualClock, Priority
 from repro.segment.builder import SegmentBuilder
 from repro.segment.packed import PackedSegmentIndex
 from repro.serving.request import ServeRequest
 from repro.serving.server import AdServer, ServeResult
 
 # ---------------------------------------------------------------------- #
-# The reference: the replaced bodies, verbatim.  Its stale branch names a
-# fallback the server no longer has; the indexes here never raise, so it
-# never runs.
+# The reference: the replaced bodies, with the three edits above.
 
 
 class ReferenceAdServer(AdServer):
@@ -57,56 +52,36 @@ class ReferenceAdServer(AdServer):
         self,
         request,
         user_id=None,
-        priority=Priority.NORMAL,
         deadline=None,
     ):
         if isinstance(request, ServeRequest):
-            if (
-                user_id is not None
-                or priority is not Priority.NORMAL
-                or deadline is not None
-            ):
+            if user_id is not None or deadline is not None:
                 raise TypeError(
                     "pass per-request fields inside the ServeRequest, "
                     "not as keyword arguments"
                 )
             query = request.query
             user_id = request.user_id
-            priority = request.priority
             deadline = request.resolve_deadline(self._clock)
         else:
             query = request
-        if self.admission is not None:
-            decision = self.admission.try_admit(priority)
-            if not decision.admitted:
-                return self._shed(query, decision.reason)
-            try:
-                return self._serve_admitted(query, user_id, deadline)
-            finally:
-                self.admission.release()
         return self._serve_admitted(query, user_id, deadline)
+
+    def _request_deadline(self, deadline):
+        if deadline is None and self.default_deadline_ms is not None:
+            deadline = Deadline.after_ms(
+                self.default_deadline_ms, clock=self._clock
+            )
+        return deadline
 
     def _serve_admitted(self, query, user_id, deadline):
         obs = self._obs
         deadline = self._request_deadline(deadline)
-        try:
-            if obs is None:
+        if obs is None:
+            candidates = self._retrieve(query, deadline)
+        else:
+            with obs.span("retrieve"):
                 candidates = self._retrieve(query, deadline)
-            else:
-                with obs.span("retrieve"):
-                    candidates = self._retrieve(query, deadline)
-        except Exception:
-            stale = self._stale_fallback(query)
-            if stale is not None:
-                return self._finish(
-                    query, stale, user_id, DegradedReason.STALE_CACHE
-                )
-            if not self.degrade_on_error:
-                raise
-            candidates = self._degraded()
-            return self._finish(
-                query, candidates, user_id, DegradedReason.RETRIEVAL_ERROR
-            )
         reason = (
             deadline.primary_reason()
             if deadline is not None
@@ -128,7 +103,6 @@ class ReferenceAdServer(AdServer):
         self,
         requests,
         user_id=None,
-        priority=Priority.NORMAL,
         deadline=None,
     ):
         items = list(requests)
@@ -138,43 +112,17 @@ class ReferenceAdServer(AdServer):
                     "serve_batch takes all ServeRequests or all Queries, "
                     "not a mix"
                 )
-            if user_id is not None or priority is not Priority.NORMAL:
+            if user_id is not None:
                 raise TypeError(
                     "pass per-request fields inside the ServeRequests, "
                     "not as keyword arguments"
                 )
-            plan = [(item.query, item.user_id, item.priority) for item in items]
+            plan = [(item.query, item.user_id) for item in items]
             if deadline is None:
                 deadline = self._tightest_deadline(items)
         else:
-            plan = [(query, user_id, priority) for query in items]
-        admitted = plan
-        shed_at = {}
-        if self.admission is not None:
-            admitted = []
-            for position, (query, uid, prio) in enumerate(plan):
-                decision = self.admission.try_admit(prio)
-                if decision.admitted:
-                    admitted.append((query, uid, prio))
-                else:
-                    shed_at[position] = decision.reason
-        try:
-            results = self._serve_batch_admitted(admitted, deadline)
-        finally:
-            if self.admission is not None:
-                for _ in admitted:
-                    self.admission.release()
-        if not shed_at:
-            return results
-        merged = []
-        served = iter(results)
-        for position, (query, _, _) in enumerate(plan):
-            reason = shed_at.get(position)
-            if reason is not None:
-                merged.append(self._shed(query, reason))
-            else:
-                merged.append(next(served))
-        return merged
+            plan = [(query, user_id) for query in items]
+        return self._serve_batch_admitted(plan, deadline)
 
     def _tightest_deadline(self, items):
         resolved = [
@@ -189,23 +137,13 @@ class ReferenceAdServer(AdServer):
     def _serve_batch_admitted(self, plan, deadline):
         if not plan:
             return []
-        queries = [query for query, _, _ in plan]
+        queries = [query for query, _ in plan]
         deadline = self._request_deadline(deadline)
         if self._batch_engine is None or self._batch_engine.index is not self.index:
             self._batch_engine = BatchQueryEngine(self.index, obs=self._obs)
-        try:
-            candidate_lists = self._batch_engine.query_broad_batch(
-                queries, deadline
-            )
-        except Exception:
-            if not self.degrade_on_error:
-                raise
-            candidate_lists = []
-            for query in queries:
-                try:
-                    candidate_lists.append(self._retrieve(query, deadline))
-                except Exception:
-                    candidate_lists.append(self._degraded())
+        candidate_lists = self._batch_engine.query_broad_batch(
+            queries, deadline
+        )
         reason = (
             deadline.primary_reason()
             if deadline is not None
@@ -216,7 +154,7 @@ class ReferenceAdServer(AdServer):
                 self.stats.deadline_partials += len(queries)
         return [
             self._finish(query, candidates, uid, reason)
-            for (query, uid, _), candidates in zip(plan, candidate_lists)
+            for (query, uid), candidates in zip(plan, candidate_lists)
         ]
 
 
@@ -255,8 +193,8 @@ def build_index(kind, corpus, workdir, side):
 
 # ---------------------------------------------------------------------- #
 # Scenarios.  Small ranges everywhere, so duplicate word-sets inside a
-# batch, sheds, expired budgets, exhausted budgets and capped listings
-# all occur often.
+# batch, expired budgets, exhausted budgets and capped listings all occur
+# often.
 
 phrases = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3, unique=True)
 
@@ -299,6 +237,8 @@ request_budgets = st.one_of(
         st.tuples(st.sampled_from((5.0, 20.0)), st.sampled_from((0.0, 10.0))),
     ),
 )
+#: A request's priority rides along in every ``ServeRequest``; no side
+#: reads it.
 positions = st.tuples(queries, users, priorities, request_budgets)
 
 ops = st.one_of(
@@ -309,21 +249,12 @@ ops = st.one_of(
         st.lists(positions, min_size=1, max_size=5).map(
             lambda items: items + items[:1] if len(items) % 2 else items
         ),
-        st.tuples(users, priorities),
+        users,
         budgets,
         st.booleans(),
     ),
     st.tuples(st.just("click"), st.integers(0, 3)),
     st.tuples(st.just("advance"), st.sampled_from((1.0, 50.0, 500.0))),
-)
-
-admissions = st.sampled_from(
-    (
-        None,
-        AdmissionConfig(rate_per_s=100.0, burst=4.0),
-        AdmissionConfig(max_queue_depth=2),
-        AdmissionConfig(rate_per_s=50.0, burst=3.0, max_queue_depth=3),
-    )
 )
 
 configs = st.fixed_dictionaries(
@@ -397,9 +328,6 @@ def observables(server, registry):
             for metric in registry
             if isinstance(metric, Counter) and metric.name.startswith("serve.")
         },
-        "inflight": (
-            server.admission.inflight if server.admission is not None else None
-        ),
         "index_calls": server.index.query_calls,
     }
 
@@ -409,7 +337,7 @@ def run_op(op, server, reference, twins, clock):
     kind = op[0]
     if kind == "serve":
         _, position, budget, as_request = op
-        query, user, priority, spec = position
+        query, user, _, spec = position
         if as_request:
             got_request, want_request = twins.requests(position)
             age(clock, spec[1] if spec and spec[0] == "obj" else None)
@@ -417,10 +345,10 @@ def run_op(op, server, reference, twins, clock):
         got_deadline, want_deadline = twins.deadlines(budget)
         age(clock, budget)
         return (
-            [server.serve(query, user, priority, got_deadline)],
-            [reference.serve(query, user, priority, want_deadline)],
+            [server.serve(query, user, got_deadline)],
+            [reference.serve(query, user, want_deadline)],
         )
-    _, items, (user, priority), budget, as_request = op
+    _, items, user, budget, as_request = op
     got_deadline, want_deadline = twins.deadlines(budget)
     if as_request:
         pairs = [twins.requests(position) for position in items]
@@ -440,8 +368,8 @@ def run_op(op, server, reference, twins, clock):
     batch = [query for query, *_ in items]
     age(clock, budget)
     return (
-        server.serve_batch(batch, user, priority, got_deadline),
-        reference.serve_batch(batch, user, priority, want_deadline),
+        server.serve_batch(batch, user, got_deadline),
+        reference.serve_batch(batch, user, want_deadline),
     )
 
 
@@ -449,13 +377,12 @@ def run_op(op, server, reference, twins, clock):
 @given(
     corpus=st.lists(ads, min_size=1, max_size=20),
     config=configs,
-    admission=admissions,
     script=st.lists(ops, min_size=1, max_size=10),
     with_obs=st.booleans(),
 )
 @settings(max_examples=100, deadline=None)
 def test_one_pipeline_matches_the_two_it_replaced(
-    kind, corpus, config, admission, script, with_obs
+    kind, corpus, config, script, with_obs
 ):
     clock = ManualClock()
     twins = Twins(clock)
@@ -469,11 +396,6 @@ def test_one_pipeline_matches_the_two_it_replaced(
             sides.append(
                 cls(
                     index,
-                    admission=(
-                        AdmissionController(admission, clock=clock)
-                        if admission is not None
-                        else None
-                    ),
                     clock=clock,
                     obs=obs if with_obs else None,
                     **config,
@@ -531,7 +453,6 @@ def test_argument_errors_match(pair):
     query = Query.from_text("used books")
     calls = [
         lambda s: s.serve(request, user_id="u1"),
-        lambda s: s.serve(request, priority=Priority.HIGH),
         lambda s: s.serve(request, deadline=Deadline.unlimited()),
         lambda s: s.serve_batch([request, query]),
         lambda s: s.serve_batch([query, request]),

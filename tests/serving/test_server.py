@@ -267,7 +267,10 @@ class _BrokenIndex:
         return getattr(self._inner, name)
 
 
-class TestDegradeOnError:
+class TestRetrievalErrors:
+    """A failing retrieval propagates; answering it is the frontend's
+    job (an empty slate flagged ``RETRIEVAL_ERROR``)."""
+
     def test_retrieval_errors_propagate_by_default(self, corpus):
         server = AdServer(
             _BrokenIndex(WordSetIndex.from_corpus(corpus)), slots=2
@@ -275,41 +278,16 @@ class TestDegradeOnError:
         with pytest.raises(RuntimeError, match="retrieval exploded"):
             server.serve(Query.from_text("used books"))
 
-    def test_degraded_serve_returns_empty_slate(self, corpus):
-        server = AdServer(
-            _BrokenIndex(WordSetIndex.from_corpus(corpus)),
-            slots=2,
-            degrade_on_error=True,
-        )
-        result = server.serve(Query.from_text("used books"))
-        assert result.ads == []
-        assert server.stats.retrieval_errors == 1
-        assert server.stats.queries == 1
-
-    def test_degraded_errors_count_into_obs(self, corpus):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        server = AdServer(
-            _BrokenIndex(WordSetIndex.from_corpus(corpus)),
-            slots=2,
-            degrade_on_error=True,
-        )
-        server.bind_obs(registry)
-        server.serve(Query.from_text("used books"))
-        server.serve(Query.from_text("books"))
-        assert registry.value("serve.retrieval_errors") == 2
-
-    def test_batch_falls_back_per_query_on_engine_failure(self, corpus):
+    def test_batch_engine_failure_propagates(self, corpus):
         index = WordSetIndex.from_corpus(corpus)
-        server = AdServer(index, slots=2, degrade_on_error=True)
+        server = AdServer(index, slots=2)
 
         # Sabotage only the batch engine; per-query retrieval still works.
         class BrokenEngine:
             def __init__(self, index):
                 self.index = index
 
-            def query_broad_batch(self, queries):
+            def query_broad_batch(self, queries, deadline=None, top=None):
                 raise RuntimeError("batch engine down")
 
         server._batch_engine = BrokenEngine(index)
@@ -317,12 +295,6 @@ class TestDegradeOnError:
             Query.from_text("used books"),
             Query.from_text("cheap used books"),
         ]
-        results = server.serve_batch(queries)
-        sequential = AdServer(
-            WordSetIndex.from_corpus(corpus), slots=2
-        )
-        expected = [
-            sequential.serve(q).ads for q in queries
-        ]
-        assert [r.ads for r in results] == expected
-        assert server.stats.retrieval_errors == 0
+        with pytest.raises(RuntimeError, match="batch engine down"):
+            server.serve_batch(queries)
+        assert server.stats.queries == 0

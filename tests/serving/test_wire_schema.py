@@ -146,7 +146,9 @@ class TestServeResultRoundTrip:
         with pytest.raises(WireSchemaError):
             ServeResult.from_dict(encoded)
 
-    @pytest.mark.parametrize("reason", ["stale_cache", "partial_shards"])
+    @pytest.mark.parametrize(
+        "reason", ["stale_cache", "partial_shards", "truncated", "probes_capped"]
+    )
     def test_retired_stale_cache_reason_raises_schema_error(self, reason):
         """A peer still sending a retired reason is refused cleanly."""
         encoded = self._result().to_dict()
@@ -183,7 +185,7 @@ class TestServeRequestApi:
         with pytest.raises(TypeError):
             server.serve(request, user_id="u1")
         with pytest.raises(TypeError):
-            server.serve(request, priority=Priority.HIGH)
+            server.serve(request, deadline=Deadline.unlimited())
 
     def test_serve_batch_mixing_styles_is_an_error(self):
         server, _ = self._servers()

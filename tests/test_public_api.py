@@ -61,6 +61,10 @@ class TestExports:
             ("repro.distsim", ["measured_shard_service"]),
             ("repro.core", ["ShardedWordSetIndex"]),
             ("repro", ["ShardedWordSetIndex"]),
+            (
+                "repro.resilience",
+                ["DegradationPolicy", "DegradationLevel", "DEFAULT_LADDER"],
+            ),
         ],
     )
     def test_retired_names_stay_gone(self, module_name, names):
@@ -77,6 +81,7 @@ class TestExports:
             "repro.obs.workload",
             "repro.resilience.fanout",
             "repro.core.sharded",
+            "repro.resilience.degrade",
         ],
     )
     def test_retired_modules_stay_gone(self, module_name):
