@@ -1,147 +1,87 @@
 """The asyncio frontend: admission, routing, and clean shedding.
 
 The frontend owns the TCP listener clients speak to.  Per request it
-does exactly three things — **admit** (PR 5's priority token bucket,
-so overload sheds lowest-priority first, at the door, before any
-worker sees the request), **route** (pick a healthy worker connection;
-a per-worker :class:`~repro.resilience.breaker.CircuitBreaker` tracks
-transport health so a wedged worker stops receiving traffic), and
-**relay** (forward the client's already-encoded ``serve`` frame bytes
-verbatim and stream the worker's ``result`` frame bytes back — the
-frontend decodes the request JSON once for admission and never
-re-encodes either side).
+**admits** (a priority token bucket sheds lowest-priority first, at the
+door), **routes** (a per-worker
+:class:`~repro.resilience.breaker.CircuitBreaker` keeps a wedged worker
+out of rotation) and **answers**.  A request the sharing layers below
+do not serve is relayed as the client's frame bytes and answered with
+the worker's reply bytes; one they serve is decoded for its key, and
+its answer is the shared worker reply re-encoded per client.
 
-Failure policy is *shed clean, never hang*:
+It runs on :class:`asyncio.Protocol` callbacks: a client connection
+splits frames with a :class:`~repro.netserve.wire.FrameSplitter`, and a
+cache hit is answered inside ``data_received`` with one
+``transport.write``, with no task, timeout or future per frame.  A
+reply that must wait (a worker trip, a ``stats`` probe) holds its place
+in the connection's reply queue, so replies keep request order; a
+client that stops reading its replies stops having its frames read.
 
-* a shed request is answered immediately with an empty ``result``
-  frame flagged with the shed reason — same schema as a full answer;
-* a torn/oversized/garbage client frame ends that client connection
-  (oversized gets a typed ``error`` frame first; a torn frame has no
-  trustworthy framing left to answer into);
-* a worker transport fault feeds the breaker, the frame is retried on
-  the next worker, and only when every worker is unavailable does the
-  client get a ``retrieval_error``-degraded empty result.
+*Shed clean, never hang*: a shed request gets an empty ``result``
+flagged with the reason; a torn, oversized (typed ``error`` first),
+garbage or idle client loses its connection.  A worker transport fault
+(torn reply, closed connection, timeout) feeds the breaker and the
+request is retried once on a *different* worker
+(``frontend.worker_failovers``); a worker channel hands back only whole
+reply frames, so the retry cannot duplicate output.  Only when no
+worker answers does the client get a ``retrieval_error`` result.
 
-Two opt-in layers exploit duplicate-heavy (Zipf) traffic, both OFF by
-default so the relay path above stays byte-for-byte what PR 7 shipped:
-
-* **singleflight coalescing** (``coalesce=True``): identical in-flight
-  serve frames — same :func:`~repro.netserve.coalesce.canonical_serve_key`
-  — share one worker round trip; every client still receives its own
-  ``request_id``-stamped reply (``frontend.coalesced`` counts the
-  followers);
-* **result cache** (``cache_entries>0``): a bounded
-  :class:`~repro.netserve.coalesce.GenerationalLRUCache` of decoded
-  result payloads, invalidated wholesale when the worker-stamped
-  segment/manifest ``generation`` in a result frame moves — a tiered
-  manifest commit can never be served stale (``frontend.cache_hits`` /
-  ``frontend.cache_invalidations``).
-
-Requests whose canonical key is ``None`` (malformed in any way) bypass
-both layers and relay raw, so the worker's own schema errors stay
-authoritative.
-
-**Supervision integration** (PR 10): a worker transport fault no longer
-just feeds the breaker — the request is retried exactly **once**, on a
-*different* worker (counted in ``frontend.worker_failovers``).  The
-retry is always safe because the frontend buffers a worker's complete
-``result`` frame before relaying any of it: a reply torn by worker
-death mid-read has sent the client **zero** bytes, so the failover can
-never duplicate output.  (With a single worker the one retry goes back
-to that worker's other channel, which covers reconnect-after-restart.)
-The :class:`~repro.netserve.supervisor.WorkerSupervisor` feeds recovery
-state back through :meth:`Frontend.mark_worker_ready` /
-:meth:`Frontend.mark_worker_failed` (directly in thread mode, via
-``admin`` frames when the frontend runs as its own process): a respawn
-resets that worker's breaker to half-open so the first live request
-closes it, and a crash-looped worker is removed from routing entirely
-so its traffic share rebalances onto the survivors.  Per-worker breaker
-state is exported as the ``frontend.breaker_state.w<id>`` gauge
-(0 closed / 1 half-open / 2 open / 3 permanently failed) so a chaos
-drill can assert breakers actually reopen after respawns.
+Two opt-in layers serve duplicate-heavy traffic: **singleflight**
+(``coalesce``: a miss joins the in-flight trip of its
+:func:`~repro.netserve.coalesce.canonical_serve_key`) and a **result
+cache** (``cache_entries``: a
+:class:`~repro.netserve.coalesce.GenerationalLRUCache` flushed when the
+worker-stamped ``generation`` moves).  Requests with no canonical key
+relay raw, so worker schema errors stay authoritative.  The supervisor
+reports through :meth:`Frontend.mark_worker_ready` and
+:meth:`Frontend.mark_worker_failed`, directly or via ``admin`` frames.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
+import functools
+from collections import deque
+from collections.abc import Callable, Coroutine
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Any
+from time import monotonic, perf_counter
+from typing import Any, cast
 
 from repro.netserve.coalesce import (
-    GenerationalLRUCache,
-    canonical_serve_key,
-    restamp_result,
+    GenerationalLRUCache, canonical_serve_key, restamp_result,
 )
 from repro.netserve.wire import (
-    DEFAULT_MAX_FRAME_BYTES,
-    HEADER,
-    FrameTooLarge,
-    TornFrame,
-    WireError,
-    decode_payload,
-    encode_frame,
-    read_raw_frame,
+    DEFAULT_MAX_FRAME_BYTES, HEADER, FrameSplitter, FrameTooLarge,
+    TornFrame, WireError, decode_payload, encode_frame,
 )
-from repro.obs.registry import MetricsRegistry, active_or_none
-from repro.resilience.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    Priority,
-)
-from repro.resilience.breaker import (
-    BreakerConfig,
-    BreakerState,
-    CircuitBreaker,
-)
+from repro.obs.registry import Counter, MetricsRegistry, active_or_none
+from repro.resilience.admission import AdmissionConfig, AdmissionController, Priority
+from repro.resilience.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.resilience.deadline import DegradedReason
 
 __all__ = ["Frontend", "FrontendConfig"]
 
-#: Numeric encoding of breaker state for the per-worker gauge.
-_BREAKER_GAUGE = {
-    BreakerState.CLOSED: 0.0,
-    BreakerState.HALF_OPEN: 1.0,
-    BreakerState.OPEN: 2.0,
-}
-
-#: Gauge value for a worker removed from routing (crash-looped).
+#: Per-worker gauge values: breaker state, or 3.0 once out of routing.
+_BREAKER_GAUGE = {BreakerState.CLOSED: 0.0, BreakerState.HALF_OPEN: 1.0, BreakerState.OPEN: 2.0}
 _GAUGE_FAILED = 3.0
+
+#: Called once with a worker's raw reply frame, or ``None`` on failure.
+_OnReply = Callable[[bytes | None], None]
+
+#: Unanswered frames one client may pipeline before its reading pauses.
+_MAX_OWED = 64
 
 
 @dataclass(frozen=True, slots=True)
 class FrontendConfig:
     """Tuning for one :class:`Frontend`.
 
-    Parameters
-    ----------
-    host / port:
-        TCP bind address; port 0 picks an ephemeral port (read it back
-        from :attr:`Frontend.port` after :meth:`Frontend.start`).
-    conns_per_worker:
-        Pooled connections per worker — the worker-side concurrency.
-    worker_timeout_s:
-        Budget for one worker round trip; a slower worker counts as a
-        breaker failure and the request moves on.
-    client_idle_timeout_s:
-        Optional budget for reading one client frame; a client that
-        stalls mid-frame is disconnected instead of pinning the
-        connection forever (``None`` waits indefinitely).
-    max_frame_bytes:
-        Per-frame wire budget, both directions.
-    reserve_micros:
-        Reserve price echoed in frontend-built (shed/error) results so
-        they decode with the same schema as worker results.
-    admission:
-        Token-bucket / queue-depth config; ``None`` admits everything.
-    breaker:
-        Per-worker breaker tuning (defaults are fine for tests).
-    coalesce:
-        Singleflight identical in-flight serve frames (default off —
-        off is bit-identical to the plain relay path).
-    cache_entries:
-        Result-cache capacity; 0 (default) disables the cache.
+    ``port`` 0 picks an ephemeral port (:attr:`Frontend.port`).  A
+    worker slower than ``worker_timeout_s`` counts as a breaker failure.
+    ``client_idle_timeout_s`` bounds one client frame from when the
+    frontend starts waiting for it: a client idle or stalled mid-frame
+    past it is disconnected (``None`` waits forever).  ``admission``
+    ``None`` admits everything; ``cache_entries`` 0 disables the cache.
     """
 
     host: str = "127.0.0.1"
@@ -157,38 +97,243 @@ class FrontendConfig:
     cache_entries: int = 0
 
 
-class _Channel:
-    """One pooled frontend→worker connection (lazily (re)connected)."""
+def _error(message: str) -> dict[str, Any]:
+    return {"type": "error", "error": message, "retryable": False}
 
-    __slots__ = ("worker_id", "path", "reader", "writer")
 
-    def __init__(self, worker_id: int, path: str) -> None:
+class _Channel(asyncio.Protocol):
+    """One frontend→worker connection, one frame in flight at a time.
+    It lives as long as its connection: a dead one (``transport is
+    None``) is replaced, so late callbacks reach an unused object."""
+
+    __slots__ = ("worker_id", "transport", "_splitter", "_on_reply", "_timer")
+
+    def __init__(self, worker_id: int, max_frame_bytes: int) -> None:
         self.worker_id = worker_id
-        self.path = path
-        self.reader: asyncio.StreamReader | None = None
-        self.writer: asyncio.StreamWriter | None = None
+        self.transport: asyncio.Transport | None = None
+        self._splitter = FrameSplitter(max_frame_bytes)
+        self._on_reply: _OnReply | None = None
+        self._timer: asyncio.TimerHandle | None = None
 
-    async def ensure_connected(self) -> None:
-        if self.writer is not None and not self.writer.is_closing():
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+
+    def send(self, frame: bytes, on_reply: _OnReply, timeout_s: float) -> None:
+        """Write ``frame``; ``on_reply`` gets the complete reply frame,
+        or ``None`` when the connection fails or ``timeout_s`` passes."""
+        assert self.transport is not None, "send on a dead channel"
+        self._on_reply = on_reply
+        self._timer = asyncio.get_running_loop().call_later(timeout_s, self._finish, None)
+        self.transport.write(frame)
+
+    def data_received(self, data: bytes) -> None:
+        self._splitter.feed(data)
+        try:
+            frame = self._splitter.next_frame()
+        except WireError:
+            self._finish(None)
             return
-        self.reader, self.writer = await asyncio.open_unix_connection(
-            self.path
-        )
+        if frame is not None:
+            self._finish(frame)
 
-    def mark_dead(self) -> None:
-        if self.writer is not None:
-            self.writer.close()
-        self.reader = None
-        self.writer = None
+    def eof_received(self) -> None:
+        self._finish(None)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.transport = None
+        self._finish(None)
+
+    def _finish(self, frame: bytes | None) -> None:
+        if frame is None:
+            self.close()
+        on_reply, self._on_reply = self._on_reply, None
+        if on_reply is not None:
+            if self._timer is not None:
+                self._timer.cancel()
+            on_reply(frame)
+
+    def close(self) -> None:
+        transport, self.transport = self.transport, None
+        if transport is not None:
+            transport.close()
+
+
+@dataclass(slots=True)
+class _Slot:
+    """One client frame's place in its connection's reply order."""
+
+    data: bytes | None = None
+
+
+class _Client(asyncio.Protocol):
+    """One client connection: frames in, replies out in request order."""
+
+    __slots__ = (
+        "frontend", "transport", "_splitter", "_owed", "_paused", "_held",
+        "_eof", "_ending", "_idle_since", "_idle_timer",
+    )
+
+    def __init__(self, frontend: Frontend) -> None:
+        self.frontend = frontend
+        self.transport: asyncio.Transport | None = None
+        self._splitter = FrameSplitter(frontend.config.max_frame_bytes)
+        self._owed: deque[_Slot] = deque()  # replies owed, oldest first
+        self._paused = False  # writes backed up
+        self._held = False  # reading paused until replies drain
+        self._eof = False
+        self._ending = False  # read no more frames; close once flushed
+        self._idle_since = 0.0
+        self._idle_timer: asyncio.TimerHandle | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        self.frontend._clients.add(self)
+        timeout = self.frontend.config.client_idle_timeout_s
+        if timeout is not None:
+            self._idle_since = monotonic()
+            self._idle_timer = asyncio.get_running_loop().call_later(timeout, self._check_idle)
+
+    def data_received(self, data: bytes) -> None:
+        if self._ending:
+            return
+        self._splitter.feed(data)
+        self._read_frames()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._read_frames()
+        return True  # keep writing until every owed reply is out
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.transport = None
+        self._ending = True
+        if self._idle_timer is not None:
+            self._idle_timer.cancel()
+        self.frontend._clients.discard(self)
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        if self._idle_timer is not None:
+            self._idle_since = monotonic()
+        self._read_frames()
+
+    def _read_frames(self) -> None:
+        frontend, splitter, owed = self.frontend, self._splitter, self._owed
+        consumed = False
+        while not self._ending:
+            # Frames wait unread while writes or owed replies back up.
+            held = self._paused or len(owed) >= _MAX_OWED
+            if held != self._held and self.transport is not None:
+                self._held = held
+                if held:
+                    self.transport.pause_reading()
+                elif not self._eof:
+                    self.transport.resume_reading()
+            if held:
+                return
+            try:
+                frame = splitter.next_frame()
+                if frame is None:
+                    break
+                payload = decode_payload(frame[HEADER.size:])
+            except WireError as exc:  # over budget, or not a JSON object
+                frontend._wire_errors.inc()
+                self.end(frontend._encode(_error(str(exc))))
+                return
+            consumed = True
+            frontend._route(frame, payload, self)
+        if self._ending:
+            return
+        if self._eof:
+            try:
+                splitter.eof()
+            except TornFrame:
+                frontend._wire_errors.inc()
+            self.end()
+        elif consumed and self._idle_timer is not None:
+            self._idle_since = monotonic()  # the next frame's budget starts
+
+    def _check_idle(self) -> None:
+        timeout = self.frontend.config.client_idle_timeout_s
+        assert timeout is not None
+        now = monotonic()
+        # The budget runs only while the frontend waits on the client.
+        busy = self._owed or self._paused
+        due = now + timeout if busy else self._idle_since + timeout
+        if now < due:
+            loop = asyncio.get_running_loop()
+            self._idle_timer = loop.call_later(due - now, self._check_idle)
+            return
+        self.frontend.obs.counter("frontend.client_timeouts").inc()
+        self.end()
+
+    def send(self, data: bytes) -> None:
+        """Answer the current frame: now, unless a reply is still owed."""
+        if self._owed:
+            self._owed.append(_Slot(data))
+        elif self.transport is not None:
+            self.transport.write(data)
+
+    def hold(self) -> _Slot:
+        """Reserve the current frame's reply place; :meth:`fill` it."""
+        slot = _Slot()
+        self._owed.append(slot)
+        return slot
+
+    def fill(self, slot: _Slot, data: bytes) -> None:
+        slot.data = data
+        owed = self._owed
+        while owed and owed[0].data is not None:
+            ready = owed.popleft().data
+            if self.transport is not None and ready is not None:
+                self.transport.write(ready)
+        if not owed:
+            if self._ending:
+                self.close()
+            elif self._idle_timer is not None:
+                self._idle_since = monotonic()
+        if self._held and not self._paused:
+            self._read_frames()
+
+    def end(self, data: bytes | None = None) -> None:
+        """Read no more frames; close after the owed replies and ``data``."""
+        self._ending = True
+        if self.transport is not None:
+            self.transport.pause_reading()
+        if data is not None:
+            self.send(data)
+        if not self._owed:
+            self.close()
+
+    def close(self) -> None:
+        if self.transport is not None:
+            self.transport.close()
+
+
+@dataclass(slots=True)
+class _Trip:
+    """One frame's way to a worker: two attempts, on different workers."""
+
+    frame: bytes
+    done: _OnReply
+    budget: int  # channels it may still take from the pool
+    attempts: int = 0
+    failover: bool = False
+    tried: set[int] = field(default_factory=set)
+
+
+#: A client waiting on a worker trip: (client, slot, request, admitted at).
+_Waiter = tuple[_Client, _Slot, dict[str, Any], float]
 
 
 class Frontend:
     """Admission + routing over a pool of worker connections."""
 
     def __init__(
-        self,
-        worker_sockets: list[str],
-        config: FrontendConfig | None = None,
+        self, worker_sockets: list[str], config: FrontendConfig | None = None,
         obs: MetricsRegistry | None = None,
     ) -> None:
         if not worker_sockets:
@@ -196,31 +341,26 @@ class Frontend:
         self.config = config if config is not None else FrontendConfig()
         self.obs = obs if obs is not None else MetricsRegistry()
         self.worker_sockets = list(worker_sockets)
-        self.admission = (
-            AdmissionController(self.config.admission, obs=active_or_none(self.obs))
-            if self.config.admission is not None
-            else None
-        )
+        admission, active = self.config.admission, active_or_none(self.obs)
+        self.admission = None if admission is None else AdmissionController(admission, obs=active)
         self.breakers = {
-            worker_id: CircuitBreaker(
-                self.config.breaker,
-                obs=active_or_none(self.obs),
-                name=f"worker-{worker_id}",
-            )
+            worker_id: CircuitBreaker(self.config.breaker, obs=active, name=f"worker-{worker_id}")
             for worker_id in range(len(worker_sockets))
         }
-        self._pool: asyncio.Queue[_Channel] = asyncio.Queue()
-        self._num_channels = 0
-        self._control: dict[int, tuple[_Channel, asyncio.Lock]] = {}
-        self._clients: set[asyncio.StreamWriter] = set()
-        self._server: asyncio.base_events.Server | None = None
+        # Idle pooled channels, taken FIFO; trips wait FIFO for one.
+        self._idle: deque[_Channel] = deque()
+        self._waiting: deque[_Trip] = deque()
+        self._num_channels = len(worker_sockets) * self.config.conns_per_worker
+        self._control: dict[int, _Channel] = {}
+        self._probe_lock = asyncio.Lock()
+        self._clients: set[_Client] = set()
+        self._tasks: set[asyncio.Task[None]] = set()
+        self._server: asyncio.AbstractServer | None = None
         self.port: int | None = None
-        self.cache = (
-            GenerationalLRUCache(self.config.cache_entries)
-            if self.config.cache_entries > 0
-            else None
-        )
-        self._inflight: dict[Any, asyncio.Task[dict[str, Any] | None]] = {}
+        entries = self.config.cache_entries
+        self.cache = GenerationalLRUCache(entries) if entries > 0 else None
+        self._keyed = self.config.coalesce or self.cache is not None
+        self._inflight: dict[Any, list[_Waiter]] = {}
         self._failed_workers: set[int] = set()
         for name, help_text in (
             ("frontend.requests", "Serve frames accepted from clients"),
@@ -238,6 +378,13 @@ class Frontend:
             ("frontend.cache_invalidations", "Cache flushes on generation bumps"),
         ):
             self.obs.counter(name, help=help_text)
+        # The per-frame counters, bound once.
+        self._requests = self.obs.counter("frontend.requests")
+        self._wire_errors = self.obs.counter("frontend.wire_errors")
+        self._cache_hits = self.obs.counter("frontend.cache_hits")
+        self._cache_misses = self.obs.counter("frontend.cache_misses")
+        self._span = self.obs.histogram("span.frontend")
+        self._pong = encode_frame({"type": "pong"})
         for worker_id in range(len(worker_sockets)):
             self._observe_breaker(worker_id)
 
@@ -246,243 +393,183 @@ class Frontend:
 
     async def start(self) -> None:
         """Connect the worker pool and start accepting clients."""
-        for worker_id, path in enumerate(self.worker_sockets):
-            control = _Channel(worker_id, path)
-            await control.ensure_connected()
-            self._control[worker_id] = (control, asyncio.Lock())
+        for worker_id in range(len(self.worker_sockets)):
+            self._control[worker_id] = await self._connect(worker_id)
             for _ in range(self.config.conns_per_worker):
-                channel = _Channel(worker_id, path)
-                await channel.ensure_connected()
-                self._pool.put_nowait(channel)
-                self._num_channels += 1
-        self._server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port
+                self._idle.append(await self._connect(worker_id))
+        server = await asyncio.get_running_loop().create_server(
+            functools.partial(_Client, self), self.config.host, self.config.port
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._server = server
+        self.port = server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop accepting, close every pooled and control connection."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._clients):
-            with contextlib.suppress(OSError):
-                writer.close()
-        self._clients.clear()
-        while not self._pool.empty():
-            self._pool.get_nowait().mark_dead()
-        for control, _ in self._control.values():
-            control.mark_dead()
+        """Stop accepting; close every client, idle and control channel."""
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        for client in list(self._clients):
+            client.close()
+        for channel in [*self._idle, *self._control.values()]:
+            channel.close()
+        for task in list(self._tasks):
+            task.cancel()
+        self._idle.clear()
         self._control.clear()
+        if server is not None:
+            await server.wait_closed()
 
     async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
+        if self._server is None:
+            raise RuntimeError("call start() first")
         await self._server.serve_forever()
+
+    async def _connect(self, worker_id: int) -> _Channel:
+        factory = functools.partial(_Channel, worker_id, self.config.max_frame_bytes)
+        loop = asyncio.get_running_loop()
+        _, channel = await loop.create_unix_connection(factory, self.worker_sockets[worker_id])
+        return channel
+
+    def _spawn(self, coro: Coroutine[Any, Any, None]) -> None:
+        """A task for a rare path (stats, reconnect), kept until done."""
+        task = asyncio.ensure_future(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     # ---------------------------------------------------------- #
     # Client side
 
-    async def _read_client_frame(
-        self, reader: asyncio.StreamReader
-    ) -> bytes | None:
-        if self.config.client_idle_timeout_s is None:
-            return await read_raw_frame(reader, self.config.max_frame_bytes)
-        return await asyncio.wait_for(
-            read_raw_frame(reader, self.config.max_frame_bytes),
-            timeout=self.config.client_idle_timeout_s,
-        )
-
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._clients.add(writer)
+    def _encode(self, payload: dict[str, Any]) -> bytes:
+        """One frame; a reply over the frame budget becomes a typed error."""
         try:
-            while True:
-                try:
-                    frame = await self._read_client_frame(reader)
-                except FrameTooLarge as exc:
-                    self.obs.counter("frontend.wire_errors").inc()
-                    await self._reply(
-                        writer,
-                        {"type": "error", "error": str(exc), "retryable": False},
-                    )
-                    return
-                except (TornFrame, WireError):
-                    self.obs.counter("frontend.wire_errors").inc()
-                    return
-                except (asyncio.TimeoutError, TimeoutError):
-                    self.obs.counter("frontend.client_timeouts").inc()
-                    return
-                except (OSError, ConnectionResetError):
-                    return
-                if frame is None:
-                    return
-                try:
-                    payload = decode_payload(frame[HEADER.size:])
-                except WireError as exc:
-                    self.obs.counter("frontend.wire_errors").inc()
-                    await self._reply(
-                        writer,
-                        {"type": "error", "error": str(exc), "retryable": False},
-                    )
-                    return
-                if not await self._route(frame, payload, writer):
-                    return
-        finally:
-            self._clients.discard(writer)
-            with contextlib.suppress(OSError):
-                writer.close()
-                await writer.wait_closed()
+            return encode_frame(payload, self.config.max_frame_bytes)
+        except FrameTooLarge as exc:
+            return encode_frame(_error(str(exc)), self.config.max_frame_bytes)
 
-    async def _route(
-        self,
-        frame: bytes,
-        payload: dict[str, Any],
-        writer: asyncio.StreamWriter,
-    ) -> bool:
-        """One decoded client frame; False ends the connection."""
+    def _route(self, frame: bytes, payload: dict[str, Any], client: _Client) -> None:
         msg_type = payload.get("type")
-        if msg_type == "ping":
-            await self._reply(writer, {"type": "pong"})
-            return True
-        if msg_type == "stats":
-            await self._reply(writer, await self.stats_payload())
-            return True
         if msg_type == "serve":
-            await self._serve(frame, payload, writer)
-            return True
-        if msg_type == "admin":
-            await self._reply(writer, self._admin(payload))
-            return True
-        self.obs.counter("frontend.wire_errors").inc()
-        await self._reply(
-            writer,
-            {
-                "type": "error",
-                "error": f"unknown frame type {msg_type!r}",
-                "retryable": False,
-            },
-        )
-        return False
+            self._serve(frame, payload, client)
+        elif msg_type == "ping":
+            client.send(self._pong)
+        elif msg_type == "stats":
+            self._spawn(self._answer_stats(client, client.hold()))
+        elif msg_type == "admin":
+            client.send(self._encode(self._admin(payload)))
+        else:
+            self._wire_errors.inc()
+            client.end(self._encode(_error(f"unknown frame type {msg_type!r}")))
 
-    async def _serve(
-        self,
-        frame: bytes,
-        payload: dict[str, Any],
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.obs.counter("frontend.requests").inc()
+    async def _answer_stats(self, client: _Client, slot: _Slot) -> None:
+        client.fill(slot, self._encode(await self.stats_payload()))
+
+    def _serve(self, frame: bytes, payload: dict[str, Any], client: _Client) -> None:
+        self._requests.inc()
         request = payload.get("request")
         if not isinstance(request, dict):
-            self.obs.counter("frontend.wire_errors").inc()
-            await self._reply(
-                writer,
-                {
-                    "type": "error",
-                    "error": "serve frame carries no request object",
-                    "retryable": False,
-                },
-            )
+            self._wire_errors.inc()
+            client.send(self._encode(_error("serve frame carries no request object")))
             return
         started = perf_counter()
-        try:
-            priority = Priority.from_name(request.get("priority", "normal"))
-        except (ValueError, AttributeError):
-            priority = Priority.NORMAL
         if self.admission is not None:
+            try:
+                priority = Priority.from_name(request.get("priority", "normal"))
+            except (ValueError, AttributeError):
+                priority = Priority.NORMAL
             decision = self.admission.try_admit(priority)
             if not decision.admitted:
                 self.obs.counter("frontend.shed").inc()
-                await self._reply(
-                    writer,
-                    self._local_result(request, decision.reason, payload),
-                )
+                client.send(self._encode(self._local_result(request, decision.reason)))
                 return
-        try:
-            key = (
-                canonical_serve_key(request)
-                if (self.config.coalesce or self.cache is not None)
-                else None
-            )
-            if key is not None:
-                shared = await self._serve_shared(key, frame)
-                if shared is None:
-                    self.obs.counter("frontend.unrouted").inc()
-                    await self._reply(
-                        writer,
-                        self._local_result(
-                            request, DegradedReason.RETRIEVAL_ERROR, payload
-                        ),
-                    )
-                else:
-                    await self._reply(writer, restamp_result(shared, request))
-            else:
-                response = await self._dispatch(frame)
-                if response is None:
-                    self.obs.counter("frontend.unrouted").inc()
-                    await self._reply(
-                        writer,
-                        self._local_result(
-                            request, DegradedReason.RETRIEVAL_ERROR, payload
-                        ),
-                    )
-                else:
-                    writer.write(response)
-                    with contextlib.suppress(OSError, ConnectionResetError):
-                        await writer.drain()
-        finally:
-            if self.admission is not None:
-                self.admission.release()
-        self.obs.histogram("span.frontend").observe(
-            (perf_counter() - started) * 1e3
-        )
+        key = canonical_serve_key(request) if self._keyed else None
+        if key is not None and self.cache is not None:
+            hit = self.cache.get(key)
+            if hit is not None:
+                self._cache_hits.inc()
+                client.send(self._encode(restamp_result(hit, request)))
+                self._served(started)
+                return
+            self._cache_misses.inc()
+        waiters: list[_Waiter] = [(client, client.hold(), request, started)]
+        if key is not None and self.config.coalesce:
+            twins = self._inflight.get(key)
+            if twins is not None:
+                self.obs.counter("frontend.coalesced").inc()
+                twins.extend(waiters)
+                return
+            self._inflight[key] = waiters
+        done = functools.partial(self._answer, key, waiters)
+        self._advance(_Trip(frame, done, max(self._num_channels, 1)))
 
-    def _local_result(
-        self,
-        request: dict[str, Any],
-        reason: DegradedReason,
-        payload: dict[str, Any],
-    ) -> dict[str, Any]:
+    def _served(self, started: float) -> None:
+        """An admitted request was answered."""
+        if self.admission is not None:
+            self.admission.release()
+        self._span.observe((perf_counter() - started) * 1e3)
+
+    def _answer(self, key: Any, waiters: list[_Waiter], raw: bytes | None) -> None:
+        """Answer every client waiting on one worker trip: an unkeyed
+        serve with the worker's own reply bytes, a keyed one with the
+        shared reply restamped for each client."""
+        shared: dict[str, Any] | None = None
+        if key is not None:
+            if self._inflight.get(key) is waiters:
+                del self._inflight[key]
+            shared = self._decode_result(key, raw)
+        for client, slot, request, started in waiters:
+            if shared is not None:
+                reply = self._encode(restamp_result(shared, request))
+            elif key is None and raw is not None:
+                reply = raw
+            else:
+                self.obs.counter("frontend.unrouted").inc()
+                failed = self._local_result(request, DegradedReason.RETRIEVAL_ERROR)
+                reply = self._encode(failed)
+            client.fill(slot, reply)
+            self._served(started)
+
+    def _decode_result(self, key: Any, raw: bytes | None) -> dict[str, Any] | None:
+        """A keyed trip's reply, decoded, generation-observed, cached."""
+        if raw is None:
+            return None
+        try:
+            response = decode_payload(raw[HEADER.size:])
+        except WireError:
+            self.obs.counter("frontend.worker_errors").inc()
+            return None
+        if self.cache is not None and response.get("type") == "result":
+            generation = response.get("generation")
+            generation = generation if isinstance(generation, int) else 0
+            if self.cache.observe_generation(generation):
+                self.obs.counter("frontend.cache_invalidations").inc()
+            result = response.get("result")
+            # A degraded slate must not outlive the overload behind it.
+            if isinstance(result, dict) and result.get("degraded_reason", "none") == "none":
+                self.cache.put(key, generation, response)
+        return response
+
+    def _local_result(self, request: dict[str, Any], reason: DegradedReason) -> dict[str, Any]:
         """A frontend-built empty result: same schema as a worker's."""
         tokens = request.get("query")
-        if not isinstance(tokens, list):
-            tokens = []
-        result: dict[str, Any] = {
-            "type": "result",
-            "result": {
-                "query": [t for t in tokens if isinstance(t, str)],
-                "degraded_reason": reason.value,
-                "outcome": {
-                    "reserve_micros": self.config.reserve_micros,
-                    "candidates": 0,
-                    "awards": [],
-                },
+        result: dict[str, Any] = {"type": "result", "result": {
+            "query": [t for t in tokens if isinstance(t, str)] if isinstance(tokens, list) else [],
+            "degraded_reason": reason.value,
+            "outcome": {
+                "reserve_micros": self.config.reserve_micros, "candidates": 0, "awards": [],
             },
-        }
+        }}
         request_id = request.get("request_id")
         if isinstance(request_id, str):
             result["request_id"] = request_id
         return result
 
-    async def _reply(
-        self, writer: asyncio.StreamWriter, payload: dict[str, Any]
-    ) -> None:
-        with contextlib.suppress(OSError, ConnectionResetError):
-            writer.write(encode_frame(payload, self.config.max_frame_bytes))
-            await writer.drain()
-
     # ---------------------------------------------------------- #
-    # Supervision hooks (called directly in thread mode, via ``admin``
-    # frames when the frontend runs as its own process)
+    # Supervision hooks (direct calls, or ``admin`` frames)
 
     def _observe_breaker(self, worker_id: int) -> None:
         """Export one worker's routing health as a gauge."""
-        value = (
-            _GAUGE_FAILED
-            if worker_id in self._failed_workers
-            else _BREAKER_GAUGE[self.breakers[worker_id].state]
-        )
+        failed = worker_id in self._failed_workers
+        value = _GAUGE_FAILED if failed else _BREAKER_GAUGE[self.breakers[worker_id].state]
         self.obs.gauge(
             f"frontend.breaker_state.w{worker_id}",
             help="0 closed / 1 half-open / 2 open / 3 failed",
@@ -510,212 +597,128 @@ class Frontend:
         self._observe_breaker(worker_id)
 
     def _admin(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """The supervisor's control surface when the frontend runs as
-        its own process.  Worker ids are validated; unknown ops get a
-        typed error (the frames are trusted-network control plane, like
-        the worker ``shutdown`` frame)."""
+        """The supervisor's control surface (trusted network, like the
+        worker ``shutdown`` frame); unknown ids and ops get an error."""
         op = payload.get("op")
         worker_id = payload.get("worker_id")
         if not isinstance(worker_id, int) or worker_id not in self.breakers:
-            return {
-                "type": "error",
-                "error": f"unknown worker {worker_id!r}",
-                "retryable": False,
-            }
+            return _error(f"unknown worker {worker_id!r}")
         if op == "worker_ready":
             self.mark_worker_ready(worker_id)
             return {"type": "ok"}
         if op == "worker_failed":
             self.mark_worker_failed(worker_id)
             return {"type": "ok"}
-        return {
-            "type": "error",
-            "error": f"unknown admin op {op!r}",
-            "retryable": False,
-        }
+        return _error(f"unknown admin op {op!r}")
 
     # ---------------------------------------------------------- #
     # Worker side
 
-    async def _dispatch(self, frame: bytes) -> bytes | None:
-        """Relay ``frame`` to a healthy worker; the raw response frame,
-        or ``None`` when every attempt failed or short-circuited.
-
-        A failed attempt (worker died mid-reply, transport fault,
-        timeout) is retried exactly once, on a worker we have not yet
-        tried — counted in ``frontend.worker_failovers``.  The retry
-        can never duplicate client output: the complete response frame
-        is buffered here before a single byte is relayed back, so a
-        torn reply means the client has received nothing.  With only
-        one worker the retry may revisit it (covers the
-        reconnect-after-restart case); beyond two failed attempts the
-        caller sheds with a typed degraded result rather than storming
-        every worker.
-        """
-        attempts = 0
-        failover_counted = False
-        tried_workers: set[int] = set()
+    def _advance(self, trip: _Trip) -> None:
+        """Take idle channels FIFO (a skipped one goes to the back)
+        until one may carry ``trip`` to a healthy worker, or wait for
+        one.  ``trip.done`` gets the raw reply frame, or ``None`` when
+        every attempt failed or short-circuited: a failed attempt is
+        retried once, on a worker not yet tried (with one worker, on
+        its other channel), rather than storming every worker."""
         single_worker = len(self.worker_sockets) == 1
-        for _ in range(max(self._num_channels, 1)):
-            channel = await self._pool.get()
+        idle = self._idle
+        while trip.budget > 0:
+            if not idle:
+                self._waiting.append(trip)
+                return
+            channel = idle.popleft()
+            trip.budget -= 1
             worker_id = channel.worker_id
-            if worker_id in self._failed_workers:
-                self._pool.put_nowait(channel)
-                continue
-            if worker_id in tried_workers and not single_worker:
-                self._pool.put_nowait(channel)
-                continue
-            breaker = self.breakers[worker_id]
-            if not breaker.allow():
-                self._observe_breaker(worker_id)
-                self._pool.put_nowait(channel)
-                continue
-            if attempts == 1 and not failover_counted:
-                self.obs.counter("frontend.worker_failovers").inc()
-                failover_counted = True
-            try:
-                await channel.ensure_connected()
-                assert channel.reader is not None
-                assert channel.writer is not None
-                channel.writer.write(frame)
-                await channel.writer.drain()
-                response = await asyncio.wait_for(
-                    read_raw_frame(
-                        channel.reader, self.config.max_frame_bytes
-                    ),
-                    timeout=self.config.worker_timeout_s,
-                )
-                if response is None:
-                    raise TornFrame("worker closed between frames")
-            except (
-                WireError,
-                OSError,
-                ConnectionError,
-                asyncio.TimeoutError,
-                TimeoutError,
+            if worker_id in self._failed_workers or (
+                worker_id in trip.tried and not single_worker
             ):
-                self.obs.counter("frontend.worker_errors").inc()
-                breaker.record_failure()
-                self._observe_breaker(worker_id)
-                channel.mark_dead()
-                self._pool.put_nowait(channel)
-                tried_workers.add(worker_id)
-                attempts += 1
-                if attempts >= 2:
-                    return None
+                idle.append(channel)
                 continue
+            if not self.breakers[worker_id].allow():
+                self._observe_breaker(worker_id)
+                idle.append(channel)
+                continue
+            if trip.attempts == 1 and not trip.failover:
+                self.obs.counter("frontend.worker_failovers").inc()
+                trip.failover = True
+            if channel.transport is None:
+                self._spawn(self._reconnect(channel, trip))
+            else:
+                self._send(channel, trip)
+            return
+        trip.done(None)
+
+    async def _reconnect(self, dead: _Channel, trip: _Trip) -> None:
+        try:
+            channel = await self._connect(dead.worker_id)
+        except OSError:
+            self._on_reply(dead, trip, None)
+            return
+        self._send(channel, trip)
+
+    def _send(self, channel: _Channel, trip: _Trip) -> None:
+        on_reply = functools.partial(self._on_reply, channel, trip)
+        channel.send(trip.frame, on_reply, self.config.worker_timeout_s)
+
+    def _on_reply(self, channel: _Channel, trip: _Trip, raw: bytes | None) -> None:
+        worker_id = channel.worker_id
+        breaker = self.breakers[worker_id]
+        self._idle.append(channel)
+        retry = False
+        if raw is None:
+            self.obs.counter("frontend.worker_errors").inc()
+            breaker.record_failure()
+            trip.tried.add(worker_id)
+            trip.attempts += 1
+            retry = trip.attempts < 2
+        else:
             # The worker answered: transport is healthy regardless of
             # whether the payload is a result or a typed error.
             breaker.record_success()
-            self._observe_breaker(worker_id)
-            self._pool.put_nowait(channel)
-            return response
-        return None
-
-    # ---------------------------------------------------------- #
-    # Coalescing + result cache (both opt-in)
-
-    async def _serve_shared(
-        self, key: Any, frame: bytes
-    ) -> dict[str, Any] | None:
-        """Answer one canonical-keyed serve: cache, then singleflight.
-
-        Returns the *shared* decoded response payload (the caller
-        restamps it per client), or ``None`` when no worker answered.
-        """
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.obs.counter("frontend.cache_hits").inc()
-                return hit
-            self.obs.counter("frontend.cache_misses").inc()
-        if not self.config.coalesce:
-            return await self._dispatch_decoded(key, frame)
-        inflight = self._inflight.get(key)
-        if inflight is not None and not inflight.done():
-            self.obs.counter("frontend.coalesced").inc()
-            # shield: a follower's disconnect must not cancel the
-            # leader's round trip out from under the other followers.
-            return await asyncio.shield(inflight)
-        task = asyncio.ensure_future(self._dispatch_decoded(key, frame))
-        self._inflight[key] = task
-
-        def _clear(done: asyncio.Task[dict[str, Any] | None]) -> None:
-            if self._inflight.get(key) is done:
-                del self._inflight[key]
-
-        task.add_done_callback(_clear)
-        return await asyncio.shield(task)
-
-    async def _dispatch_decoded(
-        self, key: Any, frame: bytes
-    ) -> dict[str, Any] | None:
-        """One worker round trip, decoded, generation-observed, cached."""
-        raw = await self._dispatch(frame)
-        if raw is None:
-            return None
-        try:
-            response = decode_payload(raw[HEADER.size:])
-        except WireError:
-            self.obs.counter("frontend.worker_errors").inc()
-            return None
-        if self.cache is not None and response.get("type") == "result":
-            generation = response.get("generation")
-            if not isinstance(generation, int):
-                generation = 0
-            if self.cache.observe_generation(generation):
-                self.obs.counter("frontend.cache_invalidations").inc()
-            result = response.get("result")
-            if (
-                isinstance(result, dict)
-                and result.get("degraded_reason", "none") == "none"
-            ):
-                # Only full-fidelity answers are worth remembering —
-                # a degraded slate would otherwise outlive the overload
-                # that produced it.
-                self.cache.put(key, generation, response)
-        return response
+        self._observe_breaker(worker_id)
+        if retry:
+            self._advance(trip)
+        while self._waiting and self._idle:
+            self._advance(self._waiting.popleft())
+        if not retry:
+            trip.done(raw)
 
     # ---------------------------------------------------------- #
     # Stats
+
+    async def _probe(self, worker_id: int, frame: bytes) -> bytes:
+        """One control-channel round trip: the reply body."""
+        channel = self._control[worker_id]
+        if channel.transport is None:
+            channel = self._control[worker_id] = await self._connect(worker_id)
+        loop = asyncio.get_running_loop()
+        reply: asyncio.Future[bytes | None] = loop.create_future()
+
+        def on_reply(raw: bytes | None) -> None:
+            if not reply.done():
+                reply.set_result(raw)
+
+        channel.send(frame, on_reply, self.config.worker_timeout_s)
+        raw = await reply
+        if raw is None:
+            raise TornFrame("worker closed or timed out mid-probe")
+        return raw[HEADER.size:]
 
     async def stats_payload(self) -> dict[str, Any]:
         """Frontend counters plus a fresh ``stats`` probe per worker."""
         workers: list[dict[str, Any]] = []
         probe = encode_frame({"type": "stats"}, self.config.max_frame_bytes)
-        for worker_id, (control, lock) in sorted(self._control.items()):
-            async with lock:
+        async with self._probe_lock:
+            for worker_id in sorted(self._control):
                 try:
-                    await control.ensure_connected()
-                    assert control.reader is not None
-                    assert control.writer is not None
-                    control.writer.write(probe)
-                    await control.writer.drain()
-                    raw = await asyncio.wait_for(
-                        read_raw_frame(
-                            control.reader, self.config.max_frame_bytes
-                        ),
-                        timeout=self.config.worker_timeout_s,
-                    )
-                    if raw is None:
-                        raise TornFrame("worker closed between frames")
-                    workers.append(decode_payload(raw[HEADER.size:]))
-                except (
-                    WireError,
-                    OSError,
-                    ConnectionError,
-                    asyncio.TimeoutError,
-                    TimeoutError,
-                ):
-                    control.mark_dead()
-                    workers.append(
-                        {"worker_id": worker_id, "unreachable": True}
-                    )
+                    body = await self._probe(worker_id, probe)
+                    workers.append(decode_payload(body))
+                except (WireError, OSError):
+                    workers.append({"worker_id": worker_id, "unreachable": True})
         counters = {
-            metric.name: metric.value
-            for metric in self.obs.collect()
-            if metric.kind == "counter"
-            and metric.name.startswith(("frontend.", "resilience."))
+            metric.name: metric.value for metric in self.obs.collect()
+            if isinstance(metric, Counter) and metric.name.startswith(("frontend.", "resilience."))
         }
         return {
             "type": "stats",
@@ -727,11 +730,8 @@ class Frontend:
                 "cache": self.cache.stats() if self.cache is not None else None,
                 "counters": counters,
                 "breakers": {
-                    str(worker_id): (
-                        "failed"
-                        if worker_id in self._failed_workers
-                        else breaker.state.value
-                    )
+                    str(worker_id): "failed" if worker_id in self._failed_workers
+                    else breaker.state.value
                     for worker_id, breaker in self.breakers.items()
                 },
                 "failed_workers": sorted(self._failed_workers),

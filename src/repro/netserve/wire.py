@@ -25,9 +25,12 @@ Fault taxonomy (every subclass of :class:`WireError`):
   not one the decoder can read (nesting past its depth, an integer
   literal past its digit limit).
 
-Both a blocking-socket codec (workers, the sync client) and an asyncio
-codec (the frontend) are provided, plus raw-bytes variants the frontend
-uses to relay frames without re-encoding them.
+Three readers share these rules: a blocking-socket codec (workers,
+the sync client), a stream reader (:func:`read_raw_frame`, the load
+generator) and an incremental :class:`FrameSplitter` that the
+frontend's protocol callbacks feed with whatever bytes arrived.  The
+stream reader and the splitter hand out raw frames, header included,
+so the frontend can relay a frame without re-encoding it.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from typing import Any
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "FrameFormatError",
+    "FrameSplitter",
     "FrameTooLarge",
     "TornFrame",
     "WireError",
@@ -50,7 +54,6 @@ __all__ = [
     "recv_frame",
     "recv_raw_frame",
     "send_frame",
-    "write_raw_frame",
 ]
 
 #: 4-byte big-endian unsigned frame length.
@@ -175,7 +178,7 @@ def send_frame(
 
 
 # ------------------------------------------------------------------ #
-# Asyncio codec (the frontend)
+# Asyncio stream reader (the load generator)
 
 
 async def read_raw_frame(
@@ -207,6 +210,73 @@ async def read_raw_frame(
     return header + body
 
 
-def write_raw_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
-    """Queue one already-framed byte string (caller drains)."""
-    writer.write(frame)
+# ------------------------------------------------------------------ #
+# Incremental splitter (the frontend's protocol callbacks)
+
+
+class FrameSplitter:
+    """Cut a byte stream that arrives in arbitrary chunks into frames.
+
+    :meth:`feed` each chunk as it arrives, then call :meth:`next_frame`
+    until it returns ``None``; :meth:`eof` when the peer closes.  The
+    frames, errors and their order are those :func:`read_raw_frame`
+    gives on the same bytes: a frame is returned header included, an
+    over-budget length prefix raises :class:`FrameTooLarge` as soon as
+    its header is complete (before any of its body is kept waiting for
+    the rest), and a partial frame at EOF raises :class:`TornFrame`.
+    """
+
+    __slots__ = ("max_frame_bytes", "_buffer", "_start")
+
+    def __init__(self, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> None:
+        self.max_frame_bytes = max_frame_bytes
+        self._buffer: bytes | bytearray = b""
+        self._start = 0
+
+    def feed(self, data: bytes) -> None:
+        """Append one received chunk."""
+        if not self._buffer:
+            self._buffer = data
+            return
+        if self._start or not isinstance(self._buffer, bytearray):
+            # Keep only the unread tail: at most one partial frame.
+            self._buffer = bytearray(self._buffer[self._start:])
+            self._start = 0
+        self._buffer += data
+
+    def next_frame(self) -> bytes | None:
+        """The next complete frame, or ``None`` until more bytes arrive."""
+        buffer = self._buffer
+        start = self._start
+        size = len(buffer)
+        if size - start < HEADER.size:
+            return None
+        (length,) = HEADER.unpack_from(buffer, start)
+        _check_length(length, self.max_frame_bytes)
+        end = start + HEADER.size + length
+        if end > size:
+            return None
+        frame = bytes(buffer) if start == 0 and end == size else bytes(
+            buffer[start:end]
+        )
+        if end == size:
+            self._buffer = b""
+            self._start = 0
+        else:
+            self._start = end
+        return frame
+
+    def eof(self) -> None:
+        """The peer closed: :class:`TornFrame` if a frame is partial."""
+        held = len(self._buffer) - self._start
+        if not held:
+            return
+        if held < HEADER.size:
+            raise TornFrame(
+                f"peer closed mid-header: got {held} of {HEADER.size} bytes"
+            )
+        (length,) = HEADER.unpack_from(self._buffer, self._start)
+        raise TornFrame(
+            f"peer closed mid-frame: got {held - HEADER.size} "
+            f"of {length} payload bytes"
+        )

@@ -1,18 +1,20 @@
 """Singleflight coalescing and the generation-aware result cache (PR 9).
 
 Pure-logic property tests for :mod:`repro.netserve.coalesce`, a
-hypothesis interleaving test for the frontend's singleflight addressing
+hypothesis test of the frontend's singleflight addressing over sockets
 (every coalesced client gets its own ``request_id``-stamped,
-bit-identical reply), and live-cluster tests for coalescing, cache
+bit-identical reply, also when the leader's client has gone), and
+live-cluster tests for coalescing, cache
 hits, and cache invalidation on a tiered generation bump.
 """
 
-import asyncio
 import copy
 import json
+import socket
 import threading
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,11 +25,19 @@ from repro.netserve.coalesce import (
     canonical_serve_key,
     restamp_result,
 )
-from repro.netserve.frontend import Frontend, FrontendConfig
-from repro.netserve.wire import HEADER, decode_payload, encode_frame
+from repro.netserve.frontend import FrontendConfig
+from repro.netserve.wire import (
+    HEADER,
+    WireError,
+    decode_payload,
+    encode_frame,
+    recv_frame,
+    send_frame,
+)
 from repro.segment import TieredConfig, TieredSegmentedIndex
 
 from tests.netserve.conftest import requires_af_unix
+from tests.netserve.frontend_rig import read_raw, running_frontend, wait_for
 
 pytestmark = requires_af_unix
 
@@ -213,14 +223,95 @@ class TestGenerationalLRUCache:
             assert len(cache) == len(model) <= 2
 
 
-class TestSingleflightAddressing:
-    """White-box: the frontend's singleflight gate, no sockets.
+class HeldWorker:
+    """A fake worker that answers a serve only once ``release`` is set.
 
-    ``_dispatch_decoded`` is replaced by a fake that blocks every
-    leader on one event until *all* client tasks have been started, so
-    any interleaving hypothesis generates ends up fully coalesced — the
-    strongest setting for the addressing property.
+    Each connection is served on its own thread, so every trip the
+    frontend has in flight is parked at once; ``dispatched`` records
+    the canonical key of every serve that reached it.
     """
+
+    def __init__(self, path):
+        self.release = threading.Event()
+        self.dispatched = []
+        self._stop = threading.Event()
+        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._listener.bind(path)
+        self._listener.listen(16)
+        self._listener.settimeout(0.1)
+        self._thread = threading.Thread(target=self._accept, daemon=True)
+        self._thread.start()
+
+    def _accept(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn):
+        with conn:
+            while True:
+                try:
+                    payload = recv_frame(conn)
+                except (WireError, OSError):
+                    return
+                if payload is None:
+                    return
+                if payload.get("type") != "serve":
+                    send_frame(conn, {"type": payload.get("type")})
+                    continue
+                request = payload["request"]
+                self.dispatched.append(canonical_serve_key(request))
+                assert self.release.wait(10.0), "held serve never released"
+                send_frame(conn, self._result(request))
+
+    @staticmethod
+    def _result(request):
+        words = sorted(set(request["query"]))
+        return {
+            "type": "result",
+            "request_id": request.get("request_id"),
+            "generation": 0,
+            "result": {
+                "query": list(request["query"]),
+                "degraded_reason": "none",
+                "outcome": {
+                    "reserve_micros": 1,
+                    "candidates": len(words),
+                    "awards": [
+                        {"listing_id": i, "word": w} for i, w in enumerate(words)
+                    ],
+                },
+            },
+        }
+
+    def close(self):
+        self.release.set()
+        self._stop.set()
+        self._thread.join(5.0)
+        self._listener.close()
+
+
+@pytest.fixture(scope="module")
+def held_rig(tmp_path_factory):
+    """A coalescing frontend (no cache) over one :class:`HeldWorker`."""
+    path = str(tmp_path_factory.mktemp("held") / "held.sock")
+    worker = HeldWorker(path)
+    config = FrontendConfig(coalesce=True, conns_per_worker=4)
+    try:
+        with running_frontend([path], config) as frontend:
+            yield worker, frontend
+    finally:
+        worker.close()
+
+
+class TestSingleflightAddressing:
+    """Black-box: clients on their own connections, one fake worker
+    that holds every reply until all of them have been read, so any
+    set of requests hypothesis draws ends up fully coalesced — the
+    strongest setting for the addressing property."""
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -237,66 +328,17 @@ class TestSingleflightAddressing:
             max_size=8,
         )
     )
-    def test_every_client_gets_its_own_bit_identical_reply(self, clients):
-        asyncio.run(self._drive(clients))
-
-    async def _drive(self, clients):
-        frontend = Frontend(
-            ["/nonexistent"], FrontendConfig(coalesce=True)
-        )
-        release = asyncio.Event()
-        dispatched: list = []
-
-        async def fake_dispatch_decoded(key, frame):
-            dispatched.append(key)
-            await release.wait()
-            request = decode_payload(frame[HEADER.size:])["request"]
-            words = sorted(set(request["query"]))
-            return {
-                "type": "result",
-                "request_id": request.get("request_id"),
-                "generation": 0,
-                "result": {
-                    "query": list(request["query"]),
-                    "degraded_reason": "none",
-                    "outcome": {
-                        "reserve_micros": 1,
-                        "candidates": len(words),
-                        "awards": [
-                            {"listing_id": i, "word": w}
-                            for i, w in enumerate(words)
-                        ],
-                    },
-                },
-            }
-
-        frontend._dispatch_decoded = fake_dispatch_decoded
-
-        requests = []
-        for i, (tokens, priority) in enumerate(clients):
-            requests.append(
-                {
-                    "query": list(tokens),
-                    "priority": priority,
-                    "request_id": f"c{i}",
-                }
-            )
-
-        async def one(request):
-            frame = encode_frame({"type": "serve", "request": request})
-            key = canonical_serve_key(request)
-            shared = await frontend._serve_shared(key, frame)
-            return restamp_result(shared, request)
-
-        tasks = [asyncio.ensure_future(one(r)) for r in requests]
-        await asyncio.sleep(0)  # every task reaches the gate
-        release.set()
-        replies = await asyncio.gather(*tasks)
-
+    def test_every_client_gets_its_own_bit_identical_reply(self, held_rig, clients):
+        worker, frontend = held_rig
+        requests = [
+            {"query": list(tokens), "priority": priority, "request_id": f"c{i}"}
+            for i, (tokens, priority) in enumerate(clients)
+        ]
+        coalesced, replies = self._drive(worker, frontend, requests)
         distinct = {canonical_serve_key(r) for r in requests}
         # Exactly one worker round trip per canonical key.
-        assert len(dispatched) == len(distinct)
-        assert set(dispatched) == distinct
+        assert len(worker.dispatched) == len(distinct)
+        assert set(worker.dispatched) == distinct
         shared_by_key: dict = {}
         for request, reply in zip(requests, replies):
             # Addressed to this client, echoing this client's order.
@@ -313,9 +355,59 @@ class TestSingleflightAddressing:
                 assert shared_by_key[key] == body
             else:
                 shared_by_key[key] = body
-        assert _counter(frontend.obs, "frontend.coalesced") == len(
-            requests
-        ) - len(distinct)
+        assert coalesced == len(requests) - len(distinct)
+
+    def test_followers_are_answered_after_the_leader_disconnects(self, held_rig):
+        worker, frontend = held_rig
+        requests = [
+            {"query": ["alpha", "beta"], "request_id": "leader"},
+            {"query": ["beta", "alpha"], "request_id": "f1"},
+            {"query": ["alpha", "beta", "beta"], "request_id": "f2"},
+            {"query": ["alpha", "beta"], "request_id": "f3"},
+        ]
+        coalesced, replies = self._drive(
+            worker, frontend, requests, leader_leaves=True
+        )
+        assert worker.dispatched == [canonical_serve_key(requests[0])]
+        assert coalesced == 3
+        assert [r["request_id"] for r in replies] == ["f1", "f2", "f3"]
+        assert [r["result"]["query"] for r in replies] == [
+            r["query"] for r in requests[1:]
+        ]
+
+    @staticmethod
+    def _drive(worker, frontend, requests, leader_leaves=False):
+        """Send every request on its own connection, the first before
+        the rest; release the worker once the frontend has read them
+        all; the coalesced-count delta and the replies still awaited."""
+        worker.dispatched.clear()
+        worker.release.clear()
+        coalesced = _counter(frontend.obs, "frontend.coalesced")
+        served = _counter(frontend.obs, "frontend.requests")
+        conns = [
+            socket.create_connection(("127.0.0.1", frontend.port), timeout=10.0)
+            for _ in requests
+        ]
+        try:
+            frames = [encode_frame({"type": "serve", "request": r}) for r in requests]
+            conns[0].sendall(frames[0])
+            wait_for(lambda: len(worker.dispatched) == 1, what="the leader's trip")
+            if leader_leaves:
+                conns[0].close()
+            for conn, frame in zip(conns[1:], frames[1:]):
+                conn.sendall(frame)
+            wait_for(
+                lambda: _counter(frontend.obs, "frontend.requests")
+                == served + len(requests),
+                what="every frame read",
+            )
+            worker.release.set()
+            live = conns[1:] if leader_leaves else conns
+            replies = [decode_payload(read_raw(c)[HEADER.size:]) for c in live]
+        finally:
+            for conn in conns:
+                conn.close()
+        return _counter(frontend.obs, "frontend.coalesced") - coalesced, replies
 
 
 class TestLivePipeline:

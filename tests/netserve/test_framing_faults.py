@@ -10,7 +10,10 @@ well-formed clients.
 """
 
 import asyncio
+import json
 import socket
+import threading
+import time
 
 import pytest
 
@@ -27,6 +30,7 @@ from repro.netserve.worker import WorkerConfig, _Worker
 from repro.serving import ServeRequest
 
 from tests.netserve.conftest import requires_af_unix
+from tests.netserve.frontend_rig import read_raw
 
 pytestmark = requires_af_unix
 
@@ -131,6 +135,97 @@ class TestTornFrames:
         assert raw_socket.recv(4096) == b""
         assert _counters(cluster)["frontend.client_timeouts"] == before + 1
         _assert_still_serving(cluster)
+
+
+class TestFlowControl:
+    """The idle budget runs only while the frontend waits on the
+    client, and a client that reads nothing stops being read."""
+
+    def test_idle_between_frames_disconnects(self, cluster, raw_socket):
+        before = _counters(cluster)["frontend.client_timeouts"]
+        raw_socket.sendall(encode_frame(REQUEST))
+        reply = recv_frame(raw_socket)
+        assert reply is not None and reply["type"] == "result"
+        started = time.monotonic()
+        # ...then nothing: the next frame's budget runs out.
+        assert raw_socket.recv(4096) == b""
+        assert time.monotonic() - started < 5.0
+        assert _counters(cluster)["frontend.client_timeouts"] == before + 1
+        _assert_still_serving(cluster)
+
+    def test_busy_client_outlives_the_timeout(self, cluster):
+        before = _counters(cluster)["frontend.client_timeouts"]
+        host, port = cluster.address
+        with ServeClient(host, port) as client:
+            started = time.monotonic()
+            while time.monotonic() - started < 2.0:  # > 2x the 0.75 s budget
+                assert client.request(REQUEST)["type"] == "result"
+                time.sleep(0.05)
+            assert client.ping()
+        assert _counters(cluster)["frontend.client_timeouts"] == before
+
+    def test_client_that_reads_nothing_is_paused(self, segment_path, generated_corpus):
+        config = ClusterConfig(
+            segment_path=str(segment_path),
+            num_workers=1,
+            cache_entries=64,
+            client_idle_timeout_s=0.75,
+        )
+        # A query with ads, so each reply carries a full slate.
+        request = {"query": sorted(generated_corpus.templates[0])}
+        with ServingCluster(config) as running:
+            host, port = running.address
+            with ServeClient(host, port) as other:
+                probe = other.request({"type": "serve", "request": request})
+                assert probe["result"]["outcome"]["awards"]
+                reply_bytes = len(json.dumps(probe)) + HEADER.size
+                requests0 = other.stats()["frontend"]["counters"]["frontend.requests"]
+                # Far more reply bytes than the socket buffers between
+                # the frontend and a reader that reads nothing can hold.
+                count = (24 << 20) // reply_bytes
+                frames = b"".join(
+                    encode_frame({"type": "serve", "request": {**request, "request_id": f"p{i}"}})
+                    for i in range(count)
+                )
+                quiet = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                quiet.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                quiet.settimeout(30.0)
+                quiet.connect((host, port))
+                sender = threading.Thread(target=quiet.sendall, args=(frames,), daemon=True)
+                sender.start()
+                try:
+                    # The frontend stops reading the quiet client...
+                    seen, stable = -1, 0
+                    deadline = time.monotonic() + 20.0
+                    while stable < 3:
+                        assert time.monotonic() < deadline, "reading never paused"
+                        time.sleep(0.15)
+                        now = other.stats()["frontend"]["counters"]["frontend.requests"]
+                        stable = stable + 1 if now == seen else 0
+                        seen = now
+                    assert seen - requests0 < count
+                    assert [
+                        client.transport.is_reading()
+                        for client in list(running.frontend._clients)
+                        if client.transport is not None
+                    ].count(False) == 1
+                    # ...while another client is still served, and stays
+                    # connected for twice the idle budget: it is waiting
+                    # on the frontend, not idle.
+                    for _ in range(10):
+                        assert other.request({"type": "serve", "request": request})
+                        time.sleep(0.15)
+                    # Once it reads, every reply arrives, in order.
+                    for i in range(count):
+                        reply = json.loads(read_raw(quiet)[HEADER.size:])
+                        assert reply["request_id"] == f"p{i}"
+                    sender.join(10.0)
+                    assert not sender.is_alive()
+                finally:
+                    quiet.close()
+            with ServeClient(host, port) as probe:
+                counters = probe.stats()["frontend"]["counters"]
+            assert counters["frontend.cache_hits"] == count + 10
 
 
 #: A generation-stamped worker result frame (the PR 9 schema) — the

@@ -9,6 +9,11 @@ the sync client) and the async one (``read_raw_frame`` plus
 :class:`FrameFormatError` or with a JSON object, never with
 ``RecursionError``, a bare ``ValueError`` or a hang.
 
+The frontend cuts frames out of its byte stream with a
+:class:`FrameSplitter`; whatever the bytes and wherever the chunk
+boundaries fall, it must give the frames and the error that
+``read_raw_frame`` gives on the same stream.
+
 Bodies start as valid encodings: real ``result`` frames from an
 :class:`AdServer`, ``serve`` frames from ``ServeRequest.to_dict`` and
 arbitrary JSON objects.  They are then truncated, bit-flipped, spliced,
@@ -31,6 +36,9 @@ from repro.core.wordset_index import WordSetIndex
 from repro.netserve.wire import (
     HEADER,
     FrameFormatError,
+    FrameSplitter,
+    FrameTooLarge,
+    TornFrame,
     decode_payload,
     encode_frame,
     read_raw_frame,
@@ -209,3 +217,90 @@ def test_a_damaged_body_is_a_typed_error_or_an_object(decode, case):
     decoded = timed(decode, body)
     if kind == "intact":
         assert decoded == payload
+
+
+# ------------------------------------------------------------------ #
+# The incremental splitter against the stream reader
+
+#: A small budget, so over-budget prefixes are common.
+SPLIT_BUDGET = 64
+
+
+@st.composite
+def streams(draw):
+    """Whole frames (zero-length and at the budget too), over-budget
+    prefixes, random bytes, and a cut list splitting it into chunks."""
+    parts = draw(
+        st.lists(
+            st.one_of(
+                st.binary(max_size=SPLIT_BUDGET).map(
+                    lambda body: HEADER.pack(len(body)) + body
+                ),
+                st.just(HEADER.pack(SPLIT_BUDGET) + b"x" * SPLIT_BUDGET),
+                st.integers(SPLIT_BUDGET + 1, (1 << 32) - 1).map(HEADER.pack),
+                st.binary(max_size=12),
+            ),
+            max_size=8,
+        )
+    )
+    data = b"".join(parts)
+    cuts = sorted(draw(st.sets(st.integers(1, max(len(data) - 1, 1)), max_size=10)))
+    return data, [c for c in cuts if c < len(data)]
+
+
+def read_stream(data):
+    """``read_raw_frame`` over the whole stream: frames, then the error
+    type that ended it (``None`` at a clean end)."""
+
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        frames = []
+        try:
+            while (frame := await read_raw_frame(reader, SPLIT_BUDGET)) is not None:
+                frames.append(frame)
+        except (FrameTooLarge, TornFrame) as exc:
+            return frames, type(exc)
+        return frames, None
+
+    return asyncio.run(run())
+
+
+def split_stream(data, cuts):
+    """The splitter fed chunk by chunk: frames, the error type, and how
+    many bytes had been fed when it was raised."""
+    splitter = FrameSplitter(SPLIT_BUDGET)
+    frames = []
+    fed = 0
+    for start, end in zip([0, *cuts], [*cuts, len(data)]):
+        splitter.feed(data[start:end])
+        fed = end
+        try:
+            while (frame := splitter.next_frame()) is not None:
+                frames.append(frame)
+        except FrameTooLarge:
+            return frames, FrameTooLarge, fed
+    try:
+        splitter.eof()
+    except TornFrame:
+        return frames, TornFrame, fed
+    return frames, None, fed
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=streams())
+@example(case=(HEADER.pack(SPLIT_BUDGET + 1) + b"y" * 500, [2, 4, 300]))
+@example(case=(HEADER.pack(0) * 3 + HEADER.pack(5) + b"ab", [1, 5, 9]))
+def test_splitter_gives_the_stream_readers_frames_and_errors(case):
+    data, cuts = case
+    frames, error = read_stream(data)
+    got, got_error, fed = split_stream(data, cuts)
+    assert got == frames
+    assert all(isinstance(frame, bytes) for frame in got)
+    assert got_error is error
+    if error is FrameTooLarge:
+        # Raised by the chunk that completed the over-budget header,
+        # before any later byte of its body was taken in.
+        header_end = sum(map(len, frames)) + HEADER.size
+        assert fed == min(b for b in [*cuts, len(data)] if b >= header_end)
