@@ -11,35 +11,37 @@ overhead *per probe* out of their loops:
 * :mod:`repro.kernels.pipeline` — how a query's words become a probe
   plan and an ordered stream of probe keys, and
   the one rule (:func:`~repro.kernels.pipeline.bulk_membership`) for
-  whether a plan's keys are tested in bulk or streamed;
+  whether ``WordSetIndex`` tests a plan's keys in bulk or streams them;
 * :mod:`repro.kernels.flat` — subset-hash enumeration flattened into
   one key array per plan, built a subset size at a time (each key is
   its prefix's key XOR one word's contribution);
-* :mod:`repro.kernels.probe` — one vectorized bit-test pass of a
-  batch's bulk keys against the segment's ``B^sig`` words, instead of
-  a Python-level probe loop.
+* :mod:`repro.kernels.probe` — the vectorized ``B^sig`` bit test,
+  which no index calls any more (the packed index walks its trie).
 
 Two backends exist:
 
-* ``numpy`` — plans with at least
+* ``numpy`` — ``WordSetIndex`` plans with at least
   :data:`~repro.kernels.pipeline.BULK_MIN_KEYS` probe keys are
-  enumerated and tested in bulk (optional dependency, the ``perf``
-  extra);
+  enumerated in bulk (optional dependency, the ``perf`` extra);
 * ``python`` — zero dependencies; every plan streams.
 
 Backend selection is governed by the ``REPRO_KERNELS`` environment
 variable: ``numpy``, ``python``, or ``auto`` (the default: numpy when
-importable, else python).
+importable, else python).  ``PackedSegmentIndex`` has no backend: it
+walks its locator-prefix trie in Python on either
+(:meth:`~repro.segment.packed.PackedSegmentIndex._walk`), and
+``CompressedWordSetIndex`` streams its plans.
 
-**Equivalence guarantee.**  Both backends, and both ways a plan's keys
-reach the scan, return bit-identical result slates and record identical
-observability counters (``index.probes``, ``segment.probes``, node-scan
-and candidate counts) and ``AccessStats`` for any fault-free untimed
-query: each index has one probe body and one node-scan body, and the
-rule only changes *how fast* the same probes run.  A timed deadline is
-checked before each node scan either way, so an expired budget never
+**Equivalence guarantee.**  For ``WordSetIndex``, both backends, and
+both ways a plan's keys reach the scan, return bit-identical result
+slates and record identical observability counters (``index.probes``,
+node-scan and candidate counts) and ``AccessStats`` for any fault-free
+untimed query: the index has one probe body and one node-scan body, and
+the rule only changes *how fast* the same probes run.  A timed deadline
+is checked before each node scan either way, so an expired budget never
 scans another node, and a budget that runs out mid-query cuts both
-ways' results at the same node.
+ways' results at the same node.  ``PackedSegmentIndex`` has one probe
+path, so the backend cannot change anything it returns or counts.
 """
 
 from __future__ import annotations

@@ -12,12 +12,15 @@ index (``WordSetIndex``, ``PackedSegmentIndex``,
 3. **membership** — test each key against the structure;
 4. **node scan** — scan the hit nodes with early termination.
 
-Steps 1 and 2, the one rule for whether a plan's keys are tested in
-bulk or streamed (:func:`bulk_membership`), the plan memo
-(:class:`PlanMemo`) and the bulk pass's batch bookkeeping
-(:func:`split_hits`) live here and nowhere else.  Each index keeps only
-what is its own: one probe body, one membership test and one node-scan
-body.  Sharing is per query and per batch; nothing in this module runs
+Step 1, the paper's power-set enumeration of step 2, the one rule for
+whether the dict index tests a plan's keys in bulk or streams them
+(:func:`bulk_membership`) and the plan memo (:class:`PlanMemo`) live
+here and nowhere else.  ``WordSetIndex`` and ``CompressedWordSetIndex``
+enumerate the power set; ``PackedSegmentIndex`` keeps step 1 and walks
+its locator-prefix trie for step 2 instead
+(:meth:`~repro.segment.packed.PackedSegmentIndex._walk`), testing each
+key inline.  Each index keeps only what is its own: one probe body, one
+membership test and one node-scan body.  Nothing in this module runs
 per probe except the key generator itself.
 """
 
@@ -25,21 +28,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Callable, Container, Iterable, Mapping, Sequence
-from itertools import accumulate
-from typing import Any
 
 from repro.core.queries import Query
 from repro.core.subset_enum import sized_subsets, truncate_query
 from repro.core.wordhash import word_contrib, wordhash
 from repro.kernels import active_backend
-from repro.kernels.probe import split_by_query
 from repro.perf.memohash import hashed_index_subsets
 from repro.perf.prefilter import ProbePlan, naive_plan, plan_probes
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised in the no-numpy CI leg
-    _np = None  # type: ignore[assignment]
 
 __all__ = [
     "BULK_MIN_KEYS",
@@ -47,7 +42,6 @@ __all__ = [
     "bulk_membership",
     "plan_query",
     "probe_keys",
-    "split_hits",
 ]
 
 HashFn = Callable[[frozenset[str]], int]
@@ -59,10 +53,11 @@ HashFn = Callable[[frozenset[str]], int]
 #: function that placed the nodes.
 _CANONICAL_WORDHASH = wordhash
 
-#: Plans with at least this many probe keys test membership in bulk
-#: (numpy only); smaller plans stream.  Set from the measured per-plan
-#: crossover on the 100k-ad segment; the dict index's bulk keys win from
-#: below it (docs/performance.md).  Not an option.
+#: ``WordSetIndex`` plans with at least this many probe keys take their
+#: keys as one flat array (numpy only); smaller plans stream.  Set from
+#: the measured per-plan crossover on the 100k-ad segment
+#: (docs/performance.md); the packed index walks its prefix trie
+#: instead and never asks.  Not an option.
 BULK_MIN_KEYS = 64
 
 
@@ -112,13 +107,14 @@ def probe_keys(
 def bulk_membership(
     plan: ProbePlan, hash_fn: HashFn = _CANONICAL_WORDHASH
 ) -> bool:
-    """The one rule for how ``plan``'s keys reach an index's node scan.
+    """The one rule for how ``plan``'s keys reach ``WordSetIndex``'s
+    node scan.
 
     True (bulk) when the plan has at least :data:`BULK_MIN_KEYS` probe
     keys, ``hash_fn`` is the canonical hash and numpy serves
     (:func:`~repro.kernels.active_backend`): the index enumerates the
-    plan's flat key array and tests it in one pass.  False (streamed)
-    otherwise: the plan's key generator feeds the scan's inline test.
+    plan's flat key array in one pass.  False (streamed) otherwise: the
+    plan's key generator feeds the scan.
     Both end in the same node-scan body, so slates, counters and
     tracker charges do not depend on the answer, only speed does.
     """
@@ -174,28 +170,3 @@ class PlanMemo:
             out.append(cached)
         return out
 
-
-def split_hits(
-    keys_per: Sequence[Any],
-    membership: Callable[[Any], tuple[Any, Any]],
-) -> list[list[int]]:
-    """One bulk membership pass over a batch's flat key arrays (numpy).
-
-    ``keys_per`` holds one ``uint64`` key array per query;
-    ``membership(all_keys)`` is the index's own test over their
-    concatenation, returning the per-probe values to report (the keys,
-    or their ``B^sig`` suffixes) and the ascending positions that hit.
-    Returns each query's hit values in probe order — misses never
-    surface into Python.
-    """
-    boundaries = list(accumulate(len(keys) for keys in keys_per))
-    if not boundaries or not boundaries[-1]:
-        return [[] for _ in keys_per]
-    all_keys = _np.concatenate(keys_per) if len(keys_per) > 1 else keys_per[0]
-    values, hits = membership(all_keys)
-    # One C-speed conversion for the whole batch's (few) hits.
-    hit_values: list[int] = values[hits].tolist()
-    ends: list[int] = split_by_query(hits, boundaries).tolist()
-    return [
-        hit_values[start:end] for start, end in zip([0, *ends], ends)
-    ]

@@ -319,7 +319,6 @@ class _Trip:
 
     frame: bytes
     done: _OnReply
-    budget: int  # channels it may still take from the pool
     attempts: int = 0
     failover: bool = False
     tried: set[int] = field(default_factory=set)
@@ -350,7 +349,6 @@ class Frontend:
         # Idle pooled channels, taken FIFO; trips wait FIFO for one.
         self._idle: deque[_Channel] = deque()
         self._waiting: deque[_Trip] = deque()
-        self._num_channels = len(worker_sockets) * self.config.conns_per_worker
         self._control: dict[int, _Channel] = {}
         self._probe_lock = asyncio.Lock()
         self._clients: set[_Client] = set()
@@ -499,7 +497,7 @@ class Frontend:
                 return
             self._inflight[key] = waiters
         done = functools.partial(self._answer, key, waiters)
-        self._advance(_Trip(frame, done, max(self._num_channels, 1)))
+        self._advance(_Trip(frame, done))
 
     def _served(self, started: float) -> None:
         """An admitted request was answered."""
@@ -585,6 +583,8 @@ class Frontend:
         self.breakers[worker_id].reset_half_open()
         self.obs.counter("frontend.breaker_resets").inc()
         self._observe_breaker(worker_id)
+        if self._waiting:
+            self._reroute()  # a waiting trip may take its idle channels
 
     def mark_worker_failed(self, worker_id: int) -> None:
         """A worker crash-looped out of its restart budget: stop
@@ -595,6 +595,8 @@ class Frontend:
             self._failed_workers.add(worker_id)
             self.obs.counter("frontend.workers_failed").inc()
         self._observe_breaker(worker_id)
+        if self._waiting:
+            self._reroute()  # a trip left no worker fails now
 
     def _admin(self, payload: dict[str, Any]) -> dict[str, Any]:
         """The supervisor's control surface (trusted network, like the
@@ -615,39 +617,82 @@ class Frontend:
     # Worker side
 
     def _advance(self, trip: _Trip) -> None:
+        """Route ``trip``, or queue it FIFO for the next freed channel."""
+        if not self._idle or not self._dispatch(trip):
+            self._waiting.append(trip)
+
+    def _may_use(self, worker_id: int, trip: _Trip) -> bool:
+        """May ``trip`` go to ``worker_id`` now?  Not when the worker is
+        failed, already tried (unless it is the only one) or refused by
+        its breaker, asked without spending a half-open trial."""
+        return (
+            worker_id not in self._failed_workers
+            and (worker_id not in trip.tried or len(self.worker_sockets) == 1)
+            and self.breakers[worker_id].permits()
+        )
+
+    def _dispatch(self, trip: _Trip) -> bool:
         """Take idle channels FIFO (a skipped one goes to the back)
-        until one may carry ``trip`` to a healthy worker, or wait for
-        one.  ``trip.done`` gets the raw reply frame, or ``None`` when
-        every attempt failed or short-circuited: a failed attempt is
-        retried once, on a worker not yet tried (with one worker, on
-        its other channel), rather than storming every worker."""
-        single_worker = len(self.worker_sockets) == 1
+        until one may carry ``trip``; False when none may but a worker
+        that could is busy, so the trip must wait.  ``trip.done`` gets
+        the raw reply frame, or ``None`` when no worker may carry it or
+        every attempt failed: a failed attempt is retried once, on a
+        worker not yet tried (with one worker, on its other channel),
+        rather than storming every worker.  A trip failed here counts
+        one short circuit on each breaker that refused it."""
         idle = self._idle
-        while trip.budget > 0:
-            if not idle:
-                self._waiting.append(trip)
-                return
+        for _ in range(len(idle)):
             channel = idle.popleft()
-            trip.budget -= 1
-            worker_id = channel.worker_id
-            if worker_id in self._failed_workers or (
-                worker_id in trip.tried and not single_worker
+            if self._may_use(channel.worker_id, trip):
+                self._take(channel, trip)
+                return True
+            idle.append(channel)
+        if any(self._may_use(worker_id, trip) for worker_id in self.breakers):
+            return False
+        for worker_id, breaker in self.breakers.items():
+            if worker_id not in self._failed_workers and not (
+                worker_id in trip.tried and len(self.worker_sockets) > 1
             ):
-                idle.append(channel)
-                continue
-            if not self.breakers[worker_id].allow():
+                breaker.allow()  # refused: counts the short circuit
                 self._observe_breaker(worker_id)
-                idle.append(channel)
-                continue
-            if trip.attempts == 1 and not trip.failover:
-                self.obs.counter("frontend.worker_failovers").inc()
-                trip.failover = True
-            if channel.transport is None:
-                self._spawn(self._reconnect(channel, trip))
-            else:
-                self._send(channel, trip)
-            return
         trip.done(None)
+        return True
+
+    def _take(self, channel: _Channel, trip: _Trip) -> None:
+        """Carry ``trip`` on ``channel``, which it may use."""
+        self.breakers[channel.worker_id].allow()
+        if trip.attempts == 1 and not trip.failover:
+            self.obs.counter("frontend.worker_failovers").inc()
+            trip.failover = True
+        if channel.transport is None:
+            self._spawn(self._reconnect(channel, trip))
+        else:
+            self._send(channel, trip)
+
+    def _wake(self) -> None:
+        """Offer the channel a reply just freed (the newest idle one) to
+        the first waiting trip that may use it.  When none may, the
+        reply may have left some trip no worker at all: re-route them
+        all."""
+        channel = self._idle[-1]
+        waiting = self._waiting
+        for at, trip in enumerate(waiting):
+            if not self._may_use(channel.worker_id, trip):
+                continue
+            self._idle.pop()
+            del waiting[at]
+            self._take(channel, trip)
+            return
+        self._reroute()
+
+    def _reroute(self) -> None:
+        """Route every waiting trip afresh, in order: each goes out,
+        fails or waits again."""
+        waiting = self._waiting
+        for _ in range(len(waiting)):
+            trip = waiting.popleft()
+            if not self._dispatch(trip):
+                waiting.append(trip)
 
     async def _reconnect(self, dead: _Channel, trip: _Trip) -> None:
         try:
@@ -679,8 +724,8 @@ class Frontend:
         self._observe_breaker(worker_id)
         if retry:
             self._advance(trip)
-        while self._waiting and self._idle:
-            self._advance(self._waiting.popleft())
+        if self._waiting and self._idle:
+            self._wake()
         if not retry:
             trip.done(raw)
 

@@ -155,6 +155,15 @@ class CircuitBreaker:
         self._count("resilience.breaker_short_circuits")
         return False
 
+    def permits(self) -> bool:
+        """Would :meth:`allow` admit a leg right now?  A read: it spends
+        no half-open probe, moves no state and counts nothing."""
+        if self._state is BreakerState.CLOSED:
+            return True
+        if self._state is BreakerState.OPEN:
+            return self._clock() - self._opened_at_ms >= self.config.reset_after_ms
+        return self._half_open_issued < self.config.half_open_probes
+
     def record_success(self) -> None:
         """An attempted leg completed."""
         if self._state is BreakerState.HALF_OPEN:

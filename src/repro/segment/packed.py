@@ -12,10 +12,16 @@ The query path is the Fig 6 lookup with the PR 1 probe plan in front:
    using the locator vocabulary and size histogram persisted in the
    segment header — the packed path plans probes *identically* to the
    ``WordSetIndex`` it was built from;
-2. each probe key's ``s``-bit suffix tests one bit of ``B^sig``: inlined
-   word access with no function call on the miss path for a streamed
-   plan, one vectorized pass over a batch's bulk plans (plans with at
-   least :data:`~repro.kernels.pipeline.BULK_MIN_KEYS` keys, numpy only);
+2. the plan's subsets are walked down the locator trie, level by level
+   (:meth:`PackedSegmentIndex._walk`): level 1 is the plan's
+   candidates, and level ``k`` extends, by each later candidate, only
+   the ``k - 1``-subsets whose key passes the segment's ``prefixes``
+   filter (format version 4).  Every key that equals a locator is still
+   tested, in the canonical order (size-ascending, lexicographic within
+   a size), but a sixteen-word query tests ~75 keys instead of its
+   power set's ~1 900.  Each tested key's ``s``-bit suffix tests one bit
+   of ``B^sig``, and both filter bits are tested, inline: no function
+   call per key;
 3. a hit's node ordinal is one entry of a per-word ``B^sig`` rank
    directory plus a popcount of the word just tested;
 4. the node's fingerprint byte (format version 3) is compared with the
@@ -81,17 +87,13 @@ from repro.compress.bitvector import BitVector
 from repro.core.ads import AdInfo, Advertisement
 from repro.core.matching import MatchType, RankedMatches, apply_match_type, excluded_by
 from repro.core.queries import Query
-from repro.core.wordhash import hash_suffix, wordhash
+from repro.core.wordhash import hash_suffix, word_contrib, wordhash
 from repro.cost.accounting import AccessTracker
-from repro.kernels import numpy_available, probe
-from repro.kernels.flat import flat_probe_keys
-from repro.kernels.pipeline import (
-    PlanMemo,
-    bulk_membership,
-    plan_query,
-    probe_keys,
-    split_hits,
-)
+
+# Kept for bench/layers.py until ROADMAP item 1's hook: its traced run
+# patches this name here, though the walk builds no flat key array.
+from repro.kernels.flat import flat_probe_keys as flat_probe_keys
+from repro.kernels.pipeline import PlanMemo, plan_query
 from repro.obs.registry import Histogram, MetricsRegistry, active_or_none
 from repro.perf.prefilter import ProbePlan
 from repro.resilience.deadline import Deadline, DegradedReason
@@ -172,6 +174,9 @@ _SCAN_COUNTERS = (
     ("segment.cache_misses", "Node scans that paid a decode"),
     ("segment.fingerprint_rejects", "B^sig hits the fingerprint turned away"),
 )
+#: ``(name, help)`` of the counter :meth:`PackedSegmentIndex._probe`
+#: bumps by the walk's filter tests.
+_PREFIX_TESTS = ("segment.prefix_tests", "Prefix-filter tests made by the trie walk")
 #: ``(name, help)`` of the counters bumped where a record is read and
 #: where an ad is built, so every path that reads the mapping counts.
 _READ_COUNTERS = (
@@ -315,8 +320,6 @@ class PackedSegmentIndex:
         self._node_cache: dict[int, _Runs] = {}
         #: The segment is immutable, so memoized plans never go stale.
         self._plan_memo = PlanMemo()
-        #: ``B^sig`` words as a zero-copy numpy view (numpy backend only).
-        self._sig_np: Any = None
         try:
             with self.path.open("rb") as handle:
                 try:
@@ -382,13 +385,16 @@ class PackedSegmentIndex:
         bsig_off, bsig_bits = section_bounds(header, "bsig")
         boff_off, boff_bits = section_bounds(header, "boff")
         fps_off, fps_len = section_bounds(header, "fingerprints")
+        prefixes_off, prefixes_len = section_bounds(header, "prefixes")
         nodes_off, nodes_len = section_bounds(header, "nodes")
         if (
             (bsig_off, bsig_bits) != (0, 1 << self.suffix_bits)
             or boff_off != (bsig_bits + 63) // 64 * 8
             or boff_bits != max(nodes_len, 1)
             or fps_off != boff_off + (boff_bits + 63) // 64 * 8
-            or nodes_off != fps_off + fps_len
+            or prefixes_off != fps_off + fps_len
+            or prefixes_len < 1
+            or nodes_off != prefixes_off + prefixes_len
         ):
             raise SegmentFormatError(
                 "segment sections disagree with the layout of suffix_bits"
@@ -409,17 +415,18 @@ class PackedSegmentIndex:
 
         bsig_view = payload[bsig_off:boff_off]
         boff_view = payload[boff_off:fps_off]
-        fps_view = payload[fps_off:nodes_off]
+        fps_view = payload[fps_off:prefixes_off]
+        prefixes_view = payload[prefixes_off:nodes_off]
         nodes_view = payload[nodes_off:]
-        self._views.extend((bsig_view, boff_view, fps_view, nodes_view))
+        self._views.extend(
+            (bsig_view, boff_view, fps_view, prefixes_view, nodes_view)
+        )
         #: One byte per node ordinal, read off the mapping.
         self._fingerprints = fps_view
+        #: The walk's prefix filter, read off the mapping.
+        self._prefix_filter = prefixes_view
         self.bsig = BitVector.from_buffer(bsig_view, bsig_bits)
         self.boff = BitVector.from_buffer(boff_view, boff_bits)
-        if numpy_available():
-            # Zero-copy u64 view for the vectorized bulk bit-test; must
-            # be dropped before the mmap views are released on close.
-            self._sig_np = probe.sig_words_array(bsig_view)
         self._nodes_buf = nodes_view
         self._nodes_len = nodes_len
 
@@ -463,7 +470,6 @@ class PackedSegmentIndex:
         self._closed = True
         self._node_cache.clear()
         self._plan_memo.cache.clear()
-        self._sig_np = None  # drop the buffer export before releasing views
         for packed in (getattr(self, "bsig", None), getattr(self, "boff", None)):
             if packed is not None:
                 packed.release()
@@ -498,6 +504,9 @@ class PackedSegmentIndex:
             ]
             self._nodes_read, self._ads_materialised = (
                 obs.counter(name, help=text) for name, text in _READ_COUNTERS
+            )
+            self._prefix_tests = obs.counter(
+                _PREFIX_TESTS[0], help=_PREFIX_TESTS[1]
             )
 
     # ------------------------------------------------------------------ #
@@ -553,7 +562,7 @@ class PackedSegmentIndex:
         the budget object, not returned silently.
         """
         plan = self.probe_plan(query.words)
-        return self._probe(query, plan, match_type, deadline, None, top)
+        return self._probe(query, plan, match_type, deadline, top)
 
     @overload
     def query_kernel_batch(
@@ -583,15 +592,13 @@ class PackedSegmentIndex:
     ) -> list[Any]:
         """:meth:`query` for every query of a batch (the entry point
         :class:`~repro.perf.batch.BatchQueryEngine` hands a deduplicated
-        batch to), with one ``B^sig`` pass for all its bulk plans.  A
-        batch's plans are memoized: a lone query's would only grow the
-        memo."""
+        batch to).  A batch's plans are memoized: a lone query's would
+        only grow the memo."""
         batch = list(queries)
         plans = self._plan_memo.plans(batch, self.probe_plan)
-        hits = self._bulk_hits(plans, deadline)
         return [
-            self._probe(query, plan, match_type, deadline, hits.get(at), top)
-            for at, (query, plan) in enumerate(zip(batch, plans))
+            self._probe(query, plan, match_type, deadline, top)
+            for query, plan in zip(batch, plans)
         ]
 
     def _probe(
@@ -600,49 +607,91 @@ class PackedSegmentIndex:
         plan: ProbePlan,
         match_type: MatchType,
         deadline: Deadline | None,
-        hits: tuple[list[int], int] | None = None,
         top: int | None = None,
     ) -> list[Advertisement] | RankedMatches:
-        """The one probe body: the plan's keys, then :meth:`_scan`.
-
-        A plan :func:`~repro.kernels.pipeline.bulk_membership` sends to
-        bulk hands the scan only its hit suffixes and the number of keys
-        tested (``hits``, from the batch's pass, or a pass of its own);
-        any other streams its key generator through the scan's inline
-        bit test.
-        """
+        """The one probe body: the plan's :meth:`_walk`, then
+        :meth:`_scan` over the keys that hit ``B^sig`` and the number of
+        keys tested.  A budget spent on entry walks nothing: the scan
+        stops before its first key, having probed nothing."""
         if top is not None and match_type is not MatchType.BROAD:
             raise ValueError("a ranked read is broad match only")
-        if hits is None and bulk_membership(plan):
-            hits = self._bulk_hits([plan], deadline).get(0)
-        keys: Iterable[int] = probe_keys(plan) if hits is None else hits[0]
-        num_probes = None if hits is None else hits[1]
-        if top is None:
-            return self._scan(query, plan, keys, match_type, deadline, num_probes)
-        return self._scan(query, plan, keys, match_type, deadline, num_probes, top)
-
-    def _bulk_hits(
-        self, plans: list[ProbePlan], deadline: Deadline | None
-    ) -> dict[int, tuple[list[int], int]]:
-        """One ``B^sig`` pass over the flat keys of every plan
-        :func:`~repro.kernels.pipeline.bulk_membership` sends to bulk:
-        each one's hit suffixes and key count, by position.  A budget
-        spent on entry runs no pass: those plans stream, and their scans
-        stop before the first key, probing nothing."""
         if deadline is not None and deadline.expired():
-            return {}
-        flat = {
-            at: flat_probe_keys(plan.candidates, plan.sizes)
-            for at, plan in enumerate(plans)
-            if bulk_membership(plan)
-        }
-        if not flat:
-            return {}
-        per_plan = split_hits(list(flat.values()), self._sig_hits)
-        return {
-            at: (plan_hits, len(keys))
-            for (at, keys), plan_hits in zip(flat.items(), per_plan)
-        }
+            hits: list[int] = []
+            tested = filter_tests = 0
+        else:
+            hits, tested, filter_tests = self._walk(plan)
+        if self._obs is not None:
+            self._prefix_tests.inc(filter_tests)
+        if top is None:
+            return self._scan(query, plan, hits, match_type, deadline, tested)
+        return self._scan(query, plan, hits, match_type, deadline, tested, top)
+
+    def _walk(self, plan: ProbePlan) -> tuple[list[int], int, int]:
+        """The locator-trie walk over ``plan``: the keys that hit
+        ``B^sig``, in probe order, the number of keys tested and the
+        number of filter tests made.
+
+        Level 1 is the plan's candidates.  While a level is below the
+        plan's largest size, each of its subsets with a later candidate
+        to add is tested against the ``prefixes`` filter, and one that
+        passes is extended by every later candidate, each key its
+        prefix's key XOR one word's contribution.  A level's keys are
+        tested against ``B^sig`` only when its size is one the plan
+        probes.  Each level is built in order from the last, so keys come
+        in the canonical order (size-ascending, lexicographic within a
+        size), and a subset equal to a locator is always reached: its
+        sorted proper prefixes are all in the filter, which has no false
+        negatives.  Both tests are inlined, as :meth:`_scan` inlines its
+        own ``B^sig`` test.
+        """
+        sizes = plan.sizes
+        num_candidates = len(plan.candidates)
+        if not sizes or not num_candidates:
+            return [], 0, 0
+        contribs = [word_contrib(word) for word in plan.candidates]
+        largest = sizes[-1]
+        suffix_mask = (1 << self.suffix_bits) - 1
+        sig_words = self.bsig.words
+        prefix_filter = self._prefix_filter
+        filter_bits = len(prefix_filter) * 8
+        hits: list[int] = []
+        append = hits.append
+        tested = 0
+        filter_tests = 0
+        keys = contribs
+        lasts: Iterable[int] = range(num_candidates)
+        size = 1
+        while keys:
+            if size in sizes:
+                tested += len(keys)
+                for key in keys:
+                    suffix = key & suffix_mask
+                    if (sig_words[suffix >> 6] >> (suffix & 63)) & 1:
+                        append(key)
+            if size == largest:
+                break
+            next_keys: list[int] = []
+            next_lasts: list[int] = []
+            for key, last in zip(keys, lasts):
+                last += 1
+                if last == num_candidates:
+                    continue
+                filter_tests += 1
+                # The two filter bits (:func:`~repro.segment.format.
+                # prefix_filter_positions`, inlined); most keys fail the
+                # first.
+                bit = ((key >> 32) * filter_bits) >> 32
+                if not (prefix_filter[bit >> 3] >> (bit & 7)) & 1:
+                    continue
+                bit = ((key & 0xFFFFFFFF) * filter_bits) >> 32
+                if not (prefix_filter[bit >> 3] >> (bit & 7)) & 1:
+                    continue
+                for later in range(last, num_candidates):
+                    next_keys.append(key ^ contribs[later])
+                    next_lasts.append(later)
+            keys, lasts = next_keys, next_lasts
+            size += 1
+        return hits, tested, filter_tests
 
     def _scan(
         self,
@@ -655,10 +704,10 @@ class PackedSegmentIndex:
         top: int | None = None,
     ) -> list[Advertisement] | RankedMatches:
         """Test ``keys`` against ``B^sig`` and the node fingerprints in
-        probe-enumeration order and scan the hit nodes.  ``keys`` is a
-        streamed plan's whole key stream, or a bulk plan's keys that hit
-        ``B^sig`` with ``num_probes`` saying how many keys the bulk pass
-        tested (masking and re-testing a hit key is idempotent).  A
+        probe-enumeration order and scan the hit nodes.  ``keys`` are
+        the walk's keys that hit ``B^sig``, with ``num_probes`` saying
+        how many keys it tested (re-testing a hit key is idempotent);
+        without ``num_probes`` every key given counts as tested.  A
         ``deadline`` is checked before the first key and before each
         node read.
 
@@ -831,16 +880,6 @@ class PackedSegmentIndex:
         if ranking is not None:
             return RankedMatches(matched, ranking.excluded, ranked)
         return apply_match_type(results, query, match_type)
-
-    def _sig_hits(self, all_keys: Any) -> tuple[Any, Any]:
-        """Bulk ``B^sig`` membership: the keys themselves (the scan's
-        fingerprint test needs their bits above the suffix) and the
-        positions whose bit is set."""
-        suffixes = all_keys & all_keys.dtype.type(
-            (1 << self.suffix_bits) - 1
-        )
-        # Looked up on the module at call time: ``bench/`` wraps it.
-        return all_keys, probe.sig_hit_positions(suffixes, self._sig_np)
 
     # ------------------------------------------------------------------ #
     # Node decoding

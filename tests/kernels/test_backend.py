@@ -1,5 +1,6 @@
-"""Backend flag semantics, and the one rule for bulk or streamed
-membership."""
+"""Backend flag semantics, the one rule for whether the dict index
+tests a plan's keys in bulk or streams them, and the packed index's one
+probe path, the trie walk, on every backend."""
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core.ads import AdCorpus, AdInfo, Advertisement
 from repro.core.queries import Query
 from repro.core.wordset_index import WordSetIndex
 from repro.cost.accounting import AccessTracker
+from repro.obs.registry import MetricsRegistry
 from repro.perf.batch import BatchQueryEngine
 from repro.resilience.deadline import Deadline
 from repro.segment import PackedSegmentIndex, SegmentBuilder
@@ -134,10 +136,17 @@ def bulk_plans(index, flat_calls, queries, deadline=None):
     return went_bulk
 
 
+def sized(index):
+    """Whether ``index`` follows the size rule: the dict index does; the
+    packed index walks every plan (:class:`TestPackedWalk`)."""
+    return not isinstance(index, PackedSegmentIndex)
+
+
 class TestEngaged:
-    """When bulk membership engages: the plan's probe-key count against
-    :data:`~repro.kernels.pipeline.BULK_MIN_KEYS`, on the numpy
-    backend, and nothing else."""
+    """When the dict index's bulk membership engages: the plan's
+    probe-key count against :data:`~repro.kernels.pipeline.BULK_MIN_KEYS`,
+    on the numpy backend, and nothing else.  Each check runs on the
+    packed index too, which never goes bulk (:func:`sized`)."""
 
     def test_plans_straddle_the_threshold(self, build):
         index = build()
@@ -147,8 +156,9 @@ class TestEngaged:
 
     @needs_numpy
     def test_engages_for_plain_index(self, build, flat_calls):
-        assert bulk_plans(build(), flat_calls, [LONG]) == 1
-        assert pipeline.bulk_membership(build().probe_plan(LONG.words))
+        index = build()
+        assert bulk_plans(index, flat_calls, [LONG]) == sized(index)
+        assert pipeline.bulk_membership(index.probe_plan(LONG.words))
 
     def test_below_the_threshold_streams(self, build, flat_calls):
         index = build()
@@ -157,10 +167,11 @@ class TestEngaged:
 
     @needs_numpy
     def test_threshold_is_inclusive(self, build, flat_calls, monkeypatch):
+        index = build()
         monkeypatch.setattr(pipeline, "BULK_MIN_KEYS", 6)
-        assert bulk_plans(build(), flat_calls, [SHORT]) == 1
+        assert bulk_plans(index, flat_calls, [SHORT]) == sized(index)
         monkeypatch.setattr(pipeline, "BULK_MIN_KEYS", 7)
-        assert bulk_plans(build(), flat_calls, [SHORT]) == 0
+        assert bulk_plans(index, flat_calls, [SHORT]) == 0
 
     @needs_numpy
     def test_lone_query_follows_the_rule(self, build, flat_calls):
@@ -169,11 +180,12 @@ class TestEngaged:
         index = build()
         index.query(LONG, deadline=Deadline.after_ms(1e9))
         index.query(SHORT)
-        assert flat_calls == [tuple(sorted(WORDS))]
+        assert flat_calls == [tuple(sorted(WORDS))] * sized(index)
 
     @needs_numpy
     def test_mixed_batch_splits_by_plan(self, build, flat_calls):
-        assert bulk_plans(build(), flat_calls, [SHORT, LONG, SHORT]) == 1
+        index = build()
+        assert bulk_plans(index, flat_calls, [SHORT, LONG, SHORT]) == sized(index)
 
     def test_off_disables(self, build, flat_calls):
         """What ``off`` did is ``python`` now: every plan streams.  The
@@ -193,25 +205,29 @@ class TestEngaged:
     @needs_numpy
     def test_tracker_keeps_the_size_rule(self, build, flat_calls):
         """A bound tracker no longer forces the per-probe loop: a bulk
-        plan is charged one ``hash_probe`` per key, in one call."""
+        plan is charged one ``hash_probe`` per key, in one call.  The
+        packed index is charged the keys its walk tests."""
         tracker = AccessTracker()
         index = build(tracker=tracker)
-        assert bulk_plans(index, flat_calls, [LONG]) == 1
+        assert bulk_plans(index, flat_calls, [LONG]) == sized(index)
+        keys = 78 if sized(index) else TestPackedWalk.LONG_KEYS
         # The batch, then the lone query that checked it.
-        assert tracker.stats.hash_probes == 2 * 78
-        assert tracker.stats.random_accesses >= 2 * 78
+        assert tracker.stats.hash_probes == 2 * keys
+        assert tracker.stats.random_accesses >= 2 * keys
         assert tracker.stats.queries == 2
 
     @needs_numpy
     def test_timed_deadline_keeps_the_size_rule(self, build, flat_calls):
+        index = build()
         deadline = Deadline.after_ms(1e9)
-        assert bulk_plans(build(), flat_calls, [LONG], deadline) == 1
+        assert bulk_plans(index, flat_calls, [LONG], deadline) == sized(index)
         assert not deadline.partial
 
     @needs_numpy
     def test_untimed_deadline_keeps_the_size_rule(self, build, flat_calls):
+        index = build()
         deadline = Deadline.unlimited()
-        assert bulk_plans(build(), flat_calls, [LONG], deadline) == 1
+        assert bulk_plans(index, flat_calls, [LONG], deadline) == sized(index)
         assert not deadline.partial
 
     def test_swapped_hash_forces_per_probe_loop(self, build):
@@ -295,3 +311,41 @@ class TestEngaged:
         monkeypatch.setattr(inner, "query_kernel_batch", bypass)
         BatchQueryEngine(wrapper).query_broad_batch([SHORT, LONG])
         assert sorted(wrapper.asked, key=len) == [SHORT, LONG]
+
+
+class TestPackedWalk:
+    """The packed index has one probe path on every backend: it walks
+    its locator-prefix trie, builds no flat key array, and counts the
+    keys it tests, not its plan's ``probe_count()``."""
+
+    #: ``LONG`` tests its 12 words, the 11 pairs of ``{w0}`` (the prefix
+    #: of ``{w0, w1}``) and the 6 of a one-byte filter's false positive,
+    #: of its plan's 78; ``SHORT`` 3 words and the 2 pairs of ``{w0}``.
+    LONG_KEYS = 12 + 11 + 6
+    SHORT_KEYS = 3 + 2
+
+    @pytest.mark.parametrize(
+        "backend", ["python"] + (["numpy"] if kernels.numpy_available() else [])
+    )
+    def test_every_backend_walks(self, tmp_path, flat_calls, backend):
+        kernels.set_backend(backend)
+        obs = MetricsRegistry()
+        SegmentBuilder(WordSetIndex.from_corpus(AdCorpus(ADS))).write(
+            tmp_path / "walk.seg"
+        )
+        with PackedSegmentIndex(tmp_path / "walk.seg", obs=obs) as index:
+            assert index.probe_plan(LONG.words).probe_count() == 78
+            assert bulk_plans(index, flat_calls, [SHORT, LONG, SHORT]) == 0
+        # The batch, then the lone queries that checked it.
+        assert obs.value("segment.probes") == 2 * (self.LONG_KEYS + 2 * self.SHORT_KEYS)
+        assert obs.value("segment.prefix_tests") == 2 * (11 + 2 * 2)
+
+    @pytest.mark.parametrize("deadline", [Deadline.unlimited, lambda: Deadline.after_ms(1e9)])
+    def test_an_unspent_deadline_walks_alike(self, tmp_path, flat_calls, deadline):
+        obs = MetricsRegistry()
+        build_packed(tmp_path).close()
+        with PackedSegmentIndex(tmp_path / "bulk.seg", obs=obs) as index:
+            budget = deadline()
+            assert bulk_plans(index, flat_calls, [LONG], budget) == 0
+            assert not budget.partial
+        assert obs.value("segment.probes") == self.LONG_KEYS

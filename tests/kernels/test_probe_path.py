@@ -15,7 +15,12 @@ out (the parent's ``flat_probe_keys(..., "numpy")`` is the
 combination-matrix enumerator kept verbatim in
 :mod:`tests.kernels.test_flat_levels`), the segment's scan makes
 format version 3's fingerprint test after its ``B^sig`` test, and plans
-are built without the deadline (``probe_plan(words)``).
+are built without the deadline (``probe_plan(words)``).  Since the
+packed index walks its locator-prefix trie, the packed reference's loop
+is fed every key the walk tests
+(:func:`tests.segment.walk_reference.walked_keys`) instead of the
+plan's power set, and its batch runs that loop per query; the power
+set's packed path is the reference of :mod:`tests.segment.test_prefix_walk`.
 
 On Hypothesis corpora, including ``suffix_bits=1`` segments (every node
 on one or two ``B^sig`` bits) and timed deadlines, the index under test
@@ -51,18 +56,15 @@ from repro.core.wordhash import wordhash
 from repro.core.wordset_index import HASH_BUCKET_BYTES, WordSetIndex
 from repro.cost.accounting import AccessStats, AccessTracker
 from repro.kernels import numpy_available, set_backend
-from repro.kernels.pipeline import (
-    HashFn,
-    _CANONICAL_WORDHASH,
-    probe_keys,
-    split_hits,
-)
+from repro.kernels.pipeline import HashFn, _CANONICAL_WORDHASH, probe_keys
 from repro.obs.registry import MetricsRegistry
 from repro.perf.prefilter import ProbePlan
 from repro.resilience.deadline import Deadline, DegradedReason
 from repro.segment import PackedSegmentIndex, SegmentBuilder
 from repro.segment.format import SHARED_FINGERPRINT, fingerprint
 from tests.kernels.test_flat_levels import _keys_numpy
+from tests.segment.parent_probe import split_hits
+from tests.segment.walk_reference import walked_keys
 
 try:
     import numpy as _np
@@ -330,7 +332,7 @@ class ParentPackedSegmentIndex(PackedSegmentIndex):
         returned silently.
         """
         plan = self.probe_plan(query.words)
-        return self._scan(query, plan, probe_keys(plan), match_type, deadline)
+        return self._scan(query, plan, walked_keys(self, plan), match_type, deadline)
 
     def _scan(
         self,
@@ -458,36 +460,10 @@ class ParentPackedSegmentIndex(PackedSegmentIndex):
         match_type: MatchType = MatchType.BROAD,
         deadline: Deadline | None = None,
     ) -> list[list[Advertisement]]:
-        """Batch entry point for the :mod:`repro.kernels` fast path.
-
-        Probes every query's flat key array against ``B^sig`` in bulk —
-        one vectorized gather-shift-mask pass under the numpy backend,
-        one tight local-variable loop under the python backend — instead
-        of a per-probe interpreted loop.  Results and observability
-        counters are bit-identical to calling :meth:`query` per query,
-        which is what happens when
-        :func:`repro.kernels.pipeline.engaged` says the per-probe loop
-        must serve.
-        """
-        batch = list(queries)
-        backend = engaged(self, deadline)
-        if backend is None:
-            return [self.query(q, match_type, deadline) for q in batch]
-        plans = self._plan_memo.plans(batch, self.probe_plan)
-        keys_per = [
-            flat_probe_keys(plan.candidates, plan.sizes, backend)
-            for plan in plans
-        ]
-        hits_per = split_hits(keys_per, self._sig_hits)
-        return [
-            self._scan(
-                query, plan, hits, match_type, num_probes=len(keys)
-            )
-            for query, plan, keys, hits in zip(
-                batch, plans, keys_per, hits_per
-            )
-        ]
-
+        """Every query through :meth:`query`: the index under test has
+        one probe path, so its batch is checked against the per-probe
+        loop alone."""
+        return [self.query(q, match_type, deadline) for q in queries]
 
 
 # ---------------------------------------------------------------------- #

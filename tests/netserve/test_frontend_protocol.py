@@ -4,18 +4,21 @@ A client may pipeline frames.  The frontend reads them as they arrive
 and answers what it can at once, but replies leave in request order: a
 cache hit, a ``ping`` or a ``stats`` answer waits behind an earlier
 miss still at the worker, and pipelined serves that no worker can take
-are each answered in order.  A cache hit costs no asyncio task at all,
-and a reply too large for the frame budget is a typed error, not a
-dropped connection.
+are each answered in order.  A request whose only idle channels lead
+to a worker it may not use waits for a healthy worker's channel.  A
+cache hit costs no asyncio task at all, and a reply too large for the
+frame budget is a typed error, not a dropped connection.
 """
 
 import asyncio
+import contextlib
 import json
 import socket
 
 from repro.netserve.client import ServeClient
 from repro.netserve.frontend import FrontendConfig
 from repro.netserve.wire import HEADER, encode_frame
+from repro.resilience.breaker import BreakerConfig, BreakerState
 
 from tests.netserve.conftest import requires_af_unix
 from tests.netserve.frontend_rig import (
@@ -137,3 +140,121 @@ def test_a_reply_over_the_frame_budget_is_a_typed_error(segment_path, tmp_path, 
             reply = client.request(_serve(query, "x" * (budget - 200)))
             assert reply["type"] == "error" and "exceeds budget" in reply["error"]
             assert client.ping()  # the connection is still served
+
+
+#: Requests pipelined behind worker 1's two held ones.
+LATE = 6
+
+
+@contextlib.contextmanager
+def _waiting_behind_an_open_breaker(segment_path, tmp_path):
+    """Worker 0's breaker is open and both of worker 1's channels hold
+    a request: ``LATE`` more, pipelined on a third connection, wait.
+    Yields the frontend, the workers, worker 0's breaker and the three
+    connections."""
+    config = FrontendConfig(
+        conns_per_worker=2,
+        client_idle_timeout_s=30.0,
+        breaker=BreakerConfig(min_samples=1, reset_after_ms=600_000.0),
+    )
+    with ThreadWorkers(segment_path, tmp_path, count=2) as workers, running_frontend(
+        workers.sockets, config
+    ) as frontend:
+        breaker = frontend.breakers[0]
+        while breaker.state is not BreakerState.OPEN:
+            breaker.record_failure()
+        workers.hold.set()
+        conns = [
+            socket.create_connection(("127.0.0.1", frontend.port), timeout=10)
+            for _ in range(3)
+        ]
+        try:
+            for at, conn in enumerate(conns[:2]):
+                conn.sendall(encode_frame(_serve([f"busy{at}", "books"], f"busy{at}")))
+            assert workers.entered.wait(5.0), "worker 1 never took a request"
+            wait_for(
+                lambda: {ch.worker_id for ch in frontend._idle} == {0},
+                what="worker 1's channels taken",
+            )
+            conns[2].sendall(
+                b"".join(
+                    encode_frame(_serve([f"late{i}", "books"], f"late{i}"))
+                    for i in range(LATE)
+                )
+            )
+            wait_for(
+                lambda: len(frontend._waiting) == LATE,
+                what="the late requests queued",
+            )
+            yield frontend, workers, breaker, conns
+        finally:
+            for conn in conns:
+                conn.close()
+
+
+def _reply(conn):
+    return json.loads(read_raw(conn)[HEADER.size:])
+
+
+def test_trips_wait_for_a_healthy_channel(segment_path, tmp_path):
+    """Worker 0's breaker is open and both of worker 1's channels are
+    busy: the pipelined requests behind them wait for worker 1 rather
+    than spending their takes on worker 0's idle channels and failing,
+    and waiting asks the open breaker nothing, so no short circuit is
+    counted however many trips wait or how often replies wake them."""
+    with _waiting_behind_an_open_breaker(segment_path, tmp_path) as (
+        frontend, workers, breaker, conns
+    ):
+        workers.release.set()
+        replies = [_reply(conn) for conn in conns[:2]]
+        replies += [_reply(conns[2]) for _ in range(LATE)]
+        assert counter(frontend, "frontend.unrouted") == 0
+        assert breaker.short_circuits == 0
+        assert breaker.state is BreakerState.OPEN
+    assert [reply["request_id"] for reply in replies] == [
+        "busy0", "busy1", *(f"late{i}" for i in range(LATE))
+    ]
+    assert {reply["result"]["degraded_reason"] for reply in replies} == {"none"}
+    assert {worker for worker, _ in workers.served} == {1}
+
+
+def test_waiting_trips_left_no_worker_fail_at_once(segment_path, tmp_path):
+    """The busy worker the waiting requests count on is marked failed:
+    they are answered ``retrieval_error`` at once, before its held
+    requests return, each counting one short circuit on the breaker
+    that refused it."""
+    with _waiting_behind_an_open_breaker(segment_path, tmp_path) as (
+        frontend, workers, breaker, conns
+    ):
+        with ServeClient("127.0.0.1", frontend.port) as admin:
+            admin.request({"type": "admin", "op": "worker_failed", "worker_id": 1})
+        conns[2].settimeout(5.0)
+        late = [_reply(conns[2]) for _ in range(LATE)]
+        assert not workers.release.is_set()
+        assert breaker.short_circuits == LATE
+        workers.release.set()
+        busy = [_reply(conn) for conn in conns[:2]]
+    assert [reply["request_id"] for reply in late] == [f"late{i}" for i in range(LATE)]
+    assert {reply["result"]["degraded_reason"] for reply in late} == {"retrieval_error"}
+    assert {reply["result"]["degraded_reason"] for reply in busy} == {"none"}
+
+
+def test_a_reply_that_opens_the_last_breaker_fails_the_waiting(segment_path, tmp_path):
+    """Worker 1's held replies come back torn and open its breaker too:
+    the requests waiting for it have no worker left and are answered
+    ``retrieval_error``, not left waiting for a channel none may use."""
+    with _waiting_behind_an_open_breaker(segment_path, tmp_path) as (
+        frontend, workers, _, conns
+    ):
+        workers.tear_next_reply()
+        workers.tear_next_reply()
+        workers.release.set()
+        conns[2].settimeout(5.0)
+        late = [_reply(conns[2]) for _ in range(LATE)]
+        busy = [_reply(conn) for conn in conns[:2]]
+        assert frontend.breakers[1].state is BreakerState.OPEN
+        assert len(frontend._waiting) == 0
+    assert [reply["request_id"] for reply in late] == [f"late{i}" for i in range(LATE)]
+    assert {reply["result"]["degraded_reason"] for reply in late + busy} == {
+        "retrieval_error"
+    }

@@ -145,6 +145,9 @@ class TestBoundInstruments:
         "segment.fingerprint_rejects": 0,
         "segment.node_scans": 7,
         "segment.nodes_read": 7,
+        # The keys the trie walk tested (the script's plans' power sets
+        # hold no more), and the filter tests it made.
+        "segment.prefix_tests": 5,
         "segment.probes": 14,
         "segment.queries": 5,
         "segment.results": 9,

@@ -133,6 +133,28 @@ class TestStateMachine:
         clock.advance(1.0)
         assert breaker.allow()
 
+    def test_permits_answers_allow_without_spending(self):
+        """``permits`` says what ``allow`` would, and moves nothing: an
+        open breaker stays open past its cool-off until ``allow``, and a
+        half-open one keeps its probe."""
+        clock = ManualClock()
+        obs = MetricsRegistry()
+        breaker = make(clock=clock, obs=obs)
+        assert breaker.permits()
+        for _ in range(4):
+            breaker.record_failure()
+        assert not breaker.permits()
+        clock.advance(100.0)
+        for _ in range(3):
+            assert breaker.permits()
+        assert breaker.state is BreakerState.OPEN
+        assert breaker.short_circuits == 0
+        assert breaker.allow()  # the one half-open probe
+        assert breaker.state is BreakerState.HALF_OPEN
+        assert not breaker.permits()
+        assert breaker.short_circuits == 0
+        assert obs.value("resilience.breaker_short_circuits") == 0
+
 
 class TestCounters:
     def test_transition_counters(self):

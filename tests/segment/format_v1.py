@@ -1,5 +1,5 @@
-"""Version-1 node records and version-2 files, for tests that compare
-formats.
+"""Version-1 node records and version-2 and version-3 files, for tests
+that compare formats.
 
 Format version 2 replaced the version-1 node record (one entry list per
 node in word-count and phrase order, delta-coded bids, one front-coded
@@ -20,8 +20,12 @@ records.
 
 Version 3 inserted one section into version 2's file, the node
 fingerprints between ``B^off`` and the node records, and changed
-nothing else; :func:`version_2_bytes` takes it out again, giving the
-bytes the version-2 builder wrote for the same index and suffix width.
+nothing else; version 4 inserted the ``prefixes`` filter between the
+fingerprints and the node records, and wrote the header without the separators' spaces.
+:func:`version_3_bytes` takes version 4's additions out again, and
+:func:`version_2_bytes` the fingerprints too, giving the bytes the
+version-3 or version-2 builder wrote for the same index and suffix
+width.
 """
 
 from __future__ import annotations
@@ -148,21 +152,46 @@ def write_v1_segment(
         SegmentBuilder(index, suffix_bits=suffix_bits).write(path)
 
 
-def version_2_bytes(data: bytes) -> bytes:
-    """The version-2 file of a version-3 segment file ``data``: its
-    fingerprint section and that section's header entry dropped, the
-    node records moved up, the checksum re-taken, the preamble saying 2."""
-    header, start = segment_format.read_header(data)
-    payload = data[start:]
-    sections = dict(header["sections"])
-    fps_off, _ = sections.pop("fingerprints")
-    nodes_off, nodes_len = sections["nodes"]
-    sections["nodes"] = [fps_off, nodes_len]
-    payload = payload[:fps_off] + payload[nodes_off:]
-    header = dict(
-        header,
-        sections=sections,
-        payload_sha256=hashlib.sha256(payload).hexdigest(),
+def _split(data: bytes) -> tuple[dict, bytes]:
+    """A segment file's header and payload, whatever its version."""
+    (header_len,) = struct.unpack(
+        "<I", data[len(segment_format.MAGIC) + 4 : segment_format.HEADER_START]
     )
+    start = segment_format.HEADER_START + header_len
+    return json.loads(data[segment_format.HEADER_START : start]), data[start:]
+
+
+def _join(version: int, header: dict, payload: bytes) -> bytes:
+    """A file of ``version`` with the header as versions 2 and 3 wrote
+    it (``json.dumps``'s default separators) and its checksum re-taken."""
+    header = dict(header, payload_sha256=hashlib.sha256(payload).hexdigest())
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    return segment_format.MAGIC + struct.pack("<II", 2, len(blob)) + blob + payload
+    return segment_format.MAGIC + struct.pack("<II", version, len(blob)) + blob + payload
+
+
+def _drop_section(header: dict, payload: bytes, name: str) -> tuple[dict, bytes]:
+    """``name``'s section and header entry dropped, the node records
+    (the last section) moved up into its place."""
+    sections = dict(header["sections"])
+    offset, _ = sections.pop(name)
+    nodes_off, nodes_len = sections["nodes"]
+    sections["nodes"] = [offset, nodes_len]
+    return dict(header, sections=sections), payload[:offset] + payload[nodes_off:]
+
+
+def version_3_bytes(data: bytes) -> bytes:
+    """The version-3 file of a version-4 segment file ``data``: its
+    ``prefixes`` section and that section's header entry dropped, the
+    node records moved up, the header
+    written as version 3 wrote it, the preamble saying 3."""
+    header, payload = _split(data)
+    header, payload = _drop_section(header, payload, "prefixes")
+    return _join(3, header, payload)
+
+
+def version_2_bytes(data: bytes) -> bytes:
+    """The version-2 file of a version-4 segment file ``data``: the
+    version-3 file's fingerprint section and that section's header
+    entry dropped too, the preamble saying 2."""
+    header, payload = _split(version_3_bytes(data))
+    return _join(2, *_drop_section(header, payload, "fingerprints"))

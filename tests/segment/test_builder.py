@@ -29,7 +29,7 @@ from repro.segment import builder
 from repro.segment.builder import SegmentBuilder
 from repro.segment.format import read_header
 from repro.segment.packed import PackedSegmentIndex
-from tests.segment.format_v1 import version_2_bytes
+from tests.segment.format_v1 import version_2_bytes, version_3_bytes
 from tests.segment.test_runs import ReferencePackedSegmentIndex
 
 # ---------------------------------------------------------------------- #
@@ -215,9 +215,15 @@ def test_every_feature_in_one_node():
 # Re-taken when format version 2 changed the node record on purpose (the
 # version-1 bytes were c4eb0ff4...5b97), and again when version 3 added
 # the fingerprint section and the default suffix lost a bit (the
-# version-2 bytes were 7f95120e...3f9); a change that means to keep the
-# bytes must keep this.
-PARENT_SEGMENT_SHA256 = "0fc32fb4af0f2ee01622f4ec2f3e5b7e3c070eccee3dfd9480ea56fe67db5afc"
+# version-2 bytes were 7f95120e...3f9), and again when version 4 added
+# the prefix filter and the compact header (the version-3 bytes are
+# ``VERSION_3_SEGMENT_SHA256``); a change that means to keep the bytes
+# must keep this.
+PARENT_SEGMENT_SHA256 = "6f847d83c5bcc69de646e94acd8076e4b42cf0f79ed86e213132ddac71955612"
+
+# sha256 of the version-3 file of ``pinned_corpus()`` at its default
+# ``suffix_bits``: the pin version 3 kept.
+VERSION_3_SEGMENT_SHA256 = "0fc32fb4af0f2ee01622f4ec2f3e5b7e3c070eccee3dfd9480ea56fe67db5afc"
 
 # sha256 of the version-2 file of ``pinned_corpus()`` at its default
 # ``suffix_bits`` of 16 under version 2's sizing rule.
@@ -225,7 +231,8 @@ VERSION_2_SEGMENT_SHA256 = "7f95120e23b9acdba817881e1a3d09f95a9d8bb264e6b3a4e34b
 
 # sha256 of each version-2 section of ``pinned_corpus()`` built at
 # ``suffix_bits=21`` by the version-2 builder: version 3 only inserted
-# the fingerprints between ``B^off`` and the node records.
+# the fingerprints between ``B^off`` and the node records, and version 4
+# the prefix filter between the fingerprints and the node records.
 VERSION_2_SECTIONS_SHA256 = {
     "bsig": "827bca43c8359a7dde1799e3d3e0b13d01b4aee26bb8cae87478e977aef0a288",
     "boff": "a29c13b497bd0ea362a068522fc60c95f41e142c5a2391f5f0c04bc106873716",
@@ -262,7 +269,7 @@ def test_version_2_sections_are_unchanged_at_a_pinned_suffix():
     payload = data[start:]
     sections = header["sections"]
     assert sorted(sections, key=lambda name: sections[name][0]) == [
-        "bsig", "boff", "fingerprints", "nodes"
+        "bsig", "boff", "fingerprints", "prefixes", "nodes"
     ]
     for name, want in VERSION_2_SECTIONS_SHA256.items():
         offset, length = sections[name]
@@ -270,6 +277,15 @@ def test_version_2_sections_are_unchanged_at_a_pinned_suffix():
             length = (length + 63) // 64 * 8  # bits, stored as u64 words
         got = hashlib.sha256(payload[offset : offset + length]).hexdigest()
         assert got == want, name
+
+
+def test_dropping_the_prefix_filter_gives_the_version_3_file():
+    """Version 4 changed nothing but the filter, its header field and the
+    header's separators: the node records, bit arrays and fingerprints
+    are version 3's, byte for byte."""
+    data = SegmentBuilder(WordSetIndex.from_corpus(pinned_corpus())).build()
+    digest = hashlib.sha256(version_3_bytes(data)).hexdigest()
+    assert digest == VERSION_3_SEGMENT_SHA256
 
 
 def test_dropping_the_fingerprints_gives_the_version_2_file():

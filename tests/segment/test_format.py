@@ -4,6 +4,8 @@ import hashlib
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ads import AdCorpus, AdInfo, Advertisement
 from repro.core.data_node import NodeEntry
@@ -19,11 +21,16 @@ from repro.segment.format import (
     HEADER_START,
     MAGIC,
     encode_file,
+    prefix_filter_bytes,
     read_header,
     read_varint,
     section_bounds,
 )
-from tests.segment.format_v1 import version_2_bytes, write_v1_segment
+from tests.segment.format_v1 import (
+    version_2_bytes,
+    version_3_bytes,
+    write_v1_segment,
+)
 
 
 def ad(text, listing_id=0):
@@ -94,7 +101,7 @@ class TestPreamble:
 
 
 class TestVersionOne:
-    """Format version 3 has one reader: a version-1 file (its node
+    """Format version 4 has one reader: a version-1 file (its node
     records in the version-1 layout, its preamble saying 1) is refused
     at open with an error naming the version."""
 
@@ -146,7 +153,7 @@ class TestVersionOne:
 class TestVersionTwo:
     """A version-2 file (no fingerprint section, its preamble saying 2)
     is refused at open, alone or listed by a tiered manifest; so is a
-    version-2 header under a version-3 preamble."""
+    version-2 header under the current preamble."""
 
     def test_a_v2_segment_file_is_refused(self, segment_path):
         segment_path.write_bytes(version_2_bytes(segment_path.read_bytes()))
@@ -175,6 +182,42 @@ class TestVersionTwo:
         victim.write_bytes(version_2_bytes(victim.read_bytes()))
         before = victim.read_bytes()
         with pytest.raises(SegmentFormatError, match="version 2"):
+            tiered.TieredSegmentedIndex(directory, read_only=read_only)
+        assert victim.read_bytes() == before
+
+
+class TestVersionThree:
+    """A version-3 file (no ``prefixes`` section, its preamble saying 3)
+    is refused at open, alone or listed by a tiered manifest; so is a
+    version-3 header under the current preamble."""
+
+    def test_a_v3_segment_file_is_refused(self, segment_path):
+        segment_path.write_bytes(version_3_bytes(segment_path.read_bytes()))
+        with pytest.raises(SegmentFormatError, match="version 3"):
+            PackedSegmentIndex(segment_path)
+
+    def test_a_v3_header_is_refused(self, segment_path):
+        header, start = read_header(segment_path.read_bytes())
+        del header["sections"]["prefixes"]
+        payload = segment_path.read_bytes()[start:]
+        segment_path.write_bytes(encode_file(header, payload))
+        with pytest.raises(SegmentFormatError, match="'prefixes'"):
+            PackedSegmentIndex(segment_path)
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_a_tiered_directory_listing_a_v3_segment_is_refused(
+        self, tmp_path, read_only
+    ):
+        directory = tmp_path / "tiered"
+        with tiered.TieredSegmentedIndex(directory) as index:
+            index.insert(ad("cheap used books", 1))
+            index.seal()
+        manifest = tiered.read_manifest(directory / tiered.MANIFEST_NAME)
+        (record,) = manifest.segments
+        victim = directory / record.name
+        victim.write_bytes(version_3_bytes(victim.read_bytes()))
+        before = victim.read_bytes()
+        with pytest.raises(SegmentFormatError, match="version 3"):
             tiered.TieredSegmentedIndex(directory, read_only=read_only)
         assert victim.read_bytes() == before
 
@@ -387,6 +430,24 @@ LAYOUT_MUTATIONS = {
     "fingerprints_before_boff": lambda h: {
         "sections": {"fingerprints": [h["boff"][0], h["fingerprints"][1]]}
     },
+    "prefixes_offset": lambda h: {
+        "sections": {"prefixes": [h["prefixes"][0] + 1, h["prefixes"][1]]}
+    },
+    "prefixes_short": lambda h: {
+        "sections": {"prefixes": [h["prefixes"][0], h["prefixes"][1] - 1]}
+    },
+    "prefixes_long": lambda h: {
+        "sections": {"prefixes": [h["prefixes"][0], h["prefixes"][1] + 8]}
+    },
+    "prefixes_before_fingerprints": lambda h: {
+        "sections": {"prefixes": [h["fingerprints"][0], h["prefixes"][1]]}
+    },
+    "prefixes_empty": lambda h: {
+        "sections": {
+            "prefixes": [h["prefixes"][0], 0],
+            "nodes": [h["prefixes"][0], h["nodes"][1]],
+        }
+    },
 }
 
 
@@ -411,21 +472,25 @@ class TestSectionLayout:
             PackedSegmentIndex(path)
 
 
-def resized_fingerprints(blob, change):
-    """``blob`` with its fingerprint section ``change`` bytes longer (or
-    shorter), the node records moved to follow it and the checksum
+def resized(blob, name, change):
+    """``blob`` with its ``name`` section ``change`` bytes longer (or
+    shorter), the sections after it moved to follow it and the checksum
     re-taken: a layout that adds up, around a section of the wrong
     length."""
     header, start = read_header(blob)
     payload = blob[start:]
     sections = dict(header["sections"])
-    fps_off, fps_len = sections["fingerprints"]
-    nodes_off, nodes_len = sections["nodes"]
-    fps = payload[fps_off:nodes_off]
-    fps = fps[: fps_len + change] if change < 0 else fps + b"\x01" * change
-    payload = payload[:fps_off] + fps + payload[nodes_off:]
-    sections["fingerprints"] = [fps_off, len(fps)]
-    sections["nodes"] = [fps_off + len(fps), nodes_len]
+    offset, length = sections[name]
+    later = sorted(
+        (entry[0], other) for other, entry in sections.items() if entry[0] > offset
+    )
+    end = later[0][0]
+    body = payload[offset:end]
+    body = body[: length + change] if change < 0 else body + b"\x01" * change
+    payload = payload[:offset] + body + payload[end:]
+    sections[name] = [offset, len(body)]
+    for _, other in later:
+        sections[other] = [sections[other][0] + change, sections[other][1]]
     header = dict(
         header,
         sections=sections,
@@ -435,9 +500,9 @@ def resized_fingerprints(blob, change):
 
 
 class TestFingerprintSection:
-    """One byte per node ordinal, between ``B^off`` and the records."""
+    """One byte per node ordinal, between ``B^off`` and the prefixes."""
 
-    def test_it_sits_between_boff_and_the_records(self, layout_segment):
+    def test_it_sits_between_boff_and_the_prefixes(self, layout_segment):
         blob, _ = layout_segment
         header, _ = read_header(blob)
         sections = header["sections"]
@@ -446,7 +511,7 @@ class TestFingerprintSection:
             boff_off + (boff_bits + 63) // 64 * 8,
             header["num_nodes"],
         ]
-        assert sections["nodes"][0] == sum(sections["fingerprints"])
+        assert sections["prefixes"][0] == sum(sections["fingerprints"])
 
     @pytest.mark.parametrize("change", [-1, 1, 8])
     def test_a_section_of_the_wrong_length_is_refused(
@@ -454,13 +519,110 @@ class TestFingerprintSection:
     ):
         blob, _ = layout_segment
         path = tmp_path / "resized.seg"
-        path.write_bytes(resized_fingerprints(blob, change))
+        path.write_bytes(resized(blob, "fingerprints", change))
         with pytest.raises(SegmentFormatError, match="fingerprint section"):
             PackedSegmentIndex(path)
 
     def test_a_resize_by_nothing_opens(self, layout_segment, tmp_path):
         blob, queries = layout_segment
         path = tmp_path / "same.seg"
-        path.write_bytes(resized_fingerprints(blob, 0))
+        path.write_bytes(resized(blob, "fingerprints", 0))
         with PackedSegmentIndex(path) as packed:
             assert all(packed.query(query) for query in queries)
+
+
+class TestPrefixSection:
+    """Format version 4's prefix filter: ``PREFIX_FILTER_BITS`` bits per
+    distinct locator prefix, between the fingerprints and the records."""
+
+    def test_it_sits_between_the_fingerprints_and_the_records(
+        self, layout_segment
+    ):
+        blob, _ = layout_segment
+        sections = read_header(blob)[0]["sections"]
+        ads = generate_corpus(CorpusConfig(num_ads=2_000, seed=3)).corpus
+        prefixes = {
+            frozenset(sorted(node.locator)[:size])
+            for node in WordSetIndex.from_corpus(list(ads)).nodes.values()
+            for size in range(1, len(node.locator))
+        }
+        assert len(prefixes) > 0
+        assert sections["prefixes"] == [
+            sum(sections["fingerprints"]),
+            prefix_filter_bytes(len(prefixes)),
+        ]
+        assert sections["nodes"][0] == sum(sections["prefixes"])
+
+    def test_an_empty_section_is_refused(self, layout_segment, tmp_path):
+        """The filter's size is its section's length, so it must have
+        one: a layout that adds up around an empty section is refused."""
+        blob, _ = layout_segment
+        length = read_header(blob)[0]["sections"]["prefixes"][1]
+        path = tmp_path / "empty.seg"
+        path.write_bytes(resized(blob, "prefixes", -length))
+        with pytest.raises(SegmentFormatError, match="layout"):
+            PackedSegmentIndex(path)
+
+    def test_a_resize_by_nothing_opens(self, layout_segment, tmp_path):
+        blob, queries = layout_segment
+        path = tmp_path / "same.seg"
+        path.write_bytes(resized(blob, "prefixes", 0))
+        with PackedSegmentIndex(path) as packed:
+            assert all(packed.query(query) for query in queries)
+
+    def test_an_empty_filter_is_one_byte(self, tmp_path):
+        """One-word locators have no proper prefix: the section is one
+        zero byte, and the walk stops at level 1."""
+        path = tmp_path / "words.seg"
+        corpus = AdCorpus([ad("books", 1), ad("maps", 2)])
+        SegmentBuilder(WordSetIndex.from_corpus(corpus)).write(path)
+        header, start = read_header(path.read_bytes())
+        offset, length = header["sections"]["prefixes"]
+        assert length == 1
+        assert path.read_bytes()[start + offset] == 0
+        with PackedSegmentIndex(path) as packed:
+            assert len(packed.query(Query(("books", "maps")))) == 2
+
+
+#: A header field a fuzzed entry may hold instead of its own value.
+JUNK = st.one_of(
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.sampled_from([None, "x", [], {}, [1], [1, 2, 3], 0.5]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    field=st.sampled_from(["offset", "length", "entry"]),
+    delta=st.integers(min_value=-64, max_value=64),
+    junk=st.one_of(st.none(), JUNK),
+)
+def test_a_fuzzed_prefix_entry_opens_only_as_written(
+    layout_segment, tmp_path_factory, field, delta, junk
+):
+    """The ``prefixes`` section entry, moved by ``delta`` or replaced by
+    junk: the file opens only when it is what the builder wrote, and is otherwise refused with
+    ``SegmentFormatError``, never another exception."""
+    blob, queries = layout_segment
+    header, _ = read_header(blob)
+    offset, length = header["sections"]["prefixes"]
+    changes = {}
+    if field == "offset":
+        changes["sections"] = {"prefixes": [offset + delta, length]}
+    elif field == "length":
+        changes["sections"] = {"prefixes": [offset, length + delta]}
+    else:
+        changes["sections"] = {"prefixes": [offset, length] if junk is None else junk}
+    intact = {
+        "offset": delta == 0,
+        "length": delta == 0,
+        "entry": junk is None,
+    }[field]
+    path = tmp_path_factory.mktemp("fuzzed") / "fuzzed.seg"
+    path.write_bytes(remade(blob, **changes))
+    if intact:
+        with PackedSegmentIndex(path) as packed:
+            assert all(packed.query(query) for query in queries[:20])
+    else:
+        with pytest.raises(SegmentFormatError):
+            PackedSegmentIndex(path)

@@ -11,7 +11,10 @@ any serving path, CLI command or benchmark ever ran).  The segment
 hashes were re-taken for format version 3, whose files add the
 fingerprint section; their ``B^sig``, ``B^off`` and node-record
 sections are byte for byte those of the pinned version-2 files, and the
-manifest checksums did not move.
+manifest checksums did not move.  Version 4 added the ``prefixes``
+filter and a compact header, so each file is hashed as its version-3
+bytes (:func:`tests.segment.format_v1.version_3_bytes`): every section
+version 3 had must still be the pinned one.
 """
 
 import hashlib
@@ -20,6 +23,7 @@ import json
 from repro.core.ads import AdInfo, Advertisement
 from repro.segment import TieredConfig, TieredSegmentedIndex
 from repro.segment.tiered import MANIFEST_NAME
+from tests.segment.format_v1 import version_3_bytes
 
 CONFIG = TieredConfig(seal_threshold=6, fan_in=2, max_words=3)
 
@@ -47,10 +51,11 @@ def ad(text, listing_id, bid=100):
 
 
 def snapshot(directory):
-    """Manifest checksum plus the sha256 of every live segment file."""
+    """Manifest checksum plus the sha256 of every live segment file's
+    version-3 bytes."""
     manifest = json.loads((directory / MANIFEST_NAME).read_bytes())
     files = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        path.name: hashlib.sha256(version_3_bytes(path.read_bytes())).hexdigest()
         for path in sorted(directory.glob("seg-*.seg"))
     }
     return manifest["checksum"], files

@@ -10,7 +10,9 @@ lookup and full iteration they replaced are kept here *verbatim* as
 tables its decoder reads (the index under test no longer has them).
 That decoder reads version-1 node records, so each Hypothesis corpus is
 written twice, once per format (:mod:`tests.segment.format_v1`), and
-each index reads its own file.
+each index reads its own file.  The reference's scan is fed every key
+the trie walk tests, streamed, where the index under test's scan gets
+only the walk's ``B^sig`` hits and their count.
 On Hypothesis-built segments (mixed nodes under small ``suffix_bits``,
 non-identity placements, one word-set in several phrase orders,
 duplicate ads) both must give the same ads — as multisets, since
@@ -52,6 +54,7 @@ from repro.segment.format import SHARED_FINGERPRINT, fingerprint, read_varint
 from repro.segment.packed import DEFAULT_CACHE_BYTES
 from repro.segment.sizing import deep_sizeof
 from tests.segment.format_v1 import write_v1_segment
+from tests.segment.walk_reference import walked_keys
 
 # ---------------------------------------------------------------------- #
 # The reference: the replaced code, verbatim.
@@ -69,6 +72,13 @@ class ReferencePackedSegmentIndex(PackedSegmentIndex):
         ] = {}
         self._ad_intern: dict[tuple[object, ...], Advertisement] = {}
         super().__init__(*args, **kwargs)
+
+    def _probe(self, query, plan, match_type, deadline, top=None):
+        """Not the replaced code: streams every key the trie walk tests
+        (:func:`~tests.segment.walk_reference.walked_keys`) through the
+        scan below, as the replaced probe streamed its plan's keys."""
+        assert top is None
+        return self._scan(query, plan, walked_keys(self, plan), match_type, deadline)
 
     def _scan(
         self,
