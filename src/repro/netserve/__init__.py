@@ -7,10 +7,10 @@ so far rather than inventing parallel ones:
 * **workers** (:mod:`~repro.netserve.worker`) — forked per-core
   processes, each an ``AdServer`` over a
   :class:`~repro.segment.PackedSegmentIndex` mapping the **same**
-  segment file, so N workers share one copy of the index bytes; serve
-  frames flow through a micro-batching dispatcher (bounded queue →
-  ``serve_batch`` → per-connection fan-out) so the PR 6 batch kernels
-  engage under concurrent load;
+  segment file, so N workers share one copy of the index bytes; each
+  is one thread on one ``selectors`` loop that serves the serve frames
+  a turn read as one micro-batch (``serve_batch``, then a reply per
+  connection) so the batch kernels engage under concurrent load;
 * **frontend** (:mod:`~repro.netserve.frontend`) — one asyncio process
   doing admission (PR 5's priority token bucket), per-worker circuit
   breakers, and raw-frame relay, with opt-in singleflight coalescing

@@ -21,8 +21,8 @@ The frontend can run two ways:
 ``ServingCluster`` is a context manager; ``stop()`` is idempotent and
 **graceful by design**: stop supervising (so nothing resurrects what is
 being torn down), stop admitting (frontend down first), then drain —
-every worker gets a ``shutdown`` frame, serves what its dispatch queue
-already holds, flushes the replies, and exits; ``terminate``/``kill``
+every worker gets a ``shutdown`` frame, serves what it has already
+read, flushes the replies, and exits; ``terminate``/``kill``
 are escalation for processes that ignore all of that, never the first
 move.
 
@@ -103,7 +103,7 @@ class ClusterConfig:
     # Self-healing (PR 10): supervise by default — a production tier
     # that cannot survive a worker death is not a tier.  supervisor
     # None means SupervisorConfig() defaults; drain_timeout_s bounds
-    # the graceful flush of each worker's queue at stop().
+    # the graceful flush of each worker's backlog at stop().
     supervise: bool = True
     supervisor: SupervisorConfig | None = None
     drain_timeout_s: float = 5.0
@@ -159,7 +159,7 @@ def _run_frontend_process(
 
     SIGTERM (the cluster's graceful-stop signal) closes the listener
     and every connection through :meth:`Frontend.stop` — stop admitting
-    first is what makes the workers' queue drain finite.
+    first is what makes the workers' drain finite.
     """
     # As in ``run_worker``: keep the pages inherited through ``fork``
     # shared.
@@ -458,8 +458,7 @@ class ServingCluster:
         the frontend goes down first (SIGTERM is its graceful-stop
         signal in process mode), so no new work reaches a worker;
         (3) drain — each worker gets a ``shutdown`` frame, serves what
-        its dispatch queue already holds, flushes the replies, and
-        exits; (4) escalate — ``terminate`` then ``kill`` only for
+        it has already read, flushes the replies, and exits; (4) escalate — ``terminate`` then ``kill`` only for
         processes that ignored all of that; (5) sweep socket files the
         escalation path could not let workers unlink themselves.
         """

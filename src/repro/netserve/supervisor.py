@@ -91,7 +91,12 @@ class SupervisorConfig:
     hang_misses:
         Consecutive heartbeat misses before a live-but-silent worker is
         declared hung and SIGKILL'd.  2 (the default) tolerates one
-        unlucky probe landing during a long GC pause or batch.
+        unlucky probe landing during a long GC pause or batch.  A
+        worker is one thread, so a ping that arrives while a batch is
+        being served waits for that batch: ``ping_timeout_s ×
+        hang_misses`` (2 s by default) is also the longest one batch
+        may run before a healthy worker is taken for hung.  A
+        ``net_uniq`` batch takes a few milliseconds at most.
     backoff_initial_s / backoff_max_s:
         Exponential respawn backoff: the first failure in a window
         respawns after ``backoff_initial_s``, each further failure

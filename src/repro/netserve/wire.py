@@ -25,12 +25,13 @@ Fault taxonomy (every subclass of :class:`WireError`):
   not one the decoder can read (nesting past its depth, an integer
   literal past its digit limit).
 
-Three readers share these rules: a blocking-socket codec (workers,
-the sync client), a stream reader (:func:`read_raw_frame`, the load
-generator) and an incremental :class:`FrameSplitter` that the
-frontend's protocol callbacks feed with whatever bytes arrived.  The
-stream reader and the splitter hand out raw frames, header included,
-so the frontend can relay a frame without re-encoding it.
+Three readers share these rules: a blocking-socket codec (the sync
+client, the cluster's probes), a stream reader (:func:`read_raw_frame`,
+the load generator) and an incremental :class:`FrameSplitter` that the
+frontend's protocol callbacks and the workers' selector loops feed with
+whatever bytes arrived.  The stream reader and the splitter hand out
+raw frames, header included, so the frontend can relay a frame without
+re-encoding it.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _check_length(length: int, max_frame_bytes: int) -> None:
 
 
 # ------------------------------------------------------------------ #
-# Blocking-socket codec (workers, the sync client)
+# Blocking-socket codec (the sync client, the cluster's probes)
 
 
 def _recv_exact(sock: socket.socket, length: int) -> bytes | None:
@@ -211,7 +212,7 @@ async def read_raw_frame(
 
 
 # ------------------------------------------------------------------ #
-# Incremental splitter (the frontend's protocol callbacks)
+# Incremental splitter (the frontend's callbacks, the workers' loops)
 
 
 class FrameSplitter:
@@ -244,6 +245,11 @@ class FrameSplitter:
             self._start = 0
         self._buffer += data
 
+    @property
+    def buffered(self) -> int:
+        """Bytes fed but not yet handed out as a frame."""
+        return len(self._buffer) - self._start
+
     def next_frame(self) -> bytes | None:
         """The next complete frame, or ``None`` until more bytes arrive."""
         buffer = self._buffer
@@ -268,7 +274,7 @@ class FrameSplitter:
 
     def eof(self) -> None:
         """The peer closed: :class:`TornFrame` if a frame is partial."""
-        held = len(self._buffer) - self._start
+        held = self.buffered
         if not held:
             return
         if held < HEADER.size:

@@ -20,36 +20,38 @@ length-prefixed JSON frames (:mod:`repro.netserve.wire`) on an
   registry, and the :mod:`repro.netserve.memory` report that powers
   the zero-copy gate.
 * ``{"type": "ping"}`` → ``{"type": "pong"}`` (the readiness probe).
-* ``{"type": "shutdown"}`` → acked, then the process **drains**: new
-  serves are refused with a retryable error, but everything already on
-  the dispatch queue is served and its reply flushed (bounded by
-  ``drain_timeout_s``) before the process exits — a planned shutdown
-  must not turn admitted requests into visible failures.
+* ``{"type": "shutdown"}`` → acked, then the process **drains**: the
+  serves it has already read are served and their replies flushed
+  (bounded by ``drain_timeout_s``) before the process exits — a
+  planned shutdown must not turn admitted requests into visible
+  failures.
 
-Serving is **micro-batched**: connection threads decode and validate
-``serve`` frames, then enqueue the :class:`ServeRequest` (with a reply
-slot) on a bounded dispatch queue.  A single dispatcher thread blocks
-only while idle: woken by a request, it takes whatever else is already
-queued, up to ``max_batch``, and serves at once — a batch is what
-accumulated while the previous one was being served, never something
-a request slept for.  Every batch, a lone request included, goes
-through :meth:`AdServer.serve_batch`, whose
-:class:`~repro.perf.batch.BatchQueryEngine` dedups word-sets and engages
-the vectorized probe kernels once a batch holds two or more distinct
-word-sets.  Each :class:`ServeResult` fans back to its
-originating connection thread via its reply slot.  There is **no
-global serve lock**: the dispatcher owns the index between batches,
-which is also the only place the tiered manifest hot-reload swap
-happens (throttled to ``reload_check_interval_s`` so the hot path
-never stats the filesystem per request).  ``stats``/``ping`` are
-answered directly on the connection thread and can never queue behind
-an in-flight batch.
+The worker is **one thread running one** :mod:`selectors` **loop**
+(:meth:`_Worker.run`).  Each turn waits for readiness, then:
+
+1. accepts, reads every readable connection into its own
+   :class:`~repro.netserve.wire.FrameSplitter`, and answers ``ping``,
+   ``stats`` and ``shutdown`` at once;
+2. serves the ``serve`` frames that turn read, in chunks of at most
+   ``max_batch``, each through :meth:`AdServer.serve_batch` — a batch is
+   what arrived while the previous one was being served, never
+   something a request waited for;
+3. writes each reply with a non-blocking send; a reply the socket
+   cannot take whole is finished when the connection turns writable.
+
+A connection with a frame in service or unsent output is not read, so
+each connection has one frame in the worker at a time, and a client
+that stops reading its replies stops being read.  The loop owns the
+index between batches, which is also the only place the tiered
+manifest hot-reload swap happens (throttled to
+``reload_check_interval_s`` so the hot path never stats the filesystem
+per request).  A control frame that arrives while a batch is being
+served waits for that batch — there is no other thread to answer it —
+but is answered before any serve queued behind it.
 
 The worker **never dies on a bad request**: schema errors and pipeline
 exceptions are answered with typed ``error`` frames and counted; only a
-transport-level fault ends that one connection.  The frontend keeps a
-pool of long-lived connections, so accept volume is tiny; each accepted
-connection is served by a daemon thread.
+transport-level fault ends that one connection.
 """
 
 from __future__ import annotations
@@ -57,20 +59,22 @@ from __future__ import annotations
 import contextlib
 import gc
 import os
-import queue
+import selectors
 import signal
 import socket
-import threading
 from dataclasses import dataclass
 from time import monotonic, perf_counter
-from typing import Any
+from typing import Any, Sequence
 
 from repro.netserve.memory import memory_report
 from repro.netserve.wire import (
     DEFAULT_MAX_FRAME_BYTES,
+    HEADER,
+    FrameSplitter,
+    TornFrame,
     WireError,
-    recv_frame,
-    send_frame,
+    decode_payload,
+    encode_frame,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.segment.format import SegmentFormatError
@@ -83,8 +87,12 @@ __all__ = ["WorkerConfig", "run_worker"]
 
 DEFAULT_RELOAD_CHECK_INTERVAL_S = 0.25
 
-# Dispatch-queue sentinel: wakes the dispatcher for a clean drain.
-_SHUTDOWN = object()
+#: How long an idle loop sleeps in ``select``: the most a ``SIGTERM``
+#: waits before the loop notices it.
+SELECT_TIMEOUT_S = 0.2
+
+#: Most bytes one ``recv`` takes from a connection.
+READ_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,24 +114,24 @@ class WorkerConfig:
     max_frame_bytes:
         Per-frame wire budget.
     max_batch:
-        Most requests one dispatcher batch (or one shutdown-drain
-        chunk) may carry.  1 (the default) serves every request as a
-        batch of one, which retrieves exactly as a lone query does.
-        Batches fill only from what is already queued, so the bound
-        costs nothing under light load.
+        Most requests one batch (or one shutdown-drain chunk) may
+        carry.  1 (the default) serves every request as a batch of
+        one, which retrieves exactly as a lone query does.  Batches
+        fill only from what one loop turn read, so the bound costs
+        nothing under light load.
     queue_depth:
-        Bound on the dispatch queue.  A full queue answers a typed
-        retryable ``error`` frame instead of blocking the connection
-        thread forever (backpressure, not deadlock).
+        Most serves one loop turn admits.  A serve past it is answered
+        with a typed retryable ``error`` frame (backpressure, not an
+        unbounded backlog).
     reload_check_interval_s:
-        Tiered mode: how often the dispatcher is allowed to stat the
+        Tiered mode: how often the loop is allowed to stat the
         manifest between batches.  0 probes before every batch (tests).
     drain_timeout_s:
-        Graceful-drain budget at shutdown: requests already accepted
-        onto the dispatch queue are *served* (their clients are blocked
-        on those replies) for up to this long; only what the budget
-        cannot cover is answered with a retryable error.  0 restores
-        the old error-everything drain.
+        Graceful-drain budget at shutdown: serves already read are
+        *served* (their clients are blocked on those replies) and
+        their replies flushed for up to this long; only what the budget
+        cannot cover is answered with a retryable error.  0 answers
+        every such serve with that error.
     """
 
     segment_path: str
@@ -149,26 +157,33 @@ class WorkerConfig:
             raise ValueError("drain_timeout_s must be >= 0")
 
 
+class _Connection:
+    """One accepted socket: its frame splitter and unsent reply bytes."""
+
+    __slots__ = ("sock", "splitter", "out", "busy")
+
+    def __init__(self, sock: socket.socket, max_frame_bytes: int) -> None:
+        self.sock = sock
+        self.splitter = FrameSplitter(max_frame_bytes)
+        # While set, the connection is watched for writing, not reading.
+        self.out = b""
+        # A serve frame of this connection waits for its batch.
+        self.busy = False
+
+
 class _PendingServe:
-    """One enqueued request plus the slot its reply comes back in."""
+    """One admitted request and the connection its reply goes to."""
 
-    __slots__ = ("request", "enqueued_at", "done", "response")
+    __slots__ = ("request", "conn", "enqueued_at")
 
-    def __init__(self, request: ServeRequest) -> None:
+    def __init__(self, request: ServeRequest, conn: _Connection) -> None:
         self.request = request
+        self.conn = conn
         self.enqueued_at = perf_counter()
-        self.done = threading.Event()
-        self.response: dict[str, Any] | None = None
-
-    def resolve(self, response: dict[str, Any]) -> None:
-        if self.done.is_set():  # idempotent: shutdown drain may race
-            return
-        self.response = response
-        self.done.set()
 
 
 class _Worker:
-    """The in-process state behind one worker's accept loop."""
+    """The in-process state behind one worker's selector loop."""
 
     def __init__(self, config: WorkerConfig) -> None:
         self.config = config
@@ -192,6 +207,10 @@ class _Worker:
             default_deadline_ms=config.default_deadline_ms,
             obs=self.obs,
         )
+        self._batch_size = self.obs.histogram("worker.batch_size")
+        self._queue_wait = self.obs.histogram("span.worker_queue_wait")
+        self._batch_ms = self.obs.histogram("span.worker_batch")
+        self._serve_ms = self.obs.histogram("span.worker_serve")
         self.served = 0
         self.errors = 0
         self.wire_errors = 0
@@ -201,14 +220,15 @@ class _Worker:
         self.drained = 0
         self.drain_errors = 0
         self._last_reload_probe = monotonic()
-        self._stop = threading.Event()
-        self._queue: queue.Queue[Any] = queue.Queue(maxsize=config.queue_depth)
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            daemon=True,
-            name=f"netserve-worker-{config.worker_id}-dispatch",
-        )
-        self._dispatcher.start()
+        # Set by a ``shutdown`` frame or a signal; the loop ends at the
+        # end of the turn that sees it.
+        self._stop = False
+        self._drain_until: float | None = None
+        self._selector = selectors.DefaultSelector()
+        self._pending: list[_PendingServe] = []
+        # Idle connections whose splitter may hold a whole frame: taken
+        # on the next turn, which then does not sleep in ``select``.
+        self._resume: list[_Connection] = []
 
     # ---------------------------------------------------------- #
 
@@ -222,15 +242,14 @@ class _Worker:
     def _maybe_reload(self) -> None:
         """Pick up a manifest swap between batches (tiered mode only).
 
-        Runs on the dispatcher thread, which is the only thread that
-        touches the index — so the swap needs no lock at all.  The
-        filesystem probe is throttled to ``reload_check_interval_s``;
-        the atomic rename commit means the fingerprint moves exactly
-        when a new generation lands, so a throttled probe can only
-        delay pickup by the interval, never miss it.  A reload that
-        races a writer's post-commit victim unlink fails to open and
-        simply retries at the next probe — the old generation keeps
-        serving meanwhile.
+        Runs on the loop, the only thread there is — so the swap needs
+        no lock at all.  The filesystem probe is throttled to
+        ``reload_check_interval_s``; the atomic rename commit means the
+        fingerprint moves exactly when a new generation lands, so a
+        throttled probe can only delay pickup by the interval, never
+        miss it.  A reload that races a writer's post-commit victim
+        unlink fails to open and simply retries at the next probe — the
+        old generation keeps serving meanwhile.
         """
         if not self._tiered:
             return
@@ -254,89 +273,77 @@ class _Worker:
         self.manifest_reloads += 1
         old.close()
 
-    # ------------------------- dispatcher --------------------- #
+    # -------------------------- serving ------------------------ #
 
-    def _dispatch_loop(self) -> None:
-        """Drain the queue in micro-batches until shutdown."""
-        while True:
-            try:
-                first = self._queue.get(timeout=0.2)
-            except queue.Empty:
-                if self._stop.is_set():
-                    self._drain_shutdown()
-                    return
-                continue
-            if first is _SHUTDOWN:
-                self._drain_shutdown()
-                return
-            batch: list[_PendingServe] = [first]
-            saw_shutdown = self._collect(batch)
-            self._serve_batch(batch)
-            if saw_shutdown:
-                self._drain_shutdown()
-                return
+    def _serve_pending(self) -> None:
+        """Serve what this turn admitted, in chunks of ``max_batch``.
 
-    def _collect(self, batch: list[_PendingServe]) -> bool:
-        """Top up ``batch`` to ``max_batch`` from what is already queued.
-
-        Never blocks: waiting for batch-mates costs every request the
-        wait and buys nothing ``serve_batch`` amortises.  Returns True
-        when the shutdown sentinel surfaced mid-collect (the batch in
-        hand is still served before draining).
+        Once a shutdown is seen the chunks are the drain: served while
+        the ``drain_timeout_s`` budget lasts, then answered with a
+        retryable error.
         """
-        while len(batch) < self.config.max_batch:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return False
-            if item is _SHUTDOWN:
-                return True
-            batch.append(item)
-        return False
+        pending, self._pending = self._pending, []
+        size = self.config.max_batch
+        for start in range(0, len(pending), size):
+            chunk = pending[start : start + size]
+            if not self._stop:
+                self._serve_batch(chunk)
+            elif monotonic() < self._drain_deadline():
+                self.drained += self._serve_and_reply(chunk)
+            else:
+                for item in chunk:
+                    self.drain_errors += 1
+                    self._answer(
+                        item,
+                        self._error_frame(
+                            "worker shutting down",
+                            item.request.request_id,
+                            retryable=True,
+                        ),
+                    )
 
     def _serve_batch(self, batch: list[_PendingServe]) -> None:
-        """One dispatcher turn: reload window, serve, fan out replies."""
+        """One batch: reload window, serve, reply."""
         self._maybe_reload()
         now = perf_counter()
-        queue_wait = self.obs.histogram("span.worker_queue_wait")
         for item in batch:
-            queue_wait.observe((now - item.enqueued_at) * 1e3)
-        self.obs.histogram("worker.batch_size").observe(float(len(batch)))
+            self._queue_wait.observe((now - item.enqueued_at) * 1e3)
+        self._batch_size.observe(float(len(batch)))
         self.batches += 1
         batch_started = perf_counter()
         self._serve_and_reply(batch)
-        self.obs.histogram("span.worker_batch").observe(
-            (perf_counter() - batch_started) * 1e3
-        )
+        self._batch_ms.observe((perf_counter() - batch_started) * 1e3)
 
     def _serve_and_reply(self, batch: list[_PendingServe]) -> int:
         """Serve ``batch`` through :meth:`AdServer.serve_batch` and
-        resolve every reply slot; returns how many got a ``result``.
+        answer every item; returns how many got a ``result``.
 
         One poisoned request must not fail its batch-mates: when the
         batch raises, each item is re-served as a batch of its own, so
         only the bad item is answered with an error frame.
         """
-        results: list[ServeResult | None]
+        results: Sequence[ServeResult | None]
         try:
             results = self.server.serve_batch([item.request for item in batch])
         except Exception:  # noqa: BLE001 — the worker never dies
-            results = []
+            isolated: list[ServeResult | None] = []
             for item in batch:
                 try:
-                    results.extend(self.server.serve_batch([item.request]))
+                    isolated.extend(self.server.serve_batch([item.request]))
                 except Exception as exc:  # noqa: BLE001
                     self.errors += 1
-                    item.resolve(
+                    self._answer(
+                        item,
                         self._error_frame(
                             f"{type(exc).__name__}: {exc}",
                             item.request.request_id,
                             retryable=True,
-                        )
+                        ),
                     )
-                    results.append(None)
+                    isolated.append(None)
+            results = isolated
         finished = perf_counter()
-        latency = self.obs.histogram("span.worker_serve")
+        latency = self._serve_ms
         served = 0
         for item, result in zip(batch, results):
             if result is None:
@@ -349,106 +356,79 @@ class _Worker:
             }
             if item.request.request_id is not None:
                 response["request_id"] = item.request.request_id
-            item.resolve(response)
+            self._answer(item, response)
             served += 1
         self.served += served
         return served
 
-    def _drain_shutdown(self) -> None:
-        """Graceful drain: flush replies for everything already queued.
+    def _answer(self, item: _PendingServe, response: dict[str, Any]) -> None:
+        """Reply to a served request; its connection may read again."""
+        conn = item.conn
+        conn.busy = False
+        self._reply(conn, response)
+        if not conn.out and conn.splitter.buffered:
+            self._resume.append(conn)
 
-        The clients behind those reply slots were *admitted* — erroring
-        them now would turn a planned shutdown into visible failures.
-        Serve them, in chunks of at most ``max_batch``, within the
-        ``drain_timeout_s`` budget; only what the budget cannot cover
-        gets the retryable shutdown error.  New work is already refused
-        at the door (``_serve`` checks ``_stop`` before enqueueing), so
-        the queue can only shrink.
-        """
-        deadline = monotonic() + self.config.drain_timeout_s
-        while True:
-            chunk: list[_PendingServe] = []
-            saw_shutdown = self._collect(chunk)
-            if not chunk:
-                if saw_shutdown:
-                    continue  # a repeated sentinel: work may follow it
-                return
-            if monotonic() < deadline:
-                self.drained += self._serve_and_reply(chunk)
-                continue
-            for item in chunk:
-                self.drain_errors += 1
-                item.resolve(
-                    self._error_frame(
-                        "worker shutting down",
-                        item.request.request_id,
-                        retryable=True,
-                    )
-                )
+    def _drain_deadline(self) -> float:
+        if self._drain_until is None:
+            self._drain_until = monotonic() + self.config.drain_timeout_s
+        return self._drain_until
 
     # ------------------------ frame handling ------------------ #
 
-    def handle(self, payload: dict[str, Any]) -> dict[str, Any] | None:
-        """One request frame → one response payload (``None`` = exit).
-
-        Only ``serve`` goes through the dispatch queue; control frames
-        (``ping``/``stats``/``shutdown``) are answered right here on
-        the calling thread so they never wait behind a serve batch.
-        """
+    def _handle(self, conn: _Connection, payload: dict[str, Any]) -> None:
+        """One request frame: admit a serve, or answer at once."""
         msg_type = payload.get("type")
         if msg_type == "serve":
-            return self._serve(payload)
-        if msg_type == "ping":
-            return {"type": "pong", "worker_id": self.config.worker_id}
-        if msg_type == "stats":
-            return self.stats_payload()
-        if msg_type == "shutdown":
-            self._stop.set()
-            with contextlib.suppress(queue.Full):
-                self._queue.put_nowait(_SHUTDOWN)
-            return {"type": "ok"}
-        self.wire_errors += 1
-        return {
-            "type": "error",
-            "error": f"unknown frame type {msg_type!r}",
-            "retryable": False,
-        }
+            self._admit(conn, payload)
+        elif msg_type == "ping":
+            self._reply(conn, {"type": "pong", "worker_id": self.config.worker_id})
+        elif msg_type == "stats":
+            self._reply(conn, self.stats_payload())
+        elif msg_type == "shutdown":
+            self._stop = True
+            self._drain_deadline()
+            self._reply(conn, {"type": "ok"})
+        else:
+            self.wire_errors += 1
+            self._reply(
+                conn,
+                {
+                    "type": "error",
+                    "error": f"unknown frame type {msg_type!r}",
+                    "retryable": False,
+                },
+            )
 
-    def _serve(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Connection-thread half of a serve: validate, enqueue, wait."""
+    def _admit(self, conn: _Connection, payload: dict[str, Any]) -> None:
+        """Validate a serve and queue it for this turn's batches."""
         try:
             request = ServeRequest.from_dict(payload.get("request"))
         except WireSchemaError as exc:
             self.wire_errors += 1
-            return self._error_frame(str(exc), None, retryable=False)
-        if self._stop.is_set():
-            return self._error_frame(
-                "worker shutting down", request.request_id, retryable=True
+            self._reply(conn, self._error_frame(str(exc), None, retryable=False))
+            return
+        if self._stop:
+            self._reply(
+                conn,
+                self._error_frame(
+                    "worker shutting down", request.request_id, retryable=True
+                ),
             )
-        item = _PendingServe(request)
-        try:
-            self._queue.put(item, timeout=1.0)
-        except queue.Full:
+            return
+        if len(self._pending) >= self.config.queue_depth:
             self.queue_rejects += 1
-            return self._error_frame(
-                "worker dispatch queue full",
-                request.request_id,
-                retryable=True,
+            self._reply(
+                conn,
+                self._error_frame(
+                    "worker dispatch queue full",
+                    request.request_id,
+                    retryable=True,
+                ),
             )
-        while not item.done.wait(timeout=0.5):
-            if not self._dispatcher.is_alive():
-                # Enqueued after the dispatcher's final drain: answer
-                # here rather than hang the connection forever.
-                item.resolve(
-                    self._error_frame(
-                        "worker shutting down",
-                        request.request_id,
-                        retryable=True,
-                    )
-                )
-        response = item.response
-        assert response is not None  # resolve() always sets it
-        return response
+            return
+        conn.busy = True
+        self._pending.append(_PendingServe(request, conn))
 
     def _error_frame(
         self, message: str, request_id: str | None, retryable: bool
@@ -463,9 +443,9 @@ class _Worker:
         return frame
 
     def stats_payload(self) -> dict[str, Any]:
-        latency = self.obs.histogram("span.worker_serve")
-        batch_size = self.obs.histogram("worker.batch_size")
-        queue_wait = self.obs.histogram("span.worker_queue_wait")
+        latency = self._serve_ms
+        batch_size = self._batch_size
+        queue_wait = self._queue_wait
         payload: dict[str, Any] = {
             "type": "stats",
             "worker_id": self.config.worker_id,
@@ -521,41 +501,119 @@ class _Worker:
             payload.update(memory_report(self.config.segment_path))
         return payload
 
-    # ---------------------------------------------------------- #
+    # ------------------------- transport ----------------------- #
 
-    def serve_connection(self, conn: socket.socket) -> None:
-        """Frames until EOF; transport faults end only this connection."""
-        max_bytes = self.config.max_frame_bytes
-        with contextlib.closing(conn):
-            while not self._stop.is_set():
-                try:
-                    payload = recv_frame(conn, max_bytes)
-                except WireError:
-                    self.wire_errors += 1
-                    return
-                except OSError:
-                    return
-                if payload is None:
-                    return
-                response = self.handle(payload)
-                if response is None:
-                    return
-                try:
-                    send_frame(conn, response, max_bytes)
-                except (WireError, OSError):
-                    self.wire_errors += 1
-                    return
-                if self._stop.is_set():
-                    return
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except BlockingIOError:  # the backlog is empty
+                return
+            sock.setblocking(False)
+            conn = _Connection(sock, self.config.max_frame_bytes)
+            self._selector.register(sock, selectors.EVENT_READ, conn)
 
-    def close(self) -> None:
-        """Stop the dispatcher, drain stragglers, release the index."""
-        self._stop.set()
-        with contextlib.suppress(queue.Full):
-            self._queue.put_nowait(_SHUTDOWN)
-        self._dispatcher.join(timeout=5.0)
-        self._drain_shutdown()
-        self.index.close()
+    def _read(self, conn: _Connection) -> None:
+        if conn.busy or conn.sock.fileno() < 0:
+            return  # its serve was admitted earlier this turn, or closed
+        try:
+            data = conn.sock.recv(READ_CHUNK)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._close(conn)
+            return
+        if not data:
+            try:
+                conn.splitter.eof()
+            except TornFrame:
+                self.wire_errors += 1
+            self._close(conn)
+            return
+        conn.splitter.feed(data)
+        self._take_frames(conn)
+
+    def _take_frames(self, conn: _Connection) -> None:
+        """Handle ``conn``'s buffered frames until one is in service,
+        a reply is left unsent, or no whole frame is left."""
+        while not (conn.busy or conn.out) and conn.sock.fileno() >= 0:
+            try:
+                frame = conn.splitter.next_frame()
+                if frame is None:
+                    return
+                payload = decode_payload(frame[HEADER.size :])
+            except WireError:
+                self.wire_errors += 1
+                self._close(conn)
+                return
+            self._handle(conn, payload)
+
+    def _reply(self, conn: _Connection, payload: dict[str, Any]) -> None:
+        try:
+            data = encode_frame(payload, self.config.max_frame_bytes)
+            sent = conn.sock.send(data)
+        except BlockingIOError:
+            sent = 0
+        except (WireError, OSError):
+            self.wire_errors += 1
+            self._close(conn)
+            return
+        if sent < len(data):
+            conn.out = data[sent:]
+            self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+
+    def _flush(self, conn: _Connection) -> bool:
+        """Send what ``conn`` still owes; True once all of it is out."""
+        try:
+            sent = conn.sock.send(conn.out)
+        except BlockingIOError:
+            return False
+        except OSError:
+            self.wire_errors += 1
+            self._close(conn)
+            return False
+        conn.out = conn.out[sent:]
+        return not conn.out
+
+    def _close(self, conn: _Connection) -> None:
+        if conn.sock.fileno() >= 0:
+            self._selector.unregister(conn.sock)
+            conn.sock.close()
+
+    def _turn(self, listener: socket.socket) -> None:
+        """One loop turn: read and answer control, serve, reply."""
+        resume, self._resume = self._resume, []
+        events = self._selector.select(0 if resume else SELECT_TIMEOUT_S)
+        for conn in resume:
+            self._take_frames(conn)
+        for key, _ in events:
+            conn = key.data
+            if conn is None:
+                self._accept(listener)
+            elif not conn.out:
+                self._read(conn)
+            elif self._flush(conn):
+                self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+                self._take_frames(conn)
+        if self._pending:
+            self._serve_pending()
+
+    def _drain(self) -> None:
+        """After the last turn: flush unsent replies within the drain
+        budget; connections that owe nothing close at once."""
+        for key in list(self._selector.get_map().values()):
+            if key.data is None:
+                self._selector.unregister(key.fileobj)  # the listener
+            elif not key.data.out:
+                self._close(key.data)
+        deadline = self._drain_deadline()
+        while True:
+            remaining = deadline - monotonic()
+            if not self._selector.get_map() or remaining <= 0:
+                return
+            for key, _ in self._selector.select(remaining):
+                if self._flush(key.data):
+                    self._close(key.data)
 
     def run(self) -> None:
         path = self.config.socket_path
@@ -565,26 +623,20 @@ class _Worker:
         try:
             listener.bind(path)
             listener.listen(16)
-            listener.settimeout(0.2)
-            while not self._stop.is_set():
-                try:
-                    conn, _ = listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                thread = threading.Thread(
-                    target=self.serve_connection,
-                    args=(conn,),
-                    daemon=True,
-                    name=f"netserve-worker-{self.config.worker_id}-conn",
-                )
-                thread.start()
+            listener.setblocking(False)
+            self._selector.register(listener, selectors.EVENT_READ, None)
+            while not self._stop:
+                self._turn(listener)
+            self._drain()
         finally:
+            for key in list(self._selector.get_map().values()):
+                if key.data is not None:
+                    key.data.sock.close()
+            self._selector.close()
             listener.close()
             with contextlib.suppress(OSError):
                 os.unlink(path)
-            self.close()
+            self.index.close()
 
 
 def run_worker(config: WorkerConfig) -> None:
@@ -597,7 +649,7 @@ def run_worker(config: WorkerConfig) -> None:
     worker = _Worker(config)
 
     def _terminate(signum: int, frame: object) -> None:
-        worker._stop.set()
+        worker._stop = True
 
     with contextlib.suppress(ValueError):  # non-main thread (tests)
         signal.signal(signal.SIGTERM, _terminate)

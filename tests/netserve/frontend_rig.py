@@ -5,23 +5,27 @@ can drive a frontend with blocking clients.  :class:`ThreadWorkers`
 serves real worker objects on ``AF_UNIX`` sockets from threads, with
 two fault hooks: ``hold`` parks every serve batch until ``release``,
 and :meth:`ThreadWorkers.tear_next_reply` makes the next result reply
-go out half-written before its connection closes, as when a worker
-dies while writing.  ``served`` logs (worker id, request id) for every
-request a worker serves, before its reply is written.
+reach the frontend half-written before its connection closes, as when
+a worker dies while writing.  A relay in front of each worker does the
+tearing, so the worker itself runs as it does in production.
+``served`` logs (worker id, request id) for every request a worker
+serves, before its reply is written.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import socket
 import threading
 import time
 
-from repro.netserve import worker as worker_module
 from repro.netserve.frontend import Frontend
-from repro.netserve.wire import HEADER, encode_frame
-from repro.netserve.worker import WorkerConfig, _Worker
+from repro.netserve.wire import HEADER
+from repro.netserve.worker import WorkerConfig
+
+from tests.netserve.worker_rig import RunningWorker
 
 
 class LoopThread:
@@ -67,7 +71,8 @@ def running_frontend(sockets, config, frontend_cls=Frontend, task_factory=None):
 
 
 class ThreadWorkers:
-    """``count`` workers over one segment, each served from a thread."""
+    """``count`` workers over one segment, each served from a thread
+    behind a :class:`TearingRelay`; ``sockets`` are the relays'."""
 
     def __init__(self, segment_path, directory, count=2):
         self.hold = threading.Event()
@@ -77,64 +82,51 @@ class ThreadWorkers:
         self._tear_lock = threading.Lock()
         self.served = []
         self.workers = []
-        self.threads = []
+        self.relays = []
         self.sockets = []
-        self._send_frame = worker_module.send_frame
-        worker_module.send_frame = self._maybe_tear
         try:
             for worker_id in range(count):
-                path = str(directory / f"worker-{worker_id}.sock")
                 config = WorkerConfig(
-                    segment_path=str(segment_path), socket_path=path, worker_id=worker_id
+                    segment_path=str(segment_path),
+                    socket_path=str(directory / f"worker-{worker_id}.real.sock"),
+                    worker_id=worker_id,
                 )
-                worker = _Worker(config)
-                self._gate(worker)
-                thread = threading.Thread(target=worker.run, daemon=True)
-                thread.start()
-                self.workers.append(worker)
-                self.threads.append(thread)
+                self.workers.append(RunningWorker(config, wrap=self._gate(worker_id)))
+                path = str(directory / f"worker-{worker_id}.sock")
+                self.relays.append(TearingRelay(path, config.socket_path, self._take_tear))
                 self.sockets.append(path)
-            for path in self.sockets:
-                _wait_listening(path)
         except BaseException:
             self.close()
             raise
 
-    def _gate(self, worker):
-        original = worker.server.serve_batch
-        worker_id = worker.config.worker_id
+    def _gate(self, worker_id):
+        def wrap(original):
+            def serve_batch(requests, **kwargs):
+                self.served.extend((worker_id, r.request_id) for r in requests)
+                if self.hold.is_set():
+                    self.entered.set()
+                    assert self.release.wait(10.0), "held batch never released"
+                return original(requests, **kwargs)
 
-        def serve_batch(requests, **kwargs):
-            self.served.extend((worker_id, r.request_id) for r in requests)
-            if self.hold.is_set():
-                self.entered.set()
-                assert self.release.wait(10.0), "held batch never released"
-            return original(requests, **kwargs)
+            return serve_batch
 
-        worker.server.serve_batch = serve_batch
+        return wrap
 
     def tear_next_reply(self):
         with self._tear_lock:
             self._tear += 1
 
-    def _maybe_tear(self, sock, payload, max_frame_bytes):
-        if payload.get("type") == "result":
-            with self._tear_lock:
-                tear, self._tear = self._tear > 0, max(self._tear - 1, 0)
-            if tear:
-                frame = encode_frame(payload, max_frame_bytes)
-                sock.sendall(frame[: HEADER.size + (len(frame) - HEADER.size) // 2])
-                raise OSError("reply torn mid-frame")
-        self._send_frame(sock, payload, max_frame_bytes)
+    def _take_tear(self):
+        with self._tear_lock:
+            tear, self._tear = self._tear > 0, max(self._tear - 1, 0)
+        return tear
 
     def close(self):
         self.release.set()
+        for relay in self.relays:
+            relay.close()
         for worker in self.workers:
-            worker._stop.set()
-        for thread in self.threads:
-            thread.join(5.0)
-            assert not thread.is_alive(), "worker thread never stopped"
-        worker_module.send_frame = self._send_frame
+            worker.stop()
 
     def __enter__(self):
         return self
@@ -143,18 +135,79 @@ class ThreadWorkers:
         self.close()
 
 
-def _wait_listening(path, timeout_s=5.0):
-    deadline = time.monotonic() + timeout_s
-    while True:
-        probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+class TearingRelay:
+    """An ``AF_UNIX`` relay in front of one worker.  It copies bytes
+    both ways, one thread per direction, and when ``take_tear()`` says
+    so it passes on only the first half of the next ``result`` frame
+    coming back, then closes both sides: a worker dying mid-write."""
+
+    def __init__(self, path, target, take_tear):
+        self.target = target
+        self.take_tear = take_tear
+        self._stop = threading.Event()
+        self._sockets = []
+        self.listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self.listener.bind(path)
+        self.listener.listen(16)
+        self.listener.settimeout(0.05)
+        self.thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self.thread.start()
+
+    def _accept_loop(self):
+        while not self._stop.is_set():
+            try:
+                client, _ = self.listener.accept()
+            except socket.timeout:
+                continue
+            client.settimeout(None)
+            upstream = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                upstream.connect(self.target)
+            except OSError:
+                _hang_up(client)
+                continue
+            self._sockets += [client, upstream]
+            for pump in (self._up, self._down):
+                threading.Thread(target=pump, args=(client, upstream), daemon=True).start()
+
+    def _up(self, client, upstream):
         try:
-            probe.connect(path)
-            return
+            while chunk := client.recv(65536):
+                upstream.sendall(chunk)
         except OSError:
-            assert time.monotonic() < deadline, f"worker {path} never listened"
-            time.sleep(0.01)
+            pass
         finally:
-            probe.close()
+            _hang_up(upstream)
+
+    def _down(self, client, upstream):
+        try:
+            while True:
+                frame = read_raw(upstream)
+                result = json.loads(frame[HEADER.size:]).get("type") == "result"
+                if result and self.take_tear():
+                    client.sendall(frame[: HEADER.size + (len(frame) - HEADER.size) // 2])
+                    return
+                client.sendall(frame)
+        except (OSError, AssertionError):  # read_raw asserts on EOF
+            pass
+        finally:
+            _hang_up(client)
+            _hang_up(upstream)
+
+    def close(self):
+        self._stop.set()
+        self.thread.join(5.0)
+        assert not self.thread.is_alive(), "relay never stopped"
+        self.listener.close()
+        for sock in self._sockets:
+            _hang_up(sock)
+
+
+def _hang_up(sock):
+    """Close ``sock``, waking any thread blocked reading it."""
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_RDWR)
+    sock.close()
 
 
 def counter(frontend, name):

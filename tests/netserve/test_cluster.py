@@ -226,21 +226,25 @@ class TestChildEntryPointsFreezeWhatTheyInherit:
     full collection in the child never writes to, and so copies, the
     parent's pages."""
 
-    def test_worker_freezes_before_building_its_server(self, monkeypatch):
+    def test_worker_freezes_before_building_its_server(self, monkeypatch, tmp_path):
         assert gc.get_freeze_count() == 0
         seen = []
 
-        class Stub:
-            def __init__(self, config):
-                seen.append(gc.get_freeze_count())
+        class Opened(Exception):
+            pass
 
-            def run(self):
-                pass
+        def open_index(path, **kwargs):
+            seen.append(gc.get_freeze_count())
+            raise Opened
 
-        monkeypatch.setattr(worker_module, "_Worker", Stub)
-        monkeypatch.setattr(worker_module.signal, "signal", lambda *args: None)
+        monkeypatch.setattr(worker_module, "PackedSegmentIndex", open_index)
+        config = worker_module.WorkerConfig(
+            segment_path=str(tmp_path / "unused.seg"),
+            socket_path=str(tmp_path / "unused.sock"),
+        )
         try:
-            worker_module.run_worker(None)
+            with pytest.raises(Opened):
+                worker_module.run_worker(config)
         finally:
             gc.unfreeze()
         assert seen and seen[0] > 0

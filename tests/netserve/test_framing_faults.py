@@ -26,11 +26,12 @@ from repro.netserve.wire import (
     read_raw_frame,
     recv_frame,
 )
-from repro.netserve.worker import WorkerConfig, _Worker
+from repro.netserve.worker import WorkerConfig
 from repro.serving import ServeRequest
 
 from tests.netserve.conftest import requires_af_unix
 from tests.netserve.frontend_rig import read_raw
+from tests.netserve.worker_rig import RunningWorker
 
 pytestmark = requires_af_unix
 
@@ -347,19 +348,13 @@ class TestDeepNesting:
         _assert_still_serving(cluster)
 
     def test_worker_connection_counts_it_and_ends(self, segment_path, tmp_path):
-        worker = _Worker(
-            WorkerConfig(
-                segment_path=str(segment_path),
-                socket_path=str(tmp_path / "deep.sock"),
-            )
+        config = WorkerConfig(
+            segment_path=str(segment_path),
+            socket_path=str(tmp_path / "deep.sock"),
         )
-        left, right = socket.socketpair()
-        try:
-            left.sendall(HEADER.pack(len(DEEP_BODY)) + DEEP_BODY)
-            left.shutdown(socket.SHUT_WR)
-            worker.serve_connection(right)
-            assert worker.wire_errors == 1
-            assert left.recv(4096) == b""  # the connection was closed
-        finally:
-            left.close()
-            worker.close()
+        with RunningWorker(config) as rig, rig.connect() as conn:
+            conn.sendall(HEADER.pack(len(DEEP_BODY)) + DEEP_BODY)
+            assert conn.recv(4096) == b""  # the connection was closed
+            stats = rig.stats()
+            assert stats["wire_errors"] == 1
+            assert rig.serve(["books"])["type"] == "result"

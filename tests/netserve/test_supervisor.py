@@ -19,10 +19,11 @@ from repro.netserve.supervisor import (
     SupervisorConfig,
     WorkerStatus,
 )
-from repro.netserve.worker import _SHUTDOWN, WorkerConfig, _PendingServe, _Worker
+from repro.netserve.worker import WorkerConfig
 from repro.serving import ServeRequest
 
-from tests.netserve.conftest import HeldDispatcher, requires_af_unix
+from tests.netserve.conftest import requires_af_unix
+from tests.netserve.worker_rig import RunningWorker
 
 pytestmark = requires_af_unix
 
@@ -245,146 +246,87 @@ class TestCrashLoop:
             assert stats["frontend"]["breakers"]["0"] == "failed"
 
 
-class TestGracefulDrain:
-    def _quiesced_worker(
-        self, segment_path, tmp_path, drain_timeout_s, max_batch=1
-    ):
-        """A ``_Worker`` with its dispatcher already retired, so the
-        drain path can be driven synchronously."""
-        worker = _Worker(
-            WorkerConfig(
-                segment_path=str(segment_path),
-                socket_path=str(tmp_path / "drain.sock"),
-                drain_timeout_s=drain_timeout_s,
-                max_batch=max_batch,
-            )
-        )
-        worker._stop.set()
-        worker._queue.put(_SHUTDOWN)
-        worker._dispatcher.join(timeout=5.0)
-        assert not worker._dispatcher.is_alive()
-        worker._stop.clear()  # re-arm so test enqueues are observable
-        return worker
+def _serves(texts):
+    return [
+        {"type": "serve", "request": {"query": text.split(), "request_id": f"q-{i}"}}
+        for i, text in enumerate(texts)
+    ]
 
-    def test_queued_requests_are_served_not_errored(
-        self, segment_path, tmp_path
-    ):
-        worker = self._quiesced_worker(segment_path, tmp_path, 5.0)
+
+class TestGracefulDrain:
+    """A ``shutdown`` frame read in the same loop turn as a backlog of
+    serves: the loop acks it, then drains the backlog."""
+
+    def _drain(self, segment_path, tmp_path, count, drain_timeout_s=5.0, max_batch=1):
+        """``count`` serves and a ``shutdown`` sent behind a held batch;
+        the worker, its replies (the ack last) and the loop's run time
+        after the release."""
+        config = WorkerConfig(
+            segment_path=str(segment_path),
+            socket_path=str(tmp_path / "drain.sock"),
+            drain_timeout_s=drain_timeout_s,
+            max_batch=max_batch,
+        )
+        rig = RunningWorker(config)
         try:
-            items = [
-                _PendingServe(ServeRequest.from_text(f"books {i}"))
-                for i in range(3)
-            ]
-            for item in items:
-                worker._queue.put(item)
-            worker._drain_shutdown()
-            for item in items:
-                assert item.done.is_set()
-                assert item.response["type"] == "result"
-            assert worker.drained == 3
-            assert worker.drain_errors == 0
+            held, replies = rig.behind_held_batch(
+                _serves(f"books {i}" for i in range(count)) + [{"type": "shutdown"}]
+            )
+            started = time.monotonic()
+            rig.join(timeout_s=drain_timeout_s + 5.0)
+            elapsed = time.monotonic() - started
         finally:
-            worker.index.close()
+            rig.stop()
+        assert held["type"] == "result"
+        assert replies.pop() == {"type": "ok"}
+        return rig, replies, elapsed
+
+    def test_queued_requests_are_served_not_errored(self, segment_path, tmp_path):
+        rig, replies, _ = self._drain(segment_path, tmp_path, 3)
+        assert [reply["type"] for reply in replies] == ["result"] * 3
+        assert [reply["request_id"] for reply in replies] == ["q-0", "q-1", "q-2"]
+        assert rig.worker.drained == 3
+        assert rig.worker.drain_errors == 0
 
     def test_drain_serves_in_chunks_of_max_batch(self, segment_path, tmp_path):
-        """The drain is the dispatcher's own call: ``serve_batch`` over
-        chunks of at most ``max_batch``, and a repeated shutdown
-        sentinel does not end it while work is still queued."""
-        worker = self._quiesced_worker(segment_path, tmp_path, 5.0, max_batch=3)
-        try:
-            sizes = []
-            serve_batch = worker.server.serve_batch
+        """The drain serves through ``serve_batch`` like any batch, in
+        chunks of at most ``max_batch``."""
+        rig, replies, _ = self._drain(segment_path, tmp_path, 7, max_batch=3)
+        assert [len(batch) for batch in rig.batches] == [1, 3, 3, 1]
+        assert [reply["type"] for reply in replies] == ["result"] * 7
+        assert rig.worker.drained == 7
+        assert rig.worker.batches == 1  # drain chunks are not batches
 
-            def recording_serve_batch(requests):
-                sizes.append(len(requests))
-                return serve_batch(requests)
-
-            worker.server.serve_batch = recording_serve_batch
-            items = [
-                _PendingServe(ServeRequest.from_text(f"books {i}"))
-                for i in range(7)
-            ]
-            for item in items[:-1]:
-                worker._queue.put(item)
-            worker._queue.put(_SHUTDOWN)
-            worker._queue.put(items[-1])
-            worker._drain_shutdown()
-            assert sizes == [3, 3, 1]
-            assert [item.response["type"] for item in items] == ["result"] * 7
-            assert worker.drained == 7
-            assert worker.batches == 0  # drain chunks are not dispatcher batches
-        finally:
-            worker.index.close()
-
-    def test_zero_budget_falls_back_to_retryable_errors(
-        self, segment_path, tmp_path
-    ):
-        worker = self._quiesced_worker(segment_path, tmp_path, 0.0)
-        try:
-            item = _PendingServe(ServeRequest.from_text("books"))
-            worker._queue.put(item)
-            worker._drain_shutdown()
-            assert item.response["type"] == "error"
-            assert item.response["retryable"] is True
-            assert worker.drain_errors == 1
-            assert worker.drained == 0
-        finally:
-            worker.index.close()
+    def test_zero_budget_falls_back_to_retryable_errors(self, segment_path, tmp_path):
+        rig, replies, _ = self._drain(segment_path, tmp_path, 1, drain_timeout_s=0.0)
+        (reply,) = replies
+        assert reply["type"] == "error"
+        assert reply["retryable"] is True
+        assert reply["request_id"] == "q-0"
+        assert rig.worker.drain_errors == 1
+        assert rig.worker.drained == 0
+        assert rig.batches == [[None]]  # only the held warm-up serve
 
     def test_shutdown_behind_backlog_serves_batch_in_hand_and_queue(
         self, segment_path, tmp_path
     ):
         """A ``shutdown`` frame landing mid-backlog: the batch in hand is
-        served, then everything still queued is drained — every request
-        a ``result``, none an ``error``."""
+        served, then everything the loop had read is drained — every
+        request a ``result``, none an ``error`` — well inside the
+        budget."""
         max_batch, drain_timeout_s = 4, 5.0
-        worker = _Worker(
-            WorkerConfig(
-                segment_path=str(segment_path),
-                socket_path=str(tmp_path / "drain.sock"),
-                max_batch=max_batch,
-                drain_timeout_s=drain_timeout_s,
-            )
+        rig, replies, elapsed = self._drain(
+            segment_path, tmp_path, max_batch + 1, drain_timeout_s, max_batch
         )
-        try:
-            held = HeldDispatcher(worker)
-            for i in range(max_batch + 1):
-                held.submit(
-                    i, ServeRequest.from_text(f"books {i}", request_id=f"q-{i}")
-                )
-            held.wait_queued(max_batch + 1)
-            assert worker.handle({"type": "shutdown"}) == {"type": "ok"}
-            # Admitted just before ``_stop`` was set, enqueued just after
-            # the sentinel: the stragglers the drain exists for.
-            late = [
-                _PendingServe(
-                    ServeRequest.from_text(f"late {i}", request_id=f"late-{i}")
-                )
-                for i in range(max_batch)
-            ]
-            for item in late:
-                worker._queue.put(item)
-
-            started = time.monotonic()
-            replies = held.join(timeout_s=drain_timeout_s)
-            worker._dispatcher.join(timeout=drain_timeout_s)
-            assert not worker._dispatcher.is_alive()
-            assert time.monotonic() - started < drain_timeout_s
-
-            assert replies["held"]["type"] == "result"
-            for i in range(max_batch + 1):
-                assert replies[i]["type"] == "result"
-                assert replies[i]["request_id"] == f"q-{i}"
-            for i, item in enumerate(late):
-                assert item.done.is_set()
-                assert item.response["type"] == "result"
-                assert item.response["request_id"] == f"late-{i}"
-            # held | a full batch | one in hand when the sentinel
-            # surfaced mid-collect | the rest through the drain.
-            assert worker.batches == 3
-            assert worker.served == 2 * max_batch + 2
-            assert worker.drained == max_batch
-            assert worker.drain_errors == 0
-            assert worker.errors == 0
-        finally:
-            worker.close()
+        assert elapsed < drain_timeout_s
+        for i, reply in enumerate(replies):
+            assert reply["type"] == "result"
+            assert reply["request_id"] == f"q-{i}"
+        # held | the backlog through the drain, in chunks.
+        assert [len(batch) for batch in rig.batches] == [1, max_batch, 1]
+        worker = rig.worker
+        assert worker.batches == 1
+        assert worker.served == max_batch + 2
+        assert worker.drained == max_batch + 1
+        assert worker.drain_errors == 0
+        assert worker.errors == 0

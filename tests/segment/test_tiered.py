@@ -586,45 +586,39 @@ class TestServingIntegration:
                 assert ids(got) == ids(oracle.query(query))
 
     def test_worker_reloads_on_manifest_swap(self, tmp_path):
-        from repro.netserve.worker import WorkerConfig, _Worker
+        from repro.netserve.worker import WorkerConfig
+
+        from tests.netserve.worker_rig import RunningWorker
 
         directory = tmp_path / "tiered"
         config = TieredConfig(seal_threshold=100)
         writer = TieredSegmentedIndex(directory, config=config)
         writer.insert(ad("serve w0 common", listing_id=1))
         writer.seal()
-        worker = _Worker(
-            WorkerConfig(
-                segment_path=str(directory),
-                socket_path=str(tmp_path / "sock"),
-                # Probe the manifest before every batch: this test is
-                # about the swap itself, not the throttle (which has
-                # its own coverage in tests/netserve/test_batching.py).
-                reload_check_interval_s=0.0,
-            )
+        worker_config = WorkerConfig(
+            segment_path=str(directory),
+            socket_path=str(tmp_path / "sock"),
+            # Probe the manifest before every batch: this test is
+            # about the swap itself, not the throttle (which has
+            # its own coverage in tests/netserve/test_batching.py).
+            reload_check_interval_s=0.0,
         )
         try:
-            reply = worker.handle({
-                "type": "serve",
-                "request": {"query": ["serve", "w0", "common"]},
-            })
-            assert reply["type"] == "result"
-            assert reply["result"]["outcome"]["candidates"] == 1
-            assert reply["generation"] == writer.generation
-            # Commit a new generation; the worker must pick it up
-            # between requests.
-            writer.insert(ad("serve w0 common", listing_id=2))
-            writer.seal()
-            reply = worker.handle({
-                "type": "serve",
-                "request": {"query": ["serve", "w0", "common"]},
-            })
-            assert reply["result"]["outcome"]["candidates"] == 2
-            assert reply["generation"] == writer.generation
-            assert worker.manifest_reloads == 1
-            stats = worker.stats_payload()
-            assert stats["tiered"]["generation"] == writer.generation
-            assert stats["tiered"]["manifest_reloads"] == 1
+            with RunningWorker(worker_config) as rig:
+                reply = rig.serve(["serve", "w0", "common"])
+                assert reply["type"] == "result"
+                assert reply["result"]["outcome"]["candidates"] == 1
+                assert reply["generation"] == writer.generation
+                # Commit a new generation; the worker must pick it up
+                # between requests.
+                writer.insert(ad("serve w0 common", listing_id=2))
+                writer.seal()
+                reply = rig.serve(["serve", "w0", "common"])
+                assert reply["result"]["outcome"]["candidates"] == 2
+                assert reply["generation"] == writer.generation
+                stats = rig.stats()
+                assert stats["generation"] == writer.generation
+                assert stats["tiered"]["generation"] == writer.generation
+                assert stats["tiered"]["manifest_reloads"] == 1
         finally:
-            worker.close()
             writer.close()
